@@ -40,51 +40,39 @@ class SourceSpan:
 _NAME_RE = re.compile(r"([A-Za-z_]\w*)\s*$")
 
 
-def _skip_noncode(source: str, i: int) -> int:
-    """Advance past a comment or string/char literal starting at ``i``;
-    returns the new position, or ``i`` if nothing to skip."""
-    ch = source[i]
-    if ch == "/" and i + 1 < len(source):
-        if source[i + 1] == "/":
-            end = source.find("\n", i)
-            return len(source) if end < 0 else end + 1
-        if source[i + 1] == "*":
-            end = source.find("*/", i + 2)
-            return len(source) if end < 0 else end + 2
-    if ch in "\"'":
-        quote = ch
-        j = i + 1
-        while j < len(source):
-            if source[j] == "\\":
-                j += 2
-                continue
-            if source[j] == quote:
-                return j + 1
-            j += 1
-        return len(source)
-    return i
+#: The only characters the scanner acts on: braces, semicolons, and the
+#: starts of comments and string/char literals (each skipped whole; an
+#: unterminated one runs to the end of the source).  Everything between
+#: two matches is plain code.
+_EVENT = re.compile(r"""
+    //[^\n]*\n?
+  | /\*.*?(?:\*/|\Z)
+  | "(?:[^"\\]|\\.)*(?:"|\\?\Z)
+  | '(?:[^'\\]|\\.)*(?:'|\\?\Z)
+  | [{};/]
+""", re.DOTALL | re.VERBOSE)
 
 
 def index_source(source: str) -> Optional[List[SourceSpan]]:
     """Split ``source`` into top-level spans; ``None`` if unclassifiable."""
     spans: List[SourceSpan] = []
-    i = 0
     start = 0
     depth = 0
     body_start = -1
     last_code = ""      # last non-whitespace code character seen at depth 0
-    n = len(source)
-    while i < n:
-        j = _skip_noncode(source, i)
-        if j != i:
-            i = j
-            continue
-        ch = source[i]
-        if ch == "{":
+    code_from = 0       # depth-0 code not yet folded into last_code
+    for match in _EVENT.finditer(source):
+        i = match.start()
+        if depth == 0:
+            tail = source[code_from:i].rstrip()
+            if tail:
+                last_code = tail[-1]
+        text = match.group()
+        if text == "{":
             if depth == 0:
                 body_start = i
             depth += 1
-        elif ch == "}":
+        elif text == "}":
             depth -= 1
             if depth < 0:
                 return None
@@ -97,21 +85,22 @@ def index_source(source: str) -> Optional[List[SourceSpan]]:
                     paren = head.find("(")
                     if paren < 0:
                         return None
-                    match = _NAME_RE.search(head[:paren])
-                    if match is None:
+                    name = _NAME_RE.search(head[:paren])
+                    if name is None:
                         return None
-                    spans.append(SourceSpan("func", match.group(1),
+                    spans.append(SourceSpan("func", name.group(1),
                                             head, body))
                     start = i + 1
-                else:
-                    # global initializer braces etc.: wait for the ';'
-                    pass
-        elif ch == ";" and depth == 0:
-            spans.append(SourceSpan("other", "", source[start:i + 1], ""))
-            start = i + 1
-        if depth == 0 and not ch.isspace() and ch not in "{};":
-            last_code = ch
-        i += 1
+                # else: global initializer braces etc.: wait for the ';'
+        elif text == ";":
+            if depth == 0:
+                spans.append(SourceSpan("other", "", source[start:i + 1],
+                                        ""))
+                start = i + 1
+        elif text == "/" and depth == 0:
+            last_code = "/"
+        if depth == 0:
+            code_from = match.end()
     if depth != 0 or source[start:].strip():
         return None
     names = [span.name for span in spans if span.kind == "func"]

@@ -35,27 +35,13 @@ from repro.core.instrument import (
     _collect_aligned_labels,
     instrument_stream,
 )
-from repro.errors import AssemblerError
-from repro.isa.assembler import (
-    Align,
-    AlignEnd,
-    AsmInstr,
-    BarySlot,
-    Data,
-    DataWord,
-    Item,
-    Label,
-    LabelRef,
-    Mark,
-    _next_instr_length,
-)
-from repro.isa.encoding import encode
-from repro.isa.instructions import Instruction, Op, OperandKind, SPECS
+from repro.isa.assembler import Align, Item, emit
+from repro.isa.instructions import Op, OperandKind
 from repro.mir import ir
 from repro.mir.codegen import FunctionCodegen
 from repro.tinyc.types import FuncSig
 
-NOP = encode(Instruction(Op.NOP))
+NOP = bytes([Op.NOP])
 
 #: Relocation kinds: how the linker patches the hole at ``field_off``.
 #: 'rel32'  4-byte PC-relative (extra = offset just past the instruction)
@@ -102,133 +88,64 @@ class UnitArtifact:
         return len(self.code)
 
 
-_WIDTHS = {OperandKind.REG: 1, OperandKind.IMM8: 1, OperandKind.IMM32: 4,
-           OperandKind.REL32: 4, OperandKind.IMM64: 8}
+class UnitResolver:
+    """Unit grain: REL32 references to the unit's own labels resolve now
+    (they are position-independent); every other label reference, Bary
+    slot and data word becomes a relocation hole assembled as 0."""
+
+    def __init__(self, module_name: str, sid_contents: Dict[int, bytes],
+                 artifact: UnitArtifact) -> None:
+        self.str_re = re.compile(
+            r"\A" + re.escape(module_name) + r"\.str(\d+)\Z")
+        self.sid_contents = sid_contents
+        self.str_index: Dict[bytes, int] = {}
+        self.artifact = artifact
+
+    def ref_of(self, name: str) -> Tuple[str, object]:
+        match = self.str_re.match(name)
+        if match is None:
+            return ("L", name)
+        content = self.sid_contents[int(match.group(1))]
+        index = self.str_index.get(content)
+        if index is None:
+            index = self.str_index[content] = len(self.artifact.strings)
+            self.artifact.strings.append(content)
+        return ("S", index)
+
+    def label(self, kind, name, field_addr, end):
+        if kind is OperandKind.REL32:
+            target = self.artifact.labels.get(name)
+            if target is not None:
+                return target - end
+            self.artifact.relocs.append(
+                (field_addr, "rel32", self.ref_of(name), end))
+        else:
+            self.artifact.relocs.append(
+                (field_addr, "abs64" if kind is OperandKind.IMM64
+                 else "abs32", self.ref_of(name), 0))
+        return 0
+
+    def bary(self, site, field_addr):
+        self.artifact.bary_slots.append((site, field_addr))
+
+    def word(self, name, addr):
+        self.artifact.relocs.append((addr, "word", self.ref_of(name), 0))
+        return 0
 
 
 def assemble_unit(items: Sequence[Item], module_name: str,
                   sid_contents: Dict[int, bytes],
                   artifact: UnitArtifact) -> UnitArtifact:
     """Assemble one unit's instrumented items at base 0 into
-    ``artifact`` (code, labels, relocs, marks, slots, offsets)."""
-    str_re = re.compile(r"\A" + re.escape(module_name) + r"\.str(\d+)\Z")
-    str_index: Dict[bytes, int] = {}
-
-    def ref_of(name: str) -> Tuple[str, object]:
-        match = str_re.match(name)
-        if match is None:
-            return ("L", name)
-        content = sid_contents[int(match.group(1))]
-        index = str_index.get(content)
-        if index is None:
-            index = str_index[content] = len(artifact.strings)
-            artifact.strings.append(content)
-        return ("S", index)
-
+    ``artifact`` (code, labels, relocs, marks, slots, offsets) — the
+    module assembler's core at any lead_align-congruent address, with
+    cross-unit references left as relocation holes."""
     if items and isinstance(items[0], Align):
         artifact.lead_align = items[0].n
-
-    # Pass 1: layout at base 0 (identical arithmetic to the monolithic
-    # assembler at any lead_align-congruent address).
-    offsets: List[int] = []
-    labels = artifact.labels
-    offset = 0
-    for index, item in enumerate(items):
-        if isinstance(item, Align):
-            offsets.append(offset)
-            offset += (-offset) % item.n
-        elif isinstance(item, AlignEnd):
-            next_len = _next_instr_length(items, index)
-            offsets.append(offset)
-            offset += (-(offset + next_len)) % item.n
-        elif isinstance(item, Label):
-            if item.name in labels:
-                raise AssemblerError(f"duplicate label {item.name!r}")
-            labels[item.name] = offset
-            offsets.append(offset)
-        elif isinstance(item, Mark):
-            offsets.append(offset)
-        elif isinstance(item, AsmInstr):
-            offsets.append(offset)
-            offset += item.length
-        elif isinstance(item, Data):
-            offsets.append(offset)
-            offset += len(item.payload)
-        elif isinstance(item, DataWord):
-            offsets.append(offset)
-            offset += 8
-        else:
-            raise AssemblerError(f"unknown assembly item {item!r}")
-
-    # Pass 2: emit bytes; local REL32 refs resolve now, everything else
-    # becomes a relocation hole.
-    out = bytearray()
-    relocs = artifact.relocs
-    for index, item in enumerate(items):
-        off = offsets[index]
-        if isinstance(item, Align):
-            out += NOP * ((-off) % item.n)
-        elif isinstance(item, AlignEnd):
-            pad = (-(off + _next_instr_length(items, index))) % item.n
-            out += NOP * pad
-        elif isinstance(item, Label):
-            pass
-        elif isinstance(item, Mark):
-            artifact.marks.append((item.kind, item.info, off))
-        elif isinstance(item, AsmInstr):
-            artifact.instr_offsets.append(off)
-            out += _encode_unit_instr(item, off, labels, relocs,
-                                      artifact.bary_slots, ref_of)
-        elif isinstance(item, Data):
-            out += item.payload
-        elif isinstance(item, DataWord):
-            value = item.value
-            if isinstance(value, LabelRef):
-                relocs.append((off, "word", ref_of(value.name), 0))
-                value = 0
-            out += (value & 0xFFFFFFFFFFFFFFFF).to_bytes(8, "little")
-    artifact.code = bytes(out)
+    artifact.code = emit(items, 0, artifact.labels,
+                         UnitResolver(module_name, sid_contents, artifact),
+                         artifact.marks, artifact.instr_offsets)
     return artifact
-
-
-def _encode_unit_instr(item: AsmInstr, off: int, labels: Dict[str, int],
-                       relocs: List[Reloc],
-                       bary_slots: List[Tuple[int, int]],
-                       ref_of) -> bytes:
-    spec = SPECS[item.op]
-    resolved: List[int] = []
-    field_offset = 1  # skip the opcode byte
-    for kind, operand in zip(spec.operands, item.operands):
-        width = _WIDTHS[kind]
-        if isinstance(operand, LabelRef):
-            if kind is OperandKind.REL32:
-                target = labels.get(operand.name)
-                if target is not None:
-                    resolved.append(target - (off + item.length))
-                else:
-                    relocs.append((off + field_offset, "rel32",
-                                   ref_of(operand.name), off + item.length))
-                    resolved.append(0)
-            elif kind is OperandKind.IMM64:
-                relocs.append((off + field_offset, "abs64",
-                               ref_of(operand.name), 0))
-                resolved.append(0)
-            elif kind is OperandKind.IMM32:
-                relocs.append((off + field_offset, "abs32",
-                               ref_of(operand.name), 0))
-                resolved.append(0)
-            else:
-                raise AssemblerError(
-                    f"label {operand.name!r} used in a {kind.value} slot")
-        elif isinstance(operand, BarySlot):
-            if kind is not OperandKind.IMM32:
-                raise AssemblerError("BarySlot must fill an imm32 slot")
-            bary_slots.append((operand.site, off + field_offset))
-            resolved.append(0)
-        else:
-            resolved.append(int(operand))
-        field_offset += width
-    return encode(Instruction(item.op, tuple(resolved)))
 
 
 def compile_unit(func: ir.MirFunction, module_name: str, arch: str,

@@ -31,14 +31,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Sequence, Tuple, Union
 
 from repro.errors import AssemblerError
-from repro.isa.encoding import encode
-from repro.isa.instructions import (
-    Instruction,
-    Op,
-    OperandKind,
-    SPECS,
-    instruction_length,
-)
+from repro.isa.instructions import CODECS, Op, OperandKind, codec_of
 
 
 @dataclass(frozen=True)
@@ -79,7 +72,7 @@ class AsmInstr:
 
     @property
     def length(self) -> int:
-        return instruction_length(self.op)
+        return CODECS[self.op].length
 
 
 @dataclass(frozen=True)
@@ -152,7 +145,44 @@ class Assembled:
         return [(info, addr) for k, info, addr in self.marks if k == kind]
 
 
-_NOP = encode(Instruction(Op.NOP))
+_NOP = bytes([Op.NOP])
+_MASK64 = 0xFFFFFFFFFFFFFFFF
+
+
+class AbsoluteResolver:
+    """Module grain: every label resolves to its absolute address, from
+    the items' own labels first and then ``extern``; IMM64 label
+    immediates and label data words are recorded as absolute
+    relocations."""
+
+    def __init__(self, extern: Dict[str, int], result: Assembled) -> None:
+        self.labels = result.labels
+        self.extern = extern
+        self.result = result
+
+    def lookup(self, name: str) -> int:
+        target = self.labels.get(name)
+        if target is None:
+            target = self.extern.get(name)
+            if target is None:
+                raise AssemblerError(f"undefined label {name!r}")
+        return target
+
+    def label(self, kind, name, field_addr, end):
+        target = self.lookup(name)
+        if kind is OperandKind.REL32:
+            return target - end
+        if kind is OperandKind.IMM64:
+            self.result.abs_relocs.append(field_addr - self.result.base)
+        return target
+
+    def bary(self, site, field_addr):
+        self.result.bary_slots[site] = field_addr - self.result.base
+
+    def word(self, name, addr):
+        value = self.lookup(name)
+        self.result.abs_relocs.append(addr - self.result.base)
+        return value
 
 
 def assemble(items: Sequence[Item], base: int = 0,
@@ -162,120 +192,138 @@ def assemble(items: Sequence[Item], base: int = 0,
     Layout is a single deterministic pass (all instruction lengths are
     static); label resolution is a second pass.  ``extern`` supplies
     addresses of labels defined outside these items (globals in the
-    data region, imported functions) — the linker's job.
+    data region, imported functions) — the linker's job.  Locally
+    defined labels shadow extern labels (a library may define a symbol
+    the main program routes through a PLT alias).
     """
-    # Pass 1: layout -- compute the address of every item.  Locally
-    # defined labels shadow extern labels (a library may define a symbol
-    # the main program routes through a PLT alias).
-    addresses: List[int] = []
-    labels: Dict[str, int] = {}
-    extern_labels: Dict[str, int] = dict(extern) if extern else {}
-    address = base
-    for index, item in enumerate(items):
-        if isinstance(item, Align):
-            pad = (-address) % item.n
-            addresses.append(address)
-            address += pad
-        elif isinstance(item, AlignEnd):
-            next_len = _next_instr_length(items, index)
-            pad = (-(address + next_len)) % item.n
-            addresses.append(address)
-            address += pad
-        elif isinstance(item, Label):
-            if item.name in labels:
-                raise AssemblerError(f"duplicate label {item.name!r}")
-            labels[item.name] = address
-            addresses.append(address)
-        elif isinstance(item, Mark):
-            addresses.append(address)
-        elif isinstance(item, AsmInstr):
-            addresses.append(address)
-            address += item.length
-        elif isinstance(item, Data):
-            addresses.append(address)
-            address += len(item.payload)
-        elif isinstance(item, DataWord):
-            addresses.append(address)
-            address += 8
-        else:
-            raise AssemblerError(f"unknown assembly item {item!r}")
-
-    # Pass 2: emit bytes and resolve references.
-    resolve: Dict[str, int] = dict(extern_labels)
-    resolve.update(labels)
-    out = bytearray()
-    result = Assembled(base=base, code=b"", labels=labels)
-    for index, item in enumerate(items):
-        addr = addresses[index]
-        if isinstance(item, (Align, AlignEnd)):
-            if isinstance(item, Align):
-                pad = (-addr) % item.n
-            else:
-                pad = (-(addr + _next_instr_length(items, index))) % item.n
-            out += _NOP * pad
-        elif isinstance(item, Label):
-            pass
-        elif isinstance(item, Mark):
-            result.marks.append((item.kind, item.info, addr))
-        elif isinstance(item, AsmInstr):
-            result.instr_addresses.append(addr)
-            out += _resolve_and_encode(item, addr, resolve, result, base)
-        elif isinstance(item, Data):
-            out += item.payload
-        elif isinstance(item, DataWord):
-            value = item.value
-            if isinstance(value, LabelRef):
-                value = _lookup(resolve, value.name)
-                result.abs_relocs.append(addr - base)
-            out += (value & 0xFFFFFFFFFFFFFFFF).to_bytes(8, "little")
-    result.code = bytes(out)
+    result = Assembled(base=base, code=b"", labels={})
+    resolver = AbsoluteResolver(extern or {}, result)
+    result.code = emit(items, base, result.labels, resolver, result.marks,
+                       result.instr_addresses)
     return result
 
 
-def _next_instr_length(items: Sequence[Item], index: int) -> int:
-    """Length of the first instruction at or after ``index`` + 1."""
-    for item in items[index + 1:]:
-        if isinstance(item, AsmInstr):
-            return item.length
-        if isinstance(item, (Data, DataWord, Align, AlignEnd)):
-            break
-    raise AssemblerError("AlignEnd directive not followed by an instruction")
+def emit(items: Sequence[Item], base: int, labels: Dict[str, int],
+         resolver, marks: List[Tuple[str, object, int]],
+         instr_addresses: List[int]) -> bytes:
+    """The assembler core shared by module and unit grain.
+
+    Lays ``items`` out at ``base`` (binding ``labels``), then encodes
+    them through the codec table.  Appends ``(kind, info, address)`` per
+    mark to ``marks`` and each instruction's address to
+    ``instr_addresses``; returns the code bytes.
+
+    Symbolic operands go to ``resolver``, which is what distinguishes
+    the grains (:class:`AbsoluteResolver` here,
+    :class:`repro.build.units.UnitResolver` for units):
+
+    * ``resolver.label(kind, name, field_addr, end)`` returns the value
+      of a :class:`LabelRef` in a REL32, IMM32 or IMM64 field at
+      ``field_addr`` of the instruction ending at ``end``;
+    * ``resolver.bary(site, field_addr)`` records the imm32 field of a
+      :class:`BarySlot` (which encodes as 0);
+    * ``resolver.word(name, addr)`` returns the value of a label-valued
+      :class:`DataWord` at ``addr``.
+    """
+    addresses = _layout(items, base, labels)
+    # Pre-filled with NOPs, so alignment pads need no writes.
+    code = bytearray(_NOP * (addresses[-1] - base))
+    for item, addr in zip(items, addresses):
+        cls = item.__class__
+        if cls is AsmInstr:
+            instr_addresses.append(addr)
+            codec = CODECS[item.op]
+            try:
+                values = codec.check(item.operands)
+            except TypeError:
+                # a LabelRef or BarySlot does not compare with the
+                # field bounds: resolve the symbolic operands first
+                values = codec.check(
+                    _resolve(codec, item.operands, addr, resolver))
+            at = addr - base
+            code[at] = codec.opcode
+            codec.struct.pack_into(code, at + 1, *values)
+        elif cls is Mark:
+            marks.append((item.kind, item.info, addr))
+        elif cls is Data:
+            at = addr - base
+            code[at:at + len(item.payload)] = item.payload
+        elif cls is DataWord:
+            value = item.value
+            if value.__class__ is LabelRef:
+                value = resolver.word(value.name, addr)
+            at = addr - base
+            code[at:at + 8] = (value & _MASK64).to_bytes(8, "little")
+    return bytes(code)
 
 
-def _lookup(labels: Dict[str, int], name: str) -> int:
-    try:
-        return labels[name]
-    except KeyError:
-        raise AssemblerError(f"undefined label {name!r}") from None
-
-
-def _resolve_and_encode(item: AsmInstr, addr: int, labels: Dict[str, int],
-                        result: Assembled, base: int) -> bytes:
-    spec = SPECS[item.op]
-    resolved: List[int] = []
-    field_offset = 1  # skip the opcode byte
-    for kind, operand in zip(spec.operands, item.operands):
-        width = {OperandKind.REG: 1, OperandKind.IMM8: 1,
-                 OperandKind.IMM32: 4, OperandKind.REL32: 4,
-                 OperandKind.IMM64: 8}[kind]
-        if isinstance(operand, LabelRef):
-            target = _lookup(labels, operand.name)
-            if kind is OperandKind.REL32:
-                resolved.append(target - (addr + item.length))
-            elif kind is OperandKind.IMM64:
-                resolved.append(target)
-                result.abs_relocs.append(addr + field_offset - base)
-            elif kind is OperandKind.IMM32:
-                resolved.append(target)
-            else:
+def _resolve(codec, operands, addr: int, resolver) -> list:
+    """``operands`` with each :class:`LabelRef` and :class:`BarySlot`
+    replaced by the value ``resolver`` gives it."""
+    resolved = []
+    for (kind, offset, *_), value in zip(codec.fields, operands):
+        if value.__class__ is LabelRef:
+            if kind not in (OperandKind.REL32, OperandKind.IMM32,
+                            OperandKind.IMM64):
                 raise AssemblerError(
-                    f"label {operand.name!r} used in a {kind.value} slot")
-        elif isinstance(operand, BarySlot):
+                    f"label {value.name!r} used in a {kind.value} slot")
+            value = resolver.label(kind, value.name, addr + offset,
+                                   addr + codec.length)
+        elif value.__class__ is BarySlot:
             if kind is not OperandKind.IMM32:
                 raise AssemblerError("BarySlot must fill an imm32 slot")
-            result.bary_slots[operand.site] = addr + field_offset - base
-            resolved.append(0)
+            resolver.bary(value.site, addr + offset)
+            value = 0
+        resolved.append(value)
+    return resolved
+
+
+def _layout(items: Sequence[Item], base: int,
+            labels: Dict[str, int]) -> List[int]:
+    """Address of every item, plus the end address as a final entry;
+    binds ``labels``."""
+    addresses: List[int] = []
+    append = addresses.append
+    codecs = CODECS
+    address = base
+    for index, item in enumerate(items):
+        append(address)
+        cls = item.__class__
+        if cls is AsmInstr:
+            codec = codecs.get(item.op)
+            if codec is None:
+                codec_of(item.op)  # raises the unknown-opcode error
+            address += codec.length
+        elif cls is Label:
+            if item.name in labels:
+                raise AssemblerError(f"duplicate label {item.name!r}")
+            labels[item.name] = address
+        elif cls is Mark:
+            pass
+        elif cls is Align:
+            address += (-address) % item.n
+        elif cls is AlignEnd:
+            address += (-(address + _next_instr_length(items, index))
+                        ) % item.n
+        elif cls is Data:
+            address += len(item.payload)
+        elif cls is DataWord:
+            address += 8
         else:
-            resolved.append(int(operand))
-        field_offset += width
-    return encode(Instruction(item.op, tuple(resolved)))
+            raise AssemblerError(f"unknown assembly item {item!r}")
+    append(address)
+    return addresses
+
+
+def _next_instr_length(items: Sequence[Item], index: int) -> int:
+    """Length of the first instruction after ``index``, which only
+    labels and marks may precede."""
+    for position in range(index + 1, len(items)):
+        item = items[position]
+        cls = item.__class__
+        if cls is AsmInstr:
+            return codec_of(item.op).length
+        if cls is Data or cls is DataWord or cls is Align or \
+                cls is AlignEnd:
+            break
+    raise AssemblerError("AlignEnd directive not followed by an instruction")

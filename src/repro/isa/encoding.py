@@ -11,33 +11,16 @@ middle of an instruction" discussion rely on this property.
 
 from __future__ import annotations
 
-import struct
 from typing import Iterator, List, Tuple
 
 from repro.errors import EncodingError
 from repro.isa.instructions import (
-    SPECS,
+    CODEC_BY_BYTE,
     Instruction,
-    Op,
     OperandKind,
+    codec_of,
 )
 from repro.isa.registers import NUM_REGS
-
-_OPCODE_VALUES = {int(op) for op in Op}
-
-_U32 = struct.Struct("<I")
-_U64 = struct.Struct("<Q")
-
-_MASK32 = 0xFFFFFFFF
-_MASK64 = 0xFFFFFFFFFFFFFFFF
-
-
-def _sign_extend(value: int, bits: int) -> int:
-    mask = (1 << bits) - 1
-    value &= mask
-    if value & (1 << (bits - 1)):
-        value -= 1 << bits
-    return value
 
 
 def encode(instr: Instruction) -> bytes:
@@ -45,27 +28,9 @@ def encode(instr: Instruction) -> bytes:
 
     Raises :class:`EncodingError` if an operand does not fit its field.
     """
-    out = bytearray([int(instr.op)])
-    for kind, value in zip(instr.spec.operands, instr.operands):
-        if kind is OperandKind.REG:
-            if not 0 <= value < NUM_REGS:
-                raise EncodingError(f"bad register number {value}")
-            out.append(value)
-        elif kind is OperandKind.IMM8:
-            if not 0 <= value < 256:
-                raise EncodingError(f"imm8 out of range: {value}")
-            out.append(value)
-        elif kind in (OperandKind.IMM32, OperandKind.REL32):
-            if not -(1 << 31) <= value < (1 << 32):
-                raise EncodingError(f"imm32 out of range: {value}")
-            out += _U32.pack(value & _MASK32)
-        elif kind is OperandKind.IMM64:
-            if not -(1 << 63) <= value < (1 << 64):
-                raise EncodingError(f"imm64 out of range: {value}")
-            out += _U64.pack(value & _MASK64)
-        else:  # pragma: no cover - exhaustive over OperandKind
-            raise EncodingError(f"unknown operand kind {kind}")
-    return bytes(out)
+    codec = codec_of(instr.op)
+    return bytes((codec.opcode,)) + codec.struct.pack(
+        *codec.check(instr.operands))
 
 
 def encode_all(instrs: List[Instruction]) -> bytes:
@@ -83,39 +48,28 @@ def decode(code: bytes, offset: int = 0) -> Tuple[Instruction, int]:
     if offset >= len(code):
         raise EncodingError("decode past end of code")
     opcode = code[offset]
-    if opcode not in _OPCODE_VALUES:
+    codec = CODEC_BY_BYTE[opcode]
+    if codec is None:
         raise EncodingError(f"invalid opcode byte {opcode:#04x}")
-    op = Op(opcode)
-    spec = SPECS[op]
-    pos = offset + 1
-    operands = []
-    for kind in spec.operands:
-        if kind is OperandKind.REG:
-            if pos + 1 > len(code):
-                raise EncodingError("truncated instruction")
-            value = code[pos]
-            if value >= NUM_REGS:
-                raise EncodingError(f"bad register byte {value:#04x}")
-            pos += 1
-        elif kind is OperandKind.IMM8:
-            if pos + 1 > len(code):
-                raise EncodingError("truncated instruction")
-            value = code[pos]
-            pos += 1
-        elif kind in (OperandKind.IMM32, OperandKind.REL32):
-            if pos + 4 > len(code):
-                raise EncodingError("truncated instruction")
-            value = _sign_extend(_U32.unpack_from(code, pos)[0], 32)
-            pos += 4
-        elif kind is OperandKind.IMM64:
-            if pos + 8 > len(code):
-                raise EncodingError("truncated instruction")
-            value = _sign_extend(_U64.unpack_from(code, pos)[0], 64)
-            pos += 8
-        else:  # pragma: no cover - exhaustive over OperandKind
-            raise EncodingError(f"unknown operand kind {kind}")
-        operands.append(value)
-    return Instruction(op, tuple(operands)), pos - offset
+    if offset + codec.length > len(code):
+        _raise_truncated(codec, code, offset)
+    operands = codec.struct.unpack_from(code, offset + 1)
+    for index in codec.reg_fields:
+        if operands[index] >= NUM_REGS:
+            raise EncodingError(f"bad register byte {operands[index]:#04x}")
+    return Instruction(codec.op, operands), codec.length
+
+
+def _raise_truncated(codec, code: bytes, offset: int) -> None:
+    """Raise the first error a field-by-field read of a truncated
+    instruction meets: a bad register byte before the cut, or the cut."""
+    for kind, field_offset, _, _, mask, _, _ in codec.fields:
+        pos = offset + field_offset
+        if pos + mask.bit_length() // 8 > len(code):
+            break
+        if kind is OperandKind.REG and code[pos] >= NUM_REGS:
+            raise EncodingError(f"bad register byte {code[pos]:#04x}")
+    raise EncodingError("truncated instruction")
 
 
 def decode_stream(code: bytes, offset: int = 0,

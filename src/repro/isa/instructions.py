@@ -33,11 +33,12 @@ The MCFI-specific instructions mirror the paper's Figure 4 sequence:
 from __future__ import annotations
 
 import enum
+import struct
 from dataclasses import dataclass
 from typing import Tuple
 
 from repro.errors import EncodingError
-from repro.isa.registers import Reg
+from repro.isa.registers import NUM_REGS, Reg
 
 
 class OperandKind(enum.Enum):
@@ -48,15 +49,6 @@ class OperandKind(enum.Enum):
     IMM32 = "imm32"  # 4 bytes: signed 32-bit immediate (little endian)
     IMM64 = "imm64"  # 8 bytes: signed 64-bit immediate (little endian)
     REL32 = "rel32"  # 4 bytes: signed 32-bit PC-relative displacement
-
-
-_WIDTH = {
-    OperandKind.REG: 1,
-    OperandKind.IMM8: 1,
-    OperandKind.IMM32: 4,
-    OperandKind.IMM64: 8,
-    OperandKind.REL32: 4,
-}
 
 
 class Op(enum.IntEnum):
@@ -254,14 +246,93 @@ SPECS: dict[Op, OpSpec] = {
 }
 
 
+#: Per operand kind: (struct format, low bound, high bound (exclusive),
+#: encode-error template).  Immediates accept both their signed and
+#: unsigned readings; the decoder reads them back sign-extended.
+_FIELD = {
+    OperandKind.REG: ("B", 0, NUM_REGS, "bad register number {}"),
+    OperandKind.IMM8: ("B", 0, 1 << 8, "imm8 out of range: {}"),
+    OperandKind.IMM32: ("i", -(1 << 31), 1 << 32, "imm32 out of range: {}"),
+    OperandKind.REL32: ("i", -(1 << 31), 1 << 32, "imm32 out of range: {}"),
+    OperandKind.IMM64: ("q", -(1 << 63), 1 << 64, "imm64 out of range: {}"),
+}
+
+
+class Codec:
+    """Everything the encoder, decoder and assembler need about one
+    opcode, computed once from its :class:`OpSpec`.
+
+    ``struct`` covers the operand fields that follow the opcode byte
+    (immediates signed).  ``fields`` holds one ``(kind, offset, low,
+    high, mask, half, error)`` tuple per operand: ``offset`` is the
+    field's byte offset from the opcode byte, ``[low, high)`` the
+    accepted values, and ``((value + half) & mask) - half`` folds an
+    accepted value into the range ``struct`` packs.
+    """
+
+    __slots__ = ("op", "opcode", "spec", "length", "arity", "fields",
+                 "struct", "reg_fields")
+
+    def __init__(self, op: Op, spec: OpSpec) -> None:
+        self.op = op
+        self.opcode = int(op)
+        self.spec = spec
+        self.arity = len(spec.operands)
+        fields = []
+        offset = 1
+        for kind in spec.operands:
+            fmt, low, high, error = _FIELD[kind]
+            width = struct.calcsize("<" + fmt)
+            half = (1 << 8 * width - 1) if fmt in "iq" else 0
+            fields.append((kind, offset, low, high, (1 << 8 * width) - 1,
+                           half, error))
+            offset += width
+        self.length = offset
+        self.fields = tuple(fields)
+        self.struct = struct.Struct(
+            "<" + "".join(_FIELD[kind][0] for kind in spec.operands))
+        self.reg_fields = tuple(index for index, kind
+                                in enumerate(spec.operands)
+                                if kind is OperandKind.REG)
+
+    def check(self, values) -> list:
+        """Range-check operand ``values``; return them folded for
+        :attr:`struct`."""
+        if len(values) != self.arity:
+            raise EncodingError(
+                f"{self.spec.mnemonic}: expected {self.arity} operands, "
+                f"got {len(values)}")
+        out = []
+        for (_, _, low, high, mask, half, error), value in zip(self.fields,
+                                                                values):
+            if not low <= value < high:
+                raise EncodingError(error.format(value))
+            out.append(((value + half) & mask) - half)
+        return out
+
+
+#: The codec table: opcode -> :class:`Codec`.
+CODECS: dict[Op, Codec] = {op: Codec(op, spec) for op, spec in SPECS.items()}
+
+#: The same table indexed by opcode byte (``None`` for invalid bytes).
+CODEC_BY_BYTE: list = [CODECS.get(byte) for byte in range(256)]
+
+
+def codec_of(op: Op) -> Codec:
+    """The :class:`Codec` of ``op``; :class:`EncodingError` if unknown."""
+    codec = CODECS.get(op)
+    if codec is None:
+        raise EncodingError(f"unknown opcode {op!r}")
+    return codec
+
+
 def instruction_length(op: Op) -> int:
     """Return the encoded length in bytes of instructions with opcode ``op``."""
-    spec = SPECS[op]
-    return 1 + sum(_WIDTH[kind] for kind in spec.operands)
+    return CODECS[op].length
 
 
 #: Maximum encoded instruction length (used by the decoder and scanner).
-MAX_INSTRUCTION_LENGTH = max(instruction_length(op) for op in SPECS)
+MAX_INSTRUCTION_LENGTH = max(codec.length for codec in CODECS.values())
 
 #: Opcodes that end a decoded basic block in the VM's dispatch plane
 #: (:mod:`repro.vm.dispatch`): every control transfer plus the two
@@ -300,7 +371,7 @@ class Instruction:
 
     @property
     def length(self) -> int:
-        return instruction_length(self.op)
+        return CODECS[self.op].length
 
     @property
     def cost(self) -> int:

@@ -407,6 +407,22 @@ class DynamicLinker:
             raise LinkError(
                 f"{raw.name}: unresolved imports {', '.join(missing)}")
 
+        # A library may not define a function or export a name the
+        # program or a resident library already has: the merged CFG
+        # holds one entry per name.  Checked before any state changes.
+        functions = set(self._base_aux.functions)
+        exports = set(self._base_aux.exports)
+        for lib in self.loaded.values():
+            functions.update(lib.module.aux.functions)
+            exports.update(lib.module.aux.exports)
+        names = {meta.name for meta in raw.functions.values()}
+        exported = {meta.name for meta in raw.functions.values()
+                    if meta.exported}
+        clashes = sorted((names & functions) | (exported & exports))
+        if clashes:
+            raise LinkError(
+                f"{raw.name}: redefines loaded symbols {', '.join(clashes)}")
+
         layout = layout_data([raw], base=self._data_cursor)
         asm = instrument_items(raw)
         extern = dict(known)

@@ -3,12 +3,23 @@
 Produces a flat token list.  TinyC is a C subset: no preprocessor
 (modules are standalone sources; shared declarations are injected by
 the driver), C89-style tokens plus ``//`` comments.
+
+One compiled master regex does the scanning: every position of the
+source matches exactly one of its alternatives (a final catch-all
+reports the unexpected character), so :func:`tokenize` is a single
+loop over ``finditer`` that only dispatches on the alternative's name.
+
+Column convention (``Token.column``, 1-based): operator tokens carry
+the column of their first character; every other token (identifier,
+keyword, number, character, string) carries the column just past its
+last character.  ``eof`` carries column 1.  Diagnostics (``LexError``)
+point at the first character of the offending construct.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List
+import re
+from typing import List, NamedTuple
 
 from repro.errors import LexError
 
@@ -19,7 +30,8 @@ KEYWORDS = frozenset("""
     sizeof static extern const volatile
 """.split())
 
-# Longest-match-first operator table.
+#: Every operator and punctuator.  The master regex tries them longest
+#: first, so ``<<=`` wins over ``<<`` and ``<``.
 OPERATORS = [
     "<<=", ">>=", "...",
     "->", "++", "--", "<<", ">>", "<=", ">=", "==", "!=", "&&", "||",
@@ -29,8 +41,7 @@ OPERATORS = [
 ]
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str        # 'ident' | 'keyword' | 'int' | 'float' | 'char' | 'str' | 'op' | 'eof'
     text: str
     line: int
@@ -43,147 +54,149 @@ class Token:
 
 _ESCAPES = {"n": 10, "t": 9, "r": 13, "0": 0, "\\": 92, "'": 39, '"': 34}
 
+_STRING_BODY = r'"(?:[^"\\\n]|\\.)*'
+
+#: One alternative per token class, after optional blanks.  Whatever
+#: no token alternative takes whole (an unterminated comment or literal,
+#: a stray character) falls to the catch-all ``other``, and
+#: :func:`_raise_at` diagnoses it.
+_MASTER = re.compile(r"[ \t\r]*(?:" + "|".join((
+    r"(?P<nl>\n)",
+    r"(?P<ident>[A-Za-z_]\w*)",
+    # longest match first; '/', '/=' and '.' come after the comment
+    # and number alternatives they prefix
+    r"(?P<op>[(){};,\[\]~?:]|<<=?|>>=?|->|\+\+|--|&&|\|\|"
+    r"|[-+*%&|^=!<>]=?|\.\.\.)",
+    r"(?P<number>0[xX][0-9a-fA-F]*[uUlL]*"
+    r"|(?=\.?\d)\d*(?:\.\d*)?(?:[eE][+-]?\d*)?[uUlLfF]*)",
+    r"(?P<comment>//[^\n]*|/\*.*?\*/)",
+    r"(?P<slash>/=|/(?!\*)|\.)",
+    r"(?P<char>'(?:\\.|[^\\])')",
+    r"(?P<str>" + _STRING_BODY + '")',
+    r"(?P<uident>[^\W\d]\w*)",
+    r"(?P<other>.)",
+    r"(?P<end>\Z)",  # trailing blanks
+)) + ")", re.DOTALL)
+
+_GROUP = _MASTER.groupindex
+_NL, _IDENT, _OP, _NUMBER, _COMMENT, _SLASH, _CHAR, _STR, _UIDENT, _END = (
+    _GROUP[name] for name in ("nl", "ident", "op", "number", "comment",
+                              "slash", "char", "str", "uident", "end"))
+
+_STRING_PREFIX = re.compile(_STRING_BODY, re.DOTALL)
+_ESCAPE = re.compile(r"\\(.)", re.DOTALL)
+
 
 def tokenize(source: str) -> List[Token]:
     """Tokenize TinyC source, raising :class:`LexError` on bad input."""
     tokens: List[Token] = []
-    pos = 0
+    append = tokens.append
+    new = tuple.__new__
+    keywords = KEYWORDS
     line = 1
     line_start = 0
-    length = len(source)
-
-    def column() -> int:
-        return pos - line_start + 1
-
-    while pos < length:
-        char = source[pos]
-        if char == "\n":
+    for match in _MASTER.finditer(source):
+        group = match.lastindex
+        if group == _IDENT:
+            text = match[_IDENT]
+            append(new(Token, ("keyword" if text in keywords else "ident",
+                               text, line, match.end() - line_start + 1,
+                               None)))
+        elif group == _OP or group == _SLASH:
+            text = match[group]
+            append(new(Token, ("op", text, line,
+                               match.end() - len(text) - line_start + 1,
+                               None)))
+        elif group == _NL:
             line += 1
-            pos += 1
-            line_start = pos
-            continue
-        if char in " \t\r":
-            pos += 1
-            continue
-        if source.startswith("//", pos):
-            end = source.find("\n", pos)
-            pos = length if end < 0 else end
-            continue
-        if source.startswith("/*", pos):
-            end = source.find("*/", pos + 2)
-            if end < 0:
-                raise LexError("unterminated comment", line, column())
-            line += source.count("\n", pos, end)
-            pos = end + 2
-            continue
-        if char.isalpha() or char == "_":
-            start = pos
-            while pos < length and (source[pos].isalnum() or
-                                    source[pos] == "_"):
-                pos += 1
-            text = source[start:pos]
-            kind = "keyword" if text in KEYWORDS else "ident"
-            tokens.append(Token(kind, text, line, column()))
-            continue
-        if char.isdigit() or (char == "." and pos + 1 < length
-                              and source[pos + 1].isdigit()):
-            start = pos
-            is_float = False
-            if source.startswith(("0x", "0X"), pos):
-                pos += 2
-                while pos < length and source[pos] in "0123456789abcdefABCDEF":
-                    pos += 1
-                digits_end = pos
-                while pos < length and source[pos] in "uUlL":
-                    pos += 1
-                text = source[start:digits_end]
-                tokens.append(Token("int", source[start:pos], line,
-                                    column(), value=int(text, 16)))
-                continue
-            while pos < length and source[pos].isdigit():
-                pos += 1
-            if pos < length and source[pos] == ".":
-                is_float = True
-                pos += 1
-                while pos < length and source[pos].isdigit():
-                    pos += 1
-            if pos < length and source[pos] in "eE":
-                is_float = True
-                pos += 1
-                if pos < length and source[pos] in "+-":
-                    pos += 1
-                while pos < length and source[pos].isdigit():
-                    pos += 1
-            while pos < length and source[pos] in "uUlLfF":
-                if source[pos] in "fF":
-                    is_float = True
-                pos += 1
-            text = source[start:pos]
-            stripped = text.rstrip("uUlLfF")
-            if is_float:
-                tokens.append(Token("float", text, line, column(),
-                                    value=float(stripped)))
-            else:
-                tokens.append(Token("int", text, line, column(),
-                                    value=int(stripped, 10)))
-            continue
-        if char == "'":
-            value, pos = _char_literal(source, pos, line, column())
-            tokens.append(Token("char", source[pos - 1], line, column(),
-                                value=value))
-            continue
-        if char == '"':
-            value, pos, line = _string_literal(source, pos, line, column())
-            tokens.append(Token("str", "<string>", line, column(),
-                                value=value))
-            continue
-        for operator in OPERATORS:
-            if source.startswith(operator, pos):
-                tokens.append(Token("op", operator, line, column()))
-                pos += len(operator)
-                break
-        else:
-            raise LexError(f"unexpected character {char!r}", line, column())
-    tokens.append(Token("eof", "", line, 1))
+            line_start = match.end()
+        elif group == _NUMBER:
+            append(_number(match[_NUMBER], line,
+                           match.start(_NUMBER) - line_start + 1,
+                           match.end() - line_start + 1))
+        elif group == _COMMENT:
+            text = match[_COMMENT]
+            newlines = text.count("\n")
+            if newlines:
+                line += newlines
+                line_start = match.start(_COMMENT) + text.rindex("\n") + 1
+        elif group == _CHAR:
+            text = match[_CHAR]
+            value = ord(text[1])
+            if value == 92:  # backslash
+                value = _escape(text[2], line,
+                                match.start(_CHAR) - line_start + 1)
+            append(new(Token, ("char", "'", line,
+                               match.end() - line_start + 1, value)))
+        elif group == _STR:
+            append(new(Token, ("str", "<string>", line,
+                               match.end() - line_start + 1,
+                               _string_value(match[_STR][1:-1], line,
+                                             match.start(_STR) - line_start
+                                             + 1))))
+        elif group == _UIDENT and match[_UIDENT][0].isalpha():
+            # identifiers may hold any letter, as str.isalpha() defines it
+            append(new(Token, ("ident", match[_UIDENT], line,
+                               match.end() - line_start + 1, None)))
+        elif group != _END:
+            pos = match.start(group)
+            _raise_at(source, pos, line, pos - line_start + 1)
+    append(new(Token, ("eof", "", line, 1, None)))
     return tokens
 
 
-def _char_literal(source: str, pos: int, line: int, col: int):
-    pos += 1  # opening quote
-    if pos >= len(source):
-        raise LexError("unterminated character literal", line, col)
-    if source[pos] == "\\":
-        pos += 1
-        escape = source[pos]
-        if escape not in _ESCAPES:
-            raise LexError(f"bad escape \\{escape}", line, col)
-        value = _ESCAPES[escape]
-        pos += 1
-    else:
-        value = ord(source[pos])
-        pos += 1
-    if pos >= len(source) or source[pos] != "'":
-        raise LexError("unterminated character literal", line, col)
-    return value, pos + 1
+def _number(text: str, line: int, start_col: int, end_col: int) -> Token:
+    try:
+        if text.isdigit():
+            return Token("int", text, line, end_col, int(text))
+        if text[1:2] in ("x", "X"):
+            return Token("int", text, line, end_col,
+                         int(text.rstrip("uUlL"), 16))
+        stripped = text.rstrip("uUlLfF")
+        if any(char in text for char in ".eEfF"):
+            return Token("float", text, line, end_col, float(stripped))
+        return Token("int", text, line, end_col, int(stripped, 10))
+    except ValueError:
+        raise LexError(f"malformed number {text!r}", line,
+                       start_col) from None
 
 
-def _string_literal(source: str, pos: int, line: int, col: int):
-    pos += 1  # opening quote
-    out = bytearray()
-    while pos < len(source):
-        char = source[pos]
-        if char == '"':
-            return bytes(out), pos + 1, line
-        if char == "\n":
+def _escape(char: str, line: int, col: int) -> int:
+    value = _ESCAPES.get(char)
+    if value is None:
+        raise LexError(f"bad escape \\{char}", line, col)
+    return value
+
+
+def _string_value(body: str, line: int, col: int) -> bytes:
+    if "\\" in body:
+        body = _ESCAPE.sub(lambda m: chr(_escape(m.group(1), line, col)),
+                           body)
+    try:
+        return body.encode("latin-1")
+    except UnicodeEncodeError:
+        raise LexError("character out of range in string literal",
+                       line, col) from None
+
+
+def _raise_at(source: str, pos: int, line: int, col: int) -> None:
+    """Raise the diagnostic for a construct the master regex could not
+    take whole: an unterminated comment, character or string literal,
+    or a character that starts no token."""
+    if source.startswith("/*", pos):
+        raise LexError("unterminated comment", line, col)
+    char = source[pos]
+    if char == "'":
+        if pos + 1 < len(source) and source[pos + 1] == "\\" \
+                and pos + 2 < len(source):
+            _escape(source[pos + 2], line, col)
+        raise LexError("unterminated character literal", line, col)
+    if char == '"':
+        prefix = _STRING_PREFIX.match(source, pos).group()
+        for escape in _ESCAPE.finditer(prefix):
+            _escape(escape.group(1), line, col)
+        if pos + len(prefix) < len(source) and \
+                source[pos + len(prefix)] == "\n":
             raise LexError("newline in string literal", line, col)
-        if char == "\\":
-            pos += 1
-            escape = source[pos]
-            if escape not in _ESCAPES:
-                raise LexError(f"bad escape \\{escape}", line, col)
-            out.append(_ESCAPES[escape])
-            pos += 1
-            continue
-        out.append(ord(char))
-        pos += 1
-    raise LexError("unterminated string literal", line, col)
+        raise LexError("unterminated string literal", line, col)
+    raise LexError(f"unexpected character {char!r}", line, col)

@@ -62,8 +62,10 @@ class Parser:
     # -- token plumbing ------------------------------------------------------
 
     def peek(self, ahead: int = 0) -> Token:
-        index = min(self.pos + ahead, len(self.tokens) - 1)
-        return self.tokens[index]
+        # ``pos`` never passes the closing eof token (see advance)
+        if ahead:
+            return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
+        return self.tokens[self.pos]
 
     def advance(self) -> Token:
         token = self.tokens[self.pos]
@@ -72,7 +74,7 @@ class Parser:
         return token
 
     def accept(self, kind: str, text: Optional[str] = None) -> Optional[Token]:
-        token = self.peek()
+        token = self.tokens[self.pos]
         if token.kind == kind and (text is None or token.text == text):
             return self.advance()
         return None
@@ -539,7 +541,7 @@ class Parser:
         return left
 
     def parse_conditional(self) -> ast.Expr:
-        cond = self.parse_binary(0)
+        cond = self.parse_binary()
         if self.accept("op", "?"):
             then = self.parse_expression()
             self.expect("op", ":")
@@ -547,26 +549,31 @@ class Parser:
             return ast.Cond(line=cond.line, cond=cond, then=then, other=other)
         return cond
 
-    _BINARY_LEVELS = [
-        ["||"], ["&&"], ["|"], ["^"], ["&"],
-        ["==", "!="], ["<", "<=", ">", ">="],
-        ["<<", ">>"], ["+", "-"], ["*", "/", "%"],
-    ]
+    #: Binary operator -> precedence (higher binds tighter).  Every
+    #: binary operator is left-associative.
+    _BINARY_PRECEDENCE = {
+        "||": 1, "&&": 2, "|": 3, "^": 4, "&": 5,
+        "==": 6, "!=": 6, "<": 7, "<=": 7, ">": 7, ">=": 7,
+        "<<": 8, ">>": 8, "+": 9, "-": 9, "*": 10, "/": 10, "%": 10,
+    }
 
-    def parse_binary(self, level: int) -> ast.Expr:
-        if level >= len(self._BINARY_LEVELS):
-            return self.parse_unary()
-        ops = self._BINARY_LEVELS[level]
-        left = self.parse_binary(level + 1)
+    def parse_binary(self, min_precedence: int = 1) -> ast.Expr:
+        """Precedence climbing over :attr:`_BINARY_PRECEDENCE`: parse a
+        unary operand, then fold in every following operator that binds
+        at least as tightly as ``min_precedence``."""
+        left = self.parse_unary()
+        precedence_of = self._BINARY_PRECEDENCE
+        tokens = self.tokens
         while True:
-            token = self.peek()
-            if token.kind == "op" and token.text in ops:
-                self.advance()
-                right = self.parse_binary(level + 1)
-                left = ast.Binary(line=token.line, op=token.text, left=left,
-                                  right=right)
-            else:
+            token = tokens[self.pos]
+            precedence = precedence_of.get(token.text) \
+                if token.kind == "op" else None
+            if precedence is None or precedence < min_precedence:
                 return left
+            self.advance()
+            right = self.parse_binary(precedence + 1)
+            left = ast.Binary(line=token.line, op=token.text, left=left,
+                              right=right)
 
     def parse_unary(self) -> ast.Expr:
         token = self.peek()

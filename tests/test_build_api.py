@@ -413,6 +413,43 @@ class TestSourceIndex:
         assert index_source("int main(void) {") is None
         assert index_source("}") is None
 
+    def test_unterminated_comment_and_literals_run_to_the_end(self):
+        assert index_source("int f(void) { return 0; } /* { "
+                            "int g(void) { return 1; }") is None
+        assert index_source('int a; char *s = "{ \\') is None
+        assert index_source("int a; int b = '{") is None
+
+    def test_division_before_a_brace_group_is_not_a_head(self):
+        spans = index_source("long a = 4 / 2;\nlong b[1] = {a / 1};\n")
+        assert [s.kind for s in spans] == ["other", "other"]
+
+    @pytest.mark.parametrize("corpus", ["fixed12", "gen-smoke", "edits"])
+    def test_spans_tile_the_source_and_name_every_function(self, corpus):
+        from repro.tinyc.parser import parse
+        from repro.workloads.corpus import CorpusConfig
+        from repro.workloads.generate import generate
+        from repro.workloads.spec import benchmark_set
+        if corpus == "fixed12":
+            sources = [workload(name).source for name in BENCHMARKS]
+        elif corpus == "gen-smoke":
+            spec = benchmark_set("gen-smoke")
+            config = CorpusConfig().gen_config(spec.quick)
+            sources = [generate(seed, config).source for seed in spec.seeds]
+        else:
+            rng = random.Random(20140610)
+            consts = [1, 2, 3, 4]
+            sources = []
+            for _ in range(6):
+                consts[rng.randrange(4)] = rng.randrange(1, 50)
+                sources.append(_edit_source(consts))
+        for source in sources:
+            spans = index_source(source)
+            text = "".join(span.text for span in spans)
+            assert source.startswith(text)
+            assert not source[len(text):].strip()
+            assert [s.name for s in spans if s.kind == "func"] == \
+                [f.name for f in parse(source).funcs]
+
     def test_diff_bodies_flags_only_body_edits(self):
         old = index_source(_edit_source([1, 2, 3, 4]))
         new = index_source(_edit_source([1, 2, 3, 7]))

@@ -79,6 +79,33 @@ class TestDlopen:
         with pytest.raises(LinkError):
             linker.dlopen("bad")
 
+    @pytest.mark.parametrize("source", [
+        # collides with the program's main
+        "int main(void) { return 7; }",
+        # collides with the resident plugin's libfn
+        "int libfn(int x) { return x; } int other(int x) { return x; }",
+    ])
+    def test_symbol_collision_rejected_without_state_change(self, source):
+        from repro.errors import LinkError
+        runtime, linker = make_runtime()
+        assert linker.dlopen("plugin")
+        memory = runtime.id_tables.memory
+        before = (dict(linker.loaded), dict(linker._by_name),
+                  runtime.cfg.stats(), bytes(memory.tary),
+                  bytes(memory.bary))
+        linker.register("clash", compile_module(source, name="clash"))
+        with pytest.raises(LinkError, match="redefines loaded symbols"):
+            linker.dlopen("clash")
+        after = (dict(linker.loaded), dict(linker._by_name),
+                 runtime.cfg.stats(), bytes(memory.tary),
+                 bytes(memory.bary))
+        assert after == before
+        linker.register("fresh", compile_module(
+            "int fresh(int x) { return x + 1; }", name="fresh"))
+        handle = linker.dlopen("fresh")
+        assert handle and linker.dlsym(handle, "fresh")
+        assert runtime.cfg.stats()["IBTs"] > before[2]["IBTs"]
+
 
 class TestCfgUpdate:
     def test_cfg_grows_after_dlopen(self):

@@ -56,6 +56,35 @@ class TestTokens:
     def test_eof_token(self):
         assert tokenize("")[-1].kind == "eof"
 
+    def test_column_convention(self):
+        # operators: column of their first character; everything else:
+        # the column just past the token's last character
+        tokens = tokenize("  foo += 0x1F;")
+        assert [(t.text, t.column) for t in tokens[:-1]] == [
+            ("foo", 6), ("+=", 7), ("0x1F", 14), (";", 14)]
+
+    def test_columns_after_multiline_comment(self):
+        # columns on a comment's last line count from that line's start
+        tokens = tokenize("/* one\n   two */ x = 1;")
+        assert [(t.text, t.line, t.column) for t in tokens[:-1]] == [
+            ("x", 2, 12), ("=", 2, 13), ("1", 2, 16), (";", 2, 16)]
+
+    def test_error_location_after_multiline_comment(self):
+        with pytest.raises(LexError) as exc_info:
+            tokenize("int a;\n/* one\n two */ @")
+        assert (exc_info.value.line, exc_info.value.column) == (3, 9)
+
+    def test_parse_error_location_after_multiline_comment(self):
+        from repro.errors import ParseError
+        from repro.tinyc.parser import parse
+        with pytest.raises(ParseError) as exc_info:
+            parse("/*\n*/ x y;")
+        assert (exc_info.value.line, exc_info.value.column) == (2, 5)
+
+    def test_trailing_blanks(self):
+        assert texts("a \t\r\n  ") == ["a"]
+        assert tokenize("a\n  ")[-1].line == 2
+
 
 class TestErrors:
     def test_unterminated_string(self):
@@ -81,3 +110,12 @@ class TestErrors:
     def test_unterminated_char(self):
         with pytest.raises(LexError):
             tokenize("'ab")
+
+    @pytest.mark.parametrize("source", [
+        "'\\", '"ab\\', "1e+", "0x", "x = 1\u00b2;", '"\u0100"'])
+    def test_malformed_literals_are_lex_errors(self, source):
+        with pytest.raises(LexError):
+            tokenize(source)
+
+    def test_unicode_letters_form_identifiers(self):
+        assert texts("caf\u00e9 = 1") == ["caf\u00e9", "=", "1"]
