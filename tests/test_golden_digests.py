@@ -3,21 +3,29 @@
 ``tests/golden/compile_digests.json`` holds sha256 digests of:
 
 * the linked images (code, data, entry) of the twelve fixed workloads,
-  for both x64 and x32;
+  for both x64 and x32, MCFI-instrumented and native;
 * the x64 images of the 20 members of the declared ``gen-smoke`` set;
 * the lexer's token stream over the builtin prelude, simlibc and the
   twelve fixed sources (exactly the text the frontend tokenizes);
-* simlibc's function-grain unit fingerprints, per architecture.
+* simlibc's function-grain unit fingerprints, per architecture;
+* full link records (:func:`link_record`: Bary slots, code ranges, heap
+  base, parts, GOT slots, public labels and the auxiliary information)
+  of fixed12 x64/x32 MCFI/native, devirtualized fixed12 x64, and three
+  link-edge programs: a literal dropped by dead-code pruning, two
+  modules defining the same static function, and a PLT import.
 
-Any change to the lexer, parser, code generator, instrumenter,
-assembler or linker that moves a single output byte fails here.  A
-change that *means* to move outputs regenerates the file with::
+The link records were generated from the retired monolithic static
+linker, so they pin the unit linker to the reference it replaced.  Any
+change to the lexer, parser, code generator, instrumenter, assembler or
+linker that moves a single output byte fails here.  A change that
+*means* to move outputs regenerates the file with::
 
     PYTHONPATH=src python -m tests.test_golden_digests
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 from pathlib import Path
@@ -36,6 +44,60 @@ from repro.workloads.spec import BENCHMARKS, benchmark_set, workload
 
 GOLDEN = Path(__file__).parent / "golden" / "compile_digests.json"
 ARCHS = ("x64", "x32")
+#: fixed12 link-record groups: (arch, mcfi, devirtualize)
+RECORD_GROUPS = {"x64/mcfi": ("x64", True, False),
+                 "x64/native": ("x64", False, False),
+                 "x32/mcfi": ("x32", True, False),
+                 "x32/native": ("x32", False, False),
+                 "x64/mcfi/devirt": ("x64", True, True)}
+
+#: Lowering interns strings before pruning unreachable blocks, so the
+#: dead literal still takes a string id the link must reproduce.
+DEAD_STRING_SOURCE = r"""
+int shout(int noisy) {
+    if (noisy) {
+        print_str("alive\n");
+        return 1;
+    }
+    return 0;
+    print_str("dead branch string never interned late");
+}
+
+int main(void) {
+    return shout(1) - 1;
+}
+"""
+
+#: C internal linkage: both modules define a static ``util``.
+STATIC_COLLISION_SOURCES = {
+    "a": """
+        int b_value(void);
+        static int util(void) { return 1; }
+        int main(void) {
+            print_int(util() * 10 + b_value());
+            return 0;
+        }
+    """,
+    "b": """
+        static int util(void) { return 2; }
+        int b_value(void) { return util(); }
+    """,
+}
+
+#: A freestanding module importing a symbol bound later by dlopen.
+PLT_SOURCE = """
+    int plugin_fn(int x);
+    void _start(void) { __syscall(1, plugin_fn(1), 0, 0); }
+"""
+
+#: link-edge programs: record name -> (sources, build_program keywords)
+EDGE_PROGRAMS = {
+    "dead_string/mcfi": ({"t": DEAD_STRING_SOURCE}, {}),
+    "static_collision/mcfi": (STATIC_COLLISION_SOURCES, {}),
+    "static_collision/native": (STATIC_COLLISION_SOURCES, {"mcfi": False}),
+    "plt/mcfi": ({"m0": PLT_SOURCE},
+                 {"with_libc": False, "allow_unresolved": ["plugin_fn"]}),
+}
 
 
 def _sha(data: bytes) -> str:
@@ -46,6 +108,54 @@ def image_digest(program) -> dict:
     return {"code": _sha(program.module.code),
             "data": _sha(program.data.image),
             "entry": program.entry}
+
+
+def _sig(sig):
+    return sig.render() if sig is not None else None
+
+
+def link_record(program) -> str:
+    """Digest of everything a link produces beside the image bytes,
+    minus the names of generated ``__mcfi.*`` labels (unreferenced, and
+    namespaced differently per instrumentation grain)."""
+    module = program.module
+    aux = module.aux
+    record = {
+        "bary_slots": sorted(module.bary_slots.items()),
+        "code_ranges": module.code_ranges,
+        "heap_base": program.heap_base,
+        "parts": program.parts,
+        "got_slots": program.got_slots,
+        "labels": {name: address for name, address in module.labels.items()
+                   if not name.startswith("__mcfi.")},
+        "functions": {f.name: [_sig(f.sig), f.entry, f.address_taken,
+                               f.exported, f.module]
+                      for f in aux.functions.values()},
+        "retsites": [[r.address, r.caller, r.callee, _sig(r.sig)]
+                     for r in aux.retsites],
+        "branch_sites": [[s.site, s.kind, s.fn, _sig(s.sig), s.targets,
+                          s.plt_symbol, s.ptargets]
+                         for s in aux.branch_sites],
+        "setjmp_resumes": aux.setjmp_resumes,
+        "direct_calls": aux.direct_calls,
+        "data_ranges": aux.data_ranges,
+        "exports": aux.exports,
+        "imports": aux.imports,
+    }
+    return _sha(json.dumps(record, sort_keys=True).encode())
+
+
+@functools.lru_cache(maxsize=None)
+def fixed12_program(name: str, arch: str = "x64", mcfi: bool = True,
+                    devirtualize: bool = False):
+    """One fixed workload's linked program, built once per test session."""
+    return build_program({name: workload(name).source}, arch=arch,
+                         mcfi=mcfi, devirtualize=devirtualize).program
+
+
+def edge_program(name: str):
+    sources, options = EDGE_PROGRAMS[name]
+    return build_program(sources, **options).program
 
 
 def token_digest(text: str) -> str:
@@ -70,10 +180,15 @@ def libc_fingerprints(arch: str) -> str:
     return _sha(json.dumps(graph.fingerprints, sort_keys=True).encode())
 
 
-def compute_fixed12(arch: str) -> dict:
-    return {name: image_digest(
-                build_program({name: workload(name).source},
-                              arch=arch).program)
+def compute_fixed12(arch: str, mcfi: bool = True) -> dict:
+    return {name: image_digest(fixed12_program(name, arch, mcfi))
+            for name in BENCHMARKS}
+
+
+def compute_records(group: str) -> dict:
+    arch, mcfi, devirtualize = RECORD_GROUPS[group]
+    return {name: link_record(fixed12_program(name, arch, mcfi,
+                                              devirtualize))
             for name in BENCHMARKS}
 
 
@@ -90,23 +205,77 @@ def compute_tokens() -> dict:
     return {name: token_digest(text) for name, text in texts.items()}
 
 
+def _monolithic(sources, arch="x64", mcfi=True, devirtualize=False,
+                with_libc=True, allow_unresolved=None):
+    """The reference the link records are generated from: whole-module
+    compiles, instrumented and laid out at link time."""
+    from repro.build import compile_object
+    from repro.linker.static_linker import link
+    sources = dict(sources)
+    if with_libc:
+        sources.setdefault("libc", LIBC_SOURCE)
+    raws = [compile_object(text, name=name, arch=arch,
+                           devirtualize=devirtualize)
+            for name, text in sources.items()]
+    return link(raws, mcfi=mcfi, allow_unresolved=allow_unresolved)
+
+
 def compute_all() -> dict:
+    def reference(name, arch, mcfi, devirtualize=False):
+        return _monolithic({name: workload(name).source}, arch=arch,
+                           mcfi=mcfi, devirtualize=devirtualize)
+
+    records = {}
+    for group, (arch, mcfi, devirtualize) in RECORD_GROUPS.items():
+        records[group] = {name: link_record(reference(name, arch, mcfi,
+                                                      devirtualize))
+                          for name in BENCHMARKS}
+    records["edge"] = {}
+    for name, (sources, options) in EDGE_PROGRAMS.items():
+        records["edge"][name] = link_record(_monolithic(sources, **options))
     return {
         "fixed12": {arch: compute_fixed12(arch) for arch in ARCHS},
+        "fixed12_native": {
+            arch: {name: image_digest(reference(name, arch, False))
+                   for name in BENCHMARKS}
+            for arch in ARCHS},
         "gen_smoke_x64": compute_gen_smoke(),
         "tokens": compute_tokens(),
         "libc_units": {arch: libc_fingerprints(arch) for arch in ARCHS},
+        "link_records": records,
     }
+
+
+@functools.lru_cache(maxsize=None)
+def golden_pins() -> dict:
+    return json.loads(GOLDEN.read_text())
 
 
 @pytest.fixture(scope="module")
 def golden():
-    return json.loads(GOLDEN.read_text())
+    return golden_pins()
 
 
 @pytest.mark.parametrize("arch", ARCHS)
 def test_fixed12_images(golden, arch):
     assert compute_fixed12(arch) == golden["fixed12"][arch]
+
+
+@pytest.mark.parametrize("arch", ARCHS)
+def test_fixed12_native_images(golden, arch):
+    assert compute_fixed12(arch, mcfi=False) == \
+        golden["fixed12_native"][arch]
+
+
+@pytest.mark.parametrize("group", list(RECORD_GROUPS))
+def test_fixed12_link_records(golden, group):
+    assert compute_records(group) == golden["link_records"][group]
+
+
+@pytest.mark.parametrize("name", list(EDGE_PROGRAMS))
+def test_edge_program_records(golden, name):
+    assert link_record(edge_program(name)) == \
+        golden["link_records"]["edge"][name]
 
 
 def test_gen_smoke_images(golden):
