@@ -3,8 +3,8 @@
 Times a cold ``build_program`` sweep (compile + instrument + link every
 module) against a warm sweep through the same cache, for the default
 instances over the benchmark subset.  The claim under test is the
-"instrument once, reuse across programs" economics of ``.mcfo``
-caching: the warm pass must be all hits and never recompile.
+"instrument once, reuse across programs" economics of the unit and
+program caches: the warm pass must be all hits and never recompile.
 
 Assertions are on cache statistics, not wall time: timing varies with
 load, but hits/misses are deterministic.
@@ -53,7 +53,7 @@ def test_infra_cache_warm_rebuild(benchmark):
             f"{cold.stores} stores",
             f"warm sweep: {delta.hits} hits / {delta.misses} misses "
             f"(hit rate {delta.hit_rate:.0%})",
-            f"entries: {counts['objects']} objects, "
+            f"entries: {counts['units']} units, "
             f"{counts['programs']} programs",
         ]
         write_result("infra_cache", "\n".join(lines))

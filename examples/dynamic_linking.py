@@ -13,9 +13,9 @@ worker thread keeps executing indirect branches.  The dynamic linker:
 Run:  python examples/dynamic_linking.py
 """
 
+from repro.build import build_program, compile_object
 from repro.linker.dynamic_linker import DynamicLinker
 from repro.runtime.runtime import Runtime
-from repro.toolchain import compile_and_link, compile_module
 
 MAIN_SOURCE = {"main": r"""
 long transform(long x);          /* provided by the plugin, via PLT */
@@ -78,11 +78,11 @@ long transform(long x) {
 
 
 def main() -> None:
-    program = compile_and_link(MAIN_SOURCE, mcfi=True,
-                               allow_unresolved=["transform"])
+    program = build_program(MAIN_SOURCE, mcfi=True,
+                            allow_unresolved=["transform"]).program
     runtime = Runtime(program)
     linker = DynamicLinker(runtime, verify=True)
-    linker.register("mathlib", compile_module(LIB_SOURCE, name="mathlib"))
+    linker.register("mathlib", compile_object(LIB_SOURCE, name="mathlib"))
 
     before = runtime.cfg.stats()
     print(f"CFG before dlopen: {before}")

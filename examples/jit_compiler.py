@@ -18,9 +18,9 @@ rejected by the very first call.
 Run:  python examples/jit_compiler.py
 """
 
+from repro.build import build_program
 from repro.runtime.jit import JitEngine
 from repro.runtime.runtime import Runtime
-from repro.toolchain import compile_and_link
 
 GUEST = {"main": r"""
 /* A tiny calculator VM that JIT-specializes its operations. */
@@ -68,7 +68,7 @@ int main(void) {
 
 
 def main() -> None:
-    program = compile_and_link(GUEST, mcfi=True)
+    program = build_program(GUEST, mcfi=True).program
     runtime = Runtime(program)
     engine = JitEngine(runtime, verify=True)
 

@@ -18,7 +18,8 @@ Run:  python examples/porting_workflow.py
 
 from repro.analysis.analyzer import analyze_source
 from repro.analysis.report import classification_detail, fix_guidance
-from repro.toolchain import compile_and_run
+from repro.build import build_program
+from repro.toolchain import run_program
 
 LEGACY = r"""
 /* A generic splay-tree-ish container with a comparator pointer,
@@ -82,7 +83,7 @@ def main() -> None:
         print("fix:", line)
 
     print("\n=== step 2: the legacy program under MCFI ===")
-    result = compile_and_run({"legacy": LEGACY}, mcfi=True)
+    result = run_program(build_program({"legacy": LEGACY}, mcfi=True).program)
     print(f"outcome: {result.violation or result.output}")
     print("(the comparator call halts: no address-taken function "
           "matches the pointer's type)")
@@ -91,7 +92,7 @@ def main() -> None:
     fixed_report = analyze_source(FIXED, name="fixed")
     print(f"analyzer after fix: K1 cases needing fixes = "
           f"{fixed_report.k1_fixed}")
-    result = compile_and_run({"fixed": FIXED}, mcfi=True)
+    result = run_program(build_program({"fixed": FIXED}, mcfi=True).program)
     print(f"outcome: output={result.output!r} exit={result.exit_code} "
           f"ok={result.ok}")
     print("\nThis is the Table 2 story: 6 lines for perlbench, ~30 for "

@@ -5,7 +5,8 @@ control-flow hijack get blocked.
 Run:  python examples/quickstart.py
 """
 
-from repro.toolchain import compile_and_link, compile_and_run, run_program
+from repro.build import build_program
+from repro.toolchain import run_program
 
 # A program with a function-pointer dispatch table -- the kind of
 # indirect control flow MCFI protects.  `evil` has a different type
@@ -38,8 +39,10 @@ int main(void) {
 
 def main() -> None:
     print("=== 1. normal execution, native vs MCFI ===")
-    native = compile_and_run({"quickstart": SOURCE}, mcfi=False)
-    hardened = compile_and_run({"quickstart": SOURCE}, mcfi=True)
+    native = run_program(
+        build_program({"quickstart": SOURCE}, mcfi=False).program)
+    hardened = run_program(
+        build_program({"quickstart": SOURCE}, mcfi=True).program)
     print(f"native : exit={native.exit_code} output={native.output!r} "
           f"cycles={native.cycles}")
     print(f"MCFI   : exit={hardened.exit_code} output={hardened.output!r} "
@@ -48,7 +51,7 @@ def main() -> None:
     print(f"instrumentation overhead: {overhead:.2f}%")
 
     print("\n=== 2. what the instrumentation looks like ===")
-    program = compile_and_link({"quickstart": SOURCE}, mcfi=True)
+    program = build_program({"quickstart": SOURCE}, mcfi=True).program
     module = program.module
     print(f"code size {len(module.code)} bytes, "
           f"{len(module.aux.branch_sites)} instrumented indirect branches, "
@@ -69,7 +72,7 @@ def main() -> None:
     from repro.vm.scheduler import GeneratorTask
 
     def attack(mcfi: bool):
-        prog = compile_and_link({"quickstart": SOURCE}, mcfi=mcfi)
+        prog = build_program({"quickstart": SOURCE}, mcfi=mcfi).program
         runtime = Runtime(prog)
         slot = prog.data.symbols["table"]
         evil_entry = prog.labels["evil"]

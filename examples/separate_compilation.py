@@ -13,12 +13,11 @@ a CFG that is a combination of the individual modules' CFGs".
 Run:  python examples/separate_compilation.py
 """
 
+from repro.build import compile_object
+from repro.build.link import ModuleUnits, link_units
 from repro.cfg.generator import generate_cfg
-from repro.core.instrument import instrument_items
 from repro.core.verifier import verify_module
-from repro.linker.static_linker import link
 from repro.runtime.runtime import Runtime
-from repro.toolchain import compile_module
 from repro.workloads.libc import LIBC_SOURCE
 
 MATHLIB = r"""
@@ -53,21 +52,20 @@ int main(void) {
 
 
 def main() -> None:
-    # Compile each module independently.  Note: instrumenting mathlib
-    # requires nothing from app A, app B, or libc.
-    mathlib = compile_module(MATHLIB, name="mathlib")
-    libc = compile_module(LIBC_SOURCE, name="libc")
-    app_a = compile_module(APP_A, name="app_a")
-    app_b = compile_module(APP_B, name="app_b")
+    # Compile and instrument each module independently.  Note:
+    # instrumenting mathlib requires nothing from app A, app B, or libc.
+    mathlib, libc, app_a, app_b = (
+        ModuleUnits.from_object(compile_object(source, name=name))
+        for source, name in ((MATHLIB, "mathlib"), (LIBC_SOURCE, "libc"),
+                             (APP_A, "app_a"), (APP_B, "app_b")))
 
-    standalone = instrument_items(mathlib)
     print(f"mathlib instrumented in isolation: "
-          f"{len(standalone.sites)} branch sites, "
-          f"{sum(1 for _ in standalone.items)} asm items")
+          f"{sum(len(unit.sites) for unit in mathlib.units)} branch "
+          f"sites in {len(mathlib.units)} function units")
 
-    # Link the SAME mathlib into two different programs.
+    # Link the SAME instrumented mathlib into two different programs.
     for app, name in ((app_a, "A"), (app_b, "B")):
-        program = link([app, mathlib, libc], mcfi=True)
+        program = link_units([app, mathlib, libc]).program
         verify_module(program.module)      # modular verification
         cfg = generate_cfg(program.module.aux)
         result = Runtime(program).run()

@@ -14,16 +14,17 @@ the per-table/figure reproduction record.
 
 Quickstart::
 
-    from repro import compile_and_run
-    result = compile_and_run({"app": "int main(void){ return 42; }"})
-    assert result.exit_code == 42
+    from repro import build_program, run_program
+    program = build_program({"app": "int main(void){ return 42; }"}).program
+    assert run_program(program).exit_code == 42
 
 Main entry points:
 
 * :class:`repro.build.BuildSession` — incremental compile-as-a-service
-  (the public compile surface; ``repro.toolchain`` shims over it)
+  (the public compile surface; :func:`repro.build.build_program` is
+  its one-shot form)
 * :func:`repro.build.compile_object` — TinyC -> instrumentable module
-* :func:`repro.linker.static_linker.link` — separate-compilation linking
+* :func:`repro.build.link.link_units` — separate-compilation linking
 * :class:`repro.runtime.runtime.Runtime` — load + execute (MCFI enforced)
 * :class:`repro.linker.dynamic_linker.DynamicLinker` — dlopen support
 * :func:`repro.cfg.generator.generate_cfg` — type-matching CFG generation
@@ -32,13 +33,7 @@ Main entry points:
 * :mod:`repro.experiments` — regenerate every table/figure of the paper
 """
 
-from repro.toolchain import (
-    compile_and_link,
-    compile_and_run,
-    compile_module,
-    frontend,
-    run_program,
-)
+from repro.toolchain import frontend, run_program
 from repro.build import (
     BuildGraph,
     BuildResult,
@@ -47,7 +42,7 @@ from repro.build import (
     compile_object,
 )
 from repro.runtime.runtime import Runtime, RunResult
-from repro.linker.static_linker import LinkedProgram, link
+from repro.linker.static_linker import LinkedProgram
 from repro.linker.dynamic_linker import DynamicLinker
 from repro.cfg.generator import Cfg, generate_cfg
 from repro.core.verifier import verify_module
@@ -64,11 +59,9 @@ __version__ = "1.0.0"
 
 __all__ = [
     "BuildGraph", "BuildResult", "BuildSession", "build_program",
-    "compile_object",
-    "compile_and_link", "compile_and_run", "compile_module", "frontend",
-    "run_program",
+    "compile_object", "frontend", "run_program",
     "Runtime", "RunResult",
-    "LinkedProgram", "link", "DynamicLinker",
+    "LinkedProgram", "DynamicLinker",
     "Cfg", "generate_cfg", "verify_module",
     "AnalysisReport", "analyze_source",
     "CfiViolation", "LinkError", "ReproError", "TinyCError",

@@ -4,17 +4,12 @@ Replaces ``verify_module``'s bare ``Dict[str, int]`` return.  Carries
 the acceptance bit, statistics, the MCFI005–008 diagnostics, the
 recognized check-transaction spans and the per-branch verdicts, and
 serializes through the repo-wide ``to_dict``/``from_dict`` protocol.
-
-A deprecation shim keeps the old dict shape alive: subscripting the
-report (``report["checked_branches"]``) still works but warns, so
-callers migrate to ``report.stats`` / the typed fields.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Tuple
+from typing import Any, Dict, List, Tuple
 
 from repro.analysis.dataflow.diagnostics import Diagnostic, sorted_diagnostics
 
@@ -76,23 +71,3 @@ class VerifyReport:
             verdicts={int(address, 16): verdict
                       for address, verdict in
                       data.get("verdicts", {}).items()})
-
-    # -- deprecated Dict[str, int] shape ---------------------------------
-
-    def _warn(self, how: str) -> None:
-        warnings.warn(
-            f"dict-style access to verify_module's return ({how}) is "
-            f"deprecated; use VerifyReport.stats or the typed fields",
-            DeprecationWarning, stacklevel=3)
-
-    def __getitem__(self, key: str) -> int:
-        self._warn(f"report[{key!r}]")
-        return self.stats[key]
-
-    def get(self, key: str, default: Any = None) -> Any:
-        self._warn(f"report.get({key!r})")
-        return self.stats.get(key, default)
-
-    def keys(self) -> Iterator[str]:
-        self._warn("report.keys()")
-        return iter(self.stats.keys())

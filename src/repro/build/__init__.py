@@ -8,8 +8,9 @@ This package is the one public compile surface of the toolchain:
 * :class:`BuildGraph` — per-function fingerprints and dirty sets;
 * :class:`BuildResult` — one build's program + provenance metadata.
 
-The legacy ``repro.toolchain`` entry points remain as thin shims that
-delegate here; new code should use this package directly::
+Its unit linker (:func:`link_units`) lays out every static image, MCFI
+or native, from sources or from compiled ``.mcfo`` objects.  Hold a
+session to rebuild one program over time::
 
     from repro.build import BuildSession
 
@@ -19,7 +20,7 @@ delegate here; new code should use this package directly::
 
 Internals, layered bottom-up: :mod:`repro.build.fingerprint` (content
 keys), :mod:`repro.build.units` (position-independent per-function
-assembly), :mod:`repro.build.link` (unit-splicing linker),
+assembly), :mod:`repro.build.link` (the static linker),
 :mod:`repro.build.graph` (dirty-set computation + pool fan-out),
 :mod:`repro.build.source_index` (the textual mini-frontend),
 :mod:`repro.build.session` (the service facade).  See docs/BUILD.md.

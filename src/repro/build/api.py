@@ -1,11 +1,10 @@
 """One-shot entry points over :class:`~repro.build.session.BuildSession`.
 
-Two call shapes cover everything the legacy ``repro.toolchain`` surface
-did:
+Two call shapes:
 
 * :func:`compile_object` — one TinyC module to an (uninstrumented)
   :class:`~repro.mir.codegen.RawModule`, the module-grain pipeline used
-  by the JIT engine, the campaign object cache and the object-file
+  by dlopen libraries, the JIT engine and the ``.mcfo`` object-file
   tools;
 * :func:`build_program` — named sources to a linked program via a
   throwaway :class:`BuildSession`; pass ``cache``/``pool`` to share

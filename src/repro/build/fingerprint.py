@@ -5,10 +5,11 @@ unit's compiled artifact: the function's MIR (canonically serialized,
 with string ids replaced by content digests so the fingerprint is
 independent of module-level string numbering), its signature and
 storage class, the per-function metadata merged at link time
-(address-taken contributions, setjmp use), the architecture mode and
-the toolchain/schema tags.  Two sources whose edits leave a function's
-MIR unchanged therefore share its artifact; any change that could
-affect the unit's bytes or metadata changes the key.
+(address-taken contributions, setjmp use), the architecture mode,
+the flavour (MCFI-instrumented or native) and the toolchain/schema
+tags.  Two sources whose edits leave a function's MIR unchanged
+therefore share its artifact; any change that could affect the unit's
+bytes or metadata changes the key.
 """
 
 from __future__ import annotations
@@ -30,9 +31,9 @@ def prelude_digest(prelude: bool) -> str:
     """Digest of the implicit prelude a module was compiled against.
 
     The prelude declarations shape typechecking (and thus the MIR), so
-    both the flag *and* the prelude text participate in module-grain
-    cache keys — two sources differing only in ``prelude`` must never
-    share an entry.
+    both the flag *and* the prelude text participate in source-level
+    keys (program memo, body memo) — two sources differing only in
+    ``prelude`` must never share an entry.
     """
     if not prelude:
         return "none"
@@ -42,7 +43,7 @@ def prelude_digest(prelude: bool) -> str:
 
 def unit_fingerprint(func: ir.MirFunction, sid_contents: Dict[int, bytes],
                      arch: str, takes: Iterable[str],
-                     uses_setjmp: bool) -> str:
+                     uses_setjmp: bool, mcfi: bool = True) -> str:
     """Fingerprint one function's MIR + metadata for the unit cache."""
     h = hashlib.sha256()
 
@@ -50,7 +51,8 @@ def unit_fingerprint(func: ir.MirFunction, sid_contents: Dict[int, bytes],
         h.update(repr(value).encode("utf-8"))
         h.update(b"\x00")
 
-    feed(("unit", UNIT_SCHEMA, TOOLCHAIN_TAG, arch))
+    feed(("unit" if mcfi else "native-unit", UNIT_SCHEMA, TOOLCHAIN_TAG,
+          arch))
     feed((func.name, canonical(func.ftype), func.is_static,
           tuple(func.params), func.n_vregs))
     feed(tuple((name, canonical(ctype))

@@ -15,13 +15,14 @@ worker can never publish a partial unit.
 
 Fingerprint validation proves *identity*, not *safety*: a tampering
 worker could still return bytes that merely look like the unit it was
-asked for.  With ``verify_units`` (the default) every pool-returned
-artifact, and every artifact about to be published to the shared
+asked for.  With ``verify_units`` (the default) every pool-returned MCFI
+artifact, and every MCFI artifact about to be published to the shared
 cache, must additionally pass the machine-code verifier
 (:func:`repro.analysis.binverify.verify_unit`) — a pool result that
 fails is discarded and recompiled inline; an inline-compiled unit that
 fails raises :class:`repro.errors.UnitVerificationError` (a genuine
-miscompile must never be published).
+miscompile must never be published).  Native units carry no checks for
+the verifier to prove and skip it.
 """
 
 from __future__ import annotations
@@ -46,12 +47,12 @@ class BuildGraph:
 
     @classmethod
     def of(cls, mir: ir.MirModule, checked: CheckedUnit,
-           arch: str) -> "BuildGraph":
+           arch: str, mcfi: bool = True) -> "BuildGraph":
         graph = cls(module=mir.name, arch=arch)
         for func in mir.functions:
             meta = checked.functions[func.name]
             graph.fingerprints[func.name] = unit_fingerprint(
-                func, mir.strings, arch, meta.takes, meta.uses_setjmp)
+                func, mir.strings, arch, meta.takes, meta.uses_setjmp, mcfi)
         return graph
 
     def dirty_against(self, previous: Optional["BuildGraph"]) -> Set[str]:
@@ -64,9 +65,10 @@ class BuildGraph:
 
 def _compile_one(func: ir.MirFunction, module: str, arch: str,
                  strings: Dict[int, bytes], takes: Tuple[str, ...],
-                 uses_setjmp: bool, fingerprint: str) -> UnitArtifact:
+                 uses_setjmp: bool, fingerprint: str,
+                 mcfi: bool) -> UnitArtifact:
     return compile_unit(func, module, arch, strings, takes, uses_setjmp,
-                        fingerprint)
+                        fingerprint, mcfi)
 
 
 def unit_verifies(artifact: UnitArtifact, arch: str, module: str) -> bool:
@@ -82,19 +84,21 @@ def unit_verifies(artifact: UnitArtifact, arch: str, module: str) -> bool:
 
 def compile_module_units(mir: ir.MirModule, checked: CheckedUnit, arch: str,
                          cache=None, pool=None, parallel_threshold: int = 4,
-                         verify_units: bool = True,
+                         verify_units: bool = True, mcfi: bool = True,
                          ) -> Tuple[ModuleUnits, BuildGraph, Dict[str, int]]:
-    """Compile one module's function units, cache-first.
+    """Compile one module's function units (MCFI or native), cache-first.
 
     Dirty units fan out across ``pool`` when at least
     ``parallel_threshold`` of them miss the cache; pool failures (worker
     crash, fault injection, unpicklable result) degrade to an inline
     recompile — the build still succeeds and only parent-validated
     artifacts are ever published.  ``verify_units`` additionally runs
-    the binary verifier over every pool-returned artifact and before
-    every cache publish (the untrusted-toolchain trust boundary).
+    the binary verifier over every pool-returned MCFI artifact and
+    before every MCFI cache publish (the untrusted-toolchain trust
+    boundary).
     """
-    graph = BuildGraph.of(mir, checked, arch)
+    verify_units = verify_units and mcfi
+    graph = BuildGraph.of(mir, checked, arch, mcfi)
     units: Dict[str, UnitArtifact] = {}
     misses: List[ir.MirFunction] = []
     for func in mir.functions:
@@ -109,7 +113,7 @@ def compile_module_units(mir: ir.MirModule, checked: CheckedUnit, arch: str,
         meta = checked.functions[func.name]
         return (func, mir.name, arch, mir.strings,
                 tuple(sorted(meta.takes)), meta.uses_setjmp,
-                graph.fingerprints[func.name])
+                graph.fingerprints[func.name], mcfi)
 
     compiled: Dict[str, UnitArtifact] = {}
     pool_ok = 0

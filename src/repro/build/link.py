@@ -1,27 +1,30 @@
-"""Unit-splicing linker: place cached function units, patch relocations,
-merge metadata — byte-identical to the monolithic static linker.
+"""The static linker: place function units, patch relocations, merge
+auxiliary information.
 
-The monolithic path (:mod:`repro.linker.static_linker`) instruments and
-assembles every module's full item stream on every link.  This linker
-consumes pre-assembled :class:`~repro.build.units.UnitArtifact` bodies
-instead: placement is a cursor walk (each body starts at the next
-``lead_align``-aligned address, padded with the same NOPs the monolithic
-``Align`` directive would emit), resolution is one dict, and patching
-writes the recorded relocation holes.  A rebuild that changed one
+Every static image — MCFI or native, built from sources by a
+:class:`~repro.build.session.BuildSession` or from compiled ``.mcfo``
+objects (:meth:`ModuleUnits.from_object`) — is laid out here.  The
+linker consumes pre-assembled :class:`~repro.build.units.UnitArtifact`
+bodies: placement is a cursor walk (each body starts at the next
+``lead_align``-aligned address, padded with the NOPs an ``Align``
+directive would emit), resolution is one dict, and patching writes the
+recorded relocation holes.  Combining modules is the paper's union of
+their auxiliary information (Sec. 6).  A rebuild that changed one
 function re-patches one unit and re-concatenates — the incremental
 re-link the paper's dlopen-churn story needs.
 
-Byte-compatibility invariants (exercised by the differential tests):
+Layout invariants (pinned by ``tests/golden/compile_digests.json``):
 
-* unit bodies are assembled at base 0 and placed 4-aligned, so all
-  intra-unit padding and displacements match the monolithic layout;
+* unit bodies are assembled at base 0 and placed ``lead_align``-aligned,
+  so all intra-unit padding and displacements match a whole-module
+  assembly of the same items;
 * string relocations are content-addressed and the module string table
   is renumbered here by replaying each scope's lowering-time reference
   list through a fresh interner — reproducing cold ``sid`` numbering
   even after single-function edits add or drop literals;
-* static-collision renaming (``{module}${name}``) happens at the
-  metadata level only: label names never affect image bytes, so cached
-  units stay name-stable across programs.
+* static-collision renaming (``{module}${name}``, C internal linkage)
+  happens at the metadata level only: label names never affect image
+  bytes, so cached units stay name-stable across programs.
 """
 
 from __future__ import annotations
@@ -30,16 +33,22 @@ from dataclasses import dataclass, field, replace
 from types import SimpleNamespace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.build.units import NOP, UnitArtifact, assemble_plt_unit
+from repro.build.units import (
+    NOP,
+    UnitArtifact,
+    assemble_plt_unit,
+    unit_from_items,
+)
 from repro.core.instrument import build_plt
 from repro.errors import AssemblerError, LinkError
-from repro.isa.assembler import Label
+from repro.isa.assembler import AsmInstr, Label, LabelRef
 from repro.linker.static_linker import (
     LinkedProgram,
     build_data_image,
     layout_data,
 )
 from repro.mir import ir
+from repro.mir.codegen import RawModule
 from repro.module.auxinfo import (
     AuxInfo,
     BranchSiteAux,
@@ -76,6 +85,46 @@ class ModuleUnits:
                 return unit
         raise KeyError(fn)
 
+    @classmethod
+    def from_object(cls, raw: RawModule, mcfi: bool = True) -> "ModuleUnits":
+        """Split a compiled module at its function entries into units.
+
+        Each function's items take the same instrument-or-lower and
+        unit-assembly step as a fresh compile; a unit's metadata comes
+        from the module's function table, direct-call list and label
+        references.  Strings keep their module numbering (one replayed
+        scope), so the link lays the data out as the module declares it.
+        """
+        prefix = f"{raw.name}.str"
+        sid_contents = {int(label[len(prefix):]): blob
+                        for label, blob in raw.strings.items()}
+        symbols = set(raw.functions) | set(raw.imports)
+        bodies: Dict[str, list] = {}
+        for item in raw.items:
+            if isinstance(item, Label) and item.name in raw.functions:
+                body = bodies[item.name] = []
+            body.append(item)
+        units = []
+        for name, items in bodies.items():
+            meta = raw.functions[name]
+            refs = {op.name for item in items if isinstance(item, AsmInstr)
+                    for op in item.operands if isinstance(op, LabelRef)}
+            artifact = UnitArtifact(
+                fn=name, fingerprint="", sig=meta.sig,
+                exported=meta.exported,
+                referenced=tuple(sorted(refs & symbols)),
+                direct_calls=[edge for edge in raw.direct_calls
+                              if edge[0] == name])
+            units.append(unit_from_items(items, raw.name, raw.arch,
+                                         sid_contents, artifact, mcfi))
+        takes = set(raw.taken_names) | {
+            name for name, meta in raw.functions.items()
+            if meta.address_taken}
+        return cls(name=raw.name, arch=raw.arch, units=units,
+                   globals=raw.globals,
+                   intern_refs={"": list(raw.strings.values())},
+                   global_takes=tuple(sorted(takes)))
+
 
 @dataclass
 class UnitFrag:
@@ -99,7 +148,6 @@ class UnitFrag:
     fn_name: str = ""
     direct_calls: List[Tuple[str, str, bool]] = field(default_factory=list)
     takes: Tuple[str, ...] = ()
-    referenced: Tuple[str, ...] = ()
 
 
 @dataclass
@@ -128,8 +176,8 @@ class LinkState:
 
 
 def _renamer(rmap: Dict[str, str]) -> Callable[[str], str]:
-    """Prefix-aware label renamer matching the static linker's rule:
-    rename exact matches and ``old.``-prefixed block/table labels."""
+    """Prefix-aware label renamer: rename exact matches and
+    ``old.``-prefixed block/table labels."""
     if not rmap:
         return lambda label: label
 
@@ -144,7 +192,8 @@ def _renamer(rmap: Dict[str, str]) -> Callable[[str], str]:
 
 
 def _compute_renames(modules: Sequence[ModuleUnits]) -> List[Dict[str, str]]:
-    """Replicate ``_resolve_static_collisions`` at the metadata level."""
+    """C internal linkage: give each colliding static (non-exported)
+    function a module-qualified name, ``{module}${name}``."""
     renames: List[Dict[str, str]] = [{} for _ in modules]
     owner: Dict[str, Tuple[int, UnitArtifact]] = {}
     for index, module in enumerate(modules):
@@ -183,12 +232,14 @@ def link_units(modules: List[ModuleUnits], mcfi: bool = True,
                code_base: int = CODE_BASE, data_base: int = DATA_BASE,
                entry_symbol: str = "_start",
                allow_unresolved: Optional[List[str]] = None) -> LinkState:
-    """Full unit-level link: place every unit, patch, finalize."""
+    """Full unit-level link: place every unit, patch, finalize.
+
+    ``allow_unresolved`` lists symbols expected to be bound at runtime
+    via dlopen/dlsym (routed through MCFI-instrumented PLT entries);
+    everything else must resolve now.
+    """
     if not modules:
         raise LinkError("nothing to link")
-    if not mcfi:
-        raise LinkError("the unit-splicing linker is MCFI-only; native "
-                        "builds go through the monolithic path")
     arch = modules[0].arch
     if any(m.arch != arch for m in modules):
         raise LinkError("cannot mix x32 and x64 modules")
@@ -213,6 +264,8 @@ def link_units(modules: List[ModuleUnits], mcfi: bool = True,
     unresolved = [i for i in state.imports if i not in allow]
     if unresolved:
         raise LinkError(f"unresolved symbols: {', '.join(unresolved)}")
+    if state.dynamic_symbols and not mcfi:
+        raise LinkError("PLT-routed dynamic symbols require MCFI mode")
 
     # PLT pseudo-unit for dynamically bound imports.
     state.got_names = {sym: f"__got.{sym}" for sym in state.dynamic_symbols}
@@ -384,7 +437,6 @@ def _build_frag(state: LinkState, key: Tuple[int, str], unit: UnitArtifact,
         (rmap.get(cr, cr), rmap.get(ce, ce), tail)
         for cr, ce, tail in unit.direct_calls]
     frag.takes = tuple(rmap.get(t, t) for t in unit.takes)
-    frag.referenced = tuple(rmap.get(t, t) for t in unit.referenced)
     return frag
 
 

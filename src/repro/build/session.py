@@ -16,9 +16,11 @@ Rebuilds are priced by what actually changed:
   added/removed functions) or a fresh session: full frontend, but still
   unit-cache-first and optionally pool-parallel.
 
-All products are byte-identical to a cold monolithic
-``compile_and_link``: the differential property tests in
-``tests/test_build_api.py`` hold the incremental paths to that.
+MCFI and native (``mcfi=False``) sessions take the same path; only the
+unit flavour differs.  Every product is byte-identical to a cold build
+of the same sources: the property tests in ``tests/test_build_api.py``
+hold the incremental paths to that, and ``tests/golden`` pins the cold
+images.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from repro.build.source_index import (
     stub_source,
 )
 from repro.build.units import UnitArtifact, compile_unit
-from repro.linker.static_linker import LinkedProgram, link as static_link
+from repro.linker.static_linker import LinkedProgram
 from repro.obs import OBS
 
 
@@ -78,9 +80,9 @@ class _ModuleState:
 class BuildSession:
     """Incremental, parallel compile-as-a-service for one program.
 
-    Parameters mirror the legacy ``compile_and_link`` knobs; ``cache``
-    is a :class:`repro.infra.cache.ArtifactCache` shared across
-    sessions (function-grain unit entries), ``pool`` an optional
+    ``mcfi=False`` builds the uninstrumented baseline; ``cache`` is a
+    :class:`repro.infra.cache.ArtifactCache` shared across sessions
+    (function-grain unit entries), ``pool`` an optional
     :class:`repro.infra.pool.WorkerPool` dirty unit compiles fan out
     across once at least ``parallel_threshold`` of them miss.
     """
@@ -100,8 +102,8 @@ class BuildSession:
         self.cache = cache
         self.pool = pool
         self.parallel_threshold = parallel_threshold
-        #: run the binary verifier over pool results and before every
-        #: cache publish (see repro.analysis.binverify)
+        #: run the binary verifier over MCFI pool results and before
+        #: every MCFI cache publish (see repro.analysis.binverify)
         self.verify_units = verify_units
         self._modules: Dict[str, _ModuleState] = {}
         self._link: Optional[LinkState] = None
@@ -121,9 +123,7 @@ class BuildSession:
             all_sources["libc"] = LIBC_SOURCE
         with OBS.tracer.span("build.session", modules=len(all_sources),
                              arch=self.arch, mcfi=self.mcfi):
-            if not self.mcfi:
-                return self._build_native(all_sources)
-            return self._build_mcfi(all_sources)
+            return self._build(all_sources)
 
     def build_source(self, source: str, name: str = "prog") -> BuildResult:
         """Convenience: one-module program (plus simlibc)."""
@@ -139,9 +139,9 @@ class BuildSession:
         self._link = None
         self._order = []
 
-    # -- MCFI unit-grain path ----------------------------------------
+    # -- unit-grain build --------------------------------------------
 
-    def _build_mcfi(self, sources: Dict[str, str]) -> BuildResult:
+    def _build(self, sources: Dict[str, str]) -> BuildResult:
         stats: Dict[str, int] = {"units": 0, "unit_hits": 0,
                                  "unit_compiled": 0, "unit_parallel": 0,
                                  "modules_rebuilt": 0, "modules_mini": 0}
@@ -198,7 +198,7 @@ class BuildSession:
         self._built_once = True
         stats["spliced"] = int(spliced)
         return BuildResult(program=program, kind=kind, arch=self.arch,
-                           mcfi=True, modules=order, stats=stats)
+                           mcfi=self.mcfi, modules=order, stats=stats)
 
     def _apply_pending(self,
                        pending: List[Tuple[str, UnitArtifact, int]]) -> None:
@@ -215,7 +215,7 @@ class BuildSession:
         with OBS.tracer.span("build.link", modules=len(order)):
             self._link = link_units(
                 [self._modules[name].units for name in order],
-                mcfi=True, allow_unresolved=self.allow_unresolved)
+                mcfi=self.mcfi, allow_unresolved=self.allow_unresolved)
         self._order = order
         return self._link.program
 
@@ -238,7 +238,7 @@ class BuildSession:
             units, graph, ustats = compile_module_units(
                 mir, checked, self.arch, cache=self.cache, pool=self.pool,
                 parallel_threshold=self.parallel_threshold,
-                verify_units=self.verify_units)
+                verify_units=self.verify_units, mcfi=self.mcfi)
         for key, value in ustats.items():
             stats[key] = stats.get(key, 0) + value
         self._modules[name] = _ModuleState(
@@ -289,7 +289,7 @@ class BuildSession:
                 meta = checked.functions[func.name]
                 fingerprint = unit_fingerprint(
                     func, mir.strings, self.arch, meta.takes,
-                    meta.uses_setjmp)
+                    meta.uses_setjmp, self.mcfi)
                 artifact = None
                 if self.cache is not None:
                     artifact = self.cache.get_unit(fingerprint)
@@ -297,9 +297,9 @@ class BuildSession:
                     artifact = compile_unit(
                         func, name, self.arch, mir.strings,
                         tuple(sorted(meta.takes)), meta.uses_setjmp,
-                        fingerprint)
+                        fingerprint, self.mcfi)
                     if self.cache is not None:
-                        if self.verify_units:
+                        if self.verify_units and self.mcfi:
                             from repro.analysis.binverify import verify_unit
                             verify_unit(artifact, arch=self.arch,
                                         module=name)
@@ -325,35 +325,3 @@ class BuildSession:
         state.source = text
         state.spans = new_spans
         return updates
-
-    # -- native (uninstrumented) path --------------------------------
-
-    def _build_native(self, sources: Dict[str, str]) -> BuildResult:
-        from repro.build.api import compile_object
-        from repro.build.fingerprint import prelude_digest
-        raws = []
-        stats = {"objects": 0, "object_hits": 0}
-        digest = prelude_digest(self.prelude)
-        for name, text in sources.items():
-            raw = None
-            key = None
-            if self.cache is not None:
-                key = self.cache.object_key(name, self.arch, text,
-                                            prelude=digest)
-                raw = self.cache.get_object(key, self.arch)
-            if raw is None:
-                raw = compile_object(text, name=name, arch=self.arch,
-                                     prelude=self.prelude,
-                                     devirtualize=self.devirtualize)
-                if self.cache is not None:
-                    self.cache.put_object(key, raw)
-            else:
-                stats["object_hits"] += 1
-            stats["objects"] += 1
-            raws.append(raw)
-        program = static_link(raws, mcfi=False,
-                              allow_unresolved=self.allow_unresolved)
-        kind = "cold" if not self._built_once else "warm"
-        self._built_once = True
-        return BuildResult(program=program, kind=kind, arch=self.arch,
-                           mcfi=False, modules=list(sources), stats=stats)

@@ -1,15 +1,16 @@
-"""Function-grain compilation units: codegen, instrument and assemble
-one function position-independently, so its bytes can be cached and
-spliced into any link.
+"""Function-grain compilation units: codegen, instrument (or lower
+natively) and assemble one function position-independently, so its
+bytes can be cached and spliced into any link.
 
 Why this is byte-exact: every instrumented unit begins with ``Align(4)``
 followed by the function's entry label (function entries are always
 indirect-branch targets, so :func:`instrument_stream` aligns them), and
 ``Align(4)``/``AlignEnd(4)`` are the only alignment directives the
-pipeline emits.  Assembling the unit's items at base 0 therefore
-reproduces exactly the bytes the monolithic assembler would emit at any
-4-aligned address — the linker only has to insert the leading NOP pad
-(``(-cursor) % 4``, the same pad the monolithic ``Align(4)`` would have
+pipeline emits; native units carry no alignment directive at all.
+Assembling the unit's items at base 0 therefore reproduces exactly the
+bytes a whole-module assembly would emit at any ``lead_align``-aligned
+address — the linker only has to insert the leading NOP pad
+(``(-cursor) % lead_align``, the pad the leading ``Align(4)`` would have
 produced) and patch the recorded relocations:
 
 * intra-unit REL32 displacements are position-independent and resolved
@@ -34,11 +35,12 @@ from repro.core.instrument import (
     SiteInfo,
     _collect_aligned_labels,
     instrument_stream,
+    lower_native,
 )
 from repro.isa.assembler import Align, Item, emit
 from repro.isa.instructions import Op, OperandKind
 from repro.mir import ir
-from repro.mir.codegen import FunctionCodegen
+from repro.mir.codegen import FunctionCodegen, RawItem
 from repro.tinyc.types import FuncSig
 
 NOP = bytes([Op.NOP])
@@ -46,7 +48,7 @@ NOP = bytes([Op.NOP])
 #: Relocation kinds: how the linker patches the hole at ``field_off``.
 #: 'rel32'  4-byte PC-relative (extra = offset just past the instruction)
 #: 'abs64'  8-byte absolute immediate (recorded as an abs relocation)
-#: 'abs32'  4-byte absolute immediate (no abs relocation, as monolithic)
+#: 'abs32'  4-byte absolute immediate (no abs relocation)
 #: 'word'   8-byte data word (recorded as an abs relocation)
 Reloc = Tuple[int, str, Tuple[str, object], int]
 
@@ -151,15 +153,11 @@ def assemble_unit(items: Sequence[Item], module_name: str,
 def compile_unit(func: ir.MirFunction, module_name: str, arch: str,
                  sid_contents: Dict[int, bytes],
                  takes: Sequence[str], uses_setjmp: bool,
-                 fingerprint: str) -> UnitArtifact:
-    """Run one function through codegen + instrumentation + unit
-    assembly, producing its cacheable :class:`UnitArtifact`."""
+                 fingerprint: str, mcfi: bool = True) -> UnitArtifact:
+    """Run one function through codegen and :func:`unit_from_items`,
+    producing its cacheable :class:`UnitArtifact`."""
     codegen = FunctionCodegen(func, module_name, arch)
     raw_items = codegen.generate()
-    aligned = _collect_aligned_labels(raw_items, {func.name})
-    asm = instrument_stream(raw_items, aligned,
-                            namespace=f"{module_name}.{func.name}",
-                            sandbox_writes=(arch == "x64"))
     artifact = UnitArtifact(
         fn=func.name, fingerprint=fingerprint,
         sig=FuncSig.of(func.ftype), exported=not func.is_static,
@@ -167,6 +165,23 @@ def compile_unit(func: ir.MirFunction, module_name: str, arch: str,
         referenced=tuple(sorted(codegen.referenced)),
         direct_calls=list(codegen.direct_calls),
         uses_setjmp=uses_setjmp)
+    return unit_from_items(raw_items, module_name, arch, sid_contents,
+                           artifact, mcfi)
+
+
+def unit_from_items(raw_items: Sequence[RawItem], module_name: str,
+                    arch: str, sid_contents: Dict[int, bytes],
+                    artifact: UnitArtifact, mcfi: bool) -> UnitArtifact:
+    """Instrument (``mcfi``) or natively lower one function's codegen
+    items, then assemble them into ``artifact``.  Fresh compiles and
+    functions split out of a compiled module share this step."""
+    if not mcfi:
+        return assemble_unit(lower_native(raw_items), module_name,
+                             sid_contents, artifact)
+    aligned = _collect_aligned_labels(raw_items, {artifact.fn})
+    asm = instrument_stream(raw_items, aligned,
+                            namespace=f"{module_name}.{artifact.fn}",
+                            sandbox_writes=(arch == "x64"))
     assemble_unit(asm.items, module_name, sid_contents, artifact)
     artifact.sites = asm.sites
     artifact.setjmp_resumes = asm.setjmp_resumes

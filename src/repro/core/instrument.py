@@ -3,7 +3,7 @@
 Consumes the :class:`~repro.mir.codegen.RawModule` symbolic assembly and
 produces either:
 
-* :func:`instrument_module` — MCFI-instrumented assembly: every indirect
+* :func:`instrument_stream` — MCFI-instrumented assembly: every indirect
   branch becomes an inlined check transaction (Fig. 4), indirect-branch
   targets gain 4-byte alignment no-ops, memory writes are sandboxed into
   ``[0, 4GB)`` (x64 mode), and each branch site gets a numbered
@@ -272,14 +272,14 @@ def instrument_stream(items: List[RawItem], aligned: set, namespace: str,
     return result
 
 
-def lower_native(raw: RawModule) -> List[Item]:
+def lower_native(items: List[RawItem]) -> List[Item]:
     """Lower pseudo-items to bare indirect branches (no CFI).
 
     This is the baseline for overhead measurements and the "original
     benchmarks" side of the gadget-elimination experiment.
     """
     out: List[Item] = []
-    for item in raw.items:
+    for item in items:
         if isinstance(item, PseudoReturn):
             out.append(AsmInstr(Op.RET, ()))
         elif isinstance(item, PseudoIndirectCall):

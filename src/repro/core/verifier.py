@@ -29,8 +29,7 @@ establishes, for the reachable portion of the image:
 
 This module stays the raising surface the loader and linker call:
 :func:`verify_module` returns a
-:class:`~repro.analysis.binverify.VerifyReport` (with a deprecation
-shim for the old ``Dict[str, int]`` shape) and raises
+:class:`~repro.analysis.binverify.VerifyReport` and raises
 :class:`~repro.errors.VerificationError` on the first diagnostic.
 """
 

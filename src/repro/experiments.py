@@ -23,9 +23,10 @@ Compiled programs are cached per (benchmark, arch, mcfi) so that test
 and benchmark runs pay the TinyC->SimISA pipeline once.  Builds route
 through :func:`repro.infra.campaign.build_program`: when an artifact
 cache is configured (``--cache-dir`` on the CLIs, or ``REPRO_CACHE_DIR``
-in the environment), each module is compiled and instrumented exactly
-once per configuration *across processes and invocations* and reused
-from its ``.mcfo``; without one the build is the plain serial pipeline.
+in the environment), each function is compiled and instrumented exactly
+once per configuration *across processes and invocations* and linked
+images are memoized; without one the build is the plain serial
+pipeline.
 """
 
 from __future__ import annotations

@@ -114,14 +114,6 @@ class SurvivalRecord:
         names = {f for f in cls.__dataclass_fields__}  # noqa: C401
         return cls(**{k: v for k, v in data.items() if k in names})
 
-    def as_dict(self) -> Dict[str, Any]:
-        """Deprecated alias for :meth:`to_dict` (one-release shim)."""
-        import warnings
-        warnings.warn(
-            "SurvivalRecord.as_dict() is deprecated; use to_dict()",
-            DeprecationWarning, stacklevel=2)
-        return self.to_dict()
-
 
 def _make_tables(workload: str) -> Tuple[IdTables, List[Tuple[int, int]],
                                          List[Tuple[int, int]]]:

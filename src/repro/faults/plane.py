@@ -59,14 +59,6 @@ class FaultEvent:
         return cls(point=data["point"], sequence=data["sequence"],
                    detail=data.get("detail", ""))
 
-    def as_dict(self) -> Dict[str, object]:
-        """Deprecated alias for :meth:`to_dict` (one-release shim)."""
-        import warnings
-        warnings.warn(
-            "FaultEvent.as_dict() is deprecated; use to_dict()",
-            DeprecationWarning, stacklevel=2)
-        return self.to_dict()
-
 
 @dataclass
 class _Armed:

@@ -3,8 +3,8 @@
 The campaign runner for the paper's SPEC-shaped evaluation, modeled on
 the instrumentation-infra framework: target×instance registries, a
 forked worker pool with per-job timeouts and bounded retries, a
-content-addressed artifact cache for ``.mcfo`` objects and linked
-images, and a structured JSONL result store with reporters.
+content-addressed artifact cache for build units, linked images and
+run outcomes, and a structured JSONL result store with reporters.
 
 Quickstart (see ``docs/INFRA.md``)::
 
@@ -17,7 +17,7 @@ from repro.infra.breaker import (CLOSED, HALF_OPEN, OPEN,
                                  CircuitBreaker)
 from repro.infra.cache import (ArtifactCache, CacheStats, open_cache,
                                source_digest)
-from repro.infra.campaign import (build_modules, build_program, configure,
+from repro.infra.campaign import (build_program, configure,
                                   default_cache, parallel_artifact,
                                   run_campaign, run_target,
                                   PARALLEL_ARTIFACTS)
@@ -35,7 +35,7 @@ __all__ = [
     "INSTANCES", "Instance", "Job", "JobResult", "OPEN",
     "PARALLEL_ARTIFACTS",
     "ResultStore", "TARGETS", "Target", "WorkerPool", "all_targets",
-    "build_modules", "build_program", "configure", "default_cache",
+    "build_program", "configure", "default_cache",
     "expand", "instance", "load_records", "open_cache",
     "parallel_artifact", "regenerate", "render_fig5", "render_summary",
     "render_table3", "run_campaign", "run_target", "source_digest",

@@ -2,19 +2,24 @@
 
 The paper's headline property — modules are instrumented once and
 reused across programs (Sec. 1) — is exactly what an experiment
-campaign wants: the twelve SPEC-shaped workloads plus simlibc are
-compiled to ``.mcfo`` object files and linked images *once per compile
-configuration*, then every artifact (Fig. 5/6, Table 3, AIR, gadgets,
-...) and every parallel worker reuses them from disk.
+campaign wants: every function of the twelve SPEC-shaped workloads and
+of simlibc is compiled to a unit *once per compile configuration*,
+linked images and deterministic run outcomes are memoized per program,
+and every artifact (Fig. 5/6, Table 3, AIR, gadgets, ...) and every
+parallel worker reuses them from disk.  Three entry kinds:
 
-Keys are SHA-256 over the canonical JSON of the entry's provenance:
-module source digest, architecture mode, the ``.mcfo`` format version
-and a compiler/linker tag (bumped on codegen-affecting changes).  A
-source edit, an arch flip or a toolchain upgrade therefore *cannot* hit
-a stale entry — the key changes.  Entry integrity is separately
-verified on read (the object-file digest for ``.mcfo``, a SHA-256 frame
-for linked images); a corrupted entry is evicted and counted, and the
-read degrades to a miss.
+* ``units/`` — function-grain build units keyed by their fingerprint
+  (``repro.build.fingerprint.unit_fingerprint``);
+* ``programs/`` — linked images keyed by the module source digests,
+  architecture mode, MCFI flag and prelude digest;
+* ``runs/`` — deterministic run outcomes keyed by their program key.
+
+Keys are SHA-256 over the canonical JSON of the entry's provenance plus
+a compiler/linker tag (bumped on codegen-affecting changes).  A source
+edit, an arch flip or a toolchain upgrade therefore *cannot* hit a
+stale entry — the key changes.  Entry integrity is separately verified
+on read (a SHA-256 frame around every entry); a corrupted entry is
+evicted and counted, and the read degrades to a miss.
 """
 
 from __future__ import annotations
@@ -25,12 +30,9 @@ import os
 import pickle
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, Optional, Sequence, Union
+from typing import Any, Dict, Optional, Union
 
 from repro.linker.static_linker import LinkedProgram
-from repro.mir.codegen import RawModule
-from repro.module import objectfile
-from repro.module.objectfile import ObjectFileError
 from repro.runtime.runtime import RunResult
 
 #: Bump when codegen/linker output changes shape: invalidates every key.
@@ -86,7 +88,7 @@ class CacheStats:
 
 @dataclass
 class ArtifactCache:
-    """On-disk store of ``.mcfo`` objects and linked program images."""
+    """On-disk store of build units, linked programs and run outcomes."""
 
     root: Path
     stats: CacheStats = field(default_factory=CacheStats)
@@ -95,7 +97,7 @@ class ArtifactCache:
     #: mtime, refreshed on hit) are evicted until it fits.
     max_mb: Optional[float] = None
 
-    SUBDIRS = ("objects", "programs", "runs", "units")
+    SUBDIRS = ("programs", "runs", "units")
 
     def __post_init__(self):
         self.root = Path(self.root)
@@ -109,68 +111,30 @@ class ArtifactCache:
         canonical = json.dumps(parts, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
-    def object_key(self, name: str, arch: str, source: str,
-                   prelude: str = "none") -> str:
-        """Key of one compiled (pre-link) module.
-
-        ``prelude`` is the digest of the implicit prelude the module was
-        compiled against (``repro.build.fingerprint.prelude_digest``).
-        It participates in the key because the prelude declarations
-        shape typechecking: two compiles of the same source differing
-        only in the ``prelude`` flag must never share an entry.
-        """
-        return self._key({
-            "kind": "object",
-            "name": name,
-            "arch": arch,
-            "source": source_digest(source),
-            "prelude": prelude,
-            "format": objectfile.FORMAT_VERSION,
-            "toolchain": TOOLCHAIN_TAG,
-        })
-
     def program_key(self, arch: str, mcfi: bool,
-                    module_keys: Sequence[str]) -> str:
-        """Key of a linked image, derived from its modules' keys."""
+                    sources: Dict[str, str]) -> str:
+        """Key of a linked image: its modules' names and source digests
+        in link order, the compile configuration, and the digest of the
+        builtin prelude the modules are compiled against, which shapes
+        typechecking just as the sources do."""
+        # Lazy import: repro.build's own imports reach back into here.
+        from repro.build.fingerprint import prelude_digest
         return self._key({
             "kind": "program",
             "arch": arch,
             "mcfi": mcfi,
-            "modules": list(module_keys),
+            "modules": [[name, source_digest(text)]
+                        for name, text in sources.items()],
+            "prelude": prelude_digest(True),
             "toolchain": TOOLCHAIN_TAG,
         })
 
-    # -- .mcfo objects -----------------------------------------------
-
-    def _object_path(self, key: str) -> Path:
-        return self.root / "objects" / f"{key}.mcfo"
-
-    def get_object(self, key: str, arch: str) -> Optional[RawModule]:
-        """Load a cached module; integrity-checked, evicted if bad."""
-        path = self._object_path(key)
-        if not path.exists():
-            self.stats.misses += 1
-            return None
-        try:
-            raw = objectfile.load(path, expect_arch=arch)
-        except ObjectFileError:
-            self._evict(path)
-            self.stats.misses += 1
-            return None
-        self.stats.hits += 1
-        self._touch(path)
-        return raw
-
-    def put_object(self, key: str, raw: RawModule) -> Path:
-        path = objectfile.save(raw, self._object_path(key))
-        self.stats.stores += 1
-        self._enforce_budget()
-        return path
-
     # -- framed pickle entries (programs, run results) ---------------
 
-    def _get_framed(self, path: Path, expected_cls: type) -> Optional[Any]:
-        """Read a digest-framed pickled entry; evict anything wrong."""
+    def _get_framed(self, path: Path, expected_cls: type,
+                    valid=None) -> Optional[Any]:
+        """Read a digest-framed pickled entry; evict anything wrong
+        (bad frame, foreign payload, or an entry ``valid`` rejects)."""
         if not path.exists():
             self.stats.misses += 1
             return None
@@ -187,7 +151,8 @@ class ArtifactCache:
             self._evict(path)
             self.stats.misses += 1
             return None
-        if not isinstance(entry, expected_cls):
+        if not isinstance(entry, expected_cls) or \
+                (valid is not None and not valid(entry)):
             self._evict(path)
             self.stats.misses += 1
             return None
@@ -247,15 +212,19 @@ class ArtifactCache:
     # -- function-grain build units (repro.build) --------------------
     #
     # Keyed directly by the unit fingerprint (already a SHA-256 over
-    # the function's MIR, metadata, arch and toolchain tags — see
-    # ``repro.build.fingerprint.unit_fingerprint``).
+    # the function's MIR, metadata, arch, flavour and toolchain tags —
+    # see ``repro.build.fingerprint.unit_fingerprint``).  An artifact
+    # carries its own fingerprint, so one stored under another key is
+    # never served.
 
     def _unit_path(self, fingerprint: str) -> Path:
         return self.root / "units" / f"{fingerprint}.unit"
 
     def get_unit(self, fingerprint: str):
         from repro.build.units import UnitArtifact
-        return self._get_framed(self._unit_path(fingerprint), UnitArtifact)
+        return self._get_framed(
+            self._unit_path(fingerprint), UnitArtifact,
+            lambda artifact: artifact.fingerprint == fingerprint)
 
     def put_unit(self, fingerprint: str, artifact) -> Path:
         return self._put_framed(self._unit_path(fingerprint), artifact)

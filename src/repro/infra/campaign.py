@@ -5,11 +5,11 @@ The glue between the registries (:mod:`repro.infra.targets`,
 (:mod:`repro.infra.cache`), the worker pool (:mod:`repro.infra.pool`)
 and the result store (:mod:`repro.infra.results`):
 
-* :func:`build_program` — the cache-aware replacement for
-  :func:`repro.toolchain.compile_and_link`: each module is compiled to
-  a ``.mcfo`` exactly once per (source, arch, toolchain) across *all*
-  artifacts and invocations, and linked images are reused per
-  (modules, arch, mcfi);
+* :func:`build_program` — one registry target through
+  :func:`repro.build.build_program` behind the program memo: every
+  function unit is compiled once per (MIR, arch, flavour, toolchain)
+  across *all* artifacts and invocations, and linked images are reused
+  per (module sources, arch, mcfi);
 * :func:`run_target` — build + execute one matrix cell, returning
   JSONL-ready records;
 * :func:`run_campaign` — the full matrix through the pool;
@@ -26,15 +26,14 @@ and every compile in the process, including the ones
 from __future__ import annotations
 
 import os
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro.infra.cache import ArtifactCache, CacheStats, open_cache
 from repro.infra.instances import Instance, expand, instance as get_instance
 from repro.infra.pool import Job, JobResult, WorkerPool
 from repro.infra.results import ResultStore
 from repro.infra.targets import Target, target as get_target
-from repro.linker.static_linker import LinkedProgram, link
-from repro.mir.codegen import RawModule
+from repro.linker.static_linker import LinkedProgram
 from repro.obs import clock
 
 # ---------------------------------------------------------------------------
@@ -76,73 +75,39 @@ def default_cache() -> Optional[ArtifactCache]:
 # Cache-aware build pipeline
 # ---------------------------------------------------------------------------
 
-def _object_key(cache: ArtifactCache, name: str, arch: str,
-                source: str) -> str:
-    """Campaign object keys always carry the builtin-prelude digest —
-    every registry compile runs with the prelude on."""
-    # Lazy import: repro.infra.__init__ pulls this module in, and
-    # repro.build's own imports reach back into repro.infra.cache.
-    from repro.build.fingerprint import prelude_digest
-    return cache.object_key(name, arch, source,
-                            prelude=prelude_digest(True))
-
-
-def build_modules(target_name: str, arch: str,
-                  cache: Optional[ArtifactCache] = None,
-                  ) -> Tuple[List[RawModule], List[str]]:
-    """Compile (or fetch) every module of a target, in link order.
-
-    Returns the raw modules plus their cache keys (the provenance the
-    program key is derived from).
-    """
-    from repro.build import compile_object
-    spec = get_target(target_name)
-    raws: List[RawModule] = []
-    keys: List[str] = []
-    for module_name, source in spec.sources().items():
-        if cache is not None:
-            key = _object_key(cache, module_name, arch, source)
-            keys.append(key)
-            raw = cache.get_object(key, arch)
-            if raw is None:
-                raw = compile_object(source, name=module_name, arch=arch)
-                cache.put_object(key, raw)
-        else:
-            keys.append("")
-            raw = compile_object(source, name=module_name, arch=arch)
-        raws.append(raw)
-    return raws, keys
+def _program_key(cache: ArtifactCache, target_name: str, arch: str,
+                 mcfi: bool) -> str:
+    """Programs (and their runs) are keyed by the target's sources."""
+    return cache.program_key(arch, mcfi, get_target(target_name).sources())
 
 
 def build_program(target_name: str, arch: str = "x64", mcfi: bool = True,
                   cache: Optional[ArtifactCache] = None,
                   ) -> LinkedProgram:
-    """Cache-aware compile+link of one target (drop-in for
-    :func:`repro.toolchain.compile_and_link` on registry targets).
+    """Cache-aware build of one registry target.
 
-    With no cache configured this is exactly the serial pipeline.
+    With a cache, a linked image is memoized per program key and a miss
+    builds through the shared unit cache (whose verify-before-publish
+    gate applies); with no cache configured this is a plain cold build.
     """
+    # Lazy import: repro.infra.__init__ pulls this module in, and
+    # repro.build's own imports reach back into repro.infra.cache.
+    from repro.build import build_program as build
     if cache is None:
         cache = default_cache()
     spec = get_target(target_name)
     if not spec.linkable:
         raise ValueError(f"target {target_name!r} is library-only")
     if cache is not None:
-        # Key the image off the module keys first: a warm program cache
-        # still needs the object keys, but not the objects themselves.
-        sources = spec.sources()
-        module_keys = [_object_key(cache, name, arch, source)
-                       for name, source in sources.items()]
-        program_key = cache.program_key(arch, mcfi, module_keys)
-        program = cache.get_program(program_key)
+        key = _program_key(cache, target_name, arch, mcfi)
+        program = cache.get_program(key)
         if program is not None:
             return program
-        raws, _ = build_modules(target_name, arch, cache)
-        program = link(raws, mcfi=mcfi)
-        cache.put_program(program_key, program)
-        return program
-    raws, _ = build_modules(target_name, arch, cache=None)
-    return link(raws, mcfi=mcfi)
+    program = build(spec.sources(), arch=arch, mcfi=mcfi, with_libc=False,
+                    cache=cache).program
+    if cache is not None:
+        cache.put_program(key, program)
+    return program
 
 
 def run_result(target_name: str, arch: str = "x64", mcfi: bool = True,
@@ -163,11 +128,7 @@ def run_result(target_name: str, arch: str = "x64", mcfi: bool = True,
     if cache is None:
         return Runtime(build_program(target_name, arch=arch,
                                      mcfi=mcfi)).run()
-    sources = get_target(target_name).sources()
-    module_keys = [_object_key(cache, name, arch, source)
-                   for name, source in sources.items()]
-    program_key = cache.program_key(arch, mcfi, module_keys)
-    run_key = cache.run_key(program_key)
+    run_key = cache.run_key(_program_key(cache, target_name, arch, mcfi))
     cached = cache.get_run(run_key)
     if cached is not None:
         return cached

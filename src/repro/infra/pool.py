@@ -41,7 +41,6 @@ import multiprocessing
 import random
 import time
 import traceback
-import warnings
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence
 
@@ -108,13 +107,6 @@ class JobResult:
             "error": self.error,
             "error_type": self.error_type,
         }
-
-    def record(self) -> Dict[str, Any]:
-        """Deprecated alias for :meth:`to_dict` (one-release shim)."""
-        warnings.warn(
-            "JobResult.record() is deprecated; use to_dict()",
-            DeprecationWarning, stacklevel=2)
-        return self.to_dict()
 
 
 def _worker(conn, fn, args, kwargs) -> None:

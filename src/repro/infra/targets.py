@@ -2,11 +2,11 @@
 
 Modeled on instrumentation-infra's ``Target`` abstraction: a target
 names a buildable thing — here the twelve SPEC-shaped workloads plus
-the shared simlibc library module.  Workload targets link against libc;
-the libc target itself is library-only (no entry point) and exists so
-its ``.mcfo`` object is built, cached and shared exactly once per
+the shared simlibc library module.  Workload targets link against libc,
+whose function units are built, cached and shared exactly once per
 architecture across the whole campaign — the paper's
-instrument-once-reuse-anywhere property at campaign scale.
+instrument-once-reuse-anywhere property at campaign scale; the libc
+target itself is library-only (no entry point) and cannot be linked.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ class Target:
     #: module names in link order (workload first, then libraries)
     modules: Tuple[str, ...]
     #: linkable targets produce an executable image; library-only
-    #: targets stop at their .mcfo object
+    #: targets only contribute modules to other targets' links
     linkable: bool = True
 
     def sources(self) -> Dict[str, str]:

@@ -1,35 +1,23 @@
-"""MCFI static linker (paper Secs. 6-7).
+"""Static link products: the linked program and its data region.
 
-Links separately compiled and *separately instrumented* modules into one
-executable image: concatenates their instrumented assembly, renumbers
-indirect-branch sites into a global Bary numbering, lays out the data
-region (read-only strings first, then writable globals), resolves
-cross-module symbols, and merges auxiliary information ("combining type
-information of multiple modules during linking is a simple union
-operation").
-
-The same linker drives the native (uninstrumented) build used as the
-overhead baseline.
+:func:`repro.build.link.link_units` lays out every static image (paper
+Secs. 6-7): it concatenates separately instrumented function units,
+renumbers indirect-branch sites into one Bary numbering, resolves
+cross-module symbols and unions the modules' auxiliary information.
+This module holds what that linker and the dynamic linker share: the
+:class:`LinkedProgram` they produce and the data-region layout (read-only
+strings first, then writable globals and GOT slots).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
-from repro.core.instrument import (
-    InstrumentedAsm,
-    SiteInfo,
-    build_plt,
-    instrument_items,
-    lower_native,
-)
 from repro.errors import LinkError
-from repro.isa.assembler import AsmInstr, BarySlot, Item, Label, assemble
 from repro.mir.codegen import RawModule
-from repro.module.module import DataLayout, McfiModule, build_module
-from repro.obs import OBS
-from repro.vm.memory import CODE_BASE, DATA_BASE, PAGE_SIZE
+from repro.module.module import DataLayout, McfiModule
+from repro.vm.memory import DATA_BASE, PAGE_SIZE
 
 
 @dataclass
@@ -42,7 +30,7 @@ class LinkedProgram:
     data: DataLayout
     entry: int
     heap_base: int
-    #: names of the raw modules linked in, in order
+    #: names of the modules linked in, in order
     parts: List[str] = field(default_factory=list)
     #: dynamic symbol -> its GOT slot address (PLT-routed imports)
     got_slots: Dict[str, int] = field(default_factory=dict)
@@ -50,158 +38,6 @@ class LinkedProgram:
     @property
     def labels(self) -> Dict[str, int]:
         return self.module.labels
-
-
-def _shift_sites(asm: InstrumentedAsm, base: int) -> InstrumentedAsm:
-    """Renumber a module's local branch sites by ``base``."""
-    if base == 0:
-        return asm
-    items: List[Item] = []
-    for item in asm.items:
-        if isinstance(item, AsmInstr) and any(
-                isinstance(op, BarySlot) for op in item.operands):
-            operands = tuple(
-                BarySlot(op.site + base) if isinstance(op, BarySlot) else op
-                for op in item.operands)
-            items.append(AsmInstr(item.op, operands))
-        else:
-            items.append(item)
-    sites = [SiteInfo(site=s.site + base, kind=s.kind, fn=s.fn, sig=s.sig,
-                      targets=s.targets, plt_symbol=s.plt_symbol,
-                      ptargets=s.ptargets)
-             for s in asm.sites]
-    return InstrumentedAsm(items=items, sites=sites,
-                           setjmp_resumes=list(asm.setjmp_resumes))
-
-
-def _rename_symbol(raw: RawModule, old: str, new: str) -> None:
-    """Rename a module-local (static) function everywhere in ``raw``.
-
-    Implements C internal linkage: two modules may each define a static
-    function of the same name; the linker gives each a module-qualified
-    label so they coexist in the combined image.
-    """
-    from repro.isa.assembler import DataWord, Label as AsmLabel, \
-        LabelRef, Mark
-
-    prefix = old + "."
-
-    def rename(label: str) -> str:
-        if label == old:
-            return new
-        if label.startswith(prefix):  # block/jump-table labels
-            return new + label[len(old):]
-        return label
-
-    def fix_operand(op):
-        if isinstance(op, LabelRef):
-            return LabelRef(rename(op.name))
-        return op
-
-    items = []
-    for item in raw.items:
-        if isinstance(item, AsmLabel) and rename(item.name) != item.name:
-            items.append(AsmLabel(rename(item.name)))
-        elif isinstance(item, AsmInstr):
-            items.append(AsmInstr(item.op,
-                                  tuple(fix_operand(o)
-                                        for o in item.operands)))
-        elif isinstance(item, DataWord) and \
-                isinstance(item.value, LabelRef):
-            items.append(DataWord(LabelRef(rename(item.value.name))))
-        elif isinstance(item, Mark) and item.kind == "func_entry" and \
-                item.info == old:
-            items.append(Mark("func_entry", new))
-        elif isinstance(item, Mark) and item.kind == "retsite" and \
-                isinstance(item.info, tuple):
-            info = tuple(new if part == old else part
-                         for part in item.info)
-            items.append(Mark("retsite", info))
-        elif isinstance(item, Mark) and item.kind in ("setjmp_resume",
-                                                      "jt_start",
-                                                      "jt_end"):
-            items.append(Mark(item.kind, rename(item.info)))
-        else:
-            from repro.mir.codegen import PseudoIndirectJump, \
-                PseudoIndirectCall, PseudoReturn
-            if isinstance(item, PseudoReturn) and item.fn == old:
-                items.append(PseudoReturn(fn=new))
-            elif isinstance(item, PseudoIndirectCall):
-                items.append(PseudoIndirectCall(
-                    fn=new if item.fn == old else item.fn,
-                    reg=item.reg, sig=item.sig,
-                    ptargets=tuple(new if t == old else t
-                                   for t in item.ptargets)))
-            elif isinstance(item, PseudoIndirectJump):
-                targets = tuple(rename(t) for t in item.targets)
-                items.append(PseudoIndirectJump(
-                    fn=new if item.fn == old else item.fn,
-                    reg=item.reg, kind=item.kind, sig=item.sig,
-                    targets=targets,
-                    ptargets=tuple(new if t == old else t
-                                   for t in item.ptargets)))
-            else:
-                items.append(item)
-    raw.items = items
-
-    meta = raw.functions.pop(old)
-    meta.name = new
-    meta.entry_label = new
-    raw.functions[new] = meta
-    raw.direct_calls = [
-        (new if caller == old else caller,
-         new if callee == old else callee, tail)
-        for caller, callee, tail in raw.direct_calls]
-    if old in raw.taken_names:
-        raw.taken_names.discard(old)
-        raw.taken_names.add(new)
-    for data in raw.globals.values():
-        data.relocs = [
-            (offset, kind, new if kind == "func" and symbol == old
-             else symbol)
-            for offset, kind, symbol in data.relocs]
-
-
-def _resolve_static_collisions(raws: List[RawModule]) -> None:
-    """Give colliding non-exported (static) functions unique names."""
-    seen: Dict[str, RawModule] = {}
-    for raw in raws:
-        for name in list(raw.functions):
-            meta = raw.functions[name]
-            if name not in seen:
-                seen[name] = raw
-                continue
-            other = seen[name]
-            if not meta.exported:
-                _rename_symbol(raw, name, f"{raw.name}${name}")
-            elif not other.functions[name].exported:
-                _rename_symbol(other, name, f"{other.name}${name}")
-                seen[name] = raw
-            # two exported definitions: left for _merge_raws to report
-
-
-def _merge_raws(raws: List[RawModule], name: str) -> RawModule:
-    """Union the metadata of several raw modules (post-check)."""
-    merged = RawModule(name=name, arch=raws[0].arch, items=[],
-                       functions={}, globals={}, strings={})
-    for raw in raws:
-        for fname, meta in raw.functions.items():
-            if fname in merged.functions:
-                raise LinkError(f"multiple definitions of {fname!r}")
-            merged.functions[fname] = meta
-        for gname, data in raw.globals.items():
-            if gname in merged.globals:
-                raise LinkError(f"multiple definitions of global {gname!r}")
-            merged.globals[gname] = data
-        merged.strings.update(raw.strings)
-        merged.direct_calls.extend(raw.direct_calls)
-        merged.imports.extend(raw.imports)
-        merged.uses_setjmp |= raw.uses_setjmp
-        merged.taken_names |= raw.taken_names
-    defined = set(merged.functions)
-    merged.imports = sorted({imp for imp in merged.imports
-                             if imp not in defined})
-    return merged
 
 
 def layout_data(raws: List[RawModule], base: int = DATA_BASE,
@@ -267,99 +103,3 @@ def build_data_image(raws: List[RawModule], layout: DataLayout,
                     raise LinkError(f"unknown reloc kind {kind!r}")
                 poke(base_addr + offset, value.to_bytes(8, "little"))
     return bytes(image)
-
-
-def link(raws: List[RawModule], mcfi: bool = True,
-         code_base: int = CODE_BASE, data_base: int = DATA_BASE,
-         entry_symbol: str = "_start",
-         allow_unresolved: Optional[List[str]] = None) -> LinkedProgram:
-    """Statically link raw modules into a :class:`LinkedProgram`.
-
-    Each module is instrumented independently (``mcfi=True``) before its
-    assembly is combined — the separate-compilation property the paper
-    is about.  ``allow_unresolved`` lists symbols expected to be bound
-    at runtime via dlopen/dlsym (everything else must resolve now).
-    """
-    if not raws:
-        raise LinkError("nothing to link")
-    with OBS.tracer.span("toolchain.link", modules=len(raws), mcfi=mcfi):
-        return _link(raws, mcfi, code_base, data_base, entry_symbol,
-                     allow_unresolved)
-
-
-def _link(raws: List[RawModule], mcfi: bool, code_base: int,
-          data_base: int, entry_symbol: str,
-          allow_unresolved: Optional[List[str]]) -> LinkedProgram:
-    arch = raws[0].arch
-    if any(raw.arch != arch for raw in raws):
-        raise LinkError("cannot mix x32 and x64 modules")
-
-    _resolve_static_collisions(raws)
-    merged_meta = _merge_raws(raws, name="+".join(r.name for r in raws))
-    dynamic_symbols = [imp for imp in merged_meta.imports
-                       if imp in (allow_unresolved or [])]
-    unresolved = [imp for imp in merged_meta.imports
-                  if imp not in (allow_unresolved or [])]
-    if unresolved:
-        raise LinkError(f"unresolved symbols: {', '.join(unresolved)}")
-    if dynamic_symbols and not mcfi:
-        raise LinkError("PLT-routed dynamic symbols require MCFI mode")
-
-    # Instrument each module separately, then concatenate with globally
-    # renumbered branch sites.
-    combined_items: List[Item] = []
-    combined_sites: List[SiteInfo] = []
-    setjmp_resumes: List[str] = []
-    site_base = 0
-    for raw in raws:
-        if mcfi:
-            asm = instrument_items(raw)
-            asm = _shift_sites(asm, site_base)
-            site_base += len(asm.sites)
-            combined_sites.extend(asm.sites)
-            setjmp_resumes.extend(asm.setjmp_resumes)
-            combined_items.extend(asm.items)
-        else:
-            combined_items.extend(lower_native(raw))
-
-    # Emit MCFI-instrumented PLT entries for dynamic symbols; the entry
-    # label is the symbol name so direct calls resolve to the PLT.
-    got_names = {sym: f"__got.{sym}" for sym in dynamic_symbols}
-    if dynamic_symbols:
-        plt_asm = build_plt(dynamic_symbols, got_names)
-        # Alias each PLT entry under the bare symbol name, so direct
-        # ``call sym`` instructions in any module land on the PLT entry.
-        aliased: List[Item] = []
-        for item in plt_asm.items:
-            if isinstance(item, Label) and item.name.startswith("__plt."):
-                aliased.append(Label(item.name[len("__plt."):]))
-            aliased.append(item)
-        plt_shifted = _shift_sites(
-            InstrumentedAsm(items=aliased, sites=plt_asm.sites), site_base)
-        site_base += len(plt_shifted.sites)
-        combined_sites.extend(plt_shifted.sites)
-        combined_items.extend(plt_shifted.items)
-
-    layout = layout_data(raws, base=data_base, got_names=got_names)
-    assembled = assemble(combined_items, base=code_base,
-                         extern=layout.symbols)
-    combined_asm = InstrumentedAsm(items=combined_items,
-                                   sites=combined_sites,
-                                   setjmp_resumes=setjmp_resumes)
-    merged_meta.items = combined_items
-    module = build_module(merged_meta, combined_asm, assembled,
-                          instrumented_mode=mcfi)
-
-    layout.image = build_data_image(raws, layout, assembled.labels)
-
-    entry = assembled.labels.get(entry_symbol)
-    if entry is None:
-        raise LinkError(f"no entry symbol {entry_symbol!r}")
-    heap_base = (layout.base + layout.size + PAGE_SIZE - 1) & \
-        ~(PAGE_SIZE - 1)
-    got_slots = {sym: layout.symbols[label]
-                 for sym, label in got_names.items()}
-    return LinkedProgram(arch=arch, mcfi=mcfi, module=module, data=layout,
-                         entry=entry, heap_base=heap_base,
-                         parts=[raw.name for raw in raws],
-                         got_slots=got_slots)

@@ -1,11 +1,11 @@
 """The MCFI module: assembled code + data + auxiliary information.
 
-An :class:`McfiModule` is the unit of separate compilation: it can be
-statically linked with other modules (:mod:`repro.linker.static_linker`)
-or loaded at runtime by the dynamic linker.  It is built from a
-separately instrumented module's assembly via :func:`build_module`,
-which resolves the symbolic site/mark information into the concrete
-:class:`~repro.module.auxinfo.AuxInfo`.
+An :class:`McfiModule` is a loadable image with its auxiliary
+information: the combined module of a static link
+(:func:`repro.build.link.link_units`), or a library the dynamic linker
+loads at runtime.  A library's is built from its instrumented assembly
+via :func:`build_module`, which resolves the symbolic site/mark
+information into the concrete :class:`~repro.module.auxinfo.AuxInfo`.
 """
 
 from __future__ import annotations
@@ -61,12 +61,11 @@ class McfiModule:
 
 
 def build_module(raw: RawModule, instrumented: InstrumentedAsm,
-                 assembled: Assembled, site_base: int = 0,
-                 instrumented_mode: bool = True) -> McfiModule:
+                 assembled: Assembled, site_base: int = 0) -> McfiModule:
     """Resolve assembly output into a concrete :class:`McfiModule`.
 
     ``site_base`` offsets the module-local site numbers into the global
-    Bary numbering chosen by the linker/loader.
+    Bary numbering chosen by the loader.
     """
     labels = assembled.labels
     aux = AuxInfo()
@@ -121,7 +120,7 @@ def build_module(raw: RawModule, instrumented: InstrumentedAsm,
         name=raw.name, arch=raw.arch, base=assembled.base,
         code=assembled.code, aux=aux, bary_slots=bary_slots,
         labels=dict(labels), code_ranges=code_ranges)
-    if instrumented_mode and len(bary_slots) != len(instrumented.sites):
+    if len(bary_slots) != len(instrumented.sites):
         raise ValueError(
             f"{raw.name}: {len(instrumented.sites)} sites but "
             f"{len(bary_slots)} patched Bary slots")

@@ -25,7 +25,6 @@ Execution drivers:
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional
 
@@ -97,13 +96,6 @@ class ViolationRecord:
                    target_address=data["target"],
                    reason=data["reason"], action=data["action"],
                    module=data.get("module"))
-
-    def as_dict(self) -> Dict[str, Any]:
-        """Deprecated alias for :meth:`to_dict` (one-release shim)."""
-        warnings.warn(
-            "ViolationRecord.as_dict() is deprecated; use to_dict()",
-            DeprecationWarning, stacklevel=2)
-        return self.to_dict()
 
 
 @dataclass

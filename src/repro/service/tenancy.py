@@ -11,7 +11,7 @@ made measurable.
 Two compile paths are compared by ``bench_service.py``:
 
 * **legacy** — every churn event pays a cold
-  :func:`repro.build.build_program` (what ``compile_and_link`` did);
+  :func:`repro.build.build_program` (a throwaway session per event);
 * **session** — every tenant owns a :class:`repro.build.BuildSession`
   (optionally sharing one unit cache), so a churn edit is an
   incremental single-unit rebuild spliced into the previous link.

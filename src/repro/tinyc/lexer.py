@@ -71,7 +71,7 @@ _MASTER = re.compile(r"[ \t\r]*(?:" + "|".join((
     r"|(?=\.?\d)\d*(?:\.\d*)?(?:[eE][+-]?\d*)?[uUlLfF]*)",
     r"(?P<comment>//[^\n]*|/\*.*?\*/)",
     r"(?P<slash>/=|/(?!\*)|\.)",
-    r"(?P<char>'(?:\\.|[^\\])')",
+    r"(?P<char>'(?:\\.|[^\\\n])')",
     r"(?P<str>" + _STRING_BODY + '")',
     r"(?P<uident>[^\W\d]\w*)",
     r"(?P<other>.)",
@@ -187,8 +187,10 @@ def _raise_at(source: str, pos: int, line: int, col: int) -> None:
         raise LexError("unterminated comment", line, col)
     char = source[pos]
     if char == "'":
-        if pos + 1 < len(source) and source[pos + 1] == "\\" \
-                and pos + 2 < len(source):
+        following = source[pos + 1:pos + 2]
+        if following == "\n":
+            raise LexError("newline in character literal", line, col)
+        if following == "\\" and pos + 2 < len(source):
             _escape(source[pos + 2], line, col)
         raise LexError("unterminated character literal", line, col)
     if char == '"':

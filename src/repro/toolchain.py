@@ -1,4 +1,4 @@
-"""Legacy toolchain entry points — thin shims over :mod:`repro.build`.
+"""The TinyC language frontend and the program runner.
 
 The pipeline (paper Sec. 7) chains, for one module::
 
@@ -8,30 +8,21 @@ and for whole programs::
 
     [module, ...] -> static link (separate instrumentation) -> load -> run
 
-Since the ``repro.build`` redesign the *implementation* lives there —
-function-grain compilation units, content-addressed caching, pool
-parallelism and incremental re-link behind
-:class:`~repro.build.session.BuildSession`.  This module keeps the
-original call shapes working: :func:`compile_module`,
-:func:`compile_and_link` and :func:`compile_and_run` delegate to
-:mod:`repro.build` and produce byte-identical programs.  The ``optimize``
-keyword was renamed ``devirtualize`` in the new API; passing it here
-still works but emits a :class:`DeprecationWarning`.
-
-What genuinely lives here is the language frontend: the
-``BUILTIN_PRELUDE`` plays the role of the C headers (declarations of
-the libc API every module may use; ``__syscall``, ``setjmp`` and
-``longjmp`` are compiler intrinsics), and :func:`frontend` is the
-parse+typecheck step every build path shares.
+Compiling and linking live in :mod:`repro.build`
+(:func:`~repro.build.build_program`, :func:`~repro.build.compile_object`,
+:class:`~repro.build.session.BuildSession`).  What lives here is the
+language frontend every build path shares: the ``BUILTIN_PRELUDE``
+plays the role of the C headers (declarations of the libc API every
+module may use; ``__syscall``, ``setjmp`` and ``longjmp`` are compiler
+intrinsics), and :func:`frontend` is the parse+typecheck step.
+:func:`run_program` loads a linked program into a fresh runtime.
 """
 
 from __future__ import annotations
 
-import warnings
-from typing import Dict, List, Optional
+from typing import Optional
 
 from repro.linker.static_linker import LinkedProgram
-from repro.mir.codegen import RawModule
 from repro.runtime.runtime import Runtime, RunResult
 from repro.tinyc.parser import parse
 from repro.tinyc.typecheck import CheckedUnit, check
@@ -85,61 +76,8 @@ def frontend(source: str, name: str = "unit", prelude: bool = True,
     return check(unit)
 
 
-def _renamed_optimize(fn: str, optimize: Optional[bool]) -> bool:
-    """Resolve the legacy ``optimize`` keyword (renamed ``devirtualize``
-    in :mod:`repro.build`), warning when it was explicitly passed."""
-    if optimize is None:
-        return False
-    warnings.warn(
-        f"{fn}(optimize=...) is deprecated: the keyword is named "
-        f"'devirtualize' in the repro.build API — use repro.build."
-        f"{'compile_object' if fn == 'compile_module' else 'build_program'}",
-        DeprecationWarning, stacklevel=3)
-    return optimize
-
-
-def compile_module(source: str, name: str = "unit", arch: str = "x64",
-                   prelude: bool = True,
-                   optimize: Optional[bool] = None) -> RawModule:
-    """Compile one TinyC module to (uninstrumented) symbolic assembly.
-
-    Thin shim over :func:`repro.build.compile_object`; ``optimize`` is
-    the deprecated spelling of ``devirtualize``.
-    """
-    from repro.build.api import compile_object
-    return compile_object(source, name=name, arch=arch, prelude=prelude,
-                          devirtualize=_renamed_optimize(
-                              "compile_module", optimize))
-
-
-def compile_and_link(sources: Dict[str, str], arch: str = "x64",
-                     mcfi: bool = True, with_libc: bool = True,
-                     allow_unresolved: Optional[List[str]] = None,
-                     optimize: Optional[bool] = None) -> LinkedProgram:
-    """Compile named sources (plus simlibc) and statically link them.
-
-    Thin shim over :func:`repro.build.build_program`; ``optimize`` is
-    the deprecated spelling of ``devirtualize``.
-    """
-    from repro.build.api import build_program
-    return build_program(sources, arch=arch, mcfi=mcfi,
-                         with_libc=with_libc,
-                         allow_unresolved=allow_unresolved,
-                         devirtualize=_renamed_optimize(
-                             "compile_and_link", optimize)).program
-
-
 def run_program(program: LinkedProgram, verify: bool = False,
                 max_steps: int = 200_000_000) -> RunResult:
     """Load a linked program into a fresh runtime and run it."""
     runtime = Runtime(program, verify=verify)
     return runtime.run(max_steps=max_steps)
-
-
-def compile_and_run(sources: Dict[str, str], arch: str = "x64",
-                    mcfi: bool = True, verify: bool = False,
-                    max_steps: int = 200_000_000) -> RunResult:
-    """Convenience: compile, link, load and run in one call."""
-    from repro.build.api import build_program
-    program = build_program(sources, arch=arch, mcfi=mcfi).program
-    return run_program(program, verify=verify, max_steps=max_steps)

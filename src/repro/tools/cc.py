@@ -24,11 +24,11 @@ from pathlib import Path
 from typing import List
 
 from repro.errors import ReproError
-from repro.linker.static_linker import link
 from repro.mir.codegen import RawModule
 from repro.module import objectfile
 from repro.runtime.runtime import Runtime
 from repro.build import compile_object
+from repro.build.link import ModuleUnits, link_units
 from repro.workloads.libc import LIBC_SOURCE
 
 
@@ -83,7 +83,9 @@ def main(argv: List[str] | None = None) -> int:
         if not args.no_libc:
             raws.append(compile_object(LIBC_SOURCE, name="libc",
                                        arch=args.arch))
-        program = link(raws, mcfi=not args.native)
+        mcfi = not args.native
+        program = link_units([ModuleUnits.from_object(raw, mcfi)
+                              for raw in raws], mcfi=mcfi).program
         print(f"linked {len(raws)} modules: {len(program.module.code)} "
               f"bytes of code, "
               f"{len(program.module.aux.branch_sites)} branch sites")

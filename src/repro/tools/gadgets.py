@@ -21,9 +21,9 @@ from repro.attacks.gadgets import analyze_image, find_gadgets, \
     unique_gadgets
 from repro.cfg.generator import generate_cfg
 from repro.errors import ReproError
-from repro.linker.static_linker import link
 from repro.module import objectfile
 from repro.build import compile_object
+from repro.build.link import ModuleUnits, link_units
 from repro.workloads.libc import LIBC_SOURCE
 
 
@@ -53,7 +53,9 @@ def main(argv: List[str] | None = None) -> int:
             raw = compile_object(args.input.read_text(),
                                  name=args.input.stem, arch=args.arch)
         libc = compile_object(LIBC_SOURCE, name="libc", arch=args.arch)
-        program = link([raw, libc], mcfi=args.mcfi)
+        program = link_units([ModuleUnits.from_object(part, args.mcfi)
+                              for part in (raw, libc)],
+                             mcfi=args.mcfi).program
         module = program.module
 
         gadgets = find_gadgets(module.code, base=module.base,

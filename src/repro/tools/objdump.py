@@ -20,9 +20,9 @@ from typing import List
 
 from repro.errors import ReproError
 from repro.isa.disasm import format_instr, sweep_ranges
-from repro.linker.static_linker import link
 from repro.module import objectfile
 from repro.build import compile_object
+from repro.build.link import ModuleUnits, link_units
 from repro.workloads.libc import LIBC_SOURCE
 
 
@@ -55,8 +55,9 @@ def main(argv: List[str] | None = None) -> int:
             raw = compile_object(args.input.read_text(),
                                  name=args.input.stem, arch=args.arch)
         libc = compile_object(LIBC_SOURCE, name="libc", arch=args.arch)
-        program = link([raw, libc], mcfi=not args.native,
-                       entry_symbol="_start")
+        mcfi = not args.native
+        program = link_units([ModuleUnits.from_object(part, mcfi)
+                              for part in (raw, libc)], mcfi=mcfi).program
         module = program.module
         aux = module.aux
 

@@ -52,7 +52,6 @@ SPAN_CATALOG = (
     ("toolchain.frontend", "", "lex/parse/typecheck"),
     ("toolchain.lower", "", "AST -> MIR"),
     ("toolchain.codegen", "", "MIR -> SimISA + instrumentation"),
-    ("toolchain.link", "modules mcfi", "static link of all modules"),
     ("build.session", "modules arch mcfi", "one BuildSession.build call"),
     ("build.frontend", "module", "session frontend (lex/parse/check)"),
     ("build.lower", "module", "session AST -> MIR"),

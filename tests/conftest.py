@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import pytest
 
+from repro.build import build_program, compile_object
+from repro.build.link import ModuleUnits, link_units
 from repro.experiments import compiled
 from repro.runtime.runtime import Runtime
-from repro.toolchain import compile_and_link, compile_module
+from repro.toolchain import run_program
 
 #: A small but feature-complete program used across runtime/verifier
 #: tests: function pointers, a dense switch, setjmp/longjmp, strings.
@@ -53,18 +55,18 @@ int main(void) {
 @pytest.fixture(scope="session")
 def demo_program():
     """The demo program, MCFI-instrumented and statically linked."""
-    return compile_and_link({"demo": DEMO_SOURCE}, mcfi=True)
+    return build_program({"demo": DEMO_SOURCE}, mcfi=True).program
 
 
 @pytest.fixture(scope="session")
 def demo_program_native():
-    return compile_and_link({"demo": DEMO_SOURCE}, mcfi=False)
+    return build_program({"demo": DEMO_SOURCE}, mcfi=False).program
 
 
 @pytest.fixture(scope="session")
 def demo_raw():
     """The demo module before instrumentation (symbolic assembly)."""
-    return compile_module(DEMO_SOURCE, name="demo")
+    return compile_object(DEMO_SOURCE, name="demo")
 
 
 @pytest.fixture()
@@ -75,9 +77,15 @@ def demo_runtime(demo_program):
 def run_source(source: str, mcfi: bool = True, arch: str = "x64",
                max_steps: int = 50_000_000):
     """Compile and run a snippet; helper used throughout the tests."""
-    from repro.toolchain import compile_and_run
-    return compile_and_run({"t": source}, arch=arch, mcfi=mcfi,
-                           max_steps=max_steps)
+    program = build_program({"t": source}, arch=arch, mcfi=mcfi).program
+    return run_program(program, max_steps=max_steps)
+
+
+def link_objects(raws, mcfi: bool = True, **options):
+    """Statically link compiled modules, the way ``.mcfo`` objects
+    link: each is split into units (:meth:`ModuleUnits.from_object`)."""
+    return link_units([ModuleUnits.from_object(raw, mcfi) for raw in raws],
+                      mcfi=mcfi, **options).program
 
 
 @pytest.fixture(scope="session")

@@ -158,13 +158,14 @@ class TestVariadicFptrCasts:
     def test_runtime_agrees_with_k1_fixed(self):
         """The fix claim is grounded: the prefix-compatible dispatch
         runs to completion under MCFI, the incompatible one halts."""
-        from repro.toolchain import compile_and_run
-        ok = compile_and_run({"prefix": self.PREFIX_COMPATIBLE},
-                             verify=True)
+        from repro.build import build_program
+        from repro.toolchain import run_program
+        ok = run_program(build_program(
+            {"prefix": self.PREFIX_COMPATIBLE}).program, verify=True)
         assert ok.to_dict()["status"] == "ok"
         assert ok.exit_code == 42
-        bad = compile_and_run({"incompat": self.INCOMPATIBLE},
-                              verify=True)
+        bad = run_program(build_program(
+            {"incompat": self.INCOMPATIBLE}).program, verify=True)
         assert bad.to_dict()["status"] == "violation"
 
 

@@ -29,7 +29,7 @@ from repro.faults.miscompile import (
 from repro.isa.disasm import sweep_ranges
 from repro.isa.instructions import Op
 from repro.isa.registers import Reg
-from repro.toolchain import compile_and_link
+from repro.build import build_program
 
 
 def _mutate(module, **overrides):
@@ -76,16 +76,6 @@ class TestAccept:
         assert clone.check_spans == report.check_spans
         assert clone.verdicts == report.verdicts
 
-    def test_dict_shim_warns(self, demo_program):
-        report = analyze_module(demo_program.module)
-        with pytest.warns(DeprecationWarning):
-            assert report["checked_branches"] == \
-                report.stats["checked_branches"]
-        with pytest.warns(DeprecationWarning):
-            assert report.get("nonexistent", 7) == 7
-        with pytest.warns(DeprecationWarning):
-            assert "checked_branches" in list(report.keys())
-
 
 class TestReject:
     """Each targeted mutation must produce the right diagnostic."""
@@ -121,11 +111,11 @@ class TestReject:
                    for diag in report.errors)
 
     def test_stripped_store_mask(self):
-        program = compile_and_link({"t": r"""
+        program = build_program({"t": r"""
             int cell = 5;
             int poke(int *p, int v) { *p = v; return *p; }
             int main(void) { return poke(&cell, 41); }
-        """}, mcfi=True)
+        """}, mcfi=True).program
         module = program.module
         decoded = _decoded(module)
         masks = [d for d in decoded if d.instr.op == Op.MOVZX32
@@ -292,20 +282,20 @@ class TestDlopenGate:
     def _linker(self, verify):
         from repro.linker.dynamic_linker import DynamicLinker
         from repro.runtime.runtime import Runtime
-        from repro.toolchain import compile_module
-        program = compile_and_link(self.MAIN, mcfi=True,
-                                   allow_unresolved=["libfn"])
+        from repro.build import compile_object
+        program = build_program(self.MAIN, mcfi=True,
+                                allow_unresolved=["libfn"]).program
         runtime = Runtime(program)
         linker = DynamicLinker(runtime, verify=verify)
         linker.register("plugin",
-                        compile_module(self.LIB, name="plugin"))
+                        compile_object(self.LIB, name="plugin"))
         return linker
 
     def test_verify_is_the_default(self):
         from repro.linker.dynamic_linker import DynamicLinker
         from repro.runtime.runtime import Runtime
-        program = compile_and_link(self.MAIN, mcfi=True,
-                                   allow_unresolved=["libfn"])
+        program = build_program(self.MAIN, mcfi=True,
+                                allow_unresolved=["libfn"]).program
         assert DynamicLinker(Runtime(program)).verify
 
     def test_tampered_library_rejected(self, monkeypatch):

@@ -3,11 +3,13 @@
 The load-bearing property is *byte identity*: every path through the
 incremental toolchain — cold unit-grain link, cache-hit rebuild, pool
 compile, mini-frontend incremental rebuild, single-unit splice — must
-produce exactly the image the monolithic pipeline (whole-module
-codegen + instrument + link) produces.  ``_assert_same_image`` holds
-them to that, excluding only the ``__mcfi.*`` internal labels whose
-*names* differ between per-function and per-module instrumentation
-namespaces (they are unreferenced and never affect bytes).
+produce exactly the image a cold build produces, and cold builds must
+match the link records ``tests/golden/compile_digests.json`` pinned from
+the retired whole-module pipeline (codegen + instrument + link per
+module).  ``_assert_same_image`` holds two builds to that, excluding
+only the ``__mcfi.*`` internal labels whose *names* are generated per
+instrumentation namespace (they are unreferenced and never affect
+bytes).
 """
 
 from __future__ import annotations
@@ -29,23 +31,16 @@ from repro.build.graph import compile_module_units
 from repro.build.link import link_units
 from repro.build.source_index import diff_bodies, index_source, stub_source
 from repro.build.units import UnitArtifact
-from repro.linker.static_linker import link as static_link
 from repro.runtime.runtime import Runtime
+from repro.toolchain import run_program
 from repro.workloads.libc import LIBC_SOURCE
 from repro.workloads.spec import BENCHMARKS, workload
-
-
-def _monolithic(sources, arch="x64", allow_unresolved=None):
-    """The legacy pipeline: whole-module compiles, instrument-at-link."""
-    raws = [compile_object(text, name=name, arch=arch)
-            for name, text in sources.items()]
-    return static_link(raws, mcfi=True, allow_unresolved=allow_unresolved)
-
-
-def _with_libc(sources):
-    out = dict(sources)
-    out.setdefault("libc", LIBC_SOURCE)
-    return out
+from tests.test_golden_digests import (
+    DEAD_STRING_SOURCE,
+    fixed12_program,
+    golden_pins,
+    link_record,
+)
 
 
 def _public_labels(module):
@@ -53,17 +48,17 @@ def _public_labels(module):
             if not name.startswith("__mcfi.")}
 
 
-def _assert_same_image(legacy, fast):
-    assert legacy.module.code == fast.module.code
-    assert legacy.data.image == fast.data.image
-    assert legacy.entry == fast.entry
-    assert legacy.module.bary_slots == fast.module.bary_slots
-    assert legacy.module.code_ranges == fast.module.code_ranges
-    assert legacy.heap_base == fast.heap_base
-    assert legacy.parts == fast.parts
-    assert legacy.got_slots == fast.got_slots
-    assert _public_labels(legacy.module) == _public_labels(fast.module)
-    al, af = legacy.module.aux, fast.module.aux
+def _assert_same_image(expected, actual):
+    assert expected.module.code == actual.module.code
+    assert expected.data.image == actual.data.image
+    assert expected.entry == actual.entry
+    assert expected.module.bary_slots == actual.module.bary_slots
+    assert expected.module.code_ranges == actual.module.code_ranges
+    assert expected.heap_base == actual.heap_base
+    assert expected.parts == actual.parts
+    assert expected.got_slots == actual.got_slots
+    assert _public_labels(expected.module) == _public_labels(actual.module)
+    al, af = expected.module.aux, actual.module.aux
     assert al.functions == af.functions
     assert al.retsites == af.retsites
     assert al.branch_sites == af.branch_sites
@@ -75,14 +70,12 @@ def _assert_same_image(legacy, fast):
 
 
 class TestWorkloadByteIdentity:
-    """Cold unit-grain builds reproduce the monolithic images exactly."""
+    """Cold unit-grain builds reproduce the monolithic link records."""
 
     @pytest.mark.parametrize("name", BENCHMARKS)
     def test_workload_matches_monolithic(self, name):
-        sources = _with_libc({name: workload(name).source})
-        legacy = _monolithic(sources)
-        fast = build_program({name: workload(name).source}).program
-        _assert_same_image(legacy, fast)
+        assert link_record(fixed12_program(name)) == \
+            golden_pins()["link_records"]["x64/mcfi"][name]
 
     def test_unit_cache_hit_rebuild_is_identical(self, tmp_path):
         from repro.infra.cache import open_cache
@@ -94,39 +87,27 @@ class TestWorkloadByteIdentity:
         _assert_same_image(first.program, second.program)
 
 
-DEAD_STRING_SOURCE = r"""
-int shout(int noisy) {
-    if (noisy) {
-        print_str("alive\n");
-        return 1;
-    }
-    return 0;
-    print_str("dead branch string never interned late");
-}
-
-int main(void) {
-    return shout(1) - 1;
-}
-"""
-
-
 class TestRegressions:
     def test_dead_string_pruning_matches_monolithic(self):
         # Lowering interns strings before pruning unreachable blocks;
         # the unit linker must replay intern order, not referenced-ness.
-        sources = _with_libc({"t": DEAD_STRING_SOURCE})
-        _assert_same_image(_monolithic(sources),
-                           build_program({"t": DEAD_STRING_SOURCE}).program)
+        program = build_program({"t": DEAD_STRING_SOURCE}).program
+        assert link_record(program) == \
+            golden_pins()["link_records"]["edge"]["dead_string/mcfi"]
 
-    def test_prelude_flag_separates_object_keys(self, tmp_path):
+    def test_prelude_flag_separates_object_keys(self, tmp_path,
+                                                monkeypatch):
+        # The program memo is keyed by module sources: the prelude they
+        # are compiled against is part of the key.
+        import repro.toolchain
         from repro.infra.cache import ArtifactCache
         cache = ArtifactCache(tmp_path / "cache")
-        source = "int main(void) { return 4; }"
-        with_prelude = cache.object_key(
-            "t", "x64", source, prelude=prelude_digest(True))
-        without = cache.object_key(
-            "t", "x64", source, prelude=prelude_digest(False))
-        assert with_prelude != without
+        sources = {"t": "int main(void) { return 4; }"}
+        before = cache.program_key("x64", True, sources)
+        monkeypatch.setattr(repro.toolchain, "BUILTIN_PRELUDE",
+                            repro.toolchain.BUILTIN_PRELUDE + "int x;\n")
+        assert cache.program_key("x64", True, sources) != before
+        assert prelude_digest(True) != prelude_digest(False)
 
     def test_prelude_flag_separates_body_memo_keys(self):
         body = "int f(void) { return 1; }"
@@ -134,18 +115,18 @@ class TestRegressions:
                 != source_body_key("m", "x64", body, False))
 
     def test_prelude_flag_never_cross_hits_shared_cache(self, tmp_path):
+        # Units are keyed by their MIR, which is all the prelude can
+        # change: a shared cache serves each flag exactly the image an
+        # uncached build gives, and a repeat build compiles nothing.
         from repro.infra.cache import open_cache
         cache = open_cache(tmp_path / "cache")
         source = "int counter; void _start(void) { counter = 7; }"
-        first = BuildSession(mcfi=False, with_libc=False, prelude=True,
-                             cache=cache).build({"t": source})
-        second = BuildSession(mcfi=False, with_libc=False, prelude=False,
-                              cache=cache).build({"t": source})
-        assert first.stats["object_hits"] == 0
-        assert second.stats["object_hits"] == 0
-        third = BuildSession(mcfi=False, with_libc=False, prelude=False,
-                             cache=cache).build({"t": source})
-        assert third.stats["object_hits"] == 1
+        for prelude in (True, False, False):
+            options = {"mcfi": False, "with_libc": False, "prelude": prelude}
+            shared = BuildSession(cache=cache, **options).build({"t": source})
+            fresh = BuildSession(**options).build({"t": source})
+            _assert_same_image(fresh.program, shared.program)
+        assert shared.stats["unit_hits"] == shared.stats["units"]
 
 
 #: Seeded-random incremental workload: editable function bodies whose
@@ -322,25 +303,12 @@ class TestPoolSafety:
 
 
 class TestLegacyShims:
-    def test_compile_and_link_still_works(self):
-        from repro.toolchain import compile_and_link
-        program = compile_and_link({"t": "int main(void) { return 9; }"})
-        assert Runtime(program).run().exit_code == 9
-
-    def test_renamed_optimize_kwarg_warns(self):
-        from repro.toolchain import compile_and_link, compile_module
-        with pytest.warns(DeprecationWarning, match="devirtualize"):
-            compile_module("int main(void) { return 0; }", optimize=True)
-        with pytest.warns(DeprecationWarning, match="devirtualize"):
-            compile_and_link({"t": "int main(void) { return 0; }"},
-                             optimize=False)
-
     def test_default_call_does_not_warn(self):
-        from repro.toolchain import compile_and_run, compile_module
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
-            compile_module("int main(void) { return 0; }")
-            result = compile_and_run({"t": "int main(void) { return 2; }"})
+            compile_object("int main(void) { return 0; }")
+            result = run_program(build_program(
+                {"t": "int main(void) { return 2; }"}).program)
         assert result.exit_code == 2
 
     def test_build_result_round_trips(self):
@@ -354,12 +322,52 @@ class TestLegacyShims:
         assert clone.stats == result.stats
 
     def test_devirtualize_matches_monolithic(self):
-        source = workload("sjeng").source
-        raws = [compile_object(source, name="sjeng", devirtualize=True),
-                compile_object(LIBC_SOURCE, name="libc")]
-        legacy = static_link(raws, mcfi=True)
-        fast = build_program({"sjeng": source}, devirtualize=True).program
-        _assert_same_image(legacy, fast)
+        program = fixed12_program("sjeng", devirtualize=True)
+        assert link_record(program) == \
+            golden_pins()["link_records"]["x64/mcfi/devirt"]["sjeng"]
+
+
+class TestNativeUnits:
+    """Native (uninstrumented) builds take the same unit path."""
+
+    @pytest.mark.parametrize("name", BENCHMARKS)
+    def test_single_function_edit_is_incremental(self, name):
+        from benchmarks.suite.workloads import edit_sites, set_literal
+        source = workload(name).source
+        fn, literals = sorted(edit_sites(source).items())[0]
+        index, value = literals[0]
+        edited = set_literal(source, fn, index, value + 1)
+        session = BuildSession(mcfi=False)
+        session.build({name: source})
+        result = session.build({name: edited})
+        assert result.kind == "incremental"
+        assert result.stats["modules_mini"] == 1
+        _assert_same_image(
+            BuildSession(mcfi=False).build({name: edited}).program,
+            result.program)
+
+    def test_native_and_mcfi_units_never_cross_hit(self, tmp_path):
+        from repro.infra.cache import open_cache
+        from repro.mir.lowering import lower_unit
+        from repro.toolchain import frontend
+        source = _edit_source([1, 2, 3, 4])
+        checked = frontend(source, name="prog")
+        mir = lower_unit(checked)
+        mcfi = BuildGraph.of(mir, checked, "x64").fingerprints
+        native = BuildGraph.of(mir, checked, "x64", mcfi=False).fingerprints
+        assert set(mcfi) == set(native)
+        assert not set(mcfi.values()) & set(native.values())
+
+        cache = open_cache(tmp_path / "cache")
+        build_program({"prog": source}, cache=cache)
+        first = build_program({"prog": source}, mcfi=False, cache=cache,
+                              verify_units=True)
+        assert first.stats["unit_hits"] == 0
+        assert Runtime(first.program).run().exit_code == \
+            _edit_exit([1, 2, 3, 4])
+        second = build_program({"prog": source}, mcfi=False, cache=cache)
+        assert second.stats["unit_hits"] == second.stats["units"]
+        _assert_same_image(first.program, second.program)
 
 
 class TestBuildGraph:

@@ -5,11 +5,11 @@ import pytest
 from repro.cfg.callgraph import build_call_graph
 from repro.cfg.eqclass import UnionFind
 from repro.cfg.generator import generate_cfg
-from repro.toolchain import compile_and_link
+from repro.build import build_program
 
 
 def cfg_of(source, arch="x64"):
-    program = compile_and_link({"t": source}, arch=arch, mcfi=True)
+    program = build_program({"t": source}, arch=arch, mcfi=True).program
     return program, generate_cfg(program.module.aux)
 
 

@@ -9,7 +9,8 @@ harness's ground truth is only as good as this equivalence.
 
 import pytest
 
-from repro.toolchain import compile_and_run
+from repro.build import build_program
+from repro.toolchain import run_program
 from repro.workloads.generate import GenConfig, generate
 
 
@@ -17,8 +18,8 @@ QUICK = GenConfig.quick()
 
 
 def _run_x64(program):
-    return compile_and_run({program.name: program.source},
-                           max_steps=3_000_000)
+    return run_program(build_program({program.name: program.source})
+                       .program, max_steps=3_000_000)
 
 
 class TestDeterminism:

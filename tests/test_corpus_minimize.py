@@ -7,7 +7,8 @@ shrinking machinery is identical either way.
 
 import pytest
 
-from repro.toolchain import compile_and_run
+from repro.build import build_program
+from repro.toolchain import run_program
 from repro.workloads.generate import GenConfig, generate
 from repro.workloads.minimize import MinimizeResult, minimize
 
@@ -49,8 +50,8 @@ class TestMinimize:
     def test_result_still_compiles_and_agrees(self, shrunk):
         _, result = shrunk
         expected = result.program.evaluate()
-        run = compile_and_run(
-            {result.program.name: result.program.source},
+        run = run_program(build_program(
+            {result.program.name: result.program.source}).program,
             max_steps=3_000_000)
         assert run.output == expected.output
         assert run.exit_code == expected.exit_code

@@ -18,7 +18,8 @@ from repro.analysis.dataflow.solver import DataflowProblem
 from repro.mir import ir
 from repro.mir.lowering import lower_unit
 from repro.build import build_program
-from repro.toolchain import compile_and_link, frontend, run_program
+from repro.build import build_program
+from repro.toolchain import frontend, run_program
 
 
 def lower_source(source: str, name: str = "t") -> ir.MirModule:
@@ -312,7 +313,7 @@ class TestDevirtualize:
 
     def test_optimized_build_runs_byte_identically(self):
         sources = {"t": FPTR_SOURCE}
-        base = compile_and_link(sources, mcfi=True)
+        base = build_program(sources, mcfi=True).program
         opt = build_program(sources, devirtualize=True).program
         from repro.core.verifier import verify_module
         verify_module(opt.module)  # still verifies after rewriting
@@ -328,7 +329,7 @@ class TestDevirtualize:
         in the generated CFG without adding anything."""
         from repro.cfg.generator import generate_cfg
         sources = {"t": FPTR_SOURCE}
-        base = compile_and_link(sources, mcfi=True)
+        base = build_program(sources, mcfi=True).program
         opt = build_program(sources, devirtualize=True).program
 
         def icall_target_sets(program):

@@ -4,7 +4,7 @@ import pytest
 
 from repro.linker.dynamic_linker import DynamicLinker
 from repro.runtime.runtime import Runtime
-from repro.toolchain import compile_and_link, compile_module
+from repro.build import build_program, compile_object
 from repro.vm.scheduler import GeneratorTask
 
 MAIN_SOURCE = {"main": """
@@ -27,11 +27,11 @@ LIB_SOURCE = "int libfn(int x) { return x * 3 + 1; }"
 
 
 def make_runtime(verify=False):
-    program = compile_and_link(MAIN_SOURCE, mcfi=True,
-                               allow_unresolved=["libfn"])
+    program = build_program(MAIN_SOURCE, mcfi=True,
+                            allow_unresolved=["libfn"]).program
     runtime = Runtime(program)
     linker = DynamicLinker(runtime, verify=verify)
-    linker.register("plugin", compile_module(LIB_SOURCE, name="plugin"))
+    linker.register("plugin", compile_object(LIB_SOURCE, name="plugin"))
     return runtime, linker
 
 
@@ -65,14 +65,14 @@ class TestDlopen:
     def test_wrong_arch_library_rejected(self):
         from repro.errors import LinkError
         runtime, linker = make_runtime()
-        lib32 = compile_module(LIB_SOURCE, name="lib32", arch="x32")
+        lib32 = compile_object(LIB_SOURCE, name="lib32", arch="x32")
         with pytest.raises(LinkError):
             linker.register("plugin32", lib32)
 
     def test_library_with_unresolved_import_rejected(self):
         from repro.errors import LinkError
         runtime, linker = make_runtime()
-        bad = compile_module(
+        bad = compile_object(
             "int nowhere(int); int libfn2(int x) { return nowhere(x); }",
             name="bad")
         linker.register("bad", bad)
@@ -93,14 +93,14 @@ class TestDlopen:
         before = (dict(linker.loaded), dict(linker._by_name),
                   runtime.cfg.stats(), bytes(memory.tary),
                   bytes(memory.bary))
-        linker.register("clash", compile_module(source, name="clash"))
+        linker.register("clash", compile_object(source, name="clash"))
         with pytest.raises(LinkError, match="redefines loaded symbols"):
             linker.dlopen("clash")
         after = (dict(linker.loaded), dict(linker._by_name),
                  runtime.cfg.stats(), bytes(memory.tary),
                  bytes(memory.bary))
         assert after == before
-        linker.register("fresh", compile_module(
+        linker.register("fresh", compile_object(
             "int fresh(int x) { return x + 1; }", name="fresh"))
         handle = linker.dlopen("fresh")
         assert handle and linker.dlsym(handle, "fresh")
@@ -147,11 +147,11 @@ class TestCfgUpdate:
                 return 0;
             }
         """}
-        program = compile_and_link(sources, mcfi=True,
-                                   allow_unresolved=["sum3"])
+        program = build_program(sources, mcfi=True,
+                                allow_unresolved=["sum3"]).program
         runtime = Runtime(program)
         linker = DynamicLinker(runtime)
-        lib = compile_module(
+        lib = compile_object(
             "long sum3(long a) { print_str(\"lib:\"); return a + 3; }",
             name="plugin")
         linker.register("plugin", lib)
@@ -194,11 +194,11 @@ class TestConcurrentDlopen:
 
     @pytest.mark.parametrize("seed", [1, 7, 23])
     def test_dlopen_during_execution(self, seed):
-        program = compile_and_link(self.SOURCE, mcfi=True,
-                                   allow_unresolved=["libfn"])
+        program = build_program(self.SOURCE, mcfi=True,
+                                allow_unresolved=["libfn"]).program
         runtime = Runtime(program)
         linker = DynamicLinker(runtime)
-        linker.register("plugin", compile_module(LIB_SOURCE,
+        linker.register("plugin", compile_object(LIB_SOURCE,
                                                  name="plugin"))
         result = runtime.run_scheduled(seed=seed, burst=4)
         assert result.ok, result.violation or result.fault

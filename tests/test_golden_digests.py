@@ -205,40 +205,14 @@ def compute_tokens() -> dict:
     return {name: token_digest(text) for name, text in texts.items()}
 
 
-def _monolithic(sources, arch="x64", mcfi=True, devirtualize=False,
-                with_libc=True, allow_unresolved=None):
-    """The reference the link records are generated from: whole-module
-    compiles, instrumented and laid out at link time."""
-    from repro.build import compile_object
-    from repro.linker.static_linker import link
-    sources = dict(sources)
-    if with_libc:
-        sources.setdefault("libc", LIBC_SOURCE)
-    raws = [compile_object(text, name=name, arch=arch,
-                           devirtualize=devirtualize)
-            for name, text in sources.items()]
-    return link(raws, mcfi=mcfi, allow_unresolved=allow_unresolved)
-
-
 def compute_all() -> dict:
-    def reference(name, arch, mcfi, devirtualize=False):
-        return _monolithic({name: workload(name).source}, arch=arch,
-                           mcfi=mcfi, devirtualize=devirtualize)
-
-    records = {}
-    for group, (arch, mcfi, devirtualize) in RECORD_GROUPS.items():
-        records[group] = {name: link_record(reference(name, arch, mcfi,
-                                                      devirtualize))
-                          for name in BENCHMARKS}
-    records["edge"] = {}
-    for name, (sources, options) in EDGE_PROGRAMS.items():
-        records["edge"][name] = link_record(_monolithic(sources, **options))
+    records = {group: compute_records(group) for group in RECORD_GROUPS}
+    records["edge"] = {name: link_record(edge_program(name))
+                       for name in EDGE_PROGRAMS}
     return {
         "fixed12": {arch: compute_fixed12(arch) for arch in ARCHS},
-        "fixed12_native": {
-            arch: {name: image_digest(reference(name, arch, False))
-                   for name in BENCHMARKS}
-            for arch in ARCHS},
+        "fixed12_native": {arch: compute_fixed12(arch, mcfi=False)
+                           for arch in ARCHS},
         "gen_smoke_x64": compute_gen_smoke(),
         "tokens": compute_tokens(),
         "libc_units": {arch: libc_fingerprints(arch) for arch in ARCHS},

@@ -1,17 +1,18 @@
 """Correctness of the content-addressed artifact cache.
 
 The contract under test: identical (source, config) hits; any change
-to source, architecture mode or format version misses; and a corrupted
-entry is evicted and degrades to a miss instead of being served.
+to source, architecture mode or entry schema misses; and a corrupted or
+misplaced entry is evicted and degrades to a miss instead of being
+served.
 """
 
 import pytest
 
+from repro.build.graph import compile_module_units
 from repro.infra.cache import (ArtifactCache, CacheStats, open_cache,
                                source_digest)
-from repro.infra.targets import target as get_target
-from repro.module import objectfile
-from repro.toolchain import compile_module
+from repro.mir.lowering import lower_unit
+from repro.toolchain import frontend
 
 SOURCE = """
     long twice(long x) { return 2 * x; }
@@ -25,30 +26,39 @@ def cache(tmp_path):
     return ArtifactCache(tmp_path / "cache")
 
 
+def program_key(cache, source=SOURCE, arch="x64", mcfi=True):
+    return cache.program_key(arch, mcfi, {"unit": source})
+
+
+def units(source=SOURCE, arch="x64"):
+    """The module's function units and their build graph."""
+    checked = frontend(source, name="unit")
+    mir = lower_unit(checked)
+    module_units, graph, _ = compile_module_units(mir, checked, arch)
+    return module_units.units, graph
+
+
 @pytest.fixture()
-def raw_x64():
-    return compile_module(SOURCE, name="unit", arch="x64")
+def unit_x64():
+    return units()[0][0]
 
 
 class TestKeys:
     def test_hit_on_identical_source_and_config(self, cache):
-        assert cache.object_key("unit", "x64", SOURCE) == \
-            cache.object_key("unit", "x64", SOURCE)
+        assert program_key(cache) == program_key(cache)
 
     def test_miss_on_source_edit(self, cache):
-        assert cache.object_key("unit", "x64", SOURCE) != \
-            cache.object_key("unit", "x64", EDITED_SOURCE)
+        assert program_key(cache) != program_key(cache, EDITED_SOURCE)
 
     def test_miss_on_arch_flip(self, cache):
-        assert cache.object_key("unit", "x64", SOURCE) != \
-            cache.object_key("unit", "x32", SOURCE)
+        assert program_key(cache) != program_key(cache, arch="x32")
 
     def test_program_key_tracks_modules_and_policy(self, cache):
-        keys = [cache.object_key("unit", "x64", SOURCE)]
-        base = cache.program_key("x64", True, keys)
-        assert base != cache.program_key("x64", False, keys)
-        other = [cache.object_key("unit", "x64", EDITED_SOURCE)]
-        assert base != cache.program_key("x64", True, other)
+        base = program_key(cache)
+        assert base != program_key(cache, mcfi=False)
+        assert base != cache.program_key("x64", True, {"other": SOURCE})
+        assert base != cache.program_key(
+            "x64", True, {"unit": SOURCE, "libc": SOURCE})
 
     def test_source_digest_stable(self):
         assert source_digest(SOURCE) == source_digest(SOURCE)
@@ -56,66 +66,67 @@ class TestKeys:
 
 
 class TestObjectRoundTrip:
-    def test_store_then_hit(self, cache, raw_x64):
-        key = cache.object_key("unit", "x64", SOURCE)
-        assert cache.get_object(key, "x64") is None  # cold: miss
-        cache.put_object(key, raw_x64)
-        loaded = cache.get_object(key, "x64")
+    """Compiled code is cached as function units keyed by fingerprint."""
+
+    def test_store_then_hit(self, cache, unit_x64):
+        key = unit_x64.fingerprint
+        assert cache.get_unit(key) is None  # cold: miss
+        cache.put_unit(key, unit_x64)
+        loaded = cache.get_unit(key)
         assert loaded is not None
-        assert loaded.name == raw_x64.name
+        assert loaded.code == unit_x64.code
         assert cache.stats.hits == 1 and cache.stats.misses == 1
 
-    def test_arch_flip_is_a_miss(self, cache, raw_x64):
-        cache.put_object(cache.object_key("unit", "x64", SOURCE), raw_x64)
-        key32 = cache.object_key("unit", "x32", SOURCE)
-        assert cache.get_object(key32, "x32") is None
+    def test_arch_flip_is_a_miss(self, cache, unit_x64):
+        cache.put_unit(unit_x64.fingerprint, unit_x64)
+        _, graph32 = units(arch="x32")
+        assert graph32.fingerprints[unit_x64.fn] != unit_x64.fingerprint
+        assert cache.get_unit(graph32.fingerprints[unit_x64.fn]) is None
 
-    def test_source_edit_is_a_miss(self, cache, raw_x64):
-        cache.put_object(cache.object_key("unit", "x64", SOURCE), raw_x64)
-        edited = cache.object_key("unit", "x64", EDITED_SOURCE)
-        assert cache.get_object(edited, "x64") is None
+    def test_source_edit_is_a_miss(self, cache, unit_x64):
+        cache.put_unit(unit_x64.fingerprint, unit_x64)
+        _, edited = units(EDITED_SOURCE)
+        assert cache.get_unit(edited.fingerprints[unit_x64.fn]) is None
 
-    def test_cross_arch_entry_never_served(self, cache, raw_x64):
-        """An x64 object planted under an x32 key (torn cache dir,
-        manual tampering) is rejected by the arch check and evicted."""
-        key32 = cache.object_key("unit", "x32", SOURCE)
-        cache.put_object(key32, raw_x64)  # wrong: x64 module at x32 key
-        assert cache.get_object(key32, "x32") is None
+    def test_cross_arch_entry_never_served(self, cache, unit_x64):
+        """An x64 unit planted under its x32 key (torn cache dir,
+        manual tampering) is rejected by its own fingerprint and
+        evicted."""
+        _, graph32 = units(arch="x32")
+        key32 = graph32.fingerprints[unit_x64.fn]
+        cache.put_unit(key32, unit_x64)  # wrong: x64 unit at x32 key
+        assert cache.get_unit(key32) is None
         assert cache.stats.evictions == 1
 
-    def test_corrupted_entry_evicted(self, cache, raw_x64):
-        key = cache.object_key("unit", "x64", SOURCE)
-        path = cache.put_object(key, raw_x64)
+    def test_corrupted_entry_evicted(self, cache, unit_x64):
+        key = unit_x64.fingerprint
+        path = cache.put_unit(key, unit_x64)
         blob = bytearray(path.read_bytes())
         blob[-3] ^= 0xFF
         path.write_bytes(bytes(blob))
-        assert cache.get_object(key, "x64") is None
+        assert cache.get_unit(key) is None
         assert cache.stats.evictions == 1
         assert not path.exists()
         # and the slot is reusable
-        cache.put_object(key, raw_x64)
-        assert cache.get_object(key, "x64") is not None
+        cache.put_unit(key, unit_x64)
+        assert cache.get_unit(key) is not None
 
-    def test_stale_format_version_evicted(self, cache, raw_x64):
-        """A .mcfo from an older toolchain is rejected and evicted."""
-        key = cache.object_key("unit", "x64", SOURCE)
-        path = cache.put_object(key, raw_x64)
-        blob = bytearray(path.read_bytes())
-        blob[len(objectfile.MAGIC)] = 1  # rewrite version byte to v1
-        path.write_bytes(bytes(blob))
-        assert cache.get_object(key, "x64") is None
+    def test_stale_format_version_evicted(self, cache, unit_x64):
+        """An entry whose payload is not a unit (an older schema's
+        artifact at a colliding key) is rejected and evicted."""
+        key = unit_x64.fingerprint
+        path = cache.put_unit(key, {"fn": unit_x64.fn, "schema": 0})
+        assert cache.get_unit(key) is None
         assert cache.stats.evictions == 1
+        assert not path.exists()
 
 
 class TestProgramAndRunEntries:
     def test_program_round_trip_and_corruption(self, cache):
-        from repro.build.fingerprint import prelude_digest
         from repro.infra.campaign import build_program
+        from repro.infra.targets import target
         program = build_program("libquantum", "x64", True, cache=cache)
-        keys = [cache.object_key(n, "x64", s,
-                                 prelude=prelude_digest(True))
-                for n, s in get_target("libquantum").sources().items()]
-        key = cache.program_key("x64", True, keys)
+        key = cache.program_key("x64", True, target("libquantum").sources())
         fetched = cache.get_program(key)
         assert fetched is not None
         assert bytes(fetched.module.code) == bytes(program.module.code)
@@ -158,8 +169,7 @@ class TestStats:
         assert open_cache(None) is None
         assert open_cache(tmp_path / "c") is not None
 
-    def test_entry_count(self, cache, raw_x64):
-        cache.put_object(cache.object_key("unit", "x64", SOURCE), raw_x64)
+    def test_entry_count(self, cache, unit_x64):
+        cache.put_unit(unit_x64.fingerprint, unit_x64)
         counts = cache.entry_count()
-        assert counts["objects"] == 1
-        assert counts["programs"] == 0
+        assert counts == {"programs": 0, "runs": 0, "units": 1}

@@ -66,12 +66,12 @@ class TestRegistries:
 
 class TestCacheAwareBuild:
     def test_build_program_matches_plain_toolchain(self, cache):
-        from repro.toolchain import compile_and_link
+        from repro.build import build_program as plain_build
         from repro.workloads.spec import workload
         via_infra = build_program("libquantum", "x64", True, cache=cache)
-        plain = compile_and_link(
+        plain = plain_build(
             {"libquantum": workload("libquantum").source},
-            arch="x64", mcfi=True)
+            arch="x64", mcfi=True).program
         assert bytes(via_infra.module.code) == bytes(plain.module.code)
         assert via_infra.entry == plain.entry
 
@@ -84,7 +84,7 @@ class TestCacheAwareBuild:
 
     def test_libc_object_shared_across_targets(self, cache):
         """Instrument once, reuse across programs: the second target
-        reuses the cached libc .mcfo instead of recompiling it."""
+        reuses libc's cached units instead of recompiling them."""
         build_program("libquantum", "x64", True, cache=cache)
         before = cache.stats.snapshot()
         build_program("bzip2", "x64", True, cache=cache)

@@ -8,7 +8,7 @@ from repro.errors import VerificationError
 from repro.isa.disasm import sweep_ranges
 from repro.isa.instructions import Op
 from repro.isa.registers import Reg
-from repro.toolchain import compile_and_link, compile_module
+from repro.build import compile_object
 
 
 @pytest.fixture(scope="module")
@@ -60,7 +60,7 @@ class TestInstrumentation:
             assert resume % 4 == 0
 
     def test_write_sandboxing_on_x64(self):
-        raw = compile_module(
+        raw = compile_object(
             "long g; void f(long *p) { *p = 1; g = 2; }", name="w")
         instrumented = instrument_items(raw)
         from repro.isa.assembler import AsmInstr
@@ -75,7 +75,7 @@ class TestInstrumentation:
                 assert previous.operands[0] == base
 
     def test_x32_has_no_write_masks(self):
-        raw = compile_module("long g; void f(void) { g = 2; }",
+        raw = compile_object("long g; void f(void) { g = 2; }",
                              name="w", arch="x32")
         instrumented = instrument_items(raw)
         from repro.isa.assembler import AsmInstr
@@ -94,10 +94,10 @@ class TestInstrumentation:
     def test_instrumentation_is_per_module(self):
         """Separate compilation: instrumenting a module must not need
         any information from other modules."""
-        raw_a = compile_module(
+        raw_a = compile_object(
             "int helper(int x); int main(void) { return helper(1); }",
             name="a")
-        raw_b = compile_module("int helper(int x) { return x + 1; }",
+        raw_b = compile_object("int helper(int x) { return x + 1; }",
                                name="b")
         asm_a = instrument_items(raw_a)   # works in isolation
         asm_b = instrument_items(raw_b)
@@ -179,7 +179,7 @@ class TestVerifierNegativePaths:
         from repro.core.instrument import InstrumentedAsm
         from repro.module.module import build_module
 
-        raw = compile_module("void f(long *p) { *p = 1; }", name="clob")
+        raw = compile_object("void f(long *p) { *p = 1; }", name="clob")
         instrumented = instrument_items(raw)
         items = list(instrumented.items)
         stores = (Op.STORE8, Op.STORE16, Op.STORE32, Op.STORE64)

@@ -7,11 +7,11 @@ from repro.errors import RuntimeError_
 from repro.linker.dynamic_linker import DynamicLinker
 from repro.runtime.jit import JitEngine, make_unary_op
 from repro.runtime.runtime import Runtime
-from repro.toolchain import compile_and_link, compile_module
+from repro.build import build_program, compile_object
 
 
 def jit_runtime(source):
-    program = compile_and_link({"main": source}, mcfi=True)
+    program = build_program({"main": source}, mcfi=True).program
     runtime = Runtime(program)
     JitEngine(runtime, verify=True)
     return runtime
@@ -104,8 +104,8 @@ class TestJitInstall:
         assert result.ok and result.output == b"1"
 
     def test_host_api_and_helper(self):
-        program = compile_and_link(
-            {"main": "int main(void) { return 0; }"}, mcfi=True)
+        program = build_program(
+            {"main": "int main(void) { return 0; }"}, mcfi=True).program
         runtime = Runtime(program)
         engine = JitEngine(runtime)
         source = make_unary_op("triple", "x * 3")
@@ -115,12 +115,12 @@ class TestJitInstall:
         assert "triple" in engine.stats.installed_functions
 
     def test_jit_without_engine_returns_zero(self):
-        program = compile_and_link({"main": r"""
+        program = build_program({"main": r"""
             int main(void) {
                 print_int(jit_compile("long x0(long x){return x;}", "x0"));
                 return 0;
             }
-        """}, mcfi=True)
+        """}, mcfi=True).program
         result = Runtime(program).run()
         assert result.ok and result.output == b"0"
 
@@ -142,10 +142,10 @@ class TestDlclose:
     """
 
     def make(self):
-        program = compile_and_link({"main": self.SOURCE}, mcfi=True)
+        program = build_program({"main": self.SOURCE}, mcfi=True).program
         runtime = Runtime(program)
         linker = DynamicLinker(runtime)
-        linker.register("plugin", compile_module(
+        linker.register("plugin", compile_object(
             "int libfn(int x) { return x * 3 + 1; }", name="plugin"))
         return runtime, linker
 
@@ -182,7 +182,7 @@ class TestDlclose:
         handle = linker.dlopen("plugin")
         assert linker.dlclose(handle) == 0
         # Re-registering under the same name loads a fresh copy.
-        linker.register("plugin", compile_module(
+        linker.register("plugin", compile_object(
             "int libfn(int x) { return x + 1000; }", name="plugin2"))
         handle2 = linker.dlopen("plugin")
         assert handle2 != 0 and handle2 != handle

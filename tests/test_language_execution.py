@@ -164,8 +164,8 @@ class TestControlFlow:
         """
         expect(source, b"-1,-1,20,30,40,50,-1,-1,")
         # confirm a jump table was emitted (an ijump site exists)
-        from repro.toolchain import compile_and_link
-        program = compile_and_link({"t": source}, mcfi=True)
+        from repro.build import build_program
+        program = build_program({"t": source}, mcfi=True).program
         kinds = {s.kind for s in program.module.aux.branch_sites}
         assert "switch" in kinds
 
@@ -185,8 +185,8 @@ class TestControlFlow:
             }
         """
         expect(source, b"6")
-        from repro.toolchain import compile_and_link
-        program = compile_and_link({"t": source}, mcfi=True)
+        from repro.build import build_program
+        program = build_program({"t": source}, mcfi=True).program
         kinds = [s.kind for s in program.module.aux.branch_sites
                  if s.kind == "switch"]
         assert kinds == []
@@ -415,7 +415,8 @@ class TestFunctions:
 
 class TestMultiModule:
     def test_two_modules_link_and_call(self):
-        from repro.toolchain import compile_and_run
+        from repro.build import build_program
+        from repro.toolchain import run_program
         sources = {
             "alpha": """
                 int beta_fn(int x);
@@ -426,12 +427,13 @@ class TestMultiModule:
             """,
         }
         for mcfi in (False, True):
-            result = compile_and_run(sources, mcfi=mcfi)
+            result = run_program(build_program(sources, mcfi=mcfi).program)
             assert result.ok
             assert result.output == b"16"
 
     def test_cross_module_function_pointer(self):
-        from repro.toolchain import compile_and_run
+        from repro.build import build_program
+        from repro.toolchain import run_program
         sources = {
             "alpha": """
                 int beta_fn(int x);
@@ -443,5 +445,5 @@ class TestMultiModule:
             """,
             "beta": "int beta_fn(int x) { return x + 100; }",
         }
-        result = compile_and_run(sources, mcfi=True)
+        result = run_program(build_program(sources, mcfi=True).program)
         assert result.ok and result.output == b"106"

@@ -2,14 +2,16 @@
 
 import pytest
 
+from repro.build import compile_object
 from repro.errors import LinkError
-from repro.linker.static_linker import layout_data, link
-from repro.toolchain import compile_module
+from repro.linker.static_linker import layout_data
 from repro.vm.memory import DATA_BASE, PAGE_SIZE
+from tests.conftest import link_objects as link
+from tests.test_golden_digests import PLT_SOURCE
 
 
 def modules(*sources):
-    return [compile_module(text, name=f"m{i}")
+    return [compile_object(text, name=f"m{i}")
             for i, text in enumerate(sources)]
 
 
@@ -36,14 +38,14 @@ class TestSymbolResolution:
             link(modules(MAIN, HELPER, HELPER), mcfi=True)
 
     def test_duplicate_global_rejected(self):
-        a = compile_module("long shared;", name="a")
-        b = compile_module("long shared; void _start(void) { }", name="b")
+        a = compile_object("long shared;", name="a")
+        b = compile_object("long shared; void _start(void) { }", name="b")
         with pytest.raises(LinkError):
             link([a, b], mcfi=True)
 
     def test_mixed_arch_rejected(self):
-        a = compile_module(HELPER, name="a", arch="x64")
-        b = compile_module("void _start(void) { }", name="b", arch="x32")
+        a = compile_object(HELPER, name="a", arch="x64")
+        b = compile_object("void _start(void) { }", name="b", arch="x32")
         with pytest.raises(LinkError):
             link([a, b])
 
@@ -58,7 +60,7 @@ class TestSymbolResolution:
 
 class TestDataLayout:
     def test_strings_before_globals_page_separated(self):
-        raw = compile_module(
+        raw = compile_object(
             'char *msg = "hello"; long counter = 5; '
             'void _start(void) { }', name="d")
         layout = layout_data([raw])
@@ -69,7 +71,7 @@ class TestDataLayout:
         assert layout.symbols["counter"] >= DATA_BASE + layout.rodata_end
 
     def test_globals_aligned(self):
-        raw = compile_module(
+        raw = compile_object(
             "char c; long l; double d; void _start(void) { }", name="d")
         layout = layout_data([raw])
         for name in ("c", "l", "d"):
@@ -121,10 +123,7 @@ class TestSeparateInstrumentation:
 
 
 class TestPlt:
-    MAIN_DYN = """
-        int plugin_fn(int x);
-        void _start(void) { __syscall(1, plugin_fn(1), 0, 0); }
-    """
+    MAIN_DYN = PLT_SOURCE
 
     def test_plt_emitted_for_dynamic_symbols(self):
         program = link(modules(self.MAIN_DYN), mcfi=True,

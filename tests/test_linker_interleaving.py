@@ -19,7 +19,7 @@ import pytest
 
 from repro.linker.dynamic_linker import DynamicLinker
 from repro.runtime.runtime import Runtime
-from repro.toolchain import compile_and_link, compile_module
+from repro.build import build_program, compile_object
 from repro.vm.scheduler import Scheduler
 
 LIB_SOURCE = "int libfn(int x) { return x * 3 + 1; }"
@@ -66,14 +66,14 @@ CHURN_MAIN = {"main": """
 
 
 def _make(source, *, extra=False):
-    program = compile_and_link(source, mcfi=True,
-                               allow_unresolved=["libfn"])
+    program = build_program(source, mcfi=True,
+                            allow_unresolved=["libfn"]).program
     runtime = Runtime(program)
     linker = DynamicLinker(runtime)
-    linker.register("plugin", compile_module(LIB_SOURCE, name="plugin"))
+    linker.register("plugin", compile_object(LIB_SOURCE, name="plugin"))
     if extra:
         linker.register("other",
-                        compile_module(OTHER_SOURCE, name="other"))
+                        compile_object(OTHER_SOURCE, name="other"))
     return runtime, linker
 
 

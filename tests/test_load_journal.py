@@ -17,7 +17,7 @@ from repro.faults.harness import (
 from repro.faults.plane import FaultPlane
 from repro.linker.dynamic_linker import DynamicLinker
 from repro.runtime.runtime import Runtime, VIOLATION_POLICIES
-from repro.toolchain import compile_and_link, compile_module
+from repro.build import build_program, compile_object
 
 MAIN_SOURCE = {"main": """
     int libfn(int x);
@@ -34,9 +34,9 @@ LIB_SOURCE = "int libfn(int x) { return x * 3 + 1; }"
 
 @pytest.fixture(scope="module")
 def artifacts():
-    program = compile_and_link(MAIN_SOURCE, mcfi=True,
-                               allow_unresolved=["libfn"])
-    library = compile_module(LIB_SOURCE, name="plugin")
+    program = build_program(MAIN_SOURCE, mcfi=True,
+                            allow_unresolved=["libfn"]).program
+    library = compile_object(LIB_SOURCE, name="plugin")
     return program, library
 
 
@@ -126,7 +126,7 @@ class TestLinkErrorsStillPropagate:
         program, _ = artifacts
         runtime = Runtime(program)
         linker = DynamicLinker(runtime)
-        broken = compile_module(
+        broken = compile_object(
             "int nope(void); int libfn(int x) { return nope(); }",
             name="plugin")
         linker.register("plugin", broken)
@@ -178,14 +178,14 @@ class TestViolationPolicies:
             Runtime(program, violation_policy=policy)
 
     def test_halt_is_the_default_paper_behaviour(self):
-        program = compile_and_link(self.VIOLATING, mcfi=True)
+        program = build_program(self.VIOLATING, mcfi=True).program
         result = Runtime(program).run()
         assert result.violation is not None
         assert not result.ok
         assert result.violations == []
 
     def test_report_policy_records_and_continues(self):
-        program = compile_and_link(self.VIOLATING, mcfi=True)
+        program = build_program(self.VIOLATING, mcfi=True).program
         result = Runtime(program, violation_policy="report").run()
         # The violating transfer was denied, the thread retired; the
         # run is not itself a fault and carries a structured record.
@@ -220,7 +220,7 @@ class TestViolationPolicies:
                 return 0;
             }
         """}
-        program = compile_and_link(source, mcfi=True)
+        program = build_program(source, mcfi=True).program
         result = Runtime(program,
                          violation_policy="report").run_scheduled(seed=2)
         assert result.ok, result.violation or result.fault
@@ -230,15 +230,15 @@ class TestViolationPolicies:
     def test_quarantine_policy_retires_violating_module(self, artifacts):
         """A loaded library whose code makes a bad transfer is sealed
         and scrubbed; the violation record names it."""
-        program = compile_and_link({"main": """
+        program = build_program({"main": """
             int libfn(int x);
             int main(void) {
                 long h = dlopen("plugin");
                 print_int(libfn(3));
                 return 0;
             }
-        """}, mcfi=True, allow_unresolved=["libfn"])
-        bad_lib = compile_module("""
+        """}, mcfi=True, allow_unresolved=["libfn"]).program
+        bad_lib = compile_object("""
             void helper(long a, long b) { }
             int libfn(int x) {
                 void (*f)(long) = (void (*)(long))(void *)helper;

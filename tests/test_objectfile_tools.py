@@ -2,9 +2,9 @@
 
 import pytest
 
+from repro.build import compile_object
 from repro.module import objectfile
 from repro.module.objectfile import ObjectFileError
-from repro.toolchain import compile_module
 
 SOURCE = """
     long triple(long x) { return 3 * x; }
@@ -15,7 +15,7 @@ SOURCE = """
 
 @pytest.fixture()
 def raw_module():
-    return compile_module(SOURCE, name="objtest")
+    return compile_object(SOURCE, name="objtest")
 
 
 class TestObjectFiles:
@@ -36,13 +36,13 @@ class TestObjectFiles:
     def test_loaded_object_links_and_runs(self, raw_module, tmp_path):
         """Instrument-once-reuse-anywhere: a module loaded from disk is
         linkable like a freshly compiled one."""
-        from repro.linker.static_linker import link
         from repro.runtime.runtime import Runtime
         from repro.workloads.libc import LIBC_SOURCE
+        from tests.conftest import link_objects
         path = objectfile.save(raw_module, tmp_path / "m.mcfo")
         loaded = objectfile.load(path)
-        libc = compile_module(LIBC_SOURCE, name="libc")
-        program = link([loaded, libc], mcfi=True)
+        libc = compile_object(LIBC_SOURCE, name="libc")
+        program = link_objects([loaded, libc], mcfi=True)
         result = Runtime(program, verify=True).run()
         assert result.ok and result.output == b"42"
 
@@ -132,6 +132,16 @@ class TestCliTools:
         capsys.readouterr()
         assert main([str(obj), "--run"]) == 0
         assert "42" in capsys.readouterr().out
+
+    def test_cc_native_links_object_file(self, source_file, tmp_path,
+                                         capsys):
+        from repro.tools.cc import main
+        obj = tmp_path / "prog.mcfo"
+        assert main(["-c", str(source_file), "-o", str(obj)]) == 0
+        capsys.readouterr()
+        assert main([str(obj), "--native", "--run"]) == 0
+        out = capsys.readouterr().out
+        assert "0 branch sites" in out and "42" in out
 
     def test_cc_reports_cfi_violation_exit_code(self, tmp_path, capsys):
         from repro.tools.cc import main

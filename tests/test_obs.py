@@ -83,13 +83,14 @@ class TestTracer:
 
 class TestSeededExportDeterminism:
     def test_traced_workload_bytes_identical(self, tmp_path):
-        from repro.toolchain import compile_and_run
+        from repro.build import build_program
+        from repro.toolchain import run_program
 
         paths = []
         for i in range(2):
             with obs.scoped(seed=123):
-                result = compile_and_run(
-                    {"t": "int main(void){ return 7; }"}, mcfi=True)
+                result = run_program(build_program(
+                    {"t": "int main(void){ return 7; }"}, mcfi=True).program)
                 assert result.exit_code == 7
                 paths.append(obs.export_trace(tmp_path / f"t{i}.jsonl"))
         first, second = (open(p, "rb").read() for p in paths)
@@ -128,11 +129,12 @@ class TestNullFastPath:
         assert snap.counters == {} and snap.histograms == {}
 
     def test_instrumented_run_records_nothing_when_disabled(self):
-        from repro.toolchain import compile_and_run
+        from repro.build import build_program
+        from repro.toolchain import run_program
 
         before_spans = len(OBS.tracer.spans)
-        result = compile_and_run({"t": "int main(void){ return 3; }"},
-                                 mcfi=True)
+        result = run_program(build_program(
+            {"t": "int main(void){ return 3; }"}, mcfi=True).program)
         assert result.exit_code == 3
         assert result.obs is None
         assert len(OBS.tracer.spans) == before_spans
@@ -174,11 +176,12 @@ class TestMetrics:
 
 class TestInstrumentation:
     def test_compile_and_run_spans_cover_layers(self):
-        from repro.toolchain import compile_and_run
+        from repro.build import build_program
+        from repro.toolchain import run_program
 
         with obs.scoped(seed=0) as state:
-            result = compile_and_run(
-                {"t": "int main(void){ return 0; }"}, mcfi=True)
+            result = run_program(build_program(
+                {"t": "int main(void){ return 0; }"}, mcfi=True).program)
             assert result.ok
             names = {s["name"] for s in state.tracer.spans}
         assert {"build.session", "build.frontend", "build.units",
@@ -186,11 +189,12 @@ class TestInstrumentation:
                 "vm.run", "runtime.run"} <= names
 
     def test_run_result_carries_metrics_delta(self):
-        from repro.toolchain import compile_and_run
+        from repro.build import build_program
+        from repro.toolchain import run_program
 
         with obs.scoped(seed=0):
-            result = compile_and_run(
-                {"t": "int main(void){ return 0; }"}, mcfi=True)
+            result = run_program(build_program(
+                {"t": "int main(void){ return 0; }"}, mcfi=True).program)
         assert result.obs is not None
         assert result.obs["counters"]["vm.runs"] == 1
         assert result.obs["counters"]["vm.instructions"] > 0

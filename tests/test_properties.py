@@ -161,12 +161,12 @@ class TestVerifierMutation:
 
     def test_unmasking_a_store_is_caught(self):
         """Removing a write-sandbox mask must fail verification."""
-        from repro.toolchain import compile_and_link
-        program = compile_and_link({"t": """
+        from repro.build import build_program
+        program = build_program({"t": """
             long g;
             void setg(long *p, long v) { *p = v; }
             int main(void) { setg(&g, 5); return (int)g; }
-        """}, mcfi=True)
+        """}, mcfi=True).program
         module = copy.deepcopy(program.module)
         instrs = sweep_ranges(module.code, module.base,
                               module.code_ranges)

@@ -17,7 +17,7 @@ from repro.cfg.typematch import (
     why_blocked,
 )
 from repro.tinyc.types import FuncSig
-from repro.toolchain import compile_and_link
+from repro.build import build_program
 
 
 @pytest.fixture(scope="module")
@@ -80,10 +80,10 @@ class TestExplainMatch:
         assert verdict.matches and "identical" in verdict.reason
 
     def test_not_address_taken(self):
-        program = compile_and_link({"t": """
+        program = build_program({"t": """
             long quiet(long x) { return x; }
             int main(void) { return (int)quiet(1); }
-        """}, mcfi=True)
+        """}, mcfi=True).program
         aux = program.module.aux
         sig = aux.functions["quiet"].sig
         verdict = explain_match(sig, aux.functions["quiet"])

@@ -1,14 +1,11 @@
 """Tests for the unified to_dict()/from_dict() result protocol (PR 3).
 
 Every result type in the repo serializes through the same pair of
-methods, lands in the JSONL store via ``ResultStore.append_record``,
-and keeps its old accessor one release longer as a DeprecationWarning
-shim.
+methods and lands in the JSONL store via ``ResultStore.append_record``.
 """
 
 from __future__ import annotations
 
-import pytest
 
 from repro.errors import CfiViolation, MemoryFault
 from repro.faults.harness import SurvivalRecord
@@ -76,22 +73,11 @@ class TestViolationRecord:
         clone = ViolationRecord.from_dict(record.to_dict())
         assert clone == record
 
-    def test_as_dict_deprecated(self):
-        record = ViolationRecord(thread=0, branch_address=0,
-                                 target_address=0, reason="r",
-                                 action="halt")
-        with pytest.deprecated_call():
-            assert record.as_dict() == record.to_dict()
-
 
 class TestFaultEvent:
     def test_round_trip(self):
         event = FaultEvent(point="dlopen.cfg", sequence=3, detail="d")
         assert FaultEvent.from_dict(event.to_dict()) == event
-
-    def test_as_dict_deprecated(self):
-        with pytest.deprecated_call():
-            FaultEvent(point="p", sequence=0).as_dict()
 
 
 class TestSurvivalRecord:
@@ -105,19 +91,6 @@ class TestSurvivalRecord:
         clone = SurvivalRecord.from_dict(data)
         assert clone.injector == "bitflip-tary"
         assert clone.probes == 5
-
-    def test_as_dict_deprecated(self):
-        record = SurvivalRecord(injector="i", workload="w",
-                                policy="halt", seed=0)
-        with pytest.deprecated_call():
-            assert record.as_dict() == record.to_dict()
-
-
-class TestJobResult:
-    def test_record_deprecated(self):
-        result = JobResult(id="j", ok=True, attempts=1)
-        with pytest.deprecated_call():
-            assert result.record() == result.to_dict()
 
 
 class TestAttackReport:

@@ -5,7 +5,7 @@ import pytest
 from repro.errors import CfiViolation, MemoryFault, RuntimeError_, \
     WxViolation
 from repro.runtime.runtime import Runtime
-from repro.toolchain import compile_and_link
+from repro.build import build_program
 from tests.conftest import run_source
 
 
@@ -169,13 +169,13 @@ class TestThreads:
     """
 
     def test_threads_require_scheduled_mode(self):
-        program = compile_and_link({"t": self.SOURCE}, mcfi=True)
+        program = build_program({"t": self.SOURCE}, mcfi=True).program
         runtime = Runtime(program)
         result = runtime.run()
         assert not result.ok  # thread_spawn raises in fast mode
 
     def test_threads_run_interleaved(self):
-        program = compile_and_link({"t": self.SOURCE}, mcfi=True)
+        program = build_program({"t": self.SOURCE}, mcfi=True).program
         runtime = Runtime(program)
         result = runtime.run_scheduled(seed=5, burst=8)
         assert result.ok, result.violation or result.fault
@@ -192,7 +192,7 @@ class TestThreads:
                 return 0;
             }
         """
-        program = compile_and_link({"t": source}, mcfi=True)
+        program = build_program({"t": source}, mcfi=True).program
         runtime = Runtime(program)
         result = runtime.run_scheduled(seed=1, burst=4)
         assert result.violation is not None

@@ -156,8 +156,8 @@ class TestDiagnostics:
 
 class TestStaticFunctions:
     def test_static_functions_not_exported(self):
-        from repro.toolchain import compile_module
-        raw = compile_module(
+        from repro.build import compile_object
+        raw = compile_object(
             "static long helper(void) { return 1; } "
             "int main(void) { return (int)helper(); }", name="m")
         assert not raw.functions["helper"].exported
@@ -166,32 +166,21 @@ class TestStaticFunctions:
     def test_static_functions_have_internal_linkage(self):
         """Two modules may each define a static function of the same
         name; each module's calls resolve to its own copy."""
-        from repro.toolchain import compile_and_run
-        sources = {
-            "a": """
-                int b_value(void);
-                static int util(void) { return 1; }
-                int main(void) {
-                    print_int(util() * 10 + b_value());
-                    return 0;
-                }
-            """,
-            "b": """
-                static int util(void) { return 2; }
-                int b_value(void) { return util(); }
-            """,
-        }
+        from repro.build import build_program
+        from repro.toolchain import run_program
+        from tests.test_golden_digests import STATIC_COLLISION_SOURCES
         for mcfi in (False, True):
-            result = compile_and_run(sources, mcfi=mcfi)
+            result = run_program(build_program(STATIC_COLLISION_SOURCES,
+                                               mcfi=mcfi).program)
             assert result.ok, result.violation or result.fault
             assert result.output == b"12"
 
     def test_exported_collision_still_rejected(self):
+        from repro.build import compile_object
         from repro.errors import LinkError
-        from repro.linker.static_linker import link
-        from repro.toolchain import compile_module
-        a = compile_module("int util(void) { return 1; } "
+        from tests.conftest import link_objects
+        a = compile_object("int util(void) { return 1; } "
                            "void _start(void) { util(); }", name="a")
-        b = compile_module("int util(void) { return 2; }", name="b")
+        b = compile_object("int util(void) { return 2; }", name="b")
         with pytest.raises(LinkError, match="util"):
-            link([a, b])
+            link_objects([a, b])

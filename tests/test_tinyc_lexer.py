@@ -111,6 +111,16 @@ class TestErrors:
         with pytest.raises(LexError):
             tokenize("'ab")
 
+    @pytest.mark.parametrize("source", ["int c;\n  '\n';", "int c;\n  '\nx"])
+    def test_newline_in_char_literal(self, source):
+        # A raw newline is not a character: rejected at the opening
+        # quote, as strings are, instead of lexing as value 10 with the
+        # line counter left behind.
+        with pytest.raises(LexError, match="newline in character literal") \
+                as info:
+            tokenize(source)
+        assert (info.value.line, info.value.column) == (2, 3)
+
     @pytest.mark.parametrize("source", [
         "'\\", '"ab\\', "1e+", "0x", "x = 1\u00b2;", '"\u0100"'])
     def test_malformed_literals_are_lex_errors(self, source):

@@ -15,7 +15,8 @@ import pytest
 
 from repro.errors import CompileError, ParseError, ReproError, \
     TinyCError, TypeError_
-from repro.toolchain import compile_and_run, frontend
+from repro.build import build_program
+from repro.toolchain import frontend, run_program
 from repro.workloads.generate import generate
 
 
@@ -58,12 +59,12 @@ class TestMalformedInputs:
         assert "duplicate default" in str(err)
 
     def test_distinct_case_labels_still_compile_and_run(self):
-        result = compile_and_run({"t": (
+        result = run_program(build_program({"t": (
             "int main() { int x = 2; switch (x) { "
             "case 1: print_int(1); break; "
             "case 2: print_int(2); break; "
-            "default: print_int(9); } print_char(10); return 0; }\n")},
-            max_steps=100_000)
+            "default: print_int(9); } print_char(10); return 0; }\n")})
+            .program, max_steps=100_000)
         assert result.output == b"2\n"
 
     @pytest.mark.parametrize("depth", [5_000, 30_000])

@@ -3,12 +3,8 @@
 import pytest
 
 from repro.errors import LinkError, ParseError, TypeError_
-from repro.toolchain import (
-    compile_and_link,
-    compile_and_run,
-    compile_module,
-    frontend,
-)
+from repro.build import build_program, compile_object
+from repro.toolchain import frontend, run_program
 
 
 class TestDriver:
@@ -23,30 +19,30 @@ class TestDriver:
 
     def test_parse_errors_propagate(self):
         with pytest.raises(ParseError):
-            compile_module("int main(void) {")
+            compile_object("int main(void) {")
 
     def test_without_libc_needs_start(self):
         with pytest.raises(LinkError, match="_start"):
-            compile_and_link({"t": "int main(void) { return 0; }"},
-                             with_libc=False)
+            build_program({"t": "int main(void) { return 0; }"},
+                          with_libc=False)
 
     def test_freestanding_program(self):
         source = """
             void _start(void) { __syscall(1, 7, 0, 0); }
         """
-        program = compile_and_link({"t": source}, with_libc=False)
+        program = build_program({"t": source}, with_libc=False).program
         from repro.runtime.runtime import Runtime
         assert Runtime(program).run().exit_code == 7
 
     def test_compile_and_run_convenience(self):
-        result = compile_and_run(
-            {"t": "int main(void) { return 11; }"}, verify=True)
+        result = run_program(build_program(
+            {"t": "int main(void) { return 11; }"}).program, verify=True)
         assert result.exit_code == 11
 
     def test_arch_validation(self):
         from repro.errors import CodegenError
         with pytest.raises(CodegenError):
-            compile_module("int main(void){return 0;}", arch="arm")
+            compile_object("int main(void){return 0;}", arch="arm")
 
 
 class TestSpecCli:

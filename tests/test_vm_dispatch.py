@@ -621,7 +621,7 @@ class TestBlockCacheInvalidation:
         or closure survives on a page that is no longer executable."""
         from repro.linker.dynamic_linker import DynamicLinker
         from repro.runtime.runtime import Runtime
-        from repro.toolchain import compile_and_link, compile_module
+        from repro.build import build_program, compile_object
 
         source = r"""
             int main(void) {
@@ -633,10 +633,10 @@ class TestBlockCacheInvalidation:
                 return 0;
             }
         """
-        program = compile_and_link({"main": source}, mcfi=True)
+        program = build_program({"main": source}, mcfi=True).program
         runtime = Runtime(program)
         linker = DynamicLinker(runtime)
-        linker.register("plugin", compile_module(
+        linker.register("plugin", compile_object(
             "int libfn(int x) { return x * 3 + 1; }", name="plugin"))
         result = runtime.run()
         assert result.output.startswith(b"31")
@@ -653,7 +653,7 @@ class TestBlockCacheInvalidation:
         module must execute the *new* body, through the dispatch plane."""
         from repro.linker.dynamic_linker import DynamicLinker
         from repro.runtime.runtime import Runtime
-        from repro.toolchain import compile_and_link, compile_module
+        from repro.build import build_program, compile_object
 
         source = r"""
             int main(void) {
@@ -668,12 +668,12 @@ class TestBlockCacheInvalidation:
                 return 0;
             }
         """
-        program = compile_and_link({"main": source}, mcfi=True)
+        program = build_program({"main": source}, mcfi=True).program
         runtime = Runtime(program)
         linker = DynamicLinker(runtime)
-        plugin_v1 = compile_module(
+        plugin_v1 = compile_object(
             "int libfn(int x) { return x * 3 + 1; }", name="plugin")
-        plugin_v2 = compile_module(
+        plugin_v2 = compile_object(
             "int libfn(int x) { return x + 1000; }", name="plugin2")
         versions = [plugin_v1, plugin_v2]
 
