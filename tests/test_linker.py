@@ -154,3 +154,20 @@ class TestPlt:
                        allow_unresolved=["plugin_fn"])
         got = program.got_slots["plugin_fn"]
         assert got >= program.data.base + program.data.rodata_end
+
+
+class TestObjectSplit:
+    @pytest.mark.parametrize("mcfi", [True, False])
+    def test_split_objects_link_like_a_session_build(self, mcfi):
+        """A compiled module split into units at its function entries
+        links to exactly the image a session builds from its source
+        (function pointers, a switch table, setjmp, strings)."""
+        from repro.build import build_program
+        from repro.workloads.libc import LIBC_SOURCE
+        from tests.conftest import DEMO_SOURCE
+        from tests.test_golden_digests import image_digest, link_record
+        split = link([compile_object(DEMO_SOURCE, name="demo"),
+                      compile_object(LIBC_SOURCE, name="libc")], mcfi=mcfi)
+        built = build_program({"demo": DEMO_SOURCE}, mcfi=mcfi).program
+        assert image_digest(split) == image_digest(built)
+        assert link_record(split) == link_record(built)
