@@ -21,8 +21,12 @@ Runnable three ways:
 - ``bench_vm_dispatch.py --quick`` — CI smoke: subset conformance plus
   a single-workload speedup sanity check (no 1.5x gate, CI boxes are
   noisy),
-- ``bench_vm_dispatch.py --conformance`` — conformance only, exits
-  non-zero on the first divergence.
+- ``bench_vm_dispatch.py --conformance`` — conformance only, on all
+  twelve workloads; exits non-zero on any divergence.
+
+``--generated`` sets :data:`repro.vm.dispatch.HOT_BLOCK_RUNS` to 0 in
+this process, so every block's source is generated before its first
+run and the generated tier alone is held against the reference.
 """
 
 import sys
@@ -40,6 +44,8 @@ import pytest
 from benchmarks.conftest import selected_benchmarks, write_result
 from repro.experiments import compiled
 from repro.runtime.runtime import Runtime
+from repro.vm import dispatch
+from repro.workloads.spec import BENCHMARKS
 
 #: Workloads for the script-mode --quick smoke: one call-heavy (many
 #: fused check sequences), one loop-heavy, one floating-point.
@@ -145,11 +151,15 @@ def _main(argv):
     parser.add_argument("--quick", action="store_true",
                         help="subset conformance + 1-workload speedup")
     parser.add_argument("--conformance", action="store_true",
-                        help="conformance checks only")
+                        help="conformance checks only, all twelve")
+    parser.add_argument("--generated", action="store_true",
+                        help="generate every block before its first run")
     args = parser.parse_args(argv)
+    if args.generated:
+        dispatch.HOT_BLOCK_RUNS = 0
 
-    names = QUICK if (args.quick or args.conformance) else \
-        selected_benchmarks()
+    names = QUICK if args.quick else \
+        BENCHMARKS if args.conformance else selected_benchmarks()
     failed = False
     for name in names:
         fast, ref, mismatches = check_conformance(name)

@@ -114,14 +114,16 @@ def jit_compile_syscall(runtime, cpu) -> None:
     Returns the installed function's address in rax, or 0 on failure —
     the guest-facing entry point for runtime code generation.
     """
-    from repro.vm.syscalls import read_cstring
+    from repro.vm.syscalls import read_text
     engine: Optional[JitEngine] = getattr(runtime, "jit_engine", None)
     if engine is None:
         cpu.regs[0] = 0
         return
-    source = read_cstring(runtime.memory, cpu.regs[8],
-                          limit=65536).decode()
-    fn_name = read_cstring(runtime.memory, cpu.regs[9]).decode()
+    source = read_text(runtime.memory, cpu.regs[8], limit=65536)
+    fn_name = read_text(runtime.memory, cpu.regs[9])
+    if source is None or fn_name is None:
+        cpu.regs[0] = 0
+        return
     try:
         cpu.regs[0] = engine.install_function(source, fn_name, cpu=cpu)
     except ReproError:

@@ -556,13 +556,17 @@ class Runtime:
     def _dlopen(self, cpu: CPU, path_ptr: int) -> int:
         if self.dynamic_linker is None:
             return 0
-        name = sc.read_cstring(self.memory, path_ptr).decode()
+        name = sc.read_text(self.memory, path_ptr)
+        if name is None:
+            return 0
         return self.dynamic_linker.dlopen(name, cpu)
 
     def _dlsym(self, handle: int, name_ptr: int) -> int:
         if self.dynamic_linker is None:
             return 0
-        name = sc.read_cstring(self.memory, name_ptr).decode()
+        name = sc.read_text(self.memory, name_ptr)
+        if name is None:
+            return 0
         return self.dynamic_linker.dlsym(handle, name)
 
     # -- table updates (used by the dynamic linker) ---------------------------------

@@ -68,6 +68,7 @@ SPAN_CATALOG = (
     ("tx.update", "owner completed tary_writes bary_writes hold_steps",
      "one update transaction (Fig. 3)"),
     ("vm.run", "thread instructions cycles", "one CPU run loop entry"),
+    ("vm.generate", "entry", "hot block source generation + compile()"),
     ("runtime.run", "policy status", "single-threaded program run"),
     ("runtime.run_scheduled", "seed policy status ticks",
      "seeded multi-threaded run"),
@@ -102,6 +103,8 @@ METRIC_CATALOG = (
     ("counter", "vm.cycles", "cycles consumed"),
     ("counter", "vm.dispatch.blocks_built", "decoded basic blocks built"),
     ("counter", "vm.dispatch.fused_sites", "check sequences fused"),
+    ("counter", "vm.dispatch.blocks_generated",
+     "hot blocks generated and compiled"),
     ("counter", "runtime.violations.<action>",
      "violations by policy action"),
     ("counter", "linker.dlopens", "successful dlopens"),

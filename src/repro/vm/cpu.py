@@ -20,9 +20,10 @@ the historic ``if/elif`` chain is gone from the hot path.  The chain
 survives verbatim as :meth:`CPU.step_reference` — the executable
 semantics spec that conformance tests diff the dispatch plane against.
 Single-threaded ``run()`` additionally executes whole decoded basic
-blocks (and fused check transactions) from the shared
-:class:`~repro.vm.dispatch.DispatchCache`; the scheduler always goes
-through ``step()``, preserving per-instruction interleaving.
+blocks (with fused check transactions) from the shared
+:class:`~repro.vm.dispatch.DispatchCache`, and blocks that have run
+often as generated Python source; the scheduler always goes through
+``step()``, preserving per-instruction interleaving.
 
 Flags
 -----
@@ -397,8 +398,8 @@ class CPU:
 
         Single-threaded execution takes the basic-block fast path:
         straight-line runs execute as one loop over cached closures
-        without re-entering ``step()``, and recognized check
-        transactions execute as one fused macro-op (see
+        without re-entering ``step()``, or, once hot, as one generated
+        function, and recognized check transactions execute fused (see
         :mod:`repro.vm.dispatch`).  If an instance-level ``step`` hook
         is installed (a :class:`~repro.vm.trace.BranchTracer`, or
         ``cpu.step = cpu.step_reference``), execution stays strictly
@@ -411,8 +412,10 @@ class CPU:
         """
         cycles_before = self.cycles
         instructions_before = self.instructions
-        blocks_before = self.dispatch_cache.blocks_built
-        fused_before = self.dispatch_cache.fused_sites
+        cache = self.dispatch_cache
+        blocks_before = cache.blocks_built
+        fused_before = cache.fused_sites
+        generated_before = cache.blocks_generated
         self._decode_fault = False
         limit_error = False
         span = OBS.tracer.begin("vm.run", thread=self.thread_id)
@@ -426,7 +429,7 @@ class CPU:
                     if max_steps and executed >= max_steps:
                         limit_error = True
                         raise VMError(f"exceeded step limit of {max_steps}")
-            blocks = self.dispatch_cache.blocks
+            blocks = cache.blocks
             # With a step limit, finish the last stretch per-instruction
             # so the limit check lands on the exact instruction the
             # reference interpreter would raise at.
@@ -446,7 +449,7 @@ class CPU:
                 block = blocks.get(rip)
                 if block is None:
                     block = build_block(self, rip)
-                self.rip = block.execute(self)
+                self.rip = block.run(self)
         except ProgramExit as program_exit:
             return program_exit.code
         finally:
@@ -464,12 +467,13 @@ class CPU:
                 metrics.counter("vm.instructions").inc(executed)
                 metrics.counter("vm.cycles").inc(
                     self.cycles - cycles_before)
-                built = self.dispatch_cache.blocks_built - blocks_before
-                fused = self.dispatch_cache.fused_sites - fused_before
-                if built:
-                    metrics.counter("vm.dispatch.blocks_built").inc(built)
-                if fused:
-                    metrics.counter("vm.dispatch.fused_sites").inc(fused)
+                for name, count in (
+                        ("blocks_built", cache.blocks_built - blocks_before),
+                        ("fused_sites", cache.fused_sites - fused_before),
+                        ("blocks_generated",
+                         cache.blocks_generated - generated_before)):
+                    if count:
+                        metrics.counter("vm.dispatch." + name).inc(count)
             span.end(instructions=executed,
                      cycles=self.cycles - cycles_before)
 

@@ -1,63 +1,66 @@
-"""Table-driven fast-path dispatch plane for the SimVM.
+"""Template-driven dispatch plane for the SimVM.
 
-The seed interpreter executed every instruction by walking one long
-``if/elif`` chain in :meth:`~repro.vm.cpu.CPU.step`; by PR 5 that chain
-had become the dominant wall-clock cost of every Fig. 5/6 benchmark and
-fault campaign.  This module replaces it with three layers, none of
-which changes a single architectural observable (``cycles``,
-``instructions``, ``tx_checks``, traces and ``RunResult`` payloads are
-bit-identical to the reference interpreter, which survives as
-:meth:`CPU.step_reference` for conformance checking):
+The reference interpreter, :meth:`~repro.vm.cpu.CPU.step_reference`,
+walks one long ``if/elif`` chain per instruction.  This module executes
+the same instructions much faster without changing a single
+architectural observable (``cycles``, ``instructions``, ``tx_checks``,
+registers, flags, faults and output are bit-identical to the
+reference, which conformance tests diff against):
 
-1. **Per-opcode compilers** (:data:`COMPILERS`, built once at import).
-   Each opcode has a compiler that specializes one decoded instruction
-   into a closure ``fn(cpu) -> next_rip`` with its operands, cost and
-   fall-through address captured as locals — the operand tuple is never
-   re-indexed and no opcode comparison happens at execution time.
-   ``CPU.step()`` executes exactly one closure, so scheduler
-   interleaving keeps instruction-granularity atomicity.
+1. **One template per opcode** (:data:`SEMANTICS`).  Each opcode's
+   semantics is written once, as a Python statement template over its
+   operands, flags and the memory/table objects.  The Fig. 4 Try block
+   (``TLOAD_RI``/``TLOAD_RR``/``CMP_RR``/``JNE``/``JMP_R``) has one
+   template too, :data:`FUSED_CHECK`, which caches the branch-ID read
+   behind a ``[cached_id, generation]`` cell: every privileged table
+   store bumps :attr:`repro.vm.memory.TableMemory.generation`, so an
+   update transaction invalidates the cached ID.
 
-2. **A decoded basic-block cache** (:class:`DispatchCache`), layered on
-   the per-instruction icache.  ``CPU.run()`` (the single-threaded fast
-   path) executes whole straight-line runs as one Python loop over the
-   block's closures without re-entering ``step()`` or re-probing any
-   per-instruction cache.  Faults anywhere in a block restore the exact
-   per-instruction architectural state (``rip`` at the faulting
-   instruction; counters include it) before propagating.
+2. **Two renderings of every template.**  Rendered with registers as
+   ``regs[i]`` and flags as CPU attributes, a template becomes a
+   closure factory, compiled once per opcode; :func:`compile_entry`
+   specializes a decoded instruction into a closure
+   ``fn(cpu) -> next_rip``.  ``CPU.step()`` runs one closure, so the
+   scheduler keeps instruction-granularity atomicity.  Rendered with
+   registers and flags as locals, the templates of a whole basic block
+   inline into one generated function (the hot tier, below).
 
-3. **Superinstruction fusion** of the verifier-recognized check
-   transaction (``TLOAD_RI``/``TLOAD_RR``/``CMP``/``JNE``/``JMP_R``,
-   the Fig. 4 Try block) into one fused macro-op.  The fused op caches
-   the branch-ID load behind a generation stamp
-   (:attr:`repro.vm.memory.TableMemory.generation`): every privileged
-   table store — in particular every
-   :class:`~repro.core.transactions.UpdateTransaction`, via
-   ``write_tary``/``write_bary`` and ``IdTables.note_update()`` —
-   bumps the stamp and thereby invalidates the fused fast path, which
-   then re-reads the Bary entry.  ``tx_checks`` still counts one check
-   per attempt, exactly like the unfused ``TLOAD_RI``.
+3. **Decoded basic blocks** (:class:`Block`, cached in
+   :class:`DispatchCache`).  ``CPU.run()`` executes a straight-line run
+   as one loop over its closures.  Once a block has run
+   :data:`HOT_BLOCK_RUNS` times, its source is generated, compiled once
+   and run from then on: registers and flags live in locals, the
+   counters are charged once at exit, and the check is fused inline.
 
-Code-region invalidation mirrors the icache: the dynamic linker's
-unload/rollback paths call :meth:`DispatchCache.invalidate_range`
-whenever they drop decoded icache entries, so re-mapping or
-JIT-installing code at a previously executed address can never execute
-stale closures or blocks.
+Both renderings share one fault protocol: a progress index ``k`` names
+the instruction that may raise next, and on any exception the
+registers and flags are written back, the counters are charged through
+instruction ``k`` and ``rip`` is set to its address — exactly the state
+the reference leaves.  The two instructions whose handlers read the
+architectural state (``syscall``: ``SYS_TIME`` returns ``cycles``;
+``hlt``: the CFI halt reads RCX and RSI) run after the write-back.
+
+Code-region invalidation mirrors the icache: the dynamic linker, the
+load journal and the JIT call :meth:`DispatchCache.invalidate_range`
+whenever they drop decoded icache entries, which drops cold and hot
+blocks alike.
 """
 
 from __future__ import annotations
 
+import ast
+import string
 import struct
+import textwrap
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.errors import InvalidInstruction, MemoryFault, VMError
-from repro.isa.instructions import BLOCK_TERMINATORS, Op
+from repro.isa.instructions import BLOCK_TERMINATORS, SPECS, Op, OperandKind
+from repro.obs import OBS
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
-_MASK32 = 0xFFFFFFFF
 _SIGN64 = 1 << 63
 _TWO64 = 1 << 64
-
-_RSP = 4  # Reg.RSP; a plain int so closures avoid the enum lookup
 
 _PACK_D = struct.Struct("<d")
 _PACK_Q = struct.Struct("<Q")
@@ -88,646 +91,467 @@ def _divide(dividend: int, divisor: int, mod: bool) -> int:
     return quotient & _MASK64
 
 
+#: Globals of every rendered function.
+_HELPERS = {"_signed": _signed, "_float_of": _float_of,
+            "_bits_of": _bits_of, "_divide": _divide, "VMError": VMError}
+
+#: Helpers a template may call without raising.
+_PURE = frozenset({"_signed", "_float_of", "_bits_of", "float"})
+
+_CONSTANTS = {"M64": "0xFFFFFFFFFFFFFFFF", "M32": "0xFFFFFFFF",
+              "SIGN64": "0x8000000000000000",
+              "TWO64": "0x10000000000000000"}
+
+_FLAGS = ("zf", "lt", "ltu")
+_RSP = 4  # Reg.RSP
+_AT = tuple(f"at{i}" for i in range(5))
+
+
 # ---------------------------------------------------------------------------
-# Per-opcode compilers
+# Opcode semantics
 # ---------------------------------------------------------------------------
-#
-# Every compiler returns a closure ``fn(cpu) -> next_rip`` implementing
-# exactly one instruction with the reference interpreter's semantics:
-# cost and instruction count are charged *before* the body (so a
-# faulting instruction is included in the counters, as in the
-# reference), and ``rip`` is never written — ``step()`` stores the
-# returned value, and the block executor repairs ``rip`` on faults.
 
-_Closure = Callable[[object], int]
-_Compiler = Callable[[Tuple[int, ...], int, int, int], _Closure]
 
-COMPILERS: List[Optional[_Compiler]] = [None] * 0x100
-
-
-def _op(opcode: Op):
-    def register(builder: _Compiler) -> _Compiler:
-        COMPILERS[int(opcode)] = builder
-        return builder
-    return register
-
-
-@_op(Op.NOP)
-def _c_nop(ops, rip, nxt, cost):
-    def fn(cpu):
-        cpu.cycles += cost
-        cpu.instructions += 1
-        return nxt
-    return fn
-
-
-@_op(Op.HLT)
-def _c_hlt(ops, rip, nxt, cost):
-    def fn(cpu):
-        cpu.cycles += cost
-        cpu.instructions += 1
-        cpu._cfi_halt(rip)
-    return fn
-
-
-@_op(Op.SYSCALL)
-def _c_syscall(ops, rip, nxt, cost):
-    def fn(cpu):
-        cpu.cycles += cost
-        cpu.instructions += 1
-        cpu.rip = nxt  # handler may change rip (e.g. longjmp)
-        handler = cpu.syscall_handler
-        if handler is None:
-            raise VMError(f"syscall at {rip:#x} with no handler")
-        handler(cpu)
-        return cpu.rip
-    return fn
-
-
-@_op(Op.MOV_RR)
-def _c_mov_rr(ops, rip, nxt, cost):
-    d, s = ops
-
-    def fn(cpu):
-        cpu.cycles += cost
-        cpu.instructions += 1
-        regs = cpu.regs
-        regs[d] = regs[s]
-        return nxt
-    return fn
-
-
-@_op(Op.MOV_RI)
-def _c_mov_ri(ops, rip, nxt, cost):
-    d = ops[0]
-    value = ops[1] & _MASK64
-
-    def fn(cpu):
-        cpu.cycles += cost
-        cpu.instructions += 1
-        cpu.regs[d] = value
-        return nxt
-    return fn
-
-
-@_op(Op.MOVZX32)
-def _c_movzx32(ops, rip, nxt, cost):
-    d = ops[0]
-
-    def fn(cpu):
-        cpu.cycles += cost
-        cpu.instructions += 1
-        cpu.regs[d] &= _MASK32
-        return nxt
-    return fn
-
-
-@_op(Op.LEA)
-def _c_lea(ops, rip, nxt, cost):
-    d, b, disp = ops
-
-    def fn(cpu):
-        cpu.cycles += cost
-        cpu.instructions += 1
-        regs = cpu.regs
-        regs[d] = (regs[b] + disp) & _MASK64
-        return nxt
-    return fn
-
-
-def _binop_rr(opcode, expr):
-    """Register-register ALU compilers share one template."""
-    def builder(ops, rip, nxt, cost):
-        d, s = ops
-
-        def fn(cpu):
-            cpu.cycles += cost
-            cpu.instructions += 1
-            regs = cpu.regs
-            regs[d] = expr(regs[d], regs[s])
-            return nxt
-        return fn
-    COMPILERS[int(opcode)] = builder
-
-
-_binop_rr(Op.ADD_RR, lambda a, b: (a + b) & _MASK64)
-_binop_rr(Op.SUB_RR, lambda a, b: (a - b) & _MASK64)
-_binop_rr(Op.IMUL_RR, lambda a, b: (_signed(a) * _signed(b)) & _MASK64)
-_binop_rr(Op.AND_RR, lambda a, b: a & b)
-_binop_rr(Op.OR_RR, lambda a, b: a | b)
-_binop_rr(Op.XOR_RR, lambda a, b: a ^ b)
-_binop_rr(Op.SHL_RR, lambda a, b: (a << (b & 63)) & _MASK64)
-_binop_rr(Op.SHR_RR, lambda a, b: a >> (b & 63))
-_binop_rr(Op.SAR_RR, lambda a, b: (_signed(a) >> (b & 63)) & _MASK64)
-_binop_rr(Op.IDIV_RR, lambda a, b: _divide(a, b, mod=False))
-_binop_rr(Op.IMOD_RR, lambda a, b: _divide(a, b, mod=True))
-
-
-def _binop_ri(opcode, expr):
-    """Register-immediate ALU compilers: the immediate is pre-bound."""
-    def builder(ops, rip, nxt, cost):
-        d, imm = ops
-
-        def fn(cpu):
-            cpu.cycles += cost
-            cpu.instructions += 1
-            regs = cpu.regs
-            regs[d] = expr(regs[d], imm)
-            return nxt
-        return fn
-    COMPILERS[int(opcode)] = builder
-
-
-_binop_ri(Op.ADD_RI, lambda a, imm: (a + imm) & _MASK64)
-_binop_ri(Op.SUB_RI, lambda a, imm: (a - imm) & _MASK64)
-_binop_ri(Op.AND_RI, lambda a, imm: a & (imm & _MASK64))
-_binop_ri(Op.OR_RI, lambda a, imm: (a | imm) & _MASK64)
-_binop_ri(Op.XOR_RI, lambda a, imm: (a ^ imm) & _MASK64)
-_binop_ri(Op.SHL_RI, lambda a, imm: (a << (imm & 63)) & _MASK64)
-_binop_ri(Op.SHR_RI, lambda a, imm: a >> (imm & 63))
-_binop_ri(Op.SAR_RI, lambda a, imm: (_signed(a) >> (imm & 63)) & _MASK64)
-
-
-@_op(Op.NEG)
-def _c_neg(ops, rip, nxt, cost):
-    d = ops[0]
-
-    def fn(cpu):
-        cpu.cycles += cost
-        cpu.instructions += 1
-        regs = cpu.regs
-        regs[d] = (-regs[d]) & _MASK64
-        return nxt
-    return fn
-
-
-@_op(Op.NOT)
-def _c_not(ops, rip, nxt, cost):
-    d = ops[0]
-
-    def fn(cpu):
-        cpu.cycles += cost
-        cpu.instructions += 1
-        cpu.regs[d] ^= _MASK64
-        return nxt
-    return fn
-
-
-@_op(Op.CMP_RR)
-def _c_cmp_rr(ops, rip, nxt, cost):
-    a, b = ops
-
-    def fn(cpu):
-        cpu.cycles += cost
-        cpu.instructions += 1
-        regs = cpu.regs
-        left = regs[a]
-        right = regs[b]
-        cpu.zf = left == right
-        cpu.lt = (left - _TWO64 if left & _SIGN64 else left) < \
-            (right - _TWO64 if right & _SIGN64 else right)
-        cpu.ltu = left < right
-        return nxt
-    return fn
-
-
-@_op(Op.CMP_RI)
-def _c_cmp_ri(ops, rip, nxt, cost):
-    a = ops[0]
-    right = ops[1] & _MASK64
-    signed_right = _signed(right)
-
-    def fn(cpu):
-        cpu.cycles += cost
-        cpu.instructions += 1
-        left = cpu.regs[a]
-        cpu.zf = left == right
-        cpu.lt = (left - _TWO64 if left & _SIGN64 else left) < signed_right
-        cpu.ltu = left < right
-        return nxt
-    return fn
-
-
-@_op(Op.TEST_RR)
-def _c_test_rr(ops, rip, nxt, cost):
-    a, b = ops
-
-    def fn(cpu):
-        cpu.cycles += cost
-        cpu.instructions += 1
-        regs = cpu.regs
-        cpu.zf = (regs[a] & regs[b]) == 0
-        return nxt
-    return fn
-
-
-@_op(Op.TEST_RI)
-def _c_test_ri(ops, rip, nxt, cost):
-    a = ops[0]
-    imm = ops[1] & _MASK64
-
-    def fn(cpu):
-        cpu.cycles += cost
-        cpu.instructions += 1
-        cpu.zf = (cpu.regs[a] & imm) == 0
-        return nxt
-    return fn
-
-
-@_op(Op.CMPW_RR)
-def _c_cmpw_rr(ops, rip, nxt, cost):
-    a, b = ops
-
-    def fn(cpu):
-        cpu.cycles += cost
-        cpu.instructions += 1
-        regs = cpu.regs
-        cpu.zf = (regs[a] & 0xFFFF) == (regs[b] & 0xFFFF)
-        return nxt
-    return fn
-
-
-@_op(Op.TESTB1)
-def _c_testb1(ops, rip, nxt, cost):
-    a = ops[0]
-
-    def fn(cpu):
-        cpu.cycles += cost
-        cpu.instructions += 1
-        cpu.zf = (cpu.regs[a] & 1) == 0
-        return nxt
-    return fn
-
-
-@_op(Op.LOAD8)
-def _c_load8(ops, rip, nxt, cost):
-    d, b, disp = ops
-
-    def fn(cpu):
-        cpu.cycles += cost
-        cpu.instructions += 1
-        regs = cpu.regs
-        regs[d] = cpu.memory.read_u8((regs[b] + disp) & _MASK64)
-        return nxt
-    return fn
-
-
-@_op(Op.LOAD16)
-def _c_load16(ops, rip, nxt, cost):
-    d, b, disp = ops
-
-    def fn(cpu):
-        cpu.cycles += cost
-        cpu.instructions += 1
-        regs = cpu.regs
-        regs[d] = cpu.memory.read_u16((regs[b] + disp) & _MASK64)
-        return nxt
-    return fn
-
-
-@_op(Op.LOAD32)
-def _c_load32(ops, rip, nxt, cost):
-    d, b, disp = ops
-
-    def fn(cpu):
-        cpu.cycles += cost
-        cpu.instructions += 1
-        regs = cpu.regs
-        regs[d] = cpu.memory.read_u32((regs[b] + disp) & _MASK64)
-        return nxt
-    return fn
-
-
-@_op(Op.LOAD64)
-def _c_load64(ops, rip, nxt, cost):
-    d, b, disp = ops
-
-    def fn(cpu):
-        cpu.cycles += cost
-        cpu.instructions += 1
-        regs = cpu.regs
-        regs[d] = cpu.memory.read_u64((regs[b] + disp) & _MASK64)
-        return nxt
-    return fn
-
-
-@_op(Op.STORE8)
-def _c_store8(ops, rip, nxt, cost):
-    b, disp, s = ops
-
-    def fn(cpu):
-        cpu.cycles += cost
-        cpu.instructions += 1
-        regs = cpu.regs
-        cpu.memory.write_u8((regs[b] + disp) & _MASK64, regs[s])
-        return nxt
-    return fn
-
-
-@_op(Op.STORE16)
-def _c_store16(ops, rip, nxt, cost):
-    b, disp, s = ops
-
-    def fn(cpu):
-        cpu.cycles += cost
-        cpu.instructions += 1
-        regs = cpu.regs
-        cpu.memory.write_u16((regs[b] + disp) & _MASK64, regs[s])
-        return nxt
-    return fn
-
-
-@_op(Op.STORE32)
-def _c_store32(ops, rip, nxt, cost):
-    b, disp, s = ops
-
-    def fn(cpu):
-        cpu.cycles += cost
-        cpu.instructions += 1
-        regs = cpu.regs
-        cpu.memory.write_u32((regs[b] + disp) & _MASK64, regs[s])
-        return nxt
-    return fn
-
-
-@_op(Op.STORE64)
-def _c_store64(ops, rip, nxt, cost):
-    b, disp, s = ops
-
-    def fn(cpu):
-        cpu.cycles += cost
-        cpu.instructions += 1
-        regs = cpu.regs
-        cpu.memory.write_u64((regs[b] + disp) & _MASK64, regs[s])
-        return nxt
-    return fn
-
-
-@_op(Op.PUSH)
-def _c_push(ops, rip, nxt, cost):
-    s = ops[0]
-
-    def fn(cpu):
-        cpu.cycles += cost
-        cpu.instructions += 1
-        regs = cpu.regs
-        rsp = (regs[_RSP] - 8) & _MASK64
-        cpu.memory.write_u64(rsp, regs[s])
-        regs[_RSP] = rsp
-        return nxt
-    return fn
-
-
-@_op(Op.POP)
-def _c_pop(ops, rip, nxt, cost):
-    d = ops[0]
-
-    def fn(cpu):
-        cpu.cycles += cost
-        cpu.instructions += 1
-        regs = cpu.regs
-        rsp = regs[_RSP]
-        regs[d] = cpu.memory.read_u64(rsp)
-        regs[_RSP] = (rsp + 8) & _MASK64
-        return nxt
-    return fn
-
-
-@_op(Op.CALL)
-def _c_call(ops, rip, nxt, cost):
-    target = nxt + ops[0]
-
-    def fn(cpu):
-        cpu.cycles += cost
-        cpu.instructions += 1
-        regs = cpu.regs
-        rsp = (regs[_RSP] - 8) & _MASK64
-        cpu.memory.write_u64(rsp, nxt)
-        regs[_RSP] = rsp
-        return target
-    return fn
-
-
-@_op(Op.CALL_R)
-def _c_call_r(ops, rip, nxt, cost):
-    r = ops[0]
-
-    def fn(cpu):
-        cpu.cycles += cost
-        cpu.instructions += 1
-        regs = cpu.regs
-        rsp = (regs[_RSP] - 8) & _MASK64
-        cpu.memory.write_u64(rsp, nxt)
-        regs[_RSP] = rsp
-        return regs[r]
-    return fn
-
-
-@_op(Op.RET)
-def _c_ret(ops, rip, nxt, cost):
-    def fn(cpu):
-        cpu.cycles += cost
-        cpu.instructions += 1
-        regs = cpu.regs
-        rsp = regs[_RSP]
-        target = cpu.memory.read_u64(rsp)
-        regs[_RSP] = (rsp + 8) & _MASK64
-        return target
-    return fn
-
-
-@_op(Op.JMP)
-def _c_jmp(ops, rip, nxt, cost):
-    target = nxt + ops[0]
-
-    def fn(cpu):
-        cpu.cycles += cost
-        cpu.instructions += 1
-        return target
-    return fn
-
-
-@_op(Op.JMP_R)
-def _c_jmp_r(ops, rip, nxt, cost):
-    r = ops[0]
-
-    def fn(cpu):
-        cpu.cycles += cost
-        cpu.instructions += 1
-        return cpu.regs[r]
-    return fn
-
-
-def _cond_jump(opcode, decide):
-    """``decide(zf, lt, ltu) -> bool``: whether the jump is taken."""
-    def builder(ops, rip, nxt, cost):
-        taken = nxt + ops[0]
-
-        def fn(cpu):
-            cpu.cycles += cost
-            cpu.instructions += 1
-            return taken if decide(cpu.zf, cpu.lt, cpu.ltu) else nxt
-        return fn
-    COMPILERS[int(opcode)] = builder
-
-
-_cond_jump(Op.JE, lambda zf, lt, ltu: zf)
-_cond_jump(Op.JNE, lambda zf, lt, ltu: not zf)
-_cond_jump(Op.JL, lambda zf, lt, ltu: lt)
-_cond_jump(Op.JLE, lambda zf, lt, ltu: lt or zf)
-_cond_jump(Op.JG, lambda zf, lt, ltu: not (lt or zf))
-_cond_jump(Op.JGE, lambda zf, lt, ltu: not lt)
-_cond_jump(Op.JB, lambda zf, lt, ltu: ltu)
-_cond_jump(Op.JAE, lambda zf, lt, ltu: not ltu)
-
-
-@_op(Op.TLOAD_RI)
-def _c_tload_ri(ops, rip, nxt, cost):
-    d, index = ops
-
-    def fn(cpu):
-        cpu.cycles += cost
-        cpu.instructions += 1
-        cpu.tx_checks += 1
-        cpu.regs[d] = cpu.tables.read_bary(index)
-        return nxt
-    return fn
-
-
-@_op(Op.TLOAD_RR)
-def _c_tload_rr(ops, rip, nxt, cost):
-    d, s = ops
-
-    def fn(cpu):
-        cpu.cycles += cost
-        cpu.instructions += 1
-        regs = cpu.regs
-        regs[d] = cpu.tables.read_tary(regs[s])
-        return nxt
-    return fn
-
-
-def _float_binop(opcode, expr):
-    def builder(ops, rip, nxt, cost):
-        d, s = ops
-
-        def fn(cpu):
-            cpu.cycles += cost
-            cpu.instructions += 1
-            regs = cpu.regs
-            regs[d] = _bits_of(expr(_float_of(regs[d]), _float_of(regs[s])))
-            return nxt
-        return fn
-    COMPILERS[int(opcode)] = builder
-
-
-_float_binop(Op.FADD_RR, lambda a, b: a + b)
-_float_binop(Op.FSUB_RR, lambda a, b: a - b)
-_float_binop(Op.FMUL_RR, lambda a, b: a * b)
-
-
-@_op(Op.FDIV_RR)
-def _c_fdiv_rr(ops, rip, nxt, cost):
-    d, s = ops
-
-    def fn(cpu):
-        cpu.cycles += cost
-        cpu.instructions += 1
-        regs = cpu.regs
-        divisor = _float_of(regs[s])
-        if divisor == 0.0:
-            raise VMError(f"float division by zero at {rip:#x}")
-        regs[d] = _bits_of(_float_of(regs[d]) / divisor)
-        return nxt
-    return fn
-
-
-@_op(Op.FCMP_RR)
-def _c_fcmp_rr(ops, rip, nxt, cost):
-    a, b = ops
-
-    def fn(cpu):
-        cpu.cycles += cost
-        cpu.instructions += 1
-        regs = cpu.regs
-        left = _float_of(regs[a])
-        right = _float_of(regs[b])
-        if left != left or right != right:
+class Semantics:
+    """One statement template, analysed once.
+
+    Template fields: ``{0}``..``{4}`` are the operands (a register or an
+    immediate, by operand kind); ``{uI}`` is operand ``I`` as an
+    unsigned 64-bit value; ``{t}`` the direct branch target, ``{n}``
+    the fall-through address and ``{pc}`` the instruction's own;
+    ``{sp}`` is RSP and ``{zf}``/``{lt}``/``{ltu}`` the flags;
+    ``{cpu}``, ``{mem}`` and ``{tables}`` the machine; ``{cell}`` the
+    fused check's ``[cached_id, generation]`` cell; ``{atI}`` marks the
+    statements of sub-instruction ``I`` of a multi-instruction
+    template.  Terminators ``return`` the next rip on every path.
+    """
+
+    __slots__ = ("body", "regs", "width", "sync", "ends", "fields",
+                 "stores", "raises")
+
+    def __init__(self, body: str, kinds, width: int = 1,
+                 sync: bool = False, ends: bool = False) -> None:
+        self.body = textwrap.dedent(body).strip("\n")
+        #: per operand: whether it names a register
+        self.regs = tuple(kind is OperandKind.REG for kind in kinds)
+        self.width = width
+        #: runs only after registers, flags and counters are written
+        #: back, because its handler reads them
+        self.sync = sync
+        self.ends = ends
+        self.fields = {name for _, name, _, _
+                       in string.Formatter().parse(self.body) if name}
+        named = {name: "_f" + name for name in ("sp",) + _FLAGS}
+        named.update((name, "") for name in _AT)
+        named.update((name, "_x") for name in
+                     self.fields - set(named) - set(_CONSTANTS))
+        probe = ast.parse(self.render(
+            [f"_f{i}" for i in range(len(kinds))], named))
+        #: fields the template assigns: operand indices, sp, flags
+        self.stores = {node.id[2:] for node in ast.walk(probe)
+                       if isinstance(node, ast.Name)
+                       and isinstance(node.ctx, ast.Store)
+                       and node.id.startswith("_f")}
+        #: whether executing it can raise (any call outside _PURE)
+        self.raises = any(
+            isinstance(node, ast.Raise) or (
+                isinstance(node, ast.Call) and not (
+                    isinstance(node.func, ast.Name)
+                    and node.func.id in _PURE))
+            for node in ast.walk(probe))
+
+    def render(self, operands, named) -> str:
+        return self.body.format(*operands, **named, **_CONSTANTS)
+
+    def touched(self, ops) -> Tuple[set, set]:
+        """Registers this instance reads or writes, and writes."""
+        used, written = set(), set()
+        for index, is_reg in enumerate(self.regs):
+            if is_reg and str(index) in self.fields:
+                used.add(ops[index])
+                if str(index) in self.stores:
+                    written.add(ops[index])
+        if "sp" in self.fields:
+            used.add(_RSP)
+            if "sp" in self.stores:
+                written.add(_RSP)
+        return used, written
+
+
+_LOAD = "{0} = {mem}.read_%s(({1} + {2}) & {M64})"
+_STORE = "{mem}.write_%s(({0} + {1}) & {M64}, {2})"
+_PUSH = "a = ({sp} - 8) & {M64}\n{mem}.write_u64(a, %s)\n{sp} = a\n"
+_FLOAT = "{0} = _bits_of(_float_of({0}) %s _float_of({1}))"
+_JUMP = "return {t} if %s else {n}"
+_SHL = "{0} = ({0} << ({1} & 63)) & {M64}"
+_SAR = "{0} = (_signed({0}) >> ({1} & 63)) & {M64}"
+
+_TEMPLATES = {
+    Op.NOP: "",
+    Op.HLT: """
+        {cpu}.rip = {pc}
+        {cpu}._cfi_halt({pc})
+    """,
+    Op.SYSCALL: """
+        {cpu}.rip = {n}
+        h = {cpu}.syscall_handler
+        if h is None:
+            raise VMError("syscall at %#x with no handler" % {pc})
+        h({cpu})
+        return {cpu}.rip
+    """,
+    Op.MOV_RR: "{0} = {1}",
+    Op.MOV_RI: "{0} = {u1}",
+    Op.MOVZX32: "{0} &= {M32}",
+    Op.LEA: "{0} = ({1} + {2}) & {M64}",
+    Op.ADD_RR: "{0} = ({0} + {1}) & {M64}",
+    Op.ADD_RI: "{0} = ({0} + {1}) & {M64}",
+    Op.SUB_RR: "{0} = ({0} - {1}) & {M64}",
+    Op.SUB_RI: "{0} = ({0} - {1}) & {M64}",
+    Op.IMUL_RR: "{0} = (_signed({0}) * _signed({1})) & {M64}",
+    Op.IDIV_RR: "{0} = _divide({0}, {1}, False)",
+    Op.IMOD_RR: "{0} = _divide({0}, {1}, True)",
+    Op.AND_RR: "{0} &= {1}",
+    Op.AND_RI: "{0} &= {u1}",
+    Op.OR_RR: "{0} |= {1}",
+    Op.OR_RI: "{0} |= {u1}",
+    Op.XOR_RR: "{0} ^= {1}",
+    Op.XOR_RI: "{0} ^= {u1}",
+    Op.SHL_RI: _SHL,
+    Op.SHL_RR: _SHL,
+    Op.SHR_RI: "{0} >>= {1} & 63",
+    Op.SHR_RR: "{0} >>= {1} & 63",
+    Op.SAR_RI: _SAR,
+    Op.SAR_RR: _SAR,
+    Op.NEG: "{0} = -{0} & {M64}",
+    Op.NOT: "{0} ^= {M64}",
+    Op.CMP_RR: """
+        a = {0}
+        b = {1}
+        {zf} = a == b
+        {lt} = (a - {TWO64} if a & {SIGN64} else a) < \\
+            (b - {TWO64} if b & {SIGN64} else b)
+        {ltu} = a < b
+    """,
+    Op.CMP_RI: """
+        a = {0}
+        {zf} = a == {u1}
+        {lt} = (a - {TWO64} if a & {SIGN64} else a) < {1}
+        {ltu} = a < {u1}
+    """,
+    Op.TEST_RR: "{zf} = ({0} & {1}) == 0",
+    Op.TEST_RI: "{zf} = ({0} & {u1}) == 0",
+    Op.CMPW_RR: "{zf} = ({0} & 0xFFFF) == ({1} & 0xFFFF)",
+    Op.TESTB1: "{zf} = ({0} & 1) == 0",
+    Op.LOAD8: _LOAD % "u8",
+    Op.LOAD16: _LOAD % "u16",
+    Op.LOAD32: _LOAD % "u32",
+    Op.LOAD64: _LOAD % "u64",
+    Op.STORE8: _STORE % "u8",
+    Op.STORE16: _STORE % "u16",
+    Op.STORE32: _STORE % "u32",
+    Op.STORE64: _STORE % "u64",
+    Op.PUSH: _PUSH % "{0}",
+    Op.POP: """
+        a = {sp}
+        {0} = {mem}.read_u64(a)
+        {sp} = (a + 8) & {M64}
+    """,
+    Op.CALL: _PUSH % "{n}" + "return {t}",
+    Op.CALL_R: _PUSH % "{n}" + "return {0}",
+    Op.RET: """
+        a = {sp}
+        x = {mem}.read_u64(a)
+        {sp} = (a + 8) & {M64}
+        return x
+    """,
+    Op.JMP: "return {t}",
+    Op.JMP_R: "return {0}",
+    Op.JE: _JUMP % "{zf}",
+    Op.JNE: _JUMP % "not {zf}",
+    Op.JL: _JUMP % "{lt}",
+    Op.JLE: _JUMP % "{lt} or {zf}",
+    Op.JG: _JUMP % "not ({lt} or {zf})",
+    Op.JGE: _JUMP % "not {lt}",
+    Op.JB: _JUMP % "{ltu}",
+    Op.JAE: _JUMP % "not {ltu}",
+    Op.TLOAD_RI: """
+        {cpu}.tx_checks += 1
+        {0} = {tables}.read_bary({1})
+    """,
+    Op.TLOAD_RR: "{0} = {tables}.read_tary({1})",
+    Op.FADD_RR: _FLOAT % "+",
+    Op.FSUB_RR: _FLOAT % "-",
+    Op.FMUL_RR: _FLOAT % "*",
+    Op.FDIV_RR: """
+        b = _float_of({1})
+        if b == 0.0:
+            raise VMError("float division by zero at %#x" % {pc})
+        {0} = _bits_of(_float_of({0}) / b)
+    """,
+    Op.FCMP_RR: """
+        a = _float_of({0})
+        b = _float_of({1})
+        if a != a or b != b:
             # Unordered (NaN operand): x86 ucomisd sets ZF=CF=1,
             # SF=OF=0, so je/jb/jbe are taken and jl/jg are not.
-            cpu.zf = True
-            cpu.lt = False
-            cpu.ltu = True
+            {zf} = True
+            {lt} = False
+            {ltu} = True
         else:
-            cpu.zf = left == right
-            cpu.lt = cpu.ltu = left < right
-        return nxt
-    return fn
+            {zf} = a == b
+            {lt} = {ltu} = a < b
+    """,
+    Op.CVTSI2F: "{0} = _bits_of(float(_signed({0})))",
+    Op.CVTF2SI: "{0} = int(_float_of({0})) & {M64}",
+}
+
+#: The semantics table, indexed by opcode byte.
+SEMANTICS: List[Optional[Semantics]] = [None] * 0x100
+for _op, _body in _TEMPLATES.items():
+    SEMANTICS[int(_op)] = Semantics(
+        _body, SPECS[_op].operands, sync=_op in (Op.SYSCALL, Op.HLT),
+        ends=int(_op) in BLOCK_TERMINATORS)
+
+#: The Fig. 4 Try block as one template of five instructions.
+#: Operands: the branch-ID register, the Bary index, the target-ID
+#: register, the target register, and the Check block's address.
+FUSED_CHECK = Semantics("""
+    {cpu}.tx_checks += 1
+    g = {tables}.generation
+    if g == {cell}[1]:
+        x = {cell}[0]
+    else:
+        x = {tables}.read_bary({1})
+        {cell}[0] = x
+        {cell}[1] = g
+    {0} = x
+    {at1}y = {tables}.read_tary({3})
+    {2} = y
+    if x == y:
+        {zf} = True
+        {lt} = False
+        {ltu} = False
+        {at4}return {3}
+    {zf} = False
+    # Stored IDs are 32-bit words, so signed and unsigned 64-bit
+    # comparisons agree (both operands are small positives).
+    {lt} = {ltu} = x < y
+    {at3}return {4}
+""", (OperandKind.REG, OperandKind.IMM32, OperandKind.REG,
+      OperandKind.REG, OperandKind.IMM32), width=5, ends=True)
 
 
-@_op(Op.CVTSI2F)
-def _c_cvtsi2f(ops, rip, nxt, cost):
-    d = ops[0]
+# ---------------------------------------------------------------------------
+# Rendering
+# ---------------------------------------------------------------------------
 
-    def fn(cpu):
-        cpu.cycles += cost
-        cpu.instructions += 1
-        regs = cpu.regs
-        regs[d] = _bits_of(float(_signed(regs[d])))
-        return nxt
-    return fn
+#: One template instance: (semantics, operands, addresses and
+#: cumulative cycle charges of its instructions, fall-through address).
+Site = Tuple[Semantics, Tuple[int, ...], Tuple[int, ...], Tuple[int, ...],
+             int]
 
 
-@_op(Op.CVTF2SI)
-def _c_cvtf2si(ops, rip, nxt, cost):
-    d = ops[0]
+def _indent(text: str, depth: int) -> List[str]:
+    return [" " * depth + line for line in text.splitlines()]
 
-    def fn(cpu):
-        cpu.cycles += cost
-        cpu.instructions += 1
-        regs = cpu.regs
-        regs[d] = int(_float_of(regs[d])) & _MASK64
-        return nxt
-    return fn
+
+def _function(signature: str, sites, count: int, prologue: List[str],
+              addrs: str, charges: str, writeback: List[str],
+              exit_rip: str) -> List[str]:
+    """Render ``sites`` into one function with the fault protocol.
+
+    ``sites`` holds ``(semantics, operands, named)`` renderings of
+    ``count`` instructions in all.  ``addrs`` and ``charges`` are the
+    instructions' addresses and cumulative cycle charges: sequences
+    indexed by the progress index ``k``, or, for one instruction, the
+    values themselves.
+    """
+    dynamic = count > 1
+    body: List[str] = []
+    current = 0
+    base = 0
+    last = sites[-1][0]
+    for sem, operands, named in sites:
+        if sem.sync:
+            break
+        if dynamic:
+            named.update((at, f"k = {base + i}; ")
+                         for i, at in enumerate(_AT))
+            if (sem.raises or sem.ends) and current != base:
+                body.append(f"k = {base}")
+                current = base
+        body.extend(sem.render(operands, named).splitlines())
+        base += sem.width
+    if last.sync or not last.ends:
+        if dynamic and current != count - 1:
+            body.append(f"k = {count - 1}")
+        if not last.sync:
+            body.append(f"return {exit_rip}")
+    index = "[k]" if dynamic else ""
+    charge = writeback + [f"cpu.cycles += {charges}{index}",
+                          "cpu.instructions += "
+                          + ("k + 1" if dynamic else "1")]
+    lines = [f"def {signature}:"] + _indent("\n".join(prologue), 4)
+    if body:
+        if dynamic:
+            lines.append("    k = 0")
+        lines += ["    try:"] + _indent("\n".join(body), 8)
+        lines += ["    except BaseException:",
+                  f"        cpu.rip = {addrs}{index}",
+                  "        raise",
+                  "    finally:"] + _indent("\n".join(charge), 8)
+    else:
+        lines += _indent("\n".join(charge), 4)
+    if last.sync:
+        sem, operands, named = sites[-1]
+        lines += _indent(sem.render(operands, named), 4)
+    return lines
+
+
+def _factory_source(sem: Semantics) -> str:
+    """Source of ``factory(ops, pc, cost, n) -> closure`` or, for a
+    multi-instruction template, ``factory(ops, addrs, charges, n)``.
+
+    Registers index ``cpu.regs``, flags are CPU attributes, and operands
+    are constants bound per instruction.
+    """
+    operands = [f"regs[o{i}]" if is_reg else f"o{i}"
+                for i, is_reg in enumerate(sem.regs)]
+    named = {"cpu": "cpu", "mem": "cpu.memory", "tables": "cpu.tables",
+             "sp": f"regs[{_RSP}]", "n": "n", "pc": "pc", "t": "t",
+             "cell": "cell"}
+    named.update((flag, "cpu." + flag) for flag in _FLAGS)
+    named.update((f"u{i}", f"u{i}") for i in range(len(sem.regs)))
+    single = sem.width == 1
+    addrs, charges = ("pc", "cost") if single else ("addrs", "charges")
+    setup = []
+    if sem.regs:
+        setup.append(", ".join(f"o{i}" for i in range(len(sem.regs)))
+                     + ", = ops")
+    setup += [f"u{i} = o{i} & {_MASK64:#x}" for i in range(len(sem.regs))
+              if f"u{i}" in sem.fields]
+    if "t" in sem.fields:
+        setup.append("t = n + o0")
+    if "cell" in sem.fields:
+        # [cached_id, stamp]: a stamp of -1 never matches a real
+        # generation, so the first execution always reads the table.
+        setup.append("cell = [0, -1]")
+    uses_regs = "sp" in sem.fields or any(
+        str(i) in sem.fields for i, is_reg in enumerate(sem.regs) if is_reg)
+    # Constants are bound as defaults, not closed over: reading one is a
+    # local load, and a closure then costs two tracked objects instead
+    # of one cell per constant, which keeps the collector quiet while
+    # thousands of instructions are decoded.
+    bound = [f"o{i}" for i in range(len(sem.regs))] + [
+        name for name in ("u0", "u1", "u2", "u3", "u4", "t", "cell")
+        if name in sem.fields] + ["n", addrs, charges]
+    signature = "fn(" + ", ".join(["cpu"] + [f"{name}={name}"
+                                             for name in bound]) + ")"
+    lines = _function(signature, [(sem, operands, named)], sem.width,
+                      ["regs = cpu.regs"] if uses_regs else [],
+                      addrs, charges, [], "n")
+    return "\n".join([f"def factory(ops, {addrs}, {charges}, n):"]
+                     + _indent("\n".join(setup + lines + ["return fn"]), 4))
+
+
+def _compile_factory(sem: Semantics):
+    namespace = dict(_HELPERS)
+    exec(compile(_factory_source(sem), "<dispatch factory>", "exec"),
+         namespace)
+    return namespace["factory"]
+
+
+#: Closure factories, by opcode byte, compiled on first use.
+_FACTORIES: List[Optional[Callable]] = [None] * 0x100
+_FUSED_FACTORY = _compile_factory(FUSED_CHECK)
+
+_Closure = Callable[[object], int]
 
 
 def compile_entry(entry: Tuple[int, Tuple[int, ...], int, int],
                   rip: int) -> _Closure:
     """Specialize one decoded icache entry into an execution closure."""
     op, ops, length, cost = entry
-    builder = COMPILERS[op] if op < len(COMPILERS) else None
-    if builder is None:
-        def fn(cpu):  # pragma: no cover - SPECS and COMPILERS in sync
-            cpu.cycles += cost
-            cpu.instructions += 1
+    factory = _FACTORIES[op]
+    if factory is None:
+        sem = SEMANTICS[op]
+        if sem is None:  # pragma: no cover - SPECS and SEMANTICS in sync
             raise InvalidInstruction(f"unimplemented opcode {op:#x}")
-        return fn
-    return builder(ops, rip, rip + length, cost)
+        factory = _FACTORIES[op] = _compile_factory(sem)
+    return factory(ops, rip, cost, rip + length)
+
+
+def _block_source(block: "Block") -> str:
+    """Source of one hot block: registers and flags as locals."""
+    sites: List[Site] = []
+    addr = block.entry
+    for op, ops, length, cost in block.entries:
+        sites.append((SEMANTICS[op], ops, (addr,), (cost,), addr + length))
+        addr += length
+    if block.fused is not None:
+        sites.append(block.fused)
+    rendered = []
+    used, written = set(), set()
+    flags, flags_written = set(), set()
+    addrs: List[int] = []
+    charges: List[int] = []
+    for sem, ops, site_addrs, site_charges, nxt in sites:
+        offset = charges[-1] if charges else 0
+        addrs.extend(site_addrs)
+        charges.extend(offset + charge for charge in site_charges)
+        site_used, site_written = sem.touched(ops)
+        used |= site_used
+        written |= site_written
+        flags |= sem.fields & set(_FLAGS)
+        flags_written |= sem.stores & set(_FLAGS)
+        operands = [f"r{value}" if is_reg else repr(value)
+                    for value, is_reg in zip(ops, sem.regs)]
+        named = {"cpu": "cpu", "mem": "mem", "tables": "tables",
+                 "sp": f"r{_RSP}", "n": repr(nxt), "pc": repr(site_addrs[0]),
+                 "cell": "cell"}
+        named.update((flag, flag) for flag in _FLAGS)
+        named.update((f"u{i}", repr(value & _MASK64))
+                     for i, value in enumerate(ops))
+        if "t" in sem.fields:
+            named["t"] = repr(nxt + ops[0])
+        rendered.append((sem, operands, named))
+    fields = set().union(*(sem.fields for sem, _, _, _, _ in sites))
+    prologue = ["regs = cpu.regs"] if used else []
+    prologue += [f"r{reg} = regs[{reg}]" for reg in sorted(used)]
+    prologue += [f"{flag} = cpu.{flag}" for flag in _FLAGS if flag in flags]
+    prologue += [f"{name} = cpu.{attr}" for name, attr in
+                 (("mem", "memory"), ("tables", "tables"))
+                 if name in fields]
+    writeback = [f"regs[{reg}] = r{reg}" for reg in sorted(written)]
+    writeback += [f"cpu.{flag} = {flag}" for flag in _FLAGS
+                  if flag in flags_written]
+    if len(addrs) == 1:
+        addrs_src, charges_src = repr(addrs[0]), repr(charges[0])
+    else:
+        addrs_src, charges_src = repr(tuple(addrs)), repr(tuple(charges))
+    return "\n".join(_function("block(cpu)", rendered, len(addrs), prologue,
+                               addrs_src, charges_src, writeback,
+                               repr(block.exit_rip)))
 
 
 # ---------------------------------------------------------------------------
 # Superinstruction fusion: the Fig. 4 Try block
 # ---------------------------------------------------------------------------
 
-#: Instruction count charged by the fused op on the taken (IDs equal)
-#: path: TLOAD_RI, TLOAD_RR, CMP_RR, JNE (not taken), JMP_R.
-_FUSED_MATCH_INSTRS = 5
-#: ... and on the mismatch path: the same minus the JMP_R.
-_FUSED_MISS_INSTRS = 4
-
 
 def try_fuse_check(cpu, addr: int,
-                   entry0: Tuple[int, Tuple[int, ...], int, int]):
+                   entry0: Tuple[int, Tuple[int, ...], int, int]
+                   ) -> Optional[Site]:
     """Recognize a check-transaction Try block starting at ``addr``.
 
-    Returns ``(closure, end_address)`` when the five-instruction
+    Returns its :data:`FUSED_CHECK` site when the five-instruction
     template matches (with the three scratch registers pairwise
-    distinct, which the instrumenter guarantees), else ``(None, 0)``.
-    The closure is a block terminator: it manages its own counters,
-    ``tx_checks`` and fault-time ``rip``, and returns the next rip.
+    distinct, which the instrumenter guarantees), else None.
     """
     icache = cpu.icache
     entries = [entry0]
+    addrs = [addr]
     cursor = addr + entry0[2]
     try:
         for _ in range(4):
@@ -735,75 +559,26 @@ def try_fuse_check(cpu, addr: int,
             if entry is None:
                 entry = cpu._fetch_decode(cursor)
             entries.append(entry)
+            addrs.append(cursor)
             cursor += entry[2]
     except (MemoryFault, InvalidInstruction):
-        return None, 0
+        return None
     e0, e1, e2, e3, e4 = entries
     if (e1[0], e2[0], e3[0], e4[0]) != (int(Op.TLOAD_RR), int(Op.CMP_RR),
                                         int(Op.JNE), int(Op.JMP_R)):
-        return None, 0
+        return None
     r_a, bary_imm = e0[1]
     r_b, r_c = e1[1]
     if e2[1] != (r_a, r_b) or e4[1] != (r_c,):
-        return None, 0
+        return None
     if len({r_a, r_b, r_c}) != 3:
-        return None, 0
-
-    a0 = addr
-    a1 = addr + e0[2]
-    jne_addr = a1 + e1[2] + e2[2]
-    check_target = jne_addr + e3[2] + e3[1][0]
-    cost0 = e0[3]
-    cost01 = e0[3] + e1[3]
-    miss_cost = e0[3] + e1[3] + e2[3] + e3[3]
-    match_cost = miss_cost + e4[3]
-    # Mutable cell for the generation-stamped branch-ID cache:
-    # [cached_id, stamp].  A stamp of -1 never matches a real
-    # generation, so the first execution always reads the table.
-    cell = [0, -1]
-
-    def fused(cpu):
-        tables = cpu.tables
-        cpu.tx_checks += 1
-        generation = tables.generation
-        if generation == cell[1]:
-            branch_id = cell[0]
-        else:
-            try:
-                branch_id = tables.read_bary(bary_imm)
-            except MemoryFault:
-                cpu.cycles += cost0
-                cpu.instructions += 1
-                cpu.rip = a0
-                raise
-            cell[0] = branch_id
-            cell[1] = generation
-        regs = cpu.regs
-        regs[r_a] = branch_id
-        try:
-            target_id = tables.read_tary(regs[r_c])
-        except MemoryFault:
-            cpu.cycles += cost01
-            cpu.instructions += 2
-            cpu.rip = a1
-            raise
-        regs[r_b] = target_id
-        if branch_id == target_id:
-            cpu.zf = True
-            cpu.lt = False
-            cpu.ltu = False
-            cpu.cycles += match_cost
-            cpu.instructions += _FUSED_MATCH_INSTRS
-            return regs[r_c]
-        cpu.zf = False
-        # Stored IDs are 32-bit words, so signed and unsigned 64-bit
-        # comparisons agree (both operands are small positives).
-        cpu.lt = cpu.ltu = branch_id < target_id
-        cpu.cycles += miss_cost
-        cpu.instructions += _FUSED_MISS_INSTRS
-        return check_target
-
-    return fused, cursor
+        return None
+    check_target = addrs[3] + e3[2] + e3[1][0]
+    charges = []
+    for entry in entries:
+        charges.append((charges[-1] if charges else 0) + entry[3])
+    return (FUSED_CHECK, (r_a, bary_imm, r_b, r_c, check_target),
+            tuple(addrs), tuple(charges), cursor)
 
 
 # ---------------------------------------------------------------------------
@@ -811,60 +586,69 @@ def try_fuse_check(cpu, addr: int,
 # ---------------------------------------------------------------------------
 
 #: Maximum instructions decoded into one block.  Together with the
-#: fused macro-op's five instructions this bounds how far a single
-#: block execution can advance the instruction counter, which
-#: ``CPU.run`` uses to honour ``max_steps`` exactly.
+#: fused check's five instructions this bounds how far a single block
+#: execution can advance the instruction counter, which ``CPU.run``
+#: uses to honour ``max_steps`` exactly.
 MAX_BLOCK_INSTRS = 64
-MAX_BLOCK_ADVANCE = MAX_BLOCK_INSTRS + _FUSED_MATCH_INSTRS
+MAX_BLOCK_ADVANCE = MAX_BLOCK_INSTRS + FUSED_CHECK.width
+
+#: Cold runs after which a block's source is generated and compiled.
+#: On the twelve fixed programs 6-40% of the decoded blocks reach 32
+#: runs, and their generated code retires 77-99% of the instructions.
+#: Generating a block costs ~0.85 ms, so generating every block on its
+#: first run is slower: 8.8 s of VM time for the twelve, against 6.2 s.
+HOT_BLOCK_RUNS = 32
 
 
 class Block:
-    """One decoded straight-line run: closures plus fault bookkeeping."""
+    """One decoded straight-line run.
 
-    __slots__ = ("entry", "limit", "linear", "addrs", "term", "term_addr",
-                 "term_sets_rip", "exit_rip")
+    ``run(cpu) -> next_rip`` starts as the cold executor over per-
+    instruction closures and is replaced by the generated function
+    once the block is hot.  ``entries`` (the icache entries of the
+    unfused instructions, which are contiguous from ``entry``) and
+    ``fused`` (a trailing check site) are what its source is generated
+    from.
+    """
 
-    def __init__(self, entry: int, limit: int, linear, addrs,
-                 term: Optional[_Closure], term_addr: int,
-                 term_sets_rip: bool, exit_rip: int) -> None:
+    __slots__ = ("entry", "limit", "entries", "fused", "linear", "term",
+                 "exit_rip", "runs", "run")
+
+    def __init__(self, entry: int, limit: int, entries: tuple,
+                 fused: Optional[Site], linear: Tuple[_Closure, ...],
+                 term: Optional[_Closure], exit_rip: int) -> None:
         self.entry = entry
         self.limit = limit          # one past the last decoded byte
-        self.linear = linear        # tuple of closures
-        self.addrs = addrs          # per-closure instruction addresses
+        self.entries = entries
+        self.fused = fused
+        self.linear = linear
         self.term = term
-        self.term_addr = term_addr
-        self.term_sets_rip = term_sets_rip
         self.exit_rip = exit_rip    # fall-through when term is None
+        self.runs = 0
+        self.run = self._cold
 
-    def execute(self, cpu) -> int:
-        """Run the whole block; return the rip to continue at.
-
-        On any exception the architectural state is exactly what the
-        per-instruction interpreter would leave: counters include the
-        faulting instruction (each closure charges itself first) and
-        ``rip`` names it.
-        """
-        index = 0
-        try:
-            for fn in self.linear:
-                fn(cpu)
-                index += 1
-        except BaseException:
-            cpu.rip = self.addrs[index]
-            raise
+    def _cold(self, cpu) -> int:
+        if self.runs >= HOT_BLOCK_RUNS:
+            self.run = hot = generate_block(self, cpu.dispatch_cache)
+            return hot(cpu)
+        self.runs += 1
+        for fn in self.linear:
+            fn(cpu)
         term = self.term
-        if term is None:
-            return self.exit_rip
-        if self.term_sets_rip:
-            return term(cpu)
-        try:
-            return term(cpu)
-        except BaseException:
-            cpu.rip = self.term_addr
-            raise
+        return self.exit_rip if term is None else term(cpu)
 
     def overlaps(self, lo: int, hi: int) -> bool:
         return self.entry < hi and lo < self.limit
+
+
+def generate_block(block: Block, cache: "DispatchCache") -> _Closure:
+    """Generate, compile and return the hot function of ``block``."""
+    with OBS.tracer.span("vm.generate", entry=block.entry):
+        namespace = dict(_HELPERS, cell=[0, -1])
+        exec(compile(_block_source(block), f"<block {block.entry:#x}>",
+                     "exec"), namespace)
+    cache.blocks_generated += 1
+    return namespace["block"]
 
 
 class DispatchCache:
@@ -872,19 +656,21 @@ class DispatchCache:
 
     Two layers keyed by code address: ``closures`` (one compiled
     closure per instruction, used by ``step()``) and ``blocks`` (one
-    :class:`Block` per basic-block entry, used by ``run()``).  Both sit
-    on top of the raw decoded icache and follow its invalidation: the
-    dynamic linker calls :meth:`invalidate_range` wherever it drops
-    icache entries.
+    :class:`Block` per basic-block entry, cold or hot, used by
+    ``run()``).  Both sit on top of the raw decoded icache and follow
+    its invalidation: the dynamic linker calls :meth:`invalidate_range`
+    wherever it drops icache entries.
     """
 
-    __slots__ = ("closures", "blocks", "blocks_built", "fused_sites")
+    __slots__ = ("closures", "blocks", "blocks_built", "fused_sites",
+                 "blocks_generated")
 
     def __init__(self) -> None:
         self.closures: Dict[int, _Closure] = {}
         self.blocks: Dict[int, Block] = {}
         self.blocks_built = 0
         self.fused_sites = 0
+        self.blocks_generated = 0
 
     def invalidate_range(self, lo: int, hi: int) -> None:
         """Drop every closure and block touching ``[lo, hi)``."""
@@ -895,94 +681,55 @@ class DispatchCache:
         for address in [a for a, b in blocks.items() if b.overlaps(lo, hi)]:
             del blocks[address]
 
-    def clear(self) -> None:
-        self.closures.clear()
-        self.blocks.clear()
-
-
-def _replay_closure(addr: int) -> _Closure:
-    """Terminator for addresses that failed to decode at build time.
-
-    Decoding may legitimately fail *ahead* of execution (straight-line
-    code running to the end of the executable region): the fault must
-    be raised when — and only when — execution actually reaches the
-    address, with per-step state.  Replaying through the step path
-    reproduces that exactly, and still works if the address has become
-    decodable again in the meantime.
-    """
-    def fn(cpu):
-        cpu.rip = addr
-        ccache = cpu.ccache
-        closure = ccache.get(addr)
-        if closure is None:
-            entry = cpu.icache.get(addr)
-            if entry is None:
-                try:
-                    entry = cpu._fetch_decode(addr)
-                except BaseException:
-                    cpu._decode_fault = True
-                    raise
-            closure = compile_entry(entry, addr)
-            ccache[addr] = closure
-        return closure(cpu)
-    return fn
-
 
 _TLOAD_RI_INT = int(Op.TLOAD_RI)
-_SYSCALL_INT = int(Op.SYSCALL)
 
 
 def build_block(cpu, entry_rip: int) -> Block:
-    """Decode, compile and cache the basic block starting at ``entry_rip``."""
+    """Decode, compile and cache the basic block starting at ``entry_rip``.
+
+    An address that fails to decode ends the block before it, so the
+    fault is raised when — and only when — execution reaches it, as a
+    block of its own that fails to build.
+    """
     cache: DispatchCache = cpu.dispatch_cache
     ccache = cache.closures
     icache = cpu.icache
+    entries: List[Tuple[int, Tuple[int, ...], int, int]] = []
+    fused: Optional[Site] = None
     linear: List[_Closure] = []
-    addrs: List[int] = []
     term: Optional[_Closure] = None
-    term_addr = 0
-    term_sets_rip = False
-    addr = entry_rip
+    addr = limit = entry_rip
     for _ in range(MAX_BLOCK_INSTRS):
         entry = icache.get(addr)
         if entry is None:
             try:
                 entry = cpu._fetch_decode(addr)
             except (MemoryFault, InvalidInstruction):
-                term = _replay_closure(addr)
-                term_addr = addr
-                term_sets_rip = True
-                addr += 1  # keep the failed address inside the span
+                if addr == entry_rip:
+                    cpu._decode_fault = True
+                    raise
+                limit = addr + 1  # keep the failed address inside the span
                 break
-        op = entry[0]
+        op, ops, length, cost = entry
         if op == _TLOAD_RI_INT:
-            fused, end = try_fuse_check(cpu, addr, entry)
+            fused = try_fuse_check(cpu, addr, entry)
             if fused is not None:
-                term = fused
-                term_addr = addr
-                term_sets_rip = True  # the fused op repairs rip itself
+                term = _FUSED_FACTORY(*fused[1:])
                 cache.fused_sites += 1
-                addr = end
+                addr = limit = fused[4]
                 break
-        if op in BLOCK_TERMINATORS:
-            closure = ccache.get(addr)
-            if closure is None:
-                closure = compile_entry(entry, addr)
-                ccache[addr] = closure
-            term = closure
-            term_addr = addr
-            term_sets_rip = op == _SYSCALL_INT
-            addr += entry[2]
-            break
         closure = ccache.get(addr)
         if closure is None:
-            closure = compile_entry(entry, addr)
-            ccache[addr] = closure
+            closure = ccache[addr] = compile_entry(entry, addr)
+        entries.append(entry)
+        addr = limit = addr + length
+        if op in BLOCK_TERMINATORS:
+            term = closure
+            break
         linear.append(closure)
-        addrs.append(addr)
-        addr += entry[2]
-    block = Block(entry_rip, addr, tuple(linear), tuple(addrs),
-                  term, term_addr, term_sets_rip, exit_rip=addr)
+    block = Block(entry_rip, limit, tuple(entries), fused, tuple(linear),
+                  term, exit_rip=addr)
     cache.blocks[entry_rip] = block
     cache.blocks_built += 1
     return block

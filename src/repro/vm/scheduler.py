@@ -18,8 +18,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Generator, List, Mapping, Optional
 
-from repro.errors import CfiViolation, MemoryFault, \
-    RuntimeError_, VMError
+from repro.errors import CfiViolation, RuntimeError_, VMError
 from repro.vm.cpu import CPU, ProgramExit, ThreadExit
 
 
@@ -101,8 +100,10 @@ class Scheduler:
     """Seeded random interleaving of tasks.
 
     The program terminates when: the main thread's program calls exit
-    (``ProgramExit``), a CFI check halts (``CfiViolation``), a memory
-    fault occurs, or ``max_ticks`` is exceeded (``VMError``).
+    (``ProgramExit``), a CFI check halts (``CfiViolation``), a task
+    faults (any other ``VMError`` — a memory fault, a division by zero,
+    an invalid instruction — or a ``RuntimeError_``), or ``max_ticks``
+    is exceeded (``VMError``, raised).
     """
 
     def __init__(self, seed: int = 0,
@@ -166,7 +167,7 @@ class Scheduler:
                 outcome.violation = violation
                 outcome.faulting_task = task.name
                 break
-            except (MemoryFault, RuntimeError_) as fault:
+            except (VMError, RuntimeError_) as fault:
                 outcome.fault = fault
                 outcome.faulting_task = task.name
                 break

@@ -15,6 +15,8 @@ Convention::
 
 from __future__ import annotations
 
+from typing import Optional
+
 from repro.vm.memory import Memory
 
 SYS_EXIT = 1          # exit(code)                        never returns
@@ -64,3 +66,17 @@ def read_cstring(memory: Memory, address: int, limit: int = 4096) -> bytes:
         out.append(byte)
         cursor += 1
     return bytes(out)
+
+
+def read_text(memory: Memory, address: int,
+              limit: int = 4096) -> Optional[str]:
+    """Read a NUL-terminated UTF-8 string; None if it is not UTF-8.
+
+    Guest strings name libraries, symbols and JIT source.  One that
+    does not decode cannot name anything, so callers answer it with
+    their failure value instead of raising.
+    """
+    try:
+        return read_cstring(memory, address, limit).decode()
+    except UnicodeDecodeError:
+        return None

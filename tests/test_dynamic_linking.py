@@ -106,6 +106,27 @@ class TestDlopen:
         assert handle and linker.dlsym(handle, "fresh")
         assert runtime.cfg.stats()["IBTs"] > before[2]["IBTs"]
 
+    @pytest.mark.parametrize("call", ["dlopen(name)",
+                                      'dlsym(dlopen("plugin"), name)'])
+    def test_non_utf8_name_returns_zero(self, call):
+        """A name holding a byte that is not UTF-8 cannot name a
+        library or a symbol: the call returns 0 instead of raising."""
+        program = build_program({"main": f"""
+            int main(void) {{
+                char name[4];
+                name[0] = (char)255;
+                name[1] = 0;
+                print_int({call} == 0 ? 1 : 0);
+                return 0;
+            }}
+        """}, mcfi=True).program
+        runtime = Runtime(program)
+        linker = DynamicLinker(runtime)
+        linker.register("plugin", compile_object(LIB_SOURCE, name="plugin"))
+        result = runtime.run()
+        assert result.ok, (result.violation, result.fault)
+        assert result.output == b"1"
+
 
 class TestCfgUpdate:
     def test_cfg_grows_after_dlopen(self):

@@ -114,6 +114,24 @@ class TestJitInstall:
         assert engine.stats.compiled_bytes > 0
         assert "triple" in engine.stats.installed_functions
 
+    def test_non_utf8_source_returns_zero(self):
+        runtime = jit_runtime(r"""
+            int main(void) {
+                char source[40];
+                char *text = "long bad(long x) { return x; }";
+                int i;
+                for (i = 0; text[i] != 0; i++) { source[i] = text[i]; }
+                source[i] = 0;
+                source[20] = (char)255;
+                print_int(jit_compile(source, "bad") == 0 ? 1 : 0);
+                return 0;
+            }
+        """)
+        result = runtime.run()
+        assert result.ok, result.violation or result.fault
+        assert result.output == b"1"
+        assert runtime.jit_engine.stats.installs == 0
+
     def test_jit_without_engine_returns_zero(self):
         program = build_program({"main": r"""
             int main(void) {

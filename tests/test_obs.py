@@ -199,6 +199,29 @@ class TestInstrumentation:
         assert result.obs["counters"]["vm.runs"] == 1
         assert result.obs["counters"]["vm.instructions"] > 0
 
+    def test_hot_blocks_counted_and_spanned(self):
+        """Each generated block is one ``vm.generate`` span inside
+        ``vm.run``; the run counts them once, beside the blocks built."""
+        from repro.build import build_program
+        from repro.toolchain import run_program
+
+        program = build_program({"t": """
+            int main(void) {
+                long i;
+                long total = 0;
+                for (i = 0; i < 100; i++) { total += i; }
+                return (int)(total & 1);
+            }
+        """}, mcfi=True).program
+        with obs.scoped(seed=0) as state:
+            result = run_program(program)
+            spans = [s for s in state.tracer.spans
+                     if s["name"] == "vm.generate"]
+        assert result.ok
+        counters = result.obs["counters"]
+        assert counters["vm.dispatch.blocks_generated"] == len(spans) > 0
+        assert counters["vm.dispatch.blocks_built"] > len(spans)
+
     def test_update_transaction_span_and_counters(self):
         from repro.core.tables import IdTables
         from repro.core.transactions import UpdateLock, UpdateTransaction

@@ -199,6 +199,25 @@ class TestThreads:
 
 
 class TestRunResult:
+    @pytest.mark.parametrize("body", [
+        "long a = 7; return (int)(a / zero);",
+        "long a = 7; return (int)(a % zero);",
+        "double x = 1.0; return (int)(x / fzero);",
+    ], ids=["idiv", "imod", "fdiv"])
+    def test_scheduled_run_reports_vm_errors_as_faults(self, body):
+        """A division by zero faults the same way under run() and
+        run_scheduled(): a VMError is the run's fault, not a raw
+        exception out of the scheduler."""
+        program = build_program({"t": f"""
+            long zero;
+            double fzero;
+            int main(void) {{ {body} }}
+        """}, mcfi=True).program
+        single = Runtime(program).run()
+        scheduled = Runtime(program).run_scheduled(seed=0)
+        assert single.status == scheduled.status == "fault"
+        assert type(single.fault) is type(scheduled.fault)
+
     def test_cycle_and_instruction_counts(self, demo_program):
         result = Runtime(demo_program).run()
         assert result.instructions > 0

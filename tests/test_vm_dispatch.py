@@ -11,6 +11,11 @@ Also hosts the regression tests for the PR 5 interpreter-semantics
 bugfix batch that lives on the same paths: FCMP_RR NaN flags, torn
 16-bit stores at page boundaries, and block/closure-cache invalidation
 when code is re-mapped under a previously executed address.
+
+The conformance classes run on both block tiers: as written (blocks
+run cold until they reach ``HOT_BLOCK_RUNS``, which these short
+programs seldom do) and, in the ``...Generated`` subclasses at the end,
+with every block's source generated before its first run.
 """
 
 import struct
@@ -21,9 +26,11 @@ from repro.errors import CfiViolation, MemoryFault, VMError
 from repro.isa.assembler import AsmInstr, Label, LabelRef, assemble
 from repro.isa.instructions import Op
 from repro.isa.registers import Reg
+from repro.vm import dispatch
 from repro.vm.cpu import CPU, ProgramExit
 from repro.vm.dispatch import DispatchCache
 from repro.vm.memory import Memory, PAGE_SIZE, TableMemory
+from repro.vm.syscalls import SYS_TIME
 from repro.vm.trace import BranchTracer
 
 CODE = 0x10000
@@ -40,8 +47,18 @@ def _bits(value: float) -> int:
 NAN = _bits(float("nan"))
 
 
+def exit_handler(cpu):
+    raise ProgramExit(cpu.regs[Reg.RAX] & 0xFF)
+
+
+@pytest.fixture
+def generated_tier(monkeypatch):
+    """Generate every block's source before its first run."""
+    monkeypatch.setattr(dispatch, "HOT_BLOCK_RUNS", 0)
+
+
 def make_cpu(code: bytes, tables=None, icache=None, dispatch_cache=None,
-             data_pages=1):
+             data_pages=1, handler=exit_handler):
     """Map ``code`` at CODE plus a data and a stack page; return a CPU."""
     mem = Memory()
     mem.map(CODE, ((len(code) // PAGE_SIZE) + 1) * PAGE_SIZE,
@@ -49,10 +66,6 @@ def make_cpu(code: bytes, tables=None, icache=None, dispatch_cache=None,
     mem.host_write(CODE, code)
     mem.map(DATA, data_pages * PAGE_SIZE, readable=True, writable=True)
     mem.map(STACK, PAGE_SIZE, readable=True, writable=True)
-
-    def handler(cpu):
-        raise ProgramExit(cpu.regs[Reg.RAX] & 0xFF)
-
     cpu = CPU(mem, tables if tables is not None else TableMemory(),
               syscall_handler=handler, icache=icache,
               dispatch_cache=dispatch_cache)
@@ -61,18 +74,20 @@ def make_cpu(code: bytes, tables=None, icache=None, dispatch_cache=None,
     return cpu
 
 
-def run_both(items, regs=None, max_steps=10_000, data_pages=1):
+def run_both(items, regs=None, max_steps=10_000, data_pages=1,
+             handler=exit_handler):
     """Run one program through dispatch and through the reference chain.
 
     Returns ``(dispatch_cpu, reference_cpu, dispatch_outcome,
     reference_outcome)`` where an outcome is the exit code or the raised
-    exception instance.
+    exception instance.  On the generated tier, every block the
+    dispatch run built must have been generated.
     """
     code = assemble(list(items) + [AsmInstr(Op.SYSCALL, ())],
                     base=CODE).code
 
     def execute(reference):
-        cpu = make_cpu(code, data_pages=data_pages)
+        cpu = make_cpu(code, data_pages=data_pages, handler=handler)
         if reference:
             cpu.step = cpu.step_reference
         for index, value in (regs or {}).items():
@@ -85,6 +100,9 @@ def run_both(items, regs=None, max_steps=10_000, data_pages=1):
 
     fast_cpu, fast_out = execute(reference=False)
     ref_cpu, ref_out = execute(reference=True)
+    if dispatch.HOT_BLOCK_RUNS == 0:
+        cache = fast_cpu.dispatch_cache
+        assert cache.blocks_generated == cache.blocks_built
     return fast_cpu, ref_cpu, fast_out, ref_out
 
 
@@ -522,6 +540,29 @@ class TestFusedCheckTransaction:
         cpu3, out3 = self._run(code, target, tables, icache, cache)
         assert isinstance(out3, CfiViolation)
 
+    def test_fused_tary_fault_identical_to_reference(self):
+        """A Tary read outside the table faults inside the fused op:
+        the Bary read, the counters through the TLOAD_RR and rip must
+        match the reference."""
+        code, _ = self._program()
+
+        def run(reference):
+            tables = TableMemory()
+            tables.write_bary(0, 0x41)
+            cpu = make_cpu(code, tables=tables)
+            if reference:
+                cpu.step = cpu.step_reference
+            cpu.regs[Reg.RCX] = tables.tary_size
+            with pytest.raises(MemoryFault):
+                cpu.run(max_steps=2000)
+            return cpu
+
+        fast_cpu, ref_cpu = run(False), run(True)
+        assert fast_cpu.snapshot() == ref_cpu.snapshot()
+        assert fast_cpu.tx_checks == ref_cpu.tx_checks == 1
+        assert fast_cpu.regs[Reg.RDI] == 0x41
+        assert fast_cpu.instructions == 2
+
     def test_note_update_bumps_generation(self):
         from repro.core.tables import IdTables
 
@@ -726,3 +767,147 @@ class TestTracerInteraction:
         assert cpu.step == outer._traced_step
         outer.detach()
         assert "step" not in cpu.__dict__
+
+
+class TestHotBlocks:
+    """The generated tier: fault repair, a syscall that reads the
+    counters, promotion mid-run and invalidation of hot blocks."""
+
+    def test_fault_mid_block_repairs_state(self, generated_tier):
+        """Registers written earlier in the block, the flags, the
+        counters and rip are those of the reference at the fault."""
+        items = [
+            AsmInstr(Op.MOV_RI, (Reg.RAX, 5)),
+            AsmInstr(Op.MOV_RI, (Reg.RBX, 0x900000)),
+            AsmInstr(Op.CMP_RI, (Reg.RAX, 9)),
+            AsmInstr(Op.PUSH, (Reg.RAX,)),
+            AsmInstr(Op.ADD_RR, (Reg.RCX, Reg.RAX)),
+            AsmInstr(Op.LOAD64, (Reg.RDX, Reg.RBX, 8)),  # unmapped
+            AsmInstr(Op.MOV_RI, (Reg.RAX, 99)),
+            AsmInstr(Op.CMP_RR, (Reg.RAX, Reg.RAX)),
+        ]
+        fault_at = assemble(items[:5], base=CODE).code
+        fast_cpu, ref_cpu, fast_out, ref_out = run_both(
+            items, regs={Reg.RCX: 3})
+        assert isinstance(ref_out, MemoryFault)
+        assert_identical(fast_cpu, ref_cpu, fast_out, ref_out)
+        assert fast_cpu.dispatch_cache.blocks_generated == 1
+        assert fast_cpu.rip == CODE + len(fault_at)
+        assert fast_cpu.instructions == 6
+        assert fast_cpu.regs[Reg.RCX] == 8
+        assert fast_cpu.regs[Reg.RSP] == STACK + PAGE_SIZE - 24
+        assert (fast_cpu.zf, fast_cpu.lt, fast_cpu.ltu) == \
+            (False, True, True)
+
+    def test_sys_time_reads_reference_cycles(self, generated_tier):
+        """SYS_TIME returns ``cycles``: the block charges its counters,
+        the syscall's own included, before the handler runs."""
+        def handler(cpu):
+            if cpu.regs[Reg.RAX] == SYS_TIME:
+                cpu.regs[Reg.RAX] = cpu.cycles
+                return
+            exit_handler(cpu)
+
+        items = [
+            AsmInstr(Op.MOV_RI, (Reg.RBX, 3)),
+            AsmInstr(Op.IMUL_RR, (Reg.RBX, Reg.RBX)),
+            AsmInstr(Op.MOV_RI, (Reg.RAX, SYS_TIME)),
+            AsmInstr(Op.SYSCALL, ()),
+            AsmInstr(Op.MOV_RR, (Reg.RDX, Reg.RAX)),
+            AsmInstr(Op.MOV_RI, (Reg.RAX, 0)),
+        ]
+        fast_cpu, ref_cpu, fast_out, ref_out = run_both(items,
+                                                        handler=handler)
+        assert fast_out == ref_out == 0
+        assert_identical(fast_cpu, ref_cpu, fast_out, ref_out)
+        assert fast_cpu.regs[Reg.RDX] == 1 + 3 + 1 + 50
+        assert fast_cpu.dispatch_cache.blocks_generated == 2
+
+    def test_loop_promoted_mid_run(self):
+        """With the real threshold the loop block runs cold, then is
+        generated and finishes hot, matching the reference."""
+        items = [
+            AsmInstr(Op.MOV_RI, (Reg.RBX, DATA)),
+            AsmInstr(Op.MOV_RI, (Reg.RCX, 100)),
+            Label("loop"),
+            AsmInstr(Op.LOAD64, (Reg.RAX, Reg.RBX, 0)),
+            AsmInstr(Op.ADD_RR, (Reg.RAX, Reg.RCX)),
+            AsmInstr(Op.STORE64, (Reg.RBX, 0, Reg.RAX)),
+            AsmInstr(Op.SUB_RI, (Reg.RCX, 1)),
+            AsmInstr(Op.CMP_RI, (Reg.RCX, 0)),
+            AsmInstr(Op.JNE, (LabelRef("loop"),)),
+        ]
+        loop = assemble(items, base=CODE).labels["loop"]
+        fast_cpu, ref_cpu, fast_out, ref_out = run_both(items)
+        assert_identical(fast_cpu, ref_cpu, fast_out, ref_out)
+        assert fast_cpu.regs[Reg.RAX] == 5050
+        block = fast_cpu.dispatch_cache.blocks[loop]
+        assert block.runs == dispatch.HOT_BLOCK_RUNS < 99
+        assert block.run.__name__ == "block"
+        assert fast_cpu.dispatch_cache.blocks_generated == 1
+
+    def test_code_installed_over_hot_block_runs(self):
+        """Code written over a promoted block and invalidated, as the
+        JIT and the dynamic linker do, executes in place of the old."""
+        def program(step):
+            return assemble([
+                AsmInstr(Op.MOV_RI, (Reg.RAX, 0)),
+                AsmInstr(Op.MOV_RI, (Reg.RCX, 40)),
+                Label("loop"),
+                AsmInstr(Op.ADD_RI, (Reg.RAX, step)),
+                AsmInstr(Op.SUB_RI, (Reg.RCX, 1)),
+                AsmInstr(Op.CMP_RI, (Reg.RCX, 0)),
+                AsmInstr(Op.JNE, (LabelRef("loop"),)),
+                AsmInstr(Op.SYSCALL, ()),
+            ], base=CODE)
+
+        old, new = program(1), program(2)
+        icache, cache = {}, DispatchCache()
+        cpu = make_cpu(old.code, icache=icache, dispatch_cache=cache)
+        assert cpu.run(max_steps=2000) == 40
+        assert cache.blocks[old.labels["loop"]].run.__name__ == "block"
+
+        cpu.memory.host_write(CODE, new.code)
+        for address in [a for a in icache
+                        if CODE <= a < CODE + len(old.code)]:
+            del icache[address]
+        cache.invalidate_range(CODE, CODE + len(old.code))
+        assert not cache.blocks
+        cpu.rip = CODE
+        assert cpu.run(max_steps=2000) == 80
+
+    def test_gen_smoke_has_no_findings(self, generated_tier):
+        """Every gen-smoke member agrees with its oracle, across archs
+        and devirtualization, and with step_reference.  The lint and
+        incremental legs run no VM code, so they are left out."""
+        from repro.workloads.corpus import CorpusConfig, run_set
+
+        report = run_set("gen-smoke", config=CorpusConfig(
+            lint=False, incremental=False))
+        assert len(report.reports) == 20
+        assert [r.findings for r in report.reports if not r.ok] == []
+
+
+@pytest.mark.usefixtures("generated_tier")
+class TestDispatchConformanceGenerated(TestDispatchConformance):
+    pass
+
+
+@pytest.mark.usefixtures("generated_tier")
+class TestFcmpNanSemanticsGenerated(TestFcmpNanSemantics):
+    pass
+
+
+@pytest.mark.usefixtures("generated_tier")
+class TestTornStore16Generated(TestTornStore16):
+    pass
+
+
+@pytest.mark.usefixtures("generated_tier")
+class TestFusedCheckTransactionGenerated(TestFusedCheckTransaction):
+    pass
+
+
+@pytest.mark.usefixtures("generated_tier")
+class TestBlockCacheInvalidationGenerated(TestBlockCacheInvalidation):
+    pass
