@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.build.fingerprint import source_body_key, unit_fingerprint
+from repro.build.fingerprint import source_body_key
 from repro.build.graph import BuildGraph, compile_module_units
 from repro.build.link import LinkState, ModuleUnits, link_units, splice_unit
 from repro.build.source_index import (
@@ -37,7 +37,7 @@ from repro.build.source_index import (
     index_source,
     stub_source,
 )
-from repro.build.units import UnitArtifact, compile_unit
+from repro.build.units import UnitArtifact
 from repro.linker.static_linker import LinkedProgram
 from repro.obs import OBS
 
@@ -124,10 +124,6 @@ class BuildSession:
         with OBS.tracer.span("build.session", modules=len(all_sources),
                              arch=self.arch, mcfi=self.mcfi):
             return self._build(all_sources)
-
-    def build_source(self, source: str, name: str = "prog") -> BuildResult:
-        """Convenience: one-module program (plus simlibc)."""
-        return self.build({name: source})
 
     def invalidate(self, name: Optional[str] = None) -> None:
         """Drop session state for ``name`` (or everything)."""
@@ -235,14 +231,17 @@ class BuildSession:
                       stats: Dict[str, int]) -> None:
         checked, mir = self._frontend(text, name)
         with OBS.tracer.span("build.units", module=name):
-            units, graph, ustats = compile_module_units(
-                mir, checked, self.arch, cache=self.cache, pool=self.pool,
-                parallel_threshold=self.parallel_threshold,
-                verify_units=self.verify_units, mcfi=self.mcfi)
+            units, graph, ustats = self._compile_units(mir, checked)
         for key, value in ustats.items():
             stats[key] = stats.get(key, 0) + value
         self._modules[name] = _ModuleState(
             source=text, spans=index_source(text), graph=graph, units=units)
+
+    def _compile_units(self, mir, checked):
+        return compile_module_units(
+            mir, checked, self.arch, cache=self.cache, pool=self.pool,
+            parallel_threshold=self.parallel_threshold,
+            verify_units=self.verify_units, mcfi=self.mcfi)
 
     def _mini_rebuild(self, state: _ModuleState, name: str, text: str,
                       ) -> Optional[List[Tuple[str, UnitArtifact]]]:
@@ -285,27 +284,10 @@ class BuildSession:
                     return None  # stub didn't compile: rebuild fully
             if set(checked.functions) != set(unresolved):
                 return None
-            for func in mir.functions:
-                meta = checked.functions[func.name]
-                fingerprint = unit_fingerprint(
-                    func, mir.strings, self.arch, meta.takes,
-                    meta.uses_setjmp, self.mcfi)
-                artifact = None
-                if self.cache is not None:
-                    artifact = self.cache.get_unit(fingerprint)
-                if artifact is None:
-                    artifact = compile_unit(
-                        func, name, self.arch, mir.strings,
-                        tuple(sorted(meta.takes)), meta.uses_setjmp,
-                        fingerprint, self.mcfi)
-                    if self.cache is not None:
-                        if self.verify_units and self.mcfi:
-                            from repro.analysis.binverify import verify_unit
-                            verify_unit(artifact, arch=self.arch,
-                                        module=name)
-                        self.cache.put_unit(fingerprint, artifact)
-                refs = list(mir.intern_refs.get(func.name, []))
-                compiled[func.name] = (artifact, refs)
+            units, _, _ = self._compile_units(mir, checked)
+            for unit in units.units:
+                compiled[unit.fn] = (unit,
+                                     list(units.intern_refs.get(unit.fn, [])))
 
         for fn in sorted(dirty):
             if fn in compiled:

@@ -242,6 +242,12 @@ class IdTables:
             self.memory.write_tary(tary_index(address), INVALID_ID)
             self.tary_ecns.pop(address, None)
 
+    def clear_sites(self, sites: Iterable[int]) -> None:
+        """Zero Bary entries (e.g. when quarantining a module)."""
+        for site in sites:
+            self.memory.write_bary(bary_index(site), INVALID_ID)
+            self.bary_ecns.pop(site, None)
+
     def stats(self) -> Dict[str, int]:
         ecns = set(self.tary_ecns.values())
         return {

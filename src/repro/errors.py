@@ -161,12 +161,6 @@ class CfiViolation(VMError):
         return out
 
 
-class SandboxViolation(VMError):
-    """Raised when code attempts to escape the data sandbox."""
-
-    code = "sandbox-violation"
-
-
 # ---------------------------------------------------------------------------
 # MCFI runtime, linking and verification
 # ---------------------------------------------------------------------------

@@ -34,7 +34,7 @@ exactly which faults were exercised (no silent no-op campaigns).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.errors import InjectedFault
@@ -98,13 +98,6 @@ class FaultPlane:
         self._armed[point] = _Armed(skip=skip, count=count,
                                     probability=probability)
         return self
-
-    def disarm(self, point: str) -> None:
-        self._armed.pop(point, None)
-
-    @property
-    def armed_points(self) -> List[str]:
-        return sorted(self._armed)
 
     def fired(self, point: Optional[str] = None) -> int:
         if point is None:

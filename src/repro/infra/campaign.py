@@ -30,9 +30,9 @@ from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro.infra.cache import ArtifactCache, CacheStats, open_cache
 from repro.infra.instances import Instance, expand, instance as get_instance
-from repro.infra.pool import Job, JobResult, WorkerPool
+from repro.infra.pool import Job, WorkerPool
 from repro.infra.results import ResultStore
-from repro.infra.targets import Target, target as get_target
+from repro.infra.targets import target as get_target
 from repro.linker.static_linker import LinkedProgram
 from repro.obs import clock
 
@@ -291,7 +291,8 @@ PARALLEL_ARTIFACTS = ("fig5", "fig6", "table1", "table2", "table3",
                       "gadgets", "space", "cfggen")
 
 
-def _artifact_fn(artifact: str) -> Callable[..., Dict[Any, Any]]:
+def artifact_fn(artifact: str) -> Callable[..., Dict[Any, Any]]:
+    """``fn(names, archs)`` computing one paper artifact serially."""
     import repro.experiments as ex
     return {
         "fig5": lambda names, archs: ex.fig5_overhead(names, archs=archs),
@@ -316,7 +317,7 @@ def _artifact_job(artifact: str, name: str,
     cache = default_cache()
     before = cache.stats.snapshot() if cache is not None else None
     start = clock.now()
-    result = _artifact_fn(artifact)([name], tuple(archs))
+    result = artifact_fn(artifact)([name], tuple(archs))
     delta = (cache.stats.delta(before).as_dict()
              if cache is not None else {})
     return {"result": result,

@@ -56,8 +56,3 @@ RET_REG = Reg.RAX
 
 #: Callee-saved registers under the SimISA calling convention.
 CALLEE_SAVED = (Reg.RBX, Reg.RBP, Reg.R12, Reg.R13, Reg.R14, Reg.R15)
-
-
-def is_valid_reg(value: int) -> bool:
-    """Return True if ``value`` is a valid register number."""
-    return 0 <= value < NUM_REGS

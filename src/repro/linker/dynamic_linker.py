@@ -3,11 +3,13 @@ linking").
 
 Implements the paper's three-step dlopen protocol:
 
-1. **Module preparation** — load the library into unoccupied code/data
-   space with the code writable but *not* executable; resolve its
-   symbols; patch its Bary-index immediates (with freshly assigned
-   global site numbers); then seal the pages read-only + executable
-   (after optional verification).  The W^X invariant holds throughout.
+1. **Module preparation** — resolve the library's symbols, lay it out
+   at the runtime's code cursor and below its lowest library data, and
+   number its branch sites globally; the runtime's
+   :meth:`~repro.runtime.runtime.Runtime.map_module` then maps it
+   exactly as it mapped the program (writable but *not* executable,
+   Bary-index immediates patched, optionally verified, sealed
+   read-only + executable).  The W^X invariant holds throughout.
 2. **New CFG generation** — merge the library's auxiliary information
    into the program's, connect PLT entries "to functions with matching
    names", and regenerate the CFG/ECN assignment.
@@ -22,27 +24,27 @@ completes — which is exactly the scenario the transaction design
 exists for.
 
 **Transactional loading.**  Every ``dlopen``/``dlclose`` opens a
-:class:`LoadJournal` first: a snapshot of both ID tables, the linker's
-allocation cursors, the GOT slots and the merged CFG state.  If the
-load fails at *any* phase — symbol resolution, CFG regeneration, or
-mid-way through the table update transaction (exercised by the fault
-plane of :mod:`repro.faults`) — the journal rolls everything back:
-the Tary and Bary tables end byte-identical to the pre-load snapshot,
-the half-loaded module's pages are sealed non-executable, and the
-``dlopen`` returns 0 instead of leaving a half-published policy.
+:class:`LoadJournal` first: a snapshot of both ID tables, the runtime's
+layout (code cursor and library-data floor), the GOT slots and the
+merged CFG state.  If the load fails at *any* phase — symbol
+resolution, CFG regeneration, or mid-way through the table update
+transaction (exercised by the fault plane of :mod:`repro.faults`) —
+the journal rolls everything back: the Tary and Bary tables end
+byte-identical to the pre-load snapshot, the half-loaded module's code
+is retired, and the ``dlopen`` returns 0 instead of leaving a
+half-published policy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.cfg.generator import Cfg, generate_cfg
 from repro.core.instrument import instrument_items
-from repro.core.tables import TableSnapshot, bary_index, tary_index
+from repro.core.tables import TableSnapshot
 from repro.core.transactions import UpdateTransaction
-from repro.errors import InjectedFault, LinkError, ReproError, \
-    RuntimeError_
+from repro.errors import InjectedFault, LinkError, ReproError
 from repro.faults.plane import NULL_PLANE, FaultPlane
 from repro.isa.assembler import assemble
 from repro.linker.static_linker import build_data_image, layout_data
@@ -51,7 +53,6 @@ from repro.module.auxinfo import AuxInfo, FunctionAux, merge_aux
 from repro.module.module import McfiModule, build_module
 from repro.obs import OBS
 from repro.vm.cpu import CPU
-from repro.vm.memory import CODE_LIMIT, DATA_LIMIT, PAGE_SIZE
 from repro.vm.scheduler import GeneratorTask
 
 
@@ -70,9 +71,10 @@ class LoadJournal:
     """Pre-load snapshot of every piece of state a dlopen mutates.
 
     ``rollback()`` restores the ID tables byte-for-byte, the linker's
-    cursors and registries, the GOT slots and the runtime's CFG — and
-    seals any pages the aborted load mapped into the code region, so a
-    failed load cannot leave executable-but-unpublished code behind.
+    registries, the GOT slots and the runtime's CFG, and rewinds the
+    runtime's layout — which retires any code the aborted load mapped,
+    so a failed load cannot leave executable-but-unpublished code
+    behind.
     """
 
     def __init__(self, linker: "DynamicLinker") -> None:
@@ -82,9 +84,8 @@ class LoadJournal:
         self.rolled_back = False
         # ID tables, byte-exact (raw bytes + version/ECN bookkeeping).
         self.tables = TableSnapshot(runtime.id_tables)
-        # Linker allocation state and registries.
-        self.code_cursor = linker._code_cursor
-        self.data_cursor = linker._data_cursor
+        # The runtime's layout, then the linker's registries.
+        self.layout = (runtime.code_cursor, runtime.data_floor)
         self.next_site = linker._next_site
         self.next_handle = linker._next_handle
         self.loaded = dict(linker.loaded)
@@ -118,19 +119,7 @@ class LoadJournal:
         # An update transaction aborted mid-flight still owns the
         # update lock; hand it back so later updates are not wedged.
         runtime.update_lock.set_owner(self.lock_owner)
-        # Seal any code pages the aborted load mapped, and drop their
-        # decoded-instruction cache entries.
-        if linker._code_cursor > self.code_cursor:
-            size = linker._code_cursor - self.code_cursor
-            runtime.memory.protect(self.code_cursor, size, readable=True,
-                                   writable=False, executable=False)
-            for address in list(runtime.icache):
-                if self.code_cursor <= address < linker._code_cursor:
-                    del runtime.icache[address]
-            runtime.dispatch_cache.invalidate_range(self.code_cursor,
-                                                    linker._code_cursor)
-        linker._code_cursor = self.code_cursor
-        linker._data_cursor = self.data_cursor
+        runtime.rewind(*self.layout)
         linker._next_site = self.next_site
         linker._next_handle = self.next_handle
         linker.loaded = dict(self.loaded)
@@ -158,9 +147,6 @@ class DynamicLinker:
         self._by_name: Dict[str, int] = {}
         self._next_handle = 1
         program = runtime.program
-        self._code_cursor = _page_up(program.module.limit)
-        self._data_cursor = _page_up(program.data.base + program.data.size
-                                     + 0x100000)  # leave heap headroom
         self._next_site = len(program.module.aux.branch_sites)
         self._base_aux: AuxInfo = program.module.aux
         self._merged_aux: AuxInfo = program.module.aux
@@ -227,9 +213,9 @@ class DynamicLinker:
 
         The update zeroes the library's Tary entries and Bary sites and
         resets GOT entries it resolved, so any dangling pointer into the
-        unloaded code halts fail-safe; the code pages are then sealed
-        non-executable.  (The paper covers loading only; unloading is
-        the symmetric extension.)
+        unloaded code halts fail-safe; the runtime then retires the
+        code.  (The paper covers loading only; unloading is the
+        symmetric extension.)
         """
         if handle not in self.loaded:
             return -1
@@ -244,9 +230,11 @@ class DynamicLinker:
             library = self.loaded.pop(handle)
             self._by_name.pop(library.name, None)
             span.set(library=library.name)
+            module = library.module
             try:
                 self._republish(cpu, result_for_cpu=0, journal=journal,
-                                after=lambda: self._seal_unloaded(library))
+                                after=lambda: self.runtime.retire_code(
+                                    module.base, module.limit))
             except InjectedFault:
                 journal.rollback()
                 span.set(status="rolled-back")
@@ -266,10 +254,10 @@ class DynamicLinker:
         Used by the runtime's ``quarantine-module`` violation policy:
         the library's Tary entries and Bary sites are zeroed directly
         (every transfer into or out of it now halts fail-safe) and its
-        pages sealed non-executable.  Unlike :meth:`dlclose` this does
-        not regenerate the CFG — it is the fast fail-safe path taken
-        *while handling a violation*, when running another update
-        transaction would be unsafe.
+        code retired.  Unlike :meth:`dlclose` this does not regenerate
+        the CFG — it is the fast fail-safe path taken *while handling a
+        violation*, when running another update transaction would be
+        unsafe.
         """
         library = self.loaded.get(handle)
         if library is None or library.quarantined:
@@ -278,31 +266,15 @@ class DynamicLinker:
             OBS.metrics.counter("linker.quarantines").inc()
         module = library.module
         tables = self.runtime.id_tables
-        memory = tables.memory
-        for address in [a for a in tables.tary_ecns
-                        if module.base <= a < module.limit]:
-            memory.write_tary(tary_index(address), 0)
-            del tables.tary_ecns[address]
-        for site in module.bary_slots:
-            memory.write_bary(bary_index(site), 0)
-            tables.bary_ecns.pop(site, None)
-        self._seal_unloaded(library)
+        tables.clear_targets([a for a in tables.tary_ecns
+                              if module.base <= a < module.limit])
+        tables.clear_sites(module.bary_slots)
+        self.runtime.retire_code(module.base, module.limit)
         library.quarantined = True
         return True
 
-    def _seal_unloaded(self, library: LoadedLibrary) -> None:
-        module = library.module
-        self.runtime.memory.protect(module.base, len(module.code),
-                                    readable=True, writable=False,
-                                    executable=False)
-        for address in list(self.runtime.icache):
-            if module.base <= address < module.limit:
-                del self.runtime.icache[address]
-        self.runtime.dispatch_cache.invalidate_range(module.base,
-                                                     module.limit)
-
     def _rebuild_merged(self) -> AuxInfo:
-        parts = [self._strip(self._base_aux)]
+        parts = [self._base_aux]
         parts += [library.module.aux for library in self.loaded.values()]
         merged = merge_aux(parts)
         # dlsym-reachable library exports are conservatively
@@ -328,15 +300,13 @@ class DynamicLinker:
         """Regenerate the CFG over the current module set and install
         it (with GOT adjustments) via an update transaction."""
         with OBS.tracer.span("linker.cfg"):
-            new_aux = self._rebuild_merged()
             self.fault_plane.check("dlopen.cfg")
-            plt_resolution = self._resolve_plt(new_aux)
+            new_aux, plt_resolution, cfg = self._regenerate()
             got_updates = self._got_updates(plt_resolution)
             # Reset GOT slots whose symbols are no longer resolved.
             for symbol, slot in self.runtime.program.got_slots.items():
                 if symbol not in plt_resolution:
                     got_updates.append((slot, 0))
-            cfg = generate_cfg(new_aux, plt_resolution=plt_resolution)
         if journal is not None:
             journal.record("cfg")
         transaction = UpdateTransaction(
@@ -347,6 +317,14 @@ class DynamicLinker:
         self.runtime.cfg = cfg
         self._run_update(transaction, cpu, result_for_cpu, after=after,
                          journal=journal)
+
+    def _regenerate(self) -> Tuple[AuxInfo, Dict[str, int], Cfg]:
+        """Merged aux info over the current module set, its PLT
+        resolution and the CFG generated from both."""
+        new_aux = self._rebuild_merged()
+        plt_resolution = self._resolve_plt(new_aux)
+        return new_aux, plt_resolution, generate_cfg(
+            new_aux, plt_resolution=plt_resolution)
 
     def rebuild_tables(self) -> Dict[str, int]:
         """Reconstruct the ID tables from module metadata (recovery).
@@ -366,9 +344,7 @@ class DynamicLinker:
         """
         self._drain_pending_updates()
         with OBS.tracer.span("linker.rebuild"):
-            new_aux = self._rebuild_merged()
-            plt_resolution = self._resolve_plt(new_aux)
-            cfg = generate_cfg(new_aux, plt_resolution=plt_resolution)
+            new_aux, _, cfg = self._regenerate()
             transaction = UpdateTransaction(
                 self.runtime.id_tables, self.runtime.update_lock,
                 new_tary=cfg.tary_ecns, new_bary=cfg.bary_ecns,
@@ -423,46 +399,20 @@ class DynamicLinker:
             raise LinkError(
                 f"{raw.name}: redefines loaded symbols {', '.join(clashes)}")
 
-        layout = layout_data([raw], base=self._data_cursor)
+        # The data size does not depend on its base, so one dry layout
+        # tells the runtime how much to reserve.
+        layout = layout_data(
+            [raw], base=runtime.reserve_data(layout_data([raw]).size))
         asm = instrument_items(raw)
         extern = dict(known)
         extern.update(layout.symbols)
-        assembled = assemble(asm.items, base=self._code_cursor,
+        assembled = assemble(asm.items, base=runtime.code_cursor,
                              extern=extern)
         module = build_module(raw, asm, assembled,
                               site_base=self._next_site)
         self._next_site += len(asm.sites)
-        if module.limit > CODE_LIMIT:
-            raise RuntimeError_("code region exhausted by dlopen")
-        if layout.base + layout.size > DATA_LIMIT:
-            raise RuntimeError_("data region exhausted by dlopen")
-
-        if self.verify and self.runtime.enforce:
-            from repro.core.verifier import verify_module
-            verify_module(module)
-
-        # Step 1: writable but not executable while loading + patching.
-        code = bytearray(module.code)
-        for site, offset in module.bary_slots.items():
-            code[offset:offset + 4] = (4 * site).to_bytes(4, "little")
-        memory = runtime.memory
-        memory.map(module.base, len(code), readable=True, writable=True)
-        memory.host_write(module.base, bytes(code))
-        # Seal: executable but not writable.
-        memory.protect(module.base, len(code), readable=True,
-                       writable=False, executable=True)
-        self._code_cursor = _page_up(module.limit)
-
         layout.image = build_data_image([raw], layout, assembled.labels)
-        memory.map(layout.base, max(layout.size, PAGE_SIZE), readable=True,
-                   writable=True)
-        if layout.image:
-            memory.host_write(layout.base, layout.image)
-        if layout.rodata_end:
-            memory.protect(layout.base, layout.rodata_end, readable=True,
-                           writable=False)
-        self._data_cursor = _page_up(layout.base + layout.size)
-
+        runtime.map_module(module, layout, verify=self.verify)
         return LoadedLibrary(handle=0, name=raw.name, module=module,
                              data_base=layout.base,
                              exports=dict(module.aux.exports))
@@ -575,21 +525,3 @@ class DynamicLinker:
         task_obj = GeneratorTask(update_then_wake(), name="dlupdate")
         scheduler.add(task_obj)
         self._inflight.append(task_obj)
-
-    @staticmethod
-    def _strip(aux: AuxInfo) -> AuxInfo:
-        """Shallow copy so merge does not mutate the previous aux."""
-        clone = AuxInfo()
-        clone.functions = dict(aux.functions)
-        clone.retsites = list(aux.retsites)
-        clone.branch_sites = list(aux.branch_sites)
-        clone.setjmp_resumes = list(aux.setjmp_resumes)
-        clone.direct_calls = list(aux.direct_calls)
-        clone.data_ranges = list(aux.data_ranges)
-        clone.exports = dict(aux.exports)
-        clone.imports = list(aux.imports)
-        return clone
-
-
-def _page_up(address: int) -> int:
-    return (address + PAGE_SIZE - 1) & ~(PAGE_SIZE - 1)

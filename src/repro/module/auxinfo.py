@@ -83,12 +83,6 @@ class AuxInfo:
     def n_sites(self) -> int:
         return len(self.branch_sites)
 
-    def address_taken_functions(self) -> List[FunctionAux]:
-        return [f for f in self.functions.values() if f.address_taken]
-
-    def functions_in(self, module: str) -> List[FunctionAux]:
-        return [f for f in self.functions.values() if f.module == module]
-
 
 def merge_aux(parts: List[AuxInfo]) -> AuxInfo:
     """Union the auxiliary information of several modules.

@@ -2,11 +2,14 @@
 
 Responsibilities, mirroring the paper's runtime:
 
-* **Loading** — map the code region readable+executable (never
-  writable), the data region readable+writable (strings read-only),
-  enforce the W^X invariant, and patch every branch site's ``tload``
-  immediate with its Bary table index before the code becomes
-  executable.
+* **Loading** — own the address space and map every module image,
+  the program's and each library's, through one routine
+  (:meth:`Runtime.map_module`): code is written while non-executable,
+  every branch site's ``tload`` immediate is patched with its Bary
+  table index, and only then is the code sealed readable+executable
+  (never writable); data is written and its strings sealed read-only.
+  Code stops being executable through one routine too
+  (:meth:`Runtime.retire_code`), which also drops its decoded state.
 * **CFG installation** — invoke the CFG generator on the program's
   merged auxiliary information and install the resulting ECNs into the
   ID tables (initial load is non-transactional: no threads run yet).
@@ -26,7 +29,7 @@ Execution drivers:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Dict, List, Optional
 
 from repro.cfg.generator import Cfg, generate_cfg
 from repro.core.tables import IdTables
@@ -39,6 +42,7 @@ from repro.errors import (
     WxViolation,
 )
 from repro.linker.static_linker import LinkedProgram
+from repro.module.module import DataLayout, McfiModule
 from repro.obs import OBS
 from repro.vm.cpu import CPU, ProgramExit, ThreadExit
 from repro.vm.dispatch import DispatchCache
@@ -55,6 +59,10 @@ from repro.vm.scheduler import CpuTask, Outcome, Scheduler
 from repro.vm import syscalls as sc
 
 _STACK_SLOT = 0x40000  # 256 KiB of stack per thread
+
+
+def _page_up(address: int) -> int:
+    return (address + PAGE_SIZE - 1) & ~(PAGE_SIZE - 1)
 
 
 #: Violation policies (how the runtime reacts to a CFI violation):
@@ -250,10 +258,8 @@ class Runtime:
         self.tables = TableMemory(bary_entries=bary_entries)
         self.id_tables = IdTables(self.tables)
         self.update_lock = UpdateLock()
-        self.icache: Dict[int, tuple] = {}
-        #: Compiled-closure + decoded-block cache for the dispatch
-        #: plane; shared by every CPU of this address space and
-        #: invalidated alongside the icache (see repro.vm.dispatch).
+        #: Decoded instructions, closures and blocks, shared by every
+        #: CPU of this address space (see repro.vm.dispatch).
         self.dispatch_cache = DispatchCache()
         self.output = bytearray()
         self.cfg: Optional[Cfg] = None
@@ -266,56 +272,100 @@ class Runtime:
         self.jit_engine = None      # attached by repro.runtime.jit
         self._load(verify=verify)
 
-    # -- loading ----------------------------------------------------------------
+    # -- the address space ------------------------------------------------------
+    #
+    #   [program code, code_cursor)     program code, then each library's
+    #   [data.base, heap_base)          program data
+    #   [heap_base, brk)                heap, grown up by sbrk
+    #   [data_floor, DATA_LIMIT)        library data, placed top-down
+    #
+    # sbrk never moves the break above ``data_floor`` and a library's
+    # data never goes below the break, so the two cannot alias.
 
     def _load(self, verify: bool) -> None:
         program = self.program
-        module = program.module
-        if module.limit > CODE_LIMIT:
-            raise RuntimeError_("program exceeds the code region")
-
-        if verify and self.enforce:
-            from repro.core.verifier import verify_module
-            verify_module(module)
-
-        code = bytearray(module.code)
-        if self.enforce:
-            for site, offset in module.bary_slots.items():
-                code[offset:offset + 4] = (4 * site).to_bytes(4, "little")
-
-        # W^X: code pages are mapped writable only while the (trusted)
-        # loader populates them, then sealed to R+X.
-        self.memory.map(module.base, len(code), readable=True,
-                        writable=True)
-        self.memory.host_write(module.base, bytes(code))
-        self.memory.protect(module.base, len(code), readable=True,
-                            writable=False, executable=True)
-
         data = program.data
         if data.base + data.size > DATA_LIMIT:
             raise RuntimeError_("program data exceeds the data region")
-        heap_limit = DATA_LIMIT
-        self.memory.map(data.base, heap_limit - data.base, readable=True,
+        # Globals, heap and library data share one read/write mapping.
+        self.memory.map(data.base, DATA_LIMIT - data.base, readable=True,
                         writable=True)
-        if data.image:
-            self.memory.host_write(data.base, data.image)
-        if data.rodata_end:
-            self.memory.protect(data.base, data.rodata_end, readable=True,
-                                writable=False)
-        self.brk = program.heap_base
-
         self.memory.map(STACK_BASE, STACK_LIMIT - STACK_BASE, readable=True,
                         writable=True)
-
+        self.data_floor = DATA_LIMIT
+        self.brk = program.heap_base
+        self.map_module(program.module, data, verify=verify)
         if self.enforce:
-            self.cfg = generate_cfg(module.aux)
+            self.cfg = generate_cfg(program.module.aux)
             self.id_tables.install(self.cfg.tary_ecns, self.cfg.bary_ecns)
+
+    def map_module(self, module: McfiModule, data: DataLayout,
+                   verify: bool) -> None:
+        """Map one module image at ``module.base`` and ``data.base``.
+
+        W^X throughout: the code is written while writable but not
+        executable, every Bary slot it declares is patched with its
+        table index (a native image declares none), and only then is it
+        sealed R+X.  The data is written last and its read-only prefix
+        sealed.  ``verify`` runs the verifier first, before any byte is
+        mapped.
+        """
+        if module.limit > CODE_LIMIT:
+            raise RuntimeError_(f"{module.name}: code region exhausted")
+        if verify and self.enforce:
+            from repro.core.verifier import verify_module
+            verify_module(module)
+        code = bytearray(module.code)
+        for site, offset in module.bary_slots.items():
+            code[offset:offset + 4] = (4 * site).to_bytes(4, "little")
+        memory = self.memory
+        memory.map(module.base, len(code), readable=True, writable=True)
+        memory.host_write(module.base, bytes(code))
+        memory.protect(module.base, len(code), readable=True,
+                       writable=False, executable=True)
+        self.code_cursor = _page_up(module.limit)
+        if data.image:
+            memory.host_write(data.base, data.image)
+        if data.rodata_end:
+            memory.protect(data.base, data.rodata_end, readable=True,
+                           writable=False)
+
+    def reserve_data(self, size: int) -> int:
+        """Place ``size`` bytes of library data below the lowest
+        library's, above the heap break; return the base address."""
+        if not size:
+            return self.data_floor
+        base = (self.data_floor - size) & ~(PAGE_SIZE - 1)
+        if base < self.brk:
+            raise RuntimeError_("data region exhausted by dlopen")
+        self.data_floor = base
+        return base
+
+    def retire_code(self, lo: int, hi: int) -> None:
+        """Seal ``[lo, hi)`` non-executable and drop its decoded state."""
+        if lo < hi:
+            self.memory.protect(lo, hi - lo, readable=True, writable=False,
+                                executable=False)
+            self.dispatch_cache.invalidate_range(lo, hi)
+
+    def rewind(self, code_cursor: int, data_floor: int) -> None:
+        """Hand back what was placed since the layout was
+        ``(code_cursor, data_floor)``: the code is retired and the
+        library data returned, zeroed and writable, to the heap."""
+        self.retire_code(code_cursor, self.code_cursor)
+        if data_floor > self.data_floor:
+            size = data_floor - self.data_floor
+            self.memory.protect(self.data_floor, size, readable=True,
+                                writable=True)
+            self.memory.host_write(self.data_floor, bytes(size))
+        self.code_cursor = code_cursor
+        self.data_floor = data_floor
 
     # -- thread management ---------------------------------------------------------
 
     def new_cpu(self, entry: int, args: Optional[List[int]] = None) -> CPU:
         cpu = CPU(self.memory, self.tables, syscall_handler=self.syscall,
-                  icache=self.icache, thread_id=len(self.cpus),
+                  thread_id=len(self.cpus),
                   dispatch_cache=self.dispatch_cache)
         cpu.rip = entry
         self._next_stack -= _STACK_SLOT
@@ -475,7 +525,7 @@ class Runtime:
         if number == sc.SYS_SBRK:
             old = self.brk
             new = old + _signed64(arg0)
-            if not self.program.data.base <= new <= DATA_LIMIT:
+            if not self.program.data.base <= new <= self.data_floor:
                 cpu.regs[0] = 0xFFFFFFFFFFFFFFFF  # -1: out of memory
                 return
             self.brk = new
@@ -568,13 +618,6 @@ class Runtime:
         if name is None:
             return 0
         return self.dynamic_linker.dlsym(handle, name)
-
-    # -- table updates (used by the dynamic linker) ---------------------------------
-
-    def install_cfg(self, cfg: Cfg) -> None:
-        """Non-transactional install (single-threaded contexts only)."""
-        self.cfg = cfg
-        self.id_tables.install(cfg.tary_ecns, cfg.bary_ecns)
 
 
 def _signed64(value: int) -> int:

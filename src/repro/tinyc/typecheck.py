@@ -41,7 +41,6 @@ from repro.tinyc.types import (
     Type,
     ULONG,
     VOID,
-    VOID_PTR,
     canonical,
     contains_function_pointer,
     decay,
@@ -124,9 +123,6 @@ class CheckedUnit:
     casts: List[CastRecord] = field(default_factory=list)
     globals: List[ast.GlobalVar] = field(default_factory=list)
     uses_setjmp: bool = False
-
-    def defined_functions(self) -> List[str]:
-        return list(self.functions)
 
 
 class Checker:

@@ -60,21 +60,15 @@ def _print_rows(title: str, rows: dict) -> None:
 
 def _compute(artifact: str, names, archs, jobs: int, store):
     """Per-benchmark artifact results, serial or fanned out."""
-    from repro.infra.campaign import PARALLEL_ARTIFACTS, parallel_artifact
+    from repro.infra.campaign import (
+        PARALLEL_ARTIFACTS,
+        artifact_fn,
+        parallel_artifact,
+    )
     if jobs > 1 and artifact in PARALLEL_ARTIFACTS:
         return parallel_artifact(artifact, names, archs=archs, jobs=jobs,
                                  store=store)
-    fetch = {
-        "fig5": lambda: ex.fig5_overhead(names, archs=archs),
-        "fig6": lambda: ex.fig6_update_overhead(names, arch=archs[0]),
-        "table1": lambda: ex.table1_analysis(names),
-        "table2": lambda: ex.table2_analysis(names),
-        "table3": lambda: ex.table3_cfg_stats(names, archs=archs),
-        "gadgets": lambda: ex.gadget_elimination(names, arch=archs[0]),
-        "space": lambda: ex.space_overhead(names, arch=archs[0]),
-        "cfggen": lambda: ex.cfg_generation_time(names, arch=archs[0]),
-    }
-    return fetch[artifact]()
+    return artifact_fn(artifact)(names, archs)
 
 
 def main(argv: List[str] | None = None) -> int:

@@ -17,7 +17,6 @@ from __future__ import annotations
 from typing import Callable, Generator, Iterable, Optional, Tuple
 
 from repro.errors import MemoryFault
-from repro.vm.cpu import CPU
 from repro.vm.memory import Memory
 
 
@@ -38,33 +37,6 @@ def write_word_attacker(memory: Memory, address: int, value: int,
         yield
         if not repeat:
             return
-
-
-def stack_smash_attacker(cpu: CPU, payload: int, depth_words: int = 8,
-                         ) -> Generator[None, None, None]:
-    """Overwrite return-address candidates near the victim's stack top.
-
-    Scans a small window above ``rsp`` each step and replaces every
-    word that looks like a code address with ``payload``.  This models
-    a stack-smashing write primitive racing the victim.
-    """
-    from repro.vm.memory import CODE_BASE, CODE_LIMIT
-
-    memory = cpu.memory
-    while True:
-        rsp = cpu.regs[4]  # Reg.RSP
-        for slot in range(depth_words):
-            address = rsp + 8 * slot
-            try:
-                word = memory.read_u64(address)
-            except MemoryFault:
-                continue
-            if CODE_BASE <= word < CODE_LIMIT:
-                try:
-                    memory.write_u64(address, payload)
-                except MemoryFault:
-                    pass
-        yield
 
 
 def conditional_attacker(memory: Memory,

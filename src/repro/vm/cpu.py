@@ -2,8 +2,9 @@
 
 Each :class:`CPU` is one hardware thread.  Threads share a
 :class:`~repro.vm.memory.Memory`, a
-:class:`~repro.vm.memory.TableMemory` and a decoded-instruction cache;
-each has its own registers, flags and stack.
+:class:`~repro.vm.memory.TableMemory` and a
+:class:`~repro.vm.dispatch.DispatchCache` of decoded code; each has its
+own registers, flags and stack.
 
 Determinism and atomicity
 -------------------------
@@ -42,7 +43,7 @@ cycles on identical inputs.
 from __future__ import annotations
 
 import struct
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 from repro.errors import (
     CfiViolation,
@@ -60,6 +61,7 @@ from repro.vm.dispatch import (
     DispatchCache,
     build_block,
     compile_entry,
+    nan_result,
 )
 from repro.vm.memory import Memory, PAGE_SIZE, TableMemory
 
@@ -100,18 +102,16 @@ class CPU:
 
     def __init__(self, memory: Memory, tables: TableMemory,
                  syscall_handler: Optional[Callable[["CPU"], None]] = None,
-                 icache: Optional[Dict[int, Tuple[int, Tuple[int, ...], int, int]]] = None,
                  thread_id: int = 0,
                  dispatch_cache: Optional[DispatchCache] = None) -> None:
         self.memory = memory
         self.tables = tables
         self.syscall_handler = syscall_handler
-        self.icache = icache if icache is not None else {}
-        #: Compiled-closure and decoded-block caches; shared across the
-        #: CPUs of one address space exactly like the icache, and
-        #: invalidated alongside it by the dynamic linker.
+        #: Decoded instructions, closures and blocks; shared across the
+        #: CPUs of one address space and invalidated by the runtime.
         self.dispatch_cache = (dispatch_cache if dispatch_cache is not None
                                else DispatchCache())
+        self.decoded = self.dispatch_cache.decoded
         self.ccache = self.dispatch_cache.closures
         self.thread_id = thread_id
         self.regs = [0] * 16
@@ -150,7 +150,7 @@ class CPU:
             raise InvalidInstruction(
                 f"undecodable bytes at {address:#x}: {exc}") from exc
         entry = (int(instr.op), instr.operands, length, instr.cost)
-        self.icache[address] = entry
+        self.decoded[address] = entry
         return entry
 
     # -- execution ----------------------------------------------------------
@@ -167,7 +167,7 @@ class CPU:
         rip = self.rip
         fn = self.ccache.get(rip)
         if fn is None:
-            entry = self.icache.get(rip)
+            entry = self.decoded.get(rip)
             if entry is None:
                 try:
                     entry = self._fetch_decode(rip)
@@ -189,7 +189,7 @@ class CPU:
         also makes ``run()`` take the per-instruction path.
         """
         rip = self.rip
-        entry = self.icache.get(rip)
+        entry = self.decoded.get(rip)
         if entry is None:
             entry = self._fetch_decode(rip)
         op, ops, length, cost = entry
@@ -355,19 +355,19 @@ class CPU:
             self.syscall_handler(self)
             return
         elif op == Op.FADD_RR:
-            regs[ops[0]] = _bits_of(_float_of(regs[ops[0]]) +
-                                    _float_of(regs[ops[1]]))
+            self._float_result(ops, _float_of(regs[ops[0]]) +
+                               _float_of(regs[ops[1]]))
         elif op == Op.FSUB_RR:
-            regs[ops[0]] = _bits_of(_float_of(regs[ops[0]]) -
-                                    _float_of(regs[ops[1]]))
+            self._float_result(ops, _float_of(regs[ops[0]]) -
+                               _float_of(regs[ops[1]]))
         elif op == Op.FMUL_RR:
-            regs[ops[0]] = _bits_of(_float_of(regs[ops[0]]) *
-                                    _float_of(regs[ops[1]]))
+            self._float_result(ops, _float_of(regs[ops[0]]) *
+                               _float_of(regs[ops[1]]))
         elif op == Op.FDIV_RR:
             divisor = _float_of(regs[ops[1]])
             if divisor == 0.0:
                 raise VMError(f"float division by zero at {rip:#x}")
-            regs[ops[0]] = _bits_of(_float_of(regs[ops[0]]) / divisor)
+            self._float_result(ops, _float_of(regs[ops[0]]) / divisor)
         elif op == Op.FCMP_RR:
             left = _float_of(regs[ops[0]])
             right = _float_of(regs[ops[1]])
@@ -384,7 +384,11 @@ class CPU:
         elif op == Op.CVTSI2F:
             regs[ops[0]] = _bits_of(float(_signed(regs[ops[0]])))
         elif op == Op.CVTF2SI:
-            regs[ops[0]] = int(_float_of(regs[ops[0]])) & _MASK64
+            value = _float_of(regs[ops[0]])
+            # cvttsd2si: NaN and values outside [-2^63, 2^63) give the
+            # integer indefinite.
+            regs[ops[0]] = (int(value) & _MASK64
+                            if -_SIGN64 <= value < _SIGN64 else _SIGN64)
         else:  # pragma: no cover - SPECS and this chain are kept in sync
             raise InvalidInstruction(f"unimplemented opcode {op:#x}")
         self.rip = next_rip
@@ -478,6 +482,12 @@ class CPU:
                      cycles=self.cycles - cycles_before)
 
     # -- helpers --------------------------------------------------------
+
+    def _float_result(self, ops: Tuple[int, ...], value: float) -> None:
+        """Write an SSE arithmetic result; a NaN follows x86's rule."""
+        regs = self.regs
+        regs[ops[0]] = (_bits_of(value) if value == value
+                        else nan_result(regs[ops[0]], regs[ops[1]]))
 
     def _compare(self, left: int, right: int) -> None:
         self.zf = left == right

@@ -40,10 +40,11 @@ the reference leaves.  The two instructions whose handlers read the
 architectural state (``syscall``: ``SYS_TIME`` returns ``cycles``;
 ``hlt``: the CFI halt reads RCX and RSI) run after the write-back.
 
-Code-region invalidation mirrors the icache: the dynamic linker, the
-load journal and the JIT call :meth:`DispatchCache.invalidate_range`
-whenever they drop decoded icache entries, which drops cold and hot
-blocks alike.
+All decoded state of one address space lives in one
+:class:`DispatchCache`: decoded instructions, closures and blocks, cold
+or hot.  :meth:`DispatchCache.invalidate_range` drops all three
+together; the runtime calls it whenever it retires a code range
+(``Runtime.retire_code``), so no layer can outlive another.
 """
 
 from __future__ import annotations
@@ -91,12 +92,32 @@ def _divide(dividend: int, divisor: int, mod: bool) -> int:
     return quotient & _MASK64
 
 
+_EXPONENT = 0x7FF0000000000000
+
+
+def nan_result(left: int, right: int) -> int:
+    """Bits of the NaN an x86 SSE ``addsd``/``subsd``/``mulsd``/``divsd``
+    of the operand bits ``left`` and ``right`` returns.
+
+    The first NaN operand wins, quieted; an invalid operation on two
+    non-NaN operands (inf - inf, 0 * inf, inf / inf) gives the default
+    NaN.  Callers check for a NaN result first, so ordinary arithmetic
+    never gets here.
+    """
+    for bits in (left, right):
+        if bits & _EXPONENT == _EXPONENT and bits & 0xFFFFFFFFFFFFF:
+            return bits | 0x8000000000000
+    return 0xFFF8000000000000
+
+
 #: Globals of every rendered function.
 _HELPERS = {"_signed": _signed, "_float_of": _float_of,
-            "_bits_of": _bits_of, "_divide": _divide, "VMError": VMError}
+            "_bits_of": _bits_of, "_divide": _divide,
+            "nan_result": nan_result, "VMError": VMError}
 
 #: Helpers a template may call without raising.
-_PURE = frozenset({"_signed", "_float_of", "_bits_of", "float"})
+_PURE = frozenset({"_signed", "_float_of", "_bits_of", "nan_result",
+                   "float", "int"})
 
 _CONSTANTS = {"M64": "0xFFFFFFFFFFFFFFFF", "M32": "0xFFFFFFFF",
               "SIGN64": "0x8000000000000000",
@@ -181,7 +202,10 @@ class Semantics:
 _LOAD = "{0} = {mem}.read_%s(({1} + {2}) & {M64})"
 _STORE = "{mem}.write_%s(({0} + {1}) & {M64}, {2})"
 _PUSH = "a = ({sp} - 8) & {M64}\n{mem}.write_u64(a, %s)\n{sp} = a\n"
-_FLOAT = "{0} = _bits_of(_float_of({0}) %s _float_of({1}))"
+_FLOAT = """
+    x = _float_of({0}) %s _float_of({1})
+    {0} = _bits_of(x) if x == x else nan_result({0}, {1})
+"""
 _JUMP = "return {t} if %s else {n}"
 _SHL = "{0} = ({0} << ({1} & 63)) & {M64}"
 _SAR = "{0} = (_signed({0}) >> ({1} & 63)) & {M64}"
@@ -287,7 +311,8 @@ _TEMPLATES = {
         b = _float_of({1})
         if b == 0.0:
             raise VMError("float division by zero at %#x" % {pc})
-        {0} = _bits_of(_float_of({0}) / b)
+        x = _float_of({0}) / b
+        {0} = _bits_of(x) if x == x else nan_result({0}, {1})
     """,
     Op.FCMP_RR: """
         a = _float_of({0})
@@ -303,7 +328,12 @@ _TEMPLATES = {
             {lt} = {ltu} = a < b
     """,
     Op.CVTSI2F: "{0} = _bits_of(float(_signed({0})))",
-    Op.CVTF2SI: "{0} = int(_float_of({0})) & {M64}",
+    Op.CVTF2SI: """
+        a = _float_of({0})
+        # cvttsd2si: NaN and values outside [-2^63, 2^63) give the
+        # integer indefinite.
+        {0} = int(a) & {M64} if -{SIGN64} <= a < {SIGN64} else {SIGN64}
+    """,
 }
 
 #: The semantics table, indexed by opcode byte.
@@ -471,7 +501,7 @@ _Closure = Callable[[object], int]
 
 def compile_entry(entry: Tuple[int, Tuple[int, ...], int, int],
                   rip: int) -> _Closure:
-    """Specialize one decoded icache entry into an execution closure."""
+    """Specialize one decoded instruction into an execution closure."""
     op, ops, length, cost = entry
     factory = _FACTORIES[op]
     if factory is None:
@@ -549,13 +579,13 @@ def try_fuse_check(cpu, addr: int,
     template matches (with the three scratch registers pairwise
     distinct, which the instrumenter guarantees), else None.
     """
-    icache = cpu.icache
+    decoded = cpu.decoded
     entries = [entry0]
     addrs = [addr]
     cursor = addr + entry0[2]
     try:
         for _ in range(4):
-            entry = icache.get(cursor)
+            entry = decoded.get(cursor)
             if entry is None:
                 entry = cpu._fetch_decode(cursor)
             entries.append(entry)
@@ -605,7 +635,7 @@ class Block:
 
     ``run(cpu) -> next_rip`` starts as the cold executor over per-
     instruction closures and is replaced by the generated function
-    once the block is hot.  ``entries`` (the icache entries of the
+    once the block is hot.  ``entries`` (the decoded entries of the
     unfused instructions, which are contiguous from ``entry``) and
     ``fused`` (a trailing check site) are what its source is generated
     from.
@@ -654,18 +684,19 @@ def generate_block(block: Block, cache: "DispatchCache") -> _Closure:
 class DispatchCache:
     """Shared decoded state for one address space.
 
-    Two layers keyed by code address: ``closures`` (one compiled
-    closure per instruction, used by ``step()``) and ``blocks`` (one
-    :class:`Block` per basic-block entry, cold or hot, used by
-    ``run()``).  Both sit on top of the raw decoded icache and follow
-    its invalidation: the dynamic linker calls :meth:`invalidate_range`
-    wherever it drops icache entries.
+    Three layers keyed by code address: ``decoded`` (one decoded
+    ``(op, operands, length, cost)`` entry per instruction),
+    ``closures`` (one compiled closure per instruction, used by
+    ``step()``) and ``blocks`` (one :class:`Block` per basic-block
+    entry, cold or hot, used by ``run()``).  :meth:`invalidate_range`
+    drops all three at once.
     """
 
-    __slots__ = ("closures", "blocks", "blocks_built", "fused_sites",
-                 "blocks_generated")
+    __slots__ = ("decoded", "closures", "blocks", "blocks_built",
+                 "fused_sites", "blocks_generated")
 
     def __init__(self) -> None:
+        self.decoded: Dict[int, Tuple[int, Tuple[int, ...], int, int]] = {}
         self.closures: Dict[int, _Closure] = {}
         self.blocks: Dict[int, Block] = {}
         self.blocks_built = 0
@@ -673,10 +704,11 @@ class DispatchCache:
         self.blocks_generated = 0
 
     def invalidate_range(self, lo: int, hi: int) -> None:
-        """Drop every closure and block touching ``[lo, hi)``."""
-        closures = self.closures
-        for address in [a for a in closures if lo <= a < hi]:
-            del closures[address]
+        """Drop every decoded instruction, closure and block touching
+        ``[lo, hi)``."""
+        for layer in (self.decoded, self.closures):
+            for address in [a for a in layer if lo <= a < hi]:
+                del layer[address]
         blocks = self.blocks
         for address in [a for a, b in blocks.items() if b.overlaps(lo, hi)]:
             del blocks[address]
@@ -694,14 +726,14 @@ def build_block(cpu, entry_rip: int) -> Block:
     """
     cache: DispatchCache = cpu.dispatch_cache
     ccache = cache.closures
-    icache = cpu.icache
+    decoded = cache.decoded
     entries: List[Tuple[int, Tuple[int, ...], int, int]] = []
     fused: Optional[Site] = None
     linear: List[_Closure] = []
     term: Optional[_Closure] = None
     addr = limit = entry_rip
     for _ in range(MAX_BLOCK_INSTRS):
-        entry = icache.get(addr)
+        entry = decoded.get(addr)
         if entry is None:
             try:
                 entry = cpu._fetch_decode(addr)

@@ -16,8 +16,8 @@ Two facilities built on a step-hook around :class:`~repro.vm.cpu.CPU`:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional
 
 from repro.cfg.generator import Cfg
 from repro.isa.instructions import Op
@@ -45,7 +45,8 @@ class BranchTracer:
     """Wraps a CPU's step to record executed branches.
 
     ``indirect_only`` keeps the trace small for long runs.  The hook
-    costs one icache probe per instruction; use only in tests/tools.
+    costs one decoded-cache probe per instruction; use only in
+    tests/tools.
     """
 
     def __init__(self, cpu: CPU, indirect_only: bool = True,
@@ -66,11 +67,11 @@ class BranchTracer:
     def _traced_step(self) -> None:
         cpu = self.cpu
         rip = cpu.rip
-        entry = cpu.icache.get(rip)
+        entry = cpu.decoded.get(rip)
         if entry is None:
             self._original_step()
             # the fetch populated the cache; re-inspect for the record
-            entry = cpu.icache.get(rip)
+            entry = cpu.decoded.get(rip)
             if entry is None:
                 return
             op = entry[0]

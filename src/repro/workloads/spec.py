@@ -17,7 +17,7 @@ Table 3 CFG statistics, AIR and gadget counts all measure live code.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.workloads import motifs as m
 
@@ -1207,13 +1207,6 @@ def workload(name: str) -> Workload:
 
 def all_workloads() -> List[Workload]:
     return [workload(name) for name in BENCHMARKS]
-
-
-def workload_digest(name: str) -> str:
-    """SHA-256 of a workload's source text — the provenance component
-    the :mod:`repro.infra` artifact cache keys compilations by."""
-    import hashlib
-    return hashlib.sha256(workload(name).source.encode("utf-8")).hexdigest()
 
 
 # ---------------------------------------------------------------------------

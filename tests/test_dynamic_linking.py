@@ -181,6 +181,148 @@ class TestCfgUpdate:
         assert result.output == b"lib:8"
 
 
+COUNTER_LIB = """
+    long lib_counter = 12345;
+    long lib_get(void) { return lib_counter; }
+"""
+
+IDLE_MAIN = "int main(void) { return 0; }"
+
+_MINUS_ONE = (1 << 64) - 1
+
+
+def _counter_runtime(main_source, plane=None):
+    program = build_program({"main": main_source}, mcfi=True,
+                            allow_unresolved=["lib_get"]).program
+    runtime = Runtime(program)
+    linker = DynamicLinker(runtime, **({} if plane is None else
+                                       {"fault_plane": plane}))
+    linker.register("plugin", compile_object(COUNTER_LIB, name="plugin"))
+    return runtime, linker
+
+
+def _sbrk(runtime, delta):
+    """Issue the sbrk syscall on the main thread; return its result."""
+    from repro.vm.syscalls import SYS_SBRK
+    cpu = runtime.main_cpu()
+    cpu.regs[0] = SYS_SBRK
+    cpu.regs[8] = delta & _MINUS_ONE
+    runtime.syscall(cpu)
+    return cpu.regs[0]
+
+
+class TestAddressSpace:
+    """The runtime owns the layout: the heap grows up from
+    ``heap_base``, library data is placed top-down from ``DATA_LIMIT``,
+    and neither can reach the other."""
+
+    def test_heap_fill_leaves_library_globals_intact(self):
+        runtime, _ = _counter_runtime("""
+            long lib_get(void);
+            int main(void) {
+                long n = 262144;              /* 2 MiB of longs */
+                long *block;
+                long i;
+                if (dlopen("plugin") == 0) { return 99; }
+                block = (long *)malloc(n * 8);
+                if (block == 0) { return 98; }
+                for (i = 0; i < n; i++) { block[i] = 7; }
+                print_int(lib_get());
+                return 0;
+            }
+        """)
+        result = runtime.run()
+        assert result.ok, (result.violation, result.fault)
+        assert result.output == b"12345"
+
+    def test_malloc_across_library_data_returns_null(self):
+        from repro.vm.memory import DATA_LIMIT
+        runtime, _ = _counter_runtime(f"""
+            long lib_get(void);
+            int main(void) {{
+                long top = {DATA_LIMIT};
+                long brk;
+                if (dlopen("plugin") == 0) {{ return 99; }}
+                brk = __syscall(3, 0, 0, 0);  /* sbrk(0): the break */
+                /* header included, this asks for the break at top */
+                print_int(malloc(top - brk - 16) == 0);
+                print_int(malloc(64) != 0);
+                print_int(lib_get());
+                return 0;
+            }}
+        """)
+        result = runtime.run()
+        assert result.ok, (result.violation, result.fault)
+        assert result.output == b"1112345"
+
+    def test_sbrk_stops_at_lowest_library_data(self):
+        runtime, linker = _counter_runtime(IDLE_MAIN)
+        assert linker.dlopen("plugin")
+        room = runtime.data_floor - runtime.brk
+        assert _sbrk(runtime, room + 1) == _MINUS_ONE
+        start = runtime.brk
+        assert _sbrk(runtime, room) == start
+        assert runtime.brk == runtime.data_floor
+
+    def test_dlopen_without_room_above_the_break_fails_typed(self):
+        from repro.errors import RuntimeError_
+        from repro.faults.harness import snapshot_tables
+        from repro.vm.memory import DATA_LIMIT
+        runtime, linker = _counter_runtime(IDLE_MAIN)
+        # The heap takes all but half a page of the data region.
+        assert _sbrk(runtime, DATA_LIMIT - runtime.brk - 0x800) \
+            != _MINUS_ONE
+        before = snapshot_tables(runtime)
+        layout = (runtime.code_cursor, runtime.data_floor)
+        with pytest.raises(RuntimeError_,
+                           match="data region exhausted by dlopen"):
+            linker.dlopen("plugin")
+        assert snapshot_tables(runtime) == before
+        assert (runtime.code_cursor, runtime.data_floor) == layout
+        assert not linker.loaded
+
+    def test_library_data_placed_top_down(self):
+        from repro.vm.memory import DATA_LIMIT, PAGE_SIZE
+        runtime, linker = _counter_runtime(IDLE_MAIN)
+        linker.register("second", compile_object(
+            "long second_counter = 7;\n"
+            "long second_get(void) { return second_counter; }",
+            name="second"))
+        code_cursor = runtime.code_cursor
+        first = linker.loaded[linker.dlopen("plugin")]
+        second = linker.loaded[linker.dlopen("second")]
+        assert first.module.base == code_cursor
+        assert first.data_base == DATA_LIMIT - PAGE_SIZE
+        assert second.data_base == first.data_base - PAGE_SIZE
+        assert runtime.data_floor == second.data_base
+
+    def test_library_without_data_takes_no_data_pages(self):
+        from repro.vm.memory import DATA_LIMIT
+        runtime, linker = make_runtime()
+        assert linker.dlopen("plugin")
+        assert runtime.data_floor == DATA_LIMIT
+
+    def test_rolled_back_library_data_returns_to_the_heap(self):
+        """A failed load hands its data pages back writable and
+        zeroed, rodata included, so the heap can grow into them."""
+        from repro.faults.plane import FaultPlane
+        from repro.vm.memory import DATA_LIMIT, PAGE_SIZE
+        plane = FaultPlane(seed=0).arm("dlopen.update", count=1)
+        runtime, linker = _counter_runtime(IDLE_MAIN, plane)
+        linker.register("strings", compile_object(
+            'long greeting_len(void) { return strlen("hello"); }\n'
+            "long greeting_count = 3;", name="strings"))
+        assert linker.dlopen("strings") == 0        # injected failure
+        assert runtime.data_floor == DATA_LIMIT
+        span = 2 * PAGE_SIZE
+        low = DATA_LIMIT - span
+        assert runtime.memory.host_read(low, span) == bytes(span)
+        assert all(runtime.memory.is_writable(page)
+                   for page in range(low, DATA_LIMIT, PAGE_SIZE))
+        handle = linker.dlopen("strings")           # plane exhausted
+        assert linker.loaded[handle].data_base == low
+
+
 class TestConcurrentDlopen:
     """The headline scenario: one thread dlopens while others run."""
 

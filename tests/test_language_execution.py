@@ -80,6 +80,24 @@ class TestArithmetic:
             }
         """, b"9 4 gt 12")
 
+    def test_out_of_range_double_to_long_is_indefinite(self):
+        """``(long)`` of an infinite, NaN or too-large double is x86's
+        integer indefinite (LONG_MIN), not a crash of the run."""
+        expect("""
+            int main(void) {
+                long indefinite = -9223372036854775807 - 1;
+                double big = 1.0e308;
+                double inf = big * 10.0;
+                double nan = inf - inf;
+                print_int((long)inf == indefinite);
+                print_int((long)(0.0 - inf) == indefinite);
+                print_int((long)nan == indefinite);
+                print_int((long)big == indefinite);
+                print_int((long)(0.0 - 2.5));
+                return 0;
+            }
+        """, b"1111-2")
+
     def test_char_narrowing(self):
         expect("""
             int main(void) {

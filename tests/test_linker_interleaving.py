@@ -10,7 +10,7 @@ now drains any in-flight update before starting a new load
 serial.
 
 Property under test, across adversarial seeds: concurrent open/close
-churn of the same module never leaves a stale icache/dispatch-cache
+churn of the same module never leaves a stale decoded-code cache
 entry executable, never publishes tables that disagree with the
 runtime's CFG, and never wedges the update lock.
 """
@@ -79,7 +79,7 @@ def _make(source, *, extra=False):
 
 def _stale_entries(runtime, lo, hi):
     """Cache entries and executable pages inside a closed code range."""
-    stale = [a for a in runtime.icache if lo <= a < hi]
+    stale = [a for a in runtime.dispatch_cache.decoded if lo <= a < hi]
     stale += [a for a in runtime.dispatch_cache.closures if lo <= a < hi]
     stale += [a for a, b in runtime.dispatch_cache.blocks.items()
               if b.overlaps(lo, hi)]
@@ -94,7 +94,7 @@ class TestVmLevelChurn:
     @pytest.mark.parametrize("seed", [0, 3, 11, 29])
     def test_no_stale_executable_entries_after_churn(self, seed):
         runtime, linker = _make(CHURN_MAIN)
-        code_floor = linker._code_cursor
+        code_floor = runtime.code_cursor
         result = runtime.run_scheduled(seed=seed, burst=2)
         assert result.ok, result.violation or result.fault
         assert result.exit_code == 0
@@ -103,7 +103,7 @@ class TestVmLevelChurn:
         # whole band must be sealed and cache-free, and no table entry
         # may point into it.
         assert not linker.loaded
-        stale = _stale_entries(runtime, code_floor, linker._code_cursor)
+        stale = _stale_entries(runtime, code_floor, runtime.code_cursor)
         assert not stale, [hex(a) for a in stale]
         tables = runtime.id_tables
         assert not [a for a in tables.tary_ecns if a >= code_floor]
@@ -147,7 +147,7 @@ class TestDriverLevelInterleaving:
         runtime, linker = _make(DRIVER_MAIN, extra=True)
         scheduler = Scheduler(seed=seed)
         runtime._scheduler = scheduler
-        code_floor = linker._code_cursor
+        code_floor = runtime.code_cursor
         drivers = [
             scheduler.add_generator(
                 self._driver(linker, scheduler, 100 + seed), name="a"),
@@ -166,7 +166,7 @@ class TestDriverLevelInterleaving:
         self._quiescent_ok(runtime, linker)
         assert not linker.loaded
         assert runtime.id_tables.bary_ecns == runtime.cfg.bary_ecns
-        stale = _stale_entries(runtime, code_floor, linker._code_cursor)
+        stale = _stale_entries(runtime, code_floor, runtime.code_cursor)
         assert not stale, [hex(a) for a in stale]
 
     @pytest.mark.parametrize("seed", [0, 7])

@@ -79,10 +79,10 @@ class TestRollbackByteIdentical:
         library loads cleanly on the next attempt."""
         plane = FaultPlane(seed=0).arm("dlopen.update", count=1)
         runtime, linker = _runtime_with_plugin(artifacts, plane)
-        cursors = (linker._code_cursor, linker._data_cursor,
+        cursors = (runtime.code_cursor, runtime.data_floor,
                    linker._next_site, linker._next_handle)
         assert linker.dlopen("plugin") == 0      # injected failure
-        assert (linker._code_cursor, linker._data_cursor,
+        assert (runtime.code_cursor, runtime.data_floor,
                 linker._next_site, linker._next_handle) == cursors
         assert not linker.loaded
         handle = linker.dlopen("plugin")          # plane count exhausted

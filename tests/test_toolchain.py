@@ -92,3 +92,19 @@ class TestExamplesSmoke:
         out = capsys.readouterr().out
         assert "JIT installs : 3" in out
         assert "mismatch" in out
+
+    def test_dynamic_linking_example(self, capsys):
+        from examples.dynamic_linking import main
+        main()
+        out = capsys.readouterr().out
+        assert "transform(10) = 101" in out
+        assert "via dlsym     = 122" in out
+        assert "exit code        : 0   ok=True" in out
+
+    def test_porting_workflow_example(self, capsys):
+        from examples.porting_workflow import main
+        main()
+        out = capsys.readouterr().out
+        assert "CFI violation" in out
+        assert "K1 cases needing fixes = 0" in out
+        assert "exit=0 ok=True" in out

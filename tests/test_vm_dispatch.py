@@ -57,7 +57,7 @@ def generated_tier(monkeypatch):
     monkeypatch.setattr(dispatch, "HOT_BLOCK_RUNS", 0)
 
 
-def make_cpu(code: bytes, tables=None, icache=None, dispatch_cache=None,
+def make_cpu(code: bytes, tables=None, dispatch_cache=None,
              data_pages=1, handler=exit_handler):
     """Map ``code`` at CODE plus a data and a stack page; return a CPU."""
     mem = Memory()
@@ -67,8 +67,7 @@ def make_cpu(code: bytes, tables=None, icache=None, dispatch_cache=None,
     mem.map(DATA, data_pages * PAGE_SIZE, readable=True, writable=True)
     mem.map(STACK, PAGE_SIZE, readable=True, writable=True)
     cpu = CPU(mem, tables if tables is not None else TableMemory(),
-              syscall_handler=handler, icache=icache,
-              dispatch_cache=dispatch_cache)
+              syscall_handler=handler, dispatch_cache=dispatch_cache)
     cpu.rip = CODE
     cpu.regs[Reg.RSP] = STACK + PAGE_SIZE - 16
     return cpu
@@ -359,6 +358,68 @@ class TestFcmpNanSemantics:
         assert fast_cpu.regs[Reg.RDX] == 0
 
 
+QNAN1 = 0x7FF8000000000001
+QNAN2 = 0xFFF8000000000002
+SNAN3 = 0x7FF0000000000003
+DEFAULT_NAN = 0xFFF8000000000000
+INDEFINITE = 0x8000000000000000
+INF = _bits(float("inf"))
+
+
+class TestFloatEdgeSemantics:
+    """x86 SSE results where CPython's float arithmetic has none of its
+    own: NaN payload propagation and out-of-range truncation.  Each
+    case runs on the reference tier and on the dispatch tier (cold
+    here, generated in the subclass)."""
+
+    def _result(self, opcode, left, right=None):
+        operands = (Reg.RAX,) if right is None else (Reg.RAX, Reg.RBX)
+        regs = {Reg.RAX: left, Reg.RBX: right or 0}
+        fast_cpu, ref_cpu, fast_out, ref_out = run_both(
+            [AsmInstr(opcode, operands)], regs=regs)
+        assert_identical(fast_cpu, ref_cpu, fast_out, ref_out)
+        return fast_cpu.regs[Reg.RAX]
+
+    ARITH = [Op.FADD_RR, Op.FSUB_RR, Op.FMUL_RR, Op.FDIV_RR]
+
+    @pytest.mark.parametrize("opcode", ARITH, ids=[op.name for op in ARITH])
+    @pytest.mark.parametrize("left,right,expected", [
+        (QNAN1, QNAN2, QNAN1),            # first NaN operand wins
+        (QNAN2, QNAN1, QNAN2),
+        (SNAN3, QNAN1, SNAN3 | 1 << 51),  # ... quieted
+        (QNAN1, SNAN3, QNAN1),
+        (_bits(2.0), SNAN3, SNAN3 | 1 << 51),
+        (_bits(2.0), QNAN2, QNAN2),
+    ], ids=["q1-q2", "q2-q1", "s3-q1", "q1-s3", "num-s3", "num-q2"])
+    def test_nan_operand_propagates(self, opcode, left, right, expected):
+        assert self._result(opcode, left, right) == expected
+
+    @pytest.mark.parametrize("opcode,left,right", [
+        (Op.FSUB_RR, INF, INF),
+        (Op.FADD_RR, INF, INF | INDEFINITE),
+        (Op.FMUL_RR, _bits(0.0), INF),
+        (Op.FDIV_RR, INF, INF),
+    ], ids=["inf-inf", "inf+-inf", "0*inf", "inf/inf"])
+    def test_invalid_operation_gives_default_nan(self, opcode, left,
+                                                 right):
+        assert self._result(opcode, left, right) == DEFAULT_NAN
+
+    @pytest.mark.parametrize("value,expected", [
+        (INF, INDEFINITE),
+        (INF | INDEFINITE, INDEFINITE),                 # -inf
+        (QNAN1, INDEFINITE),
+        (_bits(1.0e308), INDEFINITE),
+        (_bits(2.0 ** 63), INDEFINITE),
+        (_bits(-(2.0 ** 63)), INDEFINITE),              # in range
+        (_bits(2.0 ** 63 - 1024), 2 ** 63 - 1024),
+        (_bits(-3.75), -3 & _MASK),
+        (_bits(3.75), 3),
+    ], ids=["inf", "-inf", "nan", "1e308", "2^63", "-2^63",
+            "below-2^63", "-3.75", "3.75"])
+    def test_cvtf2si_truncates_like_cvttsd2si(self, value, expected):
+        assert self._result(Op.CVTF2SI, value) == expected
+
+
 class TestTornStore16:
     """PR 5 bugfix: STORE16 must validate both byte addresses before
     mutating memory — a page-boundary fault may not leave one byte."""
@@ -465,10 +526,8 @@ class TestFusedCheckTransaction:
         target = out.labels["target"]
         return out.code, target
 
-    def _run(self, code, target, tables, icache=None, cache=None,
-             reference=False):
-        cpu = make_cpu(code, tables=tables, icache=icache,
-                       dispatch_cache=cache)
+    def _run(self, code, target, tables, cache=None, reference=False):
+        cpu = make_cpu(code, tables=tables, dispatch_cache=cache)
         if reference:
             cpu.step = cpu.step_reference
         cpu.regs[Reg.RCX] = target
@@ -521,9 +580,9 @@ class TestFusedCheckTransaction:
         tables = TableMemory()
         tables.write_bary(0, 0x41)
         tables.write_tary(target, 0x41)
-        icache, cache = {}, DispatchCache()
+        cache = DispatchCache()
 
-        cpu, out = self._run(code, target, tables, icache, cache)
+        cpu, out = self._run(code, target, tables, cache)
         assert out == 0
         assert cache.fused_sites == 1
 
@@ -531,13 +590,13 @@ class TestFusedCheckTransaction:
         # move to a new ID.  write_tary/write_bary bump `generation`.
         tables.write_bary(0, 0x99)
         tables.write_tary(target, 0x99)
-        cpu2, out2 = self._run(code, target, tables, icache, cache)
+        cpu2, out2 = self._run(code, target, tables, cache)
         assert out2 == 0, "fused path served a stale branch ID"
         assert cpu2.tx_checks == 1
 
         # And a divergent update (only Tary moves) must now *halt*.
         tables.write_tary(target, 0x123)
-        cpu3, out3 = self._run(code, target, tables, icache, cache)
+        cpu3, out3 = self._run(code, target, tables, cache)
         assert isinstance(out3, CfiViolation)
 
     def test_fused_tary_fault_identical_to_reference(self):
@@ -578,9 +637,9 @@ class TestFusedCheckTransaction:
         tables = TableMemory()
         tables.write_bary(0, 0x41)
         tables.write_tary(target, 0x41)
-        icache, cache = {}, DispatchCache()
+        cache = DispatchCache()
         for expected in (1, 1, 1):
-            cpu, out = self._run(code, target, tables, icache, cache)
+            cpu, out = self._run(code, target, tables, cache)
             assert out == 0
             assert cpu.tx_checks == expected
 
@@ -608,37 +667,34 @@ class TestBlockCacheInvalidation:
 
     def test_invalidate_range_drops_closures_and_blocks(self):
         code_v1 = self._mov_exit(1)
-        icache, cache = {}, DispatchCache()
-        cpu = make_cpu(code_v1, icache=icache, dispatch_cache=cache)
+        cache = DispatchCache()
+        cpu = make_cpu(code_v1, dispatch_cache=cache)
         assert cpu.run(max_steps=2000) == 1
-        assert cache.blocks and cache.closures
+        assert cache.blocks and cache.closures and cache.decoded
 
         # JIT-install new code over the same address range.
         code_v2 = self._mov_exit(2)
         cpu.memory.host_write(CODE, code_v2)
-        for address in [a for a in icache
-                        if CODE <= a < CODE + len(code_v1)]:
-            del icache[address]
         cache.invalidate_range(CODE, CODE + len(code_v1))
         assert not cache.blocks and not cache.closures
+        assert not cache.decoded
 
-        cpu2 = make_cpu(code_v2, icache=icache, dispatch_cache=cache)
+        cpu2 = make_cpu(code_v2, dispatch_cache=cache)
         cpu2.memory = cpu.memory  # same address space
         cpu2.rip = CODE
         assert cpu2.run(max_steps=2000) == 2
 
     def test_stale_entries_without_invalidation_would_win(self):
-        """Sanity check on the hazard itself: with the icache scrubbed
-        but the dispatch cache left stale, the old closures execute —
-        which is exactly why the linker must invalidate both."""
+        """Sanity check on the hazard itself: with no
+        ``invalidate_range``, the old decoded block executes — which is
+        exactly why the runtime retires code through it."""
         code_v1 = self._mov_exit(1)
-        icache, cache = {}, DispatchCache()
-        cpu = make_cpu(code_v1, icache=icache, dispatch_cache=cache)
+        cache = DispatchCache()
+        cpu = make_cpu(code_v1, dispatch_cache=cache)
         assert cpu.run(max_steps=2000) == 1
 
         code_v2 = self._mov_exit(2)
-        cpu.memory.host_write(CODE, code_v2)
-        icache.clear()  # icache scrubbed, dispatch cache NOT
+        cpu.memory.host_write(CODE, code_v2)  # no invalidate_range
         cpu.rip = CODE
         assert cpu.run(max_steps=2000) == 1  # stale block still wins
 
@@ -648,8 +704,8 @@ class TestBlockCacheInvalidation:
         items = [AsmInstr(Op.ADD_RI, (Reg.RAX, 1))] * 8 + [
             AsmInstr(Op.SYSCALL, ())]
         code = assemble(items, base=CODE).code
-        icache, cache = {}, DispatchCache()
-        cpu = make_cpu(code, icache=icache, dispatch_cache=cache)
+        cache = DispatchCache()
+        cpu = make_cpu(code, dispatch_cache=cache)
         cpu.run(max_steps=2000)
         assert CODE in cache.blocks
         # invalidate one byte in the middle of the block's span
@@ -686,7 +742,7 @@ class TestBlockCacheInvalidation:
             assert memory.is_executable(address)
         for block in runtime.dispatch_cache.blocks.values():
             assert memory.is_executable(block.entry)
-        for address in runtime.icache:
+        for address in runtime.dispatch_cache.decoded:
             assert memory.is_executable(address)
 
     def test_reload_after_unload_executes_new_code(self):
@@ -862,15 +918,12 @@ class TestHotBlocks:
             ], base=CODE)
 
         old, new = program(1), program(2)
-        icache, cache = {}, DispatchCache()
-        cpu = make_cpu(old.code, icache=icache, dispatch_cache=cache)
+        cache = DispatchCache()
+        cpu = make_cpu(old.code, dispatch_cache=cache)
         assert cpu.run(max_steps=2000) == 40
         assert cache.blocks[old.labels["loop"]].run.__name__ == "block"
 
         cpu.memory.host_write(CODE, new.code)
-        for address in [a for a in icache
-                        if CODE <= a < CODE + len(old.code)]:
-            del icache[address]
         cache.invalidate_range(CODE, CODE + len(old.code))
         assert not cache.blocks
         cpu.rip = CODE
@@ -895,6 +948,11 @@ class TestDispatchConformanceGenerated(TestDispatchConformance):
 
 @pytest.mark.usefixtures("generated_tier")
 class TestFcmpNanSemanticsGenerated(TestFcmpNanSemantics):
+    pass
+
+
+@pytest.mark.usefixtures("generated_tier")
+class TestFloatEdgeSemanticsGenerated(TestFloatEdgeSemantics):
     pass
 
 
