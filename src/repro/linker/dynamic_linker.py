@@ -7,9 +7,9 @@ Implements the paper's three-step dlopen protocol:
    at the runtime's code cursor and below its lowest library data, and
    number its branch sites globally; the runtime's
    :meth:`~repro.runtime.runtime.Runtime.map_module` then maps it
-   exactly as it mapped the program (writable but *not* executable,
-   Bary-index immediates patched, optionally verified, sealed
-   read-only + executable).  The W^X invariant holds throughout.
+   exactly as it mapped the program (optionally verified, written
+   while writable but *not* executable, Bary-index immediates patched,
+   sealed read-only + executable).  The W^X invariant holds throughout.
 2. **New CFG generation** — merge the library's auxiliary information
    into the program's, connect PLT entries "to functions with matching
    names", and regenerate the CFG/ECN assignment.
