@@ -7,21 +7,31 @@ absolute lock penalties differ between x86 LOCK-prefixed RMWs and
 Python locks (see EXPERIMENTS.md).
 """
 
+import statistics
+
 import pytest
 
 from benchmarks.conftest import write_result
 from repro.core.stm_baselines import ALGORITHMS, make_workload
-from repro.experiments import stm_micro
+from repro.experiments import STM_ROUNDS, stm_micro_rounds
 
 PAPER = {"MCFI": 1, "TML": 2, "RWL": 29, "Mutex": 22}
 
 
 def test_stm_micro_table(benchmark):
-    ratios = benchmark.pedantic(
-        lambda: stm_micro(iterations=150_000), rounds=1, iterations=1)
-    lines = [f"{'algorithm':8s} {'normalized':>11s} {'paper':>7s}"]
+    per_round = benchmark.pedantic(
+        lambda: stm_micro_rounds(iterations=150_000), rounds=1,
+        iterations=1)
+    ratios = {name: statistics.median(values)
+              for name, values in per_round.items()}
+    lines = [f"Normalized check-transaction time: median and interquartile "
+             f"range over {STM_ROUNDS} interleaved rounds",
+             f"{'algorithm':8s} {'normalized':>11s} {'IQR':>11s} "
+             f"{'paper':>7s}"]
     for name in ("MCFI", "TML", "RWL", "Mutex"):
-        lines.append(f"{name:8s} {ratios[name]:11.2f} {PAPER[name]:7d}")
+        q1, _, q3 = statistics.quantiles(per_round[name], n=4)
+        lines.append(f"{name:8s} {ratios[name]:11.2f} "
+                     f"{f'{q1:.2f}-{q3:.2f}':>11s} {PAPER[name]:7d}")
     write_result("stm_micro", "\n".join(lines))
 
     assert ratios["MCFI"] == 1.0

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Tuple
 
 from repro.build.units import UnitArtifact
-from repro.module.module import McfiModule
+from repro.module.module import McfiModule, code_ranges
 
 
 @dataclass
@@ -127,16 +127,8 @@ def image_of_unit(artifact: UnitArtifact, arch: str = "x64") -> ImageSpec:
             jt_ends[info] = offset
         elif kind == "retsite":
             retsites.append(offset)
-    data_ranges = sorted((start, jt_ends[key])
-                         for key, start in jt_starts.items())
-    code_ranges: List[Tuple[int, int]] = []
-    cursor = 0
-    for start, end in data_ranges:
-        if start > cursor:
-            code_ranges.append((cursor, start))
-        cursor = max(cursor, end)
-    if cursor < size:
-        code_ranges.append((cursor, size))
+    data_ranges = [(start, jt_ends[key])
+                   for key, start in jt_starts.items()]
 
     roots = {0}
     roots.add(labels.get(artifact.fn, 0))
@@ -154,7 +146,8 @@ def image_of_unit(artifact: UnitArtifact, arch: str = "x64") -> ImageSpec:
                       in artifact.relocs if kind == "rel32")
     return ImageSpec(
         name=artifact.fn, arch=arch, base=0, code=bytes(artifact.code),
-        code_ranges=code_ranges, roots=frozenset(roots),
+        code_ranges=code_ranges(0, size, data_ranges),
+        roots=frozenset(roots),
         aux_targets=sorted(aux_targets),
         label_addrs=frozenset(labels.values()),
         bary_fields=sorted(offset for _site, offset in artifact.bary_slots),

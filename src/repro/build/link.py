@@ -55,7 +55,7 @@ from repro.module.auxinfo import (
     FunctionAux,
     RetSiteAux,
 )
-from repro.module.module import DataLayout, McfiModule
+from repro.module.module import DataLayout, McfiModule, code_ranges
 from repro.vm.memory import CODE_BASE, DATA_BASE, PAGE_SIZE
 
 _MASK32 = 0xFFFFFFFF
@@ -496,15 +496,6 @@ def _finalize(state: LinkState) -> LinkedProgram:
     name = "+".join(m.name for m in state.modules)
     base = state.code_base
     code_bytes = bytes(code)
-    code_ranges: List[Tuple[int, int]] = []
-    cursor = base
-    end = base + len(code_bytes)
-    for start, stop in aux.data_ranges:
-        if start > cursor:
-            code_ranges.append((cursor, start))
-        cursor = max(cursor, stop)
-    if cursor < end:
-        code_ranges.append((cursor, end))
 
     if state.mcfi and len(bary) != n_sites:
         raise ValueError(
@@ -512,7 +503,9 @@ def _finalize(state: LinkState) -> LinkedProgram:
 
     module = McfiModule(name=name, arch=state.modules[0].arch, base=base,
                         code=code_bytes, aux=aux, bary_slots=bary,
-                        labels=labels, code_ranges=code_ranges)
+                        labels=labels,
+                        code_ranges=code_ranges(base, len(code_bytes),
+                                                aux.data_ranges))
 
     layout = state.layout
     layout.image = build_data_image(state.raw_likes, layout, labels)

@@ -8,9 +8,10 @@ Two transaction kinds coordinate the ID tables:
   - as the *instruction sequence* emitted by
     :mod:`repro.core.instrument` and executed by the SimVM — the real
     enforcement path; and
-  - as :func:`tx_check` below, a Python transcription of Fig. 4 used by
-    the STM micro-benchmark and by concurrency tests that need to call
-    the check millions of times without VM overhead.
+  - as :func:`tx_check_gen` below, the one Python transcription of
+    Fig. 4, which concurrency tests and the table service run on the
+    cooperative scheduler without VM overhead (:func:`tx_check` runs
+    it to completion outside a scheduler).
 
 * **Update transactions** run during dynamic linking.
   :class:`UpdateTransaction` follows Fig. 3: serialize on a global
@@ -73,43 +74,16 @@ def _note_escalation(retries: int) -> None:
 
 def tx_check(tables: IdTables, site: int, target: int,
              max_retries: int = DEFAULT_CHECK_RETRIES) -> Tuple[str, int]:
-    """Python transcription of the Fig. 4 check transaction.
+    """Run :func:`tx_check_gen` to completion; returns ``(result, retries)``.
 
-    Returns ``(result, retries)``.  Retries when the branch and target
-    IDs are both valid but carry different versions (an update is in
-    flight); the retry count is how Fig. 6's update-induced delay shows
-    up at this level.
+    With no scheduler to yield to, each retry simply re-reads the
+    tables, so a version mismatch that persists escalates after
+    ``max_retries`` retries exactly as the scheduled check does.
     """
-    memory = tables.memory
-    bindex = bary_index(site)
-    target &= 0xFFFFFFFF  # the movl %ecx,%ecx sandboxing step
-    retries = 0
-    while True:
-        branch_id = memory.read_bary(bindex)
-        try:
-            target_id = memory.read_tary(target)
-        except MemoryFault:
-            outcome = CheckResult.OUT_OF_RANGE
-        else:
-            if branch_id == target_id:
-                outcome = CheckResult.ALLOWED
-            elif not is_valid_id(target_id):
-                outcome = CheckResult.INVALID_TARGET
-            elif not same_version(branch_id, target_id):
-                retries += 1
-                if retries > max_retries:
-                    if OBS.enabled:
-                        _note_escalation(retries)
-                    raise TableIntegrityError(
-                        "check transaction livelocked: version mismatch "
-                        f"persisted through {retries} retries",
-                        retries=retries)
-                continue
-            else:
-                outcome = CheckResult.ECN_MISMATCH
-        if OBS.enabled:
-            _note_check(outcome, retries)
-        return outcome, retries
+    sink: List[Tuple[str, int]] = []
+    for _ in tx_check_gen(tables, site, target, sink, max_retries):
+        pass
+    return sink[0]
 
 
 def tx_check_gen(tables: IdTables, site: int, target: int,

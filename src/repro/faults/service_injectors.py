@@ -7,8 +7,9 @@ running*: corruption storms that hit one shard's bands mid-traffic so
 the health monitor's evidence feeds (audit findings, TxCheck
 escalations, batch rollbacks) — not the test harness — must notice.
 
-Each storm is a scheduler generator task co-scheduled with the tenants
-(via ``ServiceLoop._extra_tasks``), gated by an armed
+Each storm is a scheduler generator task that
+:meth:`~repro.service.loop.ServiceLoop.run` co-schedules with the
+tenants when given its spec, gated by an armed
 :class:`~repro.faults.plane.FaultPlane` point:
 
 ``service.fault.bitflip``

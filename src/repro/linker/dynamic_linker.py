@@ -338,7 +338,8 @@ class DynamicLinker:
         :meth:`~repro.core.tables.IdTables.sweep` so forged strays in
         untracked words are zeroed too.  This is the single-process
         analogue of the service plane's quarantined-shard recovery
-        (:class:`~repro.service.resilience.ResilientServiceLoop`).
+        (:class:`~repro.service.loop.ServiceLoop` under a health
+        policy).
 
         Returns ``{"repaired": .., "strays": .., "entries": ..}``.
         """

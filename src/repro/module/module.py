@@ -113,13 +113,14 @@ def build_module(raw: RawModule, instrumented: InstrumentedAsm,
         aux.data_ranges.append((start, ends[table_label]))
     aux.data_ranges.sort()
 
-    code_ranges = _code_ranges(assembled, aux.data_ranges)
     bary_slots = {site_base + local: offset
                   for local, offset in assembled.bary_slots.items()}
     module = McfiModule(
         name=raw.name, arch=raw.arch, base=assembled.base,
         code=assembled.code, aux=aux, bary_slots=bary_slots,
-        labels=dict(labels), code_ranges=code_ranges)
+        labels=dict(labels),
+        code_ranges=code_ranges(assembled.base, len(assembled.code),
+                                aux.data_ranges))
     if len(bary_slots) != len(instrumented.sites):
         raise ValueError(
             f"{raw.name}: {len(instrumented.sites)} sites but "
@@ -127,12 +128,13 @@ def build_module(raw: RawModule, instrumented: InstrumentedAsm,
     return module
 
 
-def _code_ranges(assembled: Assembled,
-                 data_ranges: List[Tuple[int, int]]) -> List[Tuple[int, int]]:
-    """Complement of the data ranges within the module image."""
+def code_ranges(base: int, size: int,
+                data_ranges: List[Tuple[int, int]]) -> List[Tuple[int, int]]:
+    """Instruction ranges of the image ``[base, base + size)``: the
+    complement of its jump-table ``data_ranges``."""
     ranges: List[Tuple[int, int]] = []
-    cursor = assembled.base
-    end = assembled.base + len(assembled.code)
+    cursor = base
+    end = base + size
     for start, stop in sorted(data_ranges):
         if start > cursor:
             ranges.append((cursor, start))

@@ -13,15 +13,25 @@ tenants:
   queue of dlopen/dlclose write-sets that commits **one** batched
   update transaction per shard per round, with backpressure and
   snapshot rollback on partial failure;
-* :mod:`repro.service.loop` — :class:`ServiceLoop`, a cooperative
-  (seeded, deterministic, thread-free) admission loop that runs many
-  tenants — each modeled on a :mod:`repro.infra` instance — issuing
-  dlopen/dlclose churn and Fig.-4 check-transaction load against the
-  shared shards.
+* :mod:`repro.service.loop` — :class:`ServiceLoop`, the one
+  cooperative (seeded, deterministic, thread-free) admission loop that
+  runs many tenants — each modeled on a :mod:`repro.infra` instance —
+  issuing dlopen/dlclose churn and Fig.-4 check-transaction load
+  against the shared shards.  Given a :class:`HealthPolicy` it also
+  runs the self-healing plane (parity-spaced IDs, quarantine and
+  journal-driven recovery, forbidden-pair checks, request retries and
+  deadlines) and returns a :class:`ResilienceReport`; with or without
+  one it co-schedules the bit-flip and stale-version chaos storms it
+  is given;
+* :mod:`repro.service.health` — :class:`ShardHealthMonitor`, the
+  per-shard circuit breakers that policy drives;
+* :mod:`repro.service.chaos` — the seeded chaos campaign: one cell
+  runs the loop with and without a policy under the same faults.
 
 ``python -m repro service`` and ``benchmarks/bench_service.py`` drive
 the loop at 10/100/1000 tenants and compare the sharded/batched path
-against the paper's global-lock baseline.  See ``docs/SERVICE.md``.
+against the paper's global-lock baseline.  See ``docs/SERVICE.md`` and
+``docs/RESILIENCE.md``.
 """
 
 from repro.service.coalescer import (  # noqa: F401
@@ -33,15 +43,12 @@ from repro.service.health import (  # noqa: F401
     ShardHealthMonitor,
 )
 from repro.service.loop import (  # noqa: F401
+    ParityWritesetTemplate,
+    ResilienceReport,
     ServiceLoop,
     ServiceReport,
     TenantSpec,
     WritesetTemplate,
-)
-from repro.service.resilience import (  # noqa: F401
-    ParityWritesetTemplate,
-    ResilienceReport,
-    ResilientServiceLoop,
 )
 from repro.service.shards import ShardedIdTables, TableShard  # noqa: F401
 from repro.service.tenancy import (  # noqa: F401
@@ -56,7 +63,7 @@ __all__ = [
     "UpdateCoalescer", "UpdateRequest",
     "ServiceLoop", "ServiceReport", "TenantSpec", "WritesetTemplate",
     "HealthPolicy", "ShardHealthMonitor",
-    "ParityWritesetTemplate", "ResilienceReport", "ResilientServiceLoop",
+    "ParityWritesetTemplate", "ResilienceReport",
     "TenantChurn", "churn_compile_latencies", "tenant_source",
     "writeset_from_program",
 ]

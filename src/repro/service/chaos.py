@@ -1,13 +1,13 @@
 """Chaos campaigns: the self-healing plane vs. the fault-oblivious one.
 
-A campaign cell runs the *same* seeded fault schedule twice:
+A campaign cell runs the *same* seeded fault schedule twice, through
+the one :class:`~repro.service.loop.ServiceLoop`:
 
-* the **resilient** leg — :class:`~repro.service.resilience
-  .ResilientServiceLoop` with parity-spaced IDs, shard health breakers,
-  quarantine/recovery and deadline budgets;
-* the **baseline** leg — the plain PR 6 :class:`~repro.service.loop
-  .ServiceLoop` wearing the same storms but no healing (no monitor, no
-  scrub, no recovery, plain ECNs).
+* the **resilient** leg — under :data:`CAMPAIGN_POLICY`, so with
+  parity-spaced IDs, shard health breakers, quarantine/recovery and
+  deadline budgets;
+* the **baseline** leg — no policy: the same storms but no healing (no
+  monitor, no scrub, no recovery, plain ECNs).
 
 Both legs face five fault families, armed on one
 :class:`~repro.faults.plane.FaultPlane` per leg with identical specs:
@@ -42,13 +42,8 @@ import json
 from typing import Dict, List, Optional, Sequence
 
 from repro.faults.plane import FaultPlane
-from repro.faults.service_injectors import (
-    shard_bit_flip_storm,
-    version_gap_storm,
-)
 from repro.service.health import HealthPolicy
-from repro.service.loop import ServiceLoop
-from repro.service.resilience import ResilientServiceLoop
+from repro.service.loop import HEALING_CHECK_RETRIES, ServiceLoop
 
 #: Health policy every campaign cell runs: quick quarantines (two
 #: consecutive rollbacks), short first cooldown, tight scrub cadence.
@@ -60,11 +55,6 @@ CAMPAIGN_POLICY = HealthPolicy(rollback_threshold=2, cooldown_ticks=150,
 #: Storm cadences (scheduler ticks between corruption attempts).
 BITFLIP_INTERVAL = 20
 STALE_INTERVAL = 35
-
-#: TxCheck retry budget both legs run under (a deadline budget for
-#: checks: a stuck retry signature must escalate, not spin for 4096
-#: ticks).
-CHECK_RETRY_BUDGET = 64
 
 #: Availability floor a healing cell must clear (fraction of clean
 #: per-shard commits, quarantined shards' parked rounds included).
@@ -99,76 +89,25 @@ def arm_chaos(plane: FaultPlane, tenants: int, churn: int) -> FaultPlane:
     return plane
 
 
-class BaselineChaosLoop(ServiceLoop):
-    """The no-resilience leg: same storms, no healing machinery."""
-
-    def __init__(self, *args, bitflip_storm: Optional[dict] = None,
-                 stale_storm: Optional[dict] = None, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        self.bitflip_storm = bitflip_storm
-        self.stale_storm = stale_storm
-        self.check_retry_budget = CHECK_RETRY_BUDGET
-
-    def _extra_tasks(self, tenant_tasks: list) -> list:
-        def tenants_active() -> bool:
-            return any(task.alive for task in tenant_tasks)
-
-        tasks = []
-        storm_seed = self.seed * 0x9E3779B1 + 0xC2B2AE35
-        if self.bitflip_storm is not None:
-            opts = dict(seed=storm_seed & 0xFFFFFFFF)
-            opts.update(self.bitflip_storm)
-            tasks.append((shard_bit_flip_storm(
-                self.sharded, self.fault_plane, tenants_active, **opts),
-                "chaos/bitflip"))
-        if self.stale_storm is not None:
-            opts = dict(seed=(storm_seed ^ 0x5BD1E995) & 0xFFFFFFFF)
-            opts.update(self.stale_storm)
-            tasks.append((version_gap_storm(
-                self.sharded, self.fault_plane, tenants_active, **opts),
-                "chaos/stale"))
-        return tasks
-
-
-def _availability(loop: ServiceLoop) -> float:
-    """Fraction of per-shard round commits that succeeded (the same
-    metric :meth:`ResilientServiceLoop._availability` reports)."""
-    records = [record for entry in loop.coalescer.trace
-               for record in entry["shards"]]
-    if not records:
-        return 1.0
-    ok = sum(1 for record in records if record["status"] == "ok")
-    return ok / len(records)
-
-
-def _baseline_residue(loop: ServiceLoop) -> int:
-    """Corrupt words the oblivious leg carries out of the run."""
-    residue = 0
-    for shard in loop.sharded.shards:
-        findings = shard.tables.audit()
-        residue += len(findings["tary"]) + len(findings["bary"])
-        swept = shard.tables.sweep(
-            tary_range=(shard.tary_lo, shard.tary_hi),
-            site_range=(shard.site_lo, shard.site_hi))
-        residue += swept["strays"]
-    return residue
-
-
 def run_chaos_cell(tenants: int, shards: int = 4, seed: int = 0,
                    churn: int = 2,
                    policy: Optional[HealthPolicy] = None) -> dict:
     """One campaign cell: resilient and baseline legs, same faults."""
-    policy = policy or CAMPAIGN_POLICY
-    storms = dict(bitflip_storm=dict(interval=BITFLIP_INTERVAL),
-                  stale_storm=dict(interval=STALE_INTERVAL))
 
-    plane_r = arm_chaos(FaultPlane(seed=seed), tenants, churn)
-    resilient = ResilientServiceLoop(
-        tenants=tenants, shards=shards, seed=seed, churn=churn,
-        policy=policy, check_retry_budget=CHECK_RETRY_BUDGET,
-        max_round_requests=round_cap(tenants),
-        fault_plane=plane_r, **storms)
-    report = resilient.run()
+    def leg(leg_policy: Optional[HealthPolicy]) -> ServiceLoop:
+        # Both legs run under the healing TxCheck retry budget, so a
+        # stuck retry signature escalates instead of spinning.
+        loop = ServiceLoop(
+            tenants=tenants, shards=shards, seed=seed, churn=churn,
+            policy=leg_policy, check_retry_budget=HEALING_CHECK_RETRIES,
+            max_round_requests=round_cap(tenants),
+            fault_plane=arm_chaos(FaultPlane(seed=seed), tenants, churn),
+            bitflip_storm=dict(interval=BITFLIP_INTERVAL),
+            stale_storm=dict(interval=STALE_INTERVAL))
+        loop.run()
+        return loop
+
+    resilient = leg(policy or CAMPAIGN_POLICY)
     oracle_ok = (resilient.sharded.decoded_state()
                  == resilient.replay_serial())
     bands_ok = all(
@@ -176,17 +115,13 @@ def run_chaos_cell(tenants: int, shards: int = 4, seed: int = 0,
         == resilient.expected_band_bytes(shard)
         for shard in resilient.sharded.shards)
 
-    plane_b = arm_chaos(FaultPlane(seed=seed), tenants, churn)
-    baseline = BaselineChaosLoop(
-        tenants=tenants, shards=shards, seed=seed, churn=churn,
-        max_round_requests=round_cap(tenants),
-        fault_plane=plane_b, **storms)
-    base_report = baseline.run()
+    baseline = leg(None)
+    base_report = baseline.report
 
     cell = {
         "tenants": tenants, "shards": shards, "seed": seed,
         "churn": churn,
-        "resilient": report.to_dict(),
+        "resilient": resilient.report.to_dict(),
         "resilient_oracle_ok": oracle_ok,
         "resilient_bands_ok": bands_ok,
         "baseline": {
@@ -195,12 +130,13 @@ def run_chaos_cell(tenants: int, shards: int = 4, seed: int = 0,
             "rejected": base_report.rejected,
             "rounds": base_report.rounds,
             "escalations": base_report.escalations,
-            "availability": _availability(baseline),
-            "residual_corruptions": _baseline_residue(baseline),
-            "faults_injected": len(plane_b.events),
+            "availability": baseline.availability(),
+            "residual_corruptions": baseline.teardown_sweep(),
+            "faults_injected": len(baseline.fault_plane.events),
             "ticks": base_report.ticks,
         },
-        "events": [event.to_dict() for event in plane_r.events],
+        "events": [event.to_dict()
+                   for event in resilient.fault_plane.events],
         "transitions": resilient.monitor.transitions,
     }
     return cell

@@ -36,10 +36,11 @@ check sequence the PR 5 dispatch plane cached against the poisoned
 bands is invalidated before the next lookup.
 
 The monitor never mutates tables itself — recovery (rebuild, sweep,
-probe) is driven by
-:class:`~repro.service.resilience.ResilientServiceLoop`'s recovery
-task, which asks :meth:`ready_to_recover` / :meth:`begin_recovery` and
-reports the verdict through :meth:`record_probe`.
+probe) is driven by the recovery task a
+:class:`~repro.service.loop.ServiceLoop` runs under a
+:class:`HealthPolicy`, which asks :meth:`ready_to_recover` /
+:meth:`begin_recovery` and reports the verdict through
+:meth:`record_probe`.
 """
 
 from __future__ import annotations
@@ -70,8 +71,6 @@ class HealthPolicy:
     #: Cooldown escalation per failed recovery (capped below).
     cooldown_factor: float = 2.0
     max_cooldown_ticks: int = 8000
-    #: Seeded jitter added to each cooldown (de-synchronizes probes).
-    jitter_ticks: int = 0
     #: Ticks between background integrity audits per shard.
     scrub_interval: int = 64
 
@@ -82,7 +81,6 @@ class ShardHealthMonitor:
     def __init__(self, sharded: ShardedIdTables,
                  clock: Callable[[], int],
                  policy: Optional[HealthPolicy] = None,
-                 seed: int = 0,
                  fence: Optional[Callable[[int], None]] = None) -> None:
         self.sharded = sharded
         self.clock = clock
@@ -96,8 +94,6 @@ class ShardHealthMonitor:
                 clock=clock,
                 cooldown_factor=self.policy.cooldown_factor,
                 max_cooldown=float(self.policy.max_cooldown_ticks),
-                jitter=float(self.policy.jitter_ticks),
-                seed=seed * 0x9E3779B1 + 0x85EBCA6B * (shard.index + 1),
                 name=f"shard{shard.index}")
         #: Health transitions: {tick, shard, from, to, reason} dicts in
         #: occurrence order — the deterministic health trace.

@@ -1,10 +1,10 @@
 """The multi-tenant admission loop: N tenants, shared sharded tables.
 
-:class:`ServiceLoop` is the subsystem's top level.  It models the
-paper's runtime as a *service*: many tenants — each standing in for one
-:mod:`repro.infra` registry instance churning dlopen/dlclose — share
-one :class:`~repro.vm.memory.TableMemory` behind a
-:class:`~repro.service.shards.ShardedIdTables`, and every table
+:class:`ServiceLoop` is the subsystem's top level and its one loop.  It
+models the paper's runtime as a *service*: many tenants — each standing
+in for one :mod:`repro.infra` registry instance churning
+dlopen/dlclose — share one :class:`~repro.vm.memory.TableMemory` behind
+a :class:`~repro.service.shards.ShardedIdTables`, and every table
 mutation goes through one :class:`~repro.service.coalescer
 .UpdateCoalescer`.
 
@@ -19,7 +19,7 @@ Each tenant task loops ``churn`` times:
 1. *think* for a seeded number of steps,
 2. submit a **dlopen** write-set (install its band's ECNs), yielding
    under :class:`~repro.errors.ServiceBackpressure` until accepted,
-3. wait for the batched commit, then issue ``checks_per_gap`` Fig.-4
+3. wait for the batched commit, then issue ``CHECKS_PER_GAP`` Fig.-4
    check transactions (:func:`~repro.core.transactions.tx_check_gen`)
    against its shard — the TxCheck retry load of the benchmark,
 4. submit the matching **dlclose** (clear the band) and wait again.
@@ -28,6 +28,36 @@ Each tenant task loops ``churn`` times:
 shard (a single global version counter and update lock) and one
 transaction per request, no batching — the comparison leg for
 ``bench_service.py``.
+
+**The self-healing plane.**  Given a
+:class:`~repro.service.health.HealthPolicy`, the same loop turns from
+fault-oblivious to self-healing (see ``docs/RESILIENCE.md``):
+
+* tenants install parity-spaced ECNs (:class:`ParityWritesetTemplate`),
+  so a single bit flip in a stored ID fails validity or parity and can
+  never alias another in-use equivalence class;
+* a :class:`~repro.service.health.ShardHealthMonitor` runs one circuit
+  breaker per shard, fed by batch commits and rollbacks, TxCheck
+  escalations and a background scrub task.  A tripped shard is
+  *fenced* (the shared ``TableMemory`` generation stamp is bumped, so
+  the dispatch plane drops every fused check cached against it) and
+  its requests are parked, never migrated: a tenant's sites and
+  targets live in one shard's bands;
+* after the breaker cooldown, the recovery task rebuilds the shard
+  from the committed request log (the service's load journal),
+  re-installs it under a fresh update transaction, sweeps the whole
+  band, verifies it byte-identical to a clean rebuild, probes one
+  permitted pair through a real check transaction, and only then
+  unparks the shard's queue;
+* every gap adds a check on a pair the CFG forbids: an ALLOWED verdict
+  is a forged edge (``forged_allows``, the campaign's hard zero);
+* a failed request is resubmitted up to ``REQUEST_RETRIES`` times,
+  every request carries a deadline budget, checks escalate after
+  ``HEALING_CHECK_RETRIES`` retries, and :meth:`ServiceLoop.run`
+  returns a :class:`ResilienceReport`.
+
+With or without a policy, ``bitflip_storm`` / ``stale_storm`` specs
+co-schedule the :mod:`repro.faults.service_injectors` storms.
 
 :func:`ServiceLoop.replay_serial` is the correctness oracle: it
 re-applies the committed request log one-transaction-per-request on a
@@ -40,8 +70,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, Generator, List, Optional, Tuple
+from typing import Callable, Dict, Generator, List, Optional, Tuple
 
+from repro.core.idencoding import pack_id, parity_ecn, parity_ecn_ok
+from repro.core.tables import bary_index
 from repro.core.transactions import (
     DEFAULT_CHECK_RETRIES,
     CheckResult,
@@ -54,11 +86,30 @@ from repro.errors import (
     TableIntegrityError,
 )
 from repro.faults.plane import NULL_PLANE, FaultPlane
+from repro.faults.service_injectors import (
+    shard_bit_flip_storm,
+    version_gap_storm,
+)
 from repro.obs import OBS
 from repro.service.coalescer import COMMITTED, UpdateCoalescer, UpdateRequest
-from repro.service.shards import ShardedIdTables
+from repro.service.health import HealthPolicy, ShardHealthMonitor
+from repro.service.shards import ShardedIdTables, TableShard
 from repro.vm.memory import TableMemory
 from repro.vm.scheduler import Scheduler
+
+#: A tenant round starts after 1..THINK idle scheduler steps.
+THINK = 4
+#: Permitted-pair check transactions per dlopen/dlclose gap.
+CHECKS_PER_GAP = 4
+#: Forbidden-pair check transactions per gap, under a health policy.
+NEGATIVE_CHECKS_PER_GAP = 1
+#: TxCheck retry budget under a health policy: with deadline budgets a
+#: stuck check must escalate into quarantine evidence quickly, not spin
+#: for ``DEFAULT_CHECK_RETRIES`` ticks.
+HEALING_CHECK_RETRIES = 64
+#: Resubmissions a tenant grants a failed request under a health
+#: policy, so a transient fault costs a retry, not the round's work.
+REQUEST_RETRIES = 2
 
 
 @dataclass(frozen=True)
@@ -114,6 +165,24 @@ class WritesetTemplate:
         """Permitted ``(site, target)`` pairs at a placement."""
         return [(site_base + site, tary_base + target)
                 for site, target in self.checks]
+
+
+@dataclass(frozen=True)
+class ParityWritesetTemplate(WritesetTemplate):
+    """A write-set template that installs parity-spaced ECNs.
+
+    Same shape as the base template; only the encoding differs —
+    ``ecn_base + cls`` is pushed through :func:`parity_ecn` so every
+    installed class ID is Hamming-distance >= 2 from every other.
+    """
+
+    def instantiate(self, tary_base: int, site_base: int, ecn_base: int,
+                    ) -> Tuple[Dict[int, int], Dict[int, int]]:
+        set_tary = {tary_base + offset: parity_ecn(ecn_base + cls)
+                    for offset, cls in self.tary}
+        set_bary = {site_base + offset: parity_ecn(ecn_base + cls)
+                    for offset, cls in self.bary}
+        return set_tary, set_bary
 
 
 @dataclass
@@ -172,6 +241,52 @@ class ServiceReport:
         return out
 
 
+@dataclass
+class ResilienceReport(ServiceReport):
+    """A :class:`ServiceReport` plus the self-healing outcome."""
+
+    parked: int = 0
+    deadline_missed: int = 0
+    invalid_requests: int = 0
+    quarantines: int = 0
+    recoveries: int = 0
+    probes_failed: int = 0
+    mttr_mean: float = 0.0
+    mttr_max: int = 0
+    #: Fraction of per-shard round commits that succeeded (quarantined
+    #: shards don't participate — their requests park — so this
+    #: measures the *serving* plane).
+    availability: float = 1.0
+    detected_corruptions: int = 0
+    #: Corrupt words found and repaired by the final teardown sweep
+    #: (landed after the last scrub pass; detected, never exploited).
+    teardown_repairs: int = 0
+    repaired_entries: int = 0
+    negative_checks: int = 0
+    forged_allows: int = 0
+    rebuild_mismatches: int = 0
+    rebuilds_verified: int = 0
+    faults_injected: int = 0
+    health_transitions: int = 0
+    health_states: Dict[str, str] = field(default_factory=dict)
+
+    @property
+    def undetected_corruptions(self) -> int:
+        """Forged edges admitted by a check transaction: must be 0.
+
+        Every other corruption path is detected by construction —
+        audits compare stored words against the trusted assignment,
+        the teardown sweep zeroes strays, and parity-spaced ECNs turn
+        single flips into invalid IDs.
+        """
+        return self.forged_allows
+
+    def to_dict(self) -> dict:
+        out = super().to_dict()
+        out["undetected_corruptions"] = self.undetected_corruptions
+        return out
+
+
 def _percentile(values: List[int], fraction: float) -> int:
     """Nearest-rank percentile of a sorted copy (0 for empty input)."""
     if not values:
@@ -188,18 +303,26 @@ class ServiceLoop:
     forces the paper's baseline (one shard, one transaction per
     request, no batching window) for like-for-like latency comparison.
     Both run the *same* tenant tasks on the *same* seeded scheduler.
+
+    ``policy`` turns on the self-healing plane (module docstring);
+    ``deadline`` overrides its request deadline budget, which defaults
+    to six first cooldowns.  ``check_retry_budget`` defaults to
+    ``DEFAULT_CHECK_RETRIES`` without a policy and
+    ``HEALING_CHECK_RETRIES`` with one.
     """
 
     def __init__(self, tenants: int = 10, shards: int = 8,
-                 seed: int = 0, churn: int = 2, think: int = 4,
-                 checks_per_gap: int = 4, window: int = 4,
-                 batch: int = 64, max_pending: Optional[int] = None,
+                 seed: int = 0, churn: int = 2, window: int = 4,
+                 max_pending: Optional[int] = None,
                  max_round_requests: Optional[int] = None,
                  mode: str = "sharded",
                  template: Optional[WritesetTemplate] = None,
                  fault_plane: FaultPlane = NULL_PLANE,
-                 bary_entries: int = 65536,
-                 max_ticks: Optional[int] = None) -> None:
+                 policy: Optional[HealthPolicy] = None,
+                 deadline: Optional[int] = None,
+                 check_retry_budget: Optional[int] = None,
+                 bitflip_storm: Optional[dict] = None,
+                 stale_storm: Optional[dict] = None) -> None:
         if mode not in ("sharded", "global"):
             raise RuntimeError_(f"unknown service mode {mode!r}")
         if mode == "global":
@@ -209,38 +332,53 @@ class ServiceLoop:
         self.mode = mode
         self.seed = seed
         self.churn = churn
-        self.think = max(1, think)
-        self.checks_per_gap = checks_per_gap
         self.n_tenants = tenants
-        self.template = template or WritesetTemplate.default()
+        template = template or WritesetTemplate.default()
+        if policy is not None and \
+                not isinstance(template, ParityWritesetTemplate):
+            template = ParityWritesetTemplate(
+                template.tary, template.bary, template.checks,
+                template.n_classes)
+        self.template = template
         self.fault_plane = fault_plane
-        #: Shard health monitor; None in the base loop, wired by
-        #: :class:`~repro.service.resilience.ResilientServiceLoop`.
-        self.monitor = None
-        #: TxCheck retry budget per check (the resilient loop shrinks
-        #: it: under deadline budgets a stuck check must escalate into
-        #: quarantine evidence quickly, not spin for 4096 ticks).
-        self.check_retry_budget = DEFAULT_CHECK_RETRIES
-        #: Resubmissions a tenant grants a failed (rolled-back or
-        #: deadline-lapsed) request.  0 in the base loop — the
-        #: resilient loop raises it so transient faults cost a retry,
-        #: not the whole round of work.
-        self.request_retries = 0
-        self.memory = TableMemory(bary_entries=bary_entries)
+        self.bitflip_storm = bitflip_storm
+        self.stale_storm = stale_storm
+        if check_retry_budget is None:
+            check_retry_budget = (DEFAULT_CHECK_RETRIES if policy is None
+                                  else HEALING_CHECK_RETRIES)
+        self.check_retry_budget = check_retry_budget
+        self.request_retries = 0 if policy is None else REQUEST_RETRIES
+        self.memory = TableMemory()
         self.sharded = ShardedIdTables(self.memory, shards=shards)
         self.coalescer = UpdateCoalescer(
             self.sharded,
             max_pending=max_pending or max(16, 2 * tenants),
-            batch=batch, window=window,
-            max_round_requests=max_round_requests,
+            window=window, max_round_requests=max_round_requests,
             fault_plane=fault_plane)
         self.specs = [self._place_tenant(slot) for slot in range(tenants)]
-        self.max_ticks = max_ticks or self._estimate_ticks()
         self.counters = {"backpressure_waits": 0, "checks": 0,
                          "checks_allowed": 0, "check_retries": 0,
-                         "escalations": 0}
+                         "escalations": 0, "negative_checks": 0,
+                         "forged_allows": 0}
         self.scheduler = Scheduler(seed=seed)
         self.report: Optional[ServiceReport] = None
+        #: Shard health monitor; None without a policy.
+        self.monitor: Optional[ShardHealthMonitor] = None
+        self.fenced = 0
+        self.repaired_entries = 0
+        self.rebuild_mismatches = 0
+        self.rebuilds_verified = 0
+        if policy is not None:
+            self.monitor = ShardHealthMonitor(
+                self.sharded, clock=lambda: self.scheduler.ticks,
+                policy=policy, fence=self._fence)
+            self.coalescer.monitor = self.monitor
+            # Always budget requests: a parked request must either
+            # commit after recovery or fail its deadline — never hang
+            # the drain.
+            self.coalescer.default_deadline = (
+                deadline if deadline is not None
+                else 6 * policy.cooldown_ticks)
 
     def _place_tenant(self, slot: int) -> TenantSpec:
         shard, tary_base, site_base = self.sharded.place(
@@ -259,11 +397,19 @@ class ServiceLoop:
         # Worst case is the global baseline: every request serializes a
         # full-table rewrite.  Generous headroom; a genuine livelock
         # still terminates via the scheduler's max_ticks VMError.
-        per_round = (self.think + self.checks_per_gap + 20) * 4
+        per_round = (THINK + CHECKS_PER_GAP + 20) * 4
         per_txn = 8 * (len(self.template.tary) + len(self.template.bary))
         work = self.n_tenants * self.churn * (per_round + 2 * per_txn
                                               + per_txn * self.n_tenants)
-        return max(200_000, 20 * work)
+        ticks = max(200_000, 20 * work)
+        if self.monitor is not None:
+            # Room for every shard to ride out an escalated quarantine
+            # cooldown (plus the rebuild itself).
+            policy = self.monitor.policy
+            recovery = (policy.cooldown_ticks + policy.max_cooldown_ticks
+                        + 2000)
+            ticks += 4 * recovery * len(self.sharded)
+        return ticks
 
     # -- tenant task -------------------------------------------------------
 
@@ -278,19 +424,72 @@ class ServiceLoop:
                 self.counters["backpressure_waits"] += 1
                 yield
 
+    def _settle(self, request: UpdateRequest,
+                renew: Callable[[int], UpdateRequest],
+                ) -> Generator[None, None, UpdateRequest]:
+        """Submit ``request`` and wait for its round; return the last
+        request sent.
+
+        A request that did not commit (rolled back, deadline-lapsed or
+        poisoned) is resubmitted as ``renew(seq)`` — a clean write-set
+        with a fresh sequence number — up to ``request_retries`` times.
+        """
+        retries = 0
+        while True:
+            yield from self._submit(request)
+            while not request.done:
+                yield
+            if request.status == COMMITTED or \
+                    retries == self.request_retries:
+                return request
+            retries += 1
+            request = renew(request.seq + 1)
+
+    def _check(self, shard: TableShard, pairs: List[Tuple[int, int]],
+               rng: random.Random,
+               ) -> Generator[None, None, Optional[Tuple[str, int]]]:
+        """One Fig.-4 check transaction on a seeded pick from ``pairs``.
+
+        Returns ``(result, retries)``, or None when the check exhausted
+        its retry budget: the escalation is counted and reported to the
+        monitor, if any, as quarantine evidence.
+        """
+        site, target = pairs[rng.randrange(len(pairs))]
+        try:
+            return (yield from tx_check_gen(
+                shard.tables, site, target,
+                max_retries=self.check_retry_budget))
+        except TableIntegrityError:
+            self.counters["escalations"] += 1
+            if self.monitor is not None:
+                self.monitor.note_escalation(shard.index)
+            return None
+
     def _tenant(self, spec: TenantSpec, rng_seed: int,
                 ) -> Generator[None, None, None]:
         rng = random.Random(rng_seed)
+        counters = self.counters
         shard = self.sharded.shards[spec.shard]
         set_tary, set_bary = spec.writes()
         pairs = spec.template.check_pairs(spec.tary_base, spec.site_base)
-        seq = 0
-        for _ in range(self.churn):
-            for _ in range(1 + rng.randrange(self.think)):
-                yield
-            request = UpdateRequest(
+        forbidden = ([] if self.monitor is None
+                     else self._forbidden_pairs(spec))
+
+        def dlopen(seq: int) -> UpdateRequest:
+            return UpdateRequest(
                 tenant=spec.name, kind="dlopen", seq=seq,
                 set_tary=set_tary, set_bary=set_bary)
+
+        def dlclose(seq: int) -> UpdateRequest:
+            return UpdateRequest(
+                tenant=spec.name, kind="dlclose", seq=seq,
+                clear_tary=tuple(set_tary), clear_bary=tuple(set_bary))
+
+        seq = 0
+        for _ in range(self.churn):
+            for _ in range(1 + rng.randrange(THINK)):
+                yield
+            request = dlopen(seq)
             if self.fault_plane.should("service.request.poison",
                                        detail=spec.name):
                 # A corrupted dlopen request: misaligned Tary address.
@@ -300,25 +499,8 @@ class ServiceLoop:
                     tenant=spec.name, kind="dlopen", seq=seq,
                     set_tary={spec.tary_base + 1: spec.ecn_base},
                     set_bary=set_bary)
-            seq += 1
-            yield from self._submit(request)
-            while not request.done:
-                yield
-            retries = 0
-            while request.status != COMMITTED and \
-                    retries < self.request_retries:
-                # A rolled-back (or deadline-lapsed, or poisoned)
-                # dlopen is retried with a clean write-set and a fresh
-                # sequence number: transient faults cost one retry,
-                # not the tenant's whole round.
-                retries += 1
-                request = UpdateRequest(
-                    tenant=spec.name, kind="dlopen", seq=seq,
-                    set_tary=set_tary, set_bary=set_bary)
-                seq += 1
-                yield from self._submit(request)
-                while not request.done:
-                    yield
+            request = yield from self._settle(request, dlopen)
+            seq = request.seq + 1
             if request.status != COMMITTED:
                 continue  # rolled back: nothing installed, nothing to close
             if self.fault_plane.should("service.tenant.crash",
@@ -328,65 +510,41 @@ class ServiceLoop:
                 # dlclose — its entries stay installed (the service
                 # must keep serving everyone else regardless).
                 return
-            for _ in range(self.checks_per_gap):
-                site, target = pairs[rng.randrange(len(pairs))]
-                try:
-                    result, retries = yield from tx_check_gen(
-                        shard.tables, site, target,
-                        max_retries=self.check_retry_budget)
-                except TableIntegrityError:
-                    self.counters["escalations"] += 1
-                    if self.monitor is not None:
-                        self.monitor.note_escalation(spec.shard)
-                else:
-                    self.counters["checks"] += 1
-                    self.counters["check_retries"] += retries
+            for _ in range(CHECKS_PER_GAP):
+                outcome = yield from self._check(shard, pairs, rng)
+                if outcome is not None:
+                    result, retries = outcome
+                    counters["checks"] += 1
+                    counters["check_retries"] += retries
                     if result == CheckResult.ALLOWED:
-                        self.counters["checks_allowed"] += 1
+                        counters["checks_allowed"] += 1
                 yield
-            yield from self._extra_checks(spec, rng, shard)
-            close = UpdateRequest(
-                tenant=spec.name, kind="dlclose", seq=seq,
-                clear_tary=tuple(set_tary), clear_bary=tuple(set_bary))
-            seq += 1
-            yield from self._submit(close)
-            while not close.done:
-                yield
-            retries = 0
-            while close.status != COMMITTED and \
-                    retries < self.request_retries:
-                retries += 1
-                close = UpdateRequest(
-                    tenant=spec.name, kind="dlclose", seq=seq,
-                    clear_tary=tuple(set_tary),
-                    clear_bary=tuple(set_bary))
-                seq += 1
-                yield from self._submit(close)
-                while not close.done:
+            if forbidden:
+                for _ in range(NEGATIVE_CHECKS_PER_GAP):
+                    outcome = yield from self._check(shard, forbidden, rng)
+                    if outcome is not None:
+                        counters["negative_checks"] += 1
+                        if outcome[0] == CheckResult.ALLOWED:
+                            # A forged edge got through: the one
+                            # inadmissible outcome.  The campaign gate
+                            # is zero.
+                            counters["forged_allows"] += 1
+                            if OBS.enabled:
+                                OBS.metrics.counter(
+                                    "service.forged_allows").inc()
                     yield
+            close = yield from self._settle(dlclose(seq), dlclose)
+            seq = close.seq + 1
 
-    def _extra_checks(self, spec: TenantSpec, rng: random.Random,
-                      shard) -> Generator[None, None, None]:
-        """Extra per-gap check load; the base loop issues none.
-
-        The resilient subclass issues *negative* checks here —
-        (site, target) pairs the CFG forbids — whose only acceptable
-        outcome is a disallow: an ALLOWED result is a forged edge, the
-        one inadmissible event of the whole chaos campaign.
-        """
-        return
-        yield  # pragma: no cover - makes this a generator function
+    def _forbidden_pairs(self, spec: TenantSpec) -> List[Tuple[int, int]]:
+        """(site, target) pairs of this tenant the CFG does *not* permit."""
+        template = spec.template
+        return [(spec.site_base + s_off, spec.tary_base + t_off)
+                for s_off, s_cls in template.bary
+                for t_off, t_cls in template.tary
+                if s_cls != t_cls]
 
     # -- the run -----------------------------------------------------------
-
-    def _extra_tasks(self, tenant_tasks: list) -> list:
-        """``(generator, name)`` pairs to co-schedule with the tenants.
-
-        The base loop adds none; the resilient subclass registers its
-        scrub, recovery and chaos-injector tasks here so they ride the
-        same seeded scheduler as everything else.
-        """
-        return []
 
     def run(self) -> ServiceReport:
         span = OBS.tracer.begin("service.run", mode=self.mode,
@@ -400,14 +558,34 @@ class ServiceLoop:
             task = self.scheduler.add_generator(
                 self._tenant(spec, rng_seed), name=f"tenant/{spec.name}")
             tenant_tasks.append(task)
-        self.scheduler.add_generator(
-            self.coalescer.drain(
-                active=lambda: any(t.alive for t in tenant_tasks),
-                clock=lambda: self.scheduler.ticks),
+
+        def tenants_active() -> bool:
+            return any(task.alive for task in tenant_tasks)
+
+        def plane_active() -> bool:
+            # Recovery (and the drain) must outlive the tenants while
+            # queued or parked requests remain.
+            return (tenants_active() or bool(self.coalescer.queue)
+                    or bool(self.coalescer.parked_count))
+
+        add = self.scheduler.add_generator
+        add(self.coalescer.drain(active=tenants_active,
+                                 clock=lambda: self.scheduler.ticks),
             name="coalescer")
-        for generator, name in self._extra_tasks(tenant_tasks):
-            self.scheduler.add_generator(generator, name=name)
-        outcome = self.scheduler.run(max_ticks=self.max_ticks)
+        if self.monitor is not None:
+            add(self.monitor.scrub_task(plane_active), name="health/scrub")
+            add(self._recovery_task(plane_active), name="health/recovery")
+        storm_seed = self.seed * 0x9E3779B1 + 0xC2B2AE35
+        for storm, spec, mix, name in (
+                (shard_bit_flip_storm, self.bitflip_storm, 0,
+                 "chaos/bitflip"),
+                (version_gap_storm, self.stale_storm, 0x5BD1E995,
+                 "chaos/stale")):
+            if spec is not None:
+                opts = {"seed": (storm_seed ^ mix) & 0xFFFFFFFF, **spec}
+                add(storm(self.sharded, self.fault_plane, tenants_active,
+                          **opts), name=name)
+        outcome = self.scheduler.run(max_ticks=self._estimate_ticks())
         if outcome.fault is not None:
             raise outcome.fault
         report = self._build_report(outcome.ticks)
@@ -442,7 +620,217 @@ class ServiceLoop:
             latency_p99=_percentile(latencies, 0.99),
             shard_versions=self.sharded.versions(),
             latencies=latencies)
-        return report
+        monitor = self.monitor
+        if monitor is None:
+            return report
+        teardown_repairs = self.teardown_sweep()
+        mttrs = monitor.mttr_ticks()
+        return ResilienceReport(
+            **report.__dict__,
+            parked=coalescer.parked_total,
+            deadline_missed=coalescer.deadline_missed,
+            invalid_requests=coalescer.invalid,
+            quarantines=monitor.quarantines,
+            recoveries=len(monitor.recoveries),
+            probes_failed=monitor.probes_failed,
+            mttr_mean=(sum(mttrs) / len(mttrs)) if mttrs else 0.0,
+            mttr_max=max(mttrs) if mttrs else 0,
+            availability=self.availability(),
+            detected_corruptions=(monitor.detected_corruptions
+                                  + teardown_repairs),
+            teardown_repairs=teardown_repairs,
+            repaired_entries=self.repaired_entries,
+            negative_checks=counters["negative_checks"],
+            forged_allows=counters["forged_allows"],
+            rebuild_mismatches=self.rebuild_mismatches,
+            rebuilds_verified=self.rebuilds_verified,
+            faults_injected=len(self.fault_plane.events),
+            health_transitions=len(monitor.transitions),
+            health_states={str(k): v for k, v in
+                           sorted(monitor.states().items())})
+
+    def availability(self) -> float:
+        """Fraction of per-shard round commits that succeeded.
+
+        Per shard-record, not per whole round: one torn shard must not
+        mark its siblings' clean service unavailable — the guarantee is
+        that *non-quarantined shards keep serving* (quarantined shards
+        park their requests and never appear in a round at all).
+        """
+        records = [record for entry in self.coalescer.trace
+                   for record in entry["shards"]]
+        if not records:
+            return 1.0
+        ok = sum(1 for record in records if record["status"] == "ok")
+        return ok / len(records)
+
+    def teardown_sweep(self) -> int:
+        """Sweep every shard's band; return the corrupt words repaired.
+
+        Under a policy this runs at report time, so corruption that
+        landed after the last scrub pass is detected (and repaired),
+        never silently carried out of the run.  On a run without one it
+        counts the corruption residue the oblivious tables carry.
+        """
+        repaired = 0
+        for shard in self.sharded.shards:
+            swept = shard.tables.sweep(
+                tary_range=(shard.tary_lo, shard.tary_hi),
+                site_range=(shard.site_lo, shard.site_hi))
+            repaired += swept["repaired"] + swept["strays"]
+        return repaired
+
+    # -- fencing and recovery (under a policy) -----------------------------
+
+    def _fence(self, index: int) -> None:
+        """Invalidate every cached fast path against a poisoned shard.
+
+        The dispatch plane fuses check sequences against the current
+        :class:`~repro.vm.memory.TableMemory` generation; a quarantined
+        shard's bands can no longer back any of them.
+        """
+        self.memory.generation += 1
+        self.fenced += 1
+        if OBS.enabled:
+            OBS.metrics.counter("service.health.fenced").inc()
+
+    def _recovery_task(self, active: Callable[[], bool],
+                       ) -> Generator[None, None, None]:
+        """Scheduler task: rebuild quarantined shards after cooldown."""
+        while active():
+            for shard in self.sharded.shards:
+                if self.monitor.ready_to_recover(shard.index) and \
+                        self.monitor.begin_recovery(shard.index):
+                    yield from self._recover_shard(shard)
+            yield
+
+    def _fold_committed(self, index: int,
+                        ) -> Tuple[Dict[int, int], Dict[int, int]]:
+        """Journal-driven rebuild: fold the committed request log.
+
+        The coalescer's log is the service's load journal; replaying
+        every *committed* delta restricted to this shard's bands
+        reconstructs the trusted assignment from scratch, independent
+        of the (possibly corrupted) in-memory bookkeeping.
+        """
+        shard = self.sharded.shards[index]
+        tary: Dict[int, int] = {}
+        bary: Dict[int, int] = {}
+        for request in self.coalescer.log:
+            if request.status != COMMITTED:
+                continue
+            for address, ecn in request.set_tary.items():
+                if shard.owns_address(address):
+                    tary[address] = ecn
+            for address in request.clear_tary:
+                if shard.owns_address(address):
+                    tary.pop(address, None)
+            for site, ecn in request.set_bary.items():
+                if shard.owns_site(site):
+                    bary[site] = ecn
+            for site in request.clear_bary:
+                if shard.owns_site(site):
+                    bary.pop(site, None)
+        return tary, bary
+
+    def _recover_shard(self, shard: TableShard,
+                       ) -> Generator[None, None, None]:
+        index = shard.index
+        span = OBS.tracer.begin("service.recovery", shard=index)
+        # 1. Rebuild the trusted assignment from the load journal and
+        #    cross-check the live bookkeeping against it (the journal
+        #    wins: bookkeeping could have been corrupted too).
+        tary, bary = self._fold_committed(index)
+        if (tary != shard.tables.tary_ecns
+                or bary != shard.tables.bary_ecns):
+            self.rebuild_mismatches += 1
+        yield
+        # 2. Re-install it under a fresh per-shard update transaction:
+        #    a version bump plus a rewrite of every tracked word, so
+        #    any corrupt-but-tracked entry is overwritten.
+        transaction = UpdateTransaction(
+            shard.tables, shard.lock, new_tary=tary, new_bary=bary,
+            batch=self.coalescer.batch, owner=f"recovery/shard{index}")
+        for _ in transaction.run():
+            yield
+        # 3. Parity-checked sweep of the whole band: repairs anything
+        #    the rewrite missed and zeroes forged strays in untracked
+        #    words (invisible to a plain scrub).
+        swept = shard.tables.sweep(
+            tary_range=(shard.tary_lo, shard.tary_hi),
+            site_range=(shard.site_lo, shard.site_hi))
+        self.repaired_entries += swept["repaired"] + swept["strays"]
+        yield
+        # 4. Verify: audit clean, parity consistent, band byte-identical
+        #    to a clean rebuild, and one permitted pair passes a real
+        #    check transaction.
+        ok = self._verify_band(shard)
+        pair = self._probe_pair(shard)
+        if ok and pair is not None:
+            site, target = pair
+            try:
+                result, _ = yield from tx_check_gen(
+                    shard.tables, site, target,
+                    max_retries=self.check_retry_budget)
+            except TableIntegrityError:
+                ok = False
+            else:
+                ok = result == CheckResult.ALLOWED
+        self.monitor.record_probe(index, ok)
+        if ok:
+            self.rebuilds_verified += 1
+            requeued = self.coalescer.unpark(index)
+            span.end(status="recovered", requeued=requeued,
+                     repaired=swept["repaired"], strays=swept["strays"])
+        else:
+            span.end(status="probe-failed")
+
+    def _verify_band(self, shard: TableShard) -> bool:
+        findings = shard.tables.audit()
+        if findings["tary"] or findings["bary"]:
+            return False
+        tables = shard.tables
+        for ecn in list(tables.tary_ecns.values()) + \
+                list(tables.bary_ecns.values()):
+            if not parity_ecn_ok(ecn):
+                return False
+        return self.band_bytes(shard) == self.expected_band_bytes(shard)
+
+    def band_bytes(self, shard: TableShard) -> Tuple[bytes, bytes]:
+        """The shard's live (tary, bary) band bytes."""
+        memory = shard.tables.memory
+        return (bytes(memory.tary[shard.tary_lo:shard.tary_hi]),
+                bytes(memory.bary[bary_index(shard.site_lo):
+                                  bary_index(shard.site_hi)]))
+
+    def expected_band_bytes(self, shard: TableShard) -> Tuple[bytes, bytes]:
+        """Band bytes a clean rebuild of the trusted assignment yields."""
+        tables = shard.tables
+        tary = bytearray(shard.tary_hi - shard.tary_lo)
+        for address, ecn in tables.tary_ecns.items():
+            word = pack_id(ecn, tables.version)
+            offset = address - shard.tary_lo
+            tary[offset:offset + 4] = word.to_bytes(4, "little")
+        bary = bytearray(4 * (shard.site_hi - shard.site_lo))
+        for site, ecn in tables.bary_ecns.items():
+            word = pack_id(ecn, tables.version)
+            offset = 4 * (site - shard.site_lo)
+            bary[offset:offset + 4] = word.to_bytes(4, "little")
+        return bytes(tary), bytes(bary)
+
+    def _probe_pair(self, shard: TableShard) -> Optional[Tuple[int, int]]:
+        """First installed permitted pair on this shard, if any."""
+        tables = shard.tables
+        for spec in self.specs:
+            if spec.shard != shard.index:
+                continue
+            for site, target in spec.template.check_pairs(
+                    spec.tary_base, spec.site_base):
+                if tables.bary_ecns.get(site) is not None and \
+                        tables.bary_ecns.get(site) == \
+                        tables.tary_ecns.get(target):
+                    return site, target
+        return None
 
     # -- serial oracle -----------------------------------------------------
 

@@ -19,7 +19,7 @@ from repro.faults.service_injectors import (
 from repro.service import (
     HealthPolicy,
     ParityWritesetTemplate,
-    ResilientServiceLoop,
+    ServiceLoop,
     ShardedIdTables,
     ShardHealthMonitor,
     UpdateCoalescer,
@@ -46,7 +46,7 @@ def _outage_loop(seed=0, **kwargs):
     defaults = dict(tenants=6, shards=2, seed=seed, churn=2,
                     policy=OUTAGE_POLICY, fault_plane=plane)
     defaults.update(kwargs)
-    return ResilientServiceLoop(**defaults)
+    return ServiceLoop(**defaults)
 
 
 def _install(sharded, shard, entries=3):
@@ -186,7 +186,8 @@ class TestParityTemplate:
             assert parity_ecn_ok(ecn)
 
     def test_loop_wraps_plain_templates(self):
-        loop = ResilientServiceLoop(tenants=2, shards=1, seed=0, churn=1)
+        loop = ServiceLoop(tenants=2, shards=1, seed=0, churn=1,
+                           policy=HealthPolicy())
         assert isinstance(loop.template, ParityWritesetTemplate)
 
     def test_single_bit_flip_never_aliases(self):
@@ -361,8 +362,8 @@ class TestServiceInjectors:
 
 class TestResilientServiceLoop:
     def test_clean_run_matches_base_semantics(self):
-        loop = ResilientServiceLoop(tenants=8, shards=4, seed=3,
-                                    churn=2)
+        loop = ServiceLoop(tenants=8, shards=4, seed=3, churn=2,
+                           policy=HealthPolicy())
         report = loop.run()
         assert report.failed == 0
         assert report.escalations == 0
@@ -409,9 +410,8 @@ class TestResilientServiceLoop:
                             max_cooldown_ticks=8000, scrub_interval=16)
         plane = FaultPlane(seed=0).arm("service.commit", skip=0,
                                        count=2)
-        loop = ResilientServiceLoop(tenants=6, shards=2, seed=0,
-                                    churn=2, policy=slow, deadline=120,
-                                    fault_plane=plane)
+        loop = ServiceLoop(tenants=6, shards=2, seed=0, churn=2,
+                           policy=slow, deadline=120, fault_plane=plane)
         report = loop.run()                    # terminates
         assert report.deadline_missed > 0
         assert report.quarantines >= 1
@@ -420,10 +420,9 @@ class TestResilientServiceLoop:
     def test_storm_run_admits_no_forged_edge(self):
         plane = FaultPlane(seed=0).arm("service.fault.bitflip", skip=0,
                                        count=6)
-        loop = ResilientServiceLoop(tenants=6, shards=2, seed=0,
-                                    churn=3, policy=OUTAGE_POLICY,
-                                    fault_plane=plane,
-                                    bitflip_storm=dict(interval=10))
+        loop = ServiceLoop(tenants=6, shards=2, seed=0, churn=3,
+                           policy=OUTAGE_POLICY, fault_plane=plane,
+                           bitflip_storm=dict(interval=10))
         report = loop.run()
         assert report.faults_injected >= 1
         assert report.forged_allows == 0
@@ -441,3 +440,40 @@ class TestResilientServiceLoop:
             return (report.to_dict(), loop.coalescer.trace_jsonl(),
                     loop.monitor.transitions)
         assert cell() == cell()
+
+
+# ---------------------------------------------------------------------------
+# Request resubmission
+# ---------------------------------------------------------------------------
+
+class TestRequestResubmission:
+    """A rolled-back request is resubmitted clean, with a fresh sequence
+    number, only under a health policy."""
+
+    @staticmethod
+    def _log(policy, skip):
+        # One tenant on one shard, one churn round: round 1 carries the
+        # dlopen, round 2 the dlclose; the torn batch hits round skip+1.
+        plane = FaultPlane(seed=0).arm("service.commit", skip=skip,
+                                       count=1)
+        loop = ServiceLoop(tenants=1, shards=1, seed=0, churn=1,
+                           policy=policy, fault_plane=plane)
+        loop.run()
+        assert loop.sharded.decoded_state() == loop.replay_serial()
+        return [(request.kind, request.seq, request.status)
+                for request in loop.coalescer.log]
+
+    def test_rolled_back_dlopen_is_resubmitted(self):
+        assert self._log(HealthPolicy(), skip=0) == [
+            ("dlopen", 0, FAILED), ("dlopen", 1, COMMITTED),
+            ("dlclose", 2, COMMITTED)]
+
+    def test_rolled_back_dlclose_is_resubmitted(self):
+        assert self._log(HealthPolicy(), skip=1) == [
+            ("dlopen", 0, COMMITTED), ("dlclose", 1, FAILED),
+            ("dlclose", 2, COMMITTED)]
+
+    def test_no_resubmission_without_a_policy(self):
+        assert self._log(None, skip=0) == [("dlopen", 0, FAILED)]
+        assert self._log(None, skip=1) == [
+            ("dlopen", 0, COMMITTED), ("dlclose", 1, FAILED)]
