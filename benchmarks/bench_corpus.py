@@ -1,14 +1,15 @@
-"""Differential-corpus throughput and minimizer effectiveness.
+"""Differential-corpus coverage and minimizer effectiveness.
 
-Writes ``benchmarks/results/corpus_differential.txt``: programs/sec
-through the full differential matrix, divergence counts by category
-(zero unexplained is the ISSUE-10 gate), and minimizer shrink ratios.
+Writes ``benchmarks/results/corpus_differential.txt``: programs and
+matrix cells run, divergence counts by category (zero unexplained is
+the gate), and minimizer shrink ratios.  Throughput is the
+benchmark suite's ``corpus-smoke`` workload
+(``python benchmarks/suite/run.py one --workload corpus-smoke``),
+which repeats and rescales its timings.
 
-The default run uses the pinned ``gen-smoke`` seeds; ``REPRO_FULL=1``
-widens the throughput sample.
+The default run uses the first 8 pinned ``gen-smoke`` seeds;
+``REPRO_FULL=1`` runs the whole set.
 """
-
-import time
 
 import pytest
 
@@ -22,11 +23,7 @@ from repro.workloads.minimize import minimize
 class TestCorpusDifferential:
     @pytest.fixture(scope="class")
     def campaign(self):
-        limit = None if FULL else 8
-        start = time.perf_counter()
-        report = run_set("gen-smoke", limit=limit)
-        seconds = time.perf_counter() - start
-        return report, seconds
+        return run_set("gen-smoke", limit=None if FULL else 8)
 
     @pytest.fixture(scope="class")
     def shrinks(self):
@@ -47,24 +44,19 @@ class TestCorpusDifferential:
         return out
 
     def test_zero_unexplained_divergences(self, campaign):
-        report, _ = campaign
-        open_findings = [f for f in report.findings()
+        open_findings = [f for f in campaign.findings()
                          if f.classification == "open"]
         assert open_findings == []
 
     def test_throughput_and_write_artifact(self, campaign, shrinks):
-        report, seconds = campaign
-        members = len(report.reports)
-        cells = sum(r.cells for r in report.reports)
-        by_cat = report.by_category()
+        members = len(campaign.reports)
+        cells = sum(r.cells for r in campaign.reports)
+        by_cat = campaign.by_category()
         lines = [
             "differential corpus harness (gen-smoke"
             + ("" if FULL else f", first {members}") + ")",
             f"programs        : {members}",
             f"matrix cells    : {cells}",
-            f"wall seconds    : {seconds:.2f}",
-            f"programs/sec    : {members / seconds:.2f}",
-            f"cells/sec       : {cells / seconds:.2f}",
             "",
             "divergences by category:",
         ]
@@ -82,7 +74,7 @@ class TestCorpusDifferential:
                 f"({100 * result.shrink_ratio:.0f}%, "
                 f"{result.attempts} attempts)")
         write_result("corpus_differential", "\n".join(lines))
-        assert members / seconds > 0
+        assert cells == 6 * members
 
     def test_minimizer_hits_25_line_bar(self, shrinks):
         for _, result in shrinks:

@@ -74,7 +74,8 @@ def source_body_key(module: str, arch: str, body_text: str,
     """Key for the source-level body memo (steady-state churn path).
 
     Maps a function body's *text* to its unit fingerprint so re-editing
-    back to a previously seen body skips the mini-frontend entirely.
+    back to a body seen since the module's last full rebuild skips the
+    mini-frontend entirely.
     """
     h = hashlib.sha256()
     h.update(repr((module, arch, prelude_digest(prelude),

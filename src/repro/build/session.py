@@ -109,7 +109,10 @@ class BuildSession:
         self._link: Optional[LinkState] = None
         self._order: List[str] = []
         self._built_once = False
-        #: body-text memo: key -> (fingerprint, intern refs, artifact)
+        #: body-text memo: key -> (module, intern refs, artifact).  An
+        #: entry is only valid against the declarations its module had
+        #: when it was compiled, so a module's entries go when the
+        #: module is fully rebuilt or invalidated.
         self._body_memo: Dict[str, Tuple[str, List[bytes], UnitArtifact]] = {}
 
     # -- public API --------------------------------------------------
@@ -132,8 +135,13 @@ class BuildSession:
             self._body_memo.clear()
         else:
             self._modules.pop(name, None)
+            self._forget_bodies(name)
         self._link = None
         self._order = []
+
+    def _forget_bodies(self, name: str) -> None:
+        self._body_memo = {key: memo for key, memo in self._body_memo.items()
+                           if memo[0] != name}
 
     # -- unit-grain build --------------------------------------------
 
@@ -229,6 +237,7 @@ class BuildSession:
 
     def _full_rebuild(self, name: str, text: str,
                       stats: Dict[str, int]) -> None:
+        self._forget_bodies(name)
         checked, mir = self._frontend(text, name)
         with OBS.tracer.span("build.units", module=name):
             units, graph, ustats = self._compile_units(mir, checked)
@@ -269,7 +278,7 @@ class BuildSession:
                                   self.prelude)
             memo = self._body_memo.get(key)
             if memo is not None:
-                memo_hits[fn] = (key, memo)
+                memo_hits[fn] = memo
             else:
                 unresolved.append(fn)
 
@@ -294,10 +303,9 @@ class BuildSession:
                 artifact, refs = compiled[fn]
                 key = source_body_key(name, self.arch, by_name[fn].text,
                                       self.prelude)
-                self._body_memo[key] = (artifact.fingerprint, refs,
-                                        artifact)
+                self._body_memo[key] = (name, refs, artifact)
             else:
-                key, (fingerprint, refs, artifact) = memo_hits[fn]
+                _, refs, artifact = memo_hits[fn]
             old_refs = state.units.intern_refs.get(fn, [])
             if list(refs) != list(old_refs):
                 return None  # string table changed shape: full rebuild

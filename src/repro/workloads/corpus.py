@@ -9,20 +9,34 @@ through the full configuration matrix:
 * **cold build vs single-edit incremental rebuild** (the PR 8
   splice re-link path, compared by artifact digest),
 
-with every build passing the PR 9 binary verifier (``verify_units``)
-and the PR 4 lint plane. Any divergence in output / exit code /
-cycles / instructions / tx_checks / violations between two cells, or
-against the generated program's AST-evaluator oracle, is reported as
-a structured :class:`Finding`; generated findings can be shrunk with
-:mod:`repro.workloads.minimize`.
+with the lint plane over the member's MIR.  Builds run with
+``verify_units=True``, which runs the binary verifier
+(:mod:`repro.analysis.binverify`) only over unit-pool results and
+unit-cache publishes.  The harness compiles without a unit pool, so
+only a run with ``cache_dir`` verifies anything (the units it
+publishes); a plain run verifies no image.  Any divergence in
+output / exit code / cycles / instructions / tx_checks / violations
+between two cells, or against the generated program's AST-evaluator
+oracle, is reported as a structured :class:`Finding`; generated
+findings can be shrunk with :mod:`repro.workloads.minimize`.
+
+A harness keeps one :class:`~repro.build.session.BuildSession` per
+build role for its whole life — one per (arch, devirtualize) cell and
+one per arch for the incremental check — so simlibc is parsed and
+compiled once per session, not once per member.  Each (arch,
+devirtualize) cell is still a full rebuild of the member, linked
+against the session's libc units and byte-identical to a cold build;
+when a member's matrix ends, its module is dropped from every session,
+so nothing it compiled outlives it.
 
 Set-level runs (:func:`run_set`) are no-cherry-picking by
 construction: the report carries one :class:`ProgramReport` per
-member — pass or fail — in deterministic member order, fanned out
-over a :class:`repro.infra.pool.WorkerPool` with compile artifacts
-memoized in a shared :class:`repro.infra.cache.ArtifactCache`. The
-findings file is JSONL via :class:`repro.infra.results.ResultStore`
-(timestamps off: same seed ⇒ byte-identical bytes).
+member — pass or fail — in deterministic member order.  A serial run
+pushes the whole set through one harness; ``jobs > 1`` fans members
+out over a :class:`repro.infra.pool.WorkerPool`, one fresh harness
+per job.  The findings file is JSONL via
+:class:`repro.infra.results.ResultStore` (timestamps off: same seed ⇒
+byte-identical bytes).
 """
 
 from __future__ import annotations
@@ -206,7 +220,12 @@ def _observables(result) -> Tuple[int, bytes, int, int, int]:
 
 
 class DifferentialHarness:
-    """Runs one member through the full matrix and collects findings."""
+    """Runs members through the full matrix and collects findings.
+
+    The harness owns one build session per role, keyed ``x64/base``,
+    ``x64/devirt``, ``x64/incremental`` and so on per arch; see the
+    module docstring.
+    """
 
     def __init__(self, config: Optional[CorpusConfig] = None):
         self.config = config or CorpusConfig()
@@ -214,6 +233,12 @@ class DifferentialHarness:
         if self.config.cache_dir:
             from repro.infra.cache import open_cache
             self._cache = open_cache(self.config.cache_dir)
+        self._sessions = {
+            f"{arch}/{role}": BuildSession(
+                arch=arch, devirtualize=role == "devirt",
+                cache=self._cache, verify_units=True)
+            for arch in self.config.archs
+            for role in ("base", "devirt", "incremental")}
 
     # -- member resolution -------------------------------------------
 
@@ -265,6 +290,11 @@ class DifferentialHarness:
             report.findings.append(Finding(
                 member, "harness_error", "matrix",
                 f"{type(exc).__name__}: {exc}", seed=seed))
+        finally:
+            # A repeated member, or a minimizer candidate under the same
+            # name, must be rebuilt from source, never served stale units.
+            for session in self._sessions.values():
+                session.invalidate(member)
         if report.findings and report.status == "pass":
             report.status = "diverged"
         return report
@@ -282,11 +312,8 @@ class DifferentialHarness:
         for arch in cfg.archs:
             for devirt in (False, True):
                 cell = f"{arch}/{'devirt' if devirt else 'base'}"
-                session = BuildSession(
-                    arch=arch, devirtualize=devirt,
-                    cache=self._cache, verify_units=True)
                 try:
-                    built = session.build(sources)
+                    built = self._sessions[cell].build(sources)
                 except Exception as exc:  # noqa: BLE001
                     report.findings.append(Finding(
                         member, "compile_error", cell,
@@ -394,8 +421,7 @@ class DifferentialHarness:
         else:
             variant_source = prog.edit_variant().source
         seed = report.seed
-        session = BuildSession(arch=arch, devirtualize=False,
-                               cache=self._cache, verify_units=True)
+        session = self._sessions[f"{arch}/incremental"]
         try:
             session.build({member: variant_source})
             incr = session.build({member: source})
@@ -454,6 +480,13 @@ def run_set(set_name: str, jobs: int = 1,
             job_timeout: float = 600.0) -> SetReport:
     """Run every member of a registered set through the matrix.
 
+    ``jobs <= 1`` runs the whole set through one harness, so each of
+    its build sessions compiles libc once per run; otherwise each
+    member is a worker-pool job with a fresh harness.  Compile
+    artifacts are memoized across jobs and runs only with
+    ``config.cache_dir`` (a shared
+    :class:`repro.infra.cache.ArtifactCache`).
+
     Results keep member order regardless of worker scheduling, and a
     member whose job dies still gets a report (``harness_error``) —
     the set report is complete by construction. ``limit`` truncates
@@ -468,9 +501,9 @@ def run_set(set_name: str, jobs: int = 1,
     reports: List[ProgramReport] = []
     cfg = config or CorpusConfig()
     if jobs <= 1:
+        harness = DifferentialHarness(cfg)
         for member in members:
-            reports.append(DifferentialHarness(cfg).run_member(
-                member, quick=spec.quick))
+            reports.append(harness.run_member(member, quick=spec.quick))
     else:
         pool = WorkerPool(workers=jobs, timeout=job_timeout)
         job_list = [Job(fn=_member_job,

@@ -305,16 +305,17 @@ def predicate_for(finding, config=None) -> Predicate:
     Used as ``minimize(program, predicate_for(finding))`` after a
     campaign: the reduced program must still produce a finding of the
     same category (in any cell — shrinking may legally move the
-    divergence between cells of the same kind).
+    divergence between cells of the same kind).  Every candidate runs
+    through one harness, so libc is compiled once per predicate, not
+    once per candidate.
     """
     from repro.workloads.corpus import CorpusConfig, \
         DifferentialHarness
 
     category = finding.category
-    cfg = config or CorpusConfig()
+    harness = DifferentialHarness(config or CorpusConfig())
 
     def predicate(program: g.GenProgram) -> bool:
-        harness = DifferentialHarness(cfg)
         report = harness.run_program(program)
         return any(f.category == category for f in report.findings)
 

@@ -198,6 +198,28 @@ class TestIncrementalProperty:
         _assert_same_image(build_program({"prog": edited}).program,
                            result.program)
 
+    def test_structural_edit_drops_stale_body_memo(self):
+        # The edited body of step 2 is memoized while ``b`` sits at
+        # offset 8; after the structural edit moves it to 16, editing
+        # back to that body must compile against the new declarations.
+        def source(fields, body):
+            return (f"struct S {{ {fields} }}; struct S g; "
+                    f"long f(void) {{ {body} }} "
+                    "int main(void) { g.a = 1; g.b = 7; "
+                    "print_int(f()); return 0; }")
+        session = BuildSession()
+        session.build({"prog": source("long a; long b;", "return g.b;")})
+        session.build({"prog": source("long a; long b;",
+                                      "return g.b + 1;")})
+        session.build({"prog": source("long a; long c; long b;",
+                                      "return g.b;")})
+        final = source("long a; long c; long b;", "return g.b + 1;")
+        result = session.build({"prog": final})
+        assert result.stats["modules_mini"] == 1
+        _assert_same_image(build_program({"prog": final}).program,
+                           result.program)
+        assert run_program(result.program).output == b"8"
+
     def test_unchanged_rebuild_is_warm(self):
         session = BuildSession()
         source = _edit_source([1, 2, 3, 4])
@@ -216,6 +238,34 @@ class TestIncrementalProperty:
         assert result.stats["modules_rebuilt"] == 1
         _assert_same_image(build_program({"prog": grown}).program,
                            result.program)
+
+
+class TestSharedLibc:
+    """One session serving programs in turn keeps libc's units."""
+
+    @pytest.mark.parametrize("devirtualize", [False, True])
+    @pytest.mark.parametrize("arch", ["x64", "x32"])
+    def test_next_program_links_the_session_libc(self, arch, devirtualize,
+                                                 monkeypatch):
+        import repro.build.session as session_mod
+        options = {"arch": arch, "devirtualize": devirtualize}
+        session = BuildSession(**options)
+        session.build({"a": _edit_source([1, 2, 3, 4])})
+        compiled = []
+        real_compile = session_mod.compile_module_units
+
+        def spy(mir, *args, **kwargs):
+            compiled.append(mir.name)
+            return real_compile(mir, *args, **kwargs)
+
+        monkeypatch.setattr(session_mod, "compile_module_units", spy)
+        sources = {"b": _edit_source([5, 6, 7, 8])}
+        result = session.build(sources)
+        assert compiled == ["b"]
+        _assert_same_image(BuildSession(**options).build(sources).program,
+                           result.program)
+        assert Runtime(result.program).run().exit_code == \
+            _edit_exit([5, 6, 7, 8])
 
 
 class _FaultyPool:

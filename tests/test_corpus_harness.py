@@ -9,9 +9,12 @@ import dataclasses
 
 import pytest
 
+import repro.build.session as session_mod
+import repro.toolchain
+from repro.build.session import BuildSession
 from repro.workloads.corpus import CorpusConfig, DifferentialHarness, \
-    Finding, ProgramReport, SetReport, load_set_report, render_report, \
-    run_set, write_set_report
+    Finding, ProgramReport, SetReport, artifact_digest, load_set_report, \
+    render_report, run_set, write_set_report
 from repro.workloads.generate import GenConfig, generate
 from repro.workloads.spec import BenchmarkSet, register_set
 from repro.workloads.spec import _SETS
@@ -55,6 +58,76 @@ class TestRunMember:
             "no-such-workload")
         assert report.status == "error"
         assert report.findings[0].category == "harness_error"
+
+
+class TestSharedSessions:
+    """One harness serves member after member: each build session
+    compiles libc once, and every cell is still the image a cold build
+    of the member gives."""
+
+    def test_repeat_members_match_fresh_harness(self, monkeypatch,
+                                                smoke_report):
+        fresh = {"gen1000": smoke_report.to_dict(),
+                 "gen1001": DifferentialHarness(QUICK_CFG).run_member(
+                     "gen1001", quick=True).to_dict()}
+        compiled = []
+        linked = []
+        real_compile = session_mod.compile_module_units
+        real_build = BuildSession.build
+
+        def spy_compile(mir, *args, **kwargs):
+            compiled.append(mir.name)
+            return real_compile(mir, *args, **kwargs)
+
+        def spy_build(session, sources):
+            result = real_build(session, sources)
+            linked.append((session.arch, session.devirtualize,
+                           dict(sources), artifact_digest(result.program)))
+            return result
+
+        monkeypatch.setattr(session_mod, "compile_module_units",
+                            spy_compile)
+        monkeypatch.setattr(BuildSession, "build", spy_build)
+        harness = DifferentialHarness(QUICK_CFG)
+        for run, member in enumerate(("gen1000", "gen1001", "gen1000")):
+            compiled.clear()
+            report = harness.run_member(member, quick=True)
+            assert report.to_dict() == fresh[member]
+            # 4 matrix cells + one incremental session per arch
+            assert compiled.count("libc") == (6 if run == 0 else 0)
+        monkeypatch.undo()
+
+        # 8 builds per member: 4 cells, then a variant and the member
+        # again in each arch's incremental session
+        assert len(linked) == 24
+        cold = {}
+        for arch, devirt, sources, digest in linked:
+            key = (arch, devirt, tuple(sources.items()))
+            if key not in cold:
+                cold[key] = artifact_digest(BuildSession(
+                    arch=arch, devirtualize=devirt).build(sources).program)
+            assert digest == cold[key]
+
+    def test_member_whose_matrix_raises_leaves_nothing_behind(
+            self, monkeypatch, smoke_report):
+        real_run = repro.toolchain.run_program
+        calls = []
+
+        def run_once_failing(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 1:
+                raise RuntimeError("injected")
+            return real_run(*args, **kwargs)
+
+        monkeypatch.setattr(repro.toolchain, "run_program",
+                            run_once_failing)
+        harness = DifferentialHarness(QUICK_CFG)
+        failed = harness.run_member("gen1000", quick=True)
+        assert [f.category for f in failed.findings] == ["harness_error"]
+        assert all("gen1000" not in session._modules
+                   for session in harness._sessions.values())
+        again = harness.run_member("gen1000", quick=True)
+        assert again.to_dict() == smoke_report.to_dict()
 
 
 class TestInjectedDivergence:

@@ -1,16 +1,20 @@
 """Delta-debugging minimizer: shrinks hard, preserves the failure.
 
-The predicate here is synthetic (cheap) — real campaign predicates
-re-run the differential harness and are exercised by the CLI; the
-shrinking machinery is identical either way.
+The shrinking tests use a synthetic (cheap) predicate; campaign
+predicates re-run the differential harness (``predicate_for``, checked
+once below) and the shrinking machinery is identical either way.
 """
+
+import dataclasses
 
 import pytest
 
+import repro.build.session as session_mod
 from repro.build import build_program
 from repro.toolchain import run_program
+from repro.workloads.corpus import CorpusConfig, Finding
 from repro.workloads.generate import GenConfig, generate
-from repro.workloads.minimize import MinimizeResult, minimize
+from repro.workloads.minimize import MinimizeResult, minimize, predicate_for
 
 
 QUICK = GenConfig.quick()
@@ -90,3 +94,25 @@ class TestMinimize:
                                 minimized_lines=10, attempts=5,
                                 accepted=3)
         assert result.shrink_ratio == pytest.approx(0.1)
+
+
+class TestPredicateFor:
+    def test_candidates_share_one_harness(self, monkeypatch):
+        config = dataclasses.replace(CorpusConfig(), archs=("x64",),
+                                     reference=False, lint=False)
+        predicate = predicate_for(
+            Finding("gen1002", "oracle_output", "x64/base", "d"), config)
+        compiled = []
+        real_compile = session_mod.compile_module_units
+
+        def spy(mir, *args, **kwargs):
+            compiled.append(mir.name)
+            return real_compile(mir, *args, **kwargs)
+
+        monkeypatch.setattr(session_mod, "compile_module_units", spy)
+        program = generate(1002, QUICK)
+        assert predicate(program) is False
+        assert "libc" in compiled
+        compiled.clear()
+        assert predicate(program) is False
+        assert "gen1002" in compiled and "libc" not in compiled
