@@ -1,4 +1,4 @@
-"""repro.build — the incremental, parallel compile-as-a-service API.
+"""repro.build — the incremental compile-as-a-service API.
 
 This package is the one public compile surface of the toolchain:
 
@@ -21,7 +21,7 @@ session to rebuild one program over time::
 Internals, layered bottom-up: :mod:`repro.build.fingerprint` (content
 keys), :mod:`repro.build.units` (position-independent per-function
 assembly), :mod:`repro.build.link` (the static linker),
-:mod:`repro.build.graph` (dirty-set computation + pool fan-out),
+:mod:`repro.build.graph` (dirty sets and cache-first unit compiles),
 :mod:`repro.build.source_index` (the textual mini-frontend),
 :mod:`repro.build.session` (the service facade).  See docs/BUILD.md.
 """

@@ -7,7 +7,7 @@ Two call shapes:
   by dlopen libraries, the JIT engine and the ``.mcfo`` object-file
   tools;
 * :func:`build_program` — named sources to a linked program via a
-  throwaway :class:`BuildSession`; pass ``cache``/``pool`` to share
+  throwaway :class:`BuildSession`; pass ``cache`` to share
   function-grain artifacts across calls.
 
 Hold a :class:`BuildSession` yourself when you rebuild the *same*
@@ -53,19 +53,17 @@ def build_program(sources: Dict[str, str], arch: str = "x64",
                   mcfi: bool = True, with_libc: bool = True,
                   allow_unresolved: Optional[List[str]] = None,
                   devirtualize: bool = False,
-                  cache=None, pool=None,
-                  verify_units: bool = True) -> BuildResult:
+                  cache=None) -> BuildResult:
     """Build named sources (plus simlibc) into a linked program.
 
     A one-shot :class:`BuildSession`: every build is cold at the
     session level, but with a ``cache`` the function-grain unit
-    artifacts still carry over between calls (and processes).
-    ``verify_units`` is the machine-code trust boundary: pool results
-    and cache publishes must pass :mod:`repro.analysis.binverify`.
+    artifacts still carry over between calls (and processes).  Every
+    MCFI unit published to the cache must pass
+    :mod:`repro.analysis.binverify` first.
     """
     session = BuildSession(arch=arch, mcfi=mcfi, with_libc=with_libc,
                            allow_unresolved=allow_unresolved,
                            devirtualize=devirtualize,
-                           cache=cache, pool=pool,
-                           verify_units=verify_units)
+                           cache=cache)
     return session.build(sources)

@@ -14,7 +14,7 @@ Rebuilds are priced by what actually changed:
   it into the previous link in place;
 * **cold** — a new module, a structural edit (signatures, globals,
   added/removed functions) or a fresh session: full frontend, but still
-  unit-cache-first and optionally pool-parallel.
+  unit-cache-first.
 
 MCFI and native (``mcfi=False``) sessions take the same path; only the
 unit flavour differs.  Every product is byte-identical to a cold build
@@ -78,21 +78,19 @@ class _ModuleState:
 
 
 class BuildSession:
-    """Incremental, parallel compile-as-a-service for one program.
+    """Incremental compile-as-a-service for one program.
 
     ``mcfi=False`` builds the uninstrumented baseline; ``cache`` is a
     :class:`repro.infra.cache.ArtifactCache` shared across sessions
-    (function-grain unit entries), ``pool`` an optional
-    :class:`repro.infra.pool.WorkerPool` dirty unit compiles fan out
-    across once at least ``parallel_threshold`` of them miss.
+    (function-grain unit entries).  Every MCFI unit published to it
+    passes the binary verifier first.
     """
 
     def __init__(self, arch: str = "x64", mcfi: bool = True,
                  prelude: bool = True, devirtualize: bool = False,
                  with_libc: bool = True,
                  allow_unresolved: Optional[List[str]] = None,
-                 cache=None, pool=None, parallel_threshold: int = 4,
-                 verify_units: bool = True):
+                 cache=None):
         self.arch = arch
         self.mcfi = mcfi
         self.prelude = prelude
@@ -100,11 +98,6 @@ class BuildSession:
         self.with_libc = with_libc
         self.allow_unresolved = list(allow_unresolved or [])
         self.cache = cache
-        self.pool = pool
-        self.parallel_threshold = parallel_threshold
-        #: run the binary verifier over MCFI pool results and before
-        #: every MCFI cache publish (see repro.analysis.binverify)
-        self.verify_units = verify_units
         self._modules: Dict[str, _ModuleState] = {}
         self._link: Optional[LinkState] = None
         self._order: List[str] = []
@@ -147,7 +140,7 @@ class BuildSession:
 
     def _build(self, sources: Dict[str, str]) -> BuildResult:
         stats: Dict[str, int] = {"units": 0, "unit_hits": 0,
-                                 "unit_compiled": 0, "unit_parallel": 0,
+                                 "unit_compiled": 0,
                                  "modules_rebuilt": 0, "modules_mini": 0}
         order = list(sources)
         structural = (order != self._order or self._link is None)
@@ -196,7 +189,7 @@ class BuildSession:
             self._apply_pending(pending)
             program = self._full_link(order)
 
-        for key in ("units", "unit_hits", "unit_compiled", "unit_parallel"):
+        for key in ("units", "unit_hits", "unit_compiled"):
             if stats[key]:
                 OBS.metrics.counter(f"build.{key}").inc(stats[key])
         self._built_once = True
@@ -248,9 +241,7 @@ class BuildSession:
 
     def _compile_units(self, mir, checked):
         return compile_module_units(
-            mir, checked, self.arch, cache=self.cache, pool=self.pool,
-            parallel_threshold=self.parallel_threshold,
-            verify_units=self.verify_units, mcfi=self.mcfi)
+            mir, checked, self.arch, cache=self.cache, mcfi=self.mcfi)
 
     def _mini_rebuild(self, state: _ModuleState, name: str, text: str,
                       ) -> Optional[List[Tuple[str, UnitArtifact]]]:

@@ -103,7 +103,6 @@ def tool_argv(args: argparse.Namespace) -> List[str]:
         add("--jobs", args.jobs)
         add("--cache-dir", args.cache_dir)
     elif args.command == "build":
-        add("--jobs", args.jobs)
         add("--cache-dir", args.cache_dir)
     elif args.command == "infra":
         if sub in ("build", "run"):

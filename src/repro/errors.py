@@ -320,11 +320,11 @@ class VerificationError(ReproError):
 class UnitVerificationError(VerificationError):
     """Raised when a compilation unit fails the binary verifier.
 
-    The build-cache publish gate: a unit artifact (from a pool worker
-    or the on-disk cache) is admitted only after the machine-code
-    verifier proves its check transactions, store masks and alignment
-    intact.  ``report`` carries the full
-    :class:`repro.analysis.binverify.VerifyReport` when available.
+    The build-cache publish gate: a unit artifact is published to the
+    on-disk cache only after the machine-code verifier proves its
+    check transactions, store masks and alignment intact.  ``report``
+    carries the full :class:`repro.analysis.binverify.VerifyReport`
+    when available.
     """
 
     code = "unit-verification"

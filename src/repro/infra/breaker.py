@@ -8,9 +8,7 @@ factors the counter into a real three-state breaker:
 
 * **closed** — requests flow; consecutive failures are counted, and
   reaching ``threshold`` trips the breaker open;
-* **open** — requests fail fast until ``cooldown`` clock units elapse
-  (plus a seeded jitter so many breakers opened by one incident do not
-  probe in lockstep);
+* **open** — requests fail fast until ``cooldown`` clock units elapse;
 * **half-open** — after the cooldown, exactly **one** probe request is
   admitted.  Success closes the breaker and clears the count; failure
   re-opens it with an escalated cooldown
@@ -32,7 +30,6 @@ service's health/MTTR accounting.
 
 from __future__ import annotations
 
-import random
 from typing import Callable, List, Optional, Tuple
 
 #: The three states (strings, so they serialize verbatim into traces).
@@ -54,7 +51,6 @@ class CircuitBreaker:
                  clock: Optional[Callable[[], float]] = None,
                  cooldown_factor: float = 2.0,
                  max_cooldown: Optional[float] = None,
-                 jitter: float = 0.0, seed: int = 0,
                  name: str = "") -> None:
         if threshold < 1:
             raise ValueError("threshold must be >= 1")
@@ -64,10 +60,8 @@ class CircuitBreaker:
         self.cooldown = cooldown
         self.cooldown_factor = max(1.0, cooldown_factor)
         self.max_cooldown = max_cooldown
-        self.jitter = max(0.0, jitter)
         self.name = name
         self._clock = clock if clock is not None else (lambda: 0.0)
-        self._rng = random.Random(seed)
         self.state = CLOSED
         self.failures = 0          # consecutive, while closed
         self.trips = 0             # times the breaker opened
@@ -146,10 +140,7 @@ class CircuitBreaker:
     def _open(self, reason: str) -> None:
         self.trips += 1
         self.opened_at = self._clock()
-        delay = self.current_cooldown()
-        if self.jitter > 0:
-            delay += self._rng.uniform(0, self.jitter)
-        self.reopen_at = self.opened_at + delay
+        self.reopen_at = self.opened_at + self.current_cooldown()
         self._move(OPEN, reason)
 
     def _move(self, to_state: str, reason: str) -> None:

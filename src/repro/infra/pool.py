@@ -12,9 +12,6 @@ orchestrator down with it.  The pool gives each job
 * **worker-crash capture** — a worker that dies without reporting
   (``os._exit``, OOM-kill, segfault) yields a ``crashed`` result with
   its exit code instead of a hang;
-* **exponential backoff with seeded jitter** — retries wait
-  ``backoff * backoff_factor**(attempt-1)`` plus a deterministic jitter
-  before respawning, so a flaky shared resource is not hammered;
 * a **per-group circuit breaker** — after ``breaker_threshold``
   consecutive failures within one ``Job.group``, remaining jobs in that
   group fail fast with ``error_type="CircuitOpen"`` instead of burning
@@ -38,11 +35,10 @@ execution (retries still honoured; timeouts unenforceable and ignored).
 from __future__ import annotations
 
 import multiprocessing
-import random
 import time
 import traceback
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro.infra.breaker import CircuitBreaker
 from repro.obs import OBS, clock, wall_metrics_enabled
@@ -143,9 +139,7 @@ class WorkerPool:
     """Fan jobs across ``workers`` forked processes.
 
     ``timeout`` and ``retries`` are defaults a :class:`Job` may
-    override per job.  ``backoff`` (base delay, in seconds, before the
-    second attempt), ``backoff_factor`` and ``jitter`` shape the retry
-    schedule; ``seed`` makes the jitter replayable.
+    override per job; a failed attempt respawns at once.
     ``breaker_threshold`` consecutive failures within one
     :attr:`Job.group` open that group's circuit: later jobs in the
     group fail fast without spawning a worker, until
@@ -154,10 +148,7 @@ class WorkerPool:
     """
 
     def __init__(self, workers: int = 1, timeout: Optional[float] = None,
-                 retries: int = 0, backoff: float = 0.0,
-                 backoff_factor: float = 2.0, jitter: float = 0.0,
-                 seed: int = 0,
-                 breaker_threshold: Optional[int] = None,
+                 retries: int = 0, breaker_threshold: Optional[int] = None,
                  breaker_cooldown: float = 30.0):
         if workers < 1:
             raise ValueError("workers must be >= 1")
@@ -168,41 +159,22 @@ class WorkerPool:
         self.workers = workers
         self.timeout = timeout
         self.retries = retries
-        self.backoff = backoff
-        self.backoff_factor = backoff_factor
-        self.jitter = jitter
         self.breaker_threshold = breaker_threshold
         self.breaker_cooldown = breaker_cooldown
-        self.seed = seed
-        self._rng = random.Random(seed)
         self._breakers: Dict[str, CircuitBreaker] = {}
         methods = multiprocessing.get_all_start_methods()
         self._ctx = (multiprocessing.get_context("fork")
                      if "fork" in methods else None)
 
-    # -- retry schedule / circuit breaker ----------------------------
-
-    def _retry_delay(self, failed_attempt: int) -> float:
-        """Delay before re-running after attempt ``failed_attempt``."""
-        if self.backoff <= 0 and self.jitter <= 0:
-            return 0.0
-        base = self.backoff * (self.backoff_factor ** (failed_attempt - 1))
-        return base + (self._rng.uniform(0, self.jitter)
-                       if self.jitter > 0 else 0.0)
+    # -- circuit breaker ---------------------------------------------
 
     def _breaker_for(self, group: str) -> CircuitBreaker:
         breaker = self._breakers.get(group)
         if breaker is None:
-            # Seed composed from the group bytes (no hash(): stable
-            # across processes and PYTHONHASHSEED values).
-            group_seed = self.seed
-            for byte in group.encode("utf-8"):
-                group_seed = (group_seed * 0x9E3779B1 + byte) & 0xFFFFFFFF
             breaker = CircuitBreaker(
                 threshold=self.breaker_threshold,
                 cooldown=self.breaker_cooldown,
-                clock=clock.now, jitter=self.jitter,
-                seed=group_seed, name=group)
+                clock=clock.now, name=group)
             self._breakers[group] = breaker
         return breaker
 
@@ -246,11 +218,6 @@ class WorkerPool:
 
     # -- public API --------------------------------------------------
 
-    def map(self, fn: Callable[..., Any],
-            argslist: Iterable[tuple]) -> List[JobResult]:
-        """Convenience: one job per args tuple."""
-        return self.run([Job(fn=fn, args=args) for args in argslist])
-
     def run(self, jobs: Sequence[Job]) -> List[JobResult]:
         """Run all jobs; results in submission order."""
         jobs = list(jobs)
@@ -271,10 +238,6 @@ class WorkerPool:
         start = clock.now()
         last: Optional[JobResult] = None
         for attempt in range(1, retries + 2):
-            if attempt > 1:
-                delay = self._retry_delay(attempt - 1)
-                if delay > 0:
-                    time.sleep(delay)
             span = OBS.tracer.begin("pool.job", job=job.id,
                                     attempt=attempt)
             try:
@@ -319,6 +282,9 @@ class WorkerPool:
         """Check one in-flight attempt; a result means it finished."""
         job = active.job
         elapsed = clock.now() - active.started
+        # Liveness first: a worker can send its result and exit between
+        # the two checks, and must not be reported as a crash.
+        alive = active.process.is_alive()
         if active.conn.poll():
             try:
                 message = active.conn.recv()
@@ -340,7 +306,7 @@ class WorkerPool:
             return JobResult(id=job.id, ok=False, error=error,
                              error_type=error_type, tb=tb,
                              attempts=active.attempt, seconds=elapsed)
-        if not active.process.is_alive():
+        if not alive:
             code = active.process.exitcode
             self._finish_process(active)
             return JobResult(id=job.id, ok=False, crashed=True,
@@ -375,20 +341,8 @@ class WorkerPool:
         pending = list(enumerate(jobs))
         pending.reverse()  # pop() from the front of the submission order
         active: List[_Active] = []
-        #: retries waiting out their backoff: (ready_at, index, job,
-        #: attempt, seconds_spent_so_far)
-        waiting: List[tuple] = []
         try:
-            while pending or active or waiting:
-                now = clock.now()
-                # Backoff-expired retries re-enter first: they hold a
-                # result slot that everything after them waits on.
-                ready = [w for w in waiting if w[0] <= now]
-                if ready:
-                    waiting = [w for w in waiting if w[0] > now]
-                    for _, index, job, attempt, spent in ready:
-                        active.append(self._spawn(index, job, attempt,
-                                                  spent=spent))
+            while pending or active:
                 while pending and len(active) < self.workers:
                     index, job = pending.pop()
                     if self._breaker_open(job):
@@ -406,14 +360,9 @@ class WorkerPool:
                     retries = (self.retries if entry.job.retries is None
                                else entry.job.retries)
                     if not outcome.ok and entry.attempt <= retries:
-                        delay = self._retry_delay(entry.attempt)
-                        if delay > 0 and wall_metrics_enabled():
-                            OBS.metrics.histogram(
-                                "pool.backoff_seconds").observe(delay)
-                        waiting.append((clock.now() + delay,
-                                        entry.index, entry.job,
-                                        entry.attempt + 1,
-                                        outcome.seconds))
+                        still_running.append(self._spawn(
+                            entry.index, entry.job, entry.attempt + 1,
+                            spent=outcome.seconds))
                         continue
                     outcome.attempts = entry.attempt
                     self._note_outcome(entry.job, ok=outcome.ok)
@@ -421,7 +370,7 @@ class WorkerPool:
                         self._note_metrics(outcome)
                     results[entry.index] = outcome
                 active = still_running
-                if active or waiting:
+                if active:
                     time.sleep(_POLL_SECONDS)
         finally:
             for entry in active:

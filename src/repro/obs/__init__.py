@@ -103,7 +103,7 @@ def scoped(seed: Optional[int] = None) -> Iterator[ObsState]:
 def wall_metrics_enabled() -> bool:
     """True when wall-clock-valued observations should be recorded.
 
-    Seconds-valued histograms (pool job duration, backoff sleeps) are
+    Seconds-valued histograms (pool job duration) are
     skipped under a seeded tracer so the exported metrics line stays
     byte-deterministic.
     """

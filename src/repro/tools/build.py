@@ -9,7 +9,7 @@ Examples::
 
     python -m repro.tools.build --workload sjeng --rebuilds 2
     python -m repro.tools.build --workload sjeng --cache-dir .cache \\
-        --cache-max-mb 64 --jobs 4
+        --cache-max-mb 64
     python -m repro.tools.build prog.c --run
     python -m repro.tools.build --workload lbm --hash
 """
@@ -47,8 +47,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="function-grain artifact cache directory")
     parser.add_argument("--cache-max-mb", type=float, default=None,
                         metavar="MB", help="LRU budget for --cache-dir")
-    parser.add_argument("--jobs", type=int, default=None, metavar="N",
-                        help="pool workers for parallel unit compiles")
     parser.add_argument("--hash", action="store_true",
                         help="print the deterministic artifact hash "
                              "(sha256 over code + data image)")
@@ -72,7 +70,6 @@ def _describe(index: int, result: BuildResult, seconds: float) -> str:
     if "units" in stats:
         extra = (f", units {stats['unit_hits']}/{stats['units']} hits"
                  f", {stats['unit_compiled']} compiled"
-                 f" ({stats['unit_parallel']} via pool)"
                  f", spliced {stats.get('spliced', 0)}")
     return (f"build #{index}: {result.kind:11s} "
             f"{seconds * 1000:8.2f} ms{extra}")
@@ -93,12 +90,8 @@ def main(argv: List[str] | None = None) -> int:
             sources[path.stem] = path.read_text()
 
     cache = open_cache(args.cache_dir, max_mb=args.cache_max_mb)
-    pool = None
-    if args.jobs and args.jobs > 1:
-        from repro.infra.pool import WorkerPool
-        pool = WorkerPool(workers=args.jobs)
     session = BuildSession(arch=args.arch, mcfi=not args.native,
-                           cache=cache, pool=pool)
+                           cache=cache)
     try:
         result = None
         for index in range(max(1, 1 + args.rebuilds)):

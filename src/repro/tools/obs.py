@@ -93,7 +93,6 @@ METRIC_CATALOG = (
     ("counter", "build.units", "function units considered"),
     ("counter", "build.unit_hits", "units served from the cache"),
     ("counter", "build.unit_compiled", "units recompiled"),
-    ("counter", "build.unit_parallel", "units compiled via the pool"),
     ("counter", "build.splices", "single-unit in-place re-links"),
     ("counter", "cfg.generations", "CFG generation passes"),
     ("gauge", "cfg.eqcs", "EQCs in the latest CFG"),
@@ -118,8 +117,6 @@ METRIC_CATALOG = (
     ("counter", "pool.retries", "extra attempts spent"),
     ("counter", "pool.breaker_fast_fails", "circuit-breaker skips"),
     ("histogram", "pool.job_seconds", "job wall time (wall clock only)"),
-    ("histogram", "pool.backoff_seconds",
-     "retry backoff sleeps (wall clock only)"),
     ("counter", "service.shard.commits", "per-shard batched commits"),
     ("counter", "service.shard.rollbacks", "shard snapshot rollbacks"),
     ("counter", "service.coalesce.requests", "update requests accepted"),

@@ -9,12 +9,9 @@ through the full configuration matrix:
 * **cold build vs single-edit incremental rebuild** (the PR 8
   splice re-link path, compared by artifact digest),
 
-with the lint plane over the member's MIR.  Builds run with
-``verify_units=True``, which runs the binary verifier
-(:mod:`repro.analysis.binverify`) only over unit-pool results and
-unit-cache publishes.  The harness compiles without a unit pool, so
-only a run with ``cache_dir`` verifies anything (the units it
-publishes); a plain run verifies no image.  Any divergence in
+with the lint plane over the member's MIR.  A run with ``cache_dir``
+runs the binary verifier (:mod:`repro.analysis.binverify`) over the
+units it publishes; a plain run verifies no image.  Any divergence in
 output / exit code / cycles / instructions / tx_checks / violations
 between two cells, or against the generated program's AST-evaluator
 oracle, is reported as a structured :class:`Finding`; generated
@@ -236,7 +233,7 @@ class DifferentialHarness:
         self._sessions = {
             f"{arch}/{role}": BuildSession(
                 arch=arch, devirtualize=role == "devirt",
-                cache=self._cache, verify_units=True)
+                cache=self._cache)
             for arch in self.config.archs
             for role in ("base", "devirt", "incremental")}
 

@@ -1,10 +1,10 @@
 """Tests for the binary CFI verifier (repro.analysis.binverify).
 
 The verifier is the trust boundary that removes the rewriter (and the
-build pool, and the cache) from the TCB: these tests check that it
-accepts everything the real toolchain emits, rejects targeted unsafe
-mutations with the right diagnostic codes, and holds as the gate at
-the unit-publish and dlopen layers.
+cache) from the TCB: these tests check that it accepts everything the
+real toolchain emits, rejects targeted unsafe mutations with the right
+diagnostic codes, and holds as the gate at the unit-publish and dlopen
+layers.
 """
 
 from __future__ import annotations
@@ -193,7 +193,7 @@ class TestUnitGrain:
             }
         """, name="t")
         module_units, _, _ = compile_module_units(
-            lower_unit(checked), checked, "x64", verify_units=False)
+            lower_unit(checked), checked, "x64")
         return module_units.units
 
     def test_units_verify(self, units):
@@ -213,25 +213,6 @@ class TestUnitGrain:
         assert not info.value.report.ok
 
 
-class _UnsafeResultPool:
-    """Workers that return *fingerprint-valid* but unverifiable code:
-    identity fraud passes, the safety gate must still reject."""
-
-    def __init__(self):
-        self.jobs = 0
-
-    def map(self, fn, argses):
-        from repro.infra.pool import JobResult
-        results = []
-        for index, args in enumerate(argses):
-            artifact = fn(*args)
-            artifact.code = b"\xff" + artifact.code[1:]
-            self.jobs += 1
-            results.append(JobResult(id=str(index), ok=True,
-                                     value=artifact))
-        return results
-
-
 class TestBuildGate:
     SOURCE = r"""
         typedef int (*op)(int);
@@ -244,29 +225,35 @@ class TestBuildGate:
         }
     """
 
-    def test_unsafe_pool_results_never_published(self, tmp_path):
-        from repro.build.api import build_program
+    def test_unverifiable_unit_is_never_published(self, tmp_path,
+                                                  monkeypatch):
+        """A unit with corrupted bytes and an intact fingerprint aborts
+        an MCFI build before it reaches the cache; native units skip
+        the verifier."""
+        import repro.build.graph as graph
         from repro.infra.cache import open_cache
-        cache = open_cache(tmp_path / "cache")
-        pool = _UnsafeResultPool()
-        result = build_program({"prog": self.SOURCE}, cache=cache,
-                               pool=pool)
-        assert pool.jobs > 0
-        assert result.stats["unit_rejected"] == pool.jobs
-        assert result.stats["unit_parallel"] == 0
-        # the inline recompile must still produce the clean image
-        clean = build_program({"prog": self.SOURCE})
-        assert result.program.module.code == clean.program.module.code
-        # and everything published re-verifies
-        for path in (cache.root / "units").iterdir():
-            artifact = cache.get_unit(path.stem)
-            verify_unit(artifact, arch="x64", module="prog")
+        real_compile = graph.compile_unit
+        corrupted = {}
 
-    def test_gate_can_be_disabled(self, tmp_path):
-        from repro.build.api import build_program
-        result = build_program({"prog": self.SOURCE})
-        off = build_program({"prog": self.SOURCE}, verify_units=False)
-        assert result.program.module.code == off.program.module.code
+        def corrupting_compile(func, *args):
+            artifact = real_compile(func, *args)
+            if func.name == "apply":
+                artifact.code = b"\xff" + artifact.code[1:]
+                mcfi = args[-1]
+                corrupted[mcfi] = artifact.fingerprint
+            return artifact
+
+        monkeypatch.setattr(graph, "compile_unit", corrupting_compile)
+        cache = open_cache(tmp_path / "cache")
+        with pytest.raises(UnitVerificationError) as info:
+            build_program({"prog": self.SOURCE}, cache=cache)
+        assert info.value.unit == "apply"
+        assert cache.get_unit(corrupted[True]) is None
+
+        native = build_program({"prog": self.SOURCE}, mcfi=False,
+                               cache=cache)
+        assert native.program is not None
+        assert cache.get_unit(corrupted[False]) is not None
 
 
 class TestDlopenGate:

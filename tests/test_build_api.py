@@ -1,10 +1,10 @@
 """Tests for the redesigned ``repro.build`` surface.
 
 The load-bearing property is *byte identity*: every path through the
-incremental toolchain — cold unit-grain link, cache-hit rebuild, pool
-compile, mini-frontend incremental rebuild, single-unit splice — must
-produce exactly the image a cold build produces, and cold builds must
-match the link records ``tests/golden/compile_digests.json`` pinned from
+incremental toolchain — cold unit-grain link, cache-hit rebuild,
+mini-frontend incremental rebuild, single-unit splice — must produce
+exactly the image a cold build produces, and cold builds must match
+the link records ``tests/golden/compile_digests.json`` pinned from
 the retired whole-module pipeline (codegen + instrument + link per
 module).  ``_assert_same_image`` holds two builds to that, excluding
 only the ``__mcfi.*`` internal labels whose *names* are generated per
@@ -27,13 +27,9 @@ from repro.build import (
     compile_object,
 )
 from repro.build.fingerprint import prelude_digest, source_body_key
-from repro.build.graph import compile_module_units
-from repro.build.link import link_units
 from repro.build.source_index import diff_bodies, index_source, stub_source
-from repro.build.units import UnitArtifact
 from repro.runtime.runtime import Runtime
 from repro.toolchain import run_program
-from repro.workloads.libc import LIBC_SOURCE
 from repro.workloads.spec import BENCHMARKS, workload
 from tests.test_golden_digests import (
     DEAD_STRING_SOURCE,
@@ -268,90 +264,6 @@ class TestSharedLibc:
             _edit_exit([5, 6, 7, 8])
 
 
-class _FaultyPool:
-    """Wrap a real WorkerPool so every job runs a fault plan first."""
-
-    def __init__(self, inner, plan, attempt_file):
-        self.inner = inner
-        self.plan = plan
-        self.attempt_file = attempt_file
-
-    def map(self, fn, argses):
-        from repro.faults.injectors import faulty_job
-        return self.inner.map(faulty_job(fn, self.plan, self.attempt_file),
-                              argses)
-
-
-class _TamperedPool:
-    """A pool whose workers return corrupted artifacts (truncated code,
-    mismatched fingerprint) — the parent-side validation must reject
-    every one of them before publishing to the cache."""
-
-    def map(self, fn, argses):
-        from repro.infra.pool import JobResult
-        results = []
-        for index, args in enumerate(argses):
-            artifact = fn(*args)
-            artifact.code = artifact.code[:3]
-            artifact.fingerprint = "deadbeef"
-            results.append(JobResult(id=str(index), ok=True, value=artifact))
-        return results
-
-
-def _assert_cache_units_whole(cache):
-    units_dir = cache.root / "units"
-    for path in units_dir.iterdir():
-        fingerprint = path.stem
-        artifact = cache.get_unit(fingerprint)
-        assert isinstance(artifact, UnitArtifact)
-        assert artifact.code
-        assert artifact.fingerprint == fingerprint
-
-
-class TestPoolSafety:
-    def test_worker_crash_never_publishes_partial_unit(self, tmp_path):
-        from repro.infra.cache import open_cache
-        from repro.infra.pool import WorkerPool
-        cache = open_cache(tmp_path / "cache")
-        pool = _FaultyPool(WorkerPool(workers=2, retries=0),
-                           plan="cc", attempt_file=str(tmp_path / "attempts"))
-        source = _edit_source([5, 6, 7, 8])
-        result = build_program({"prog": source}, cache=cache, pool=pool)
-        _assert_same_image(build_program({"prog": source}).program,
-                           result.program)
-        _assert_cache_units_whole(cache)
-
-    def test_tampered_results_are_rejected(self, tmp_path):
-        from repro.infra.cache import open_cache
-        cache = open_cache(tmp_path / "cache")
-        source = _edit_source([5, 6, 7, 8])
-        result = build_program({"prog": source}, cache=cache,
-                               pool=_TamperedPool())
-        assert result.stats["unit_parallel"] == 0
-        _assert_same_image(build_program({"prog": source}).program,
-                           result.program)
-        _assert_cache_units_whole(cache)
-        assert not (cache.root / "units" / "deadbeef.unit").exists()
-
-    def test_pool_compile_is_byte_identical(self, tmp_path):
-        from repro.infra.pool import WorkerPool
-        from repro.mir.lowering import lower_unit
-        from repro.toolchain import frontend
-        source = workload("lbm").source
-        checked = frontend(source, name="lbm")
-        mir = lower_unit(checked)
-        libc_checked = frontend(LIBC_SOURCE, name="libc")
-        libc, _, _ = compile_module_units(lower_unit(libc_checked),
-                                          libc_checked, "x64")
-        serial, _, _ = compile_module_units(mir, checked, "x64")
-        pooled, _, stats = compile_module_units(
-            mir, checked, "x64", pool=WorkerPool(workers=2),
-            parallel_threshold=2)
-        assert stats["unit_parallel"] > 0
-        _assert_same_image(link_units([serial, libc]).program,
-                           link_units([pooled, libc]).program)
-
-
 class TestLegacyShims:
     def test_default_call_does_not_warn(self):
         with warnings.catch_warnings():
@@ -410,8 +322,7 @@ class TestNativeUnits:
 
         cache = open_cache(tmp_path / "cache")
         build_program({"prog": source}, cache=cache)
-        first = build_program({"prog": source}, mcfi=False, cache=cache,
-                              verify_units=True)
+        first = build_program({"prog": source}, mcfi=False, cache=cache)
         assert first.stats["unit_hits"] == 0
         assert Runtime(first.program).run().exit_code == \
             _edit_exit([1, 2, 3, 4])

@@ -35,6 +35,11 @@ class TestFlagForwarding:
         assert "--jobs" not in rest
         assert rest == ["report", "--cache-dir", "/tmp/c"]
 
+    def test_build_gets_cache_dir_but_no_jobs(self):
+        rest = _argv_for(["--jobs", "4", "--cache-dir", "/tmp/c",
+                          "build", "--workload", "lbm"])
+        assert rest == ["--workload", "lbm", "--cache-dir", "/tmp/c"]
+
     def test_faults_campaign_seed_becomes_seeds(self):
         rest = _argv_for(["--seed", "3", "--jobs", "2",
                           "faults", "campaign"])

@@ -9,6 +9,7 @@ longer than the configured limit.
 import json
 import os
 import time
+from types import SimpleNamespace
 
 import pytest
 
@@ -48,13 +49,13 @@ def _flaky(counter_path, fail_attempts):
 class TestHappyPath:
     def test_results_in_submission_order(self):
         pool = WorkerPool(workers=4)
-        results = pool.map(_square, [(i,) for i in range(10)])
+        results = pool.run([Job(fn=_square, args=(i,)) for i in range(10)])
         assert [r.value for r in results] == [i * i for i in range(10)]
         assert all(r.ok and r.attempts == 1 for r in results)
 
     def test_more_jobs_than_workers(self):
         pool = WorkerPool(workers=2)
-        results = pool.map(_square, [(i,) for i in range(7)])
+        results = pool.run([Job(fn=_square, args=(i,)) for i in range(7)])
         assert [r.value for r in results] == [i * i for i in range(7)]
 
     def test_job_ids_default_and_explicit(self):
@@ -110,6 +111,42 @@ class TestCrashCapture:
         assert result.crashed
         assert result.error_type == "WorkerCrash"
         assert "23" in result.error
+
+    def test_result_sent_just_before_exit_is_not_a_crash(self):
+        """Regression: the worker sends its result and exits between
+        the parent's two checks.  Its pipe reads empty until the parent
+        has seen the process dead with exit code 0."""
+        seen_dead = []
+
+        class Process:
+            exitcode = 0
+
+            def is_alive(self):
+                seen_dead.append(True)
+                return False
+
+            def join(self, timeout=None):
+                pass
+
+            def close(self):
+                pass
+
+        class Conn:
+            def poll(self):
+                return bool(seen_dead)
+
+            def recv(self):
+                return ("ok", 42)
+
+            def close(self):
+                pass
+
+        attempt = SimpleNamespace(job=Job(fn=_square, id="late"),
+                                  process=Process(), conn=Conn(),
+                                  attempt=1, deadline=None, started=0.0)
+        result = WorkerPool()._reap(attempt)
+        assert result.ok and result.value == 42
+        assert not result.crashed
 
 
 class TestRetries:
@@ -205,50 +242,6 @@ class TestFinalAttemptTimeout:
                                  retries=2)])
         assert result.ok and result.attempts == 3
         assert result.seconds > 0
-
-
-class TestBackoff:
-    def test_retry_delay_schedule_is_exponential(self):
-        pool = WorkerPool(backoff=0.1, backoff_factor=2.0, jitter=0.0)
-        assert pool._retry_delay(1) == pytest.approx(0.1)
-        assert pool._retry_delay(2) == pytest.approx(0.2)
-        assert pool._retry_delay(3) == pytest.approx(0.4)
-
-    def test_jitter_is_seeded_and_bounded(self):
-        delays_a = [WorkerPool(backoff=0.1, jitter=0.05,
-                               seed=42)._retry_delay(1)
-                    for _ in range(3)]
-        delays_b = [WorkerPool(backoff=0.1, jitter=0.05,
-                               seed=42)._retry_delay(1)
-                    for _ in range(3)]
-        assert delays_a == delays_b  # replayable
-        assert all(0.1 <= d <= 0.15 for d in delays_a)
-
-    def test_no_backoff_by_default(self):
-        assert WorkerPool()._retry_delay(1) == 0.0
-
-    def test_backoff_spaces_retries_in_forked_mode(self, tmp_path):
-        counter = str(tmp_path / "attempts")
-        pool = WorkerPool(workers=2, backoff=0.3, backoff_factor=1.0)
-        start = time.perf_counter()
-        [result] = pool.run([Job(fn=_flaky, args=(counter, 1),
-                                 retries=1)])
-        elapsed = time.perf_counter() - start
-        assert result.ok and result.attempts == 2
-        assert elapsed >= 0.3  # the retry waited out the backoff
-
-    def test_backoff_applies_inline_too(self, tmp_path):
-        counter = str(tmp_path / "attempts")
-        pool = WorkerPool(retries=1, backoff=0.2, backoff_factor=1.0)
-        pool._ctx = None
-
-        def flaky_local():
-            return _flaky(counter, 1)
-
-        start = time.perf_counter()
-        [result] = pool.run([Job(fn=flaky_local)])
-        assert result.ok and result.attempts == 2
-        assert time.perf_counter() - start >= 0.2
 
 
 class TestCircuitBreaker:
@@ -443,18 +436,6 @@ class TestCircuitBreakerStateMachine:
         assert breaker.state == "open"
         assert not breaker.allow()
         assert breaker.transitions[-1][3] == "integrity audit failed"
-
-    def test_seeded_jitter_is_replayable(self):
-        from repro.infra.breaker import CircuitBreaker
-        delays = []
-        for _ in range(2):
-            breaker = CircuitBreaker(threshold=1, cooldown=10.0,
-                                     clock=lambda: 0.0,
-                                     jitter=5.0, seed=42)
-            breaker.record(False)
-            delays.append(breaker.reopen_at)
-        assert delays[0] == delays[1]
-        assert 10.0 <= delays[0] <= 15.0
 
     def test_success_resets_consecutive_count(self):
         breaker, _ = self._make(threshold=2)
