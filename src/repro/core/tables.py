@@ -286,10 +286,12 @@ class TableSnapshot:
         site_range = site_range or (0, memory.bary_entries)
         self.bary_range = (bary_index(site_range[0]),
                            bary_index(site_range[1]))
-        self.tary = bytes(memory.tary[self.tary_range[0]:
-                                      self.tary_range[1]])
-        self.bary = bytes(memory.bary[self.bary_range[0]:
-                                      self.bary_range[1]])
+        # Slicing a memoryview copies nothing, so ``bytes`` makes the
+        # one copy of each window.
+        self.tary = bytes(memoryview(memory.tary)[self.tary_range[0]:
+                                                  self.tary_range[1]])
+        self.bary = bytes(memoryview(memory.bary)[self.bary_range[0]:
+                                                  self.bary_range[1]])
         self.version = tables.version
         self.tary_ecns = dict(tables.tary_ecns)
         self.bary_ecns = dict(tables.bary_ecns)

@@ -7,6 +7,13 @@ x86 — an arbitrary byte offset into the code image may or may not decode,
 and a byte sequence can decode differently depending on where decoding
 starts.  The ROP gadget scanner and the paper's "gadgets starting in the
 middle of an instruction" discussion rely on this property.
+
+:func:`decode_fields` is the one decoder core: every check (opcode
+byte, truncation, register bytes) lives there, and it returns the
+opcode's :class:`~repro.isa.instructions.Codec` and the operands.
+:func:`decode` builds an :class:`Instruction` from it; the VM's fetch
+(:meth:`repro.vm.cpu.CPU._fetch_decode`) builds its decoded-entry
+tuple from it, reading straight from the executable page.
 """
 
 from __future__ import annotations
@@ -16,6 +23,7 @@ from typing import Iterator, List, Tuple
 from repro.errors import EncodingError
 from repro.isa.instructions import (
     CODEC_BY_BYTE,
+    Codec,
     Instruction,
     OperandKind,
     codec_of,
@@ -38,12 +46,14 @@ def encode_all(instrs: List[Instruction]) -> bytes:
     return b"".join(encode(i) for i in instrs)
 
 
-def decode(code: bytes, offset: int = 0) -> Tuple[Instruction, int]:
-    """Decode one instruction at ``offset`` in ``code``.
+def decode_fields(code: bytes, offset: int = 0
+                  ) -> Tuple[Codec, Tuple[int, ...]]:
+    """Validate the instruction at ``offset`` in ``code``.
 
-    Returns ``(instruction, length)``.  Raises :class:`EncodingError` if
-    the bytes at ``offset`` are not a valid instruction (bad opcode, bad
-    register byte, or truncated operands).
+    Returns ``(codec, operands)``; the instruction is ``codec.length``
+    bytes long.  ``code`` is any bytes-like object.  Raises
+    :class:`EncodingError` if the bytes at ``offset`` are not a valid
+    instruction (bad opcode, bad register byte, or truncated operands).
     """
     if offset >= len(code):
         raise EncodingError("decode past end of code")
@@ -57,6 +67,17 @@ def decode(code: bytes, offset: int = 0) -> Tuple[Instruction, int]:
     for index in codec.reg_fields:
         if operands[index] >= NUM_REGS:
             raise EncodingError(f"bad register byte {operands[index]:#04x}")
+    return codec, operands
+
+
+def decode(code: bytes, offset: int = 0) -> Tuple[Instruction, int]:
+    """Decode one instruction at ``offset`` in ``code``.
+
+    Returns ``(instruction, length)``.  Raises :class:`EncodingError` if
+    the bytes at ``offset`` are not a valid instruction (see
+    :func:`decode_fields`).
+    """
+    codec, operands = decode_fields(code, offset)
     return Instruction(codec.op, operands), codec.length
 
 

@@ -18,13 +18,22 @@ Dispatch
 ``step()`` executes through the :mod:`repro.vm.dispatch` plane: each
 decoded instruction is specialized once into a closure and cached, so
 the historic ``if/elif`` chain is gone from the hot path.  The chain
-survives verbatim as :meth:`CPU.step_reference` — the executable
-semantics spec that conformance tests diff the dispatch plane against.
-Single-threaded ``run()`` additionally executes whole decoded basic
-blocks (with fused check transactions) from the shared
+survives as :meth:`CPU.step_reference` — the executable semantics spec
+that conformance tests diff the dispatch plane against.  Its branches
+are the seed's, unchanged, but it compares opcodes against plain ints:
+on CPython 3.11 ``op == Op.X`` costs about 120 ns (the ``EnumType``
+class attribute load) and ``op == _X`` against a module-global int
+about 19 ns, and a step makes up to 66 compares.  Single-threaded
+``run()`` additionally executes whole decoded basic blocks (with fused
+check transactions) from the shared
 :class:`~repro.vm.dispatch.DispatchCache`, and blocks that have run
 often as generated Python source; the scheduler always goes through
 ``step()``, preserving per-instruction interleaving.
+
+Every tier decodes through :meth:`CPU._fetch_decode`, which reads an
+instruction in place from its executable page (from a window over two
+pages only when it straddles a page end) and caches one ``(opcode,
+operands, length, cost)`` entry per address.
 
 Flags
 -----
@@ -52,8 +61,8 @@ from repro.errors import (
     MemoryFault,
     VMError,
 )
-from repro.isa.encoding import decode
-from repro.isa.instructions import MAX_INSTRUCTION_LENGTH, Op
+from repro.isa.encoding import decode_fields
+from repro.isa.instructions import CODEC_BY_BYTE, MAX_INSTRUCTION_LENGTH, Op
 from repro.isa.registers import Reg
 from repro.obs import OBS
 from repro.vm.dispatch import (
@@ -71,6 +80,15 @@ _SIGN64 = 1 << 63
 
 _PACK_D = struct.Struct("<d")
 _PACK_Q = struct.Struct("<Q")
+
+#: Encoded length by opcode byte; 1 for an invalid byte, which then
+#: fails to decode in place.
+_LENGTH_BY_BYTE = [codec.length if codec else 1 for codec in CODEC_BY_BYTE]
+
+# ``step_reference`` compares against plain-int module globals:
+# ``_MOV_RR`` is ``int(Op.MOV_RR)``, one ``_<name>`` per opcode.
+globals().update(("_" + op.name, int(op)) for op in Op)
+_RSP = int(Reg.RSP)
 
 
 class ProgramExit(Exception):
@@ -132,24 +150,31 @@ class CPU:
     # -- fetch --------------------------------------------------------------
 
     def _fetch_decode(self, address: int) -> Tuple[int, Tuple[int, ...], int, int]:
-        window = bytearray()
-        cursor = address
-        while len(window) < MAX_INSTRUCTION_LENGTH:
-            if not self.memory.is_executable(cursor):
-                if not window:
-                    raise MemoryFault(address, "execute")
-                break
-            offset = cursor & (PAGE_SIZE - 1)
-            chunk = min(MAX_INSTRUCTION_LENGTH - len(window),
-                        PAGE_SIZE - offset)
-            window += self.memory.host_read(cursor, chunk)
-            cursor += chunk
+        """Decode and cache the instruction at ``address``.
+
+        Raises :class:`MemoryFault` if its first byte is not
+        executable, and :class:`InvalidInstruction` if its bytes do not
+        decode; an instruction cut short by a non-executable page is
+        truncated.
+        """
+        memory = self.memory
+        code = memory.code_page(address)
+        if code is None:
+            raise MemoryFault(address, "execute")
+        offset = address & (PAGE_SIZE - 1)
+        if offset + _LENGTH_BY_BYTE[code[offset]] > PAGE_SIZE:
+            # Straddles a page end: decode this page's tail joined to
+            # the next page's head, if that page is executable.
+            following = memory.code_page(address - offset + PAGE_SIZE)
+            code = code[offset:] + (following[:MAX_INSTRUCTION_LENGTH]
+                                    if following is not None else b"")
+            offset = 0
         try:
-            instr, length = decode(bytes(window))
+            codec, operands = decode_fields(code, offset)
         except EncodingError as exc:
             raise InvalidInstruction(
                 f"undecodable bytes at {address:#x}: {exc}") from exc
-        entry = (int(instr.op), instr.operands, length, instr.cost)
+        entry = (codec.opcode, operands, codec.length, codec.spec.cost)
         self.decoded[address] = entry
         return entry
 
@@ -184,9 +209,14 @@ class CPU:
         This is the executable semantics spec: the dispatch plane must
         match it bit-for-bit on every architectural observable, and the
         conformance tests (and ``bench_vm_dispatch.py --conformance``)
-        diff the two.  Force a CPU onto it with
-        ``cpu.step = cpu.step_reference`` — an instance-level ``step``
-        also makes ``run()`` take the per-instruction path.
+        diff the two.  Its branches and their bodies are the seed's and
+        share no code with :mod:`repro.vm.dispatch`; only the names it
+        compares against are plain ints (``_MOV_RR`` for ``Op.MOV_RR``,
+        ``_RSP`` for ``Reg.RSP``), which keeps the slow enum attribute
+        load (see the module docstring) out of every compare.  Force a
+        CPU onto it with ``cpu.step = cpu.step_reference`` — an
+        instance-level ``step`` also makes ``run()`` take the
+        per-instruction path.
         """
         rip = self.rip
         entry = self.decoded.get(rip)
@@ -198,177 +228,177 @@ class CPU:
         regs = self.regs
         next_rip = rip + length
 
-        if op == Op.MOV_RR:
+        if op == _MOV_RR:
             regs[ops[0]] = regs[ops[1]]
-        elif op == Op.MOV_RI:
+        elif op == _MOV_RI:
             regs[ops[0]] = ops[1] & _MASK64
-        elif op == Op.LOAD64:
+        elif op == _LOAD64:
             regs[ops[0]] = self.memory.read_u64(
                 (regs[ops[1]] + ops[2]) & _MASK64)
-        elif op == Op.STORE64:
+        elif op == _STORE64:
             self.memory.write_u64((regs[ops[0]] + ops[1]) & _MASK64,
                                   regs[ops[2]])
-        elif op == Op.ADD_RR:
+        elif op == _ADD_RR:
             regs[ops[0]] = (regs[ops[0]] + regs[ops[1]]) & _MASK64
-        elif op == Op.ADD_RI:
+        elif op == _ADD_RI:
             regs[ops[0]] = (regs[ops[0]] + ops[1]) & _MASK64
-        elif op == Op.SUB_RR:
+        elif op == _SUB_RR:
             regs[ops[0]] = (regs[ops[0]] - regs[ops[1]]) & _MASK64
-        elif op == Op.SUB_RI:
+        elif op == _SUB_RI:
             regs[ops[0]] = (regs[ops[0]] - ops[1]) & _MASK64
-        elif op == Op.CMP_RR:
+        elif op == _CMP_RR:
             self._compare(regs[ops[0]], regs[ops[1]])
-        elif op == Op.CMP_RI:
+        elif op == _CMP_RI:
             self._compare(regs[ops[0]], ops[1] & _MASK64)
-        elif op == Op.JE:
+        elif op == _JE:
             if self.zf:
                 next_rip += ops[0]
-        elif op == Op.JNE:
+        elif op == _JNE:
             if not self.zf:
                 next_rip += ops[0]
-        elif op == Op.JL:
+        elif op == _JL:
             if self.lt:
                 next_rip += ops[0]
-        elif op == Op.JLE:
+        elif op == _JLE:
             if self.lt or self.zf:
                 next_rip += ops[0]
-        elif op == Op.JG:
+        elif op == _JG:
             if not (self.lt or self.zf):
                 next_rip += ops[0]
-        elif op == Op.JGE:
+        elif op == _JGE:
             if not self.lt:
                 next_rip += ops[0]
-        elif op == Op.JB:
+        elif op == _JB:
             if self.ltu:
                 next_rip += ops[0]
-        elif op == Op.JAE:
+        elif op == _JAE:
             if not self.ltu:
                 next_rip += ops[0]
-        elif op == Op.JMP:
+        elif op == _JMP:
             next_rip += ops[0]
-        elif op == Op.PUSH:
-            rsp = (regs[Reg.RSP] - 8) & _MASK64
+        elif op == _PUSH:
+            rsp = (regs[_RSP] - 8) & _MASK64
             self.memory.write_u64(rsp, regs[ops[0]])
-            regs[Reg.RSP] = rsp
-        elif op == Op.POP:
-            rsp = regs[Reg.RSP]
+            regs[_RSP] = rsp
+        elif op == _POP:
+            rsp = regs[_RSP]
             regs[ops[0]] = self.memory.read_u64(rsp)
-            regs[Reg.RSP] = (rsp + 8) & _MASK64
-        elif op == Op.CALL:
-            rsp = (regs[Reg.RSP] - 8) & _MASK64
+            regs[_RSP] = (rsp + 8) & _MASK64
+        elif op == _CALL:
+            rsp = (regs[_RSP] - 8) & _MASK64
             self.memory.write_u64(rsp, next_rip)
-            regs[Reg.RSP] = rsp
+            regs[_RSP] = rsp
             next_rip += ops[0]
-        elif op == Op.CALL_R:
-            rsp = (regs[Reg.RSP] - 8) & _MASK64
+        elif op == _CALL_R:
+            rsp = (regs[_RSP] - 8) & _MASK64
             self.memory.write_u64(rsp, next_rip)
-            regs[Reg.RSP] = rsp
+            regs[_RSP] = rsp
             next_rip = regs[ops[0]]
-        elif op == Op.RET:
-            rsp = regs[Reg.RSP]
+        elif op == _RET:
+            rsp = regs[_RSP]
             next_rip = self.memory.read_u64(rsp)
-            regs[Reg.RSP] = (rsp + 8) & _MASK64
-        elif op == Op.JMP_R:
+            regs[_RSP] = (rsp + 8) & _MASK64
+        elif op == _JMP_R:
             next_rip = regs[ops[0]]
-        elif op == Op.TLOAD_RI:
+        elif op == _TLOAD_RI:
             self.tx_checks += 1
             regs[ops[0]] = self.tables.read_bary(ops[1])
-        elif op == Op.TLOAD_RR:
+        elif op == _TLOAD_RR:
             regs[ops[0]] = self.tables.read_tary(regs[ops[1]])
-        elif op == Op.MOVZX32:
+        elif op == _MOVZX32:
             regs[ops[0]] &= _MASK32
-        elif op == Op.TESTB1:
+        elif op == _TESTB1:
             self.zf = (regs[ops[0]] & 1) == 0
-        elif op == Op.CMPW_RR:
+        elif op == _CMPW_RR:
             self.zf = (regs[ops[0]] & 0xFFFF) == (regs[ops[1]] & 0xFFFF)
-        elif op == Op.LEA:
+        elif op == _LEA:
             regs[ops[0]] = (regs[ops[1]] + ops[2]) & _MASK64
-        elif op == Op.LOAD8:
+        elif op == _LOAD8:
             regs[ops[0]] = self.memory.read_u8(
                 (regs[ops[1]] + ops[2]) & _MASK64)
-        elif op == Op.LOAD32:
+        elif op == _LOAD32:
             regs[ops[0]] = self.memory.read_u32(
                 (regs[ops[1]] + ops[2]) & _MASK64)
-        elif op == Op.STORE8:
+        elif op == _STORE8:
             self.memory.write_u8((regs[ops[0]] + ops[1]) & _MASK64,
                                  regs[ops[2]])
-        elif op == Op.STORE32:
+        elif op == _STORE32:
             self.memory.write_u32((regs[ops[0]] + ops[1]) & _MASK64,
                                   regs[ops[2]])
-        elif op == Op.LOAD16:
+        elif op == _LOAD16:
             regs[ops[0]] = self.memory.read_u16(
                 (regs[ops[1]] + ops[2]) & _MASK64)
-        elif op == Op.STORE16:
+        elif op == _STORE16:
             # One atomic store: write_u16 validates both byte
             # addresses before mutating, so a page-boundary fault can
             # never leave a torn one-byte partial write.
             self.memory.write_u16((regs[ops[0]] + ops[1]) & _MASK64,
                                   regs[ops[2]])
-        elif op == Op.SAR_RI:
+        elif op == _SAR_RI:
             regs[ops[0]] = (_signed(regs[ops[0]]) >> (ops[1] & 63)) & _MASK64
-        elif op == Op.SAR_RR:
+        elif op == _SAR_RR:
             regs[ops[0]] = (_signed(regs[ops[0]]) >>
                             (regs[ops[1]] & 63)) & _MASK64
-        elif op == Op.IMUL_RR:
+        elif op == _IMUL_RR:
             regs[ops[0]] = (_signed(regs[ops[0]]) *
                             _signed(regs[ops[1]])) & _MASK64
-        elif op == Op.IDIV_RR:
+        elif op == _IDIV_RR:
             regs[ops[0]] = self._divide(regs[ops[0]], regs[ops[1]], mod=False)
-        elif op == Op.IMOD_RR:
+        elif op == _IMOD_RR:
             regs[ops[0]] = self._divide(regs[ops[0]], regs[ops[1]], mod=True)
-        elif op == Op.AND_RR:
+        elif op == _AND_RR:
             regs[ops[0]] &= regs[ops[1]]
-        elif op == Op.AND_RI:
+        elif op == _AND_RI:
             regs[ops[0]] &= ops[1] & _MASK64
-        elif op == Op.OR_RR:
+        elif op == _OR_RR:
             regs[ops[0]] |= regs[ops[1]]
-        elif op == Op.OR_RI:
+        elif op == _OR_RI:
             regs[ops[0]] = (regs[ops[0]] | ops[1]) & _MASK64
-        elif op == Op.XOR_RR:
+        elif op == _XOR_RR:
             regs[ops[0]] ^= regs[ops[1]]
-        elif op == Op.XOR_RI:
+        elif op == _XOR_RI:
             regs[ops[0]] = (regs[ops[0]] ^ ops[1]) & _MASK64
-        elif op == Op.SHL_RI:
+        elif op == _SHL_RI:
             regs[ops[0]] = (regs[ops[0]] << (ops[1] & 63)) & _MASK64
-        elif op == Op.SHR_RI:
+        elif op == _SHR_RI:
             regs[ops[0]] >>= (ops[1] & 63)
-        elif op == Op.SHL_RR:
+        elif op == _SHL_RR:
             regs[ops[0]] = (regs[ops[0]] << (regs[ops[1]] & 63)) & _MASK64
-        elif op == Op.SHR_RR:
+        elif op == _SHR_RR:
             regs[ops[0]] >>= (regs[ops[1]] & 63)
-        elif op == Op.NEG:
+        elif op == _NEG:
             regs[ops[0]] = (-regs[ops[0]]) & _MASK64
-        elif op == Op.NOT:
+        elif op == _NOT:
             regs[ops[0]] ^= _MASK64
-        elif op == Op.TEST_RR:
+        elif op == _TEST_RR:
             self.zf = (regs[ops[0]] & regs[ops[1]]) == 0
-        elif op == Op.TEST_RI:
+        elif op == _TEST_RI:
             self.zf = (regs[ops[0]] & ops[1] & _MASK64) == 0
-        elif op == Op.NOP:
+        elif op == _NOP:
             pass
-        elif op == Op.HLT:
+        elif op == _HLT:
             self._cfi_halt(rip)
-        elif op == Op.SYSCALL:
+        elif op == _SYSCALL:
             self.rip = next_rip  # handler may change rip (e.g. longjmp)
             if self.syscall_handler is None:
                 raise VMError(f"syscall at {rip:#x} with no handler")
             self.syscall_handler(self)
             return
-        elif op == Op.FADD_RR:
+        elif op == _FADD_RR:
             self._float_result(ops, _float_of(regs[ops[0]]) +
                                _float_of(regs[ops[1]]))
-        elif op == Op.FSUB_RR:
+        elif op == _FSUB_RR:
             self._float_result(ops, _float_of(regs[ops[0]]) -
                                _float_of(regs[ops[1]]))
-        elif op == Op.FMUL_RR:
+        elif op == _FMUL_RR:
             self._float_result(ops, _float_of(regs[ops[0]]) *
                                _float_of(regs[ops[1]]))
-        elif op == Op.FDIV_RR:
+        elif op == _FDIV_RR:
             divisor = _float_of(regs[ops[1]])
             if divisor == 0.0:
                 raise VMError(f"float division by zero at {rip:#x}")
             self._float_result(ops, _float_of(regs[ops[0]]) / divisor)
-        elif op == Op.FCMP_RR:
+        elif op == _FCMP_RR:
             left = _float_of(regs[ops[0]])
             right = _float_of(regs[ops[1]])
             if left != left or right != right:
@@ -381,9 +411,9 @@ class CPU:
             else:
                 self.zf = left == right
                 self.lt = self.ltu = left < right
-        elif op == Op.CVTSI2F:
+        elif op == _CVTSI2F:
             regs[ops[0]] = _bits_of(float(_signed(regs[ops[0]])))
-        elif op == Op.CVTF2SI:
+        elif op == _CVTF2SI:
             value = _float_of(regs[ops[0]])
             # cvttsd2si: NaN and values outside [-2^63, 2^63) give the
             # integer indefinite.

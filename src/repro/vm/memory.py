@@ -23,7 +23,7 @@ flat address space: the only way application code can touch it is via
 from __future__ import annotations
 
 import struct
-from typing import Dict, Set
+from typing import Dict, Optional, Set
 
 from repro.errors import MemoryFault
 
@@ -203,12 +203,12 @@ class Memory:
     def write_bytes(self, address: int, payload: bytes) -> None:
         self._write(address, payload)
 
-    def fetch(self, address: int, size: int) -> bytes:
-        """Read up to ``size`` bytes for instruction fetch (X required)."""
+    def code_page(self, address: int) -> Optional[bytearray]:
+        """The whole page holding ``address`` if it is executable, else
+        None.  Instruction fetch decodes straight from it; callers must
+        not write through it."""
         page = address >> PAGE_SHIFT
-        if page not in self._executable:
-            raise MemoryFault(address, "execute")
-        return self._read(address, size, check=self._executable)
+        return self._pages[page] if page in self._executable else None
 
     # -- unchecked access (trusted runtime) ---------------------------------
 

@@ -78,10 +78,10 @@ class TestProtection:
     def test_fetch_requires_executable(self):
         mem = Memory()
         mem.map(0x10000, PAGE_SIZE, readable=True, writable=True)
-        with pytest.raises(MemoryFault):
-            mem.fetch(0x10000, 4)
+        mem.host_write(0x10000, b"\x01\x02")
+        assert mem.code_page(0x10004) is None
         mem.protect(0x10000, PAGE_SIZE, readable=True, executable=True)
-        assert mem.fetch(0x10000, 4) == b"\x00" * 4
+        assert mem.code_page(0x10004) == b"\x01\x02" + bytes(PAGE_SIZE - 2)
 
     def test_is_queries(self, memory):
         assert memory.is_mapped(0x10000)
