@@ -106,37 +106,71 @@ def test_service_quick_coalescing_floor():
     assert report.escalations == 0
 
 
+#: Interleaved timing rounds of the churn-compile cell, after one
+#: untimed round that builds every session fleet's first (cold) image.
+CHURN_ROUNDS = 5
+
+
+def _churn_round(fleet, kinds):
+    """One churn event per tenant; the mean seconds per event."""
+    from statistics import mean
+
+    from repro.obs import clock
+    seconds = []
+    for churn in fleet:
+        start = clock.now()
+        result = churn.churn_once()
+        seconds.append(clock.now() - start)
+        kinds[result.kind] = kinds.get(result.kind, 0) + 1
+    return mean(seconds)
+
+
 def test_dlopen_churn_compile_latency():
     """The PR 8 service cell: each dlopen churn event re-compiles the
     tenant's (edited) module, legacy vs session.  The legacy path pays
     a cold ``build_program`` per event; a per-tenant
     :class:`repro.build.BuildSession` turns the steady state into
     incremental single-unit rebuilds — the compile must stop dominating
-    the churn budget."""
-    from statistics import mean
+    the churn budget.  The two paths churn in interleaved rounds,
+    alternating which goes first, and the verdict is the median of the
+    per-round ratios."""
+    from statistics import median
 
-    from repro.service.tenancy import churn_compile_latencies
+    from repro.service.tenancy import TenantChurn
 
-    tenants, rounds = 2, 3
-    legacy = churn_compile_latencies(tenants, rounds, legacy=True)
-    session = churn_compile_latencies(tenants, rounds)
+    tenants = 2
+    fleets = {"legacy": [TenantChurn(tenant, legacy=True)
+                         for tenant in range(tenants)],
+              "session": [TenantChurn(tenant) for tenant in range(tenants)]}
+    kinds = {side: {} for side in fleets}
+    for side, fleet in fleets.items():
+        _churn_round(fleet, kinds[side])     # the fleet's first round
+    per_event = {side: [] for side in fleets}
+    ratios = []
+    for round_index in range(CHURN_ROUNDS):
+        order = ["legacy", "session"]
+        if round_index % 2:
+            order.reverse()
+        for side in order:
+            per_event[side].append(_churn_round(fleets[side], kinds[side]))
+        ratios.append(per_event["legacy"][-1] / per_event["session"][-1])
 
-    assert legacy["kinds"] == {"cold": tenants * rounds}
-    assert session["kinds"].get("cold") == tenants
-    assert (session["kinds"].get("incremental", 0)
-            + session["kinds"].get("warm", 0)) == tenants * (rounds - 1)
+    events = tenants * (CHURN_ROUNDS + 1)
+    assert kinds["legacy"] == {"cold": events}
+    assert kinds["session"].get("cold") == tenants
+    assert (kinds["session"].get("incremental", 0)
+            + kinds["session"].get("warm", 0)) == events - tenants
 
-    # Steady state: every event after the fleet's first (cold) round.
-    legacy_mean = mean(legacy["seconds"][tenants:])
-    steady_mean = mean(session["seconds"][tenants:])
-    speedup = legacy_mean / steady_mean if steady_mean else float("inf")
+    legacy_ms = median(per_event["legacy"]) * 1000
+    session_ms = median(per_event["session"]) * 1000
+    speedup = median(ratios)
     lines = [
-        f"dlopen churn compile latency, {tenants} tenants x "
-        f"{rounds} rounds (steady state excludes the cold round)",
-        f"legacy  (cold build_program/event): "
-        f"{legacy_mean * 1000:8.2f} ms/event",
-        f"session (incremental BuildSession): "
-        f"{steady_mean * 1000:8.2f} ms/event",
+        f"dlopen churn compile latency, {tenants} tenants, "
+        f"{CHURN_ROUNDS} interleaved rounds after the cold round",
+        "(per-event means per round; medians over rounds; "
+        "speedup = median per-round ratio)",
+        f"legacy  (cold build_program/event): {legacy_ms:8.2f} ms/event",
+        f"session (incremental BuildSession): {session_ms:8.2f} ms/event",
         f"speedup: {speedup:.1f}x",
     ]
     write_result("service_churn_compile", "\n".join(lines))

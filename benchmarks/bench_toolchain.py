@@ -10,7 +10,10 @@ Two cells:
   build, a warm (no-op) rebuild, and single-function body-edit
   rebuilds.  Every rebuilt image must be byte-identical to a cold
   build of the same source, and the steady-state incremental rebuild
-  must be >= 20x faster than cold.  The measured table lands in
+  must be >= 20x faster than cold.  Cold builds and edit rebuilds are
+  timed in interleaved rounds, alternating which goes first, and the
+  speedup is the median of the per-round ratios, so one slow sample
+  cannot decide it.  The measured table lands in
   ``benchmarks/results/toolchain_incremental.txt``.
 
 Runnable two ways:
@@ -41,10 +44,14 @@ from benchmarks.conftest import selected_benchmarks, write_result
 from repro.build import BuildSession, build_program
 from repro.workloads.spec import workload
 
-#: Single-function-edit rebuilds timed per workload; sources alternate
-#: between the original and the edited text, so after the first pair
-#: every rebuild exercises the steady-state (body-memo + splice) path.
-EDIT_ROUNDS = 6
+#: Interleaved timing rounds per workload.  Each round times one cold
+#: build (a fresh session) and EDITS_PER_ROUND single-function-edit
+#: rebuilds, alternating which side goes first.  Edit sources alternate
+#: between the edited and the original text; the first such pair runs
+#: before the rounds, so every timed rebuild takes the steady-state
+#: (body-memo + splice) path.
+ROUNDS = 3
+EDITS_PER_ROUND = 3
 
 _LITERAL_RE = re.compile(r"(?<![\w.])(\d+)(?![\w.])")
 
@@ -87,38 +94,57 @@ def measure_workload(name):
     source = workload(name).source
     edited = edit_one_function(source)
     session = BuildSession()
+    texts = [edited, source]
+    cold_seconds, edit_seconds, ratios = [], [], []
+    images = set()      # the cold image and every rebuild of ``source``
 
-    cold_s, result = _timed(lambda: session.build({name: source}))
-    assert result.kind == "cold"
-    warm_s, result = _timed(lambda: session.build({name: source}))
-    assert result.kind == "warm"
-
-    edit_seconds = []
-    for round_index in range(EDIT_ROUNDS):
-        text = edited if round_index % 2 == 0 else source
-        seconds, result = _timed(lambda t=text: session.build({name: t}))
+    def edit():
+        text = texts[len(edit_seconds) % 2]
+        seconds, result = _timed(lambda: session.build({name: text}))
         assert result.kind == "incremental", (name, result.kind)
         edit_seconds.append(seconds)
-    final = result.program
+        if text is source:
+            images.add(_image(result.program))
 
-    identical = _image(final) == _image(
-        build_program({name: source}).program)
-    incr_s = statistics.median(edit_seconds)
+    def cold():
+        seconds, result = _timed(lambda: build_program({name: source}))
+        cold_seconds.append(seconds)
+        images.add(_image(result.program))
+
+    def edits():
+        for _ in range(EDITS_PER_ROUND):
+            edit()
+
+    assert session.build({name: source}).kind == "cold"
+    warm_s, result = _timed(lambda: session.build({name: source}))
+    assert result.kind == "warm"
+    edit()
+    edit()
+    for round_index in range(ROUNDS):
+        for side in ((cold, edits) if round_index % 2 == 0
+                     else (edits, cold)):
+            side()
+        incr_s = statistics.median(edit_seconds[-EDITS_PER_ROUND:])
+        ratios.append(cold_seconds[-1] / incr_s if incr_s else float("inf"))
+    steady = edit_seconds[2:]
     return {
         "name": name,
-        "cold_ms": cold_s * 1000,
+        "cold_ms": statistics.median(cold_seconds) * 1000,
         "warm_ms": warm_s * 1000,
         "first_edit_ms": edit_seconds[0] * 1000,
-        "incr_ms": incr_s * 1000,
-        "incr_x": cold_s / incr_s if incr_s else float("inf"),
-        "identical": identical,
+        "incr_ms": statistics.median(steady) * 1000,
+        "incr_x": statistics.median(ratios),
+        "identical": len(images) == 1,
     }
 
 
 def render_table(rows):
     lines = [
         "incremental rebuild vs cold build, one BuildSession per workload",
-        f"(median of {EDIT_ROUNDS} single-function body-edit rebuilds; "
+        f"({ROUNDS} interleaved rounds of one cold build and "
+        f"{EDITS_PER_ROUND} steady-state single-function body-edit "
+        "rebuilds;",
+        "medians; speedup = median per-round ratio; "
         "'identical' = byte-equal to a cold build of the same source)",
         "",
         f"{'workload':12s} {'cold ms':>9s} {'warm ms':>9s} "

@@ -8,10 +8,11 @@ Rebuilds are priced by what actually changed:
 * **warm** — nothing changed (or only comments/whitespace): the
   previous program is returned, or every unit hits the cache;
 * **incremental** — a few function bodies changed: the mini-frontend
-  re-checks only those bodies against a *stub* of the module (every
-  clean function reduced to its declaration), recompiles the dirty
-  units, and — when exactly one unit changed shape-compatibly — splices
-  it into the previous link in place;
+  parses and checks only those bodies against the module's cached
+  :class:`~repro.toolchain.ModuleInterface` (captured by the first such
+  edit after a full rebuild), recompiles the dirty units, and — when
+  exactly one unit changed shape-compatibly — splices it into the
+  previous link in place;
 * **cold** — a new module, a structural edit (signatures, globals,
   added/removed functions) or a fresh session: full frontend, but still
   unit-cache-first.
@@ -31,15 +32,12 @@ from typing import Any, Dict, List, Optional, Tuple
 from repro.build.fingerprint import source_body_key
 from repro.build.graph import BuildGraph, compile_module_units
 from repro.build.link import LinkState, ModuleUnits, link_units, splice_unit
-from repro.build.source_index import (
-    SourceSpan,
-    diff_bodies,
-    index_source,
-    stub_source,
-)
+from repro.build.source_index import SourceSpan, diff_bodies, index_source
 from repro.build.units import UnitArtifact
+from repro.errors import ReproError
 from repro.linker.static_linker import LinkedProgram
 from repro.obs import OBS
+from repro.toolchain import ModuleInterface, frontend
 
 
 @dataclass
@@ -75,6 +73,11 @@ class _ModuleState:
     spans: Optional[List[SourceSpan]]
     graph: BuildGraph
     units: ModuleUnits
+    #: a function body defines a type: every edit is a full rebuild
+    local_types: bool = False
+    #: what dirty bodies are checked against, from the first body-only
+    #: edit after the full rebuild that made this state
+    interface: Optional[ModuleInterface] = None
 
 
 class BuildSession:
@@ -216,28 +219,28 @@ class BuildSession:
         self._order = order
         return self._link.program
 
-    def _frontend(self, text: str, name: str):
+    def _lower(self, checked, name: str):
         from repro.mir.lowering import lower_unit
-        from repro.toolchain import frontend
-        with OBS.tracer.span("build.frontend", module=name):
-            checked = frontend(text, name=name, prelude=self.prelude)
         with OBS.tracer.span("build.lower", module=name):
             mir = lower_unit(checked)
         if self.devirtualize:
             from repro.analysis.dataflow import devirtualize_module
             devirtualize_module(mir)
-        return checked, mir
+        return mir
 
     def _full_rebuild(self, name: str, text: str,
                       stats: Dict[str, int]) -> None:
         self._forget_bodies(name)
-        checked, mir = self._frontend(text, name)
+        with OBS.tracer.span("build.frontend", module=name):
+            checked = frontend(text, name=name, prelude=self.prelude)
+        mir = self._lower(checked, name)
         with OBS.tracer.span("build.units", module=name):
             units, graph, ustats = self._compile_units(mir, checked)
         for key, value in ustats.items():
             stats[key] = stats.get(key, 0) + value
         self._modules[name] = _ModuleState(
-            source=text, spans=index_source(text), graph=graph, units=units)
+            source=text, spans=index_source(text), graph=graph, units=units,
+            local_types=checked.unit.local_types)
 
     def _compile_units(self, mir, checked):
         return compile_module_units(
@@ -249,8 +252,13 @@ class BuildSession:
         or ``None`` when the edit is structural and the caller must do
         a full rebuild.  Clean functions are never recompiled; dirty
         bodies go through the body-text memo, then the unit cache, then
-        a stub-source compile of just those functions."""
-        if state.spans is None:
+        a compile of just those functions, checked against the module
+        interface.  ``None`` also covers every case the interface
+        cannot answer exactly as a full rebuild would: a body that
+        defines a type, a dirty span that is not one function
+        definition, and a dirty body that fails to parse or check (the
+        full rebuild then reports the error)."""
+        if state.spans is None or state.local_types:
             return None
         new_spans = index_source(text)
         if new_spans is None:
@@ -277,13 +285,16 @@ class BuildSession:
         if unresolved:
             with OBS.tracer.span("build.mini_frontend", module=name,
                                  dirty=len(unresolved)):
-                stub = stub_source(new_spans, set(unresolved))
                 try:
-                    checked, mir = self._frontend(stub, name)
-                except Exception:
-                    return None  # stub didn't compile: rebuild fully
-            if set(checked.functions) != set(unresolved):
-                return None
+                    if state.interface is None:
+                        state.interface = ModuleInterface(
+                            new_spans, name, self.prelude)
+                    checked = state.interface.check(
+                        [span for span in new_spans if span.kind == "func"
+                         and span.name in unresolved])
+                    mir = self._lower(checked, name)
+                except ReproError:
+                    return None  # a full rebuild decides, or reports
             units, _, _ = self._compile_units(mir, checked)
             for unit in units.units:
                 compiled[unit.fn] = (unit,

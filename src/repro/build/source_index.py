@@ -1,13 +1,12 @@
-"""Textual source index: top-level spans, body diffs, stub templates.
+"""Textual source index: top-level spans and body diffs.
 
 The incremental frontend avoids re-parsing a whole module when one
 function body changed: a lexical scan splits the source into top-level
-spans (function definitions vs everything else), two indexes are
-diffed span-by-span, and a *stub source* is built in which every clean
-function's body is replaced by a declaration (``head;``).  Parsing and
-type-checking the stub sees the same global declarations and signatures
-— so the dirty functions' MIR is identical to a full compile — at a
-fraction of the frontend cost.
+spans (function definitions vs everything else), and two indexes are
+diffed span-by-span.  The dirty spans are then parsed and checked
+alone against the module's interface
+(:class:`repro.toolchain.ModuleInterface`, itself parsed from the
+spans with every function reduced to its declaration, ``head;``).
 
 The scanner is deliberately conservative: anything it cannot classify
 (unbalanced braces, trailing garbage) makes :func:`index_source` return
@@ -20,7 +19,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import List, Optional, Set, Tuple
+from typing import List, Optional, Set
 
 
 @dataclass(frozen=True)
@@ -134,15 +133,3 @@ def diff_bodies(old: List[SourceSpan],
             if old_span.body != new_span.body:
                 dirty.add(new_span.name)
     return dirty
-
-
-def stub_source(spans: List[SourceSpan], keep: Set[str]) -> str:
-    """Rebuild the source with every function body *not* in ``keep``
-    replaced by a declaration (``head;``)."""
-    parts: List[str] = []
-    for span in spans:
-        if span.kind == "func" and span.name not in keep:
-            parts.append(span.head.rstrip() + ";\n")
-        else:
-            parts.append(span.text)
-    return "".join(parts)

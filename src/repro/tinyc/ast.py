@@ -236,6 +236,11 @@ class TranslationUnit(Node):
     funcs: List[FuncDef] = field(default_factory=list)
     decls: List[FuncDecl] = field(default_factory=list)
     globals: List[GlobalVar] = field(default_factory=list)
+    #: a function body defines a type (see ``Parser._define_type``).
+    #: The parser resolves typedef names and enum constants as it goes,
+    #: so such a module's bodies cannot be re-checked one at a time
+    #: against its interface (:class:`repro.toolchain.ModuleInterface`).
+    local_types: bool = False
 
     def function(self, name: str) -> Optional[FuncDef]:
         for func in self.funcs:

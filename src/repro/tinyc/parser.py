@@ -14,7 +14,8 @@ and (except for ``static`` on functions) ignored.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Tuple
+from contextlib import contextmanager
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.errors import ParseError
 from repro.tinyc import ast
@@ -49,15 +50,26 @@ _STORAGE = frozenset(["static", "extern", "typedef"])
 
 
 class Parser:
-    """One-translation-unit parser; reusable via :func:`parse`."""
+    """One-translation-unit parser; reusable via :func:`parse`.
+
+    ``types`` and ``enums`` seed the struct tags, typedef names and enum
+    constants the parse starts from; ``enums`` is copied.
+    """
 
     def __init__(self, source: str, name: str = "unit",
-                 types: Optional[TypeTable] = None) -> None:
+                 types: Optional[TypeTable] = None,
+                 enums: Optional[Dict[str, int]] = None) -> None:
         self.tokens = tokenize(source)
         self.pos = 0
         self.name = name
         self.types = types if types is not None else TypeTable()
-        self.enum_constants: dict[str, int] = {}
+        self.enum_constants: Dict[str, int] = dict(enums or {})
+        #: raise at any type definition (see :func:`parse_definition`)
+        self.refuse_types = False
+        #: a type was defined inside a function body
+        #: (:attr:`repro.tinyc.ast.TranslationUnit.local_types`)
+        self.local_types = False
+        self._in_body = False
 
     # -- token plumbing ------------------------------------------------------
 
@@ -101,12 +113,16 @@ class Parser:
     def parse_unit(self) -> ast.TranslationUnit:
         unit = ast.TranslationUnit(name=self.name)
         while self.peek().kind != "eof":
-            self._parse_external(unit)
+            self.parse_external(unit)
+        unit.local_types = self.local_types
         return unit
 
-    def _parse_external(self, unit: ast.TranslationUnit) -> None:
+    def parse_external(self, unit: ast.TranslationUnit) -> None:
+        """Parse one top-level declaration or definition into ``unit``."""
         line = self.peek().line
-        if self.accept("keyword", "typedef"):
+        typedef = self.accept("keyword", "typedef")
+        if typedef:
+            self._define_type(typedef)
             base = self.parse_type_specifiers()
             name, ctype = self.parse_declarator(base)
             if not name:
@@ -130,7 +146,9 @@ class Parser:
             if isinstance(ctype, FuncType):
                 if self.peek().kind == "op" and self.peek().text == "{":
                     param_names = list(self._last_param_names)
+                    self._in_body = True
                     body = self.parse_block()
+                    self._in_body = False
                     unit.funcs.append(ast.FuncDef(
                         line=line, name=name, ftype=ctype,
                         param_names=param_names,
@@ -197,13 +215,27 @@ class Parser:
             raise ParseError("expected type specifier", line, 0)
         return _primitive_of(words, line)
 
+    def _define_type(self, token: Token) -> None:
+        """Note a type definition before it is made: a typedef, an enum
+        body, or a struct/union with a body or without a tag (whose
+        ``__anon`` tag depends on the token position)."""
+        if self.refuse_types:
+            raise ParseError("type defined in a definition parsed against "
+                             "its module's interface", token.line,
+                             token.column)
+        if self._in_body:
+            self.local_types = True
+
     def _parse_struct_or_union(self) -> Type:
-        keyword = self.advance().text
-        is_union = keyword == "union"
+        keyword_token = self.advance()
+        is_union = keyword_token.text == "union"
         tag_token = self.accept("ident")
+        has_body = self.peek().kind == "op" and self.peek().text == "{"
+        if tag_token is None or has_body:
+            self._define_type(keyword_token)
         tag = tag_token.text if tag_token else f"__anon{self.pos}"
         struct = self.types.struct(tag, is_union=is_union)
-        if self.peek().kind == "op" and self.peek().text == "{":
+        if has_body:
             self.advance()
             fields: List[Tuple[str, Type]] = []
             while not (self.peek().kind == "op" and self.peek().text == "}"):
@@ -219,9 +251,10 @@ class Parser:
         return struct
 
     def _parse_enum(self) -> Type:
-        self.advance()  # 'enum'
+        keyword_token = self.advance()
         self.accept("ident")  # optional tag (enums are just ints)
         if self.peek().kind == "op" and self.peek().text == "{":
+            self._define_type(keyword_token)
             self.advance()
             next_value = 0
             while not (self.peek().kind == "op" and self.peek().text == "}"):
@@ -410,7 +443,9 @@ class Parser:
         line = self.peek().line
         while self.peek().kind == "keyword" and \
                 self.peek().text in _STORAGE:
-            self.advance()
+            token = self.advance()
+            if token.text == "typedef":
+                self._define_type(token)
         base = self.parse_type_specifiers()
         out: List[ast.Stmt] = []
         while True:
@@ -679,25 +714,53 @@ class Parser:
                          token.column)
 
 
-def parse(source: str, name: str = "unit",
-          types: Optional[TypeTable] = None) -> ast.TranslationUnit:
-    """Parse TinyC source text into a :class:`TranslationUnit`.
+@contextmanager
+def deep_nesting(error=ParseError):
+    """Run a recursive frontend pass with room for deep nesting.
 
     Recursive descent needs stack proportional to expression nesting;
     raise the interpreter limit so deeply parenthesized programs parse.
     Nesting beyond even the raised limit is a *diagnostic*, not a
-    crash: the ``RecursionError`` converts to a clean ParseError.
+    crash: the ``RecursionError`` converts to a clean ``error``.
     """
     import sys
     limit = sys.getrecursionlimit()
     if limit < 20000:
         sys.setrecursionlimit(20000)
     try:
-        return Parser(source, name=name, types=types).parse_unit()
+        yield
     except RecursionError:
-        raise ParseError("program nesting too deep") from None
+        raise error("program nesting too deep") from None
     finally:
         sys.setrecursionlimit(limit)
+
+
+def parse(source: str, name: str = "unit",
+          types: Optional[TypeTable] = None) -> ast.TranslationUnit:
+    """Parse TinyC source text into a :class:`TranslationUnit`."""
+    with deep_nesting():
+        return Parser(source, name=name, types=types).parse_unit()
+
+
+def parse_definition(source: str, name: str = "unit",
+                     types: Optional[TypeTable] = None,
+                     enums: Optional[Dict[str, int]] = None) -> ast.FuncDef:
+    """Parse ``source`` as exactly one function definition.
+
+    ``types`` and ``enums`` seed what is in scope: the struct tags,
+    typedef names and enum constants a module interface sees at the
+    function's position (:class:`repro.toolchain.ModuleInterface`).
+    Such a definition could not share a new type with its module, so
+    defining one is a :class:`ParseError`, and so is any text that is
+    not one function definition.
+    """
+    with deep_nesting():
+        parser = Parser(source, name=name, types=types, enums=enums)
+        parser.refuse_types = True
+        unit = parser.parse_unit()
+    if len(unit.funcs) != 1 or unit.decls or unit.globals:
+        raise ParseError("expected exactly one function definition")
+    return unit.funcs[0]
 
 
 def _primitive_of(words: List[str], line: int) -> Type:

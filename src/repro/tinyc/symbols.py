@@ -29,6 +29,13 @@ class SymbolTable:
         self._scopes: List[Dict[str, Symbol]] = [{}]
         self._counter = 0
 
+    def fork(self) -> "SymbolTable":
+        """An independent copy: declaring into it never changes this one."""
+        twin = SymbolTable()
+        twin._scopes = [dict(scope) for scope in self._scopes]
+        twin._counter = self._counter
+        return twin
+
     def push(self) -> None:
         self._scopes.append({})
 

@@ -20,11 +20,13 @@ of the MCFI toolchain consumes:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+import copy
+from dataclasses import dataclass, field, replace
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import TypeError_
 from repro.tinyc import ast
+from repro.tinyc.parser import deep_nesting
 from repro.tinyc.types import (
     ArrayType,
     CHAR,
@@ -136,7 +138,14 @@ class Checker:
     # -- driver ---------------------------------------------------------------
 
     def check(self) -> CheckedUnit:
-        # Register all function signatures first (mutual recursion).
+        self.declare()
+        self.check_bodies(self.unit.funcs)
+        return self.out
+
+    def declare(self) -> None:
+        """The declaration phase: every function signature (declarations
+        first, then definitions; all before any body, for mutual
+        recursion), then the globals and their initializers."""
         for decl in self.unit.decls:
             self._register_function(decl.name, decl.ftype)
         for func in self.unit.funcs:
@@ -149,9 +158,37 @@ class Checker:
             if var.init is not None:
                 var.init = self._check_initializer(var.init, var.ctype,
                                                    var.line)
-        for func in self.unit.funcs:
+
+    def check_bodies(self, funcs: Sequence[ast.FuncDef]) -> None:
+        """The body phase: check each definition against the declarations."""
+        for func in funcs:
             self._check_function(func)
-        return self.out
+
+    def extend(self, funcs: Sequence[ast.FuncDef]) -> CheckedUnit:
+        """Check ``funcs`` as further definitions of this checker's unit.
+
+        Runs both phases for ``funcs`` on a copy of this checker's
+        state, so this checker does not change and can extend again.
+        The returned unit holds only ``funcs``; checked after a unit of
+        declarations only, it equals checking one unit that declares
+        the rest and defines ``funcs``.
+        """
+        fork = copy.copy(self)
+        fork.unit = replace(self.unit, funcs=list(funcs))
+        out = self.out
+        fork.out = replace(
+            out, unit=fork.unit, functions={},
+            func_sigs=dict(out.func_sigs), func_types=dict(out.func_types),
+            address_taken=set(out.address_taken),
+            global_takes=set(out.global_takes), calls=list(out.calls),
+            casts=list(out.casts), globals=list(out.globals))
+        fork.symbols = self.symbols.fork()
+        fork._cast_records = dict(self._cast_records)
+        with deep_nesting(TypeError_):
+            for func in funcs:
+                fork._register_function(func.name, func.ftype)
+            fork.check_bodies(funcs)
+        return fork.out
 
     def _register_function(self, name: str, ftype: FuncType) -> None:
         existing = self.out.func_types.get(name)
@@ -675,13 +712,14 @@ def check(unit: ast.TranslationUnit) -> CheckedUnit:
     clean diagnostic (never a ``RecursionError`` traceback) on inputs
     deep enough to exhaust even that.
     """
-    import sys
-    limit = sys.getrecursionlimit()
-    if limit < 20000:
-        sys.setrecursionlimit(20000)
-    try:
+    with deep_nesting(TypeError_):
         return Checker(unit).check()
-    except RecursionError:
-        raise TypeError_("program nesting too deep") from None
-    finally:
-        sys.setrecursionlimit(limit)
+
+
+def declare(unit: ast.TranslationUnit) -> Checker:
+    """Run only the declaration phase over ``unit``; check definitions
+    against the result with :meth:`Checker.extend`."""
+    checker = Checker(unit)
+    with deep_nesting(TypeError_):
+        checker.declare()
+    return checker

@@ -331,11 +331,16 @@ def is_physical_subtype(concrete: StructType, abstract: StructType) -> bool:
 
 
 class TypeTable:
-    """Registry of struct/union/enum tags and typedefs for one parse."""
+    """Registry of struct/union/enum tags and typedefs for one parse.
 
-    def __init__(self) -> None:
-        self.structs: Dict[str, StructType] = {}
-        self.typedefs: Dict[str, Type] = {}
+    A table seeded with ``structs`` and ``typedefs`` holds copies of
+    them, so parsing into it never changes the seeds.
+    """
+
+    def __init__(self, structs: Optional[Dict[str, StructType]] = None,
+                 typedefs: Optional[Dict[str, Type]] = None) -> None:
+        self.structs: Dict[str, StructType] = dict(structs or {})
+        self.typedefs: Dict[str, Type] = dict(typedefs or {})
 
     def struct(self, tag: str, is_union: bool = False) -> StructType:
         key = ("union " if is_union else "struct ") + tag

@@ -14,19 +14,24 @@ Compiling and linking live in :mod:`repro.build`
 language frontend every build path shares: the ``BUILTIN_PRELUDE``
 plays the role of the C headers (declarations of the libc API every
 module may use; ``__syscall``, ``setjmp`` and ``longjmp`` are compiler
-intrinsics), and :func:`frontend` is the parse+typecheck step.
+intrinsics), :func:`frontend` is the parse+typecheck step, and a
+:class:`ModuleInterface` re-checks edited function bodies of a module
+without parsing the rest of it again.
 :func:`run_program` loads a linked program into a fresh runtime.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from functools import lru_cache
+from typing import Dict, Optional, Sequence, Tuple
 
+from repro.errors import ParseError
 from repro.linker.static_linker import LinkedProgram
 from repro.runtime.runtime import Runtime, RunResult
-from repro.tinyc.parser import parse
-from repro.tinyc.typecheck import CheckedUnit, check
-from repro.tinyc.types import TypeTable
+from repro.tinyc import ast
+from repro.tinyc.parser import Parser, deep_nesting, parse, parse_definition
+from repro.tinyc.typecheck import CheckedUnit, check, declare
+from repro.tinyc.types import Type, TypeTable
 
 BUILTIN_PRELUDE = """
 void *malloc(unsigned long n);
@@ -68,12 +73,95 @@ double sqrt_d(double x);
 """
 
 
+@lru_cache(maxsize=None)
+def prelude_decls() -> Tuple[ast.FuncDecl, ...]:
+    """``BUILTIN_PRELUDE``'s declarations, parsed on first use.
+
+    Every unit shares them, so nothing may change them.  The prelude
+    declares functions only: no type, typedef or enum constant, so a
+    module parses the same with or without it in front.
+    """
+    return tuple(parse(BUILTIN_PRELUDE, name="prelude").decls)
+
+
 def frontend(source: str, name: str = "unit", prelude: bool = True,
              types: Optional[TypeTable] = None) -> CheckedUnit:
-    """Parse and type-check one TinyC module."""
-    text = (BUILTIN_PRELUDE + source) if prelude else source
-    unit = parse(text, name=name, types=types)
+    """Parse and type-check one TinyC module.
+
+    With ``prelude`` the prelude's declarations come before the
+    module's own; diagnostics carry the module's own line numbers.
+    """
+    unit = parse(source, name=name, types=types)
+    if prelude:
+        unit.decls[:0] = prelude_decls()
     return check(unit)
+
+
+#: typedef names and enum constants in scope at one position
+Scope = Tuple[Dict[str, Type], Dict[str, int]]
+
+
+class ModuleInterface:
+    """What a module's function bodies are checked against.
+
+    Captured once from a module's top-level spans
+    (:func:`repro.build.source_index.index_source`), with every
+    function parsed as its declaration (``head;``):
+
+    * the checker's state after the declaration phase: signatures,
+      globals and checked initializers;
+    * for each function, the typedef names and enum constants in scope
+      at its position (the parser resolves those as it goes, so they
+      are positional);
+    * the module's final struct table (struct tags are not positional:
+      completeness only matters when checking).
+
+    :meth:`check` parses and checks function definitions against it,
+    each on copies, so the interface never changes.  The result is
+    what checking the module with every other body replaced by its
+    declaration gives, apart from line numbers.  Only a module whose
+    bodies define no type qualifies (``TranslationUnit.local_types``).
+    """
+
+    def __init__(self, spans: Sequence, name: str,
+                 prelude: bool = True) -> None:
+        self.name = name
+        parser = Parser("".join(
+            span.head.rstrip() + ";\n" if span.kind == "func" else span.text
+            for span in spans), name=name)
+        unit = ast.TranslationUnit(name=name)
+        self.scopes: Dict[str, Scope] = {}
+        with deep_nesting():
+            for span in spans:
+                declared = len(unit.decls)
+                if span.kind == "func":
+                    self.scopes[span.name] = (dict(parser.types.typedefs),
+                                              dict(parser.enum_constants))
+                parser.parse_external(unit)
+                if span.kind == "func" and (
+                        len(unit.decls) != declared + 1
+                        or unit.decls[-1].name != span.name):
+                    raise ParseError(f"{span.name!r} is not one declaration")
+        if parser.peek().kind != "eof":
+            raise ParseError("spans do not tile the module")
+        self.structs = parser.types.structs
+        if prelude:
+            unit.decls[:0] = prelude_decls()
+        self.checker = declare(unit)
+
+    def check(self, spans: Sequence) -> CheckedUnit:
+        """Parse and check the function spans ``spans`` (in module
+        order); the unit holds just those functions."""
+        funcs = []
+        for span in spans:
+            typedefs, enums = self.scopes[span.name]
+            func = parse_definition(
+                span.text, name=self.name,
+                types=TypeTable(self.structs, typedefs), enums=enums)
+            if func.name != span.name:
+                raise ParseError(f"span {span.name!r} defines {func.name!r}")
+            funcs.append(func)
+        return self.checker.extend(funcs)
 
 
 def run_program(program: LinkedProgram, verify: bool = False,

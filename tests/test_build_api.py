@@ -27,7 +27,7 @@ from repro.build import (
     compile_object,
 )
 from repro.build.fingerprint import prelude_digest, source_body_key
-from repro.build.source_index import diff_bodies, index_source, stub_source
+from repro.build.source_index import diff_bodies, index_source
 from repro.runtime.runtime import Runtime
 from repro.toolchain import run_program
 from repro.workloads.spec import BENCHMARKS, workload
@@ -427,13 +427,6 @@ class TestSourceIndex:
         changed = index_source(_edit_source([1, 2, 3, 4]).replace(
             "int f1(int x)", "long f1(int x)"))
         assert diff_bodies(old, changed) is None
-
-    def test_stub_source_keeps_only_dirty_bodies(self):
-        spans = index_source(_edit_source([1, 2, 3, 4]))
-        stub = stub_source(spans, {"f2"})
-        assert "int f2(int x) { return x - 3; }" in stub
-        assert "int f0(int x);" in stub
-        assert "int main(void);" in stub
 
 
 class TestCacheBudget:
