@@ -219,9 +219,15 @@ def test_stage_breakdown(benchmark):
         timings["assemble"] = time.perf_counter() - start
         return timings
 
-    timings = benchmark.pedantic(pipeline, rounds=3, iterations=1)
+    # Three rounds in one call, so the gate never rests on one sample
+    # whatever mode pytest-benchmark runs in; the round with the median
+    # total is reported and gated.
+    rounds = benchmark.pedantic(lambda: [pipeline() for _ in range(3)],
+                                rounds=1, iterations=1)
+    timings = sorted(rounds, key=lambda t: sum(t.values()))[1]
     total = sum(timings.values())
-    lines = [f"{'stage':12s} {'ms':>8s} {'share':>7s}"]
+    lines = ["(sjeng x64; the round with the median total of 3)",
+             f"{'stage':12s} {'ms':>8s} {'share':>7s}"]
     for stage, seconds in timings.items():
         lines.append(f"{stage:12s} {seconds * 1000:8.2f} "
                      f"{100 * seconds / total:6.1f}%")

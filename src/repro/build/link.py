@@ -10,8 +10,10 @@ bodies: placement is a cursor walk (each body starts at the next
 directive would emit), resolution is one dict, and patching writes the
 recorded relocation holes.  Combining modules is the paper's union of
 their auxiliary information (Sec. 6).  A rebuild that changed one
-function re-patches one unit and re-concatenates — the incremental
-re-link the paper's dlopen-churn story needs.
+function re-patches that unit and splices it into the previous image
+(:func:`splice_unit`): only the unit's code slice, labels, Bary slots,
+aux entries and data ranges are replaced, so a one-function edit
+costs about what that function costs.
 
 Layout invariants (pinned by ``tests/golden/compile_digests.json``):
 
@@ -29,6 +31,7 @@ Layout invariants (pinned by ``tests/golden/compile_digests.json``):
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from types import SimpleNamespace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -139,7 +142,6 @@ class UnitFrag:
     code: bytes                       # patched body (pad not included)
     labels: Dict[str, int]            # renamed label -> absolute address
     bary: Dict[int, int]              # global site -> offset from code base
-    n_sites: int = 0
     retsites: List[RetSiteAux] = field(default_factory=list)
     branch_sites: List[BranchSiteAux] = field(default_factory=list)
     data_ranges: List[Tuple[int, int]] = field(default_factory=list)
@@ -152,7 +154,8 @@ class UnitFrag:
 
 @dataclass
 class LinkState:
-    """Everything needed to re-finalize a program after a unit splice."""
+    """A full link's inputs and placed fragments, and its latest
+    program: what :func:`splice_unit` needs to make the next one."""
 
     modules: List[ModuleUnits]
     mcfi: bool
@@ -398,7 +401,7 @@ def _build_frag(state: LinkState, key: Tuple[int, str], unit: UnitArtifact,
 
     frag = UnitFrag(key=key, unit=unit, module_name=module_name, pad=pad,
                     base=base, site_base=site_base, code=bytes(body),
-                    labels=labels, bary={}, n_sites=len(unit.sites),
+                    labels=labels, bary={},
                     fn_name=rmap.get(unit.fn, unit.fn))
 
     code_off = base - state.code_base
@@ -441,12 +444,12 @@ def _build_frag(state: LinkState, key: Tuple[int, str], unit: UnitArtifact,
 
 
 def _finalize(state: LinkState) -> LinkedProgram:
-    """Concatenate fragments into the final :class:`LinkedProgram`."""
+    """Concatenate every fragment into a new :class:`LinkedProgram`: the
+    tail of a full :func:`link_units`."""
     code = bytearray()
     labels: Dict[str, int] = {}
     bary: Dict[int, int] = {}
     aux = AuxInfo()
-    n_sites = 0
 
     for frag in state.frags:
         code += NOP * frag.pad
@@ -458,8 +461,29 @@ def _finalize(state: LinkState) -> LinkedProgram:
         aux.data_ranges.extend(frag.data_ranges)
         aux.setjmp_resumes.extend(frag.setjmp_resume_addrs)
         aux.direct_calls.extend(frag.direct_calls)
-        n_sites += frag.n_sites
 
+    seen_globals: set = set()
+    for module in state.modules:
+        for gname in module.globals:
+            if gname in seen_globals:
+                raise LinkError(f"multiple definitions of global {gname!r}")
+            seen_globals.add(gname)
+
+    taken = _taken_names(state)
+    for frag in state.frags:
+        if frag.key[0] >= 0:
+            _set_function(aux, frag, labels, frag.fn_name in taken)
+
+    aux.imports = list(state.imports)
+    aux.data_ranges.sort()
+    data = replace(state.layout, image=build_data_image(
+        state.raw_likes, state.layout, labels))
+    return _program(state, bytes(code), labels, bary, aux, data)
+
+
+def _taken_names(state: LinkState) -> set:
+    """Functions whose address a unit, an initializer or a module's own
+    record takes (renamed)."""
     taken: set = set()
     for index, module in enumerate(state.modules):
         rmap = state.renames[index]
@@ -470,72 +494,63 @@ def _finalize(state: LinkState) -> LinkedProgram:
                     taken.add(rmap.get(symbol, symbol))
     for frag in state.frags:
         taken.update(frag.takes)
+    return taken
 
-    seen_globals: set = set()
-    for module in state.modules:
-        for gname in module.globals:
-            if gname in seen_globals:
-                raise LinkError(f"multiple definitions of global {gname!r}")
-            seen_globals.add(gname)
 
-    for frag in state.frags:
-        if frag.key[0] < 0:
-            continue
-        unit = frag.unit
-        entry = labels[frag.fn_name]
-        aux.functions[frag.fn_name] = FunctionAux(
-            name=frag.fn_name, sig=unit.sig, entry=entry,
-            address_taken=frag.fn_name in taken, exported=unit.exported,
-            module=frag.module_name)
-        if unit.exported:
-            aux.exports[frag.fn_name] = entry
+def _set_function(aux: AuxInfo, frag: UnitFrag, labels: Dict[str, int],
+                  address_taken: bool) -> None:
+    """Record a placed unit's function (and export) in ``aux``."""
+    unit = frag.unit
+    entry = labels[frag.fn_name]
+    aux.functions[frag.fn_name] = FunctionAux(
+        name=frag.fn_name, sig=unit.sig, entry=entry,
+        address_taken=address_taken, exported=unit.exported,
+        module=frag.module_name)
+    if unit.exported:
+        aux.exports[frag.fn_name] = entry
 
-    aux.imports = list(state.imports)
-    aux.data_ranges.sort()
 
+def _program(state: LinkState, code: bytes, labels: Dict[str, int],
+             bary: Dict[int, int], aux: AuxInfo,
+             data: DataLayout) -> LinkedProgram:
+    """Wrap a linked image as the state's new :class:`LinkedProgram`;
+    the full link and the splice share this tail."""
     name = "+".join(m.name for m in state.modules)
-    base = state.code_base
-    code_bytes = bytes(code)
-
-    if state.mcfi and len(bary) != n_sites:
-        raise ValueError(
-            f"{name}: {n_sites} sites but {len(bary)} patched Bary slots")
-
-    module = McfiModule(name=name, arch=state.modules[0].arch, base=base,
-                        code=code_bytes, aux=aux, bary_slots=bary,
-                        labels=labels,
-                        code_ranges=code_ranges(base, len(code_bytes),
+    if state.mcfi and len(bary) != len(aux.branch_sites):
+        raise ValueError(f"{name}: {len(aux.branch_sites)} sites but "
+                         f"{len(bary)} patched Bary slots")
+    arch = state.modules[0].arch
+    module = McfiModule(name=name, arch=arch, base=state.code_base,
+                        code=code, aux=aux, bary_slots=bary, labels=labels,
+                        code_ranges=code_ranges(state.code_base, len(code),
                                                 aux.data_ranges))
-
-    layout = state.layout
-    layout.image = build_data_image(state.raw_likes, layout, labels)
-
     entry = labels.get(state.entry_symbol)
     if entry is None:
         raise LinkError(f"no entry symbol {state.entry_symbol!r}")
-    heap_base = (layout.base + layout.size + PAGE_SIZE - 1) & \
-        ~(PAGE_SIZE - 1)
-    got_slots = {sym: layout.symbols[label]
+    heap_base = (data.base + data.size + PAGE_SIZE - 1) & ~(PAGE_SIZE - 1)
+    got_slots = {sym: data.symbols[label]
                  for sym, label in state.got_names.items()}
     state.program = LinkedProgram(
-        arch=state.modules[0].arch, mcfi=state.mcfi, module=module,
-        data=layout, entry=entry, heap_base=heap_base,
-        parts=[m.name for m in state.modules], got_slots=got_slots)
+        arch=arch, mcfi=state.mcfi, module=module, data=data, entry=entry,
+        heap_base=heap_base, parts=[m.name for m in state.modules],
+        got_slots=got_slots)
     return state.program
 
 
-def splice_unit(state: LinkState, module_name: str, new_unit: UnitArtifact,
-                intern_refs: Optional[List[bytes]] = None,
-                ) -> Optional[LinkedProgram]:
-    """Re-link after replacing one function's unit, reusing the layout.
+def splice_unit(state: LinkState, module_name: str,
+                new_unit: UnitArtifact) -> Optional[LinkedProgram]:
+    """Re-link after replacing one function's unit, in the previous image.
 
-    ``intern_refs`` is the edited function's new lowering-time string
-    reference list (it participates in the module string table, so a
-    change invalidates the reused data layout).  Returns the new
-    program, or ``None`` when the replacement cannot be spliced in
-    place (size, alignment, string references, site count, export
-    status or import set changed) and the caller must fall back to a
-    full :func:`link_units`.
+    The replacement must keep the old unit's size, lead alignment, entry
+    offset, string contents, site count, export status and import set,
+    and its module's lowering-time string references
+    (:attr:`ModuleUnits.intern_refs`) must not change —
+    :class:`~repro.build.session.BuildSession` rebuilds the module when
+    they do.  Then nothing outside the unit moves, and the new program
+    is the previous one with the unit's share of each part replaced
+    (:func:`_splice_program`).  Returns ``None`` when the replacement
+    cannot be spliced and the caller must fall back to a full
+    :func:`link_units`.
     """
     module_index = next((i for i, m in enumerate(state.modules)
                          if m.name == module_name), None)
@@ -549,12 +564,11 @@ def splice_unit(state: LinkState, module_name: str, new_unit: UnitArtifact,
     old_unit = old_frag.unit
     if (new_unit.size != old_unit.size
             or new_unit.lead_align != old_unit.lead_align
+            or new_unit.labels.get(new_unit.fn)
+            != old_unit.labels.get(old_unit.fn)
             or new_unit.strings != old_unit.strings
             or len(new_unit.sites) != len(old_unit.sites)
             or new_unit.exported != old_unit.exported):
-        return None
-    if intern_refs is not None and list(intern_refs) != list(
-            state.modules[module_index].intern_refs.get(new_unit.fn, [])):
         return None
 
     rmap = state.renames[module_index]
@@ -587,7 +601,69 @@ def splice_unit(state: LinkState, module_name: str, new_unit: UnitArtifact,
     for lname, off in new_unit.labels.items():
         state.resolve[rn(lname)] = old_frag.base + off
 
-    state.frags[frag_index] = _build_frag(
+    new_frag = _build_frag(
         state, old_frag.key, new_unit, rmap, old_frag.pad, old_frag.base,
         old_frag.site_base)
-    return _finalize(state)
+    state.frags[frag_index] = new_frag
+    return _splice_program(state, frag_index, old_frag, new_frag)
+
+
+def _splice_program(state: LinkState, index: int, old: UnitFrag,
+                    new: UnitFrag) -> LinkedProgram:
+    """The state's program with fragment ``index`` changed from ``old``
+    to ``new`` at the same address.
+
+    Each part of the image changes only in the fragment's share: its
+    code slice, labels and Bary slots, its slices of the aux lists, its
+    data ranges and its function record.  The data image stays: no
+    string, global or function entry moved.  Callers keep earlier
+    programs, so this one shares their frozen aux records and data
+    layout but never a container.
+    """
+    prev = state.program.module
+    start = old.base - state.code_base
+    code = prev.code[:start] + new.code + prev.code[start + len(new.code):]
+    labels = dict(prev.labels)
+    for name in old.labels.keys() - new.labels.keys():
+        del labels[name]
+    labels.update(new.labels)
+    bary = dict(prev.bary_slots)
+    bary.update(new.bary)
+
+    retsites = resumes = calls = 0
+    for frag in state.frags[:index]:
+        retsites += len(frag.retsites)
+        resumes += len(frag.setjmp_resume_addrs)
+        calls += len(frag.direct_calls)
+    ranges = prev.aux.data_ranges
+    lo = bisect_left(ranges, (old.base,))
+    hi = bisect_left(ranges, (old.base + len(old.code),))
+    aux = AuxInfo(
+        functions=dict(prev.aux.functions),
+        retsites=_replaced(prev.aux.retsites, retsites, old.retsites,
+                           new.retsites),
+        branch_sites=_replaced(prev.aux.branch_sites, new.site_base,
+                               old.branch_sites, new.branch_sites),
+        setjmp_resumes=_replaced(prev.aux.setjmp_resumes, resumes,
+                                 old.setjmp_resume_addrs,
+                                 new.setjmp_resume_addrs),
+        direct_calls=_replaced(prev.aux.direct_calls, calls,
+                               old.direct_calls, new.direct_calls),
+        data_ranges=ranges[:lo] + sorted(new.data_ranges) + ranges[hi:],
+        exports=dict(prev.aux.exports), imports=list(prev.aux.imports))
+
+    if new.takes != old.takes:
+        taken = _taken_names(state)
+        aux.functions = {
+            name: func if func.address_taken == (name in taken)
+            else replace(func, address_taken=name in taken)
+            for name, func in aux.functions.items()}
+    _set_function(aux, new, labels,
+                  aux.functions[new.fn_name].address_taken)
+    return _program(state, code, labels, bary, aux, state.program.data)
+
+
+def _replaced(items: list, start: int, old: list, new: list) -> list:
+    """A copy of ``items`` with ``old``, found at ``start``, replaced
+    by ``new``."""
+    return items[:start] + new + items[start + len(old):]

@@ -7,12 +7,15 @@ Rebuilds are priced by what actually changed:
 
 * **warm** — nothing changed (or only comments/whitespace): the
   previous program is returned, or every unit hits the cache;
-* **incremental** — a few function bodies changed: the mini-frontend
-  parses and checks only those bodies against the module's cached
+* **incremental** — a few function bodies changed: the edit is
+  re-indexed by rescanning only the function span it falls in
+  (:func:`~repro.build.source_index.reindex_source`), the mini-frontend
+  parses and checks only the dirty bodies against the module's cached
   :class:`~repro.toolchain.ModuleInterface` (captured by the first such
-  edit after a full rebuild), recompiles the dirty units, and — when
-  exactly one unit changed shape-compatibly — splices it into the
-  previous link in place;
+  edit after a full rebuild), the dirty units are recompiled, and —
+  when exactly one unit changed shape-compatibly — it is spliced into
+  the previous program (:func:`~repro.build.link.splice_unit`), which
+  is itself left as it was;
 * **cold** — a new module, a structural edit (signatures, globals,
   added/removed functions) or a fresh session: full frontend, but still
   unit-cache-first.
@@ -20,8 +23,9 @@ Rebuilds are priced by what actually changed:
 MCFI and native (``mcfi=False``) sessions take the same path; only the
 unit flavour differs.  Every product is byte-identical to a cold build
 of the same sources: the property tests in ``tests/test_build_api.py``
-hold the incremental paths to that, and ``tests/golden`` pins the cold
-images.
+hold the incremental paths to that, ``tests/test_incremental_oracles.py``
+holds the re-index to the full scan and each splice to a full link of
+the same state, and ``tests/golden`` pins the cold images.
 """
 
 from __future__ import annotations
@@ -32,7 +36,12 @@ from typing import Any, Dict, List, Optional, Tuple
 from repro.build.fingerprint import source_body_key
 from repro.build.graph import BuildGraph, compile_module_units
 from repro.build.link import LinkState, ModuleUnits, link_units, splice_unit
-from repro.build.source_index import SourceSpan, diff_bodies, index_source
+from repro.build.source_index import (
+    SourceSpan,
+    diff_bodies,
+    index_source,
+    reindex_source,
+)
 from repro.build.units import UnitArtifact
 from repro.errors import ReproError
 from repro.linker.static_linker import LinkedProgram
@@ -260,7 +269,7 @@ class BuildSession:
         full rebuild then reports the error)."""
         if state.spans is None or state.local_types:
             return None
-        new_spans = index_source(text)
+        new_spans = reindex_source(state.source, state.spans, text)
         if new_spans is None:
             return None
         dirty = diff_bodies(state.spans, new_spans)

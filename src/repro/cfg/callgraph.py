@@ -34,21 +34,35 @@ class CallGraph:
 
 
 class TypeMatcher:
-    """Caches type-matching queries: signature -> address-taken functions."""
+    """Answers type-matching queries: signature -> address-taken functions.
+
+    Address-taken functions are indexed by signature.  Under
+    :func:`signatures_match` a non-variadic pointer signature matches
+    only an equal signature, so its query is one dict lookup; only a
+    variadic pointer signature scans, once, and its answer is cached.
+    Either way the functions come in their order in ``functions``.
+    """
 
     def __init__(self, functions: List[FunctionAux]) -> None:
         self._address_taken = [f for f in functions if f.address_taken]
-        self._cache: Dict[FuncSig, Tuple[FunctionAux, ...]] = {}
+        by_sig: Dict[FuncSig, List[FunctionAux]] = {}
+        for func in self._address_taken:
+            by_sig.setdefault(func.sig, []).append(func)
+        self._matches: Dict[FuncSig, Tuple[FunctionAux, ...]] = {
+            sig: tuple(funcs) for sig, funcs in by_sig.items()}
+        self._variadic: Dict[FuncSig, Tuple[FunctionAux, ...]] = {}
 
     def matches(self, sig: Optional[FuncSig]) -> Tuple[FunctionAux, ...]:
         """Address-taken functions an fptr of signature ``sig`` may call."""
         if sig is None:
             return ()
-        cached = self._cache.get(sig)
+        if not sig.variadic:
+            return self._matches.get(sig, ())
+        cached = self._variadic.get(sig)
         if cached is None:
             cached = tuple(f for f in self._address_taken
                            if signatures_match(sig, f.sig))
-            self._cache[sig] = cached
+            self._variadic[sig] = cached
         return cached
 
 
@@ -84,9 +98,13 @@ def _tail_closure(aux: AuxInfo, matcher: TypeMatcher) -> Dict[str, Set[str]]:
     return closure
 
 
-def build_call_graph(aux: AuxInfo) -> CallGraph:
-    """Build the call graph and per-function return-target sets."""
-    matcher = TypeMatcher(list(aux.functions.values()))
+def build_call_graph(aux: AuxInfo, matcher: TypeMatcher) -> CallGraph:
+    """Build the call graph and per-function return-target sets.
+
+    ``matcher`` answers type-matching queries over ``aux``'s functions;
+    the CFG generator passes its own, so one generation matches each
+    pointer signature once.
+    """
     closure = _tail_closure(aux, matcher)
     graph = CallGraph()
     return_targets: Dict[str, Set[int]] = {name: set()

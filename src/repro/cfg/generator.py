@@ -83,7 +83,7 @@ def generate_cfg(aux: AuxInfo,
 def _generate_cfg(aux: AuxInfo,
                   plt_resolution: Optional[Dict[str, int]]) -> Cfg:
     matcher = TypeMatcher(list(aux.functions.values()))
-    graph = build_call_graph(aux)
+    graph = build_call_graph(aux, matcher)
     union = UnionFind()
 
     # Enumerate all possible indirect-branch targets first: address-taken

@@ -2,10 +2,13 @@
 
 import pytest
 
-from repro.cfg.callgraph import build_call_graph
+from repro.cfg import callgraph
+from repro.cfg.callgraph import TypeMatcher, build_call_graph
 from repro.cfg.eqclass import UnionFind
 from repro.cfg.generator import generate_cfg
 from repro.build import build_program
+from repro.tinyc.types import signatures_match
+from tests.test_golden_digests import fixed12_program
 
 
 def cfg_of(source, arch="x64"):
@@ -260,8 +263,84 @@ class TestEquivalenceClasses:
 
 class TestCallGraph:
     def test_edges_include_direct_and_indirect(self, demo_program):
-        graph = build_call_graph(demo_program.module.aux)
+        aux = demo_program.module.aux
+        graph = build_call_graph(
+            aux, TypeMatcher(list(aux.functions.values())))
         assert ("main", "classify") in graph.edges
         # fptr table dispatch: main may call add/sub/mul
         for callee in ("add", "sub", "mul"):
             assert ("main", callee) in graph.edges
+
+
+#: pointer signatures of both kinds: fixed ones and a variadic one
+MIXED_SIGNATURES_SOURCE = """
+    typedef int (*vfmt)(int, ...);
+    typedef int (*unary)(int);
+    int handler_a(int x) { return x; }
+    int handler_b(int x, long y) { return x + (int)y; }
+    int handler_c(int x) { return x * 2; }
+    vfmt f = handler_a;
+    unary u = handler_c;
+    int main(void) {
+        int (*pb)(int, long) = handler_b;
+        return f(3) + u(1) + pb(1, 1);
+    }
+"""
+
+
+class TestOneMatcher:
+    """A generation builds one matcher, and a fixed pointer signature is
+    one dict lookup: only variadic ones call ``signatures_match``."""
+
+    @staticmethod
+    def _counted(monkeypatch):
+        made, scanned = [], []
+        init = TypeMatcher.__init__
+        match = callgraph.signatures_match
+
+        def counting_init(self, functions):
+            made.append(len(functions))
+            init(self, functions)
+
+        def counting_match(pointer_sig, function_sig):
+            scanned.append(pointer_sig)
+            return match(pointer_sig, function_sig)
+
+        monkeypatch.setattr(TypeMatcher, "__init__", counting_init)
+        monkeypatch.setattr(callgraph, "signatures_match", counting_match)
+        return made, scanned
+
+    @pytest.mark.parametrize("name", ["gcc", "perlbench", "sjeng"])
+    def test_static_generation(self, monkeypatch, name):
+        aux = fixed12_program(name).module.aux
+        made, scanned = self._counted(monkeypatch)
+        generate_cfg(aux)
+        assert len(made) == 1
+        assert scanned == []
+
+    def test_variadic_signature_scans_once(self, monkeypatch):
+        aux = build_program({"t": MIXED_SIGNATURES_SOURCE}).program \
+            .module.aux
+        made, scanned = self._counted(monkeypatch)
+        generate_cfg(aux)
+        assert len(made) == 1
+        variadic = set(scanned)
+        assert variadic and all(sig.variadic for sig in variadic)
+        taken = sum(f.address_taken for f in aux.functions.values())
+        assert len(scanned) == taken * len(variadic)
+
+    @pytest.mark.parametrize("name", ["gcc", "perlbench", "mixed"])
+    def test_matches_follow_the_rule_in_order(self, name):
+        if name == "mixed":
+            aux = build_program({"t": MIXED_SIGNATURES_SOURCE}).program \
+                .module.aux
+        else:
+            aux = fixed12_program(name).module.aux
+        functions = list(aux.functions.values())
+        matcher = TypeMatcher(functions)
+        sigs = {f.sig for f in functions}
+        sigs |= {s.sig for s in aux.branch_sites if s.sig is not None}
+        for sig in sigs:
+            assert matcher.matches(sig) == tuple(
+                f for f in functions
+                if f.address_taken and signatures_match(sig, f.sig))

@@ -64,7 +64,8 @@ class TestSecurityMetrics:
         assert result.tary_bytes == result.mcfi_code_bytes
 
     def test_cfg_generation_is_fast(self):
-        timing = ex.cfg_generation_time(["gcc"], repeats=1)["gcc"]
+        # the fastest of three generations, not one sample
+        timing = ex.cfg_generation_time(["gcc"], repeats=3)["gcc"]
         assert timing < 2.0  # paper: 150 ms for real gcc
 
 
