@@ -54,7 +54,7 @@ def test_install_rate_scaling(benchmark, n_installs, calls):
 
     def run():
         runtime = Runtime(program)
-        JitEngine(runtime, verify=True)
+        JitEngine(runtime)
         result = runtime.run()
         assert result.ok, result.violation or result.fault
         return runtime
@@ -76,7 +76,7 @@ def test_jit_throughput_table(benchmark):
 
     def sweep():
         runtime = Runtime(program)
-        engine = JitEngine(runtime, verify=True)
+        engine = JitEngine(runtime)
         start = time.perf_counter()
         for index in range(12):
             engine.install_function(

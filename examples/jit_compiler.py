@@ -70,7 +70,7 @@ int main(void) {
 def main() -> None:
     program = build_program(GUEST, mcfi=True).program
     runtime = Runtime(program)
-    engine = JitEngine(runtime, verify=True)
+    engine = JitEngine(runtime)
 
     result = runtime.run()
     print("--- guest output ---")

@@ -35,7 +35,6 @@ Main entry points:
 
 from repro.toolchain import frontend, run_program
 from repro.build import (
-    BuildGraph,
     BuildResult,
     BuildSession,
     build_program,
@@ -58,7 +57,7 @@ from repro.errors import (
 __version__ = "1.0.0"
 
 __all__ = [
-    "BuildGraph", "BuildResult", "BuildSession", "build_program",
+    "BuildResult", "BuildSession", "build_program",
     "compile_object", "frontend", "run_program",
     "Runtime", "RunResult",
     "LinkedProgram", "DynamicLinker",

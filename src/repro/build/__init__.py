@@ -2,10 +2,10 @@
 
 This package is the one public compile surface of the toolchain:
 
-* :class:`BuildSession` — owns incremental state (source indexes,
-  function-grain fingerprints, unit artifacts, the last link) and
-  rebuilds programs at the price of what actually changed;
-* :class:`BuildGraph` — per-function fingerprints and dirty sets;
+* :class:`BuildSession` — owns incremental state (source indexes, the
+  function-grain unit artifacts, each carrying its fingerprint, and
+  the last link) and rebuilds programs at the price of what actually
+  changed;
 * :class:`BuildResult` — one build's program + provenance metadata.
 
 Its unit linker (:func:`link_units`) lays out every static image, MCFI
@@ -21,7 +21,7 @@ session to rebuild one program over time::
 Internals, layered bottom-up: :mod:`repro.build.fingerprint` (content
 keys), :mod:`repro.build.units` (position-independent per-function
 assembly), :mod:`repro.build.link` (the static linker),
-:mod:`repro.build.graph` (dirty sets and cache-first unit compiles),
+:mod:`repro.build.graph` (cache-first unit compiles of one module),
 :mod:`repro.build.source_index` (the textual mini-frontend),
 :mod:`repro.build.session` (the service facade).  See docs/BUILD.md.
 """
@@ -33,7 +33,7 @@ from repro.build.fingerprint import (
     source_body_key,
     unit_fingerprint,
 )
-from repro.build.graph import BuildGraph, compile_module_units
+from repro.build.graph import compile_module_units
 from repro.build.link import (
     LinkState,
     ModuleUnits,
@@ -44,7 +44,6 @@ from repro.build.session import BuildResult, BuildSession
 from repro.build.units import UnitArtifact, compile_unit
 
 __all__ = [
-    "BuildGraph",
     "BuildResult",
     "BuildSession",
     "LinkState",

@@ -25,26 +25,15 @@ from repro.mir.lowering import lower_unit
 from repro.obs import OBS
 
 
-def compile_object(source: str, name: str = "unit", arch: str = "x64",
-                   prelude: bool = True,
-                   devirtualize: bool = False) -> RawModule:
-    """Compile one TinyC module to (uninstrumented) symbolic assembly.
-
-    ``devirtualize`` runs the function-pointer points-to pass between
-    lowering and codegen: singleton-target indirect calls become direct
-    calls and small resolved sets become CFG target hints (see
-    :mod:`repro.analysis.dataflow.pointsto`).  Off by default so the
-    baseline artifacts the paper's tables are built from stay stable.
-    """
+def compile_object(source: str, name: str = "unit",
+                   arch: str = "x64") -> RawModule:
+    """Compile one TinyC module to (uninstrumented) symbolic assembly."""
     from repro.toolchain import frontend
     with OBS.tracer.span("toolchain.compile", module=name, arch=arch):
         with OBS.tracer.span("toolchain.frontend", module=name):
-            checked = frontend(source, name=name, prelude=prelude)
+            checked = frontend(source, name=name)
         with OBS.tracer.span("toolchain.lower", module=name):
             mir_module = lower_unit(checked)
-        if devirtualize:
-            from repro.analysis.dataflow import devirtualize_module
-            devirtualize_module(mir_module)
         with OBS.tracer.span("toolchain.codegen", module=name):
             return generate(mir_module, checked, arch=arch)
 

@@ -27,16 +27,14 @@ UNIT_SCHEMA = 1
 from repro.infra.cache import TOOLCHAIN_TAG  # noqa: E402  (tag reuse)
 
 
-def prelude_digest(prelude: bool) -> str:
-    """Digest of the implicit prelude a module was compiled against.
+def prelude_digest() -> str:
+    """Digest of the builtin prelude every module is compiled against.
 
     The prelude declarations shape typechecking (and thus the MIR), so
-    both the flag *and* the prelude text participate in source-level
-    keys (program memo, body memo) — two sources differing only in
-    ``prelude`` must never share an entry.
+    its text participates in source-level keys (program memo, body
+    memo): a changed prelude never serves an entry made under the old
+    one.
     """
-    if not prelude:
-        return "none"
     from repro.toolchain import BUILTIN_PRELUDE
     return hashlib.sha256(BUILTIN_PRELUDE.encode("utf-8")).hexdigest()
 
@@ -69,8 +67,7 @@ def unit_fingerprint(func: ir.MirFunction, sid_contents: Dict[int, bytes],
     return h.hexdigest()
 
 
-def source_body_key(module: str, arch: str, body_text: str,
-                    prelude: bool) -> str:
+def source_body_key(module: str, arch: str, body_text: str) -> str:
     """Key for the source-level body memo (steady-state churn path).
 
     Maps a function body's *text* to its unit fingerprint so re-editing
@@ -78,7 +75,7 @@ def source_body_key(module: str, arch: str, body_text: str,
     mini-frontend entirely.
     """
     h = hashlib.sha256()
-    h.update(repr((module, arch, prelude_digest(prelude),
+    h.update(repr((module, arch, prelude_digest(),
                    UNIT_SCHEMA, TOOLCHAIN_TAG)).encode("utf-8"))
     h.update(body_text.encode("utf-8"))
     return h.hexdigest()

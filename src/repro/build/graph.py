@@ -1,10 +1,10 @@
-"""Function-grain build graph: fingerprints, dirty sets, unit compiles.
+"""Cache-first compiles of one module's function units.
 
-A :class:`BuildGraph` is the change-detection view of one module: each
-function's MIR (plus its signature, storage class, per-function
-address-taken contributions and the architecture mode) hashed into a
-unit fingerprint.  Comparing two graphs yields the dirty set — the only
-functions whose units must be recompiled after an edit.
+Each function's MIR (plus its signature, storage class, per-function
+address-taken contributions and the architecture mode) hashes into a
+unit fingerprint (:func:`repro.build.fingerprint.unit_fingerprint`),
+which the unit carries as :attr:`UnitArtifact.fingerprint`: it is the
+unit cache's key and what an incremental rebuild compares.
 
 :func:`compile_module_units` drives the unit compiles cache-first; every
 miss is compiled in process by :func:`repro.build.units.compile_unit`.
@@ -17,8 +17,7 @@ carry no checks for the verifier to prove and skip it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Optional, Set, Tuple
+from typing import Dict, List, Tuple
 
 from repro.build.fingerprint import unit_fingerprint
 from repro.build.link import ModuleUnits
@@ -27,55 +26,29 @@ from repro.mir import ir
 from repro.tinyc.typecheck import CheckedUnit
 
 
-@dataclass
-class BuildGraph:
-    """Per-function fingerprint view of one module, in definition order."""
-
-    module: str
-    arch: str
-    fingerprints: Dict[str, str] = field(default_factory=dict)
-
-    @classmethod
-    def of(cls, mir: ir.MirModule, checked: CheckedUnit,
-           arch: str, mcfi: bool = True) -> "BuildGraph":
-        graph = cls(module=mir.name, arch=arch)
-        for func in mir.functions:
-            meta = checked.functions[func.name]
-            graph.fingerprints[func.name] = unit_fingerprint(
-                func, mir.strings, arch, meta.takes, meta.uses_setjmp, mcfi)
-        return graph
-
-    def dirty_against(self, previous: Optional["BuildGraph"]) -> Set[str]:
-        """Function names whose fingerprint changed (or are new)."""
-        if previous is None:
-            return set(self.fingerprints)
-        return {name for name, fingerprint in self.fingerprints.items()
-                if previous.fingerprints.get(name) != fingerprint}
-
-
 def compile_module_units(mir: ir.MirModule, checked: CheckedUnit, arch: str,
                          cache=None, mcfi: bool = True,
-                         ) -> Tuple[ModuleUnits, BuildGraph, Dict[str, int]]:
+                         ) -> Tuple[ModuleUnits, Dict[str, int]]:
     """Compile one module's function units (MCFI or native), cache-first.
 
     Every cache miss compiles in process.  With a ``cache``, each MCFI
     unit passes the binary verifier before it is published (the
     untrusted-toolchain trust boundary).
     """
-    graph = BuildGraph.of(mir, checked, arch, mcfi)
-    units: Dict[str, UnitArtifact] = {}
+    units: List[UnitArtifact] = []
     compiled = 0
     for func in mir.functions:
-        fingerprint = graph.fingerprints[func.name]
+        meta = checked.functions[func.name]
+        fingerprint = unit_fingerprint(func, mir.strings, arch, meta.takes,
+                                       meta.uses_setjmp, mcfi)
         cached = cache.get_unit(fingerprint) if cache is not None else None
         if cached is not None and cached.fn == func.name:
-            units[func.name] = cached
+            units.append(cached)
             continue
-        meta = checked.functions[func.name]
         artifact = compile_unit(func, mir.name, arch, mir.strings,
                                 tuple(sorted(meta.takes)), meta.uses_setjmp,
                                 fingerprint, mcfi)
-        units[func.name] = artifact
+        units.append(artifact)
         compiled += 1
         if cache is not None:
             if mcfi:
@@ -86,8 +59,7 @@ def compile_module_units(mir: ir.MirModule, checked: CheckedUnit, arch: str,
             cache.put_unit(fingerprint, artifact)
 
     module_units = ModuleUnits(
-        name=mir.name, arch=arch,
-        units=[units[func.name] for func in mir.functions],
+        name=mir.name, arch=arch, units=units,
         globals=mir.globals,
         intern_refs={scope: list(refs)
                      for scope, refs in mir.intern_refs.items()},
@@ -95,4 +67,4 @@ def compile_module_units(mir: ir.MirModule, checked: CheckedUnit, arch: str,
     stats = {"units": len(mir.functions),
              "unit_hits": len(mir.functions) - compiled,
              "unit_compiled": compiled}
-    return module_units, graph, stats
+    return module_units, stats

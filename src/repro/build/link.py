@@ -82,12 +82,6 @@ class ModuleUnits:
     #: function names whose address is taken at top level
     global_takes: Tuple[str, ...] = ()
 
-    def unit(self, fn: str) -> UnitArtifact:
-        for unit in self.units:
-            if unit.fn == fn:
-                return unit
-        raise KeyError(fn)
-
     @classmethod
     def from_object(cls, raw: RawModule, mcfi: bool = True) -> "ModuleUnits":
         """Split a compiled module at its function entries into units.
@@ -462,13 +456,6 @@ def _finalize(state: LinkState) -> LinkedProgram:
         aux.setjmp_resumes.extend(frag.setjmp_resume_addrs)
         aux.direct_calls.extend(frag.direct_calls)
 
-    seen_globals: set = set()
-    for module in state.modules:
-        for gname in module.globals:
-            if gname in seen_globals:
-                raise LinkError(f"multiple definitions of global {gname!r}")
-            seen_globals.add(gname)
-
     taken = _taken_names(state)
     for frag in state.frags:
         if frag.key[0] >= 0:
@@ -541,7 +528,10 @@ def splice_unit(state: LinkState, module_name: str,
                 new_unit: UnitArtifact) -> Optional[LinkedProgram]:
     """Re-link after replacing one function's unit, in the previous image.
 
-    The replacement must keep the old unit's size, lead alignment, entry
+    The caller has already put ``new_unit`` in its module's
+    :attr:`ModuleUnits.units`, which the state shares; the unit it
+    replaces is still the one placed in the state's fragment.  The
+    replacement must keep the old unit's size, lead alignment, entry
     offset, string contents, site count, export status and import set,
     and its module's lowering-time string references
     (:attr:`ModuleUnits.intern_refs`) must not change —
@@ -575,22 +565,16 @@ def splice_unit(state: LinkState, module_name: str,
     if new_unit.fn in rmap:
         return None  # entangled in a static-collision rename: replay fully
 
-    module = state.modules[module_index]
-    old_in_module = module.unit(new_unit.fn)
-    unit_index = module.units.index(old_in_module)
-    module.units[unit_index] = new_unit
-
     # The import set must not change: a new unresolved reference needs
     # the full link's error path, and added/dropped imports change the
     # PLT (hence bytes) and the merged aux.
-    if tuple(new_unit.referenced) != tuple(old_in_module.referenced):
+    if tuple(new_unit.referenced) != tuple(old_unit.referenced):
         defined: Dict[str, Tuple[int, UnitArtifact]] = {}
         for mi, mod in enumerate(state.modules):
             for unit in mod.units:
                 defined[state.renames[mi].get(unit.fn, unit.fn)] = (mi, unit)
         imports = _module_imports(state.modules, state.renames, defined)
         if imports != state.imports:
-            module.units[unit_index] = old_in_module  # roll back
             return None
 
     # Internal labels may have moved: update the resolution map before

@@ -1,8 +1,8 @@
 """BuildSession: the toolchain's public compile surface.
 
 A session owns the incremental state of one program being rebuilt over
-time: per-module source indexes, per-function build graphs
-(fingerprints), the function-grain unit artifacts, and the last link.
+time: per-module source indexes, the function-grain unit artifacts
+(each carrying its fingerprint), and the last link.
 Rebuilds are priced by what actually changed:
 
 * **warm** — nothing changed (or only comments/whitespace): the
@@ -31,10 +31,10 @@ the same state, and ``tests/golden`` pins the cold images.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.build.fingerprint import source_body_key
-from repro.build.graph import BuildGraph, compile_module_units
+from repro.build.graph import compile_module_units
 from repro.build.link import LinkState, ModuleUnits, link_units, splice_unit
 from repro.build.source_index import (
     SourceSpan,
@@ -51,12 +51,8 @@ from repro.toolchain import ModuleInterface, frontend
 
 @dataclass
 class BuildResult:
-    """Outcome of one :meth:`BuildSession.build` call.
-
-    ``program`` is the linked image (never serialized); everything else
-    is provenance/accounting metadata and round-trips through
-    :meth:`to_dict`/:meth:`from_dict`.
-    """
+    """Outcome of one :meth:`BuildSession.build` call: the linked
+    image plus provenance and accounting metadata."""
 
     program: Optional[LinkedProgram]
     kind: str                      # 'cold' | 'warm' | 'incremental'
@@ -65,22 +61,13 @@ class BuildResult:
     modules: List[str] = field(default_factory=list)
     stats: Dict[str, int] = field(default_factory=dict)
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {"kind": self.kind, "arch": self.arch, "mcfi": self.mcfi,
-                "modules": list(self.modules), "stats": dict(self.stats)}
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "BuildResult":
-        return cls(program=None, kind=data["kind"], arch=data["arch"],
-                   mcfi=data["mcfi"], modules=list(data.get("modules", [])),
-                   stats=dict(data.get("stats", {})))
-
 
 @dataclass
 class _ModuleState:
     source: str
     spans: Optional[List[SourceSpan]]
-    graph: BuildGraph
+    #: the module's units; the session is the only writer of its list,
+    #: which the last link shares
     units: ModuleUnits
     #: a function body defines a type: every edit is a full rebuild
     local_types: bool = False
@@ -99,20 +86,17 @@ class BuildSession:
     """
 
     def __init__(self, arch: str = "x64", mcfi: bool = True,
-                 prelude: bool = True, devirtualize: bool = False,
-                 with_libc: bool = True,
+                 devirtualize: bool = False, with_libc: bool = True,
                  allow_unresolved: Optional[List[str]] = None,
                  cache=None):
         self.arch = arch
         self.mcfi = mcfi
-        self.prelude = prelude
         self.devirtualize = devirtualize
         self.with_libc = with_libc
         self.allow_unresolved = list(allow_unresolved or [])
         self.cache = cache
         self._modules: Dict[str, _ModuleState] = {}
         self._link: Optional[LinkState] = None
-        self._order: List[str] = []
         self._built_once = False
         #: body-text memo: key -> (module, intern refs, artifact).  An
         #: entry is only valid against the declarations its module had
@@ -142,7 +126,6 @@ class BuildSession:
             self._modules.pop(name, None)
             self._forget_bodies(name)
         self._link = None
-        self._order = []
 
     def _forget_bodies(self, name: str) -> None:
         self._body_memo = {key: memo for key, memo in self._body_memo.items()
@@ -155,50 +138,45 @@ class BuildSession:
                                  "unit_compiled": 0,
                                  "modules_rebuilt": 0, "modules_mini": 0}
         order = list(sources)
-        structural = (order != self._order or self._link is None)
-        #: (module name, new artifact, unit index) applied after the
-        #: link-strategy decision
-        pending: List[Tuple[str, UnitArtifact, int]] = []
+        structural = (self._link is None or
+                      order != [module.name for module in self._link.modules])
+        #: (module name, unit) for each unit a mini rebuild replaced
+        changed: List[Tuple[str, UnitArtifact]] = []
 
-        for name, text in sources.items():
-            state = self._modules.get(name)
-            if state is not None and state.source == text:
-                continue
-            updates = None
-            if state is not None and not self.devirtualize:
-                updates = self._mini_rebuild(state, name, text)
-            if updates is None:
-                self._full_rebuild(name, text, stats)
-                structural = True
-                stats["modules_rebuilt"] += 1
-            else:
-                stats["modules_mini"] += 1
-                for fn, artifact in updates:
-                    index = next(
-                        i for i, unit in enumerate(state.units.units)
-                        if unit.fn == fn)
-                    pending.append((name, artifact, index))
+        try:
+            for name, text in sources.items():
+                state = self._modules.get(name)
+                if state is not None and state.source == text:
+                    continue
+                updates = None
+                if state is not None and not self.devirtualize:
+                    updates = self._mini_rebuild(state, name, text)
+                if updates is None:
+                    self._full_rebuild(name, text, stats)
+                    structural = True
+                    stats["modules_rebuilt"] += 1
+                else:
+                    stats["modules_mini"] += 1
+                    changed.extend((name, unit) for unit in updates)
+        except BaseException:
+            # Modules before the failing one took their new units: the
+            # last link no longer matches them.
+            self._link = None
+            raise
 
         kind = "cold" if not self._built_once else (
-            "incremental" if (pending or structural) else "warm")
+            "incremental" if (changed or structural) else "warm")
 
+        program = None
         spliced = False
-        if not structural and not pending and self._link is not None:
+        if not structural and not changed:
             program = self._link.program           # nothing changed
-        elif (not structural and len(pending) == 1
-                and self._link is not None):
-            name, artifact, index = pending[0]
-            program = splice_unit(self._link, name, artifact)
-            if program is not None:
-                spliced = True
-                state = self._modules[name]
-                state.graph.fingerprints[artifact.fn] = artifact.fingerprint
+        elif not structural and len(changed) == 1:
+            program = splice_unit(self._link, *changed[0])
+            spliced = program is not None
+            if spliced:
                 OBS.metrics.counter("build.splices").inc()
-            else:
-                self._apply_pending(pending)
-                program = self._full_link(order)
-        else:
-            self._apply_pending(pending)
+        if program is None:
             program = self._full_link(order)
 
         for key in ("units", "unit_hits", "unit_compiled"):
@@ -209,23 +187,14 @@ class BuildSession:
         return BuildResult(program=program, kind=kind, arch=self.arch,
                            mcfi=self.mcfi, modules=order, stats=stats)
 
-    def _apply_pending(self,
-                       pending: List[Tuple[str, UnitArtifact, int]]) -> None:
-        for name, artifact, index in pending:
-            state = self._modules[name]
-            state.units.units[index] = artifact
-            state.graph.fingerprints[artifact.fn] = artifact.fingerprint
-
     def _full_link(self, order: List[str]) -> LinkedProgram:
         # Invalidate first so a failed link can never leave a stale
         # program behind a later 'warm' short-circuit.
         self._link = None
-        self._order = []
         with OBS.tracer.span("build.link", modules=len(order)):
             self._link = link_units(
                 [self._modules[name].units for name in order],
                 mcfi=self.mcfi, allow_unresolved=self.allow_unresolved)
-        self._order = order
         return self._link.program
 
     def _lower(self, checked, name: str):
@@ -241,32 +210,34 @@ class BuildSession:
                       stats: Dict[str, int]) -> None:
         self._forget_bodies(name)
         with OBS.tracer.span("build.frontend", module=name):
-            checked = frontend(text, name=name, prelude=self.prelude)
+            checked = frontend(text, name=name)
         mir = self._lower(checked, name)
-        with OBS.tracer.span("build.units", module=name):
-            units, graph, ustats = self._compile_units(mir, checked)
+        units, ustats = self._compile_units(mir, checked, name)
         for key, value in ustats.items():
             stats[key] = stats.get(key, 0) + value
         self._modules[name] = _ModuleState(
-            source=text, spans=index_source(text), graph=graph, units=units,
+            source=text, spans=index_source(text), units=units,
             local_types=checked.unit.local_types)
 
-    def _compile_units(self, mir, checked):
-        return compile_module_units(
-            mir, checked, self.arch, cache=self.cache, mcfi=self.mcfi)
+    def _compile_units(self, mir, checked, name: str):
+        with OBS.tracer.span("build.units", module=name):
+            return compile_module_units(
+                mir, checked, self.arch, cache=self.cache, mcfi=self.mcfi)
 
     def _mini_rebuild(self, state: _ModuleState, name: str, text: str,
-                      ) -> Optional[List[Tuple[str, UnitArtifact]]]:
-        """Body-local rebuild: returns the changed (fn, artifact) list,
-        or ``None`` when the edit is structural and the caller must do
-        a full rebuild.  Clean functions are never recompiled; dirty
-        bodies go through the body-text memo, then the unit cache, then
-        a compile of just those functions, checked against the module
-        interface.  ``None`` also covers every case the interface
-        cannot answer exactly as a full rebuild would: a body that
-        defines a type, a dirty span that is not one function
-        definition, and a dirty body that fails to parse or check (the
-        full rebuild then reports the error)."""
+                      ) -> Optional[List[UnitArtifact]]:
+        """Body-local rebuild: puts each changed unit in the module's
+        unit list and returns those units, or ``None`` (leaving the
+        module's source, spans and units as they were) when the edit is
+        structural and the caller must do a full rebuild.  Clean
+        functions are never recompiled; dirty bodies go through the
+        body-text memo, then the unit cache, then a compile of just
+        those functions, checked against the module interface.
+        ``None`` also covers every case the interface cannot answer
+        exactly as a full rebuild would: a body that defines a type, a
+        dirty span that is not one function definition, and a dirty
+        body that fails to parse or check (the full rebuild then
+        reports the error)."""
         if state.spans is None or state.local_types:
             return None
         new_spans = reindex_source(state.source, state.spans, text)
@@ -276,14 +247,12 @@ class BuildSession:
         if dirty is None:
             return None
 
-        updates: List[Tuple[str, UnitArtifact]] = []
         unresolved: List[str] = []
         by_name = {span.name: span for span in new_spans
                    if span.kind == "func"}
         memo_hits = {}
         for fn in sorted(dirty):
-            key = source_body_key(name, self.arch, by_name[fn].text,
-                                  self.prelude)
+            key = source_body_key(name, self.arch, by_name[fn].text)
             memo = self._body_memo.get(key)
             if memo is not None:
                 memo_hits[fn] = memo
@@ -296,33 +265,36 @@ class BuildSession:
                                  dirty=len(unresolved)):
                 try:
                     if state.interface is None:
-                        state.interface = ModuleInterface(
-                            new_spans, name, self.prelude)
+                        state.interface = ModuleInterface(new_spans, name)
                     checked = state.interface.check(
                         [span for span in new_spans if span.kind == "func"
                          and span.name in unresolved])
                     mir = self._lower(checked, name)
                 except ReproError:
                     return None  # a full rebuild decides, or reports
-            units, _, _ = self._compile_units(mir, checked)
+            units, _ = self._compile_units(mir, checked, name)
             for unit in units.units:
                 compiled[unit.fn] = (unit,
                                      list(units.intern_refs.get(unit.fn, [])))
 
+        units = state.units.units
+        updates: List[Tuple[int, UnitArtifact]] = []
         for fn in sorted(dirty):
             if fn in compiled:
                 artifact, refs = compiled[fn]
-                key = source_body_key(name, self.arch, by_name[fn].text,
-                                      self.prelude)
+                key = source_body_key(name, self.arch, by_name[fn].text)
                 self._body_memo[key] = (name, refs, artifact)
             else:
                 _, refs, artifact = memo_hits[fn]
             old_refs = state.units.intern_refs.get(fn, [])
             if list(refs) != list(old_refs):
                 return None  # string table changed shape: full rebuild
-            if state.graph.fingerprints.get(fn) != artifact.fingerprint:
-                updates.append((fn, artifact))
+            index = next(i for i, unit in enumerate(units) if unit.fn == fn)
+            if units[index].fingerprint != artifact.fingerprint:
+                updates.append((index, artifact))
 
+        for index, artifact in updates:
+            units[index] = artifact
         state.source = text
         state.spans = new_spans
-        return updates
+        return [artifact for _, artifact in updates]

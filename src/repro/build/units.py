@@ -47,9 +47,9 @@ NOP = bytes([Op.NOP])
 
 #: Relocation kinds: how the linker patches the hole at ``field_off``.
 #: 'rel32'  4-byte PC-relative (extra = offset just past the instruction)
-#: 'abs64'  8-byte absolute immediate (recorded as an abs relocation)
-#: 'abs32'  4-byte absolute immediate (no abs relocation)
-#: 'word'   8-byte data word (recorded as an abs relocation)
+#: 'abs64'  8-byte absolute immediate
+#: 'abs32'  4-byte absolute immediate
+#: 'word'   8-byte data word
 Reloc = Tuple[int, str, Tuple[str, object], int]
 
 
@@ -74,7 +74,6 @@ class UnitArtifact:
     bary_slots: List[Tuple[int, int]] = field(default_factory=list)
     sites: List[SiteInfo] = field(default_factory=list)
     setjmp_resumes: List[str] = field(default_factory=list)
-    instr_offsets: List[int] = field(default_factory=list)
     #: ordered string contents this unit references ('S' reloc targets)
     strings: List[bytes] = field(default_factory=list)
     # -- metadata merged into the linked module's auxiliary info --
@@ -139,14 +138,14 @@ def assemble_unit(items: Sequence[Item], module_name: str,
                   sid_contents: Dict[int, bytes],
                   artifact: UnitArtifact) -> UnitArtifact:
     """Assemble one unit's instrumented items at base 0 into
-    ``artifact`` (code, labels, relocs, marks, slots, offsets) — the
+    ``artifact`` (code, labels, relocs, marks, slots) — the
     module assembler's core at any lead_align-congruent address, with
     cross-unit references left as relocation holes."""
     if items and isinstance(items[0], Align):
         artifact.lead_align = items[0].n
     artifact.code = emit(items, 0, artifact.labels,
                          UnitResolver(module_name, sid_contents, artifact),
-                         artifact.marks, artifact.instr_offsets)
+                         artifact.marks)
     return artifact
 
 

@@ -21,7 +21,7 @@ gcc, and this one is linear in branches x matched targets.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Optional, Set
 
 from repro.cfg.callgraph import CallGraph, TypeMatcher, build_call_graph
 from repro.cfg.eqclass import UnionFind
@@ -41,7 +41,6 @@ class Cfg:
     bary_ecns: Dict[int, int] = field(default_factory=dict)
     #: per-branch resolved target sets (address sets), for metrics
     branch_targets: Dict[int, Set[int]] = field(default_factory=dict)
-    call_graph: Optional[CallGraph] = None
     n_classes: int = 0
 
     def stats(self) -> Dict[str, int]:
@@ -119,22 +118,13 @@ def _generate_cfg(aux: AuxInfo,
     for site in aux.branch_sites:
         targets = branch_targets[site.site]
         if targets:
-            bary_ecns[site.site] = tary_ecns[union.find(next(iter(targets)))]
+            # class_numbers numbers every member of a class alike
+            bary_ecns[site.site] = tary_ecns[next(iter(targets))]
         else:
             bary_ecns[site.site] = next_free
             next_free += 1
-    # Re-read ECNs through the union-find for all targets (the find()
-    # above returns a representative; class_numbers already assigned per
-    # member, so representative and member numbers agree by class).
-    for site in aux.branch_sites:
-        targets = branch_targets[site.site]
-        if targets:
-            bary_ecns[site.site] = tary_ecns[next(iter(targets))]
-
-    cfg = Cfg(tary_ecns=tary_ecns, bary_ecns=bary_ecns,
-              branch_targets=branch_targets, call_graph=graph,
-              n_classes=n_classes)
-    return cfg
+    return Cfg(tary_ecns=tary_ecns, bary_ecns=bary_ecns,
+               branch_targets=branch_targets, n_classes=n_classes)
 
 
 def _targets_of(site, aux: AuxInfo, graph: CallGraph, matcher: TypeMatcher,
@@ -165,16 +155,3 @@ def _targets_of(site, aux: AuxInfo, graph: CallGraph, matcher: TypeMatcher,
         exported = aux.exports.get(site.plt_symbol)
         return {exported} if exported is not None else set()
     raise CfgGenerationError(f"unknown branch-site kind {site.kind!r}")
-
-
-def describe(cfg: Cfg, aux: AuxInfo) -> List[Tuple[str, int, int]]:
-    """Human-readable per-kind summary: (kind, branches, avg targets)."""
-    by_kind: Dict[str, List[int]] = {}
-    for site in aux.branch_sites:
-        by_kind.setdefault(site.kind, []).append(
-            len(cfg.branch_targets.get(site.site, ())))
-    out = []
-    for kind, sizes in sorted(by_kind.items()):
-        avg = sum(sizes) // max(len(sizes), 1)
-        out.append((kind, len(sizes), avg))
-    return out

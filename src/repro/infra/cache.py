@@ -125,7 +125,7 @@ class ArtifactCache:
             "mcfi": mcfi,
             "modules": [[name, source_digest(text)]
                         for name, text in sources.items()],
-            "prelude": prelude_digest(True),
+            "prelude": prelude_digest(),
             "toolchain": TOOLCHAIN_TAG,
         })
 

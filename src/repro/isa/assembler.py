@@ -133,8 +133,6 @@ class Assembled:
     labels: Dict[str, int]
     marks: List[Tuple[str, object, int]] = field(default_factory=list)
     bary_slots: Dict[int, int] = field(default_factory=dict)
-    abs_relocs: List[int] = field(default_factory=list)
-    instr_addresses: List[int] = field(default_factory=list)
 
     @property
     def size(self) -> int:
@@ -151,9 +149,7 @@ _MASK64 = 0xFFFFFFFFFFFFFFFF
 
 class AbsoluteResolver:
     """Module grain: every label resolves to its absolute address, from
-    the items' own labels first and then ``extern``; IMM64 label
-    immediates and label data words are recorded as absolute
-    relocations."""
+    the items' own labels first and then ``extern``."""
 
     def __init__(self, extern: Dict[str, int], result: Assembled) -> None:
         self.labels = result.labels
@@ -170,19 +166,13 @@ class AbsoluteResolver:
 
     def label(self, kind, name, field_addr, end):
         target = self.lookup(name)
-        if kind is OperandKind.REL32:
-            return target - end
-        if kind is OperandKind.IMM64:
-            self.result.abs_relocs.append(field_addr - self.result.base)
-        return target
+        return target - end if kind is OperandKind.REL32 else target
 
     def bary(self, site, field_addr):
         self.result.bary_slots[site] = field_addr - self.result.base
 
     def word(self, name, addr):
-        value = self.lookup(name)
-        self.result.abs_relocs.append(addr - self.result.base)
-        return value
+        return self.lookup(name)
 
 
 def assemble(items: Sequence[Item], base: int = 0,
@@ -198,20 +188,17 @@ def assemble(items: Sequence[Item], base: int = 0,
     """
     result = Assembled(base=base, code=b"", labels={})
     resolver = AbsoluteResolver(extern or {}, result)
-    result.code = emit(items, base, result.labels, resolver, result.marks,
-                       result.instr_addresses)
+    result.code = emit(items, base, result.labels, resolver, result.marks)
     return result
 
 
 def emit(items: Sequence[Item], base: int, labels: Dict[str, int],
-         resolver, marks: List[Tuple[str, object, int]],
-         instr_addresses: List[int]) -> bytes:
+         resolver, marks: List[Tuple[str, object, int]]) -> bytes:
     """The assembler core shared by module and unit grain.
 
     Lays ``items`` out at ``base`` (binding ``labels``), then encodes
     them through the codec table.  Appends ``(kind, info, address)`` per
-    mark to ``marks`` and each instruction's address to
-    ``instr_addresses``; returns the code bytes.
+    mark to ``marks``; returns the code bytes.
 
     Symbolic operands go to ``resolver``, which is what distinguishes
     the grains (:class:`AbsoluteResolver` here,
@@ -231,7 +218,6 @@ def emit(items: Sequence[Item], base: int, labels: Dict[str, int],
     for item, addr in zip(items, addresses):
         cls = item.__class__
         if cls is AsmInstr:
-            instr_addresses.append(addr)
             codec = CODECS[item.op]
             try:
                 values = codec.check(item.operands)

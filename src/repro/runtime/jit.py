@@ -53,15 +53,17 @@ class JitEngine:
     CFG generator), but the code it *emits* is not: every generated
     module is instrumented and verified before its pages become
     executable, so a buggy or malicious code generator cannot smuggle
-    unchecked indirect branches into the process.
+    unchecked indirect branches into the process.  The engine installs
+    through the runtime's dynamic linker as that linker is configured;
+    a runtime without one gets a default, verifying linker.
     """
 
-    def __init__(self, runtime, verify: bool = True) -> None:
+    def __init__(self, runtime) -> None:
         self.runtime = runtime
         if runtime.dynamic_linker is None:
-            DynamicLinker(runtime, verify=verify)
+            DynamicLinker(runtime)
+        #: the runtime's linker, used as it is configured
         self.linker: DynamicLinker = runtime.dynamic_linker
-        self.linker.verify = verify
         self.stats = JitStats()
         self._counter = 0
         runtime.jit_engine = self

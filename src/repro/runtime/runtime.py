@@ -243,7 +243,6 @@ class Runtime:
     """Loads and executes one linked program."""
 
     def __init__(self, program: LinkedProgram, verify: bool = False,
-                 bary_entries: int = 65536,
                  violation_policy: str = "halt") -> None:
         if violation_policy not in VIOLATION_POLICIES:
             raise RuntimeError_(
@@ -255,7 +254,7 @@ class Runtime:
         self.program = program
         self.enforce = program.mcfi
         self.memory = Memory()
-        self.tables = TableMemory(bary_entries=bary_entries)
+        self.tables = TableMemory()
         self.id_tables = IdTables(self.tables)
         self.update_lock = UpdateLock()
         #: Decoded instructions, closures and blocks, shared by every
@@ -267,7 +266,6 @@ class Runtime:
         self._next_stack = STACK_LIMIT
         self._scheduler: Optional[Scheduler] = None
         self._tasks_by_cpu: Dict[int, _BlockableCpuTask] = {}
-        self.loaded_libraries: Dict[str, object] = {}
         self.dynamic_linker = None  # attached by repro.linker.dynamic_linker
         self.jit_engine = None      # attached by repro.runtime.jit
         self._load(verify=verify)

@@ -108,8 +108,9 @@ class ModuleInterface:
     (:func:`repro.build.source_index.index_source`), with every
     function parsed as its declaration (``head;``):
 
-    * the checker's state after the declaration phase: signatures,
-      globals and checked initializers;
+    * the checker's state after the declaration phase (the builtin
+      prelude's, then the module's): signatures, globals and checked
+      initializers;
     * for each function, the typedef names and enum constants in scope
       at its position (the parser resolves those as it goes, so they
       are positional);
@@ -123,8 +124,7 @@ class ModuleInterface:
     bodies define no type qualifies (``TranslationUnit.local_types``).
     """
 
-    def __init__(self, spans: Sequence, name: str,
-                 prelude: bool = True) -> None:
+    def __init__(self, spans: Sequence, name: str) -> None:
         self.name = name
         parser = Parser("".join(
             span.head.rstrip() + ";\n" if span.kind == "func" else span.text
@@ -145,8 +145,7 @@ class ModuleInterface:
         if parser.peek().kind != "eof":
             raise ParseError("spans do not tile the module")
         self.structs = parser.types.structs
-        if prelude:
-            unit.decls[:0] = prelude_decls()
+        unit.decls[:0] = prelude_decls()
         self.checker = declare(unit)
 
     def check(self, spans: Sequence) -> CheckedUnit:

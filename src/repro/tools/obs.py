@@ -51,20 +51,28 @@ SPAN_CATALOG = (
     ("toolchain.compile", "module arch", "one TinyC module end to end"),
     ("toolchain.frontend", "", "lex/parse/typecheck"),
     ("toolchain.lower", "", "AST -> MIR"),
-    ("toolchain.codegen", "", "MIR -> SimISA + instrumentation"),
+    ("toolchain.codegen", "", "MIR -> SimISA (uninstrumented)"),
     ("build.session", "modules arch mcfi", "one BuildSession.build call"),
     ("build.frontend", "module", "session frontend (lex/parse/check)"),
     ("build.lower", "module", "session AST -> MIR"),
     ("build.units", "module", "function-grain unit compiles"),
     ("build.mini_frontend", "module dirty",
-     "stub-source recheck of dirty bodies"),
+     "dirty bodies checked against the module interface"),
     ("build.link", "modules", "unit-grain (re)link"),
+    ("dataflow.pointsto", "module indirect_calls devirtualized hinted",
+     "points-to devirtualization of one module"),
+    ("dataflow.lint", "module findings errors",
+     "MIR lints of one module; nests dataflow.lint.<pass>"),
+    ("lint.workload", "workload", "frontend + lowering + lints"),
+    ("binverify.image", "module arch grain ok diagnostics checked",
+     "one binary-verifier run"),
     ("cfg.generate", "ibs ibts eqcs", "type-matching CFG generation"),
     ("linker.prepare", "library", "map/patch a library pre-seal"),
     ("linker.cfg", "", "CFG regeneration over merged aux info"),
     ("linker.update", "completed", "table update-transaction steps"),
     ("linker.dlopen", "library status handle", "full dlopen protocol"),
     ("linker.dlclose", "library status", "unload + table erasure"),
+    ("linker.rebuild", "", "table reconstruction from metadata"),
     ("tx.update", "owner completed tary_writes bary_writes hold_steps",
      "one update transaction (Fig. 3)"),
     ("vm.run", "thread instructions cycles", "one CPU run loop entry"),
@@ -78,6 +86,11 @@ SPAN_CATALOG = (
      "one multi-tenant ServiceLoop run"),
     ("service.round", "round requests shards failed",
      "one coalescer commit round"),
+    ("service.recovery", "shard status requeued repaired strays",
+     "quarantined-shard rebuild + verify"),
+    ("faults.evasion_campaign",
+     "arch workloads injectors cells undetected ok",
+     "one verifier-evasion campaign"),
 )
 
 #: every metric the instrumentation can emit

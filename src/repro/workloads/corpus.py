@@ -6,7 +6,7 @@ through the full configuration matrix:
 * devirtualize **on / off** (the PR 4 points-to optimizer),
 * block-dispatch VM **vs** ``step_reference`` (the PR 5 oracle tier),
 * **x64 vs x32** code generation,
-* **cold build vs single-edit incremental rebuild** (the PR 8
+* **cold build vs edit-then-edit-back incremental rebuild** (the
   splice re-link path, compared by artifact digest),
 
 with the lint plane over the member's MIR.  A run with ``cache_dir``
@@ -18,13 +18,14 @@ oracle, is reported as a structured :class:`Finding`; generated
 findings can be shrunk with :mod:`repro.workloads.minimize`.
 
 A harness keeps one :class:`~repro.build.session.BuildSession` per
-build role for its whole life — one per (arch, devirtualize) cell and
-one per arch for the incremental check — so simlibc is parsed and
-compiled once per session, not once per member.  Each (arch,
-devirtualize) cell is still a full rebuild of the member, linked
-against the session's libc units and byte-identical to a cold build;
-when a member's matrix ends, its module is dropped from every session,
-so nothing it compiled outlives it.
+(arch, devirtualize) build cell for its whole life, so simlibc is
+parsed and compiled once per cell, not once per member.  Each cell is
+still a full rebuild of the member, linked against the session's libc
+units and byte-identical to a cold build.  The incremental check edits
+the member in its arch's base session and back again, and compares
+the result with that session's cold image.  When a member's matrix
+ends, its module is dropped from every session, so nothing it compiled
+outlives it.
 
 Set-level runs (:func:`run_set`) are no-cherry-picking by
 construction: the report carries one :class:`ProgramReport` per
@@ -219,9 +220,9 @@ def _observables(result) -> Tuple[int, bytes, int, int, int]:
 class DifferentialHarness:
     """Runs members through the full matrix and collects findings.
 
-    The harness owns one build session per role, keyed ``x64/base``,
-    ``x64/devirt``, ``x64/incremental`` and so on per arch; see the
-    module docstring.
+    The harness owns one build session per build cell, keyed
+    ``x64/base``, ``x64/devirt`` and so on per arch; see the module
+    docstring.
     """
 
     def __init__(self, config: Optional[CorpusConfig] = None):
@@ -235,7 +236,7 @@ class DifferentialHarness:
                 arch=arch, devirtualize=role == "devirt",
                 cache=self._cache)
             for arch in self.config.archs
-            for role in ("base", "devirt", "incremental")}
+            for role in ("base", "devirt")}
 
     # -- member resolution -------------------------------------------
 
@@ -410,32 +411,46 @@ class DifferentialHarness:
     def _check_incremental(self, member: str, arch: str, source: str,
                            prog: Optional[GenProgram], cold_result,
                            report: ProgramReport) -> None:
-        """Cold vs edit-then-edit-back incremental re-link: the PR 8
-        byte-identity guarantee, checked by artifact digest."""
+        """Cold vs edit-then-edit-back incremental re-link, by artifact
+        digest: the base cell's session rebuilds the member as its
+        variant and back, and must give the image it built cold.
+        Neither rebuild may change a program handed out before it."""
         if prog is None:
             variant_source = source + "\nlong __corpus_probe" \
                                       "(long x) { return x; }\n"
         else:
             variant_source = prog.edit_variant().source
         seed = report.seed
-        session = self._sessions[f"{arch}/incremental"]
+        cell = f"{arch}/incremental"
+        session = self._sessions[f"{arch}/base"]
+        cold_digest = artifact_digest(cold_result.program)
         try:
-            session.build({member: variant_source})
+            variant = session.build({member: variant_source})
+            variant_digest = artifact_digest(variant.program)
             incr = session.build({member: source})
         except Exception as exc:  # noqa: BLE001
             report.findings.append(Finding(
-                member, "compile_error", f"{arch}/incremental",
+                member, "compile_error", cell,
                 f"{type(exc).__name__}: {exc}", seed=seed))
             return
         report.cells += 1
-        cold_digest = artifact_digest(cold_result.program)
         incr_digest = artifact_digest(incr.program)
         if cold_digest != incr_digest:
             report.findings.append(Finding(
-                member, "incremental", f"{arch}/incremental",
+                member, "incremental", cell,
                 f"incremental re-link (kind={incr.kind}) is not "
                 f"byte-identical to the cold build", seed=seed,
                 expected=cold_digest, actual=incr_digest))
+        for label, earlier, digest in (
+                ("cold", cold_result, cold_digest),
+                ("variant", variant, variant_digest)):
+            now = artifact_digest(earlier.program)
+            if now != digest:
+                report.findings.append(Finding(
+                    member, "incremental", cell,
+                    f"a later rebuild changed the {label} image handed "
+                    f"out before it", seed=seed,
+                    expected=digest, actual=now))
 
     def _check_lints(self, member: str, source: str,
                      report: ProgramReport) -> None:

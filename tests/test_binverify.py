@@ -192,7 +192,7 @@ class TestUnitGrain:
                 return apply(twice, 5) + apply(thrice, 4);
             }
         """, name="t")
-        module_units, _, _ = compile_module_units(
+        module_units, _ = compile_module_units(
             lower_unit(checked), checked, "x64")
         return module_units.units
 

@@ -19,15 +19,10 @@ import warnings
 
 import pytest
 
-from repro.build import (
-    BuildGraph,
-    BuildResult,
-    BuildSession,
-    build_program,
-    compile_object,
-)
-from repro.build.fingerprint import prelude_digest, source_body_key
+from repro.build import BuildSession, build_program, compile_object
+from repro.build.fingerprint import source_body_key
 from repro.build.source_index import diff_bodies, index_source
+from repro.errors import TinyCError
 from repro.runtime.runtime import Runtime
 from repro.toolchain import run_program
 from repro.workloads.spec import BENCHMARKS, workload
@@ -36,6 +31,7 @@ from tests.test_golden_digests import (
     fixed12_program,
     golden_pins,
     link_record,
+    unit_fingerprints,
 )
 
 
@@ -103,26 +99,16 @@ class TestRegressions:
         monkeypatch.setattr(repro.toolchain, "BUILTIN_PRELUDE",
                             repro.toolchain.BUILTIN_PRELUDE + "int x;\n")
         assert cache.program_key("x64", True, sources) != before
-        assert prelude_digest(True) != prelude_digest(False)
 
-    def test_prelude_flag_separates_body_memo_keys(self):
+    def test_prelude_flag_separates_body_memo_keys(self, monkeypatch):
+        # The body memo is keyed by body text: the prelude the body is
+        # compiled against is part of the key.
+        import repro.toolchain
         body = "int f(void) { return 1; }"
-        assert (source_body_key("m", "x64", body, True)
-                != source_body_key("m", "x64", body, False))
-
-    def test_prelude_flag_never_cross_hits_shared_cache(self, tmp_path):
-        # Units are keyed by their MIR, which is all the prelude can
-        # change: a shared cache serves each flag exactly the image an
-        # uncached build gives, and a repeat build compiles nothing.
-        from repro.infra.cache import open_cache
-        cache = open_cache(tmp_path / "cache")
-        source = "int counter; void _start(void) { counter = 7; }"
-        for prelude in (True, False, False):
-            options = {"mcfi": False, "with_libc": False, "prelude": prelude}
-            shared = BuildSession(cache=cache, **options).build({"t": source})
-            fresh = BuildSession(**options).build({"t": source})
-            _assert_same_image(fresh.program, shared.program)
-        assert shared.stats["unit_hits"] == shared.stats["units"]
+        before = source_body_key("m", "x64", body)
+        monkeypatch.setattr(repro.toolchain, "BUILTIN_PRELUDE",
+                            repro.toolchain.BUILTIN_PRELUDE + "int x;\n")
+        assert source_body_key("m", "x64", body) != before
 
 
 #: Seeded-random incremental workload: editable function bodies whose
@@ -235,6 +221,32 @@ class TestIncrementalProperty:
         _assert_same_image(build_program({"prog": grown}).program,
                            result.program)
 
+    def test_body_edit_compiles_inside_build_units(self):
+        from repro import obs
+        session = BuildSession()
+        session.build({"prog": _edit_source([1, 2, 3, 4])})
+        with obs.scoped(seed=0) as state:
+            result = session.build({"prog": _edit_source([1, 2, 3, 5])})
+            names = [span["name"] for span in state.tracer.spans]
+        assert result.stats["spliced"] == 1
+        assert names.count("build.units") == 1
+        assert names.count("build.mini_frontend") == 1
+
+    def test_failed_build_never_leaves_a_stale_program(self):
+        # The first module's edit is taken before the second fails to
+        # parse; reverting the second must still give the edited image.
+        a0 = "int fa(void) { return 1; }\n"
+        a1 = "int fa(void) { return 2; }\n"
+        b0 = "int fa(void);\nint main(void) { return fa(); }\n"
+        session = BuildSession()
+        session.build({"a": a0, "b": b0})
+        with pytest.raises(TinyCError):
+            session.build({"a": a1, "b": "int main(void) { return fa( ; }"})
+        result = session.build({"a": a1, "b": b0})
+        _assert_same_image(build_program({"a": a1, "b": b0}).program,
+                           result.program)
+        assert Runtime(result.program).run().exit_code == 2
+
 
 class TestSharedLibc:
     """One session serving programs in turn keeps libc's units."""
@@ -273,16 +285,6 @@ class TestLegacyShims:
                 {"t": "int main(void) { return 2; }"}).program)
         assert result.exit_code == 2
 
-    def test_build_result_round_trips(self):
-        result = build_program({"t": "int main(void) { return 0; }"})
-        clone = BuildResult.from_dict(result.to_dict())
-        assert clone.program is None
-        assert clone.kind == result.kind
-        assert clone.arch == result.arch
-        assert clone.mcfi == result.mcfi
-        assert clone.modules == result.modules
-        assert clone.stats == result.stats
-
     def test_devirtualize_matches_monolithic(self):
         program = fixed12_program("sjeng", devirtualize=True)
         assert link_record(program) == \
@@ -310,13 +312,11 @@ class TestNativeUnits:
 
     def test_native_and_mcfi_units_never_cross_hit(self, tmp_path):
         from repro.infra.cache import open_cache
-        from repro.mir.lowering import lower_unit
         from repro.toolchain import frontend
         source = _edit_source([1, 2, 3, 4])
         checked = frontend(source, name="prog")
-        mir = lower_unit(checked)
-        mcfi = BuildGraph.of(mir, checked, "x64").fingerprints
-        native = BuildGraph.of(mir, checked, "x64", mcfi=False).fingerprints
+        mcfi = unit_fingerprints(checked)
+        native = unit_fingerprints(checked, mcfi=False)
         assert set(mcfi) == set(native)
         assert not set(mcfi.values()) & set(native.values())
 
@@ -331,37 +331,33 @@ class TestNativeUnits:
         _assert_same_image(first.program, second.program)
 
 
+def _dirty(before: str, after: str) -> set:
+    """Functions whose unit fingerprint differs between two sources."""
+    from repro.toolchain import frontend
+    old = unit_fingerprints(frontend(before, name="m"))
+    new = unit_fingerprints(frontend(after, name="m"))
+    return {fn for fn, fingerprint in new.items()
+            if old.get(fn) != fingerprint}
+
+
 class TestBuildGraph:
+    """The dirty set of an edit, read from unit fingerprints."""
+
     def test_dirty_set_is_the_edited_function(self):
-        from repro.mir.lowering import lower_unit
-        from repro.toolchain import frontend
-
-        def graph_of(source):
-            checked = frontend(source, name="m")
-            return BuildGraph.of(lower_unit(checked), checked, "x64")
-
-        before = graph_of(_edit_source([1, 2, 3, 4]))
-        after = graph_of(_edit_source([1, 2, 99, 4]))
-        assert after.dirty_against(before) == {"f2"}
-        assert after.dirty_against(None) == set(after.fingerprints)
+        before = _edit_source([1, 2, 3, 4])
+        assert _dirty(before, _edit_source([1, 2, 99, 4])) == {"f2"}
+        assert _dirty("", before) == {"f0", "f1", "f2", "f3", "main"}
 
     def test_string_renumbering_keeps_fingerprints(self):
         # Unit fingerprints digest string *content*, not string ids: a
         # new string in an earlier function must not dirty later ones.
-        from repro.mir.lowering import lower_unit
-        from repro.toolchain import frontend
         a = ('int f(void) { print_str("one"); return 0; }\n'
              'int g(void) { print_str("late"); return 1; }\n'
              'int main(void) { return f() + g(); }\n')
         b = ('int f(void) { print_str("one"); print_str("two"); return 0; }\n'
              'int g(void) { print_str("late"); return 1; }\n'
              'int main(void) { return f() + g(); }\n')
-
-        def graph_of(source):
-            checked = frontend(source, name="m")
-            return BuildGraph.of(lower_unit(checked), checked, "x64")
-
-        assert graph_of(b).dirty_against(graph_of(a)) == {"f"}
+        assert _dirty(a, b) == {"f"}
 
 
 class TestSourceIndex:

@@ -8,8 +8,8 @@ import json
 import pytest
 
 from repro.cli import TOOLS, build_parser, main as cli_main, tool_argv
-from repro.tools.obs import (DEMO_SUBSYSTEMS, load_trace, run_demo,
-                             subsystem)
+from repro.tools.obs import (DEMO_SUBSYSTEMS, SPAN_CATALOG, load_trace,
+                             run_demo, subsystem)
 from repro.tools.obs import main as obs_main
 
 
@@ -147,6 +147,27 @@ class TestObsTool:
         text = capsys.readouterr().out
         assert "tx.update" in text
         assert "pool.job_seconds" in text
+
+    def test_span_catalog_is_every_span_src_emits(self):
+        # Every string-literal name handed to tracer.span/tracer.begin
+        # anywhere in src/, and nothing else.
+        import ast
+        from pathlib import Path
+
+        import repro
+        emitted = set()
+        for path in Path(repro.__file__).parent.rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                func = getattr(node, "func", None)
+                if (isinstance(node, ast.Call)
+                        and isinstance(func, ast.Attribute)
+                        and func.attr in ("span", "begin")
+                        and "tracer" in ast.unparse(func.value)
+                        and node.args
+                        and isinstance(node.args[0], ast.Constant)):
+                    emitted.add(node.args[0].value)
+        assert "build.session" in emitted
+        assert {name for name, _, _ in SPAN_CATALOG} == emitted
 
     def test_subsystem_mapping(self):
         assert subsystem("tx.update") == "transactions"

@@ -61,9 +61,9 @@ class TestRunMember:
 
 
 class TestSharedSessions:
-    """One harness serves member after member: each build session
-    compiles libc once, and every cell is still the image a cold build
-    of the member gives."""
+    """One harness serves member after member: each build cell's
+    session compiles libc once, and every cell is still the image a
+    cold build of the member gives."""
 
     def test_repeat_members_match_fresh_harness(self, monkeypatch,
                                                 smoke_report):
@@ -93,12 +93,12 @@ class TestSharedSessions:
             compiled.clear()
             report = harness.run_member(member, quick=True)
             assert report.to_dict() == fresh[member]
-            # 4 matrix cells + one incremental session per arch
-            assert compiled.count("libc") == (6 if run == 0 else 0)
+            # one session per build cell: 2 archs x devirtualize off/on
+            assert compiled.count("libc") == (4 if run == 0 else 0)
         monkeypatch.undo()
 
         # 8 builds per member: 4 cells, then a variant and the member
-        # again in each arch's incremental session
+        # again in each arch's base session
         assert len(linked) == 24
         cold = {}
         for arch, devirt, sources, digest in linked:

@@ -31,11 +31,12 @@ def program_key(cache, source=SOURCE, arch="x64", mcfi=True):
 
 
 def units(source=SOURCE, arch="x64"):
-    """The module's function units and their build graph."""
+    """The module's function units and their fingerprints by name."""
     checked = frontend(source, name="unit")
     mir = lower_unit(checked)
-    module_units, graph, _ = compile_module_units(mir, checked, arch)
-    return module_units.units, graph
+    module_units, _ = compile_module_units(mir, checked, arch)
+    return module_units.units, {unit.fn: unit.fingerprint
+                                for unit in module_units.units}
 
 
 @pytest.fixture()
@@ -79,21 +80,21 @@ class TestObjectRoundTrip:
 
     def test_arch_flip_is_a_miss(self, cache, unit_x64):
         cache.put_unit(unit_x64.fingerprint, unit_x64)
-        _, graph32 = units(arch="x32")
-        assert graph32.fingerprints[unit_x64.fn] != unit_x64.fingerprint
-        assert cache.get_unit(graph32.fingerprints[unit_x64.fn]) is None
+        _, fingerprints32 = units(arch="x32")
+        assert fingerprints32[unit_x64.fn] != unit_x64.fingerprint
+        assert cache.get_unit(fingerprints32[unit_x64.fn]) is None
 
     def test_source_edit_is_a_miss(self, cache, unit_x64):
         cache.put_unit(unit_x64.fingerprint, unit_x64)
         _, edited = units(EDITED_SOURCE)
-        assert cache.get_unit(edited.fingerprints[unit_x64.fn]) is None
+        assert cache.get_unit(edited[unit_x64.fn]) is None
 
     def test_cross_arch_entry_never_served(self, cache, unit_x64):
         """An x64 unit planted under its x32 key (torn cache dir,
         manual tampering) is rejected by its own fingerprint and
         evicted."""
-        _, graph32 = units(arch="x32")
-        key32 = graph32.fingerprints[unit_x64.fn]
+        _, fingerprints32 = units(arch="x32")
+        key32 = fingerprints32[unit_x64.fn]
         cache.put_unit(key32, unit_x64)  # wrong: x64 unit at x32 key
         assert cache.get_unit(key32) is None
         assert cache.stats.evictions == 1

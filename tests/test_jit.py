@@ -13,7 +13,7 @@ from repro.build import build_program, compile_object
 def jit_runtime(source):
     program = build_program({"main": source}, mcfi=True).program
     runtime = Runtime(program)
-    JitEngine(runtime, verify=True)
+    JitEngine(runtime)
     return runtime
 
 
@@ -113,6 +113,19 @@ class TestJitInstall:
         assert address != 0
         assert engine.stats.compiled_bytes > 0
         assert "triple" in engine.stats.installed_functions
+        assert engine.linker.verify
+
+    @pytest.mark.parametrize("verify", [False, True])
+    def test_engine_keeps_the_linker_configuration(self, verify):
+        # The linker's verify flag governs every later dlopen, not only
+        # the engine's: the engine uses the linker as it finds it.
+        program = build_program(
+            {"main": "int main(void) { return 0; }"}, mcfi=True).program
+        runtime = Runtime(program)
+        linker = DynamicLinker(runtime, verify=verify)
+        engine = JitEngine(runtime)
+        assert engine.linker is linker
+        assert linker.verify is verify
 
     def test_non_utf8_source_returns_zero(self):
         runtime = jit_runtime(r"""

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.build import compile_object
+from repro.build import build_program, compile_object
 from repro.errors import LinkError
 from repro.linker.static_linker import layout_data
 from repro.vm.memory import DATA_BASE, PAGE_SIZE
@@ -42,6 +42,12 @@ class TestSymbolResolution:
         b = compile_object("long shared; void _start(void) { }", name="b")
         with pytest.raises(LinkError):
             link([a, b], mcfi=True)
+
+    def test_duplicate_global_from_sources_is_named(self):
+        # The data layout is where two modules' globals meet.
+        with pytest.raises(LinkError, match=r"^duplicate global 'g'$"):
+            build_program({"a": "int g; int main(void) { return g; }",
+                           "b": "int g;"})
 
     def test_mixed_arch_rejected(self):
         a = compile_object(HELPER, name="a", arch="x64")

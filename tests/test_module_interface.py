@@ -21,10 +21,9 @@ import json
 
 import pytest
 
-from repro.build import BuildGraph, BuildSession, build_program
+from repro.build import BuildSession, build_program
 from repro.build.source_index import index_source
 from repro.errors import LexError, ParseError, TinyCError, TypeError_
-from repro.mir.lowering import lower_unit
 from repro.tinyc.parser import parse
 from repro.tinyc.types import Type, canonical
 from repro.toolchain import (
@@ -37,6 +36,7 @@ from repro.toolchain import (
 from repro.workloads.libc import LIBC_SOURCE
 from repro.workloads.spec import BENCHMARKS, workload
 from tests.test_build_api import _assert_same_image
+from tests.test_golden_digests import unit_fingerprints
 
 
 def _view(value):
@@ -82,10 +82,6 @@ def _stub_check(spans, name: str, fn: str):
         if span.kind == "func" and span.name != fn else span.text
         for span in spans)
     return frontend(text, name=name)
-
-
-def _fingerprints(checked):
-    return BuildGraph.of(lower_unit(checked), checked, "x64").fingerprints
 
 
 def _error(build):
@@ -152,7 +148,8 @@ def test_interface_check_equals_stub_check(name):
         assert list(actual.functions) == [span.name]
         assert _view(actual.functions[span.name]) == \
             _view(expected.functions[span.name]), span.name
-        assert _fingerprints(actual) == _fingerprints(expected), span.name
+        assert unit_fingerprints(actual) == unit_fingerprints(expected), \
+            span.name
 
 
 # -- the interface path through a session --------------------------------------
