@@ -21,7 +21,7 @@ from benchmarks.conftest import selected_benchmarks, write_result
 from repro.analysis.dataflow import devirtualize_module
 from repro.baselines.policies import mcfi_policy
 from repro.cfg.generator import generate_cfg
-from repro.core.verifier import verify_module
+from repro.analysis.binverify import verify_module
 from repro.metrics.air import air_of_policy
 from repro.metrics.cfgstats import profile
 from repro.mir.lowering import lower_unit

@@ -237,7 +237,7 @@ def test_stage_breakdown(benchmark):
 
 
 def test_verifier_speed(benchmark):
-    from repro.core.verifier import verify_module
+    from repro.analysis.binverify import verify_module
     from repro.experiments import compiled
     module = compiled("sjeng", "x64", True).module
     report = benchmark(lambda: verify_module(module))
@@ -251,7 +251,7 @@ def _quick(name="lbm"):
     import filecmp
     import tempfile
 
-    from repro.tools.build import artifact_hash
+    from repro.workloads.corpus import artifact_digest
 
     source = workload(name).source
     session = BuildSession()
@@ -260,7 +260,7 @@ def _quick(name="lbm"):
     twin = build_program({name: source})
     warm_x = cold_s / warm_s if warm_s else float("inf")
 
-    digest = artifact_hash(result.program)
+    digest = artifact_digest(result.program)
     with tempfile.TemporaryDirectory() as tmp:
         paths = []
         for tag, program in (("a", result.program), ("b", twin.program)):
@@ -277,7 +277,7 @@ def _quick(name="lbm"):
         (result.kind == "warm", f"rebuild kind {result.kind!r} != 'warm'"),
         (warm_x >= 2.0, f"warm rebuild only {warm_x:.1f}x < 2x faster"),
         (cmp_identical, "independent builds differ under cmp"),
-        (digest == artifact_hash(twin.program),
+        (digest == artifact_digest(twin.program),
          "artifact hash differs across sessions"),
     ]
     failed = [message for ok, message in checks if not ok]

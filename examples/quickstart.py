@@ -63,7 +63,7 @@ def main() -> None:
     print(f"CFG: {cfg.stats()}")
 
     print("\n=== 3. the verifier checks the module before loading ===")
-    from repro.core.verifier import verify_module
+    from repro.analysis.binverify import verify_module
     report = verify_module(module)
     print("verify_module:", report.stats)
 

@@ -16,7 +16,7 @@ Run:  python examples/separate_compilation.py
 from repro.build import compile_object
 from repro.build.link import ModuleUnits, link_units
 from repro.cfg.generator import generate_cfg
-from repro.core.verifier import verify_module
+from repro.analysis.binverify import verify_module
 from repro.runtime.runtime import Runtime
 from repro.workloads.libc import LIBC_SOURCE
 

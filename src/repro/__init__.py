@@ -28,7 +28,7 @@ Main entry points:
 * :class:`repro.runtime.runtime.Runtime` — load + execute (MCFI enforced)
 * :class:`repro.linker.dynamic_linker.DynamicLinker` — dlopen support
 * :func:`repro.cfg.generator.generate_cfg` — type-matching CFG generation
-* :func:`repro.core.verifier.verify_module` — modular verification
+* :func:`repro.analysis.binverify.verify_module` — modular verification
 * :func:`repro.analysis.analyzer.analyze_source` — the C1/C2 analyzer
 * :mod:`repro.experiments` — regenerate every table/figure of the paper
 """
@@ -44,7 +44,7 @@ from repro.runtime.runtime import Runtime, RunResult
 from repro.linker.static_linker import LinkedProgram
 from repro.linker.dynamic_linker import DynamicLinker
 from repro.cfg.generator import Cfg, generate_cfg
-from repro.core.verifier import verify_module
+from repro.analysis.binverify import verify_module
 from repro.analysis.analyzer import AnalysisReport, analyze_source
 from repro.errors import (
     CfiViolation,

@@ -5,7 +5,10 @@ and the trusted loader (Sec. 7), rebuilt as a static analysis instead
 of a pattern matcher: the module (or one compilation unit) is
 disassembled, a binary-level CFG is reconstructed from the decoded
 instruction boundaries, and an abstract interpreter over a per-register
-fact lattice *proves* the four safety properties:
+fact lattice *proves* the four safety properties.  The module's code
+ranges are read through :func:`repro.isa.disasm.sweep_ranges`, the one
+sweep, whose records carry the decoded fields and no
+:class:`~repro.isa.instructions.Instruction`:
 
 * **MCFI005** — every reachable indirect branch is dominated by an
   intact Fig. 4 check transaction, with no clobber of the checked
@@ -22,11 +25,12 @@ fact lattice *proves* the four safety properties:
   declared sites.
 
 Entry points: :func:`analyze_module` / :func:`analyze_image` return a
-:class:`VerifyReport`; :func:`verify_unit` gates a single
-:class:`~repro.build.units.UnitArtifact` (raising
-:class:`~repro.errors.UnitVerificationError`).  The raising module
-surface stays :func:`repro.core.verifier.verify_module`, now a facade
-over this package.
+:class:`VerifyReport`; the two gates raise on rejection:
+:func:`verify_module` for a linked module (the loader's and
+``dlopen``'s, :class:`~repro.errors.VerificationError`) and
+:func:`verify_unit` for a single
+:class:`~repro.build.units.UnitArtifact`
+(:class:`~repro.errors.UnitVerificationError`).
 """
 
 from repro.analysis.binverify.absint import CHECKED, MASKED, TOP
@@ -39,6 +43,7 @@ from repro.analysis.binverify.image import (
 from repro.analysis.binverify.passes import (
     analyze_image,
     analyze_module,
+    verify_module,
     verify_unit,
 )
 from repro.analysis.binverify.report import VerifyReport
@@ -47,6 +52,6 @@ __all__ = [
     "TOP", "MASKED", "CHECKED",
     "ImageSpec", "image_of_module", "image_of_unit",
     "BinaryCfg", "Guard", "build_cfg",
-    "analyze_image", "analyze_module", "verify_unit",
+    "analyze_image", "analyze_module", "verify_module", "verify_unit",
     "VerifyReport",
 ]

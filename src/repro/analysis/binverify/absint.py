@@ -61,21 +61,21 @@ def join(a: State, b: State) -> State:
 
 def step(state: State, decoded: DecodedInstr) -> State:
     """State after executing one instruction."""
-    op = decoded.instr.op
+    op = decoded.op
     if op == Op.NOP:
         return state
     if CHECKED in state:
         state = tuple(MASKED if fact == CHECKED else fact
                       for fact in state)
     if op == Op.MOVZX32:
-        reg = decoded.instr.operands[0]
+        reg = decoded.operands[0]
         if state[reg] == MASKED:
             return state
         return state[:reg] + (MASKED,) + state[reg + 1:]
     if op in _KILLS_ALL:
         return STATE_TOP
     if op in _WRITES_FIRST:
-        reg = decoded.instr.operands[0]
+        reg = decoded.operands[0]
         if state[reg] != TOP:
             return state[:reg] + (TOP,) + state[reg + 1:]
     return state

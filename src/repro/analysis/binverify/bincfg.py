@@ -122,13 +122,13 @@ def build_cfg(image: ImageSpec, decoded: List[DecodedInstr]) -> BinaryCfg:
         if root in boundaries:
             leaders.add(root)
     for d in decoded:
-        spec = d.instr.spec
-        if spec.is_branch or d.instr.op == Op.HLT:
+        spec = d.spec
+        if spec.is_branch or d.op == Op.HLT:
             if d.end in boundaries:
                 leaders.add(d.end)
             if spec.is_branch and not spec.is_indirect \
                     and not _rel_hole(d, image):
-                target = d.instr.branch_target(d.address)
+                target = d.target
                 if target in boundaries:
                     leaders.add(target)
 
@@ -151,13 +151,13 @@ def build_cfg(image: ImageSpec, decoded: List[DecodedInstr]) -> BinaryCfg:
     for block in order:
         succs: List[str] = []
         last = block.instrs[-1]
-        op = last.instr.op
-        spec = last.instr.spec
+        op = last.op
+        spec = last.spec
 
         def direct_target() -> Optional[int]:
             if _rel_hole(last, image):
                 return None
-            return last.instr.branch_target(last.address)
+            return last.target
 
         if op == Op.HLT or (spec.is_indirect and not spec.is_call):
             pass  # hlt / ret / jmp *r: no static successors
@@ -238,21 +238,21 @@ def _match_guard(block: BinBlock, image: ImageSpec) -> Optional[Guard]:
     if len(block.instrs) < 4:
         return None
     tload_b, tload_t, compare, jne = block.instrs[-4:]
-    if not (tload_b.instr.op == Op.TLOAD_RI
-            and tload_b.instr.operands[0] == Reg.RDI
-            and tload_t.instr.op == Op.TLOAD_RR
-            and tload_t.instr.operands[0] == Reg.RSI
-            and compare.instr.op == Op.CMP_RR
-            and tuple(compare.instr.operands) == (Reg.RDI, Reg.RSI)
-            and jne.instr.op == Op.JNE):
+    if not (tload_b.op == Op.TLOAD_RI
+            and tload_b.operands[0] == Reg.RDI
+            and tload_t.op == Op.TLOAD_RR
+            and tload_t.operands[0] == Reg.RSI
+            and compare.op == Op.CMP_RR
+            and compare.operands == (Reg.RDI, Reg.RSI)
+            and jne.op == Op.JNE):
         return None
     if _rel_hole(jne, image):
         return None
     return Guard(
         block=block.label, start=tload_b.address,
-        reg=tload_t.instr.operands[1],
+        reg=tload_t.operands[1],
         bary_field=tload_b.address + 2,
-        check_addr=jne.instr.branch_target(jne.address),
+        check_addr=jne.target,
         fallthrough=jne.end)
 
 
@@ -267,33 +267,31 @@ def _validate_chain(cfg: BinaryCfg, guard: Guard,
     if check is None or len(check.instrs) != 2:
         return fail("jne does not reach a testb1/je check block")
     testb, je = check.instrs
-    if not (testb.instr.op == Op.TESTB1
-            and testb.instr.operands[0] == Reg.RSI
-            and je.instr.op == Op.JE):
+    if not (testb.op == Op.TESTB1
+            and testb.operands[0] == Reg.RSI
+            and je.op == Op.JE):
         return fail("check block is not the testb1 %rsi / je pair")
-    halt_addr = je.instr.branch_target(je.address)
-    halt = cfg.block_of(halt_addr)
+    halt = cfg.block_of(je.target)
     if halt is None or not halt.instrs \
-            or halt.instrs[0].instr.op != Op.HLT:
+            or halt.instrs[0].op != Op.HLT:
         return fail("validity-check failure path does not halt")
 
     retry = cfg.block_of(je.end)
     if retry is None or len(retry.instrs) != 2:
         return fail("je does not fall through to a cmpw/jne retry block")
     cmpw, jne2 = retry.instrs
-    if not (cmpw.instr.op == Op.CMPW_RR
-            and tuple(cmpw.instr.operands) == (Reg.RDI, Reg.RSI)
-            and jne2.instr.op == Op.JNE):
+    if not (cmpw.op == Op.CMPW_RR
+            and cmpw.operands == (Reg.RDI, Reg.RSI)
+            and jne2.op == Op.JNE):
         return fail("retry block is not the cmpw rdi, rsi / jne pair")
-    try_addr = jne2.instr.branch_target(jne2.address)
-    try_label = cfg.block_at.get(try_addr)
+    try_label = cfg.block_at.get(jne2.target)
     try_guard = suffix_of.get(try_label) if try_label else None
     if try_guard is None or try_guard.bary_field != guard.bary_field \
             or try_guard.reg != guard.reg:
         return fail("version retry does not re-enter the same guard")
     fall = cfg.block_of(jne2.end)
     if fall is None or not fall.instrs \
-            or fall.instrs[0].instr.op != Op.HLT:
+            or fall.instrs[0].op != Op.HLT:
         return fail("version-mismatch failure path does not halt")
 
     guard.intact = True

@@ -48,7 +48,11 @@ from repro.analysis.dataflow.diagnostics import (
     sorted_diagnostics,
 )
 from repro.analysis.dataflow.solver import solve
-from repro.errors import EncodingError, UnitVerificationError
+from repro.errors import (
+    EncodingError,
+    UnitVerificationError,
+    VerificationError,
+)
 from repro.isa.disasm import sweep_ranges
 from repro.isa.instructions import Op
 from repro.isa.registers import Reg
@@ -126,10 +130,9 @@ def _analyze(image: ImageSpec) -> VerifyReport:
     for label in reachable:
         block: BinBlock = cfg.blocks[label]
         state = solution.inputs[label]
-        for index, decoded_instr in enumerate(block.instrs):
-            instr = decoded_instr.instr
+        for index, instr in enumerate(block.instrs):
             op = instr.op
-            address = decoded_instr.address
+            address = instr.address
 
             if op == Op.RET:
                 out.emit("MCFI005", address, label, index,
@@ -163,7 +166,7 @@ def _analyze(image: ImageSpec) -> VerifyReport:
                              f"table or code regions")
             elif instr.spec.is_branch and not instr.spec.is_indirect \
                     and (address + 1) not in image.rel32_holes:
-                target = instr.branch_target(address)
+                target = instr.target
                 if not image.contains(target):
                     cross_module += 1
                 elif target not in cfg.boundaries:
@@ -177,7 +180,7 @@ def _analyze(image: ImageSpec) -> VerifyReport:
                 else:
                     direct_targets += 1
 
-            state = step(state, decoded_instr)
+            state = step(state, instr)
 
         if block.falls_off:
             last = block.instrs[-1]
@@ -204,7 +207,7 @@ def _analyze(image: ImageSpec) -> VerifyReport:
     decoded_at = {d.address: d for d in decoded}
     for field_addr in declared_fields:
         at = decoded_at.get(field_addr - 2)
-        if at is None or at.instr.op != Op.TLOAD_RI:
+        if at is None or at.op != Op.TLOAD_RI:
             out.emit("MCFI008", field_addr, "-", 0,
                      "patched Bary slot is not the immediate of a "
                      "tload instruction")
@@ -246,6 +249,19 @@ def analyze_module(module: McfiModule) -> VerifyReport:
     # keep the legacy 'targets' meaning: functions + return sites
     report.stats["targets"] = (len(module.aux.functions)
                                + len(module.aux.retsites))
+    return report
+
+
+def verify_module(module: McfiModule) -> VerifyReport:
+    """Gate one linked module; raises
+    :class:`~repro.errors.VerificationError` on rejection.
+
+    This is what removes the rewriter from the TCB: a module from an
+    untrusted toolchain is accepted only if it verifies.
+    """
+    report = analyze_module(module)
+    if not report.ok:
+        raise VerificationError(f"{module.name}: {report.first_error()}")
     return report
 
 

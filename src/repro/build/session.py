@@ -150,7 +150,7 @@ class BuildSession:
                     continue
                 updates = None
                 if state is not None and not self.devirtualize:
-                    updates = self._mini_rebuild(state, name, text)
+                    updates = self._mini_rebuild(state, name, text, stats)
                 if updates is None:
                     self._full_rebuild(name, text, stats)
                     structural = True
@@ -212,19 +212,23 @@ class BuildSession:
         with OBS.tracer.span("build.frontend", module=name):
             checked = frontend(text, name=name)
         mir = self._lower(checked, name)
-        units, ustats = self._compile_units(mir, checked, name)
-        for key, value in ustats.items():
-            stats[key] = stats.get(key, 0) + value
+        units = self._compile_units(mir, checked, name, stats)
         self._modules[name] = _ModuleState(
             source=text, spans=index_source(text), units=units,
             local_types=checked.unit.local_types)
 
-    def _compile_units(self, mir, checked, name: str):
+    def _compile_units(self, mir, checked, name: str,
+                       stats: Dict[str, int]) -> ModuleUnits:
+        """Compile ``mir``'s units; adds the unit counts to ``stats``."""
         with OBS.tracer.span("build.units", module=name):
-            return compile_module_units(
+            units, ustats = compile_module_units(
                 mir, checked, self.arch, cache=self.cache, mcfi=self.mcfi)
+        for key, value in ustats.items():
+            stats[key] = stats.get(key, 0) + value
+        return units
 
     def _mini_rebuild(self, state: _ModuleState, name: str, text: str,
+                      stats: Dict[str, int],
                       ) -> Optional[List[UnitArtifact]]:
         """Body-local rebuild: puts each changed unit in the module's
         unit list and returns those units, or ``None`` (leaving the
@@ -272,7 +276,7 @@ class BuildSession:
                     mir = self._lower(checked, name)
                 except ReproError:
                     return None  # a full rebuild decides, or reports
-            units, _ = self._compile_units(mir, checked, name)
+            units = self._compile_units(mir, checked, name, stats)
             for unit in units.units:
                 compiled[unit.fn] = (unit,
                                      list(units.intern_refs.get(unit.fn, [])))

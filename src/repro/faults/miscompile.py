@@ -108,13 +108,13 @@ def check_splice(ctx: MutationContext, rng: random.Random):
     start, end = rng.choice(ctx.check_spans)
     candidates = [d for d in ctx.decoded if start <= d.address < end]
     before = [d for d in ctx.decoded
-              if d.end == start and d.instr.op == Op.MOVZX32]
+              if d.end == start and d.op == Op.MOVZX32]
     candidates.extend(before)
     victim = rng.choice(candidates)
     code = bytearray(ctx.module.code)
     off = ctx.offset(victim.address)
     code[off:off + victim.length] = bytes([Op.NOP]) * victim.length
-    return bytes(code), (f"spliced {victim.instr.spec.mnemonic} at "
+    return bytes(code), (f"spliced {victim.spec.mnemonic} at "
                          f"{victim.address:#x} out of span {start:#x}")
 
 
@@ -127,17 +127,17 @@ def mask_strip(ctx: MutationContext, rng: random.Random):
     check transactions stay intact and only the store discipline is
     violated.
     """
-    masks = [d for d in ctx.decoded if d.instr.op == Op.MOVZX32]
+    masks = [d for d in ctx.decoded if d.op == Op.MOVZX32]
     if not masks:
         return None
-    preferred = [d for d in masks if d.instr.operands[0]
+    preferred = [d for d in masks if d.operands[0]
                  not in (Reg.RCX, Reg.RSP, Reg.RBP)]
     victim = rng.choice(preferred or masks)
     code = bytearray(ctx.module.code)
     off = ctx.offset(victim.address)
     code[off:off + victim.length] = bytes([Op.NOP]) * victim.length
     return bytes(code), (f"stripped movzx32 "
-                         f"{Reg(victim.instr.operands[0])!s} at "
+                         f"{Reg(victim.operands[0])!s} at "
                          f"{victim.address:#x}")
 
 
@@ -151,13 +151,13 @@ def reloc_skew(ctx: MutationContext, rng: random.Random):
     so the injector only emits skews the target discipline must catch.
     """
     directs = [d for d in ctx.decoded
-               if d.instr.spec.is_branch and not d.instr.spec.is_indirect]
+               if d.spec.is_branch and not d.spec.is_indirect]
     if not directs:
         return None
     for _ in range(64):
         victim = rng.choice(directs)
         delta = rng.choice((-3, -2, -1, 1, 2, 3, 5))
-        target = victim.instr.branch_target(victim.address) + delta
+        target = victim.target + delta
         if target in ctx.label_addrs and target in ctx.boundaries:
             continue
         off = ctx.offset(victim.address) + 1
@@ -165,7 +165,7 @@ def reloc_skew(ctx: MutationContext, rng: random.Random):
         rel = int.from_bytes(code[off:off + 4], "little", signed=True)
         code[off:off + 4] = (rel + delta).to_bytes(4, "little",
                                                    signed=True)
-        return bytes(code), (f"skewed {victim.instr.spec.mnemonic} at "
+        return bytes(code), (f"skewed {victim.spec.mnemonic} at "
                              f"{victim.address:#x} by {delta:+d} to "
                              f"{target:#x}")
     return None
@@ -181,7 +181,7 @@ def align_break(ctx: MutationContext, rng: random.Random):
     bytes the verifier never saw as an instruction.
     """
     pads = [d for d in ctx.decoded
-            if d.instr.op == Op.NOP and d.length == 1
+            if d.op == Op.NOP and d.length == 1
             and d.end in ctx.aux_targets]
     if not pads:
         return None

@@ -24,7 +24,7 @@ from repro.isa.instructions import (
     SPECS,
     instruction_length,
 )
-from repro.isa.encoding import decode, decode_stream, encode, encode_all
+from repro.isa.encoding import decode, encode, encode_all
 from repro.isa.assembler import (
     Align,
     AlignEnd,
@@ -40,9 +40,7 @@ from repro.isa.assembler import (
 )
 from repro.isa.disasm import (
     DecodedInstr,
-    dump,
     format_instr,
-    linear_sweep,
     sweep_ranges,
     try_decode_at,
 )
@@ -51,9 +49,8 @@ __all__ = [
     "ARG_REGS", "CALLEE_SAVED", "MCFI_SCRATCH", "NUM_REGS", "RET_REG", "Reg",
     "Instruction", "MAX_INSTRUCTION_LENGTH", "Op", "OpSpec", "OperandKind",
     "SPECS", "instruction_length",
-    "decode", "decode_stream", "encode", "encode_all",
+    "decode", "encode", "encode_all",
     "Align", "AlignEnd", "AsmInstr", "Assembled", "BarySlot", "Data",
     "DataWord", "Label", "LabelRef", "Mark", "assemble",
-    "DecodedInstr", "dump", "format_instr", "linear_sweep", "sweep_ranges",
-    "try_decode_at",
+    "DecodedInstr", "format_instr", "sweep_ranges", "try_decode_at",
 ]

@@ -1,48 +1,56 @@
-"""Linear-sweep disassembler for SimISA code images.
+"""The SimISA disassembler: one sweep over declared code ranges.
 
-Used by the modular verifier (:mod:`repro.core.verifier`), the ROP
-gadget scanner (:mod:`repro.attacks.gadgets`) and for human-readable
-dumps in the examples.
+:func:`sweep_ranges` is the only sweep; the modular verifier
+(:mod:`repro.analysis.binverify`) and every other disassembly read its
+:class:`DecodedInstr` records.  Each record is built from
+:func:`~repro.isa.encoding.decode_fields` and holds the address, the
+opcode's :class:`~repro.isa.instructions.Codec` and the operands; an
+:class:`~repro.isa.instructions.Instruction` is made only on demand,
+by :attr:`DecodedInstr.instr`, for printing.  :func:`try_decode_at` is
+the ROP gadget scanner's primitive.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from repro.errors import EncodingError
-from repro.isa.encoding import decode
-from repro.isa.instructions import Instruction
+from repro.isa.encoding import decode, decode_fields
+from repro.isa.instructions import Codec, Instruction, Op, OpSpec
 
 
-@dataclass(frozen=True)
-class DecodedInstr:
+class DecodedInstr(NamedTuple):
     """One decoded instruction, tagged with its absolute address."""
 
     address: int
-    instr: Instruction
-    length: int
+    codec: Codec
+    operands: Tuple[int, ...]
+
+    @property
+    def op(self) -> Op:
+        return self.codec.op
+
+    @property
+    def spec(self) -> OpSpec:
+        return self.codec.spec
+
+    @property
+    def length(self) -> int:
+        return self.codec.length
 
     @property
     def end(self) -> int:
-        return self.address + self.length
+        return self.address + self.codec.length
 
+    @property
+    def target(self) -> int:
+        """Absolute target of a direct branch or call."""
+        return self.address + self.codec.length + self.operands[0]
 
-def linear_sweep(code: bytes, base: int = 0) -> List[DecodedInstr]:
-    """Disassemble ``code`` from its first byte to the end.
-
-    Raises :class:`EncodingError` if any byte fails to decode: a
-    well-formed MCFI module must disassemble completely (the paper's
-    verifier relies on complete disassembly enabled by the module's
-    auxiliary information).
-    """
-    out: List[DecodedInstr] = []
-    offset = 0
-    while offset < len(code):
-        instr, length = decode(code, offset)
-        out.append(DecodedInstr(base + offset, instr, length))
-        offset += length
-    return out
+    @property
+    def instr(self) -> Instruction:
+        """The instruction as an :class:`Instruction` (built per call)."""
+        return Instruction(self.codec.op, self.operands)
 
 
 def sweep_ranges(code: bytes, base: int,
@@ -51,15 +59,19 @@ def sweep_ranges(code: bytes, base: int,
 
     MCFI modules interleave code with read-only data (jump tables); the
     auxiliary information tells the verifier which ranges are code.
+    Raises :class:`EncodingError` if any byte fails to decode or a
+    range does not end on an instruction boundary: a well-formed MCFI
+    module must disassemble completely.
     """
     out: List[DecodedInstr] = []
     for start, end in ranges:
         offset = start - base
-        while offset < end - base:
-            instr, length = decode(code, offset)
-            out.append(DecodedInstr(base + offset, instr, length))
-            offset += length
-        if base + offset != end:
+        limit = end - base
+        while offset < limit:
+            codec, operands = decode_fields(code, offset)
+            out.append(DecodedInstr(base + offset, codec, operands))
+            offset += codec.length
+        if offset != limit:
             raise EncodingError(
                 f"code range [{start:#x},{end:#x}) does not end on an "
                 f"instruction boundary")
@@ -69,7 +81,7 @@ def sweep_ranges(code: bytes, base: int,
 def try_decode_at(code: bytes, offset: int) -> Optional[Tuple[Instruction, int]]:
     """Decode at an arbitrary offset; return None if undecodable.
 
-    This is the gadget scanner's primitive: unlike :func:`linear_sweep`,
+    This is the gadget scanner's primitive: unlike :func:`sweep_ranges`,
     decoding may start in the middle of a real instruction.
     """
     try:
@@ -81,21 +93,12 @@ def try_decode_at(code: bytes, offset: int) -> Optional[Tuple[Instruction, int]]
 def format_instr(decoded: DecodedInstr,
                  labels: Optional[Dict[int, str]] = None) -> str:
     """Render one instruction as ``address: text`` with label annotation."""
-    text = str(decoded.instr)
-    spec = decoded.instr.spec
+    spec = decoded.spec
     if spec.is_branch and not spec.is_indirect:
-        target = decoded.instr.branch_target(decoded.address)
+        target = decoded.target
         name = labels.get(target) if labels else None
         suffix = f" <{name}>" if name else ""
         text = f"{spec.mnemonic} {target:#x}{suffix}"
+    else:
+        text = str(decoded.instr)
     return f"{decoded.address:#010x}: {text}"
-
-
-def dump(code: bytes, base: int = 0,
-         labels: Optional[Dict[int, str]] = None) -> Iterator[str]:
-    """Yield formatted lines for a whole code image."""
-    label_at = labels or {}
-    for decoded in linear_sweep(code, base):
-        if decoded.address in label_at:
-            yield f"{label_at[decoded.address]}:"
-        yield "  " + format_instr(decoded, labels)

@@ -13,12 +13,14 @@ byte, truncation, register bytes) lives there, and it returns the
 opcode's :class:`~repro.isa.instructions.Codec` and the operands.
 :func:`decode` builds an :class:`Instruction` from it; the VM's fetch
 (:meth:`repro.vm.cpu.CPU._fetch_decode`) builds its decoded-entry
-tuple from it, reading straight from the executable page.
+tuple from it, reading straight from the executable page; and the one
+sweep, :func:`repro.isa.disasm.sweep_ranges`, builds its records from
+it without an :class:`Instruction`.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, List, Tuple
+from typing import List, Tuple
 
 from repro.errors import EncodingError
 from repro.isa.instructions import (
@@ -92,17 +94,3 @@ def _raise_truncated(codec, code: bytes, offset: int) -> None:
             raise EncodingError(f"bad register byte {code[pos]:#04x}")
     raise EncodingError("truncated instruction")
 
-
-def decode_stream(code: bytes, offset: int = 0,
-                  limit: int | None = None) -> Iterator[Tuple[int, Instruction]]:
-    """Decode instructions sequentially starting at ``offset``.
-
-    Yields ``(offset, instruction)`` pairs.  Stops at ``limit`` (an offset
-    bound) or the end of ``code``; raises :class:`EncodingError` on the
-    first undecodable byte, as a linear-sweep disassembler would.
-    """
-    end = len(code) if limit is None else min(limit, len(code))
-    while offset < end:
-        instr, length = decode(code, offset)
-        yield offset, instr
-        offset += length

@@ -311,7 +311,7 @@ class Runtime:
         if module.limit > CODE_LIMIT:
             raise RuntimeError_(f"{module.name}: code region exhausted")
         if verify and self.enforce:
-            from repro.core.verifier import verify_module
+            from repro.analysis.binverify import verify_module
             verify_module(module)
         code = bytearray(module.code)
         for site, offset in module.bary_slots.items():

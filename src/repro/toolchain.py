@@ -163,8 +163,7 @@ class ModuleInterface:
         return self.checker.extend(funcs)
 
 
-def run_program(program: LinkedProgram, verify: bool = False,
+def run_program(program: LinkedProgram,
                 max_steps: int = 200_000_000) -> RunResult:
     """Load a linked program into a fresh runtime and run it."""
-    runtime = Runtime(program, verify=verify)
-    return runtime.run(max_steps=max_steps)
+    return Runtime(program).run(max_steps=max_steps)

@@ -17,7 +17,6 @@ Examples::
 from __future__ import annotations
 
 import argparse
-import hashlib
 import sys
 import time
 from pathlib import Path
@@ -26,6 +25,7 @@ from typing import Dict, List
 from repro.build import BuildResult, BuildSession
 from repro.errors import ReproError
 from repro.infra.cache import open_cache
+from repro.workloads.corpus import artifact_digest
 from repro.workloads.spec import BENCHMARKS, workload
 
 
@@ -53,15 +53,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--run", action="store_true",
                         help="load and execute the built program")
     return parser
-
-
-def artifact_hash(program) -> str:
-    """Deterministic digest of a linked program's loadable bytes."""
-    h = hashlib.sha256()
-    h.update(bytes(program.module.code))
-    h.update(bytes(program.data.image))
-    h.update(program.entry.to_bytes(8, "little"))
-    return h.hexdigest()
 
 
 def _describe(index: int, result: BuildResult, seconds: float) -> str:
@@ -107,7 +98,7 @@ def main(argv: List[str] | None = None) -> int:
           f"{len(program.module.code)} bytes of code, "
           f"{len(program.module.aux.branch_sites)} branch sites")
     if args.hash:
-        print(f"artifact sha256 {artifact_hash(program)}")
+        print(f"artifact sha256 {artifact_digest(program)}")
     if cache is not None:
         counts = cache.entry_count()
         print(f"cache: {counts['units']} units, "

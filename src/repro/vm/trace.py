@@ -158,13 +158,13 @@ def site_map(module) -> Dict[int, int]:
     out: Dict[int, int] = {}
     current_site: Optional[int] = None
     for decoded in instrs:
-        if decoded.instr.op == Op.TLOAD_RI:
+        if decoded.op == Op.TLOAD_RI:
             # the imm field sits right after opcode+reg bytes
             field_offset = decoded.address - module.base + 2
             site = offsets_to_site.get(field_offset)
             if site is not None:
                 current_site = site
-        elif decoded.instr.op in (Op.JMP_R, Op.CALL_R):
+        elif decoded.op in (Op.JMP_R, Op.CALL_R):
             if current_site is not None:
                 out[decoded.address] = current_site
     return out

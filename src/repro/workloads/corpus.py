@@ -6,8 +6,10 @@ through the full configuration matrix:
 * devirtualize **on / off** (the PR 4 points-to optimizer),
 * block-dispatch VM **vs** ``step_reference`` (the PR 5 oracle tier),
 * **x64 vs x32** code generation,
-* **cold build vs edit-then-edit-back incremental rebuild** (the
-  splice re-link path, compared by artifact digest),
+* **cold build vs edit-then-edit-back incremental rebuild**, compared
+  by artifact digest (a generated member's ``^ 0`` edit resizes its
+  unit, so each rebuild is a mini rebuild and a full link, not a
+  splice),
 
 with the lint plane over the member's MIR.  A run with ``cache_dir``
 runs the binary verifier (:mod:`repro.analysis.binverify`) over the
@@ -203,8 +205,8 @@ class SetReport:
 
 
 def artifact_digest(program) -> str:
-    """Deterministic digest of a linked program's loadable bytes
-    (same bytes the build CLI hashes)."""
+    """Deterministic digest of a linked program's loadable bytes: code,
+    data image and entry (``repro build --hash`` prints it)."""
     h = hashlib.sha256()
     h.update(bytes(program.module.code))
     h.update(bytes(program.data.image))

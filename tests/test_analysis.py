@@ -159,13 +159,13 @@ class TestVariadicFptrCasts:
         """The fix claim is grounded: the prefix-compatible dispatch
         runs to completion under MCFI, the incompatible one halts."""
         from repro.build import build_program
-        from repro.toolchain import run_program
-        ok = run_program(build_program(
-            {"prefix": self.PREFIX_COMPATIBLE}).program, verify=True)
+        from repro.runtime.runtime import Runtime
+        ok = Runtime(build_program(
+            {"prefix": self.PREFIX_COMPATIBLE}).program, verify=True).run()
         assert ok.to_dict()["status"] == "ok"
         assert ok.exit_code == 42
-        bad = run_program(build_program(
-            {"incompat": self.INCOMPATIBLE}).program, verify=True)
+        bad = Runtime(build_program(
+            {"incompat": self.INCOMPATIBLE}).program, verify=True).run()
         assert bad.to_dict()["status"] == "violation"
 
 

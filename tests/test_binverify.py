@@ -16,6 +16,7 @@ import pytest
 
 from repro.analysis.binverify import (
     VerifyReport,
+    analyze_image,
     analyze_module,
     image_of_module,
     verify_unit,
@@ -66,6 +67,26 @@ class TestAccept:
         report = analyze_module(module)
         for start, end in report.check_spans:
             assert module.base <= start < end <= module.limit
+
+    def test_image_analysis_builds_no_instruction(self, monkeypatch):
+        """The sweep hands the verifier decoded fields: proving a whole
+        fixed12 image constructs no ``Instruction``; printing one record
+        does."""
+        from repro.experiments import compiled
+        from repro.isa.instructions import Instruction
+        built = []
+        original = Instruction.__post_init__
+
+        def counting(instr):
+            built.append(instr.op)
+            original(instr)
+
+        monkeypatch.setattr(Instruction, "__post_init__", counting)
+        module = compiled("gcc", "x64", True).module
+        report = analyze_image(image_of_module(module))
+        assert report.ok and report.stats["instructions"] > 19_000
+        assert built == []
+        assert str(_decoded(module)[0].instr) and len(built) == 1
 
     def test_report_roundtrip(self, demo_program):
         report = analyze_module(demo_program.module)

@@ -232,6 +232,19 @@ class TestIncrementalProperty:
         assert names.count("build.units") == 1
         assert names.count("build.mini_frontend") == 1
 
+    def test_body_edit_counts_its_unit_compile(self):
+        from repro import obs
+        source = "int f(void) { return 1; }\nint main(void) { return f(); }\n"
+        session = BuildSession()
+        session.build({"prog": source})
+        with obs.scoped(seed=0) as state:
+            result = session.build({"prog": source.replace("1", "2")})
+            counters = state.metrics.snapshot().counters
+        assert result.stats["spliced"] == 1
+        assert (result.stats["units"], result.stats["unit_hits"],
+                result.stats["unit_compiled"]) == (1, 0, 1)
+        assert counters["build.unit_compiled"] == 1
+
     def test_failed_build_never_leaves_a_stale_program(self):
         # The first module's edit is taken before the second fails to
         # parse; reverting the second must still give the edited image.
@@ -461,10 +474,10 @@ class TestBuildCli:
         assert "artifact sha256" in out
 
     def test_artifact_hash_is_deterministic(self):
-        from repro.tools.build import artifact_hash
+        from repro.workloads.corpus import artifact_digest
         source = {"t": "int main(void) { return 1; }"}
-        assert (artifact_hash(build_program(source).program)
-                == artifact_hash(build_program(source).program))
+        assert (artifact_digest(build_program(source).program)
+                == artifact_digest(build_program(source).program))
 
     def test_source_file_build_runs(self, tmp_path, capsys):
         from repro.tools.build import main

@@ -108,6 +108,39 @@ class TestSharedSessions:
                     arch=arch, devirtualize=devirt).build(sources).program)
             assert digest == cold[key]
 
+    def test_generated_incremental_axis_is_mini_rebuild_then_link(
+            self, monkeypatch):
+        """The variant's ``^ 0`` resizes the edited unit, so both
+        incremental rebuilds rebuild one function and link in full."""
+        cfg = dataclasses.replace(QUICK_CFG, archs=("x64",),
+                                  reference=False, lint=False)
+        inside = []
+        results = []
+        real_check = DifferentialHarness._check_incremental
+        real_build = BuildSession.build
+
+        def spy_check(harness, *args):
+            inside.append(True)
+            try:
+                return real_check(harness, *args)
+            finally:
+                inside.pop()
+
+        def spy_build(session, sources):
+            result = real_build(session, sources)
+            if inside:
+                results.append(result)
+            return result
+
+        monkeypatch.setattr(DifferentialHarness, "_check_incremental",
+                            spy_check)
+        monkeypatch.setattr(BuildSession, "build", spy_build)
+        report = DifferentialHarness(cfg).run_member("gen1000", quick=True)
+        assert report.status == "pass"
+        assert [(result.kind, result.stats["modules_mini"],
+                 result.stats["spliced"]) for result in results] \
+            == [("incremental", 1, 0)] * 2
+
     def test_member_whose_matrix_raises_leaves_nothing_behind(
             self, monkeypatch, smoke_report):
         real_run = repro.toolchain.run_program

@@ -315,7 +315,7 @@ class TestDevirtualize:
         sources = {"t": FPTR_SOURCE}
         base = build_program(sources, mcfi=True).program
         opt = build_program(sources, devirtualize=True).program
-        from repro.core.verifier import verify_module
+        from repro.analysis.binverify import verify_module
         verify_module(opt.module)  # still verifies after rewriting
         res_base = run_program(base)
         res_opt = run_program(opt)

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.instrument import instrument_items, lower_native
-from repro.core.verifier import disassemble_module, verify_module
+from repro.analysis.binverify import verify_module
 from repro.errors import VerificationError
 from repro.isa.disasm import sweep_ranges
 from repro.isa.instructions import Op
@@ -149,7 +149,8 @@ class TestVerifier:
             verify_module(module)
 
     def test_complete_disassembly(self, demo_module):
-        instrs = disassemble_module(demo_module)
+        instrs = sweep_ranges(demo_module.code, demo_module.base,
+                              demo_module.code_ranges)
         assert instrs
         # jump-table data ranges are excluded from the sweep
         data_addresses = set()

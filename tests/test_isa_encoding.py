@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.errors import EncodingError
-from repro.isa.encoding import decode, decode_stream, encode, encode_all
+from repro.isa.disasm import sweep_ranges
+from repro.isa.encoding import decode, encode, encode_all
 from repro.isa.instructions import (
     Instruction,
     MAX_INSTRUCTION_LENGTH,
@@ -47,11 +48,11 @@ class TestRoundTrip:
     @given(st.lists(instructions(), min_size=1, max_size=20))
     def test_stream_roundtrip(self, instrs):
         raw = encode_all(instrs)
-        decoded = list(decode_stream(raw))
+        decoded = sweep_ranges(raw, 0, [(0, len(raw))])
         assert len(decoded) == len(instrs)
         offset = 0
-        for (off, instr), original in zip(decoded, instrs):
-            assert off == offset
+        for instr, original in zip(decoded, instrs):
+            assert instr.address == offset
             assert instr.op == original.op
             offset += instr.length
 

@@ -120,10 +120,11 @@ class TestSeparateInstrumentation:
     def test_native_mode_skips_instrumentation(self):
         program = link(modules(MAIN, HELPER), mcfi=False)
         assert not program.module.aux.branch_sites or True
-        from repro.isa.disasm import linear_sweep
+        from repro.isa.disasm import sweep_ranges
         from repro.isa.instructions import Op
-        ops = {d.instr.op for d in linear_sweep(program.module.code,
-                                                program.module.base)}
+        module = program.module
+        ops = {d.op for d in sweep_ranges(module.code, module.base,
+                                          module.code_ranges)}
         assert Op.RET in ops
         assert Op.TLOAD_RI not in ops
 

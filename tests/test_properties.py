@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.cfg.generator import generate_cfg
-from repro.core.verifier import verify_module
+from repro.analysis.binverify import verify_module
 from repro.errors import VerificationError
 from repro.isa.assembler import (
     Align,

@@ -35,9 +35,11 @@ class TestDriver:
         assert Runtime(program).run().exit_code == 7
 
     def test_compile_and_run_convenience(self):
-        result = run_program(build_program(
-            {"t": "int main(void) { return 11; }"}).program, verify=True)
-        assert result.exit_code == 11
+        from repro.analysis.binverify import verify_module
+        program = build_program({"t": "int main(void) { return 11; }"}
+                                ).program
+        verify_module(program.module)
+        assert run_program(program).exit_code == 11
 
     def test_arch_validation(self):
         from repro.errors import CodegenError

@@ -7,7 +7,7 @@ executions); the compiled programs are cached session-wide.
 
 import pytest
 
-from repro.core.verifier import verify_module
+from repro.analysis.binverify import verify_module
 from repro.experiments import compiled, run_once
 from repro.workloads.spec import BENCHMARKS, all_workloads, workload
 
