@@ -14,7 +14,7 @@ tail-call edges (direct and indirect).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.module.auxinfo import AuxInfo, FunctionAux
 from repro.tinyc.types import FuncSig, signatures_match
@@ -24,13 +24,8 @@ from repro.tinyc.types import FuncSig, signatures_match
 class CallGraph:
     """Resolved call graph over one merged module."""
 
-    #: function name -> set of functions its *calls* may ultimately
-    #: enter via tail chains (callees closed under tail edges)
-    resolved_callees: Dict[str, Set[str]] = field(default_factory=dict)
     #: function name -> return-site addresses its returns may target
     return_targets: Dict[str, Set[int]] = field(default_factory=dict)
-    #: (caller, callee) direct+indirect call edges before tail closure
-    edges: Set[Tuple[str, str]] = field(default_factory=set)
 
 
 class TypeMatcher:
@@ -106,7 +101,6 @@ def build_call_graph(aux: AuxInfo, matcher: TypeMatcher) -> CallGraph:
     pointer signature once.
     """
     closure = _tail_closure(aux, matcher)
-    graph = CallGraph()
     return_targets: Dict[str, Set[int]] = {name: set()
                                            for name in aux.functions}
 
@@ -119,22 +113,7 @@ def build_call_graph(aux: AuxInfo, matcher: TypeMatcher) -> CallGraph:
         else:
             callees = {f.name for f in matcher.matches(retsite.sig)}
         for callee in callees:
-            graph.edges.add((retsite.caller, callee))
             for landing in landing_functions(callee):
                 return_targets.setdefault(landing, set()).add(
                     retsite.address)
-
-    # Non-returning tail positions contribute edges too (for AIR and
-    # reachability analyses), though no return sites.
-    for caller, callee, is_tail in aux.direct_calls:
-        if is_tail:
-            graph.edges.add((caller, callee))
-    for site in aux.branch_sites:
-        if site.kind == "tail":
-            for target in matcher.matches(site.sig):
-                graph.edges.add((site.fn, target.name))
-
-    graph.return_targets = return_targets
-    for caller, callee in graph.edges:
-        graph.resolved_callees.setdefault(caller, set()).add(callee)
-    return graph
+    return CallGraph(return_targets=return_targets)

@@ -273,11 +273,6 @@ class UpdateCoalescer:
             self.queue[:0] = waiting
         return len(waiting)
 
-    def _request_shards(self, request: UpdateRequest) -> List[int]:
-        return sorted(self.sharded.split_writes(
-            request.set_tary, request.clear_tary,
-            request.set_bary, request.clear_bary))
-
     def _commit_round(self, clock: Callable[[], int]
                       ) -> Generator[None, None, None]:
         take = len(self.queue) if self.max_round_requests is None \
@@ -286,6 +281,9 @@ class UpdateCoalescer:
         del self.queue[:take]
         self.rounds += 1
         round_no = self.rounds
+        splits = [(request, self.sharded.split_writes(
+            request.set_tary, request.clear_tary,
+            request.set_bary, request.clear_bary)) for request in requests]
 
         # Graceful degradation: requests aimed at a shard that is not
         # serving updates (quarantined or mid-recovery) are parked for
@@ -293,9 +291,8 @@ class UpdateCoalescer:
         parked_now: List[UpdateRequest] = []
         if self.monitor is not None:
             admitted = []
-            for request in requests:
-                blocked = [index for index in
-                           self._request_shards(request)
+            for request, deltas in splits:
+                blocked = [index for index in sorted(deltas)
                            if not self.monitor.serving_updates(index)]
                 if blocked:
                     self.parked.setdefault(blocked[0], []).append(
@@ -305,8 +302,9 @@ class UpdateCoalescer:
                     if OBS.enabled:
                         OBS.metrics.counter("service.parked").inc()
                 else:
-                    admitted.append(request)
-            requests = admitted
+                    admitted.append((request, deltas))
+            splits = admitted
+            requests = [request for request, _ in splits]
 
         # Merge the round's deltas per shard, in arrival order: start
         # from each shard's current trusted assignment and fold every
@@ -315,10 +313,7 @@ class UpdateCoalescer:
         new_tary: Dict[int, Dict[int, int]] = {}
         new_bary: Dict[int, Dict[int, int]] = {}
         by_shard: Dict[int, List[UpdateRequest]] = {}
-        for request in requests:
-            deltas = self.sharded.split_writes(
-                request.set_tary, request.clear_tary,
-                request.set_bary, request.clear_bary)
+        for request, deltas in splits:
             for index, delta in deltas.items():
                 shard = self.sharded.shards[index]
                 tary = new_tary.setdefault(

@@ -27,8 +27,8 @@ different version counters, so full-ID equality (a check transaction)
 is only meaningful when a branch site and its permitted targets live
 in the *same* shard.  The service therefore places each tenant's
 entire band — branch sites and target addresses — inside one shard
-(:meth:`ShardedIdTables.place`), and :meth:`split_writes` rejects a
-write-set whose site/target pair would straddle shards.
+(:meth:`ShardedIdTables.place`).  :meth:`split_writes` routes each
+entry to the shard that owns it and does not check the pairing.
 """
 
 from __future__ import annotations
@@ -197,7 +197,10 @@ class ShardedIdTables:
         out: Dict[int, ShardDelta] = {}
 
         def delta(shard: TableShard) -> ShardDelta:
-            return out.setdefault(shard.index, ShardDelta.empty())
+            found = out.get(shard.index)
+            if found is None:
+                found = out[shard.index] = ShardDelta.empty()
+            return found
 
         for address, ecn in set_tary.items():
             delta(self.shard_for_address(address)).set_tary[address] = ecn

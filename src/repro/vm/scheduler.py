@@ -23,10 +23,33 @@ from repro.vm.cpu import CPU, ProgramExit, ThreadExit
 
 
 class Task:
-    """A schedulable unit: one atomic action per :meth:`step`."""
+    """A schedulable unit: one atomic action per :meth:`step`.
+
+    Liveness changes only through :attr:`alive`, which tells the task's
+    scheduler to rebuild its run list.  A subclass sets ``self.alive``
+    and must not shadow the property with a class attribute.
+    """
 
     name = "task"
-    alive = True
+    _alive = True
+    #: The scheduler this task was added to (see :meth:`Scheduler.add`).
+    _scheduler: Optional["Scheduler"] = None
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        if "alive" in cls.__dict__:
+            raise TypeError(f"{cls.__name__} shadows Task.alive; "
+                            f"set self.alive instead")
+
+    @property
+    def alive(self) -> bool:
+        return self._alive
+
+    @alive.setter
+    def alive(self, value: bool) -> None:
+        self._alive = value
+        if self._scheduler is not None:
+            self._scheduler._stale = True
 
     def step(self) -> None:
         raise NotImplementedError
@@ -43,7 +66,6 @@ class CpuTask(Task):
         self.cpu = cpu
         self.name = name
         self.burst = burst
-        self.alive = True
 
     def step(self) -> None:
         try:
@@ -65,7 +87,6 @@ class GeneratorTask(Task):
                  name: str = "gen") -> None:
         self.generator = generator
         self.name = name
-        self.alive = True
 
     def step(self) -> None:
         try:
@@ -115,25 +136,41 @@ class Scheduler:
         race could admit a forged edge.  Selection stays seeded and
         fully deterministic."""
         self._rng = random.Random(seed)
+        #: Every task added, in order; add one only through :meth:`add`.
         self.tasks: List[Task] = []
         self.weights = dict(weights) if weights else None
+        # The run list is the live tasks in ``tasks`` order.  ``run``
+        # keeps it between ticks, with the tasks' weights and their
+        # total (0.0 picks uniformly), and rebuilds all three only once
+        # ``_stale`` is set: by :meth:`add` or by a change of some
+        # task's ``alive``.
+        self._weights: List[float] = []
+        self._total = 0.0
+        self._stale = True
         #: Live tick counter, updated as :meth:`run` executes so tasks
         #: can read a logical clock mid-run (the table service stamps
         #: request submit/complete times with it).  Deterministic: it
         #: advances exactly once per scheduled step.
         self.ticks = 0
 
+    def _refresh(self) -> List[Task]:
+        """Rebuild the run list from ``tasks``."""
+        self._stale = False
+        live = [t for t in self.tasks if t.alive]
+        self._total = 0.0
+        if self.weights:
+            self._weights = [max(0.0, self.weights.get(t.name, 1.0))
+                             for t in live]
+            self._total = sum(self._weights)
+        return live
+
     def _pick(self, live: List[Task]) -> Task:
         if len(live) == 1:
             return live[0]
-        if not self.weights:
+        if self._total <= 0.0:
             return live[self._rng.randrange(len(live))]
-        totals = [max(0.0, self.weights.get(t.name, 1.0)) for t in live]
-        total = sum(totals)
-        if total <= 0.0:
-            return live[self._rng.randrange(len(live))]
-        point = self._rng.random() * total
-        for task, weight in zip(live, totals):
+        point = self._rng.random() * self._total
+        for task, weight in zip(live, self._weights):
             point -= weight
             if point < 0:
                 return task
@@ -141,6 +178,8 @@ class Scheduler:
 
     def add(self, task: Task) -> Task:
         self.tasks.append(task)
+        task._scheduler = self
+        self._stale = True
         return task
 
     def add_cpu(self, cpu: CPU, name: str = "cpu", burst: int = 1) -> CpuTask:
@@ -153,10 +192,13 @@ class Scheduler:
     def run(self, max_ticks: int = 10_000_000) -> Outcome:
         outcome = Outcome()
         self.ticks = 0
+        self._stale = True
+        live: List[Task] = []
         while self.ticks < max_ticks:
-            live = [t for t in self.tasks if t.alive]
-            if not live:
-                break
+            if self._stale:
+                live = self._refresh()
+                if not live:
+                    break
             task = self._pick(live)
             try:
                 task.step()

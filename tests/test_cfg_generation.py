@@ -266,10 +266,13 @@ class TestCallGraph:
         aux = demo_program.module.aux
         graph = build_call_graph(
             aux, TypeMatcher(list(aux.functions.values())))
-        assert ("main", "classify") in graph.edges
+        # main's return sites by callee; None is the indirect call
+        sites = {r.callee: r.address for r in aux.retsites
+                 if r.caller == "main"}
+        assert sites["classify"] in graph.return_targets["classify"]
         # fptr table dispatch: main may call add/sub/mul
         for callee in ("add", "sub", "mul"):
-            assert ("main", callee) in graph.edges
+            assert sites[None] in graph.return_targets[callee]
 
 
 #: pointer signatures of both kinds: fixed ones and a variadic one
