@@ -79,16 +79,16 @@ def event_digest(runtime, linker) -> str:
     return digest.hexdigest()
 
 
-def compute_churn() -> list:
-    """One digest per event of the seeded dlopen-churn sequence."""
+def churn_events(events: int):
+    """Drive the seeded dlopen-churn sequence; yields ``(runtime,
+    linker)`` after each of its first ``events`` events."""
     rng = random.Random(CHURN_SEED)
     host = BuildSession().build(
         {CHURN_HOST: workload(CHURN_HOST).source}).program
     runtime = Runtime(host)
     linker = DynamicLinker(runtime, verify=True)
     resident = []
-    digests = []
-    for k in range(CHURN_EVENTS):
+    for k in range(events):
         version = rng.randrange(1, 1 << 16)
         victim = rng.randrange(CHURN_RESIDENT + 1) \
             if len(resident) >= CHURN_RESIDENT else None
@@ -104,8 +104,13 @@ def compute_churn() -> list:
         resident.append(handle)
         if victim is not None:
             assert linker.dlclose(resident.pop(victim)) == 0
-        digests.append(event_digest(runtime, linker))
-    return digests
+        yield runtime, linker
+
+
+def compute_churn() -> list:
+    """One digest per event of the seeded dlopen-churn sequence."""
+    return [event_digest(runtime, linker)
+            for runtime, linker in churn_events(CHURN_EVENTS)]
 
 
 def compute_all() -> dict:
