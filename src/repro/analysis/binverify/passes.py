@@ -53,7 +53,7 @@ from repro.errors import (
     UnitVerificationError,
     VerificationError,
 )
-from repro.isa.disasm import sweep_ranges
+from repro.isa.disasm import DecodedInstr, sweep_ranges
 from repro.isa.instructions import Op
 from repro.isa.registers import Reg
 from repro.module.module import McfiModule
@@ -80,12 +80,19 @@ class _Emitter:
             message=f"{message} (at {address:#x})"))
 
 
-def analyze_image(image: ImageSpec) -> VerifyReport:
-    """Run the full analysis over one image; never raises."""
+def analyze_image(image: ImageSpec,
+                  decoded: Optional[List[DecodedInstr]] = None,
+                  ) -> VerifyReport:
+    """Run the full analysis over one image; never raises.
+
+    ``decoded`` is the image's sweep, when the caller already holds it
+    (``sweep_ranges`` over the image's code ranges); it is not swept
+    again.
+    """
     with OBS.tracer.span("binverify.image", module=image.name,
                          arch=image.arch, grain="unit" if image.partial
                          else "module") as span:
-        report = _analyze(image)
+        report = _analyze(image, decoded)
         span.set(ok=report.ok,
                  diagnostics=len(report.diagnostics),
                  checked=report.stats.get("checked_branches", 0))
@@ -94,13 +101,16 @@ def analyze_image(image: ImageSpec) -> VerifyReport:
     return report
 
 
-def _analyze(image: ImageSpec) -> VerifyReport:
+def _analyze(image: ImageSpec,
+             decoded: Optional[List[DecodedInstr]]) -> VerifyReport:
     report = VerifyReport(module=image.name, arch=image.arch,
                           grain="unit" if image.partial else "module")
     out = _Emitter(image)
 
     try:
-        decoded = sweep_ranges(image.code, image.base, image.code_ranges)
+        if decoded is None:
+            decoded = sweep_ranges(image.code, image.base,
+                                   image.code_ranges)
     except EncodingError as exc:
         out.emit("MCFI007", image.base, "-", 0,
                  f"image does not disassemble completely: {exc}")

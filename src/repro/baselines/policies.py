@@ -23,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Set
 
+from repro.cfg.eqclass import partition
 from repro.cfg.generator import Cfg, generate_cfg
 from repro.module.auxinfo import AuxInfo
 
@@ -109,15 +110,9 @@ def _assign_ecns(result: PolicyResult) -> None:
     """Collapse target sets into installable equivalence classes.
 
     Identical target sets share an ECN; overlapping-but-different sets
-    are merged (the same union the classic CFI instrumentation needs).
+    are merged (the same partition the MCFI generator uses).
     """
-    from repro.cfg.eqclass import UnionFind
-    union = UnionFind()
-    for targets in result.branch_targets.values():
-        union.union_all(targets)
-        for target in targets:
-            union.add(target)
-    tary = union.class_numbers()
+    tary = partition((), result.branch_targets.values())
     result.tary_ecns = tary
     result.n_classes = len(set(tary.values()))
     next_free = result.n_classes

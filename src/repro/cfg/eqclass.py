@@ -5,75 +5,53 @@ that can jump to both targets according to the CFG.  [...] If two
 indirect branches target two sets of destinations and those two sets
 are not disjoint, the two sets are merged into one equivalence class."
 
-This is exactly a union-find over target addresses where each branch
-unions its whole target set; the number of resulting classes is the
+:func:`partition` computes exactly that: each branch merges its whole
+target set into one class.  The number of resulting classes is the
 "EQCs" column of Table 3, and the loss of precision relative to the raw
 CFG is the price the classic-CFI/MCFI encoding pays for O(1) checks.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Iterable, List
+from operator import itemgetter
+from typing import Collection, Dict, Hashable, Iterable, List
 
 
-class UnionFind:
-    """Union-find with path compression over hashable items."""
+def partition(items: Iterable[Hashable],
+              groups: Iterable[Collection[Hashable]]) -> Dict[Hashable, int]:
+    """Number the classes that merging each of ``groups`` induces.
 
-    def __init__(self) -> None:
-        self._parent: Dict[Hashable, Hashable] = {}
-        self._rank: Dict[Hashable, int] = {}
+    ``items`` are registered first, in order; each group (a set or a
+    list) then registers its members not yet seen, in its iteration
+    order, and merges all of its members into one class.  A merge relabels the members of the
+    smaller classes into the largest, so each member moves O(log n)
+    times and no lookup walks a parent chain.
 
-    def add(self, item: Hashable) -> None:
-        if item not in self._parent:
-            self._parent[item] = item
-            self._rank[item] = 0
-
-    def find(self, item: Hashable) -> Hashable:
-        self.add(item)
-        root = item
-        while self._parent[root] != root:
-            root = self._parent[root]
-        while self._parent[item] != root:
-            self._parent[item], item = root, self._parent[item]
-        return root
-
-    def union(self, left: Hashable, right: Hashable) -> None:
-        lroot = self.find(left)
-        rroot = self.find(right)
-        if lroot == rroot:
-            return
-        if self._rank[lroot] < self._rank[rroot]:
-            lroot, rroot = rroot, lroot
-        self._parent[rroot] = lroot
-        if self._rank[lroot] == self._rank[rroot]:
-            self._rank[lroot] += 1
-
-    def union_all(self, items: Iterable[Hashable]) -> None:
-        items = list(items)
-        if not items:
-            return
-        first = items[0]
-        for item in items[1:]:
-            self.union(first, item)
-
-    def groups(self) -> List[List[Hashable]]:
-        buckets: Dict[Hashable, List[Hashable]] = {}
-        for item in self._parent:
-            buckets.setdefault(self.find(item), []).append(item)
-        return list(buckets.values())
-
-    def class_numbers(self, start: int = 0) -> Dict[Hashable, int]:
-        """Assign a stable ECN to every item, grouped by class.
-
-        Classes are numbered in order of their smallest member so the
-        assignment is deterministic across runs.
-        """
-        groups = sorted(self.groups(), key=lambda g: min(g))
-        numbering: Dict[Hashable, int] = {}
-        for index, group in enumerate(groups):
-            for item in group:
-                numbering[item] = start + index
-        return numbering
-
-    def __len__(self) -> int:
-        return len({self.find(item) for item in self._parent})
+    Returns every registered member's class number.  Classes are
+    numbered from 0 in order of their smallest member, and the dict
+    lists them class by class, each class's members in registration
+    order, so the result is deterministic across runs.
+    """
+    #: member -> the key of its class (registration order)
+    label: Dict[Hashable, Hashable] = {item: item for item in items}
+    #: class key -> members, for classes of two or more members only
+    members: Dict[Hashable, List[Hashable]] = {}
+    for group in groups:
+        keys = set(map(label.setdefault, group, group))
+        if len(keys) < 2:
+            continue
+        largest = max(keys, key=lambda key: len(members.get(key, ())))
+        keys.discard(largest)
+        merged = members.setdefault(largest, [largest])
+        for key in keys:
+            moved = members.pop(key, None) or [key]
+            for item in moved:
+                label[item] = largest
+            merged.extend(moved)
+    order = sorted(set(label.values()),
+                   key=lambda key: min(members.get(key, (key,))))
+    number = {key: index for index, key in enumerate(order)}
+    # A stable sort by class number keeps registration order within
+    # each class.
+    return dict(sorted(((item, number[key]) for item, key in label.items()),
+                       key=itemgetter(1)))

@@ -12,10 +12,13 @@ assignment that the runtime installs into the ID tables:
 * PLT entries target the (dynamically resolved) imported function.
 
 Branch target sets are then collapsed into equivalence classes exactly
-as in the classic CFI: overlapping sets merge (union-find).  The
-generator reports the Table 3 statistics (IBs, IBTs, EQCs) and is fast
-enough to run during dynamic linking — the paper quotes ~150 ms for
-gcc, and this one is linear in branches x matched targets.
+as in the classic CFI: overlapping sets merge
+(:func:`repro.cfg.eqclass.partition`).  The generator reports the
+Table 3 statistics (IBs, IBTs, EQCs) and is fast enough to run during
+dynamic linking — the paper quotes ~150 ms for gcc, and this one is
+linear in branches x matched targets.  The order of ``tary_ecns`` is
+part of its output: an update transaction stores Tary entries in that
+order, so it fixes where each store batch ends.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional, Set
 
 from repro.cfg.callgraph import CallGraph, TypeMatcher, build_call_graph
-from repro.cfg.eqclass import UnionFind
+from repro.cfg.eqclass import partition
 from repro.core.idencoding import MAX_ECN
 from repro.errors import CfgGenerationError
 from repro.module.auxinfo import AuxInfo
@@ -83,28 +86,21 @@ def _generate_cfg(aux: AuxInfo,
                   plt_resolution: Optional[Dict[str, int]]) -> Cfg:
     matcher = TypeMatcher(list(aux.functions.values()))
     graph = build_call_graph(aux, matcher)
-    union = UnionFind()
 
     # Enumerate all possible indirect-branch targets first: address-taken
     # function entries, return sites, switch cases, setjmp resumes.
-    for func in aux.functions.values():
-        if func.address_taken:
-            union.add(func.entry)
-    for retsite in aux.retsites:
-        union.add(retsite.address)
+    # Their order is the order members are listed within a class.
+    candidates = [func.entry for func in aux.functions.values()
+                  if func.address_taken]
+    candidates += [retsite.address for retsite in aux.retsites]
     for site in aux.branch_sites:
-        for target in site.targets:
-            union.add(target)
-    for resume in aux.setjmp_resumes:
-        union.add(resume)
+        candidates += site.targets
+    candidates += aux.setjmp_resumes
 
-    branch_targets: Dict[int, Set[int]] = {}
-    for site in aux.branch_sites:
-        targets = _targets_of(site, aux, graph, matcher, plt_resolution)
-        branch_targets[site.site] = targets
-        union.union_all(targets)
-
-    tary_ecns = union.class_numbers()
+    branch_targets: Dict[int, Set[int]] = {
+        site.site: _targets_of(site, aux, graph, matcher, plt_resolution)
+        for site in aux.branch_sites}
+    tary_ecns = partition(candidates, branch_targets.values())
     n_classes = len(set(tary_ecns.values()))
     if n_classes > MAX_ECN:
         raise CfgGenerationError(
@@ -118,7 +114,7 @@ def _generate_cfg(aux: AuxInfo,
     for site in aux.branch_sites:
         targets = branch_targets[site.site]
         if targets:
-            # class_numbers numbers every member of a class alike
+            # partition numbers every member of a class alike
             bary_ecns[site.site] = tary_ecns[next(iter(targets))]
         else:
             bary_ecns[site.site] = next_free

@@ -93,12 +93,11 @@ class IdTables:
         """
         if version is not None:
             self.version = version
-        for address, ecn in tary_ecns.items():
-            self.memory.write_tary(tary_index(address),
-                                   pack_id(ecn, self.version))
-        for site, ecn in bary_ecns.items():
-            self.memory.write_bary(bary_index(site),
-                                   pack_id(ecn, self.version))
+        self.memory.store_tary((tary_index(address),
+                                pack_id(ecn, self.version))
+                               for address, ecn in tary_ecns.items())
+        self.memory.store_bary((bary_index(site), pack_id(ecn, self.version))
+                               for site, ecn in bary_ecns.items())
         self.tary_ecns = dict(tary_ecns)
         self.bary_ecns = dict(bary_ecns)
 
@@ -259,49 +258,72 @@ class IdTables:
 
 
 class TableSnapshot:
-    """Byte-exact snapshot of an :class:`IdTables` window, for rollback.
+    """Undo journal over an :class:`IdTables` window, for rollback.
 
-    Captures the raw Tary/Bary bytes (the whole tables by default, or a
-    ``tary_range``/``site_range`` window for a shard) together with the
-    bookkeeping that must stay consistent with them: the version, the
-    trusted ECN assignments and the ABA update counter.
+    Opening it records the bookkeeping that must stay consistent with
+    the table bytes (the version, the trusted ECN assignments and the
+    ABA update counter) and opens an undo log on the
+    :class:`~repro.vm.memory.TableMemory`.  It copies no table bytes:
+    while the log is open, the first privileged store to each 4-byte
+    word records that word's old bytes, whoever makes the store.  Every
+    table mutation goes through ``write_tary``/``write_bary`` or their
+    batched forms, so the log holds the old bytes of every word that
+    changed since the journal opened.
 
-    ``rollback()`` restores everything byte-for-byte and bumps the
-    :class:`~repro.vm.memory.TableMemory` write-generation stamp by
-    hand, because the raw restore bypasses ``write_tary``/``write_bary``
-    — any branch ID the dispatch plane's fused check transactions
-    cached is stale after a rollback.
+    ``rollback()`` closes the log and writes back the recorded words
+    inside the window (the whole tables by default, or a
+    ``tary_range``/``site_range`` window for a shard), so the window
+    ends byte-identical to what it held at open.  It then restores the
+    bookkeeping and bumps the write-generation stamp by hand, because
+    the raw restore bypasses the stores: any branch ID the dispatch
+    plane's fused check transactions cached is stale after a rollback.
+    ``commit()`` closes the log and keeps the tables as they are.
 
-    Used by the dynamic linker's :class:`LoadJournal` (whole-table
-    window) and by the table service's per-shard commit path
-    (shard-band window).
+    At most one journal is open on a memory at a time; opening a second
+    raises :class:`~repro.errors.RuntimeError_`.  Used by the dynamic
+    linker's :class:`LoadJournal` (whole-table window) and by the table
+    service's per-shard commit path (shard-band window).
     """
 
     def __init__(self, tables: IdTables,
                  tary_range: Optional[tuple] = None,
                  site_range: Optional[tuple] = None) -> None:
         memory = tables.memory
+        if memory.undo is not None:
+            raise RuntimeError_("a table journal is already open")
         self.tables = tables
         self.tary_range = tary_range or (0, memory.tary_size)
         site_range = site_range or (0, memory.bary_entries)
         self.bary_range = (bary_index(site_range[0]),
                            bary_index(site_range[1]))
-        # Slicing a memoryview copies nothing, so ``bytes`` makes the
-        # one copy of each window.
-        self.tary = bytes(memoryview(memory.tary)[self.tary_range[0]:
-                                                  self.tary_range[1]])
-        self.bary = bytes(memoryview(memory.bary)[self.bary_range[0]:
-                                                  self.bary_range[1]])
         self.version = tables.version
         self.tary_ecns = dict(tables.tary_ecns)
         self.bary_ecns = dict(tables.bary_ecns)
         self.updates_since_reset = tables.updates_since_reset
+        self.log = memory.undo = ({}, {})
+
+    @property
+    def open(self) -> bool:
+        return self.tables.memory.undo is self.log
+
+    def commit(self) -> None:
+        """Close the log, keeping every store made since the open."""
+        if self.open:
+            self.tables.memory.undo = None
 
     def rollback(self) -> None:
+        if not self.open:
+            raise RuntimeError_("rollback of a closed table journal")
         tables = self.tables
         memory = tables.memory
-        memory.tary[self.tary_range[0]:self.tary_range[1]] = self.tary
-        memory.bary[self.bary_range[0]:self.bary_range[1]] = self.bary
+        memory.undo = None
+        for table, log, (lo, hi) in ((memory.tary, self.log[0],
+                                      self.tary_range),
+                                     (memory.bary, self.log[1],
+                                      self.bary_range)):
+            for index, old in log.items():
+                if lo <= index < hi:
+                    table[index:index + 4] = old
         memory.generation += 1
         tables.version = self.version
         tables.tary_ecns = dict(self.tary_ecns)

@@ -225,25 +225,28 @@ class UpdateTransaction:
     def run(self) -> Generator[None, None, None]:
         tables = self.tables
         memory = tables.memory
+        batch = self.batch
         yield from self.lock.acquire_spin(self.owner)
         span = OBS.tracer.begin("tx.update", owner=self.owner)
         hold_steps = 0
         tary_writes = bary_writes = 0
         try:
             version = bump_version(tables.version)
+            ids = {ecn: pack_id(ecn, version)
+                   for ecn in {*self.new_tary.values(),
+                               *self.new_bary.values()}}
 
             # -- updTaryTable: construct then parallel-copy ---------------
-            stale = [addr for addr in tables.tary_ecns
-                     if addr not in self.new_tary]
-            writes = [(tary_index(addr), pack_id(ecn, version))
+            # Each step stores one batch with one TableMemory call.
+            writes = [(tary_index(addr), ids[ecn])
                       for addr, ecn in self.new_tary.items()]
-            writes += [(tary_index(addr), 0) for addr in stale]
-            count = 0
-            for index, ident in writes:
-                memory.write_tary(index, ident)
-                count += 1
-                tary_writes += 1
-                if count % self.batch == 0:
+            writes += [(tary_index(addr), 0) for addr in tables.tary_ecns
+                       if addr not in self.new_tary]
+            for start in range(0, len(writes), batch):
+                stores = writes[start:start + batch]
+                memory.store_tary(stores)
+                tary_writes += len(stores)
+                if len(stores) == batch:
                     hold_steps += 1
                     yield
 
@@ -262,28 +265,23 @@ class UpdateTransaction:
                 yield
 
             # -- updBaryTable ---------------------------------------------
-            count = 0
-            for site, ecn in self.new_bary.items():
-                memory.write_bary(bary_index(site), pack_id(ecn, version))
-                count += 1
-                bary_writes += 1
-                if count % self.batch == 0:
-                    hold_steps += 1
-                    yield
             # Branch sites absent from the new CFG (an unloaded module)
             # are zeroed: a stale branch ID never matches any valid
             # target ID, so orphaned code halts fail-safe.  Zeroing is
-            # batched like the copy loops above (continuing the same
-            # batch counter), so unloading a large module never holds
-            # the scheduler for one unbounded atomic step.
-            for site in tables.bary_ecns:
-                if site not in self.new_bary:
-                    memory.write_bary(bary_index(site), 0)
-                    bary_writes += 1
-                    count += 1
-                    if count % self.batch == 0:
-                        hold_steps += 1
-                        yield
+            # batched like the copy (continuing its batches), so
+            # unloading a large module never holds the scheduler for
+            # one unbounded atomic step.
+            writes = [(bary_index(site), ids[ecn])
+                      for site, ecn in self.new_bary.items()]
+            writes += [(bary_index(site), 0) for site in tables.bary_ecns
+                       if site not in self.new_bary]
+            for start in range(0, len(writes), batch):
+                stores = writes[start:start + batch]
+                memory.store_bary(stores)
+                bary_writes += len(stores)
+                if len(stores) == batch:
+                    hold_steps += 1
+                    yield
 
             tables.version = version
             tables.tary_ecns = dict(self.new_tary)

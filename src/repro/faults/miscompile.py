@@ -29,7 +29,11 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.analysis.binverify import analyze_module, image_of_module
+from repro.analysis.binverify import (
+    analyze_image,
+    analyze_module,
+    image_of_module,
+)
 from repro.errors import ReproError
 from repro.isa.disasm import DecodedInstr, sweep_ranges
 from repro.isa.instructions import Op
@@ -56,14 +60,13 @@ class MutationContext:
 
     @classmethod
     def of(cls, module) -> "MutationContext":
-        decoded = sweep_ranges(module.code, module.base,
-                               module.code_ranges)
-        report = analyze_module(module)
+        image = image_of_module(module)
+        decoded = sweep_ranges(image.code, image.base, image.code_ranges)
+        report = analyze_image(image, decoded)
         if not report.ok:
             raise ReproError(
                 f"clean module {module.name} does not verify; "
                 f"campaign baseline is broken: {report.first_error()}")
-        image = image_of_module(module)
         return cls(module=module, decoded=decoded,
                    check_spans=list(report.check_spans),
                    aux_targets=image.aux_targets,

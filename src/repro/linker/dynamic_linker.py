@@ -24,15 +24,16 @@ completes — which is exactly the scenario the transaction design
 exists for.
 
 **Transactional loading.**  Every ``dlopen``/``dlclose`` opens a
-:class:`LoadJournal` first: a snapshot of both ID tables, the runtime's
-layout (code cursor and library-data floor), the GOT slots and the
-merged CFG state.  If the load fails at *any* phase — symbol
+:class:`LoadJournal` first: an undo log over both ID tables, the
+runtime's layout (code cursor and library-data floor), the GOT slots
+and the merged CFG state.  If the load fails at *any* phase — symbol
 resolution, CFG regeneration, or mid-way through the table update
 transaction (exercised by the fault plane of :mod:`repro.faults`) —
 the journal rolls everything back: the Tary and Bary tables end
-byte-identical to the pre-load snapshot, the half-loaded module's code
-is retired, and the ``dlopen`` returns 0 instead of leaving a
-half-published policy.
+byte-identical to their state before the load, the half-loaded
+module's code is retired, and the ``dlopen`` returns 0 instead of
+leaving a half-published policy.  Once the update seals, the journal
+commits and its log closes.
 """
 
 from __future__ import annotations
@@ -68,13 +69,16 @@ class LoadedLibrary:
 
 
 class LoadJournal:
-    """Pre-load snapshot of every piece of state a dlopen mutates.
+    """Pre-load record of every piece of state a dlopen mutates.
 
-    ``rollback()`` restores the ID tables byte-for-byte, the linker's
-    registries, the GOT slots and the runtime's CFG, and rewinds the
-    runtime's layout — which retires any code the aborted load mapped,
-    so a failed load cannot leave executable-but-unpublished code
-    behind.
+    The ID tables are journaled by a :class:`TableSnapshot` undo log,
+    which records the old bytes of each table word the load stores to;
+    everything else is copied at open.  ``rollback()`` restores the ID
+    tables byte-for-byte, the linker's registries, the GOT slots and
+    the runtime's CFG, and rewinds the runtime's layout — which retires
+    any code the aborted load mapped, so a failed load cannot leave
+    executable-but-unpublished code behind.  ``commit()`` closes the
+    table log once the update has sealed.
     """
 
     def __init__(self, linker: "DynamicLinker") -> None:
@@ -82,7 +86,7 @@ class LoadJournal:
         self.linker = linker
         self.phases: List[str] = []
         self.rolled_back = False
-        # ID tables, byte-exact (raw bytes + version/ECN bookkeeping).
+        # ID tables: an undo log plus the version/ECN bookkeeping.
         self.tables = TableSnapshot(runtime.id_tables)
         # The runtime's layout, then the linker's registries.
         self.layout = (runtime.code_cursor, runtime.data_floor)
@@ -100,6 +104,10 @@ class LoadJournal:
     def record(self, phase: str) -> None:
         self.phases.append(phase)
 
+    def commit(self) -> None:
+        """The load sealed: stop journaling the tables."""
+        self.tables.commit()
+
     def rollback(self) -> None:
         if self.rolled_back:
             return
@@ -109,7 +117,7 @@ class LoadJournal:
         runtime = linker.runtime
         # Tables first: restoring the policy is what closes the
         # security window; everything else is bookkeeping.  The
-        # snapshot's raw restore also bumps the write-generation stamp,
+        # journal's raw restore also bumps the write-generation stamp,
         # invalidating any fused-check branch IDs the dispatch plane
         # cached.
         self.tables.rollback()
@@ -450,6 +458,7 @@ class DynamicLinker:
             self.fault_plane.check("dlopen.seal")
             if journal is not None:
                 journal.record("seal")
+                journal.commit()
         finally:
             span.end(completed=transaction.completed)
 

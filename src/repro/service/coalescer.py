@@ -14,11 +14,13 @@ probe into the commit path itself:
   :class:`~repro.core.transactions.UpdateTransaction` per shard per
   round — every queued request for that shard rides the same version
   bump and the same table rewrite;
-* a shard commit that fails mid-flight (fault plane) is rolled back
-  byte-exactly from the shard's pre-round
-  :class:`~repro.core.tables.TableSnapshot` — the same journal
-  machinery the dynamic linker's transactional dlopen uses — and only
-  that shard's requests fail; other shards' batches are unaffected.
+* each shard commit runs under a :class:`~repro.core.tables.TableSnapshot`
+  journal over the shard's bands — the same undo log the dynamic
+  linker's transactional dlopen uses, which records the old bytes of
+  each word the commit stores to.  A commit that fails mid-flight
+  (fault plane) is rolled back byte-exactly from it, and only that
+  shard's requests fail; other shards' batches are unaffected.  A
+  commit that succeeds closes the journal.
 
 Everything is deterministic under the service loop's seeded scheduler:
 no wall clock, no thread, no unordered iteration.  The per-round
@@ -374,8 +376,8 @@ class UpdateCoalescer:
     def _commit_shard(self, shard, tary: Dict[int, int],
                       bary: Dict[int, int], requests: List[UpdateRequest],
                       round_no: int) -> Generator[None, None, dict]:
-        """One per-shard batched transaction, with snapshot rollback."""
-        snapshot = shard.snapshot()
+        """One per-shard batched transaction, with journal rollback."""
+        journal = shard.snapshot()
         transaction = UpdateTransaction(
             shard.tables, shard.lock, new_tary=tary, new_bary=bary,
             batch=self.batch, owner=f"coalescer/shard{shard.index}")
@@ -397,7 +399,7 @@ class UpdateCoalescer:
             # byte-exactly — the other shards of this round are
             # untouched (partial-failure isolation).
             run.close()
-            snapshot.rollback()
+            journal.rollback()
             shard.rollbacks += 1
             status = "rolled-back"
             if OBS.enabled:
@@ -405,6 +407,7 @@ class UpdateCoalescer:
             if self.monitor is not None:
                 self.monitor.note_rollback(shard.index)
         else:
+            journal.commit()
             shard.commits += 1
             self.transactions += 1
             if OBS.enabled:

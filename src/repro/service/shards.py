@@ -68,7 +68,8 @@ class TableShard:
         return self.site_lo <= site < self.site_hi
 
     def snapshot(self) -> TableSnapshot:
-        """Byte-exact pre-commit snapshot of this shard's bands only."""
+        """Open a journal whose rollback restores this shard's bands
+        only, byte-exactly."""
         return TableSnapshot(self.tables,
                              tary_range=(self.tary_lo, self.tary_hi),
                              site_range=(self.site_lo, self.site_hi))

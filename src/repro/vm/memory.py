@@ -23,7 +23,7 @@ flat address space: the only way application code can touch it is via
 from __future__ import annotations
 
 import struct
-from typing import Dict, Optional, Set
+from typing import Dict, Iterable, Optional, Set, Tuple
 
 from repro.errors import MemoryFault
 
@@ -305,6 +305,13 @@ class TableMemory:
         #: any update transaction therefore invalidates fused fast
         #: paths (see :mod:`repro.vm.dispatch`).
         self.generation = 0
+        #: The open journal's undo log, or None: ``(tary, bary)`` maps
+        #: from byte index to the word's bytes before its first store
+        #: since the journal opened.  Every privileged store records
+        #: into it; :class:`repro.core.tables.TableSnapshot` opens and
+        #: closes it.
+        self.undo: Optional[Tuple[Dict[int, bytearray],
+                                  Dict[int, bytearray]]] = None
 
     # Reads are what TxCheck performs; they are atomic at 4-byte
     # granularity because the scheduler interleaves whole instructions.
@@ -320,16 +327,34 @@ class TableMemory:
         return int.from_bytes(self.bary[index:index + 4], "little")
 
     # Writes are privileged: only the trusted runtime (TxUpdate) calls
-    # them.  Each call is one atomic 4-byte store (the paper's ``movnti``).
+    # them.  Each store is one atomic 4-byte store (the paper's
+    # ``movnti``); a batch is the stores one TxUpdate step makes.
 
     def write_tary(self, index: int, ident: int) -> None:
-        if index % 4:
-            raise MemoryFault(index, "tary-write", "unaligned ID store")
-        self.tary[index:index + 4] = (ident & 0xFFFFFFFF).to_bytes(4, "little")
-        self.generation += 1
+        self.store_tary(((index, ident),))
 
     def write_bary(self, index: int, ident: int) -> None:
-        if index % 4:
-            raise MemoryFault(index, "bary-write", "unaligned ID store")
-        self.bary[index:index + 4] = (ident & 0xFFFFFFFF).to_bytes(4, "little")
-        self.generation += 1
+        self.store_bary(((index, ident),))
+
+    def store_tary(self, writes: Iterable[Tuple[int, int]]) -> None:
+        """Store each ``(index, ident)`` of ``writes`` into Tary, in order."""
+        self._store(self.tary, writes, 0, "tary-write")
+
+    def store_bary(self, writes: Iterable[Tuple[int, int]]) -> None:
+        """Store each ``(index, ident)`` of ``writes`` into Bary, in order."""
+        self._store(self.bary, writes, 1, "bary-write")
+
+    def _store(self, table: bytearray, writes: Iterable[Tuple[int, int]],
+               log: int, kind: str) -> None:
+        undo = None if self.undo is None else self.undo[log]
+        pack = _U32.pack_into
+        try:
+            for index, ident in writes:
+                if index % 4:
+                    raise MemoryFault(index, kind, "unaligned ID store")
+                if undo is not None and index not in undo:
+                    undo[index] = table[index:index + 4]
+                pack(table, index, ident & 0xFFFFFFFF)
+                self.generation += 1
+        except struct.error:
+            raise MemoryFault(index, kind, "outside the table") from None

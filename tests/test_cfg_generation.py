@@ -1,10 +1,12 @@
 """Tests for type-matching CFG generation (paper Sec. 6)."""
 
+import random
+
 import pytest
 
 from repro.cfg import callgraph
 from repro.cfg.callgraph import TypeMatcher, build_call_graph
-from repro.cfg.eqclass import UnionFind
+from repro.cfg.eqclass import partition
 from repro.cfg.generator import generate_cfg
 from repro.build import build_program
 from repro.tinyc.types import signatures_match
@@ -20,31 +22,72 @@ def sites_of(program, kind):
     return [s for s in program.module.aux.branch_sites if s.kind == kind]
 
 
-class TestUnionFind:
-    def test_union_and_find(self):
-        union = UnionFind()
-        union.union_all([1, 2, 3])
-        union.union_all([4, 5])
-        assert union.find(1) == union.find(3)
-        assert union.find(4) != union.find(1)
-        assert len(union) == 2
+def union_find_numbering(items, groups):
+    """Reference: union-find with path compression, every class
+    numbered in order of its smallest member, members listed in the
+    order they were first seen."""
+    parent = {}
+
+    def find(item):
+        parent.setdefault(item, item)
+        root = item
+        while parent[root] != root:
+            root = parent[root]
+        while parent[item] != root:
+            parent[item], item = root, parent[item]
+        return root
+
+    for item in items:
+        find(item)
+    for group in groups:
+        group = list(group)
+        for item in group:
+            parent[find(item)] = find(group[0])
+    buckets = {}
+    for item in parent:
+        buckets.setdefault(find(item), []).append(item)
+    return {item: number
+            for number, members in enumerate(sorted(buckets.values(),
+                                                    key=min))
+            for item in members}
+
+
+class TestPartition:
+    def test_disjoint_groups_stay_apart(self):
+        numbering = partition((), [[1, 2, 3], [4, 5]])
+        assert numbering[1] == numbering[3]
+        assert numbering[4] != numbering[1]
+        assert len(set(numbering.values())) == 2
 
     def test_overlapping_sets_merge(self):
-        union = UnionFind()
-        union.union_all([1, 2])
-        union.union_all([3, 4])
-        union.union_all([2, 3])  # bridges the two classes
-        assert len(union) == 1
+        numbering = partition((), [[1, 2], [3, 4], [2, 3]])  # [2, 3] bridges
+        assert len(set(numbering.values())) == 1
 
     def test_class_numbers_deterministic(self):
-        union = UnionFind()
-        union.union_all([30, 10])
-        union.union_all([20, 40])
-        numbering = union.class_numbers()
+        numbering = partition((), [[30, 10], [20, 40]])
         assert numbering[10] == numbering[30]
         assert numbering[10] != numbering[20]
         # class containing the smallest member gets the smallest number
         assert numbering[10] == 0
+
+    def test_items_register_first_and_stay_singletons(self):
+        numbering = partition([9, 5, 7], [[7, 3]])
+        # classes by smallest member, members in registration order
+        assert list(numbering.items()) == [(7, 0), (3, 0), (5, 1),
+                                           (9, 2)]
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_same_order_as_union_find(self, seed):
+        """Equal as ordered dicts, not only as partitions: an update
+        transaction's store batches follow ``tary_ecns``' order."""
+        rng = random.Random(seed)
+        universe = rng.sample(range(4, 4000, 4), 60)
+        items = rng.sample(universe, 30)
+        groups = [set(rng.sample(universe, rng.choice((0, 1, 2, 3, 8))))
+                  for _ in range(25)]
+        got = partition(items, groups)
+        want = union_find_numbering(items, groups)
+        assert list(got.items()) == list(want.items())
 
 
 class TestTypeMatching:
