@@ -5,9 +5,10 @@ and the trusted loader (Sec. 7), rebuilt as a static analysis instead
 of a pattern matcher: the module (or one compilation unit) is
 disassembled, a binary-level CFG is reconstructed from the decoded
 instruction boundaries, and an abstract interpreter over a per-register
-fact lattice *proves* the four safety properties.  The module's code
-ranges are read through :func:`repro.isa.disasm.sweep_ranges`, the one
-sweep, whose records carry the decoded fields and no
+fact lattice, held as the bits of one int, *proves* the four safety
+properties.  The module's code ranges are read through
+:func:`repro.isa.disasm.sweep_ranges`, the one sweep, whose records
+carry the decoded fields and no
 :class:`~repro.isa.instructions.Instruction`:
 
 * **MCFI005** — every reachable indirect branch is dominated by an
@@ -33,8 +34,6 @@ Entry points: :func:`analyze_module` / :func:`analyze_image` return a
 (:class:`~repro.errors.UnitVerificationError`).
 """
 
-from repro.analysis.binverify.absint import CHECKED, MASKED, TOP
-from repro.analysis.binverify.bincfg import BinaryCfg, Guard, build_cfg
 from repro.analysis.binverify.image import (
     ImageSpec,
     image_of_module,
@@ -49,9 +48,7 @@ from repro.analysis.binverify.passes import (
 from repro.analysis.binverify.report import VerifyReport
 
 __all__ = [
-    "TOP", "MASKED", "CHECKED",
     "ImageSpec", "image_of_module", "image_of_unit",
-    "BinaryCfg", "Guard", "build_cfg",
     "analyze_image", "analyze_module", "verify_module", "verify_unit",
     "VerifyReport",
 ]

@@ -1,4 +1,4 @@
-"""The register-fact abstract domain and transfer function.
+"""The register-fact abstract domain and its transfer, as bits of one int.
 
 Per register, three facts ordered ``TOP < MASKED < CHECKED``:
 
@@ -11,30 +11,43 @@ Per register, three facts ordered ``TOP < MASKED < CHECKED``:
   ``Tary[reg]`` against the branch's Bary ID on every path since the
   mask: the register may be the operand of an indirect branch.
 
-The join at control-flow confluences is the pointwise minimum, states
-are immutable 16-tuples, and bottom is the solver's built-in "not yet
-reached".  ``CHECKED`` is deliberately fragile: it survives only
-alignment ``nop``s (the AlignEnd padding between a guard and its
-``call *rcx``) — any other instruction demotes it to ``MASKED``, which
-is exactly the paper's "no instruction between the check transaction
-and the branch" discipline, while a clobber of the register itself
-drops it to ``TOP``.
+A state is one int: bit ``r`` says register ``r`` is at least MASKED,
+bit ``CHECKED_SHIFT + r`` that it is CHECKED, so TOP/MASKED/CHECKED
+are ``00``/``01``/``11``.  The join at control-flow confluences (the
+pointwise minimum) is then ``&``, state equality is int equality, and
+bottom is the solver's built-in "not yet reached".
+
+Every instruction's effect has the form ``(state & keep) | gen``.
+:data:`EFFECT` gives it per opcode byte: a ``(keep, gen)`` pair, or,
+for an opcode that writes or masks its first register operand, a
+16-tuple of pairs indexed by that register.  Effects compose in the
+same form, so :func:`summarize` folds a whole block into one pair and
+the solver's transfer costs O(1) per block.  ``CHECKED`` is
+deliberately fragile: it survives only alignment ``nop``s (the
+AlignEnd padding between a guard and its ``call *rcx``) — any other
+instruction demotes it to ``MASKED``, which is exactly the paper's "no
+instruction between the check transaction and the branch" discipline,
+while a clobber of the register itself drops it to ``TOP``.
 """
 
 from __future__ import annotations
 
-from typing import Tuple
+from operator import and_
+from typing import Iterable, List, Tuple
 
 from repro.analysis.dataflow.solver import DataflowProblem
-from repro.isa.disasm import DecodedInstr
 from repro.isa.instructions import Op, OperandKind, SPECS
 from repro.isa.registers import NUM_REGS
 
-TOP, MASKED, CHECKED = 0, 1, 2
+#: bit ``CHECKED_SHIFT + r`` of a state: register ``r`` is CHECKED
+CHECKED_SHIFT = NUM_REGS
 
-State = Tuple[int, ...]
+STATE_TOP = 0
 
-STATE_TOP: State = (TOP,) * NUM_REGS
+#: keep mask that keeps every fact (a ``nop``)
+KEEP_ALL = (1 << 2 * NUM_REGS) - 1
+#: keep mask that demotes every CHECKED fact to MASKED
+KEEP_MASKED = (1 << NUM_REGS) - 1
 
 #: stores read their base operand; compares/tests only set flags
 _NO_REG_WRITE = frozenset({
@@ -42,60 +55,58 @@ _NO_REG_WRITE = frozenset({
     Op.STORE8, Op.STORE16, Op.STORE32, Op.STORE64,
 })
 
-#: opcodes whose first operand is a register they (may) write
-_WRITES_FIRST = frozenset(
-    op for op, spec in SPECS.items()
-    if spec.operands and spec.operands[0] is OperandKind.REG
-    and op not in _NO_REG_WRITE and op != Op.MOVZX32)
-
 #: control leaves the image or enters the trusted runtime: every
 #: register fact dies (callee / kernel may clobber anything)
 _KILLS_ALL = frozenset({Op.CALL, Op.CALL_R, Op.SYSCALL})
 
 
-def join(a: State, b: State) -> State:
-    if a == b:
-        return a
-    return tuple(map(min, a, b))
-
-
-def step(state: State, decoded: DecodedInstr) -> State:
-    """State after executing one instruction."""
-    op = decoded.op
+def _effect(op: Op):
+    spec = SPECS[op]
     if op == Op.NOP:
-        return state
-    if CHECKED in state:
-        state = tuple(MASKED if fact == CHECKED else fact
-                      for fact in state)
-    if op == Op.MOVZX32:
-        reg = decoded.operands[0]
-        if state[reg] == MASKED:
-            return state
-        return state[:reg] + (MASKED,) + state[reg + 1:]
+        return KEEP_ALL, 0
     if op in _KILLS_ALL:
-        return STATE_TOP
-    if op in _WRITES_FIRST:
-        reg = decoded.operands[0]
-        if state[reg] != TOP:
-            return state[:reg] + (TOP,) + state[reg + 1:]
-    return state
+        return 0, 0
+    if op == Op.MOVZX32:
+        return tuple((KEEP_MASKED, 1 << reg) for reg in range(NUM_REGS))
+    if spec.operands and spec.operands[0] is OperandKind.REG \
+            and op not in _NO_REG_WRITE:
+        return tuple((KEEP_MASKED & ~(1 << reg), 0)
+                     for reg in range(NUM_REGS))
+    return KEEP_MASKED, 0
+
+
+#: opcode byte -> ``(keep, gen)``, or a 16-tuple of them indexed by the
+#: first (register) operand; ``None`` for bytes that are no opcode
+EFFECT: List = [None] * 256
+for _op in SPECS:
+    EFFECT[int(_op)] = _effect(_op)
+
+
+def summarize(instrs: Iterable) -> Tuple[int, int]:
+    """The ``(keep, gen)`` effect of a run of swept records."""
+    keep, gen = KEEP_ALL, 0
+    for _address, codec, operands in instrs:
+        effect = EFFECT[codec.opcode]
+        if len(effect) > 2:
+            effect = effect[operands[0]]
+        step_keep = effect[0]
+        keep &= step_keep
+        gen = (gen & step_keep) | effect[1]
+    return keep, gen
+
+
+def fact(state: int, reg: int) -> int:
+    """Register ``reg``'s fact in ``state``: 0 TOP, 1 MASKED, 2 CHECKED."""
+    return (state >> reg & 1) + (state >> (CHECKED_SHIFT + reg) & 1)
 
 
 def make_problem() -> DataflowProblem:
-    """The forward problem; transfer dispatches on block kind."""
-    from repro.analysis.binverify.bincfg import EdgeBlock
+    """The forward problem: each block carries its composed effect and,
+    on an intact guard's edge, the register the guard checks."""
 
-    def transfer(_label: str, block, state: State) -> State:
-        if isinstance(block, EdgeBlock):
-            guard = block.guard
-            if state[guard.reg] >= MASKED:
-                return (state[:guard.reg] + (CHECKED,)
-                        + state[guard.reg + 1:])
-            return state
-        out = state
-        for decoded in block.instrs:
-            out = step(out, decoded)
-        return out
+    def transfer(_label, block, state: int) -> int:
+        state = (state & block.keep) | block.gen
+        return state | (state & block.checks) << CHECKED_SHIFT
 
     return DataflowProblem(direction="forward", boundary=STATE_TOP,
-                           join=join, transfer=transfer)
+                           join=and_, transfer=transfer)

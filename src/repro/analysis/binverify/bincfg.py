@@ -1,63 +1,93 @@
-"""Binary-level CFG reconstruction over decoded instructions.
+"""Binary-level CFG reconstruction over swept records.
 
 Blocks are cut at the classic leader set (range starts, direct branch
 targets, instruction-after-branch, reachability roots) and the graph
 conforms to the duck type :func:`repro.analysis.dataflow.solver.solve`
 expects (``rpo`` / ``blocks`` / ``successors`` / ``predecessors`` /
 ``entry`` / ``exits``), so the MIR worklist engine runs unchanged over
-machine code.
+machine code.  A block is keyed by its start address.
+
+Leaders, blocks and successors are cut from one table indexed by
+opcode byte, :data:`_KIND`, over each record's ``(address, codec,
+operands)``: whether the instruction ends a block, and whether it
+falls through, jumps, branches conditionally or calls.  Each block
+carries its composed register-fact effect
+(:func:`~repro.analysis.binverify.absint.summarize`), so the solver
+never walks its instructions.
 
 Check transactions are recognized *structurally*: a block ending in
 the Fig. 4 guard suffix (``tload rdi, Bary[i]`` / ``tload rsi, (r)`` /
 ``cmp rdi, rsi`` / ``jne``) is a :class:`Guard`, and it is **intact**
 only if its full Check/Halt retry chain validates — the ``testb1`` /
 ``je`` pair at the jne target, the ``cmpw`` version retry jumping back
-to the same guard, and both failure paths ending in ``hlt``.  An
-intact guard contributes a synthetic :class:`EdgeBlock` on its
-fall-through edge; the abstract interpreter's transfer for that edge
-is what upgrades the checked register to CHECKED, making the dominance
-argument ("every path to this indirect branch passes an intact check")
-fall out of the ordinary forward dataflow join.
+to the same guard, and both failure paths ending in ``hlt``.  Only
+blocks that end in ``jne`` are looked at.  An intact guard contributes
+a synthetic :class:`EdgeBlock` on its fall-through edge whose
+``checks`` mask names the guarded register; the solver's transfer
+upgrades that register to CHECKED if it is MASKED, making the
+dominance argument ("every path to this indirect branch passes an
+intact check") fall out of the ordinary forward dataflow join.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from operator import itemgetter
 from typing import Dict, List, Optional, Tuple
 
 from repro.isa.disasm import DecodedInstr
-from repro.isa.instructions import Op
+from repro.isa.instructions import Op, SPECS
 from repro.isa.registers import Reg
 
+from repro.analysis.binverify.absint import KEEP_ALL, summarize
 from repro.analysis.binverify.image import ImageSpec
 
 ENTRY = "entry"
 
-#: opcode -> rel32 field offset within the encoding (single REL operand)
-_REL_FIELD_OFFSET = 1
+#: how an instruction ends its block (by opcode byte); 0: it does not
+_STOP, _CALL_R, _CALL, _COND, _JUMP = 1, 2, 3, 4, 5
+#: kinds from ``_CALL`` up name a direct target through a rel32 operand
+_DIRECT = _CALL
 
 
-@dataclass
+def _kind(op: Op) -> int:
+    spec = SPECS[op]
+    if op == Op.HLT or (spec.is_indirect and not spec.is_call):
+        return _STOP          # hlt / ret / jmp *r: no static successors
+    if not spec.is_branch:
+        return 0
+    if spec.is_call:
+        return _CALL_R if spec.is_indirect else _CALL
+    return _COND if spec.is_cond else _JUMP
+
+
+_KIND: List[int] = [0] * 256
+for _op in SPECS:
+    _KIND[int(_op)] = _kind(_op)
+
+_RDI_RSI = (Reg.RDI, Reg.RSI)
+
+
 class BinBlock:
-    """A maximal straight-line run of decoded instructions."""
+    """A maximal straight-line run of swept records and its effect."""
 
-    label: str
-    start: int
-    instrs: List[DecodedInstr] = field(default_factory=list)
-    #: last instruction is not a terminator and its end is not a
-    #: decoded boundary: execution would run off into non-code
-    falls_off: bool = False
+    __slots__ = ("start", "instrs", "keep", "gen", "checks", "falls_off")
 
-    @property
-    def end(self) -> int:
-        return self.instrs[-1].end if self.instrs else self.start
+    def __init__(self, start: int, instrs: List[DecodedInstr]) -> None:
+        self.start = start
+        self.instrs = instrs
+        self.keep, self.gen = summarize(instrs)
+        self.checks = 0
+        #: last instruction is not a terminator and its end is not a
+        #: decoded boundary: execution would run off into non-code
+        self.falls_off = False
 
 
 @dataclass
 class Guard:
     """One recognized check-transaction guard (the Try block suffix)."""
 
-    block: str                 # label of the guard block
+    block: int                 # start of the guard block
     start: int                 # address of the tload rdi (suffix start)
     reg: int                   # register the transaction checks
     bary_field: int            # address of the Bary imm32 field
@@ -68,14 +98,16 @@ class Guard:
     span: Tuple[int, int] = (0, 0)   # [suffix start, halt end)
 
 
-@dataclass
 class EdgeBlock:
     """Synthetic pass-through block on an intact guard's fall-through
     edge; carries the CHECKED upgrade without touching the solver."""
 
-    label: str
-    guard: Guard
-    instrs: Tuple = ()
+    __slots__ = ("guard", "checks")
+    keep, gen = KEEP_ALL, 0
+
+    def __init__(self, guard: Guard) -> None:
+        self.guard = guard
+        self.checks = 1 << guard.reg
 
 
 class BinaryCfg:
@@ -83,246 +115,201 @@ class BinaryCfg:
 
     def __init__(self) -> None:
         self.entry = ENTRY
-        self.blocks: Dict[str, object] = {}
-        self.successors: Dict[str, List[str]] = {}
-        self.predecessors: Dict[str, List[str]] = {}
-        self.rpo: List[str] = []
-        self.exits: List[str] = []
-        self.boundaries: frozenset = frozenset()
-        self.block_at: Dict[int, str] = {}
+        #: block start (or synthetic label) -> BinBlock / EdgeBlock
+        self.blocks: Dict[object, object] = {}
+        self.successors: Dict[object, List[object]] = {}
+        self.predecessors: Dict[object, List[object]] = {}
+        self.rpo: List[object] = []
+        self.exits: List[object] = []
+        #: decoded boundary address -> index of its record in the sweep
+        self.boundaries: Dict[int, int] = {}
         self.guards: List[Guard] = []
-        #: direct-call targets discovered while wiring successors
-        self.call_targets: List[int] = []
-
-    def block_of(self, address: int) -> Optional[BinBlock]:
-        label = self.block_at.get(address)
-        block = self.blocks.get(label) if label is not None else None
-        return block if isinstance(block, BinBlock) else None
-
-
-def _rel_hole(decoded: DecodedInstr, image: ImageSpec) -> bool:
-    return (decoded.address + _REL_FIELD_OFFSET) in image.rel32_holes
-
-
-def _label(address: int) -> str:
-    return f"{address:#x}"
 
 
 def build_cfg(image: ImageSpec, decoded: List[DecodedInstr]) -> BinaryCfg:
     cfg = BinaryCfg()
-    boundaries = frozenset(d.address for d in decoded)
+    boundaries = dict(zip(map(itemgetter(0), decoded), range(len(decoded))))
     cfg.boundaries = boundaries
+    holes = image.rel32_holes
+    kinds = _KIND
 
     # -- leaders ----------------------------------------------------------
-    leaders = set()
-    for start, _end in image.code_ranges:
-        if start in boundaries:
-            leaders.add(start)
-    for root in image.roots:
-        if root in boundaries:
-            leaders.add(root)
-    for d in decoded:
-        spec = d.spec
-        if spec.is_branch or d.op == Op.HLT:
-            if d.end in boundaries:
-                leaders.add(d.end)
-            if spec.is_branch and not spec.is_indirect \
-                    and not _rel_hole(d, image):
-                target = d.target
-                if target in boundaries:
-                    leaders.add(target)
+    leaders = {start for start, _end in image.code_ranges}
+    leaders.update(image.roots)
+    for address, codec, operands in [d for d in decoded
+                                     if kinds[d[1].opcode]]:
+        end = address + codec.length
+        leaders.add(end)
+        if kinds[codec.opcode] >= _DIRECT and address + 1 not in holes:
+            leaders.add(end + operands[0])
 
     # -- blocks -----------------------------------------------------------
+    cuts = sorted({boundaries[a] for a in leaders if a in boundaries}
+                  | {0} if decoded else ())
+    cuts.append(len(decoded))
+    blocks = cfg.blocks
     order: List[BinBlock] = []
-    current: Optional[BinBlock] = None
-    prev_end: Optional[int] = None
-    for d in decoded:
-        if current is None or d.address in leaders or d.address != prev_end:
-            current = BinBlock(label=_label(d.address), start=d.address)
-            order.append(current)
-        current.instrs.append(d)
-        prev_end = d.end
-    for block in order:
-        cfg.blocks[block.label] = block
-        cfg.block_at[block.start] = block.label
+    for first, limit in zip(cuts, cuts[1:]):
+        block = BinBlock(decoded[first][0], decoded[first:limit])
+        order.append(block)
+        blocks[block.start] = block
 
     # -- successors -------------------------------------------------------
-    starts = cfg.block_at
+    successors = cfg.successors
+    call_targets = []
+    suffix_of: Dict[int, Guard] = {}
     for block in order:
-        succs: List[str] = []
-        last = block.instrs[-1]
-        op = last.op
-        spec = last.spec
-
-        def direct_target() -> Optional[int]:
-            if _rel_hole(last, image):
-                return None
-            return last.target
-
-        if op == Op.HLT or (spec.is_indirect and not spec.is_call):
-            pass  # hlt / ret / jmp *r: no static successors
-        elif spec.is_call:
-            if not spec.is_indirect:
-                target = direct_target()
-                if target is not None and target in starts:
-                    cfg.call_targets.append(target)
-            if last.end in starts:
-                succs.append(starts[last.end])
+        address, codec, operands = block.instrs[-1]
+        opcode = codec.opcode
+        kind = kinds[opcode]
+        end = address + codec.length
+        succs: List[int] = []
+        if kind != _STOP and kind != _JUMP:
+            if end in blocks:
+                succs.append(end)
             else:
                 block.falls_off = True
-        elif spec.is_branch:
-            if spec.is_cond:
-                if last.end in starts:
-                    succs.append(starts[last.end])
+        if kind >= _DIRECT and address + 1 not in holes:
+            target = end + operands[0]
+            if target in blocks:
+                if kind == _CALL:
+                    call_targets.append(target)
                 else:
-                    block.falls_off = True
-            target = direct_target()
-            if target is not None and target in starts:
-                succs.append(starts[target])
-        else:
-            if last.end in starts:
-                succs.append(starts[last.end])
-            else:
-                block.falls_off = True
-        cfg.successors[block.label] = succs
+                    succs.append(target)
+        successors[block.start] = succs
+        if opcode == Op.JNE:
+            guard = _match_guard(block, holes)
+            if guard is not None:
+                suffix_of[block.start] = guard
+                cfg.guards.append(guard)
 
-    # -- guards + intact-chain validation ---------------------------------
-    suffix_of: Dict[str, Guard] = {}
-    for block in order:
-        guard = _match_guard(block, image)
-        if guard is not None:
-            suffix_of[block.label] = guard
-            cfg.guards.append(guard)
+    # -- intact-chain validation ------------------------------------------
     for guard in cfg.guards:
         _validate_chain(cfg, guard, suffix_of)
 
     # -- synthetic edge blocks on intact guards' fall-through edges -------
     for guard in cfg.guards:
-        if not guard.intact:
-            continue
-        target_label = starts.get(guard.fallthrough)
-        if target_label is None:
-            continue
-        succs = cfg.successors[guard.block]
-        if target_label not in succs:
+        target = guard.fallthrough
+        succs = successors[guard.block]
+        if not guard.intact or target not in succs:
             continue
         edge_label = f"g{guard.start:#x}"
-        edge = EdgeBlock(label=edge_label, guard=guard)
-        cfg.blocks[edge_label] = edge
-        cfg.successors[edge_label] = [target_label]
-        cfg.successors[guard.block] = [
-            edge_label if s == target_label else s for s in succs]
+        blocks[edge_label] = EdgeBlock(guard)
+        successors[edge_label] = [target]
+        successors[guard.block] = [
+            edge_label if s == target else s for s in succs]
 
     # -- entry, predecessors, rpo -----------------------------------------
-    entry_succs = sorted(
-        {starts[a] for a in image.roots if a in starts}
-        | {starts[a] for a in cfg.call_targets if a in starts},
-        key=lambda lbl: cfg.blocks[lbl].start)
-    cfg.blocks[ENTRY] = BinBlock(label=ENTRY, start=image.base - 1)
-    cfg.successors[ENTRY] = entry_succs
+    blocks[ENTRY] = BinBlock(image.base - 1, [])
+    successors[ENTRY] = sorted(
+        {a for a in image.roots if a in blocks} | set(call_targets))
 
-    for label in cfg.blocks:
-        cfg.predecessors.setdefault(label, [])
-    for label, succs in cfg.successors.items():
+    predecessors = cfg.predecessors
+    for label in blocks:
+        predecessors[label] = []
+    for label, succs in successors.items():
         for succ in succs:
-            cfg.predecessors[succ].append(label)
+            predecessors[succ].append(label)
 
     cfg.rpo = _rpo(cfg)
     cfg.exits = [label for label in cfg.rpo
-                 if label != ENTRY and not cfg.successors[label]]
+                 if label != ENTRY and not successors[label]]
     return cfg
 
 
-def _match_guard(block: BinBlock, image: ImageSpec) -> Optional[Guard]:
-    """Recognize the 4-instruction guard suffix ending ``block``."""
+def _match_guard(block: BinBlock, holes) -> Optional[Guard]:
+    """Recognize the 4-instruction guard suffix ending ``block``
+    (whose last instruction is a ``jne``)."""
     if len(block.instrs) < 4:
         return None
-    tload_b, tload_t, compare, jne = block.instrs[-4:]
-    if not (tload_b.op == Op.TLOAD_RI
-            and tload_b.operands[0] == Reg.RDI
-            and tload_t.op == Op.TLOAD_RR
-            and tload_t.operands[0] == Reg.RSI
-            and compare.op == Op.CMP_RR
-            and compare.operands == (Reg.RDI, Reg.RSI)
-            and jne.op == Op.JNE):
+    (bary_at, bary_codec, bary_ops), (_, tary_codec, tary_ops), \
+        (_, cmp_codec, cmp_ops), (jne_at, jne_codec, jne_ops) = \
+        block.instrs[-4:]
+    if not (bary_codec.op == Op.TLOAD_RI
+            and bary_ops[0] == Reg.RDI
+            and tary_codec.op == Op.TLOAD_RR
+            and tary_ops[0] == Reg.RSI
+            and cmp_codec.op == Op.CMP_RR
+            and cmp_ops == _RDI_RSI):
         return None
-    if _rel_hole(jne, image):
+    if jne_at + 1 in holes:
         return None
+    fallthrough = jne_at + jne_codec.length
     return Guard(
-        block=block.label, start=tload_b.address,
-        reg=tload_t.operands[1],
-        bary_field=tload_b.address + 2,
-        check_addr=jne.target,
-        fallthrough=jne.end)
+        block=block.start, start=bary_at,
+        reg=tary_ops[1],
+        bary_field=bary_at + 2,
+        check_addr=fallthrough + jne_ops[0],
+        fallthrough=fallthrough)
 
 
 def _validate_chain(cfg: BinaryCfg, guard: Guard,
-                    suffix_of: Dict[str, Guard]) -> None:
+                    suffix_of: Dict[int, Guard]) -> None:
     """Prove the guard's Check/Halt chain intact (sets ``intact``)."""
+
+    blocks = cfg.blocks
 
     def fail(reason: str) -> None:
         guard.reason = reason
 
-    check = cfg.block_of(guard.check_addr)
+    def halts(address: int) -> Optional[DecodedInstr]:
+        block = blocks.get(address)
+        if block is None or block.instrs[0][1].op != Op.HLT:
+            return None
+        return block.instrs[0]
+
+    check = blocks.get(guard.check_addr)
     if check is None or len(check.instrs) != 2:
         return fail("jne does not reach a testb1/je check block")
-    testb, je = check.instrs
-    if not (testb.op == Op.TESTB1
-            and testb.operands[0] == Reg.RSI
-            and je.op == Op.JE):
+    (_, testb_codec, testb_ops), (je_at, je_codec, je_ops) = check.instrs
+    if not (testb_codec.op == Op.TESTB1
+            and testb_ops[0] == Reg.RSI
+            and je_codec.op == Op.JE):
         return fail("check block is not the testb1 %rsi / je pair")
-    halt = cfg.block_of(je.target)
-    if halt is None or not halt.instrs \
-            or halt.instrs[0].op != Op.HLT:
+    je_end = je_at + je_codec.length
+    halt = halts(je_end + je_ops[0])
+    if halt is None:
         return fail("validity-check failure path does not halt")
 
-    retry = cfg.block_of(je.end)
+    retry = blocks.get(je_end)
     if retry is None or len(retry.instrs) != 2:
         return fail("je does not fall through to a cmpw/jne retry block")
-    cmpw, jne2 = retry.instrs
-    if not (cmpw.op == Op.CMPW_RR
-            and cmpw.operands == (Reg.RDI, Reg.RSI)
-            and jne2.op == Op.JNE):
+    (_, cmpw_codec, cmpw_ops), (jne_at, jne_codec, jne_ops) = retry.instrs
+    if not (cmpw_codec.op == Op.CMPW_RR
+            and cmpw_ops == _RDI_RSI
+            and jne_codec.op == Op.JNE):
         return fail("retry block is not the cmpw rdi, rsi / jne pair")
-    try_label = cfg.block_at.get(jne2.target)
-    try_guard = suffix_of.get(try_label) if try_label else None
+    jne_end = jne_at + jne_codec.length
+    try_guard = suffix_of.get(jne_end + jne_ops[0])
     if try_guard is None or try_guard.bary_field != guard.bary_field \
             or try_guard.reg != guard.reg:
         return fail("version retry does not re-enter the same guard")
-    fall = cfg.block_of(jne2.end)
-    if fall is None or not fall.instrs \
-            or fall.instrs[0].op != Op.HLT:
+    if halts(jne_end) is None:
         return fail("version-mismatch failure path does not halt")
 
     guard.intact = True
-    guard.span = (guard.start, halt.instrs[0].end)
+    guard.span = (guard.start, halt[0] + halt[1].length)
 
 
-def _rpo(cfg: BinaryCfg) -> List[str]:
+def _rpo(cfg: BinaryCfg) -> List[object]:
     """Reverse postorder from the synthetic entry; unreachable blocks
-    appended in address order (the solver leaves them stateless)."""
-    seen = set()
-    post: List[str] = []
-    stack: List[Tuple[str, int]] = [(ENTRY, 0)]
-    seen.add(ENTRY)
+    appended in address order, edge blocks first (the solver leaves
+    them stateless)."""
+    successors = cfg.successors
+    seen = {ENTRY}
+    post: List[object] = []
+    stack = [(ENTRY, iter(successors[ENTRY]))]
     while stack:
-        label, index = stack[-1]
-        succs = cfg.successors[label]
-        if index < len(succs):
-            stack[-1] = (label, index + 1)
-            succ = succs[index]
+        label, succs = stack[-1]
+        for succ in succs:
             if succ not in seen:
                 seen.add(succ)
-                stack.append((succ, 0))
+                stack.append((succ, iter(successors[succ])))
+                break
         else:
             stack.pop()
             post.append(label)
-    rpo = list(reversed(post))
+    post.reverse()
     rest = [label for label in cfg.blocks if label not in seen]
-
-    def start_of(label: str) -> int:
-        block = cfg.blocks[label]
-        return getattr(block, "start", 0)
-
-    rpo.extend(sorted(rest, key=start_of))
-    return rpo
+    rest.sort(key=lambda label: getattr(cfg.blocks[label], "start", 0))
+    return post + rest

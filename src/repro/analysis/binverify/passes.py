@@ -4,11 +4,14 @@ One :func:`analyze_image` run is:
 
 1. complete disassembly of the image's code ranges (failure → MCFI007);
 2. CFG reconstruction + check-transaction recognition
-   (:mod:`~repro.analysis.binverify.bincfg`);
+   (:mod:`~repro.analysis.binverify.bincfg`), each block carrying its
+   composed register-fact effect;
 3. the forward abstract interpretation via the *unmodified* MIR
-   worklist solver (:mod:`repro.analysis.dataflow.solver`);
-4. a linear re-walk of every reachable block replaying
-   :func:`~repro.analysis.binverify.absint.step`, asserting the
+   worklist solver (:mod:`repro.analysis.dataflow.solver`), one
+   ``(state & keep) | gen`` per block;
+4. a linear re-walk of every reachable block that moves the int state
+   forward through :data:`~repro.analysis.binverify.absint.EFFECT`
+   and dispatches on a role table by opcode byte, asserting the
    properties instruction by instruction:
 
    * indirect branch / ``ret`` with the operand not CHECKED → MCFI005,
@@ -28,13 +31,13 @@ reachability-independent, matching the paper's verifier.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from repro.analysis.binverify.absint import (
-    CHECKED,
-    MASKED,
+    CHECKED_SHIFT,
+    EFFECT,
+    fact,
     make_problem,
-    step,
 )
 from repro.analysis.binverify.bincfg import BinBlock, build_cfg
 from repro.analysis.binverify.image import (
@@ -54,14 +57,28 @@ from repro.errors import (
     VerificationError,
 )
 from repro.isa.disasm import DecodedInstr, sweep_ranges
-from repro.isa.instructions import Op
+from repro.isa.instructions import Op, SPECS
 from repro.isa.registers import Reg
 from repro.module.module import McfiModule
 from repro.obs import OBS
 
-_STORES = (Op.STORE8, Op.STORE16, Op.STORE32, Op.STORE64)
-
 _FACT = {0: "unknown", 1: "masked but unchecked", 2: "checked"}
+
+#: what the re-walk proves at an instruction, by opcode byte
+_RET, _INDIRECT, _STORE, _DIRECT = 1, 2, 3, 4
+_ROLE: List[int] = [0] * 256
+for _op, _spec in SPECS.items():
+    if _spec.is_branch and not _spec.is_indirect:
+        _ROLE[_op] = _DIRECT
+_ROLE[Op.RET] = _RET
+_ROLE[Op.JMP_R] = _ROLE[Op.CALL_R] = _INDIRECT
+for _op in (Op.STORE8, Op.STORE16, Op.STORE32, Op.STORE64):
+    _ROLE[_op] = _STORE
+#: arch -> role table: stores are proved on x64 only
+_ROLES = {"x64": _ROLE,
+          "x32": [0 if role == _STORE else role for role in _ROLE]}
+
+_FRAME_BASES = (Reg.RSP, Reg.RBP)
 
 
 class _Emitter:
@@ -71,8 +88,10 @@ class _Emitter:
         self.image = image
         self.diagnostics: List[Diagnostic] = []
 
-    def emit(self, code: str, address: int, block: str, index: int,
+    def emit(self, code: str, address: int, block, index: int,
              message: str) -> None:
+        if isinstance(block, int):
+            block = f"{block:#x}"
         self.diagnostics.append(Diagnostic(
             code=code, unit=self.image.name,
             function=self.image.function_at(address),
@@ -95,7 +114,8 @@ def analyze_image(image: ImageSpec,
         report = _analyze(image, decoded)
         span.set(ok=report.ok,
                  diagnostics=len(report.diagnostics),
-                 checked=report.stats.get("checked_branches", 0))
+                 checked=report.stats.get("checked_branches", 0),
+                 instructions=report.stats["instructions"])
     OBS.metrics.counter(
         "binverify.accepted" if report.ok else "binverify.rejected").inc()
     return report
@@ -122,15 +142,19 @@ def _analyze(image: ImageSpec,
 
     cfg = build_cfg(image, decoded)
     solution = solve(cfg, make_problem())
+    inputs = solution.inputs
 
     reachable = [label for label in cfg.rpo
-                 if label in solution.inputs
+                 if label in inputs
                  and isinstance(cfg.blocks[label], BinBlock)
                  and label != cfg.entry]
 
-    broken_fall: Dict[int, str] = {
-        guard.fallthrough: guard.reason
-        for guard in cfg.guards if not guard.intact}
+    broken_fall = {guard.fallthrough: guard.reason
+                   for guard in cfg.guards if not guard.intact}
+    roles = _ROLES[image.arch]
+    holes = image.rel32_holes
+    boundaries = cfg.boundaries
+    base, limit = image.base, image.limit
 
     proved_branches = 0
     proved_stores = 0
@@ -139,62 +163,64 @@ def _analyze(image: ImageSpec,
 
     for label in reachable:
         block: BinBlock = cfg.blocks[label]
-        state = solution.inputs[label]
-        for index, instr in enumerate(block.instrs):
-            op = instr.op
-            address = instr.address
-
-            if op == Op.RET:
-                out.emit("MCFI005", address, label, index,
-                         "bare ret (returns must be rewritten into "
-                         "checked jumps)")
-                report.verdicts[address] = "bare ret"
-            elif op in (Op.JMP_R, Op.CALL_R):
-                reg = instr.operands[0]
-                if state[reg] == CHECKED:
+        state = inputs[label]
+        for index, (address, codec, operands) in enumerate(block.instrs):
+            opcode = codec.opcode
+            role = roles[opcode]
+            if not role:
+                pass
+            elif role == _STORE:
+                base_reg = operands[0]
+                if state >> base_reg & 1 or base_reg in _FRAME_BASES:
+                    proved_stores += 1
+                else:
+                    out.emit("MCFI006", address, label, index,
+                             f"unsandboxed store via {Reg(base_reg)!s} "
+                             f"(base not provably masked) could reach "
+                             f"table or code regions")
+            elif role == _DIRECT:
+                if address + 1 not in holes:
+                    target = address + codec.length + operands[0]
+                    if not base <= target < limit:
+                        cross_module += 1
+                    elif target not in boundaries:
+                        out.emit("MCFI007", address, label, index,
+                                 f"direct branch target {target:#x} is "
+                                 f"not a decoded instruction boundary")
+                    elif target not in image.label_addrs:
+                        out.emit("MCFI007", address, label, index,
+                                 f"direct branch target {target:#x} is "
+                                 f"not a declared label")
+                    else:
+                        direct_targets += 1
+            elif role == _INDIRECT:
+                reg = operands[0]
+                if state >> (CHECKED_SHIFT + reg) & 1:
                     proved_branches += 1
                     report.verdicts[address] = "proved"
                 else:
+                    held = _FACT[fact(state, reg)]
                     reason = (f"indirect branch via {Reg(reg)!s} not "
                               f"dominated by an intact check "
-                              f"transaction ({_FACT[state[reg]]})")
+                              f"transaction ({held})")
                     extra = broken_fall.get(block.start)
                     if extra:
                         reason += f"; nearest guard broken: {extra}"
                     out.emit("MCFI005", address, label, index, reason)
-                    report.verdicts[address] = _FACT[state[reg]]
-            elif op in _STORES and image.arch == "x64":
-                base = instr.operands[0]
-                if base in (Reg.RSP, Reg.RBP):
-                    proved_stores += 1
-                elif state[base] >= MASKED:
-                    proved_stores += 1
-                else:
-                    out.emit("MCFI006", address, label, index,
-                             f"unsandboxed store via {Reg(base)!s} "
-                             f"(base not provably masked) could reach "
-                             f"table or code regions")
-            elif instr.spec.is_branch and not instr.spec.is_indirect \
-                    and (address + 1) not in image.rel32_holes:
-                target = instr.target
-                if not image.contains(target):
-                    cross_module += 1
-                elif target not in cfg.boundaries:
-                    out.emit("MCFI007", address, label, index,
-                             f"direct branch target {target:#x} is not "
-                             f"a decoded instruction boundary")
-                elif target not in image.label_addrs:
-                    out.emit("MCFI007", address, label, index,
-                             f"direct branch target {target:#x} is not "
-                             f"a declared label")
-                else:
-                    direct_targets += 1
+                    report.verdicts[address] = held
+            else:  # _RET
+                out.emit("MCFI005", address, label, index,
+                         "bare ret (returns must be rewritten into "
+                         "checked jumps)")
+                report.verdicts[address] = "bare ret"
 
-            state = step(state, instr)
+            effect = EFFECT[opcode]
+            if len(effect) > 2:
+                effect = effect[operands[0]]
+            state = (state & effect[0]) | effect[1]
 
         if block.falls_off:
-            last = block.instrs[-1]
-            out.emit("MCFI007", last.address, label,
+            out.emit("MCFI007", block.instrs[-1][0], label,
                      len(block.instrs) - 1,
                      "execution falls off the decoded code range")
 
@@ -214,10 +240,9 @@ def _analyze(image: ImageSpec,
     intact = [guard for guard in cfg.guards if guard.intact]
     intact_fields = sorted(guard.bary_field for guard in intact)
     declared_fields = sorted(image.bary_fields)
-    decoded_at = {d.address: d for d in decoded}
     for field_addr in declared_fields:
-        at = decoded_at.get(field_addr - 2)
-        if at is None or at.op != Op.TLOAD_RI:
+        at = boundaries.get(field_addr - 2)
+        if at is None or decoded[at][1].op != Op.TLOAD_RI:
             out.emit("MCFI008", field_addr, "-", 0,
                      "patched Bary slot is not the immediate of a "
                      "tload instruction")

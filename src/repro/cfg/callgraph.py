@@ -14,7 +14,7 @@ tail-call edges (direct and indirect).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.module.auxinfo import AuxInfo, FunctionAux
 from repro.tinyc.types import FuncSig, signatures_match
@@ -62,8 +62,15 @@ class TypeMatcher:
 
 
 def _tail_closure(aux: AuxInfo, matcher: TypeMatcher) -> Dict[str, Set[str]]:
-    """For every function g: the set of functions a call to g may be
-    *in* when it finally returns (g itself plus tail-chain targets)."""
+    """For every function g on a tail edge: the set of functions a call
+    to g may be *in* when it finally returns (g itself plus every
+    function its tail chains reach).
+
+    Closures are computed per strongly connected component of the
+    tail-call graph (an iterative Tarjan), so every function on a tail
+    cycle gets the same closure whatever order the names come in.  A
+    function on no tail edge has no entry: its closure is ``{g}``.
+    """
     tail_edges: Dict[str, Set[str]] = {}
     for caller, callee, is_tail in aux.direct_calls:
         if is_tail:
@@ -74,22 +81,48 @@ def _tail_closure(aux: AuxInfo, matcher: TypeMatcher) -> Dict[str, Set[str]]:
             tail_edges.setdefault(site.fn, set()).update(targets)
 
     closure: Dict[str, Set[str]] = {}
+    index: Dict[str, int] = {}
+    low: Dict[str, int] = {}
+    stack: List[str] = []
+    on_stack: Set[str] = set()
 
-    def close(name: str, visiting: Set[str]) -> Set[str]:
-        if name in closure:
-            return closure[name]
-        if name in visiting:
-            return {name}  # tail-recursion cycle
-        visiting.add(name)
-        result = {name}
-        for succ in tail_edges.get(name, ()):
-            result |= close(succ, visiting)
-        visiting.discard(name)
-        closure[name] = result
-        return result
+    def enter(name: str) -> Tuple[str, Iterator[str]]:
+        index[name] = low[name] = len(index)
+        stack.append(name)
+        on_stack.add(name)
+        return name, iter(tail_edges.get(name, ()))
 
-    for name in set(aux.functions) | set(tail_edges):
-        close(name, set())
+    for root in tail_edges:
+        if root in index:
+            continue
+        work = [enter(root)]
+        while work:
+            name, succs = work[-1]
+            for succ in succs:
+                if succ not in index:
+                    work.append(enter(succ))
+                    break
+                if succ in on_stack:
+                    low[name] = min(low[name], index[succ])
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    low[parent] = min(low[parent], low[name])
+                if low[name] != index[name]:
+                    continue
+                members = set()
+                while name not in members:
+                    member = stack.pop()
+                    on_stack.discard(member)
+                    members.add(member)
+                result = set(members)
+                for member in members:
+                    for succ in tail_edges.get(member, ()):
+                        if succ not in members:
+                            result |= closure[succ]
+                for member in members:
+                    closure[member] = result
     return closure
 
 

@@ -64,7 +64,8 @@ SPAN_CATALOG = (
     ("dataflow.lint", "module findings errors",
      "MIR lints of one module; nests dataflow.lint.<pass>"),
     ("lint.workload", "workload", "frontend + lowering + lints"),
-    ("binverify.image", "module arch grain ok diagnostics checked",
+    ("binverify.image",
+     "module arch grain ok diagnostics checked instructions",
      "one binary-verifier run"),
     ("cfg.generate", "ibs ibts eqcs", "type-matching CFG generation"),
     ("linker.prepare", "library", "map/patch a library pre-seal"),

@@ -21,16 +21,29 @@ from repro.analysis.binverify import (
     image_of_module,
     verify_unit,
 )
-from repro.errors import UnitVerificationError, VerificationError
+from repro.analysis.binverify.absint import (
+    CHECKED_SHIFT,
+    make_problem,
+    summarize,
+)
+from repro.analysis.binverify.bincfg import EdgeBlock, build_cfg
+from repro.analysis.dataflow.solver import DataflowProblem, solve
+from repro.errors import (
+    EncodingError,
+    UnitVerificationError,
+    VerificationError,
+)
 from repro.faults.miscompile import (
     MISCOMPILE_INJECTORS,
     MutationContext,
     evasion_campaign,
 )
-from repro.isa.disasm import sweep_ranges
-from repro.isa.instructions import Op
-from repro.isa.registers import Reg
+from repro.isa.disasm import DecodedInstr, sweep_ranges
+from repro.isa.instructions import CODECS, Op, OperandKind, SPECS
+from repro.isa.registers import NUM_REGS, Reg
 from repro.build import build_program
+from repro.tools.verify import QUICK_SEEDS, QUICK_WORKLOADS
+from repro.workloads.spec import BENCHMARKS
 
 
 def _mutate(module, **overrides):
@@ -349,3 +362,150 @@ class TestEvasionCampaign:
                                   seeds=(0,))
         text = report.render()
         assert "undetected unsafe mutations: 0" in text
+
+
+# -- the tuple lattice: the reference for the int-encoded one ---------------
+#
+# One fact per register, TOP < MASKED < CHECKED, as a 16-tuple; the join
+# is the pointwise minimum and one instruction at a time moves a state.
+
+TOP, MASKED, CHECKED = 0, 1, 2
+REF_TOP = (TOP,) * NUM_REGS
+
+_NO_REG_WRITE = frozenset({
+    Op.CMP_RR, Op.CMP_RI, Op.TEST_RR, Op.TEST_RI, Op.CMPW_RR, Op.TESTB1,
+    Op.STORE8, Op.STORE16, Op.STORE32, Op.STORE64,
+})
+_WRITES_FIRST = frozenset(
+    op for op, spec in SPECS.items()
+    if spec.operands and spec.operands[0] is OperandKind.REG
+    and op not in _NO_REG_WRITE and op != Op.MOVZX32)
+_KILLS_ALL = frozenset({Op.CALL, Op.CALL_R, Op.SYSCALL})
+
+
+def ref_join(a, b):
+    return a if a == b else tuple(map(min, a, b))
+
+
+def ref_step(state, record):
+    op, operands = record.codec.op, record.operands
+    if op == Op.NOP:
+        return state
+    state = tuple(MASKED if fact == CHECKED else fact for fact in state)
+    if op == Op.MOVZX32:
+        reg = operands[0]
+        return state[:reg] + (MASKED,) + state[reg + 1:]
+    if op in _KILLS_ALL:
+        return REF_TOP
+    if op in _WRITES_FIRST:
+        reg = operands[0]
+        return state[:reg] + (TOP,) + state[reg + 1:]
+    return state
+
+
+def ref_problem():
+    def transfer(_label, block, state):
+        if isinstance(block, EdgeBlock):
+            reg = block.guard.reg
+            if state[reg] >= MASKED:
+                return state[:reg] + (CHECKED,) + state[reg + 1:]
+            return state
+        for record in block.instrs:
+            state = ref_step(state, record)
+        return state
+
+    return DataflowProblem(direction="forward", boundary=REF_TOP,
+                           join=ref_join, transfer=transfer)
+
+
+def encode(state):
+    bits = 0
+    for reg, fact in enumerate(state):
+        if fact >= MASKED:
+            bits |= 1 << reg
+        if fact == CHECKED:
+            bits |= 1 << (CHECKED_SHIFT + reg)
+    return bits
+
+
+def decode(bits):
+    return tuple((bits >> reg & 1) + (bits >> (CHECKED_SHIFT + reg) & 1)
+                 for reg in range(NUM_REGS))
+
+
+def assert_fixpoints_agree(module):
+    image = image_of_module(module)
+    try:
+        decoded = sweep_ranges(image.code, image.base, image.code_ranges)
+    except EncodingError:
+        return False
+    cfg = build_cfg(image, decoded)
+    fast = solve(cfg, make_problem())
+    reference = solve(cfg, ref_problem())
+    assert fast.iterations == reference.iterations
+    assert fast.inputs.keys() == reference.inputs.keys()
+    for label, state in reference.inputs.items():
+        assert decode(fast.inputs[label]) == state, (module.name, label)
+    return True
+
+
+class TestIntLattice:
+    """The one-int lattice, its effect table and the block summaries
+    give exactly the tuple lattice's fixpoint."""
+
+    @pytest.mark.parametrize("arch", ["x64", "x32"])
+    def test_fixed12_fixpoints(self, arch):
+        from repro.experiments import compiled
+        for name in BENCHMARKS:
+            assert assert_fixpoints_agree(compiled(name, arch, True).module)
+
+    @pytest.mark.parametrize("name", QUICK_WORKLOADS)
+    def test_quick_evasion_mutant_fixpoints(self, name):
+        from repro.experiments import compiled
+        module = compiled(name, "x64", True).module
+        ctx = MutationContext.of(module)
+        solved = 0
+        for injector, fn in MISCOMPILE_INJECTORS.items():
+            for seed in QUICK_SEEDS:
+                mutation = fn(ctx, random.Random(f"{name}:{injector}:{seed}"))
+                if mutation is not None:
+                    solved += assert_fixpoints_agree(
+                        dataclasses.replace(module, code=mutation[0]))
+        assert solved
+
+    def test_block_summary_folds_reference_step(self):
+        """Random runs over every opcode, random registers and random
+        start states: the composed summary is the folded step."""
+        rng = random.Random(26)
+        codecs = list(CODECS.values())
+        for _ in range(3000):
+            records = []
+            for address in range(rng.randrange(1, 10)):
+                codec = rng.choice(codecs)
+                operands = tuple(
+                    rng.randrange(NUM_REGS) if kind is OperandKind.REG
+                    else rng.randrange(-99, 99)
+                    for kind in codec.spec.operands)
+                records.append(DecodedInstr(address, codec, operands))
+            start = tuple(rng.choice((TOP, MASKED, CHECKED))
+                          for _ in range(NUM_REGS))
+            keep, gen = summarize(records)
+            expected = start
+            for record in records:
+                expected = ref_step(expected, record)
+            assert decode((encode(start) & keep) | gen) == expected, \
+                [(r.codec.op.name, r.operands) for r in records]
+
+    def test_every_opcode_alone(self):
+        """Each opcode on its own, under each register and the all-CHECKED
+        and all-MASKED states."""
+        for codec in CODECS.values():
+            for reg in range(NUM_REGS):
+                operands = tuple(reg if kind is OperandKind.REG else 0
+                                 for kind in codec.spec.operands)
+                record = DecodedInstr(0, codec, operands)
+                keep, gen = summarize([record])
+                for start in ((CHECKED,) * NUM_REGS, (MASKED,) * NUM_REGS,
+                              REF_TOP):
+                    assert decode((encode(start) & keep) | gen) == \
+                        ref_step(start, record), codec.op.name

@@ -1,8 +1,15 @@
 """Tests for type-matching CFG generation (paper Sec. 6)."""
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
+
+import repro
 
 from repro.cfg import callgraph
 from repro.cfg.callgraph import TypeMatcher, build_call_graph
@@ -11,6 +18,9 @@ from repro.cfg.generator import generate_cfg
 from repro.build import build_program
 from repro.tinyc.types import signatures_match
 from tests.test_golden_digests import fixed12_program
+
+TAIL_CYCLE = Path(__file__).parent / "corpus_regressions" / \
+    "tail_cycle_exit.c"
 
 
 def cfg_of(source, arch="x64"):
@@ -203,6 +213,41 @@ class TestReturnEdges:
         """
         program, _ = cfg_of(source, arch="x32")
         assert [s for s in sites_of(program, "ret") if s.fn == "g"]
+
+    def test_tail_closure_of_a_cycle_with_an_exit(self):
+        """Tail edges A->B, B->A, B->C: a call to A or B may return from
+        any of the three.  Each renaming changes the order the names
+        come out of their sets."""
+        for k in range(32):
+            a, b, c = f"a{k}", f"b{k}", f"c{k}"
+            aux = SimpleNamespace(
+                direct_calls=[(a, b, True), (b, a, True), (b, c, True)],
+                branch_sites=[])
+            closure = callgraph._tail_closure(aux, TypeMatcher([]))
+            assert closure[a] == closure[b] == {a, b, c}
+            assert closure[c] == {c}
+
+    def test_tail_cycle_exit_under_every_hash_seed(self):
+        """The tail-cycle program prints 101 whatever order a process
+        iterates sets of function names in."""
+        script = (
+            "import sys\n"
+            "from repro.build import build_program\n"
+            "from repro.toolchain import run_program\n"
+            "source = open(sys.argv[1]).read()\n"
+            "program = build_program({'t': source}, arch='x64').program\n"
+            "result = run_program(program)\n"
+            "sys.stdout.write(result.output.decode('latin-1'))\n"
+            "sys.exit(result.exit_code)\n")
+        src = str(Path(repro.__file__).resolve().parents[1])
+        for seed in range(6):
+            env = dict(os.environ, PYTHONHASHSEED=str(seed),
+                       PYTHONPATH=src)
+            proc = subprocess.run(
+                [sys.executable, "-c", script, str(TAIL_CYCLE)],
+                env=env, capture_output=True, text=True, timeout=120)
+            assert (proc.returncode, proc.stdout) == (0, "101\n"), \
+                f"PYTHONHASHSEED={seed}: {proc.stdout!r} {proc.stderr}"
 
     def test_uncalled_function_return_has_no_targets(self):
         source = """
