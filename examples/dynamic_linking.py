@@ -5,7 +5,8 @@ A multithreaded program dlopens a separately compiled library while a
 worker thread keeps executing indirect branches.  The dynamic linker:
 
 1. loads and patches the library (writable, then sealed to R+X),
-2. regenerates the CFG from the merged auxiliary type information,
+2. extends the program's CFG generation by every resident library's
+   auxiliary type information,
 3. runs an *update transaction* that installs the new ID tables and
    rewrites the GOT -- concurrently with the worker's check
    transactions.

@@ -9,8 +9,8 @@ not covered a JIT environment yet."  This example covers it.
 
 A guest interpreter profiles its hottest opcodes and asks the runtime
 to JIT-compile specialized handlers.  Each installation flows through
-the full pipeline — compile, instrument, *verify*, seal W^X, merge
-auxiliary info, regenerate the CFG, publish via an update transaction —
+the full pipeline — compile, instrument, *verify*, seal W^X, fold its
+auxiliary info into a new CFG, publish via an update transaction —
 while the installed handlers are immediately callable through
 type-checked function pointers.  A handler of the wrong type is
 rejected by the very first call.

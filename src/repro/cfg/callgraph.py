@@ -8,24 +8,22 @@ added to the call graph."
 
 The graph is built purely from auxiliary module information: direct
 call edges, indirect call signatures resolved by type matching, and
-tail-call edges (direct and indirect).
+tail-call edges (direct and indirect).  Each step is a function of the
+facts it is handed, so the dynamic linker can apply it to a library's
+facts (or to the host facts a library changes) and add the result to
+the host's graph.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import (Dict, Iterable, Iterator, List, Mapping, Optional,
+                    Set, Tuple)
 
-from repro.module.auxinfo import AuxInfo, FunctionAux
+from repro.module.auxinfo import BranchSiteAux, FunctionAux, RetSiteAux
 from repro.tinyc.types import FuncSig, signatures_match
 
-
-@dataclass
-class CallGraph:
-    """Resolved call graph over one merged module."""
-
-    #: function name -> return-site addresses its returns may target
-    return_targets: Dict[str, Set[int]] = field(default_factory=dict)
+#: function name -> the functions it tail-calls
+TailEdges = Dict[str, Set[str]]
 
 
 class TypeMatcher:
@@ -39,13 +37,38 @@ class TypeMatcher:
     """
 
     def __init__(self, functions: List[FunctionAux]) -> None:
-        self._address_taken = [f for f in functions if f.address_taken]
+        self._index([f for f in functions if f.address_taken], None)
+
+    def _index(self, taken: List[FunctionAux],
+               parent: Optional["TypeMatcher"]) -> None:
+        self._address_taken = taken
+        self._parent = parent
         by_sig: Dict[FuncSig, List[FunctionAux]] = {}
-        for func in self._address_taken:
+        for func in taken:
             by_sig.setdefault(func.sig, []).append(func)
         self._matches: Dict[FuncSig, Tuple[FunctionAux, ...]] = {
             sig: tuple(funcs) for sig, funcs in by_sig.items()}
         self._variadic: Dict[FuncSig, Tuple[FunctionAux, ...]] = {}
+        if parent is not None:
+            inherited = parent._matches
+            for sig, funcs in self._matches.items():
+                self._matches[sig] = inherited.get(sig, ()) + funcs
+            self._matches = {**inherited, **self._matches}
+
+    def extend(self, taken: List[FunctionAux]) -> "TypeMatcher":
+        """A matcher over this one's functions, then ``taken``, whatever
+        their address-taken flags say.  This one does not change."""
+        child = TypeMatcher.__new__(TypeMatcher)
+        child._index(list(taken), self)
+        return child
+
+    def added(self, sig: Optional[FuncSig]) -> Tuple[FunctionAux, ...]:
+        """The matches of ``sig`` that :meth:`extend` added to the
+        parent's (all of them, for a matcher that extends none)."""
+        matches = self.matches(sig)
+        if self._parent is None:
+            return matches
+        return matches[len(self._parent.matches(sig)):]
 
     def matches(self, sig: Optional[FuncSig]) -> Tuple[FunctionAux, ...]:
         """Address-taken functions an fptr of signature ``sig`` may call."""
@@ -57,29 +80,38 @@ class TypeMatcher:
         if cached is None:
             cached = tuple(f for f in self._address_taken
                            if signatures_match(sig, f.sig))
+            if self._parent is not None:
+                cached = self._parent.matches(sig) + cached
             self._variadic[sig] = cached
         return cached
 
 
-def _tail_closure(aux: AuxInfo, matcher: TypeMatcher) -> Dict[str, Set[str]]:
-    """For every function g on a tail edge: the set of functions a call
-    to g may be *in* when it finally returns (g itself plus every
-    function its tail chains reach).
-
-    Closures are computed per strongly connected component of the
-    tail-call graph (an iterative Tarjan), so every function on a tail
-    cycle gets the same closure whatever order the names come in.  A
-    function on no tail edge has no entry: its closure is ``{g}``.
-    """
-    tail_edges: Dict[str, Set[str]] = {}
-    for caller, callee, is_tail in aux.direct_calls:
+def tail_edges(direct_calls: Iterable[Tuple[str, str, bool]],
+               tail_sites: Iterable[BranchSiteAux],
+               matcher: TypeMatcher) -> TailEdges:
+    """The tail-call edges of ``direct_calls`` and of the indirect tail
+    sites ``tail_sites``: every function a site's signature matches."""
+    edges: TailEdges = {}
+    for caller, callee, is_tail in direct_calls:
         if is_tail:
-            tail_edges.setdefault(caller, set()).add(callee)
-    for site in aux.branch_sites:
-        if site.kind == "tail":
-            targets = {f.name for f in matcher.matches(site.sig)}
-            tail_edges.setdefault(site.fn, set()).update(targets)
+            edges.setdefault(caller, set()).add(callee)
+    for site in tail_sites:
+        edges.setdefault(site.fn, set()).update(
+            f.name for f in matcher.matches(site.sig))
+    return edges
 
+
+def close_tail_edges(edges: TailEdges, roots: Iterable[str],
+                     final: Mapping[str, Set[str]]) -> Dict[str, Set[str]]:
+    """For every function reached from ``roots`` over ``edges``: the set
+    of functions a call to it may be *in* when it finally returns (the
+    function itself plus every function its tail chains reach).
+
+    A function in ``final`` is not entered: its closure is the one
+    given.  Closures are computed per strongly connected component (an
+    iterative Tarjan), so every function on a tail cycle gets the same
+    closure whatever order the names come in.
+    """
     closure: Dict[str, Set[str]] = {}
     index: Dict[str, int] = {}
     low: Dict[str, int] = {}
@@ -90,15 +122,17 @@ def _tail_closure(aux: AuxInfo, matcher: TypeMatcher) -> Dict[str, Set[str]]:
         index[name] = low[name] = len(index)
         stack.append(name)
         on_stack.add(name)
-        return name, iter(tail_edges.get(name, ()))
+        return name, iter(edges.get(name, ()))
 
-    for root in tail_edges:
-        if root in index:
+    for root in roots:
+        if root in index or root in final:
             continue
         work = [enter(root)]
         while work:
             name, succs = work[-1]
             for succ in succs:
+                if succ in final:
+                    continue
                 if succ not in index:
                     work.append(enter(succ))
                     break
@@ -118,35 +152,50 @@ def _tail_closure(aux: AuxInfo, matcher: TypeMatcher) -> Dict[str, Set[str]]:
                     members.add(member)
                 result = set(members)
                 for member in members:
-                    for succ in tail_edges.get(member, ()):
+                    for succ in edges.get(member, ()):
                         if succ not in members:
-                            result |= closure[succ]
+                            result |= closure.get(succ) or final[succ]
                 for member in members:
                     closure[member] = result
     return closure
 
 
-def build_call_graph(aux: AuxInfo, matcher: TypeMatcher) -> CallGraph:
-    """Build the call graph and per-function return-target sets.
-
-    ``matcher`` answers type-matching queries over ``aux``'s functions;
-    the CFG generator passes its own, so one generation matches each
-    pointer signature once.
-    """
-    closure = _tail_closure(aux, matcher)
-    return_targets: Dict[str, Set[int]] = {name: set()
-                                           for name in aux.functions}
-
-    def landing_functions(callee: str) -> Set[str]:
-        return closure.get(callee, {callee})
-
-    for retsite in aux.retsites:
+def group_retsites(retsites: Iterable[RetSiteAux],
+                   ) -> Tuple[Dict[str, Set[int]], Dict[FuncSig, Set[int]]]:
+    """Return sites by direct callee, and by pointer signature."""
+    direct: Dict[str, Set[int]] = {}
+    indirect: Dict[FuncSig, Set[int]] = {}
+    for retsite in retsites:
         if retsite.callee is not None:
-            callees = {retsite.callee}
+            direct.setdefault(retsite.callee, set()).add(retsite.address)
         else:
-            callees = {f.name for f in matcher.matches(retsite.sig)}
-        for callee in callees:
-            for landing in landing_functions(callee):
-                return_targets.setdefault(landing, set()).add(
-                    retsite.address)
-    return CallGraph(return_targets=return_targets)
+            indirect.setdefault(retsite.sig, set()).add(retsite.address)
+    return direct, indirect
+
+
+def calls_by_callee(retsites: Iterable[RetSiteAux], matcher: TypeMatcher,
+                    ) -> Dict[str, Set[int]]:
+    """Function name -> the return sites of the calls that may enter it:
+    its direct calls, and every indirect call whose pointer signature
+    matches it."""
+    calls, indirect = group_retsites(retsites)
+    for sig, addresses in indirect.items():
+        for func in matcher.matches(sig):
+            calls.setdefault(func.name, set()).update(addresses)
+    return calls
+
+
+def add_return_edges(return_targets: Dict[str, Set[int]],
+                     calls: Mapping[str, Set[int]],
+                     closure: Mapping[str, Set[str]]) -> None:
+    """Add the return sites of the calls to each function (``calls``,
+    by callee) to the return targets of every function its tail
+    closure holds: the functions such a call may be in when it
+    returns."""
+    for callee, addresses in calls.items():
+        for landing in closure.get(callee, (callee,)):
+            targets = return_targets.get(landing)
+            if targets is None:
+                return_targets[landing] = set(addresses)
+            else:
+                targets |= addresses

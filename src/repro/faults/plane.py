@@ -15,7 +15,7 @@ regression is a reproducible artifact rather than a flake.
 Fault points currently instrumented::
 
     dlopen.prepare     module mapped/patched, before sealing
-    dlopen.cfg         CFG regeneration over the merged aux info
+    dlopen.cfg         CFG generation over the resident modules
     dlopen.update      mid update-transaction (tables partially written)
     dlopen.got         between the barrier and the GOT rewrites
     dlopen.seal        after the update, before control returns

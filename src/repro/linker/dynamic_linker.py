@@ -10,9 +10,10 @@ Implements the paper's three-step dlopen protocol:
    exactly as it mapped the program (optionally verified, written
    while writable but *not* executable, Bary-index immediates patched,
    sealed read-only + executable).  The W^X invariant holds throughout.
-2. **New CFG generation** — merge the library's auxiliary information
-   into the program's, connect PLT entries "to functions with matching
-   names", and regenerate the CFG/ECN assignment.
+2. **New CFG generation** — extend the program's CFG generation by
+   every resident library's facts (the "simple union" of their
+   auxiliary information), connect PLT entries "to functions with
+   matching names", and number the new CFG/ECN assignment.
 3. **ID table updates** — run an update transaction that installs the
    new IDs and rewrites the GOT entries, while other threads continue
    to execute check transactions.
@@ -26,7 +27,7 @@ exists for.
 **Transactional loading.**  Every ``dlopen``/``dlclose`` opens a
 :class:`LoadJournal` first: an undo log over both ID tables, the
 runtime's layout (code cursor and library-data floor), the GOT slots
-and the merged CFG state.  If the load fails at *any* phase — symbol
+and the runtime's CFG.  If the load fails at *any* phase — symbol
 resolution, CFG regeneration, or mid-way through the table update
 transaction (exercised by the fault plane of :mod:`repro.faults`) —
 the journal rolls everything back: the Tary and Bary tables end
@@ -38,10 +39,11 @@ commits and its log closes.
 
 from __future__ import annotations
 
+from collections import ChainMap
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.cfg.generator import Cfg, generate_cfg
+from repro.cfg.generator import Cfg, CfgBase, CfgFragment
 from repro.core.instrument import instrument_items
 from repro.core.tables import TableSnapshot
 from repro.core.transactions import UpdateTransaction
@@ -50,7 +52,6 @@ from repro.faults.plane import NULL_PLANE, FaultPlane
 from repro.isa.assembler import assemble
 from repro.linker.static_linker import build_data_image, layout_data
 from repro.mir.codegen import RawModule
-from repro.module.auxinfo import AuxInfo, FunctionAux, merge_aux
 from repro.module.module import McfiModule, build_module
 from repro.obs import OBS
 from repro.vm.cpu import CPU
@@ -66,6 +67,8 @@ class LoadedLibrary:
     exports: Dict[str, int] = field(default_factory=dict)
     taken_names: set = field(default_factory=set)
     quarantined: bool = False
+    #: the library's facts for every CFG generation while it is resident
+    fragment: Optional[CfgFragment] = None
 
 
 class LoadJournal:
@@ -94,7 +97,6 @@ class LoadJournal:
         self.next_handle = linker._next_handle
         self.loaded = dict(linker.loaded)
         self.by_name = dict(linker._by_name)
-        self.merged_aux = linker._merged_aux
         # Runtime policy state and the GOT.
         self.cfg = runtime.cfg
         self.lock_owner = runtime.update_lock.owner()
@@ -132,7 +134,6 @@ class LoadJournal:
         linker._next_handle = self.next_handle
         linker.loaded = dict(self.loaded)
         linker._by_name = dict(self.by_name)
-        linker._merged_aux = self.merged_aux
         self.rolled_back = True
 
 
@@ -156,8 +157,8 @@ class DynamicLinker:
         self._next_handle = 1
         program = runtime.program
         self._next_site = len(program.module.aux.branch_sites)
-        self._base_aux: AuxInfo = program.module.aux
-        self._merged_aux: AuxInfo = program.module.aux
+        #: the program's part of every CFG generation, built once
+        self._cfg_base = CfgBase(program.module.aux)
         self.last_journal: Optional[LoadJournal] = None
         #: Update-transaction tasks queued on the scheduler but not yet
         #: finished.  A new dlopen/dlclose drains these before taking
@@ -189,7 +190,6 @@ class DynamicLinker:
                 library = self._prepare_module(raw)
                 journal.record("prepare")
                 self.fault_plane.check("dlopen.prepare", detail=name)
-                library.taken_names = set(raw.taken_names)
                 handle = self._next_handle
                 self._next_handle += 1
                 library.handle = handle
@@ -281,27 +281,6 @@ class DynamicLinker:
         library.quarantined = True
         return True
 
-    def _rebuild_merged(self) -> AuxInfo:
-        parts = [self._base_aux]
-        parts += [library.module.aux for library in self.loaded.values()]
-        merged = merge_aux(parts)
-        # dlsym-reachable library exports are conservatively
-        # address-taken, and libraries may take addresses of the
-        # program's functions.
-        newly_taken = set()
-        for library in self.loaded.values():
-            newly_taken |= {fname for fname in library.module.aux.functions
-                            if merged.functions[fname].exported}
-            newly_taken |= library.taken_names & set(merged.functions)
-        for fname in newly_taken:
-            func = merged.functions[fname]
-            if not func.address_taken:
-                merged.functions[fname] = FunctionAux(
-                    name=func.name, sig=func.sig, entry=func.entry,
-                    address_taken=True, exported=func.exported,
-                    module=func.module)
-        return merged
-
     def _republish(self, cpu: Optional[CPU], result_for_cpu: int,
                    after=None, journal: Optional[LoadJournal] = None,
                    ) -> None:
@@ -309,7 +288,7 @@ class DynamicLinker:
         it (with GOT adjustments) via an update transaction."""
         with OBS.tracer.span("linker.cfg"):
             self.fault_plane.check("dlopen.cfg")
-            new_aux, plt_resolution, cfg = self._regenerate()
+            plt_resolution, cfg = self._generate_cfg()
             got_updates = self._got_updates(plt_resolution)
             # Reset GOT slots whose symbols are no longer resolved.
             for symbol, slot in self.runtime.program.got_slots.items():
@@ -321,18 +300,18 @@ class DynamicLinker:
             self.runtime.id_tables, self.runtime.update_lock,
             new_tary=cfg.tary_ecns, new_bary=cfg.bary_ecns,
             got_writer=self._write_got, got_updates=got_updates)
-        self._merged_aux = new_aux
         self.runtime.cfg = cfg
         self._run_update(transaction, cpu, result_for_cpu, after=after,
                          journal=journal)
 
-    def _regenerate(self) -> Tuple[AuxInfo, Dict[str, int], Cfg]:
-        """Merged aux info over the current module set, its PLT
-        resolution and the CFG generated from both."""
-        new_aux = self._rebuild_merged()
-        plt_resolution = self._resolve_plt(new_aux)
-        return new_aux, plt_resolution, generate_cfg(
-            new_aux, plt_resolution=plt_resolution)
+    def _generate_cfg(self) -> Tuple[Dict[str, int], Cfg]:
+        """The PLT resolution over the current module set, and the CFG:
+        the program's generation extended by every resident library's
+        fragment, in load order (quarantined libraries included)."""
+        fragments = [library.fragment for library in self.loaded.values()]
+        plt_resolution = self._resolve_plt(fragments)
+        return plt_resolution, self._cfg_base.generate(fragments,
+                                                       plt_resolution)
 
     def rebuild_tables(self) -> Dict[str, int]:
         """Reconstruct the ID tables from module metadata (recovery).
@@ -353,14 +332,13 @@ class DynamicLinker:
         """
         self._drain_pending_updates()
         with OBS.tracer.span("linker.rebuild"):
-            new_aux, _, cfg = self._regenerate()
+            _, cfg = self._generate_cfg()
             transaction = UpdateTransaction(
                 self.runtime.id_tables, self.runtime.update_lock,
                 new_tary=cfg.tary_ecns, new_bary=cfg.bary_ecns,
                 owner="rebuild")
             for _ in transaction.run():
                 pass
-            self._merged_aux = new_aux
             self.runtime.cfg = cfg
             swept = self.runtime.id_tables.sweep()
         if OBS.enabled:
@@ -395,8 +373,8 @@ class DynamicLinker:
         # A library may not define a function or export a name the
         # program or a resident library already has: the merged CFG
         # holds one entry per name.  Checked before any state changes.
-        functions = set(self._base_aux.functions)
-        exports = set(self._base_aux.exports)
+        functions = set(self._cfg_base.aux.functions)
+        exports = set(self._cfg_base.aux.exports)
         for lib in self.loaded.values():
             functions.update(lib.module.aux.functions)
             exports.update(lib.module.aux.exports)
@@ -424,15 +402,21 @@ class DynamicLinker:
         runtime.map_module(module, layout, verify=self.verify)
         return LoadedLibrary(handle=0, name=raw.name, module=module,
                              data_base=layout.base,
-                             exports=dict(module.aux.exports))
+                             exports=dict(module.aux.exports),
+                             taken_names=set(raw.taken_names),
+                             fragment=CfgFragment(module.aux,
+                                                  raw.taken_names))
 
-    def _resolve_plt(self, aux: AuxInfo) -> Dict[str, int]:
-        resolution: Dict[str, int] = {}
-        for site in aux.branch_sites:
-            if site.kind == "plt" and site.plt_symbol in aux.functions:
-                resolution[site.plt_symbol] = \
-                    aux.functions[site.plt_symbol].entry
-        return resolution
+    def _resolve_plt(self, fragments: List[CfgFragment]) -> Dict[str, int]:
+        """Each PLT symbol of a resident module that a resident module
+        defines, mapped to its entry, in site order."""
+        base = self._cfg_base
+        defined = ChainMap(base.aux.functions,
+                           *(fragment.functions for fragment in fragments))
+        symbols = base.plt_symbols + [symbol for fragment in fragments
+                                      for symbol in fragment.plt_symbols]
+        return {symbol: defined[symbol].entry for symbol in symbols
+                if symbol in defined}
 
     def _got_updates(self, plt_resolution: Dict[str, int]):
         got_slots = self.runtime.program.got_slots

@@ -5,8 +5,11 @@ information" — the types of its functions and function pointers, plus
 everything needed to (re)generate a CFG when modules are linked:
 address-taken flags, call sites and return sites, jump tables, and
 setjmp resume points.  Combining the auxiliary information of two
-modules is "a simple union operation" — implemented in
-:func:`merge_aux` — which is what makes separate compilation work.
+modules is "a simple union operation", which is what makes separate
+compilation work: the static linker concatenates its units' fragments
+(:func:`repro.build.link.link_units`), and the dynamic linker folds each
+resident library's facts into the program's CFG generation
+(:meth:`repro.cfg.generator.CfgBase.extend`).
 
 All addresses here are absolute (post-layout).  The auxiliary info also
 tells the verifier which address ranges are embedded read-only data
@@ -82,35 +85,3 @@ class AuxInfo:
     @property
     def n_sites(self) -> int:
         return len(self.branch_sites)
-
-
-def merge_aux(parts: List[AuxInfo]) -> AuxInfo:
-    """Union the auxiliary information of several modules.
-
-    Branch sites must already carry globally unique site numbers (the
-    linker/loader renumbers before merging).  Exported symbols must not
-    collide.
-    """
-    merged = AuxInfo()
-    for part in parts:
-        for name, func in part.functions.items():
-            if name in merged.functions:
-                raise ValueError(f"duplicate function {name!r} when merging")
-            merged.functions[name] = func
-        merged.retsites.extend(part.retsites)
-        merged.branch_sites.extend(part.branch_sites)
-        merged.setjmp_resumes.extend(part.setjmp_resumes)
-        merged.direct_calls.extend(part.direct_calls)
-        merged.data_ranges.extend(part.data_ranges)
-        for name, address in part.exports.items():
-            if name in merged.exports:
-                raise ValueError(f"duplicate export {name!r} when merging")
-            merged.exports[name] = address
-        merged.imports.extend(part.imports)
-    defined = set(merged.functions)
-    merged.imports = sorted({name for name in merged.imports
-                             if name not in defined})
-    sites = [s.site for s in merged.branch_sites]
-    if len(sites) != len(set(sites)):
-        raise ValueError("branch-site numbers collide after merge")
-    return merged

@@ -11,7 +11,7 @@ Responsibilities, mirroring the paper's runtime:
   Code stops being executable through one routine too
   (:meth:`Runtime.retire_code`), which also drops its decoded state.
 * **CFG installation** — invoke the CFG generator on the program's
-  merged auxiliary information and install the resulting ECNs into the
+  auxiliary information and install the resulting ECNs into the
   ID tables (initial load is non-transactional: no threads run yet).
 * **Syscall interposition** — programs never reach the host directly;
   every service checks its arguments (``mprotect`` cannot create

@@ -67,9 +67,11 @@ SPAN_CATALOG = (
     ("binverify.image",
      "module arch grain ok diagnostics checked instructions",
      "one binary-verifier run"),
-    ("cfg.generate", "ibs ibts eqcs", "type-matching CFG generation"),
+    ("cfg.generate", "ibs ibts eqcs libraries",
+     "type-matching CFG generation; libraries = library fragments "
+     "folded into the host's"),
     ("linker.prepare", "library", "map/patch a library pre-seal"),
-    ("linker.cfg", "", "CFG regeneration over merged aux info"),
+    ("linker.cfg", "", "CFG generation over the resident modules"),
     ("linker.update", "completed", "table update-transaction steps"),
     ("linker.dlopen", "library status handle", "full dlopen protocol"),
     ("linker.dlclose", "library status", "unload + table erasure"),

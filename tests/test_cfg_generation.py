@@ -5,16 +5,15 @@ import random
 import subprocess
 import sys
 from pathlib import Path
-from types import SimpleNamespace
 
 import pytest
 
 import repro
 
 from repro.cfg import callgraph
-from repro.cfg.callgraph import TypeMatcher, build_call_graph
+from repro.cfg.callgraph import TypeMatcher
 from repro.cfg.eqclass import partition
-from repro.cfg.generator import generate_cfg
+from repro.cfg.generator import CfgBase, generate_cfg
 from repro.build import build_program
 from repro.tinyc.types import signatures_match
 from tests.test_golden_digests import fixed12_program
@@ -220,10 +219,10 @@ class TestReturnEdges:
         come out of their sets."""
         for k in range(32):
             a, b, c = f"a{k}", f"b{k}", f"c{k}"
-            aux = SimpleNamespace(
-                direct_calls=[(a, b, True), (b, a, True), (b, c, True)],
-                branch_sites=[])
-            closure = callgraph._tail_closure(aux, TypeMatcher([]))
+            edges = callgraph.tail_edges(
+                [(a, b, True), (b, a, True), (b, c, True)], [],
+                TypeMatcher([]))
+            closure = callgraph.close_tail_edges(edges, edges, {})
             assert closure[a] == closure[b] == {a, b, c}
             assert closure[c] == {c}
 
@@ -352,15 +351,14 @@ class TestEquivalenceClasses:
 class TestCallGraph:
     def test_edges_include_direct_and_indirect(self, demo_program):
         aux = demo_program.module.aux
-        graph = build_call_graph(
-            aux, TypeMatcher(list(aux.functions.values())))
+        return_targets = CfgBase(aux).return_targets
         # main's return sites by callee; None is the indirect call
         sites = {r.callee: r.address for r in aux.retsites
                  if r.caller == "main"}
-        assert sites["classify"] in graph.return_targets["classify"]
+        assert sites["classify"] in return_targets["classify"]
         # fptr table dispatch: main may call add/sub/mul
         for callee in ("add", "sub", "mul"):
-            assert sites[None] in graph.return_targets[callee]
+            assert sites[None] in return_targets[callee]
 
 
 #: pointer signatures of both kinds: fixed ones and a variadic one

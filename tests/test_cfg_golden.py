@@ -45,6 +45,9 @@ CHURN_EVENTS = 100
 CHURN_HOST = "gcc"
 #: libraries kept loaded; once a fifth arrives a seeded victim closes
 CHURN_RESIDENT = 4
+#: events per host runtime: the loader never reuses the code pages of
+#: an unloaded library, so the host is loaded afresh before they run out
+CHURN_EPOCH = 256
 
 
 def _sha(data: bytes) -> str:
@@ -81,14 +84,20 @@ def event_digest(runtime, linker) -> str:
 
 def churn_events(events: int):
     """Drive the seeded dlopen-churn sequence; yields ``(runtime,
-    linker)`` after each of its first ``events`` events."""
+    linker)`` after each of its first ``events`` events.  Every
+    ``CHURN_EPOCH`` events it closes the resident libraries and loads
+    the host afresh, as the benchmark suite does."""
     rng = random.Random(CHURN_SEED)
     host = BuildSession().build(
         {CHURN_HOST: workload(CHURN_HOST).source}).program
-    runtime = Runtime(host)
-    linker = DynamicLinker(runtime, verify=True)
     resident = []
     for k in range(events):
+        if k % CHURN_EPOCH == 0:
+            for handle in resident:
+                assert linker.dlclose(handle) == 0
+            resident = []
+            runtime = Runtime(host)
+            linker = DynamicLinker(runtime, verify=True)
         version = rng.randrange(1, 1 << 16)
         victim = rng.randrange(CHURN_RESIDENT + 1) \
             if len(resident) >= CHURN_RESIDENT else None

@@ -37,7 +37,7 @@ from pathlib import Path
 from unittest import mock
 
 from repro.core.transactions import UpdateTransaction
-from repro.linker import dynamic_linker
+from repro.linker.dynamic_linker import DynamicLinker
 from repro.service.loop import ServiceLoop
 from tests.test_cfg_golden import CHURN_SEED, churn_events
 
@@ -70,20 +70,20 @@ class Recorder:
     @contextlib.contextmanager
     def patched(self):
         run = UpdateTransaction.run
-        generate = dynamic_linker.generate_cfg
+        generate = DynamicLinker._generate_cfg
 
         def observed_run(transaction):
             return self._observe(transaction, run(transaction))
 
-        def observed_generate(aux, plt_resolution=None):
-            cfg = generate(aux, plt_resolution=plt_resolution)
+        def observed_generate(linker):
+            plt_resolution, cfg = generate(linker)
             self.generations.append(_sha(
                 [list(cfg.tary_ecns.items()),
                  list(cfg.bary_ecns.items())]))
-            return cfg
+            return plt_resolution, cfg
 
         with mock.patch.object(UpdateTransaction, "run", observed_run), \
-                mock.patch.object(dynamic_linker, "generate_cfg",
+                mock.patch.object(DynamicLinker, "_generate_cfg",
                                   observed_generate):
             yield self
 
