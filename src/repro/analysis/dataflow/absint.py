@@ -345,19 +345,6 @@ class FunctionFacts:
             yield index, inst, state
             _transfer_inst(inst, state, self.tracked)
 
-    def resolve_callind(self, label: str,
-                        index: int) -> Optional[frozenset]:
-        """Proven callee set for the CallInd at (label, index), or None."""
-        for position, inst, state in self.walk(label):
-            if position == index:
-                if not isinstance(inst, ir.CallInd):
-                    raise TypeError(f"{label}[{index}] is not a CallInd")
-                value = state.reg(inst.pointer)
-                if value.kind == FUNCS:
-                    return value.names
-                return None
-        return None
-
 
 def analyze_function(func: ir.MirFunction) -> FunctionFacts:
     """Run the fixpoint for one function (skipping setjmp users)."""

@@ -40,7 +40,7 @@ _PURE_DEFS = (ir.Const, ir.ConstStr, ir.GlobalAddr, ir.FuncAddr,
 
 
 def _function_facts(module: ir.MirModule,
-                    facts: Optional[Dict[str, FunctionFacts]],
+                    facts: Optional[Dict[str, FunctionFacts]] = None,
                     ) -> Dict[str, FunctionFacts]:
     if facts is None:
         facts = {func.name: analyze_function(func)
@@ -162,12 +162,10 @@ LINT_PASSES = (
 )
 
 
-def run_lints(module: ir.MirModule,
-              facts: Optional[Dict[str, FunctionFacts]] = None,
-              ) -> LintReport:
+def run_lints(module: ir.MirModule) -> LintReport:
     """Run every lint pass over one MIR module; deterministic output."""
     with OBS.tracer.span("dataflow.lint", module=module.name) as span:
-        facts = _function_facts(module, facts)
+        facts = _function_facts(module)
         report = LintReport(unit=module.name)
         for name, lint in LINT_PASSES:
             with OBS.tracer.span(f"dataflow.lint.{name}",

@@ -103,16 +103,14 @@ def _module_sigs(module: ir.MirModule) -> Dict[str, FuncSig]:
             for func in module.functions}
 
 
-def devirtualize_module(module: ir.MirModule,
-                        facts: Optional[Dict[str, FunctionFacts]] = None,
-                        ) -> PointsToReport:
+def devirtualize_module(module: ir.MirModule) -> PointsToReport:
     """Apply points-to results to a module's MIR, in place.
 
     Returns the per-site report; the module is modified only where a
     rewrite or hint is proven sound.
     """
     with OBS.tracer.span("dataflow.pointsto", module=module.name) as span:
-        report = _devirtualize(module, facts)
+        report = _devirtualize(module)
         span.set(indirect_calls=report.indirect_calls,
                  devirtualized=len(report.devirtualized),
                  hinted=len(report.hinted))
@@ -127,11 +125,8 @@ def devirtualize_module(module: ir.MirModule,
         return report
 
 
-def _devirtualize(module: ir.MirModule,
-                  facts: Optional[Dict[str, FunctionFacts]],
-                  ) -> PointsToReport:
-    if facts is None:
-        facts = resolve_module(module)
+def _devirtualize(module: ir.MirModule) -> PointsToReport:
+    facts = resolve_module(module)
     sigs = _module_sigs(module)
     report = PointsToReport(module=module.name)
 

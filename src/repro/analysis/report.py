@@ -1,59 +1,15 @@
-"""Rendering of analyzer results as text, markdown, or paper-style rows.
+"""Review-oriented rendering of one analyzer report.
 
 The :class:`~repro.analysis.analyzer.AnalysisReport` holds the numbers;
-this module turns one report (or a benchmark suite's worth) into the
-Table 1 / Table 2 presentation used by the CLI, the benchmarks and
-EXPERIMENTS.md.
+this module lists its classified casts and the Sec. 6 advice for each
+remaining K1 case, as the porting workflow prints them.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import Dict, List
 
 from repro.analysis.analyzer import AnalysisReport
-
-TABLE1_COLUMNS = ("SLOC", "VBE", "UC", "DC", "MF", "SU", "NF", "VAE")
-TABLE2_COLUMNS = ("K1", "K2", "K1-fixed")
-
-
-def table1_text(reports: Dict[str, AnalysisReport],
-                order: Sequence[str] | None = None) -> str:
-    """Fixed-width Table 1 over several units."""
-    names = list(order) if order else list(reports)
-    lines = [f"{'benchmark':12s} " +
-             " ".join(f"{c:>6s}" for c in TABLE1_COLUMNS)]
-    for name in names:
-        row = reports[name].table1_row()
-        lines.append(f"{name:12s} " +
-                     " ".join(f"{row[c]:6d}" for c in TABLE1_COLUMNS))
-    return "\n".join(lines)
-
-
-def table2_text(reports: Dict[str, AnalysisReport],
-                order: Sequence[str] | None = None) -> str:
-    """Fixed-width Table 2 (only units with remaining violations)."""
-    names = [n for n in (order or reports) if reports[n].vae]
-    lines = [f"{'benchmark':12s} " +
-             " ".join(f"{c:>9s}" for c in TABLE2_COLUMNS)]
-    for name in names:
-        row = reports[name].table2_row()
-        lines.append(f"{name:12s} " +
-                     " ".join(f"{row[c]:9d}" for c in TABLE2_COLUMNS))
-    return "\n".join(lines)
-
-
-def table1_markdown(reports: Dict[str, AnalysisReport],
-                    order: Sequence[str] | None = None) -> str:
-    """Table 1 as a GitHub-flavoured markdown table."""
-    names = list(order) if order else list(reports)
-    header = "| benchmark | " + " | ".join(TABLE1_COLUMNS) + " |"
-    rule = "|---" * (len(TABLE1_COLUMNS) + 1) + "|"
-    lines = [header, rule]
-    for name in names:
-        row = reports[name].table1_row()
-        cells = " | ".join(str(row[c]) for c in TABLE1_COLUMNS)
-        lines.append(f"| {name} | {cells} |")
-    return "\n".join(lines)
 
 
 def classification_detail(report: AnalysisReport) -> str:

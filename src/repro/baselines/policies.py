@@ -21,7 +21,7 @@ they fail to stop.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Set
+from typing import Dict, Set
 
 from repro.cfg.eqclass import partition
 from repro.cfg.generator import Cfg, generate_cfg
@@ -96,16 +96,6 @@ def chunk_policy(aux: AuxInfo, code_base: int, code_size: int,
     return result
 
 
-def no_protection_policy(aux: AuxInfo, code_base: int,
-                         code_size: int) -> PolicyResult:
-    """No CFI: every code byte is a potential target (AIR = 0 anchor)."""
-    everything = set(range(code_base, code_base + code_size))
-    result = PolicyResult(name="none")
-    for site in aux.branch_sites:
-        result.branch_targets[site.site] = everything
-    return result
-
-
 def _assign_ecns(result: PolicyResult) -> None:
     """Collapse target sets into installable equivalence classes.
 
@@ -123,9 +113,3 @@ def _assign_ecns(result: PolicyResult) -> None:
             result.bary_ecns[site] = next_free
             next_free += 1
 
-
-ALL_POLICIES = {
-    "MCFI": mcfi_policy,
-    "classic-CFI": classic_cfi_policy,
-    "binCFI": bincfi_policy,
-}

@@ -225,31 +225,6 @@ class ServiceBackpressure(RuntimeError_):
         return out
 
 
-class ShardQuarantined(RuntimeError_):
-    """Raised when a request targets a quarantined table shard.
-
-    The shard's health breaker is open: its tables failed an integrity
-    audit or rolled back too many rounds, so it is fenced (generation
-    stamp bumped, fused dispatch entries invalid) and serves **no
-    updates** until recovery rebuilds and re-verifies its bands.  The
-    coalescer parks such requests rather than raising in the common
-    path; this error is the API-boundary surface for direct submitters.
-    """
-
-    code = "shard-quarantined"
-
-    def __init__(self, shard: int, reason: str = "") -> None:
-        self.shard = shard
-        self.reason = reason
-        suffix = f" ({reason})" if reason else ""
-        super().__init__(f"shard {shard} is quarantined{suffix}")
-
-    def to_dict(self) -> Dict[str, Any]:
-        out = super().to_dict()
-        out.update(shard=self.shard, reason=self.reason)
-        return out
-
-
 class DeadlineExceeded(RuntimeError_):
     """Raised when a request's logical-clock deadline budget lapses.
 

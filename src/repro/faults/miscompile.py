@@ -40,9 +40,6 @@ from repro.isa.instructions import Op
 from repro.isa.registers import Reg
 from repro.obs import OBS
 
-#: Outcomes that count as "the system caught it".
-DETECTED = ("rejected", "contained")
-
 OUTCOMES = ("rejected", "contained", "benign", "undetected",
             "inapplicable")
 

@@ -21,20 +21,20 @@ from repro.infra.campaign import (build_program, configure,
                                   default_cache, parallel_artifact,
                                   run_campaign, run_target,
                                   PARALLEL_ARTIFACTS)
-from repro.infra.instances import (ARCHS, DEFAULT_INSTANCES, INSTANCES,
-                                   Instance, expand, instance)
+from repro.infra.instances import (ARCHS, INSTANCES, Instance, expand,
+                                   instance)
 from repro.infra.pool import Job, JobResult, WorkerPool
 from repro.infra.results import (ResultStore, load_records, regenerate,
                                  render_fig5, render_summary,
                                  render_table3, summarize)
-from repro.infra.targets import TARGETS, Target, all_targets, target
+from repro.infra.targets import TARGETS, Target, target
 
 __all__ = [
     "ARCHS", "ArtifactCache", "CLOSED", "CacheStats", "CircuitBreaker",
-    "DEFAULT_INSTANCES", "HALF_OPEN",
+    "HALF_OPEN",
     "INSTANCES", "Instance", "Job", "JobResult", "OPEN",
     "PARALLEL_ARTIFACTS",
-    "ResultStore", "TARGETS", "Target", "WorkerPool", "all_targets",
+    "ResultStore", "TARGETS", "Target", "WorkerPool",
     "build_program", "configure", "default_cache",
     "expand", "instance", "load_records", "open_cache",
     "parallel_artifact", "regenerate", "render_fig5", "render_summary",

@@ -52,9 +52,6 @@ def _registry() -> Dict[str, Instance]:
 
 INSTANCES: Dict[str, Instance] = _registry()
 
-#: The Fig. 5 pair on the primary architecture.
-DEFAULT_INSTANCES = ("native-x64", "mcfi-x64")
-
 
 def instance(name: str) -> Instance:
     try:

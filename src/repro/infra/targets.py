@@ -12,7 +12,7 @@ target itself is library-only (no entry point) and cannot be linked.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, Tuple
 
 from repro.workloads.spec import BENCHMARKS, workload
 
@@ -65,8 +65,3 @@ def target(name: str) -> Target:
             f"unknown target {name!r}; known: {', '.join(sorted(TARGETS))}"
         ) from None
 
-
-def all_targets(include_libraries: bool = False) -> List[Target]:
-    """The twelve workloads, optionally plus library-only targets."""
-    names = list(BENCHMARKS) + ([LIBC_MODULE] if include_libraries else [])
-    return [TARGETS[name] for name in names]

@@ -7,14 +7,7 @@ calls/jumps, returns, and the MCFI table-access instructions.  See
 generation and MCFI instrumentation operate on.
 """
 
-from repro.isa.registers import (
-    ARG_REGS,
-    CALLEE_SAVED,
-    MCFI_SCRATCH,
-    NUM_REGS,
-    RET_REG,
-    Reg,
-)
+from repro.isa.registers import ARG_REGS, NUM_REGS, Reg
 from repro.isa.instructions import (
     Instruction,
     MAX_INSTRUCTION_LENGTH,
@@ -22,9 +15,8 @@ from repro.isa.instructions import (
     OpSpec,
     OperandKind,
     SPECS,
-    instruction_length,
 )
-from repro.isa.encoding import decode, encode, encode_all
+from repro.isa.encoding import decode, encode
 from repro.isa.assembler import (
     Align,
     AlignEnd,
@@ -46,10 +38,10 @@ from repro.isa.disasm import (
 )
 
 __all__ = [
-    "ARG_REGS", "CALLEE_SAVED", "MCFI_SCRATCH", "NUM_REGS", "RET_REG", "Reg",
+    "ARG_REGS", "NUM_REGS", "Reg",
     "Instruction", "MAX_INSTRUCTION_LENGTH", "Op", "OpSpec", "OperandKind",
-    "SPECS", "instruction_length",
-    "decode", "encode", "encode_all",
+    "SPECS",
+    "decode", "encode",
     "Align", "AlignEnd", "AsmInstr", "Assembled", "BarySlot", "Data",
     "DataWord", "Label", "LabelRef", "Mark", "assemble",
     "DecodedInstr", "format_instr", "sweep_ranges", "try_decode_at",

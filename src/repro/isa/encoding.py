@@ -20,7 +20,7 @@ it without an :class:`Instruction`.
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import Tuple
 
 from repro.errors import EncodingError
 from repro.isa.instructions import (
@@ -41,11 +41,6 @@ def encode(instr: Instruction) -> bytes:
     codec = codec_of(instr.op)
     return bytes((codec.opcode,)) + codec.struct.pack(
         *codec.check(instr.operands))
-
-
-def encode_all(instrs: List[Instruction]) -> bytes:
-    """Encode a sequence of instructions to a contiguous byte string."""
-    return b"".join(encode(i) for i in instrs)
 
 
 def decode_fields(code: bytes, offset: int = 0

@@ -326,11 +326,6 @@ def codec_of(op: Op) -> Codec:
     return codec
 
 
-def instruction_length(op: Op) -> int:
-    """Return the encoded length in bytes of instructions with opcode ``op``."""
-    return CODECS[op].length
-
-
 #: Maximum encoded instruction length (used by the decoder and scanner).
 MAX_INSTRUCTION_LENGTH = max(codec.length for codec in CODECS.values())
 
@@ -376,13 +371,6 @@ class Instruction:
     @property
     def cost(self) -> int:
         return self.spec.cost
-
-    def branch_target(self, address: int) -> int:
-        """Absolute target of a direct branch encoded at ``address``."""
-        spec = self.spec
-        if not spec.is_branch or spec.is_indirect:
-            raise EncodingError(f"{spec.mnemonic} has no static target")
-        return address + self.length + self.operands[0]
 
     def __str__(self) -> str:
         spec = self.spec

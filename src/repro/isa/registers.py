@@ -4,12 +4,12 @@ SimISA models an x86-64-flavoured register set: sixteen 64-bit general
 purpose registers with the familiar names.  Registers are identified by
 small integers so they encode as a single byte in machine code.
 
-The MCFI instrumentation reserves two scratch registers, mirroring the
-paper's modified LLVM backend which reserves registers for the check
-transactions: ``rdi`` and ``rsi`` hold the branch ID and target ID during
-a ``TxCheck``, and ``rcx`` temporarily holds the branch target.  Code
-generated by :mod:`repro.mir.codegen` therefore never allocates ``rdi``,
-``rsi`` or ``rcx`` across an indirect branch.
+The MCFI check sequence (:mod:`repro.core.instrument`) uses three
+scratch registers, mirroring the paper's modified LLVM backend which
+reserves registers for the check transactions: ``rdi`` and ``rsi`` hold
+the branch ID and target ID during a ``TxCheck``, and ``rcx`` holds the
+branch target.  Code generated by :mod:`repro.mir.codegen` therefore
+never allocates ``rdi``, ``rsi`` or ``rcx`` across an indirect branch.
 """
 
 from __future__ import annotations
@@ -44,15 +44,5 @@ class Reg(enum.IntEnum):
 #: Number of general-purpose registers.
 NUM_REGS = 16
 
-#: Registers reserved for MCFI check transactions (never live across an
-#: indirect branch in generated code).
-MCFI_SCRATCH = (Reg.RCX, Reg.RSI, Reg.RDI)
-
 #: Registers used to pass the first arguments of a call, in order.
 ARG_REGS = (Reg.R8, Reg.R9, Reg.R10, Reg.R11)
-
-#: Register holding a function's return value.
-RET_REG = Reg.RAX
-
-#: Callee-saved registers under the SimISA calling convention.
-CALLEE_SAVED = (Reg.RBX, Reg.RBP, Reg.R12, Reg.R13, Reg.R14, Reg.R15)

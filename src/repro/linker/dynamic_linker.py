@@ -265,7 +265,9 @@ class DynamicLinker:
         code retired.  Unlike :meth:`dlclose` this does not regenerate
         the CFG — it is the fast fail-safe path taken *while handling a
         violation*, when running another update transaction would be
-        unsafe.
+        unsafe.  Later generations leave the library out: its code gets
+        no IDs, its exports resolve no PLT or import, and GOT slots it
+        resolved are reset at the next republish.
         """
         library = self.loaded.get(handle)
         if library is None or library.quarantined:
@@ -306,45 +308,13 @@ class DynamicLinker:
 
     def _generate_cfg(self) -> Tuple[Dict[str, int], Cfg]:
         """The PLT resolution over the current module set, and the CFG:
-        the program's generation extended by every resident library's
-        fragment, in load order (quarantined libraries included)."""
-        fragments = [library.fragment for library in self.loaded.values()]
+        the program's generation extended by every live library's
+        fragment, in load order.  A quarantined library stays out, so
+        no later generation republishes IDs for its retired code."""
+        fragments = [library.fragment for library in self._live()]
         plt_resolution = self._resolve_plt(fragments)
         return plt_resolution, self._cfg_base.generate(fragments,
                                                        plt_resolution)
-
-    def rebuild_tables(self) -> Dict[str, int]:
-        """Reconstruct the ID tables from module metadata (recovery).
-
-        After a table fault the stored *bytes* are untrusted, but the
-        metadata that produced them is not: the program's and every
-        loaded library's auxiliary info.  Rebuild the CFG from that
-        metadata — exactly what a fresh load sequence would compute —
-        reinstall it under a fresh update transaction (version bump +
-        rewrite of every tracked word), then run a full
-        :meth:`~repro.core.tables.IdTables.sweep` so forged strays in
-        untracked words are zeroed too.  This is the single-process
-        analogue of the service plane's quarantined-shard recovery
-        (:class:`~repro.service.loop.ServiceLoop` under a health
-        policy).
-
-        Returns ``{"repaired": .., "strays": .., "entries": ..}``.
-        """
-        self._drain_pending_updates()
-        with OBS.tracer.span("linker.rebuild"):
-            _, cfg = self._generate_cfg()
-            transaction = UpdateTransaction(
-                self.runtime.id_tables, self.runtime.update_lock,
-                new_tary=cfg.tary_ecns, new_bary=cfg.bary_ecns,
-                owner="rebuild")
-            for _ in transaction.run():
-                pass
-            self.runtime.cfg = cfg
-            swept = self.runtime.id_tables.sweep()
-        if OBS.enabled:
-            OBS.metrics.counter("linker.rebuilds").inc()
-        swept["entries"] = len(cfg.tary_ecns) + len(cfg.bary_ecns)
-        return swept
 
     def dlsym(self, handle: int, symbol: str) -> int:
         library = self.loaded.get(handle)
@@ -354,6 +324,11 @@ class DynamicLinker:
 
     # -- internals ---------------------------------------------------------------
 
+    def _live(self) -> List[LoadedLibrary]:
+        """The resident libraries not quarantined, in load order."""
+        return [library for library in self.loaded.values()
+                if not library.quarantined]
+
     def _prepare_module(self, raw: RawModule) -> LoadedLibrary:
         with OBS.tracer.span("linker.prepare", library=raw.name):
             return self._prepare_module_inner(raw)
@@ -361,9 +336,9 @@ class DynamicLinker:
     def _prepare_module_inner(self, raw: RawModule) -> LoadedLibrary:
         runtime = self.runtime
 
-        # Resolve imports against the program and previously loaded libs.
+        # Resolve imports against the program and the live libraries.
         known = dict(runtime.program.labels)
-        for lib in self.loaded.values():
+        for lib in self._live():
             known.update(lib.module.labels)
         missing = [imp for imp in raw.imports if imp not in known]
         if missing:

@@ -9,7 +9,7 @@ code-region size, Tary being a 4-bytes-per-4-bytes mirror).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict
 
 
 @dataclass
@@ -46,17 +46,6 @@ class SpaceResult:
         if self.native_code_bytes == 0:
             return 0.0
         return 100.0 * (self.mcfi_code_bytes / self.native_code_bytes - 1.0)
-
-
-def geometric_mean_overhead(results: Dict[str, OverheadResult]) -> float:
-    """Aggregate overhead the way SPEC reports are usually averaged."""
-    if not results:
-        return 0.0
-    product = 1.0
-    for result in results.values():
-        ratio = result.mcfi_cycles / max(result.native_cycles, 1)
-        product *= ratio
-    return 100.0 * (product ** (1.0 / len(results)) - 1.0)
 
 
 def arithmetic_mean_overhead(results: Dict[str, OverheadResult]) -> float:

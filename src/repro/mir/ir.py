@@ -87,13 +87,8 @@ class Store(Inst):
 
 
 # -- arithmetic -------------------------------------------------------------------
-
-#: Integer binary operators understood by codegen.
-INT_OPS = frozenset(["add", "sub", "mul", "div", "mod", "and", "or", "xor",
-                     "shl", "shr", "sar"])
-FLOAT_OPS = frozenset(["fadd", "fsub", "fmul", "fdiv"])
-CMP_OPS = frozenset(["eq", "ne", "lt", "le", "gt", "ge", "ult", "ule",
-                     "ugt", "uge", "feq", "fne", "flt", "fle", "fgt", "fge"])
+# Operator names are the keys of codegen's ``_INT_BINOP``,
+# ``_FLOAT_BINOP`` and ``_CMP_JCC`` tables.
 
 
 @dataclass
@@ -191,7 +186,7 @@ class Jump(Inst):
 
 @dataclass
 class CondBr(Inst):
-    op: str               # a CMP_OPS member
+    op: str               # a key of codegen's _CMP_JCC
     left: VReg
     right: VReg
     then_block: str

@@ -115,11 +115,10 @@ def snapshot() -> Snapshot:
     return OBS.metrics.snapshot()
 
 
-def export_trace(path, include_metrics: bool = True) -> str:
+def export_trace(path) -> str:
     """Export the active tracer's spans (+ metrics snapshot) to JSONL."""
     metrics: Optional[Dict[str, Any]] = None
-    if include_metrics:
-        frozen = OBS.metrics.snapshot()
-        if frozen.counters or frozen.gauges or frozen.histograms:
-            metrics = frozen.to_dict()
+    frozen = OBS.metrics.snapshot()
+    if frozen.counters or frozen.gauges or frozen.histograms:
+        metrics = frozen.to_dict()
     return OBS.tracer.export_jsonl(path, metrics=metrics)

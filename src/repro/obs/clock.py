@@ -19,40 +19,3 @@ def now() -> float:
     """Monotonic seconds with the highest available resolution."""
     return time.perf_counter()
 
-
-class Stopwatch:
-    """Context-manager stopwatch over :func:`now`.
-
-    ::
-
-        with Stopwatch() as watch:
-            do_work()
-        print(watch.seconds)
-    """
-
-    __slots__ = ("started", "_stopped")
-
-    def __init__(self) -> None:
-        self.started: float = 0.0
-        self._stopped: float | None = None
-
-    def start(self) -> "Stopwatch":
-        self.started = now()
-        self._stopped = None
-        return self
-
-    def stop(self) -> float:
-        self._stopped = now()
-        return self.seconds
-
-    @property
-    def seconds(self) -> float:
-        """Elapsed seconds; live until :meth:`stop` freezes it."""
-        end = self._stopped if self._stopped is not None else now()
-        return end - self.started
-
-    def __enter__(self) -> "Stopwatch":
-        return self.start()
-
-    def __exit__(self, *exc) -> None:
-        self.stop()

@@ -101,15 +101,6 @@ class JitEngine:
         return exports.get(fn_name, 0)
 
 
-def make_unary_op(name: str, expression: str) -> str:
-    """Template for the classic JIT workload: specialize a unary op.
-
-    ``expression`` uses ``x``; the result has type ``long(long)``, the
-    signature JIT-driven interpreters dispatch through.
-    """
-    return f"long {name}(long x) {{ return {expression}; }}\n"
-
-
 def jit_compile_syscall(runtime, cpu) -> None:
     """Syscall backend: rax=12, r8 = source c-string, r9 = name c-string.
 

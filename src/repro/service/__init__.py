@@ -51,12 +51,7 @@ from repro.service.loop import (  # noqa: F401
     WritesetTemplate,
 )
 from repro.service.shards import ShardedIdTables, TableShard  # noqa: F401
-from repro.service.tenancy import (  # noqa: F401
-    TenantChurn,
-    churn_compile_latencies,
-    tenant_source,
-    writeset_from_program,
-)
+from repro.service.tenancy import TenantChurn, tenant_source  # noqa: F401
 
 __all__ = [
     "ShardedIdTables", "TableShard",
@@ -64,6 +59,5 @@ __all__ = [
     "ServiceLoop", "ServiceReport", "TenantSpec", "WritesetTemplate",
     "HealthPolicy", "ShardHealthMonitor",
     "ParityWritesetTemplate", "ResilienceReport",
-    "TenantChurn", "churn_compile_latencies", "tenant_source",
-    "writeset_from_program",
+    "TenantChurn", "tenant_source",
 ]

@@ -1,33 +1,27 @@
-"""Tenant compilation: dlopen churn wired through :mod:`repro.build`.
+"""Tenant compilation: a tenant's module compiled the way churn edits it.
 
-The service loop models each tenant as a stream of dlopen/dlclose
-write-sets; this module closes the loop back to the *toolchain*: a
-tenant's module is real TinyC source, its write-set template is derived
-from the actually-compiled program's type-matching CFG, and each churn
-event re-compiles the (slightly edited) module before its dlopen — the
-paper's §5 assumption that re-instrumentation keeps up with TxUpdate,
-made measurable.
-
-Two compile paths are compared by ``bench_service.py``:
+A tenant's module is real TinyC source (:func:`tenant_source`), one
+version per churn event.  The table service itself does not compile:
+:class:`~repro.service.loop.ServiceLoop` installs
+:meth:`~repro.service.loop.WritesetTemplate.default` for every tenant.
+What compiles tenant modules is the dlopen-churn workload of
+``benchmarks/suite`` (through :func:`tenant_source`) and the
+churn-compile cell of ``bench_service.py`` (through
+:class:`TenantChurn`), which compares two compile paths for the
+paper's §5 assumption that re-instrumentation keeps up with TxUpdate:
 
 * **legacy** — every churn event pays a cold
   :func:`repro.build.build_program` (a throwaway session per event);
 * **session** — every tenant owns a :class:`repro.build.BuildSession`
   (optionally sharing one unit cache), so a churn edit is an
   incremental single-unit rebuild spliced into the previous link.
-
-:class:`TenantChurn` is one tenant's compile stream;
-:func:`churn_compile_latencies` drives a fleet of them and returns the
-per-event latencies the benchmark cell reports.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Optional
 
 from repro.build import BuildResult, BuildSession, build_program
-from repro.obs import clock
-from repro.service.loop import WritesetTemplate
 
 #: One tenant's module: a tiny library with two equivalence classes of
 #: address-taken functions (``long(long)`` and ``int(int)``), a
@@ -56,33 +50,6 @@ int main(void) {{
 def tenant_source(tenant: int, version: int = 1) -> str:
     """The tenant's module text at one churn version."""
     return TENANT_MODULE_TEMPLATE.format(tenant=tenant, version=version)
-
-
-def writeset_from_program(program) -> WritesetTemplate:
-    """Derive a :class:`WritesetTemplate` from a compiled program.
-
-    Target entries come from the CFG's Tary classes (address-taken
-    function entries, re-based to offset 0), branch sites from its Bary
-    classes, and the permitted check pairs from ECN equality — the
-    tenant's dlopen installs exactly what its compiled module's
-    type-matching CFG says it should.
-    """
-    from repro.cfg.generator import generate_cfg
-    cfg = generate_cfg(program.module.aux)
-    ecns = sorted({*cfg.tary_ecns.values(), *cfg.bary_ecns.values()})
-    renumber = {ecn: index for index, ecn in enumerate(ecns)}
-    base = program.module.base
-    tary = tuple(sorted((addr - base, renumber[ecn])
-                        for addr, ecn in cfg.tary_ecns.items()))
-    bary = tuple(sorted((site, renumber[ecn])
-                        for site, ecn in cfg.bary_ecns.items()))
-    checks = tuple(sorted(
-        (site, addr - base)
-        for site, site_ecn in cfg.bary_ecns.items()
-        for addr, target_ecn in cfg.tary_ecns.items()
-        if site_ecn == target_ecn))
-    return WritesetTemplate(tary=tary, bary=bary, checks=checks,
-                            n_classes=len(ecns))
 
 
 class TenantChurn:
@@ -114,23 +81,3 @@ class TenantChurn:
                                  cache=self.cache)
         return self.session.build({self.name: source})
 
-
-def churn_compile_latencies(tenants: int, rounds: int,
-                            cache=None, legacy: bool = False,
-                            ) -> Dict[str, object]:
-    """Per-event compile latencies for a fleet of churning tenants.
-
-    Returns ``{"seconds": [...], "kinds": {...}}`` over
-    ``tenants * rounds`` churn events, in tenant-major order.
-    """
-    fleet = [TenantChurn(tenant, cache=cache, legacy=legacy)
-             for tenant in range(tenants)]
-    seconds: List[float] = []
-    kinds: Dict[str, int] = {}
-    for _ in range(rounds):
-        for churn in fleet:
-            start = clock.now()
-            result = churn.churn_once()
-            seconds.append(clock.now() - start)
-            kinds[result.kind] = kinds.get(result.kind, 0) + 1
-    return {"seconds": seconds, "kinds": kinds}

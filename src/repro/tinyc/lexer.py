@@ -30,17 +30,6 @@ KEYWORDS = frozenset("""
     sizeof static extern const volatile
 """.split())
 
-#: Every operator and punctuator.  The master regex tries them longest
-#: first, so ``<<=`` wins over ``<<`` and ``<``.
-OPERATORS = [
-    "<<=", ">>=", "...",
-    "->", "++", "--", "<<", ">>", "<=", ">=", "==", "!=", "&&", "||",
-    "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=",
-    "+", "-", "*", "/", "%", "<", ">", "=", "!", "&", "|", "^", "~",
-    "?", ":", ";", ",", ".", "(", ")", "[", "]", "{", "}",
-]
-
-
 class Token(NamedTuple):
     kind: str        # 'ident' | 'keyword' | 'int' | 'float' | 'char' | 'str' | 'op' | 'eof'
     text: str

@@ -163,7 +163,6 @@ LONG = IntType("long", 8)
 ULONG = IntType("unsigned long", 8, signed=False)
 DOUBLE = FloatType()
 
-VOID_PTR = PointerType(VOID)
 CHAR_PTR = PointerType(CHAR)
 
 
@@ -302,11 +301,6 @@ def signatures_match(pointer_sig: FuncSig, function_sig: FuncSig) -> bool:
         return (pointer_sig.ret == function_sig.ret
                 and function_sig.params[:len(fixed)] == fixed)
     return False
-
-
-def structurally_equal(left: Type, right: Type) -> bool:
-    """Structural type equivalence (named types replaced by definitions)."""
-    return canonical(left) == canonical(right)
 
 
 def is_physical_subtype(concrete: StructType, abstract: StructType) -> bool:

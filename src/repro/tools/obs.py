@@ -75,7 +75,6 @@ SPAN_CATALOG = (
     ("linker.update", "completed", "table update-transaction steps"),
     ("linker.dlopen", "library status handle", "full dlopen protocol"),
     ("linker.dlclose", "library status", "unload + table erasure"),
-    ("linker.rebuild", "", "table reconstruction from metadata"),
     ("tx.update", "owner completed tary_writes bary_writes hold_steps",
      "one update transaction (Fig. 3)"),
     ("vm.run", "thread instructions cycles", "one CPU run loop entry"),
@@ -143,6 +142,27 @@ METRIC_CATALOG = (
      "request submit->commit latency (scheduler ticks)"),
     ("histogram", "service.coalesce.round_requests",
      "requests per commit round"),
+    ("counter", "service.coalesce.invalid", "poisoned write-sets rejected"),
+    ("counter", "service.parked", "requests parked behind a quarantine"),
+    ("counter", "service.deadline.missed", "requests past their deadline"),
+    ("counter", "service.health.<state>", "shard transitions by new state"),
+    ("counter", "service.health.quarantines", "shard quarantine entries"),
+    ("counter", "service.health.fenced", "dispatch-cache fences"),
+    ("counter", "service.health.corruption_detected",
+     "corrupt words found by scrub audits"),
+    ("counter", "service.recovery.completed", "verified shard recoveries"),
+    ("histogram", "service.recovery.mttr_ticks",
+     "quarantine to verified recovery (scheduler ticks)"),
+    ("counter", "service.forged_allows", "negative checks admitted"),
+    ("counter", "dataflow.pointsto.sites", "indirect calls analyzed"),
+    ("counter", "dataflow.pointsto.devirtualized",
+     "indirect calls made direct"),
+    ("counter", "dataflow.pointsto.hinted", "indirect calls given hints"),
+    ("counter", "dataflow.lint.findings", "MIR lint diagnostics"),
+    ("counter", "binverify.accepted", "images the verifier accepted"),
+    ("counter", "binverify.rejected", "images the verifier rejected"),
+    ("counter", "faults.evasion.<outcome>",
+     "evasion-campaign cells by outcome"),
 )
 
 

@@ -59,11 +59,9 @@ BASELINE_LIMIT = 100
 
 
 def run_loop(tenants: int, mode: str, seed: int, shards: int = 8,
-             churn: int = 2, window: int = 4,
-             template=None) -> ServiceLoop:
+             churn: int = 2, window: int = 4) -> ServiceLoop:
     loop = ServiceLoop(tenants=tenants, shards=shards, seed=seed,
-                       churn=churn, window=window, mode=mode,
-                       template=template)
+                       churn=churn, window=window, mode=mode)
     loop.run()
     return loop
 

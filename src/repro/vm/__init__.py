@@ -11,7 +11,6 @@ from repro.vm.memory import (
     DATA_BASE,
     DATA_LIMIT,
     PAGE_SIZE,
-    SANDBOX_LIMIT,
     STACK_BASE,
     STACK_LIMIT,
     Memory,
@@ -30,7 +29,7 @@ from repro.vm import attacker
 
 __all__ = [
     "CODE_BASE", "CODE_LIMIT", "DATA_BASE", "DATA_LIMIT", "PAGE_SIZE",
-    "SANDBOX_LIMIT", "STACK_BASE", "STACK_LIMIT", "Memory", "TableMemory",
+    "STACK_BASE", "STACK_LIMIT", "Memory", "TableMemory",
     "CPU", "ProgramExit", "ThreadExit",
     "CpuTask", "GeneratorTask", "Outcome", "Scheduler", "Task",
     "syscalls", "attacker",

@@ -13,7 +13,7 @@ Layout constants::
     [CODE_BASE, CODE_LIMIT)      code region (R+X; may embed RO jump tables)
     [DATA_BASE, DATA_LIMIT)      globals + heap (R+W)
     [STACK_BASE, STACK_LIMIT)    thread stacks (R+W)
-    SANDBOX_LIMIT = 4GB          upper bound for any sandboxed write
+    [0, 4GB)                     reach of any sandboxed write
 
 The table region is a separate :class:`TableMemory`, not part of the
 flat address space: the only way application code can touch it is via
@@ -40,7 +40,6 @@ DATA_BASE = 0x1000000
 DATA_LIMIT = 0x1800000         # 8 MiB of globals + heap
 STACK_BASE = 0x1800000
 STACK_LIMIT = 0x2000000        # 8 MiB of stacks
-SANDBOX_LIMIT = 0x100000000    # 4 GiB
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 

@@ -4,8 +4,8 @@ The MCFI runtime "does not allow modules to directly invoke native
 system calls.  Instead, it wraps system calls as API functions and
 checks their arguments" (Sec. 7).  This module defines only the ABI —
 numbers, register convention and string helpers; the trusted
-implementation with argument checking lives in
-:mod:`repro.runtime.services`.
+implementation with argument checking is
+:meth:`repro.runtime.runtime.Runtime.syscall`.
 
 Convention::
 
@@ -28,7 +28,6 @@ SYS_THREAD_EXIT = 6   # thread_exit()                     never returns
 SYS_DLOPEN = 7        # dlopen(path_cstr) -> handle or 0
 SYS_DLSYM = 8         # dlsym(handle, name_cstr) -> fn address or 0
 SYS_MPROTECT = 9      # mprotect(addr, len, prot) -> 0 or -1
-SYS_READ = 10         # read(fd, buf, len) -> bytes read
 SYS_YIELD = 11        # sched_yield() -> 0
 SYS_JIT = 12          # jit_compile(src_cstr, name_cstr) -> fn address
 SYS_DLCLOSE = 13      # dlclose(handle) -> 0 or -1
@@ -37,23 +36,6 @@ SYS_DLCLOSE = 13      # dlclose(handle) -> 0 or -1
 PROT_READ = 1
 PROT_WRITE = 2
 PROT_EXEC = 4
-
-SYSCALL_NAMES = {
-    SYS_EXIT: "exit",
-    SYS_WRITE: "write",
-    SYS_SBRK: "sbrk",
-    SYS_TIME: "time",
-    SYS_THREAD_SPAWN: "thread_spawn",
-    SYS_THREAD_EXIT: "thread_exit",
-    SYS_DLOPEN: "dlopen",
-    SYS_DLSYM: "dlsym",
-    SYS_MPROTECT: "mprotect",
-    SYS_READ: "read",
-    SYS_YIELD: "yield",
-    SYS_JIT: "jit_compile",
-    SYS_DLCLOSE: "dlclose",
-}
-
 
 def read_cstring(memory: Memory, address: int, limit: int = 4096) -> bytes:
     """Read a NUL-terminated byte string from application memory."""

@@ -66,21 +66,6 @@ __all__ = [
 
 ARCHS = ("x64", "x32")
 
-#: divergence categories, in triage-priority order
-CATEGORIES = (
-    "compile_error",    # frontend/codegen/link/verify rejected a valid program
-    "oracle_output",    # VM output differs from the AST evaluator
-    "oracle_exit",      # VM exit code differs from the AST evaluator
-    "violation",        # unexpected CFI violation or fault
-    "dispatch",         # block dispatch vs step_reference observables
-    "devirt",           # devirtualize on vs off output/exit
-    "devirt_txchecks",  # devirtualization *increased* dynamic checks
-    "arch",             # x64 vs x32 output/exit
-    "incremental",      # incremental re-link != cold artifact digest
-    "lint",             # lint plane reports an error-severity finding
-    "harness_error",    # the harness itself failed on this member
-)
-
 
 @dataclass
 class CorpusConfig:

@@ -50,7 +50,6 @@ __all__ = [
 
 MASK64 = (1 << 64) - 1
 _SIGN = 1 << 63
-LONG_MIN = -(1 << 63)
 
 
 def wrap64(value: int) -> int:
@@ -773,10 +772,6 @@ class Stmt:
         """Nested statement lists, for the minimizer."""
         return []
 
-    def exprs(self) -> List[Expr]:
-        """Directly attached expressions, for the minimizer."""
-        return []
-
 
 def _render_block(stmts: Sequence[Stmt], indent: int) -> List[str]:
     lines: List[str] = []
@@ -806,9 +801,6 @@ class DeclStmt(Stmt):
         oracle.burn()
         env.declare(self.name, self.ctype,
                     self.init.evaluate(oracle, env))
-
-    def exprs(self) -> List[Expr]:
-        return [self.init]
 
 
 @dataclass
@@ -877,9 +869,6 @@ class AssignStmt(Stmt):
             return _BIN_EVAL[op](old, rhs)
         raise OracleError(f"unsupported compound op {self.op}")
 
-    def exprs(self) -> List[Expr]:
-        return [self.value]
-
 
 @dataclass
 class ExprStmt(Stmt):
@@ -892,9 +881,6 @@ class ExprStmt(Stmt):
     def execute(self, oracle: Oracle, env: Env) -> None:
         oracle.burn()
         self.expr.evaluate(oracle, env)
-
-    def exprs(self) -> List[Expr]:
-        return [self.expr]
 
 
 @dataclass
@@ -925,9 +911,6 @@ class IfStmt(Stmt):
         if self.els is not None:
             out.append(self.els)
         return out
-
-    def exprs(self) -> List[Expr]:
-        return [self.cond]
 
 
 @dataclass
@@ -1096,9 +1079,6 @@ class SwitchStmt(Stmt):
             out.append(self.default)
         return out
 
-    def exprs(self) -> List[Expr]:
-        return [self.scrut]
-
 
 @dataclass
 class ReturnStmt(Stmt):
@@ -1110,9 +1090,6 @@ class ReturnStmt(Stmt):
     def execute(self, oracle: Oracle, env: Env) -> None:
         oracle.burn()
         raise _Return(int(self.value.evaluate(oracle, env)))
-
-    def exprs(self) -> List[Expr]:
-        return [self.value]
 
 
 @dataclass
@@ -1129,9 +1106,6 @@ class PrintIntStmt(Stmt):
         value = int(self.value.evaluate(oracle, env))
         oracle.out.extend(format_print_int(value))
         oracle.out.append(10)
-
-    def exprs(self) -> List[Expr]:
-        return [self.value]
 
 
 @dataclass

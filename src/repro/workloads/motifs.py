@@ -331,24 +331,3 @@ def gen_k2(prefix: str, n: int) -> str:
         f"long {prefix}_k2_run(void) {{\n" + "\n".join(lines)
         + "\n    return acc;\n}")
     return "\n".join(out) + "\n"
-
-
-def gen_untagged_dc(prefix: str, n: int) -> str:
-    """``n`` untagged downcasts (K2) plus the single pairing upcast (UC):
-    developers who "decided those downcasts are safe through code
-    inspection" (perlbench/gcc)."""
-    out = [
-        f"typedef struct {prefix}_ub {{ void (*f)(int); }} {prefix}_ub;",
-        f"typedef struct {prefix}_ud {{ void (*f)(int); long z; }} "
-        f"{prefix}_ud;",
-        f"void {prefix}_ud_real(int x) {{ }}",
-    ]
-    lines = [f"    {prefix}_ud cc;", f"    {prefix}_ub *bb;",
-             f"    cc.f = {prefix}_ud_real;", f"    cc.z = 1;",
-             f"    bb = ({prefix}_ub *)&cc;   /* UC pair */"]
-    for index in range(n):
-        lines.append(f"    (({prefix}_ud *)bb)->f({index});   /* K2 "
-                     f"untagged downcast */")
-    out.append(
-        f"void {prefix}_udc_run(void) {{\n" + "\n".join(lines) + "\n}")
-    return "\n".join(out) + "\n"

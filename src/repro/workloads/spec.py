@@ -1205,10 +1205,6 @@ def workload(name: str) -> Workload:
     return _CACHE[name]
 
 
-def all_workloads() -> List[Workload]:
-    return [workload(name) for name in BENCHMARKS]
-
-
 # ---------------------------------------------------------------------------
 # Named benchmark sets
 # ---------------------------------------------------------------------------
@@ -1270,11 +1266,6 @@ def benchmark_set(name: str) -> BenchmarkSet:
         raise KeyError(
             f"unknown benchmark set {name!r} (known: {known})"
         ) from None
-
-
-def all_sets() -> List[BenchmarkSet]:
-    """Every registered set, in deterministic (name) order."""
-    return [_SETS[name] for name in sorted(_SETS)]
 
 
 def _generated_set(name: str, description: str, seeds: range,

@@ -97,9 +97,12 @@ def merged_cfg(host: AuxInfo, libraries: Sequence[Library]) -> Cfg:
 
 
 def linker_libraries(linker) -> List[Library]:
-    """A dynamic linker's resident libraries, in load order."""
+    """A dynamic linker's resident libraries, in load order, without
+    the quarantined ones: a quarantined library's code is retired and
+    no generation may give it IDs."""
     return [(library.module.aux, library.taken_names)
-            for library in linker.loaded.values()]
+            for library in linker.loaded.values()
+            if not library.quarantined]
 
 
 def assert_same_cfg(got: Cfg, want: Cfg, where: str = "") -> None:

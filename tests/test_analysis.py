@@ -7,6 +7,24 @@ from repro.analysis.analyzer import analyze_source
 from repro.workloads import motifs
 from repro.workloads.spec import BENCHMARKS, workload
 
+#: Two untagged downcasts (K2) plus the single pairing upcast (UC):
+#: developers who "decided those downcasts are safe through code
+#: inspection" (perlbench/gcc).
+UNTAGGED_DC = """
+typedef struct t_ub { void (*f)(int); } t_ub;
+typedef struct t_ud { void (*f)(int); long z; } t_ud;
+void t_ud_real(int x) { }
+void t_udc_run(void) {
+    t_ud cc;
+    t_ub *bb;
+    cc.f = t_ud_real;
+    cc.z = 1;
+    bb = (t_ub *)&cc;   /* UC pair */
+    ((t_ud *)bb)->f(0);   /* K2 untagged downcast */
+    ((t_ud *)bb)->f(1);   /* K2 untagged downcast */
+}
+"""
+
 
 class TestPatternClassification:
     """Each motif in isolation must classify exactly as intended."""
@@ -20,7 +38,7 @@ class TestPatternClassification:
         (lambda: motifs.gen_k1("t", 2, 1), {"k1": 3}),
         (lambda: motifs.gen_k2("t", 4), {"k2": 4}),
         (lambda: motifs.gen_k2("t", 5), {"k2": 5}),
-        (lambda: motifs.gen_untagged_dc("t", 2), {"k2": 2, "uc": 1}),
+        (lambda: UNTAGGED_DC, {"k2": 2, "uc": 1}),
     ])
     def test_motif_counts(self, generator, expected):
         report = analyze_source(generator(), name="motif")

@@ -11,8 +11,12 @@ from repro.attacks.gadgets import (
 )
 from repro.attacks.hijack import fptr_to_execve, return_to_secret
 from repro.attacks.rop import compare_schemes
-from repro.isa.encoding import encode_all
+from repro.isa.encoding import encode
 from repro.isa.instructions import Instruction, Op
+
+
+def encode_all(instrs):
+    return b"".join(encode(instr) for instr in instrs)
 
 
 class TestGadgetScanner:

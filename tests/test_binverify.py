@@ -170,7 +170,7 @@ class TestReject:
         ctx = self._ctx(demo_program)
         victim = next(d for d in ctx.decoded
                       if d.instr.op == Op.CALL
-                      and d.instr.branch_target(d.address) + 1
+                      and d.target + 1
                       not in ctx.label_addrs)
         code = bytearray(module.code)
         off = victim.address - module.base + 1

@@ -488,26 +488,21 @@ class TestBuildCli:
 
 
 class TestTenantChurn:
-    def test_writeset_template_comes_from_real_cfg(self):
-        from repro.service.tenancy import tenant_source, writeset_from_program
-        program = build_program({"tenant1": tenant_source(1)}).program
-        template = writeset_from_program(program)
-        assert template.tary and template.bary and template.checks
-        assert template.n_classes > 1
-        sites = {site for site, _ in template.bary}
-        offsets = {off for off, _ in template.tary}
-        assert all(site in sites for site, _ in template.checks)
-        assert all(target in offsets for _, target in template.checks)
+    @staticmethod
+    def _kinds(churn, rounds):
+        kinds = {}
+        for _ in range(rounds):
+            kind = churn.churn_once().kind
+            kinds[kind] = kinds.get(kind, 0) + 1
+        return kinds
 
     def test_session_churn_goes_incremental(self):
-        from repro.service.tenancy import churn_compile_latencies
-        out = churn_compile_latencies(tenants=1, rounds=3)
-        assert len(out["seconds"]) == 3
-        assert out["kinds"].get("cold") == 1
-        assert (out["kinds"].get("incremental", 0)
-                + out["kinds"].get("warm", 0)) == 2
+        from repro.service.tenancy import TenantChurn
+        kinds = self._kinds(TenantChurn(0), rounds=3)
+        assert kinds.get("cold") == 1
+        assert kinds.get("incremental", 0) + kinds.get("warm", 0) == 2
 
     def test_legacy_churn_stays_cold(self):
-        from repro.service.tenancy import churn_compile_latencies
-        out = churn_compile_latencies(tenants=1, rounds=2, legacy=True)
-        assert out["kinds"] == {"cold": 2}
+        from repro.service.tenancy import TenantChurn
+        assert self._kinds(TenantChurn(0, legacy=True), rounds=2) == \
+            {"cold": 2}

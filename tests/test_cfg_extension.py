@@ -26,6 +26,7 @@ import pytest
 
 from repro.build import build_program, compile_object
 from repro.cfg.generator import generate_cfg
+from repro.errors import LinkError
 from repro.faults.plane import FaultPlane
 from repro.linker.dynamic_linker import DynamicLinker
 from repro.runtime.runtime import Runtime
@@ -246,6 +247,7 @@ def host_deltas(runtime, linker) -> set:
     for library in linker.loaded.values():
         if library.quarantined:
             reached.add("quarantined")
+            continue
         two = [site.site for site in library.module.aux.branch_sites
                if site.kind == "ret" and site.fn == "a_two"]
         if two and calls(sig="i64(i64)") & cfg.branch_targets[two[0]]:
@@ -264,17 +266,23 @@ def test_cross_module_sequence(seed, devirtualize):
     host = runtime.program.module.aux
     reached = set()
     names = sorted(LIBRARIES)
+    # A quarantine publishes no generation, so the runtime's CFG still
+    # holds the library until the next republish commits.
+    stale = False
     with checked_generations() as checked:
         for event in range(60):
             loaded = {library.name: handle
                       for handle, library in linker.loaded.items()}
             name = rng.choice(names)
             if name not in loaded:
-                linker.dlopen(name)
+                stale &= linker.dlopen(name) == 0
             elif rng.random() < 0.15:
-                linker.quarantine(loaded[name])
+                stale |= linker.quarantine(loaded[name])
             else:
-                linker.dlclose(loaded[name])
+                stale &= linker.dlclose(loaded[name]) != 0
+            reached |= host_deltas(runtime, linker)
+            if stale:
+                continue
             where = f"seed {seed} event {event}"
             cfg_oracle.assert_same_cfg(
                 runtime.cfg, cfg_oracle.merged_cfg(
@@ -282,7 +290,6 @@ def test_cross_module_sequence(seed, devirtualize):
             cfg_oracle.assert_same_cfg(
                 runtime.cfg, cfg_oracle.reference_cfg_for_linker(linker),
                 where)
-            reached |= host_deltas(runtime, linker)
     # every sequence rolls loads back at both fault points
     assert checked
     assert plane.fired("dlopen.cfg") and plane.fired("dlopen.update")
@@ -305,6 +312,39 @@ def test_plt_resolves_then_unresolves():
     assert runtime.memory.host_read(hook, 8) == bytes(8)
     assert runtime.cfg.tary_ecns == generate_cfg(
         runtime.program.module.aux).tary_ecns
+
+
+def test_quarantined_library_stays_out_of_later_generations():
+    """After ``quarantine``, an unrelated dlopen republishes no ID for
+    the retired code, resets the GOT slot the library resolved, and
+    resolves no import against its exports."""
+    runtime, linker = fixture_linker(False, FaultPlane())
+    linker.register("needs_tail", compile_object(r"""
+        long a_f(long x);
+        long n_use(long x) { return a_f(x) + 1; }
+    """, name="needs_tail"))
+    hook = runtime.program.got_slots["plugin_hook"]
+    handles = [linker.dlopen("tail"), linker.dlopen("plt")]
+    assert runtime.memory.host_read(hook, 8) != bytes(8)
+    for handle in handles:
+        assert linker.quarantine(handle)
+    with checked_generations() as checked:
+        assert linker.dlopen("jump")
+    assert checked == [1]
+    tables = runtime.id_tables
+    for handle in handles:
+        module = linker.loaded[handle].module
+        assert bytes(runtime.tables.tary[module.base:module.limit]) == \
+            bytes(module.limit - module.base)
+        assert not any(module.base <= address < module.limit
+                       for address in tables.tary_ecns)
+        assert module.bary_slots
+        for site in module.bary_slots:
+            assert tables.branch_id(site) == 0
+            assert site not in tables.bary_ecns
+    assert runtime.memory.host_read(hook, 8) == bytes(8)
+    with pytest.raises(LinkError, match="a_f"):
+        linker.dlopen("needs_tail")
 
 
 def test_cross_library_taken_and_tail_calls():

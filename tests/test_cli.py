@@ -8,8 +8,8 @@ import json
 import pytest
 
 from repro.cli import TOOLS, build_parser, main as cli_main, tool_argv
-from repro.tools.obs import (DEMO_SUBSYSTEMS, SPAN_CATALOG, load_trace,
-                             run_demo, subsystem)
+from repro.tools.obs import (DEMO_SUBSYSTEMS, METRIC_CATALOG, SPAN_CATALOG,
+                             load_trace, run_demo, subsystem)
 from repro.tools.obs import main as obs_main
 
 
@@ -168,6 +168,59 @@ class TestObsTool:
                     emitted.add(node.args[0].value)
         assert "build.session" in emitted
         assert {name for name, _, _ in SPAN_CATALOG} == emitted
+
+    def test_metric_catalog_is_every_metric_src_emits(self):
+        # Every name src/ hands to a registry's counter/gauge/histogram
+        # matches a row of the same kind, and every row matches an
+        # emission.  A literal name is matched exactly; an f-string,
+        # concatenation or conditional is a pattern in which each
+        # computed part is one dotted field, as is a row's ``<x>``.
+        import ast
+        import re
+        from pathlib import Path
+
+        import repro
+
+        field = "[^.]+"
+
+        def pattern(node):
+            if isinstance(node, ast.Constant):
+                return re.escape(node.value)
+            if isinstance(node, ast.JoinedStr):
+                return "".join(pattern(part) for part in node.values)
+            if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add):
+                return pattern(node.left) + pattern(node.right)
+            if isinstance(node, ast.IfExp):
+                return f"(?:{pattern(node.body)}|{pattern(node.orelse)})"
+            return field
+
+        emitted = set()   # (kind, pattern, literal name or None)
+        for path in Path(repro.__file__).parent.rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                func = getattr(node, "func", None)
+                if (isinstance(node, ast.Call)
+                        and isinstance(func, ast.Attribute)
+                        and func.attr in ("counter", "gauge", "histogram")
+                        and "metrics" in ast.unparse(func.value)
+                        and node.args):
+                    arg = node.args[0]
+                    literal = arg.value \
+                        if isinstance(arg, ast.Constant) else None
+                    emitted.add((func.attr, pattern(arg), literal))
+
+        def matches(emission, row):
+            kind, regex, literal = emission
+            row_kind, name, _ = row
+            row_regex = re.sub(r"<\w+>", field, re.escape(name))
+            return kind == row_kind and bool(
+                re.fullmatch(regex, name)
+                or literal and re.fullmatch(row_regex, literal))
+
+        assert ("counter", r"build\.splices", "build.splices") in emitted
+        assert [e for e in emitted
+                if not any(matches(e, row) for row in METRIC_CATALOG)] == []
+        assert [row for row in METRIC_CATALOG
+                if not any(matches(e, row) for e in emitted)] == []
 
     def test_subsystem_mapping(self):
         assert subsystem("tx.update") == "transactions"

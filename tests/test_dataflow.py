@@ -213,29 +213,19 @@ class TestAbsint:
         assert "a" not in base_names   # address passed to a call
         assert "b" in base_names
 
+    @staticmethod
+    def _site_targets(module, function):
+        """Proven callee sets of one function's indirect calls."""
+        return [site.targets for site in devirtualize_module(module).sites
+                if site.function == function]
+
     def test_singleton_resolution_through_local(self):
         module = lower_source(FPTR_SOURCE)
-        func = next(f for f in module.functions if f.name == "fixed")
-        facts = analyze_function(func)
-        sites = [(block.label, i)
-                 for block in func.blocks
-                 for i, inst in enumerate(block.instrs)
-                 if isinstance(inst, ir.CallInd)]
-        assert len(sites) == 1
-        names = facts.resolve_callind(*sites[0])
-        assert names == frozenset({"twice"})
+        assert self._site_targets(module, "fixed") == [("twice",)]
 
     def test_branch_join_widens_to_pair(self):
         module = lower_source(FPTR_SOURCE)
-        func = next(f for f in module.functions if f.name == "pick")
-        facts = analyze_function(func)
-        sites = [(block.label, i)
-                 for block in func.blocks
-                 for i, inst in enumerate(block.instrs)
-                 if isinstance(inst, ir.CallInd)]
-        assert len(sites) == 1
-        names = facts.resolve_callind(*sites[0])
-        assert names == frozenset({"inc", "dec"})
+        assert self._site_targets(module, "pick") == [("dec", "inc")]
 
     def test_call_kills_global_not_tracked_local(self):
         module = lower_source("""
@@ -250,16 +240,10 @@ class TestAbsint:
             }
             int main(void) { return (int)f(); }
         """)
-        func = next(f for f in module.functions if f.name == "f")
-        facts = analyze_function(func)
-        resolutions = []
-        for block in func.blocks:
-            for i, inst in enumerate(block.instrs):
-                if isinstance(inst, ir.CallInd):
-                    resolutions.append(facts.resolve_callind(block.label, i))
+        resolutions = self._site_targets(module, "f")
         assert len(resolutions) == 2
         # the tracked local survives the direct call, the global does not
-        assert frozenset({"id"}) in resolutions
+        assert ("id",) in resolutions
         assert None in resolutions
 
 

@@ -14,10 +14,10 @@ from repro import errors
 from repro.errors import (
     DeadlineExceeded,
     InjectedFault,
+    MemoryFault,
     ReproError,
     RuntimeError_,
     ServiceBackpressure,
-    ShardQuarantined,
     TableIntegrityError,
 )
 
@@ -54,7 +54,7 @@ class TestTaxonomy:
 
     def test_service_errors_inherit_the_common_base(self):
         for cls in (ServiceBackpressure, TableIntegrityError,
-                    ShardQuarantined, DeadlineExceeded):
+                    DeadlineExceeded):
             assert issubclass(cls, RuntimeError_)
             assert issubclass(cls, ReproError)
 
@@ -78,14 +78,6 @@ class TestPayloads:
         assert payload["code"] == "table-integrity"
         assert payload["index"] == 3 and payload["retries"] == 4096
 
-    def test_shard_quarantined_payload(self):
-        err = ShardQuarantined(shard=2, reason="audit found 3 bad words")
-        payload = err.to_dict()
-        assert payload["code"] == "shard-quarantined"
-        assert payload["shard"] == 2
-        assert "audit" in payload["reason"]
-        assert "quarantined" in str(err)
-
     def test_deadline_payload(self):
         err = DeadlineExceeded("tenant3/5", deadline_tick=900,
                                now_tick=1024)
@@ -105,7 +97,7 @@ class TestPayloads:
     @pytest.mark.parametrize("err", [
         ServiceBackpressure(1, 2),
         TableIntegrityError("x", index=0, retries=1),
-        ShardQuarantined(0),
+        MemoryFault(0x40, "write", "outside Tary table"),
         DeadlineExceeded("t/0", 10, 20),
         InjectedFault("p", "d"),
     ])

@@ -174,6 +174,27 @@ class TestInjectors:
         tables = self._tables()
         assert tables.scrub() == 0
 
+    def test_sweep_repairs_corruption_and_zeroes_strays(self):
+        # After a sweep the band holds what a rebuild from the trusted
+        # assignment writes: tracked words repaired, forged strays in
+        # untracked words zeroed.
+        tables = self._tables()
+        memory = tables.memory
+        tracked = min(tables.tary_ecns)
+        memory.write_tary(tracked, memory.read_tary(tracked) ^ 1)
+        stray = max(tables.tary_ecns) + 64
+        memory.write_tary(stray, 0x00000101)
+        assert tables.audit()["tary"]
+        assert tables.sweep() == {"repaired": 1, "strays": 1}
+        assert tables.audit() == {"tary": [], "bary": []}
+        assert memory.read_tary(stray) == 0
+
+    def test_sweep_is_noop_on_clean_tables(self):
+        tables = self._tables()
+        before = bytes(tables.memory.tary)
+        assert tables.sweep() == {"repaired": 0, "strays": 0}
+        assert bytes(tables.memory.tary) == before
+
 
 class TestTableScenarios:
     @pytest.mark.parametrize("injector", INJECTORS)

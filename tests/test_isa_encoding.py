@@ -5,14 +5,14 @@ from hypothesis import given, strategies as st
 
 from repro.errors import EncodingError
 from repro.isa.disasm import sweep_ranges
-from repro.isa.encoding import decode, encode, encode_all
+from repro.isa.encoding import decode, encode
 from repro.isa.instructions import (
     Instruction,
     MAX_INSTRUCTION_LENGTH,
     Op,
     OperandKind,
     SPECS,
-    instruction_length,
+    codec_of,
 )
 from repro.isa.registers import NUM_REGS
 
@@ -47,7 +47,7 @@ class TestRoundTrip:
 
     @given(st.lists(instructions(), min_size=1, max_size=20))
     def test_stream_roundtrip(self, instrs):
-        raw = encode_all(instrs)
+        raw = b"".join(encode(instr) for instr in instrs)
         decoded = sweep_ranges(raw, 0, [(0, len(raw))])
         assert len(decoded) == len(instrs)
         offset = 0
@@ -60,11 +60,11 @@ class TestRoundTrip:
         for op in SPECS:
             operands = tuple(0 for _ in SPECS[op].operands)
             assert len(encode(Instruction(op, operands))) == \
-                instruction_length(op)
+                codec_of(op).length
 
     def test_max_length_constant(self):
         assert MAX_INSTRUCTION_LENGTH == max(
-            instruction_length(op) for op in SPECS)
+            codec_of(op).length for op in SPECS)
 
 
 class TestErrors:
@@ -102,7 +102,7 @@ class TestVariableLength:
     """Variable-length encoding is load-bearing for the reproduction."""
 
     def test_lengths_vary(self):
-        lengths = {instruction_length(op) for op in SPECS}
+        lengths = {codec_of(op).length for op in SPECS}
         assert len(lengths) >= 4, "encoding should be variable length"
 
     def test_mid_instruction_decode_differs(self):
@@ -115,6 +115,6 @@ class TestVariableLength:
 
     def test_branch_target_resolution(self):
         instr = Instruction(Op.JMP, (10,))
-        assert instr.branch_target(100) == 100 + instr.length + 10
-        with pytest.raises(EncodingError):
-            Instruction(Op.RET, ()).branch_target(0)
+        raw = encode(instr)
+        [decoded] = sweep_ranges(raw, 100, [(100, 100 + len(raw))])
+        assert decoded.target == 100 + instr.length + 10

@@ -5,7 +5,7 @@ import pytest
 
 from repro.errors import RuntimeError_
 from repro.linker.dynamic_linker import DynamicLinker
-from repro.runtime.jit import JitEngine, make_unary_op
+from repro.runtime.jit import JitEngine
 from repro.runtime.runtime import Runtime
 from repro.build import build_program, compile_object
 
@@ -108,8 +108,8 @@ class TestJitInstall:
             {"main": "int main(void) { return 0; }"}, mcfi=True).program
         runtime = Runtime(program)
         engine = JitEngine(runtime)
-        source = make_unary_op("triple", "x * 3")
-        address = engine.install_function(source, "triple")
+        address = engine.install_function(
+            "long triple(long x) { return x * 3; }\n", "triple")
         assert address != 0
         assert engine.stats.compiled_bytes > 0
         assert "triple" in engine.stats.installed_functions

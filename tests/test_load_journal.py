@@ -262,44 +262,3 @@ class TestViolationPolicies:
         assert not any(module.base <= a < module.limit
                        for a in runtime.id_tables.tary_ecns)
 
-
-class TestRebuildTables:
-    def test_rebuild_repairs_corruption_and_zeroes_strays(self,
-                                                          artifacts):
-        """Metadata-driven recovery: after arbitrary table damage,
-        ``rebuild_tables`` restores a clean, audit-passing assignment
-        and zeroes forged strays in untracked words."""
-        from repro.core.tables import tary_index
-
-        runtime, linker = _runtime_with_plugin(artifacts)
-        handle = linker.dlopen("plugin")
-        assert handle != 0
-        tables = runtime.id_tables
-        memory = tables.memory
-        # Corrupt one tracked word and forge one untracked stray.
-        tracked = sorted(tables.tary_ecns)[0]
-        memory.write_tary(tary_index(tracked),
-                          memory.read_tary(tary_index(tracked)) ^ 1)
-        stray = max(tables.tary_ecns) + 64
-        assert stray not in tables.tary_ecns
-        memory.write_tary(tary_index(stray), 0x00000101)
-        findings = tables.audit()
-        assert findings["tary"]
-
-        swept = linker.rebuild_tables()
-        assert swept["entries"] > 0
-        assert swept["strays"] >= 1
-        assert tables.audit() == {"tary": [], "bary": []}
-        assert memory.read_tary(tary_index(stray)) == 0
-        # The linker still serves the loaded module afterwards.
-        assert linker.dlsym(handle, "libfn") != 0
-
-    def test_rebuild_is_idempotent_on_clean_tables(self, artifacts):
-        runtime, linker = _runtime_with_plugin(artifacts)
-        assert linker.dlopen("plugin") != 0
-        decoded = dict(runtime.id_tables.tary_ecns)
-        swept = linker.rebuild_tables()
-        assert swept["repaired"] == 0
-        assert swept["strays"] == 0
-        assert runtime.id_tables.tary_ecns == decoded
-        assert runtime.id_tables.audit() == {"tary": [], "bary": []}

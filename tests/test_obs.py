@@ -250,11 +250,6 @@ class TestInstrumentation:
 
 
 class TestClock:
-    def test_stopwatch(self):
-        with clock.Stopwatch() as watch:
-            pass
-        assert watch.seconds >= 0.0
-
     def test_now_monotonic(self):
         a = clock.now()
         b = clock.now()

@@ -9,7 +9,7 @@ import pytest
 
 from repro.analysis.binverify import verify_module
 from repro.experiments import compiled, run_once
-from repro.workloads.spec import BENCHMARKS, all_workloads, workload
+from repro.workloads.spec import BENCHMARKS, workload
 
 
 @pytest.mark.parametrize("name", BENCHMARKS)
@@ -40,15 +40,14 @@ def test_x32_matches_x64_output():
 
 def test_registry_contents():
     assert len(BENCHMARKS) == 12
-    workloads = all_workloads()
-    assert [w.name for w in workloads] == list(BENCHMARKS)
+    assert [workload(name).name for name in BENCHMARKS] == list(BENCHMARKS)
     # nine integer + three floating-point, as in the paper
     floats = {"milc", "lbm", "sphinx3"}
     assert floats < set(BENCHMARKS)
 
 
 def test_workloads_have_paper_references():
-    for spec in all_workloads():
+    for spec in map(workload, BENCHMARKS):
         assert spec.paper_table1["SLOC"] > 0
         assert spec.paper_table3_x64[0] > 0
         assert spec.scale >= 1
