@@ -14,9 +14,12 @@ Two artifacts in one file:
 
 * **Conformance** — the dispatcher must be architecturally invisible:
   identical ``exit_code``/``output``/``cycles``/``instructions``/
-  ``tx_checks`` on every workload.  Closure compilation, the decoded
-  basic-block cache and check-sequence fusion may only change
-  wall-clock time, never an observable.
+  ``tx_checks`` on every workload, and an identical SHA-256 of the
+  data and stack regions at exit, so a wrong value left in memory
+  fails even when it never reaches the output.  Closure compilation,
+  the decoded basic-block cache, check-sequence fusion and the hot
+  tier's store-to-load forwarding may only change wall-clock time,
+  never an observable.
 
 Runnable three ways:
 
@@ -32,6 +35,7 @@ this process, so every block's source is generated before its first
 run and the generated tier alone is held against the reference.
 """
 
+import hashlib
 import statistics
 import sys
 import time
@@ -49,6 +53,7 @@ from benchmarks.conftest import selected_benchmarks, write_result
 from repro.experiments import compiled
 from repro.runtime.runtime import Runtime
 from repro.vm import dispatch
+from repro.vm.memory import DATA_LIMIT, STACK_BASE, STACK_LIMIT
 from repro.workloads.spec import BENCHMARKS
 
 #: Workloads for the script-mode --quick smoke: one call-heavy (many
@@ -62,7 +67,7 @@ ROUNDS = 3
 
 
 def _run(name: str, reference: bool):
-    """Execute one workload; returns (RunResult, wall seconds)."""
+    """Execute one workload; returns (its observables, wall seconds)."""
     runtime = Runtime(compiled(name))
     cpu = runtime.main_cpu()
     if reference:
@@ -73,23 +78,26 @@ def _run(name: str, reference: bool):
     result = runtime.run(max_steps=MAX_STEPS)
     elapsed = time.perf_counter() - start
     assert result.ok, f"{name}: {result.violation or result.fault}"
-    return result, elapsed
+    return observables(runtime, result), elapsed
 
 
-def observables(result):
-    return (result.exit_code, result.output, result.cycles,
-            result.instructions, result.tx_checks)
+def observables(runtime, result):
+    """What every tier must reproduce: the run's result fields and
+    ``memory``, a SHA-256 of the data and stack regions at exit."""
+    digest = hashlib.sha256()
+    for lo, hi in ((runtime.program.data.base, DATA_LIMIT),
+                   (STACK_BASE, STACK_LIMIT)):
+        digest.update(runtime.memory.host_read(lo, hi - lo))
+    return {"exit_code": result.exit_code, "output": result.output,
+            "cycles": result.cycles, "instructions": result.instructions,
+            "tx_checks": result.tx_checks, "memory": digest.hexdigest()}
 
 
 def check_conformance(name: str):
     """Run ``name`` both ways; return (fast, ref, mismatches)."""
     fast, _ = _run(name, reference=False)
     ref, _ = _run(name, reference=True)
-    mismatches = [
-        field for field, a, b in zip(
-            ("exit_code", "output", "cycles", "instructions", "tx_checks"),
-            observables(fast), observables(ref))
-        if a != b]
+    mismatches = [field for field in fast if fast[field] != ref[field]]
     return fast, ref, mismatches
 
 
@@ -106,15 +114,15 @@ def speedup_row(name: str):
         order = (True, False) if index % 2 == 0 else (False, True)
         timed = {reference: _run(name, reference) for reference in order}
         (ref, ref_s), (fast, fast_s) = timed[True], timed[False]
-        assert observables(fast) == observables(ref), name
+        assert fast == ref, name
         ref_times.append(ref_s)
         fast_times.append(fast_s)
         ratios.append(ref_s / fast_s)
     return {
         "name": name,
-        "instructions": ref.instructions,
-        "ref_ips": ref.instructions / statistics.median(ref_times),
-        "fast_ips": fast.instructions / statistics.median(fast_times),
+        "instructions": ref["instructions"],
+        "ref_ips": ref["instructions"] / statistics.median(ref_times),
+        "fast_ips": fast["instructions"] / statistics.median(fast_times),
         "speedup": statistics.median(ratios),
     }
 
@@ -143,8 +151,7 @@ def test_dispatch_conformance(name):
     """Dispatch observables are bit-identical to the if/elif chain."""
     fast, ref, mismatches = check_conformance(name)
     assert not mismatches, (
-        f"{name} diverged on {mismatches}: "
-        f"dispatch={observables(fast)} reference={observables(ref)}")
+        f"{name} diverged on {mismatches}: dispatch={fast} reference={ref}")
 
 
 def test_dispatch_speedup_table(benchmark):
@@ -185,11 +192,11 @@ def _main(argv):
         if mismatches:
             failed = True
             print(f"FAIL {name}: diverged on {mismatches}")
-            print(f"  dispatch : {observables(fast)}")
-            print(f"  reference: {observables(ref)}")
+            print(f"  dispatch : {fast}")
+            print(f"  reference: {ref}")
         else:
-            print(f"ok   {name}: {fast.instructions} instrs, "
-                  f"cycles/tx_checks identical")
+            print(f"ok   {name}: {fast['instructions']} instrs, "
+                  f"cycles/tx_checks/memory identical")
     if failed:
         return 1
     if args.conformance:

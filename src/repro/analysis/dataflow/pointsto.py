@@ -27,7 +27,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.analysis.dataflow.absint import FunctionFacts, analyze_function
+from repro.analysis.dataflow.absint import (
+    FUNCS,
+    FunctionFacts,
+    analyze_function,
+)
 from repro.mir import ir
 from repro.obs import OBS
 from repro.tinyc.types import FuncSig, signatures_match
@@ -144,7 +148,7 @@ def _devirtualize(module: ir.MirModule) -> PointsToReport:
                 for position, inst, state in func_facts.walk(block.label):
                     if position in wanted:
                         value = state.reg(inst.pointer)
-                        if value.kind == "funcs":
+                        if value.kind == FUNCS:
                             resolutions[position] = value.names
             for index, inst in indirect:
                 names = resolutions.get(index)

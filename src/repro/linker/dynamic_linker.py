@@ -346,11 +346,12 @@ class DynamicLinker:
                 f"{raw.name}: unresolved imports {', '.join(missing)}")
 
         # A library may not define a function or export a name the
-        # program or a resident library already has: the merged CFG
-        # holds one entry per name.  Checked before any state changes.
+        # program or a live library already has: the merged CFG holds
+        # one entry per name, and a quarantined library is in no
+        # generation.  Checked before any state changes.
         functions = set(self._cfg_base.aux.functions)
         exports = set(self._cfg_base.aux.exports)
-        for lib in self.loaded.values():
+        for lib in self._live():
             functions.update(lib.module.aux.functions)
             exports.update(lib.module.aux.exports)
         names = {meta.name for meta in raw.functions.values()}

@@ -119,6 +119,8 @@ METRIC_CATALOG = (
     ("counter", "vm.dispatch.fused_sites", "check sequences fused"),
     ("counter", "vm.dispatch.blocks_generated",
      "hot blocks generated and compiled"),
+    ("counter", "vm.dispatch.forwarded_loads",
+     "hot-block loads generated as reloads of the block's own stores"),
     ("counter", "runtime.violations.<action>",
      "violations by policy action"),
     ("counter", "linker.dlopens", "successful dlopens"),

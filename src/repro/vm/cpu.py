@@ -90,6 +90,11 @@ _LENGTH_BY_BYTE = [codec.length if codec else 1 for codec in CODEC_BY_BYTE]
 globals().update(("_" + op.name, int(op)) for op in Op)
 _RSP = int(Reg.RSP)
 
+#: The :class:`DispatchCache` counts ``run()`` reports as
+#: ``vm.dispatch.<name>`` counters.
+_DISPATCH_COUNTS = ("blocks_built", "fused_sites", "blocks_generated",
+                    "forwarded_loads")
+
 
 class ProgramExit(Exception):
     """Raised by the exit syscall; carries the process exit code."""
@@ -447,9 +452,7 @@ class CPU:
         cycles_before = self.cycles
         instructions_before = self.instructions
         cache = self.dispatch_cache
-        blocks_before = cache.blocks_built
-        fused_before = cache.fused_sites
-        generated_before = cache.blocks_generated
+        dispatch_before = [getattr(cache, name) for name in _DISPATCH_COUNTS]
         self._decode_fault = False
         limit_error = False
         span = OBS.tracer.begin("vm.run", thread=self.thread_id)
@@ -501,11 +504,8 @@ class CPU:
                 metrics.counter("vm.instructions").inc(executed)
                 metrics.counter("vm.cycles").inc(
                     self.cycles - cycles_before)
-                for name, count in (
-                        ("blocks_built", cache.blocks_built - blocks_before),
-                        ("fused_sites", cache.fused_sites - fused_before),
-                        ("blocks_generated",
-                         cache.blocks_generated - generated_before)):
+                for name, before in zip(_DISPATCH_COUNTS, dispatch_before):
+                    count = getattr(cache, name) - before
                     if count:
                         metrics.counter("vm.dispatch." + name).inc(count)
             span.end(instructions=executed,

@@ -32,6 +32,18 @@ reference, which conformance tests diff against):
    and run from then on: registers and flags live in locals, the
    counters are charged once at exit, and the check is fused inline.
 
+4. **Hot blocks skip the memory they can answer** (:func:`_forwarding`).
+   A load that reads back what the block itself stored, through the
+   same base register unchanged since and at the same displacement and
+   width, becomes a read of the stored value's local, and a
+   ``MOVZX32`` of a register already masked becomes nothing.  Any
+   store that may alias the slot, a push, a call or a syscall ends the
+   reuse, and none crosses a block boundary.  The reload cannot fault,
+   because the store proved its pages writable and
+   :class:`~repro.vm.memory.Memory` keeps every writable page
+   readable; and nothing else writes memory while a generated block
+   runs, because only single-threaded ``CPU.run`` runs blocks.
+
 Both renderings share one fault protocol: a progress index ``k`` names
 the instruction that may raise next, and on any exception the
 registers and flags are written back, the counters are charged through
@@ -142,13 +154,15 @@ class Semantics:
     the fall-through address and ``{pc}`` the instruction's own;
     ``{sp}`` is RSP and ``{zf}``/``{lt}``/``{ltu}`` the flags;
     ``{cpu}``, ``{mem}`` and ``{tables}`` the machine; ``{cell}`` the
-    fused check's ``[cached_id, generation]`` cell; ``{atI}`` marks the
-    statements of sub-instruction ``I`` of a multi-instruction
-    template.  Terminators ``return`` the next rip on every path.
+    fused check's ``[cached_id, generation]`` cell; ``{v}`` and
+    ``{mask}`` a forwarded load's stored value and width mask;
+    ``{atI}`` marks the statements of sub-instruction ``I`` of a
+    multi-instruction template.  Terminators ``return`` the next rip
+    on every path.
     """
 
     __slots__ = ("body", "regs", "width", "sync", "ends", "fields",
-                 "stores", "raises")
+                 "stores", "raises", "reg_fields", "reg_stores")
 
     def __init__(self, body: str, kinds, width: int = 1,
                  sync: bool = False, ends: bool = False) -> None:
@@ -180,18 +194,19 @@ class Semantics:
                     isinstance(node.func, ast.Name)
                     and node.func.id in _PURE))
             for node in ast.walk(probe))
+        #: operand indices of the registers it names, and assigns
+        self.reg_fields = tuple(index for index, is_reg in enumerate(self.regs)
+                                if is_reg and str(index) in self.fields)
+        self.reg_stores = tuple(index for index in self.reg_fields
+                                if str(index) in self.stores)
 
     def render(self, operands, named) -> str:
         return self.body.format(*operands, **named, **_CONSTANTS)
 
     def touched(self, ops) -> Tuple[set, set]:
         """Registers this instance reads or writes, and writes."""
-        used, written = set(), set()
-        for index, is_reg in enumerate(self.regs):
-            if is_reg and str(index) in self.fields:
-                used.add(ops[index])
-                if str(index) in self.stores:
-                    written.add(ops[index])
+        used = {ops[index] for index in self.reg_fields}
+        written = {ops[index] for index in self.reg_stores}
         if "sp" in self.fields:
             used.add(_RSP)
             if "sp" in self.stores:
@@ -208,7 +223,7 @@ _FLOAT = """
 """
 _JUMP = "return {t} if %s else {n}"
 _SHL = "{0} = ({0} << ({1} & 63)) & {M64}"
-_SAR = "{0} = (_signed({0}) >> ({1} & 63)) & {M64}"
+_SAR = "{0} = ((({0} ^ {SIGN64}) - {SIGN64}) >> ({1} & 63)) & {M64}"
 
 _TEMPLATES = {
     Op.NOP: "",
@@ -232,7 +247,8 @@ _TEMPLATES = {
     Op.ADD_RI: "{0} = ({0} + {1}) & {M64}",
     Op.SUB_RR: "{0} = ({0} - {1}) & {M64}",
     Op.SUB_RI: "{0} = ({0} - {1}) & {M64}",
-    Op.IMUL_RR: "{0} = (_signed({0}) * _signed({1})) & {M64}",
+    # The low 64 bits of a product do not depend on signedness.
+    Op.IMUL_RR: "{0} = ({0} * {1}) & {M64}",
     Op.IDIV_RR: "{0} = _divide({0}, {1}, False)",
     Op.IMOD_RR: "{0} = _divide({0}, {1}, True)",
     Op.AND_RR: "{0} &= {1}",
@@ -343,6 +359,10 @@ for _op, _body in _TEMPLATES.items():
         _body, SPECS[_op].operands, sync=_op in (Op.SYSCALL, Op.HLT),
         ends=int(_op) in BLOCK_TERMINATORS)
 
+#: A load the block answers from its own earlier store
+#: (:func:`_forwarding`): the stored value's local, cut to the width.
+RELOAD = Semantics("{0} = {v} & {mask}", (OperandKind.REG,))
+
 #: The Fig. 4 Try block as one template of five instructions.
 #: Operands: the branch-ID register, the Bary index, the target-ID
 #: register, the target register, and the Check block's address.
@@ -406,8 +426,9 @@ def _function(signature: str, sites, count: int, prologue: List[str],
         if sem.sync:
             break
         if dynamic:
-            named.update((at, f"k = {base + i}; ")
-                         for i, at in enumerate(_AT))
+            if sem.width > 1:
+                named.update((at, f"k = {base + i}; ")
+                             for i, at in enumerate(_AT))
             if (sem.raises or sem.ends) and current != base:
                 body.append(f"k = {base}")
                 current = base
@@ -512,8 +533,63 @@ def compile_entry(entry: Tuple[int, Tuple[int, ...], int, int],
     return factory(ops, rip, cost, rip + length)
 
 
-def _block_source(block: "Block") -> str:
-    """Source of one hot block: registers and flags as locals."""
+_LOAD_WIDTH = {int(Op.LOAD8): 1, int(Op.LOAD16): 2, int(Op.LOAD32): 4,
+               int(Op.LOAD64): 8}
+_STORE_WIDTH = {int(Op.STORE8): 1, int(Op.STORE16): 2, int(Op.STORE32): 4,
+                int(Op.STORE64): 8}
+_MOVZX32_INT = int(Op.MOVZX32)
+
+
+def _forwarding(entries) -> Tuple[Dict[int, int], set]:
+    """Plan which memory accesses of one block its locals answer.
+
+    Returns ``(reloads, skips)``: ``reloads`` maps the index of each
+    load that reads back what the block itself stored to the index of
+    that store, and ``skips`` holds the indices of the ``MOVZX32``
+    instructions whose register is already masked.
+
+    Every register write bumps the register's version; a ``MOVZX32``
+    of a register whose last write was a ``MOVZX32`` writes nothing.
+    A live store is keyed by (base register, its version,
+    displacement), and a load with the same key and width reads the
+    bytes it wrote.  A store keeps only the live stores through the
+    same base and version whose bytes it does not overlap; any other
+    memory write forgets them all, and loads forget nothing.
+    """
+    version = [0] * 16
+    masked = set()
+    live: Dict[Tuple[int, int, int], Tuple[int, int]] = {}
+    reloads: Dict[int, int] = {}
+    skips = set()
+    for index, (op, ops, _, _) in enumerate(entries):
+        sem = SEMANTICS[op]
+        if op in _LOAD_WIDTH:
+            store = live.get((ops[1], version[ops[1]], ops[2]))
+            if store is not None and store[0] == _LOAD_WIDTH[op]:
+                reloads[index] = store[1]
+        elif op in _STORE_WIDTH:
+            base, disp, width = ops[0], ops[1], _STORE_WIDTH[op]
+            live = {key: store for key, store in live.items()
+                    if key[:2] == (base, version[base])
+                    and (key[2] + store[0] <= disp
+                         or disp + width <= key[2])}
+            live[base, version[base], disp] = (width, index)
+        elif "cpu" in sem.fields or "{mem}.write" in sem.body:
+            live.clear()  # a push, a call, or a handler
+        if op == _MOVZX32_INT and ops[0] in masked:
+            skips.add(index)
+            continue
+        for reg in sem.touched(ops)[1]:
+            version[reg] += 1
+            masked.discard(reg)
+        if op == _MOVZX32_INT:
+            masked.add(ops[0])
+    return reloads, skips
+
+
+def _block_source(block: "Block") -> Tuple[str, int]:
+    """Source of one hot block, registers and flags as locals, and the
+    number of its loads answered from its own stores."""
     sites: List[Site] = []
     addr = block.entry
     for op, ops, length, cost in block.entries:
@@ -521,12 +597,17 @@ def _block_source(block: "Block") -> str:
         addr += length
     if block.fused is not None:
         sites.append(block.fused)
+    reloads, skips = _forwarding(block.entries)
+    bound = set(reloads.values())
+    machine = {"cpu": "cpu", "mem": "mem", "tables": "tables",
+               "sp": f"r{_RSP}", "cell": "cell"}
+    machine.update((flag, flag) for flag in _FLAGS)
     rendered = []
     used, written = set(), set()
     flags, flags_written = set(), set()
     addrs: List[int] = []
     charges: List[int] = []
-    for sem, ops, site_addrs, site_charges, nxt in sites:
+    for index, (sem, ops, site_addrs, site_charges, nxt) in enumerate(sites):
         offset = charges[-1] if charges else 0
         addrs.extend(site_addrs)
         charges.extend(offset + charge for charge in site_charges)
@@ -537,14 +618,21 @@ def _block_source(block: "Block") -> str:
         flags_written |= sem.stores & set(_FLAGS)
         operands = [f"r{value}" if is_reg else repr(value)
                     for value, is_reg in zip(ops, sem.regs)]
-        named = {"cpu": "cpu", "mem": "mem", "tables": "tables",
-                 "sp": f"r{_RSP}", "n": repr(nxt), "pc": repr(site_addrs[0]),
-                 "cell": "cell"}
-        named.update((flag, flag) for flag in _FLAGS)
+        named = dict(machine, n=repr(nxt), pc=repr(site_addrs[0]))
         named.update((f"u{i}", repr(value & _MASK64))
-                     for i, value in enumerate(ops))
+                     for i, value in enumerate(ops) if f"u{i}" in sem.fields)
         if "t" in sem.fields:
             named["t"] = repr(nxt + ops[0])
+        if index in reloads:
+            width = _LOAD_WIDTH[block.entries[index][0]]
+            named.update(v=f"v{reloads[index]}",
+                         mask=hex((1 << 8 * width) - 1))
+            sem, operands = RELOAD, operands[:1]
+        elif index in skips:
+            sem, operands = SEMANTICS[Op.NOP], []
+        elif index in bound:
+            # Bind the stored value as it is passed to the store.
+            operands[2] = f"(v{index} := {operands[2]})"
         rendered.append((sem, operands, named))
     fields = set().union(*(sem.fields for sem, _, _, _, _ in sites))
     prologue = ["regs = cpu.regs"] if used else []
@@ -560,9 +648,10 @@ def _block_source(block: "Block") -> str:
         addrs_src, charges_src = repr(addrs[0]), repr(charges[0])
     else:
         addrs_src, charges_src = repr(tuple(addrs)), repr(tuple(charges))
-    return "\n".join(_function("block(cpu)", rendered, len(addrs), prologue,
-                               addrs_src, charges_src, writeback,
-                               repr(block.exit_rip)))
+    source = "\n".join(_function("block(cpu)", rendered, len(addrs),
+                                 prologue, addrs_src, charges_src,
+                                 writeback, repr(block.exit_rip)))
+    return source, len(reloads)
 
 
 # ---------------------------------------------------------------------------
@@ -675,9 +764,10 @@ def generate_block(block: Block, cache: "DispatchCache") -> _Closure:
     """Generate, compile and return the hot function of ``block``."""
     with OBS.tracer.span("vm.generate", entry=block.entry):
         namespace = dict(_HELPERS, cell=[0, -1])
-        exec(compile(_block_source(block), f"<block {block.entry:#x}>",
-                     "exec"), namespace)
+        source, forwarded = _block_source(block)
+        exec(compile(source, f"<block {block.entry:#x}>", "exec"), namespace)
     cache.blocks_generated += 1
+    cache.forwarded_loads += forwarded
     return namespace["block"]
 
 
@@ -693,7 +783,7 @@ class DispatchCache:
     """
 
     __slots__ = ("decoded", "closures", "blocks", "blocks_built",
-                 "fused_sites", "blocks_generated")
+                 "fused_sites", "blocks_generated", "forwarded_loads")
 
     def __init__(self) -> None:
         self.decoded: Dict[int, Tuple[int, Tuple[int, ...], int, int]] = {}
@@ -702,6 +792,7 @@ class DispatchCache:
         self.blocks_built = 0
         self.fused_sites = 0
         self.blocks_generated = 0
+        self.forwarded_loads = 0
 
     def invalidate_range(self, lo: int, hi: int) -> None:
         """Drop every decoded instruction, closure and block touching

@@ -18,12 +18,19 @@ Layout constants::
 The table region is a separate :class:`TableMemory`, not part of the
 flat address space: the only way application code can touch it is via
 ``TLOAD`` reads, exactly like ``%gs``-based addressing.
+
+As on x86, a writable page is always readable: :meth:`Memory.map` and
+:meth:`Memory.protect` make it so.  A load of bytes that a store just
+wrote therefore cannot fault, which is what lets a generated block
+answer such a load from the stored value (see
+:mod:`repro.vm.dispatch`).  Each protection is a dict from page number
+to the page's bytes, so a checked access costs one dict probe.
 """
 
 from __future__ import annotations
 
 import struct
-from typing import Dict, Iterable, Optional, Set, Tuple
+from typing import Dict, Iterable, Optional, Tuple
 
 from repro.errors import MemoryFault
 
@@ -33,6 +40,9 @@ PAGE_SHIFT = 12
 _U16 = struct.Struct("<H")
 _U32 = struct.Struct("<I")
 _U64 = struct.Struct("<Q")
+_unpack_u16, _pack_u16 = _U16.unpack_from, _U16.pack_into
+_unpack_u32, _pack_u32 = _U32.unpack_from, _U32.pack_into
+_unpack_u64, _pack_u64 = _U64.unpack_from, _U64.pack_into
 
 CODE_BASE = 0x10000
 CODE_LIMIT = 0x400000          # 4 MiB of code address space
@@ -50,13 +60,16 @@ class Memory:
     Normal accessors (``read_*``/``write_*``) enforce protections; the
     ``host_*`` accessors bypass them and model the trusted runtime
     (loader, dynamic linker) which runs outside the sandbox.
+    ``_readable``, ``_writable`` and ``_executable`` map a page number
+    to the same ``bytearray`` ``_pages`` holds, so a checked access
+    finds its permission and its bytes in one probe.
     """
 
     def __init__(self) -> None:
         self._pages: Dict[int, bytearray] = {}
-        self._readable: Set[int] = set()
-        self._writable: Set[int] = set()
-        self._executable: Set[int] = set()
+        self._readable: Dict[int, bytearray] = {}
+        self._writable: Dict[int, bytearray] = {}
+        self._executable: Dict[int, bytearray] = {}
 
     # -- mapping ----------------------------------------------------------
 
@@ -68,14 +81,15 @@ class Memory:
         first = address >> PAGE_SHIFT
         last = (address + size + PAGE_SIZE - 1) >> PAGE_SHIFT
         for page in range(first, last):
-            if page not in self._pages:
-                self._pages[page] = bytearray(PAGE_SIZE)
-            if readable:
-                self._readable.add(page)
+            data = self._pages.get(page)
+            if data is None:
+                data = self._pages[page] = bytearray(PAGE_SIZE)
+            if readable or writable:
+                self._readable[page] = data
             if writable:
-                self._writable.add(page)
+                self._writable[page] = data
             if executable:
-                self._executable.add(page)
+                self._executable[page] = data
 
     def protect(self, address: int, size: int, *, readable: bool = True,
                 writable: bool = False, executable: bool = False) -> None:
@@ -83,15 +97,16 @@ class Memory:
         first = address >> PAGE_SHIFT
         last = (address + size + PAGE_SIZE - 1) >> PAGE_SHIFT
         for page in range(first, last):
-            if page not in self._pages:
+            data = self._pages.get(page)
+            if data is None:
                 raise MemoryFault(page << PAGE_SHIFT, "protect", "unmapped")
-            for flag, group in ((readable, self._readable),
+            for flag, group in ((readable or writable, self._readable),
                                 (writable, self._writable),
                                 (executable, self._executable)):
                 if flag:
-                    group.add(page)
+                    group[page] = data
                 else:
-                    group.discard(page)
+                    group.pop(page, None)
 
     def is_mapped(self, address: int) -> bool:
         return (address >> PAGE_SHIFT) in self._pages
@@ -106,93 +121,79 @@ class Memory:
 
     # The word accessors below take a no-copy fast path when the access
     # stays inside one page (the overwhelmingly common case on the VM's
-    # hot load/store/stack paths) and fall back to the general
-    # byte-slicing ``_read``/``_write`` only for page-straddling
-    # accesses.  Fault addresses are identical on both paths.
+    # hot load/store/stack paths): one probe of the protection dict
+    # yields the page, and the page constants are literals
+    # (``0xFFF`` is ``PAGE_SIZE - 1``, ``12`` is ``PAGE_SHIFT``).  A
+    # page-straddling access goes through ``_read``/``_write``, which
+    # fault at the first offending byte and write no byte of a store
+    # that faults.
 
     def read_u8(self, address: int) -> int:
-        page = address >> PAGE_SHIFT
-        if page not in self._readable:
+        data = self._readable.get(address >> 12)
+        if data is None:
             raise MemoryFault(address, "read")
-        return self._pages[page][address & (PAGE_SIZE - 1)]
+        return data[address & 0xFFF]
 
     def read_u16(self, address: int) -> int:
-        """Atomic 16-bit read; faults before observing either byte."""
-        offset = address & (PAGE_SIZE - 1)
-        page = address >> PAGE_SHIFT
-        if offset <= PAGE_SIZE - 2:
-            if page not in self._readable:
+        offset = address & 0xFFF
+        if offset <= 0xFFE:
+            data = self._readable.get(address >> 12)
+            if data is None:
                 raise MemoryFault(address, "read")
-            return _U16.unpack_from(self._pages[page], offset)[0]
-        if page not in self._readable:
-            raise MemoryFault(address, "read")
-        high_page = page + 1
-        if high_page not in self._readable:
-            raise MemoryFault(address + 1, "read")
-        return (self._pages[page][PAGE_SIZE - 1]
-                | (self._pages[high_page][0] << 8))
-
-    def read_u64(self, address: int) -> int:
-        offset = address & (PAGE_SIZE - 1)
-        if offset <= PAGE_SIZE - 8:
-            page = address >> PAGE_SHIFT
-            if page not in self._readable:
-                raise MemoryFault(address, "read")
-            return _U64.unpack_from(self._pages[page], offset)[0]
-        return int.from_bytes(self._read(address, 8), "little")
+            return _unpack_u16(data, offset)[0]
+        return int.from_bytes(self._read(address, 2), "little")
 
     def read_u32(self, address: int) -> int:
-        offset = address & (PAGE_SIZE - 1)
-        if offset <= PAGE_SIZE - 4:
-            page = address >> PAGE_SHIFT
-            if page not in self._readable:
+        offset = address & 0xFFF
+        if offset <= 0xFFC:
+            data = self._readable.get(address >> 12)
+            if data is None:
                 raise MemoryFault(address, "read")
-            return _U32.unpack_from(self._pages[page], offset)[0]
+            return _unpack_u32(data, offset)[0]
         return int.from_bytes(self._read(address, 4), "little")
 
+    def read_u64(self, address: int) -> int:
+        offset = address & 0xFFF
+        if offset <= 0xFF8:
+            data = self._readable.get(address >> 12)
+            if data is None:
+                raise MemoryFault(address, "read")
+            return _unpack_u64(data, offset)[0]
+        return int.from_bytes(self._read(address, 8), "little")
+
     def write_u8(self, address: int, value: int) -> None:
-        page = address >> PAGE_SHIFT
-        if page not in self._writable:
+        data = self._writable.get(address >> 12)
+        if data is None:
             raise MemoryFault(address, "write")
-        self._pages[page][address & (PAGE_SIZE - 1)] = value & 0xFF
+        data[address & 0xFFF] = value & 0xFF
 
     def write_u16(self, address: int, value: int) -> None:
-        """Atomic 16-bit store: both byte addresses are validated
-        before either byte is written, so a fault at a page boundary
-        (e.g. a read-only second page) can never leave a torn,
-        one-byte partial store behind."""
-        offset = address & (PAGE_SIZE - 1)
-        page = address >> PAGE_SHIFT
-        if offset <= PAGE_SIZE - 2:
-            if page not in self._writable:
+        offset = address & 0xFFF
+        if offset <= 0xFFE:
+            data = self._writable.get(address >> 12)
+            if data is None:
                 raise MemoryFault(address, "write")
-            _U16.pack_into(self._pages[page], offset, value & 0xFFFF)
+            _pack_u16(data, offset, value & 0xFFFF)
             return
-        if page not in self._writable:
-            raise MemoryFault(address, "write")
-        high_page = page + 1
-        if high_page not in self._writable:
-            raise MemoryFault(address + 1, "write")
-        self._pages[page][PAGE_SIZE - 1] = value & 0xFF
-        self._pages[high_page][0] = (value >> 8) & 0xFF
+        self._write(address, (value & 0xFFFF).to_bytes(2, "little"))
 
     def write_u32(self, address: int, value: int) -> None:
-        offset = address & (PAGE_SIZE - 1)
-        if offset <= PAGE_SIZE - 4:
-            page = address >> PAGE_SHIFT
-            if page not in self._writable:
+        offset = address & 0xFFF
+        if offset <= 0xFFC:
+            data = self._writable.get(address >> 12)
+            if data is None:
                 raise MemoryFault(address, "write")
-            _U32.pack_into(self._pages[page], offset, value & 0xFFFFFFFF)
+            _pack_u32(data, offset, value & 0xFFFFFFFF)
             return
         self._write(address, (value & 0xFFFFFFFF).to_bytes(4, "little"))
 
     def write_u64(self, address: int, value: int) -> None:
-        offset = address & (PAGE_SIZE - 1)
-        if offset <= PAGE_SIZE - 8:
-            page = address >> PAGE_SHIFT
-            if page not in self._writable:
+        offset = address & 0xFFF
+        if offset <= 0xFF8:
+            data = self._writable.get(address >> 12)
+            if data is None:
                 raise MemoryFault(address, "write")
-            _U64.pack_into(self._pages[page], offset, value & _MASK64)
+            _pack_u64(data, offset, value & 0xFFFFFFFFFFFFFFFF)
             return
         self._write(address, (value & _MASK64).to_bytes(8, "little"))
 
@@ -206,71 +207,64 @@ class Memory:
         """The whole page holding ``address`` if it is executable, else
         None.  Instruction fetch decodes straight from it; callers must
         not write through it."""
-        page = address >> PAGE_SHIFT
-        return self._pages[page] if page in self._executable else None
+        return self._executable.get(address >> PAGE_SHIFT)
 
     # -- unchecked access (trusted runtime) ---------------------------------
 
     def host_read(self, address: int, size: int) -> bytes:
-        return self._read(address, size, check=None)
+        return self._read(address, size, self._pages)
 
     def host_write(self, address: int, payload: bytes) -> None:
-        self._write(address, payload, check=None)
+        self._write(address, payload, self._pages)
 
     # -- internals ----------------------------------------------------------
+    #
+    # ``pages`` is the dict the access may use: a protection's, or, for
+    # the trusted runtime, every mapped page.  A fault names the first
+    # offending byte.
 
     def _read(self, address: int, size: int,
-              check: Set[int] | None | str = "default") -> bytes:
-        check_set = self._readable if check == "default" else check
+              pages: Optional[Dict[int, bytearray]] = None) -> bytes:
+        if pages is None:
+            pages = self._readable
         out = bytearray()
-        remaining = size
-        cursor = address
-        while remaining > 0:
-            page = cursor >> PAGE_SHIFT
-            if check_set is not None and page not in check_set:
-                raise MemoryFault(cursor, "read")
-            if page not in self._pages:
-                raise MemoryFault(cursor, "read", "unmapped")
+        cursor, end = address, address + size
+        while cursor < end:
+            data = pages.get(cursor >> PAGE_SHIFT)
+            if data is None:
+                raise MemoryFault(cursor, "read", "unmapped"
+                                  if pages is self._pages else "")
             offset = cursor & (PAGE_SIZE - 1)
-            chunk = min(remaining, PAGE_SIZE - offset)
-            out += self._pages[page][offset:offset + chunk]
+            chunk = min(end - cursor, PAGE_SIZE - offset)
+            out += data[offset:offset + chunk]
             cursor += chunk
-            remaining -= chunk
         return bytes(out)
 
     def _write(self, address: int, payload: bytes,
-               check: Set[int] | None | str = "default") -> None:
-        check_set = self._writable if check == "default" else check
-        # Page-straddling stores validate every page up front so a
-        # protection fault on a later page cannot leave a torn partial
-        # write (one VM instruction is one atomic store).  The fault
-        # address matches the lazy path: the first offending byte.
-        if payload and (address + len(payload) - 1) >> PAGE_SHIFT != \
-                address >> PAGE_SHIFT:
-            first = address >> PAGE_SHIFT
-            last = (address + len(payload) - 1) >> PAGE_SHIFT
-            for page in range(first, last + 1):
-                bad = max(address, page << PAGE_SHIFT)
-                if check_set is not None and page not in check_set:
-                    raise MemoryFault(bad, "write")
-                if page not in self._pages:
-                    raise MemoryFault(bad, "write", "unmapped")
-        remaining = len(payload)
+               pages: Optional[Dict[int, bytearray]] = None) -> None:
+        if pages is None:
+            pages = self._writable
+        if not payload:
+            return
+        # Every page is validated before any byte is written, so a
+        # fault on a later page cannot leave a torn partial write (one
+        # VM instruction is one atomic store).
+        end = address + len(payload)
+        targets = []
+        for page in range(address >> PAGE_SHIFT,
+                          ((end - 1) >> PAGE_SHIFT) + 1):
+            data = pages.get(page)
+            if data is None:
+                raise MemoryFault(max(address, page << PAGE_SHIFT), "write",
+                                  "unmapped" if pages is self._pages else "")
+            targets.append(data)
         cursor = address
-        index = 0
-        while remaining > 0:
-            page = cursor >> PAGE_SHIFT
-            if check_set is not None and page not in check_set:
-                raise MemoryFault(cursor, "write")
-            if page not in self._pages:
-                raise MemoryFault(cursor, "write", "unmapped")
+        for data in targets:
             offset = cursor & (PAGE_SIZE - 1)
-            chunk = min(remaining, PAGE_SIZE - offset)
-            self._pages[page][offset:offset + chunk] = \
-                payload[index:index + chunk]
+            chunk = min(end - cursor, PAGE_SIZE - offset)
+            data[offset:offset + chunk] = \
+                payload[cursor - address:cursor - address + chunk]
             cursor += chunk
-            remaining -= chunk
-            index += chunk
 
 
 class TableMemory:

@@ -347,6 +347,22 @@ def test_quarantined_library_stays_out_of_later_generations():
         linker.dlopen("needs_tail")
 
 
+def test_quarantined_library_does_not_block_its_replacement():
+    """A library that defines a name of a quarantined one loads, and
+    its function gets a valid target ID: the quarantined library is in
+    no generation, so its names clash with nothing."""
+    runtime, linker = fixture_linker(False, FaultPlane())
+    linker.register("tail2", compile_object(
+        "long a_g(long x) { return x + 6; }", name="tail2"))
+    assert linker.quarantine(linker.dlopen("tail"))
+    with checked_generations() as checked:
+        handle = linker.dlopen("tail2")
+    assert checked == [1]
+    entry = linker.dlsym(handle, "a_g")
+    assert entry
+    assert runtime.id_tables.target_ecn(entry) is not None
+
+
 def test_cross_library_taken_and_tail_calls():
     """A library takes the address of another library's non-exported
     function and tail-calls one of its exports; the first library

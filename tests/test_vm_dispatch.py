@@ -16,11 +16,16 @@ The conformance classes run on both block tiers: as written (blocks
 run cold until they reach ``HOT_BLOCK_RUNS``, which these short
 programs seldom do) and, in the ``...Generated`` subclasses at the end,
 with every block's source generated before its first run.
+``TestStoreForwarding`` holds the generated tier's store-to-load
+forwarding to the reference on seeded random blocks, comparing the
+bytes of every mapped page as well.
 """
 
 import struct
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.errors import CfiViolation, MemoryFault, VMError
 from repro.isa.assembler import AsmInstr, Label, LabelRef, assemble
@@ -939,6 +944,200 @@ class TestHotBlocks:
             lint=False, incremental=False))
         assert len(report.reports) == 20
         assert [r.findings for r in report.reports if not r.ok] == []
+
+
+# -- store-to-load forwarding in generated blocks ---------------------------
+
+#: Base registers of the forwarding blocks, and the registers whose
+#: values they store and load.
+_BASES = (Reg.RBX, Reg.RBP, Reg.RDI, Reg.RSP)
+_VALUES = (Reg.RAX, Reg.RCX, Reg.RDX, Reg.RSI)
+_LOADS = {1: Op.LOAD8, 2: Op.LOAD16, 4: Op.LOAD32, 8: Op.LOAD64}
+_STORES = {1: Op.STORE8, 2: Op.STORE16, 4: Op.STORE32, 8: Op.STORE64}
+#: The forwarding blocks' memory: two writable data pages, then a
+#: read-only one, and the stack page; nothing else is mapped.
+_READ_ONLY = DATA + 2 * PAGE_SIZE
+_MAPPED = ((CODE, PAGE_SIZE), (DATA, 3 * PAGE_SIZE), (STACK, PAGE_SIZE))
+
+
+def _store(width, base, disp, src):
+    return AsmInstr(_STORES[width], (base, disp, src))
+
+
+def _load(width, dst, base, disp):
+    return AsmInstr(_LOADS[width], (dst, base, disp))
+
+
+#: Base addresses, repeated to weight the draw: two eight bytes apart
+#: (aliased slots), one whose wide accesses straddle two writable
+#: pages, one that straddles into the read-only page, one inside it,
+#: one unmapped, and RSP's (pushes alias its slots).
+_RSP0 = STACK + PAGE_SIZE - 16
+_ADDRESSES = (DATA + 0x100,) * 3 + (DATA + 0x108,) * 3 + (
+    DATA + PAGE_SIZE - 3, _READ_ONLY - 5, _READ_ONLY + 8, 0x900000,
+    _RSP0)
+_DISPS = (-8, -1, 0, 2, 4, 7, 8)
+
+_ACCESS = st.tuples(st.sampled_from(sorted(_LOADS)), st.sampled_from(_BASES),
+                    st.sampled_from(_DISPS))
+_INSTR = st.one_of(
+    st.builds(lambda access, src: _store(*access, src),
+              _ACCESS, st.sampled_from(_VALUES)),
+    st.builds(lambda access, dst: _load(access[0], dst, *access[1:]),
+              _ACCESS, st.sampled_from(_VALUES + _BASES[:3])),
+    st.builds(lambda reg: AsmInstr(Op.MOVZX32, (reg,)),
+              st.sampled_from(_BASES + _VALUES)),
+    st.builds(lambda reg, imm: AsmInstr(Op.ADD_RI, (reg, imm)),
+              st.sampled_from(_BASES[:3]), st.sampled_from((-8, 8))),
+    st.builds(lambda dst, src: AsmInstr(Op.MOV_RR, (dst, src)),
+              st.sampled_from(_BASES[:3]), st.sampled_from(_BASES)),
+    st.builds(lambda reg, address: AsmInstr(Op.MOV_RI, (reg, address)),
+              st.sampled_from(_BASES[:3]), st.sampled_from(_ADDRESSES)),
+    st.builds(lambda reg: AsmInstr(Op.PUSH, (reg,)),
+              st.sampled_from(_VALUES)),
+    st.builds(lambda reg: AsmInstr(Op.POP, (reg,)),
+              st.sampled_from(_VALUES)),
+)
+
+
+@st.composite
+def _reload(draw):
+    """A store, up to three instructions, and a load of the same slot.
+    Half of the instructions are a store through another base register
+    first set to the store's base, at a displacement within seven
+    bytes of the slot, so it often aliases it."""
+    width, base, disp = draw(_ACCESS)
+    items = [_store(width, base, disp, draw(st.sampled_from(_VALUES)))]
+    for _ in range(draw(st.integers(0, 3))):
+        if draw(st.booleans()):
+            other = draw(st.sampled_from(_BASES[:3]).filter(
+                lambda reg: reg != base))
+            items += [AsmInstr(Op.MOV_RR, (other, base)),
+                      _store(draw(st.sampled_from(sorted(_STORES))), other,
+                             disp + draw(st.integers(-7, 7)),
+                             draw(st.sampled_from(_VALUES)))]
+        else:
+            items.append(draw(_INSTR))
+    items.append(_load(width, draw(st.sampled_from(_VALUES + _BASES[:3])),
+                       base, disp))
+    return items
+
+
+_BLOCKS = st.tuples(
+    st.lists(st.one_of(_reload(), _INSTR.map(lambda instr: [instr])),
+             min_size=1, max_size=8).map(lambda runs: sum(runs, [])),
+    st.tuples(*[st.sampled_from(_ADDRESSES)] * 3),
+    st.tuples(*[st.integers(0, _MASK)] * len(_VALUES)))
+
+
+def run_block_both(items, bases, values):
+    """Run one straight-line block under ``step_reference`` and on the
+    generated tier; return both CPUs and outcomes."""
+    code = assemble(list(items) + [AsmInstr(Op.SYSCALL, ())],
+                    base=CODE).code
+
+    def execute(reference):
+        cpu = make_cpu(code, data_pages=2)
+        cpu.memory.map(_READ_ONLY, PAGE_SIZE, readable=True)
+        pattern = bytes(range(7, 256)) * 50  # no two pages alike
+        cpu.memory.host_write(DATA, pattern[:3 * PAGE_SIZE])
+        if reference:
+            cpu.step = cpu.step_reference
+        for reg, value in zip(_BASES[:3] + _VALUES, bases + values):
+            cpu.regs[reg] = value
+        try:
+            outcome = cpu.run(max_steps=1000)
+        except Exception as exc:  # noqa: BLE001 - compared structurally
+            outcome = exc
+        return cpu, outcome
+
+    with mock.patch.object(dispatch, "HOT_BLOCK_RUNS", 0):
+        fast_cpu, fast_out = execute(reference=False)
+    ref_cpu, ref_out = execute(reference=True)
+    cache = fast_cpu.dispatch_cache
+    assert cache.blocks_generated == cache.blocks_built
+    return fast_cpu, ref_cpu, fast_out, ref_out
+
+
+def assert_block_identical(fast_cpu, ref_cpu, fast_out, ref_out):
+    """Registers, flags, counters, rip, the exception's type and
+    address, and the bytes of every mapped page agree."""
+    assert_identical(fast_cpu, ref_cpu, fast_out, ref_out)
+    assert getattr(fast_out, "address", None) == \
+        getattr(ref_out, "address", None)
+    for lo, size in _MAPPED:
+        assert fast_cpu.memory.host_read(lo, size) == \
+            ref_cpu.memory.host_read(lo, size), hex(lo)
+
+
+_SLOT = (DATA + 0x100, DATA + 0x108, _READ_ONLY - 5)
+_V = (0x1122334455667788, 0xA5A5A5A5F0F0F0F0, 0xFFFFFFFFFFFFFFFF,
+      0x8000000000000001)
+
+
+class TestStoreForwarding:
+    """The generated tier answers a load from the block's own earlier
+    store, and skips a re-mask, without moving any observable."""
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(_BLOCKS)
+    # overlapping and disjoint displacements
+    @example(([_store(8, Reg.RBX, 0, Reg.RAX), _store(4, Reg.RBX, 8, Reg.RCX),
+               _store(2, Reg.RBX, 4, Reg.RDX), _load(8, Reg.RSI, Reg.RBX, 0),
+               _load(4, Reg.RDX, Reg.RBX, 8)], _SLOT, _V))
+    # a store through another register aliases the slot
+    @example(([_store(8, Reg.RBX, 8, Reg.RAX), _store(1, Reg.RBP, 0, Reg.RCX),
+               _load(8, Reg.RDX, Reg.RBX, 8)], _SLOT, _V))
+    # the base is redefined between the store and the load
+    @example(([_store(8, Reg.RBX, 0, Reg.RAX),
+               AsmInstr(Op.ADD_RI, (Reg.RBX, 8)),
+               AsmInstr(Op.ADD_RI, (Reg.RBX, -8)),
+               _load(8, Reg.RDX, Reg.RBX, 0),
+               _load(8, Reg.RBX, Reg.RBX, 0),
+               _load(8, Reg.RCX, Reg.RBX, 0)], _SLOT, _V))
+    # re-masking, and a push and pop in between
+    @example(([AsmInstr(Op.MOVZX32, (Reg.RBX,)),
+               _store(4, Reg.RBX, 0, Reg.RAX),
+               AsmInstr(Op.MOVZX32, (Reg.RBX,)), _load(4, Reg.RCX, Reg.RBX, 0),
+               AsmInstr(Op.MOVZX32, (Reg.RCX,)), AsmInstr(Op.PUSH, (Reg.RDX,)),
+               AsmInstr(Op.POP, (Reg.RCX,)), AsmInstr(Op.MOVZX32, (Reg.RCX,)),
+               _store(8, Reg.RSP, 8, Reg.RDX), AsmInstr(Op.PUSH, (Reg.RAX,)),
+               AsmInstr(Op.POP, (Reg.RSI,)), _load(8, Reg.RAX, Reg.RSP, 8),
+               _store(8, Reg.RSP, -8, Reg.RCX), AsmInstr(Op.PUSH, (Reg.RDX,)),
+               _load(8, Reg.RSI, Reg.RSP, 0)], _SLOT, _V))
+    # a push writes a slot stored through another register
+    @example(([AsmInstr(Op.MOV_RR, (Reg.RBP, Reg.RSP)),
+               _store(8, Reg.RBP, -8, Reg.RAX), AsmInstr(Op.PUSH, (Reg.RCX,)),
+               _load(8, Reg.RDX, Reg.RBP, -8)], _SLOT, _V))
+    # a faulting access between a store and its reload
+    @example(([_store(8, Reg.RBX, 0, Reg.RAX), _store(1, Reg.RDI, 6, Reg.RAX),
+               _load(8, Reg.RCX, Reg.RBX, 0)], _SLOT, _V))
+    # page-straddling pairs, and a read-only page
+    @example(([_store(8, Reg.RBX, PAGE_SIZE - 0x104, Reg.RAX),
+               _load(8, Reg.RCX, Reg.RBX, PAGE_SIZE - 0x104),
+               _load(8, Reg.RDX, Reg.RDI, 0), _store(2, Reg.RDI, 4, Reg.RSI),
+               _load(2, Reg.RSI, Reg.RDI, 4)], _SLOT, _V))
+    def test_generated_block_matches_reference(self, block):
+        assert_block_identical(*run_block_both(*block))
+
+    def test_reload_and_remask_render_no_access(self):
+        """The reload reads the stored local and the second mask is
+        gone; the counters still charge both instructions."""
+        items = [AsmInstr(Op.MOVZX32, (Reg.RBX,)),
+                 _store(8, Reg.RBX, 0, Reg.RAX),
+                 AsmInstr(Op.MOVZX32, (Reg.RBX,)),
+                 _load(8, Reg.RCX, Reg.RBX, 0),
+                 _load(4, Reg.RDX, Reg.RBX, 0)]
+        fast_cpu, ref_cpu, fast_out, ref_out = run_block_both(
+            items, _SLOT, _V)
+        assert_block_identical(fast_cpu, ref_cpu, fast_out, ref_out)
+        assert fast_cpu.instructions == len(items) + 1
+        block = fast_cpu.dispatch_cache.blocks[CODE]
+        source, forwarded = dispatch._block_source(block)
+        assert forwarded == 1
+        assert source.count("&= 0xFFFFFFFF") == 1
+        assert source.count("mem.read_") == 1
+        assert fast_cpu.dispatch_cache.forwarded_loads == 1
 
 
 @pytest.mark.usefixtures("generated_tier")

@@ -90,6 +90,67 @@ class TestProtection:
         assert not memory.is_mapped(0x99000)
 
 
+class TestWritableImpliesReadable:
+    """As on x86, a writable page is always readable, so a load of
+    bytes a store just wrote cannot fault (the generated tier's
+    store-to-load forwarding relies on it)."""
+
+    def test_map_write_only_gives_readable_page(self):
+        mem = Memory()
+        mem.map(0x10000, PAGE_SIZE, readable=False, writable=True)
+        mem.write_u64(0x10008, 0x1122334455667788)
+        assert mem.read_u64(0x10008) == 0x1122334455667788
+        assert mem.read_bytes(0x10008, 2) == b"\x88\x77"
+
+    def test_protect_write_only_gives_readable_page(self):
+        mem = Memory()
+        mem.map(0x10000, PAGE_SIZE, readable=False, executable=True)
+        with pytest.raises(MemoryFault):
+            mem.read_u8(0x10000)
+        mem.protect(0x10000, PAGE_SIZE, readable=False, writable=True)
+        mem.write_u16(0x10000, 0xBEEF)
+        assert mem.read_u16(0x10000) == 0xBEEF
+        assert mem.code_page(0x10000) is None
+        mem.protect(0x10000, PAGE_SIZE, readable=False)
+        with pytest.raises(MemoryFault):
+            mem.read_u8(0x10000)
+
+    def test_host_access_ignores_protections(self):
+        mem = Memory()
+        mem.map(0x10000, PAGE_SIZE, readable=False, executable=True)
+        mem.host_write(0x10ffe, b"\x01\x02")
+        assert mem.host_read(0x10ffe, 2) == b"\x01\x02"
+        with pytest.raises(MemoryFault):
+            mem.read_u16(0x10ffe)
+        with pytest.raises(MemoryFault):
+            mem.write_u8(0x10ffe, 0)
+
+    @pytest.mark.parametrize("width", [2, 4, 8])
+    @pytest.mark.parametrize("second", ["unmapped", "read-only"])
+    def test_straddle_fault_addresses(self, width, second):
+        """A straddling access faults at its first offending byte: the
+        second page's first byte, or the address itself when the first
+        page is the bad one, as before the protection dicts."""
+        start = 0x11000 - width + 1
+        mem = Memory()
+        mem.map(0x10000, PAGE_SIZE, readable=True, writable=True)
+        if second == "read-only":
+            mem.map(0x11000, PAGE_SIZE, readable=True)
+        with pytest.raises(MemoryFault) as err:
+            getattr(mem, f"write_u{8 * width}")(start, 0)
+        assert err.value.address == 0x11000
+        if second == "unmapped":
+            with pytest.raises(MemoryFault) as err:
+                getattr(mem, f"read_u{8 * width}")(start)
+            assert err.value.address == 0x11000
+        low = Memory()
+        low.map(0x11000, PAGE_SIZE, writable=True)
+        for name, args in (("read", ()), ("write", (0,))):
+            with pytest.raises(MemoryFault) as err:
+                getattr(low, f"{name}_u{8 * width}")(start, *args)
+            assert err.value.address == start
+
+
 class TestTableMemory:
     def test_tary_roundtrip(self):
         tables = TableMemory()
