@@ -6,39 +6,15 @@ orders of magnitude of attack surface — which is why Table 3 is
 reported alongside.
 """
 
-from benchmarks.conftest import write_result
-from repro.baselines.policies import (
-    bincfi_policy,
-    chunk_policy,
-    classic_cfi_policy,
-    mcfi_policy,
-)
-from repro.experiments import air_comparison, compiled
-from repro.metrics.air import air_table
-from repro.workloads.spec import BENCHMARKS
+from benchmarks.conftest import compute_artifact, write_artifact
+from repro.experiments import air_means
 
 
 def test_air_table(benchmark):
-    airs = benchmark.pedantic(lambda: air_comparison(BENCHMARKS),
+    rows = benchmark.pedantic(compute_artifact, args=("air",),
                               rounds=1, iterations=1)
-    order = ("chunk16", "binCFI", "classic-CFI", "MCFI")
-    lines = [f"{'policy':12s} {'mean AIR':>10s}"]
-    for name in order:
-        lines.append(f"{name:12s} {airs[name]:10.5f}")
-    lines.append("")
-    lines.append(f"{'benchmark':12s} " +
-                 " ".join(f"{p:>12s}" for p in order))
-    for bench in BENCHMARKS:
-        program = compiled(bench, "x64", True)
-        aux = program.module.aux
-        size = len(program.module.code)
-        per = air_table([mcfi_policy(aux), classic_cfi_policy(aux),
-                         bincfi_policy(aux),
-                         chunk_policy(aux, program.module.base, size)],
-                        target_space=size)
-        lines.append(f"{bench:12s} " + " ".join(
-            f"{per[p].air:12.5f}" for p in order))
-    write_result("air_comparison", "\n".join(lines))
+    write_artifact("air", rows)
+    airs = air_means(rows)
 
     assert airs["MCFI"] >= airs["classic-CFI"] >= airs["binCFI"] \
         >= airs["chunk16"]

@@ -6,22 +6,16 @@ fast enough to run inside the dynamic linker.  Our gcc is ~1/15 the
 size; the generator must stay well under the paper's bound.
 """
 
-from benchmarks.conftest import write_result
+from benchmarks.conftest import compute_artifact, write_artifact
 from repro.cfg.generator import generate_cfg
-from repro.experiments import cfg_generation_time, compiled
-from repro.workloads.spec import BENCHMARKS
+from repro.experiments import compiled
 
 
 def test_cfggen_table(benchmark):
-    timings = benchmark.pedantic(
-        lambda: cfg_generation_time(BENCHMARKS, repeats=2),
-        rounds=1, iterations=1)
-    lines = [f"{'benchmark':12s} {'cfg-gen (ms)':>13s} {'code KiB':>9s}"]
-    for name in BENCHMARKS:
-        size_kib = len(compiled(name, "x64", True).module.code) / 1024
-        lines.append(f"{name:12s} {timings[name] * 1000:13.2f} "
-                     f"{size_kib:9.1f}")
-    write_result("cfg_generation_time", "\n".join(lines))
+    rows = benchmark.pedantic(compute_artifact, args=("cfggen",),
+                              rounds=1, iterations=1)
+    write_artifact("cfggen", rows, pinned=False)
+    timings = {name: seconds for name, (seconds, _) in rows.items()}
     # fast enough for online (dlopen-time) use
     assert max(timings.values()) < 1.0
 

@@ -11,8 +11,9 @@ benchmark against its uninstrumented twin.
 
 import pytest
 
-from benchmarks.conftest import selected_benchmarks, write_result
-from repro.experiments import compiled, fig5_overhead
+from benchmarks.conftest import (FULL, compute_artifact,
+                                 selected_benchmarks, write_artifact)
+from repro.experiments import compiled
 from repro.metrics.overhead import arithmetic_mean_overhead
 from repro.runtime.runtime import Runtime
 
@@ -20,19 +21,10 @@ from repro.runtime.runtime import Runtime
 def test_fig5_table(benchmark):
     """Regenerate the Fig. 5 series and persist it."""
     results = benchmark.pedantic(
-        lambda: fig5_overhead(selected_benchmarks(), archs=("x64",)),
+        compute_artifact, args=("fig5", selected_benchmarks()),
         rounds=1, iterations=1)
+    write_artifact("fig5", results, pinned=not FULL)
     flat = {name: result for (name, _), result in results.items()}
-    lines = [f"{'benchmark':12s} {'native cycles':>14s} "
-             f"{'mcfi cycles':>12s} {'overhead':>9s}"]
-    for name, result in flat.items():
-        lines.append(f"{name:12s} {result.native_cycles:14d} "
-                     f"{result.mcfi_cycles:12d} "
-                     f"{result.overhead_pct:8.2f}%")
-    lines.append(f"{'average':12s} {'':14s} {'':12s} "
-                 f"{arithmetic_mean_overhead(flat):8.2f}%")
-    text = "\n".join(lines)
-    write_result("fig5_overhead_x64", text)
 
     mean = arithmetic_mean_overhead(flat)
     assert 0.0 < mean < 15.0  # paper band: ~5%

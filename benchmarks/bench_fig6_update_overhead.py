@@ -3,36 +3,26 @@
 Paper: a separate thread refreshes all ID versions at 50 Hz (the
 measured V8 code-installation rate); "the average overhead is 6-7%,
 which demonstrates MCFI's transactions scale well with frequent code
-updates."  Here the updater fires every ``INTERVAL`` model cycles;
-check transactions that land mid-update retry, so the Fig. 6 numbers
-sit above Fig. 5's.
+updates."  Here the updater fires every 60k model cycles (the default
+interval of ``fig6_update_overhead``); check transactions that land
+mid-update retry, so the Fig. 6 numbers sit above Fig. 5's.
 """
 
 import pytest
 
-from benchmarks.conftest import selected_benchmarks, write_result
-from repro.experiments import fig5_overhead, fig6_update_overhead
-
-INTERVAL = 60_000
+from benchmarks.conftest import (FULL, compute_artifact,
+                                 selected_benchmarks, write_artifact)
+from repro.experiments import fig6_update_overhead
 
 
 def test_fig6_table(benchmark):
     names = selected_benchmarks()
-    fig5 = fig5_overhead(names, archs=("x64",))
-    fig6 = benchmark.pedantic(
-        lambda: fig6_update_overhead(names, interval=INTERVAL),
-        rounds=1, iterations=1)
-    lines = [f"{'benchmark':12s} {'fig5':>8s} {'fig6':>8s} "
-             f"{'updates':>8s}"]
-    deltas = []
-    for name in names:
-        base = fig5[(name, "x64")].overhead_pct
-        updated = fig6[name].overhead_pct
-        deltas.append(updated - base)
-        lines.append(f"{name:12s} {base:7.2f}% {updated:7.2f}% "
-                     f"{fig6[name].updates:8d}")
-    text = "\n".join(lines)
-    write_result("fig6_update_overhead", text)
+    rows = benchmark.pedantic(compute_artifact, args=("fig6", names),
+                              rounds=1, iterations=1)
+    write_artifact("fig6", rows, pinned=not FULL)
+    fig6 = {name: updated for name, (_, updated) in rows.items()}
+    deltas = [updated.overhead_pct - base.overhead_pct
+              for base, updated in rows.values()]
 
     # Updates may only add overhead, and at least one benchmark must
     # observe several update transactions.
@@ -44,7 +34,7 @@ def test_fig6_table(benchmark):
 @pytest.mark.parametrize("name", ["gcc"])
 def test_fig6_execution_time(benchmark, name):
     def run():
-        return fig6_update_overhead([name], interval=INTERVAL)[name]
+        return fig6_update_overhead([name])[name]
 
     result = benchmark.pedantic(run, rounds=1, iterations=1)
     benchmark.extra_info["updates"] = result.updates

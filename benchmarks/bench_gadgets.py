@@ -6,27 +6,16 @@ start address is a permitted indirect-branch target under the installed
 policy; the elimination rate lands in the same >90% band.
 """
 
-from benchmarks.conftest import selected_benchmarks, write_result
-from repro.experiments import gadget_elimination
+from benchmarks.conftest import (FULL, compute_artifact,
+                                 selected_benchmarks, write_artifact)
 
 
 def test_gadget_table(benchmark):
     names = selected_benchmarks()
-    reports = benchmark.pedantic(
-        lambda: gadget_elimination(names, depth=4), rounds=1,
-        iterations=1)
-    lines = [f"{'benchmark':12s} {'native uniq':>12s} "
-             f"{'mcfi uniq':>10s} {'reachable':>10s} {'eliminated':>11s}"]
-    for name in names:
-        row = reports[name]
-        lines.append(
-            f"{name:12s} {row['native_unique']:12d} "
-            f"{row['mcfi_unique']:10d} {row['mcfi_reachable']:10d} "
-            f"{row['elimination_pct']:10.2f}%")
+    reports = benchmark.pedantic(compute_artifact, args=("gadgets", names),
+                                 rounds=1, iterations=1)
+    write_artifact("gadgets", reports, pinned=not FULL)
     mean = sum(r["elimination_pct"] for r in reports.values()) / len(reports)
-    lines.append(f"{'average':12s} {'':12s} {'':10s} {'':10s} "
-                 f"{mean:10.2f}%  (paper: 96.9/95.8%)")
-    write_result("gadget_elimination", "\n".join(lines))
 
     assert mean > 90.0
     for row in reports.values():

@@ -6,20 +6,13 @@ but not fine-grained CFI"; MCFI blocks it because the types do not
 match.  Return hijacking to a function entry is blocked by both.
 """
 
-from benchmarks.conftest import write_result
-from repro.experiments import security_case_study
+from benchmarks.conftest import compute_artifact, write_artifact
 
 
 def test_security_matrix(benchmark):
-    matrix = benchmark.pedantic(security_case_study, rounds=1,
-                                iterations=1)
-    lines = [f"{'attack':18s} {'scheme':8s} {'hijacked':>9s} "
-             f"{'blocked':>8s}"]
-    for attack, outcomes in matrix.items():
-        for scheme, (hijacked, blocked) in outcomes.items():
-            lines.append(f"{attack:18s} {scheme:8s} "
-                         f"{str(hijacked):>9s} {str(blocked):>8s}")
-    write_result("security_case_study", "\n".join(lines))
+    matrix = benchmark.pedantic(compute_artifact, args=("security",),
+                                rounds=1, iterations=1)
+    write_artifact("security", matrix)
 
     fptr = matrix["fptr-to-execve"]
     assert fptr["native"] == (True, False)

@@ -5,26 +5,14 @@ During runtime it also requires extra memory as large as the code
 region to store the Bary and Tary tables."
 """
 
-from benchmarks.conftest import write_result
-from repro.experiments import space_overhead
-from repro.workloads.spec import BENCHMARKS
+from benchmarks.conftest import compute_artifact, write_artifact
 
 
 def test_space_table(benchmark):
-    results = benchmark.pedantic(lambda: space_overhead(BENCHMARKS),
+    results = benchmark.pedantic(compute_artifact, args=("space",),
                                  rounds=1, iterations=1)
-    lines = [f"{'benchmark':12s} {'native B':>10s} {'mcfi B':>10s} "
-             f"{'increase':>9s} {'tary B':>10s} {'bary B':>8s}"]
-    for name in BENCHMARKS:
-        row = results[name]
-        lines.append(
-            f"{name:12s} {row.native_code_bytes:10d} "
-            f"{row.mcfi_code_bytes:10d} {row.code_increase_pct:8.2f}% "
-            f"{row.tary_bytes:10d} {row.bary_bytes:8d}")
+    write_artifact("space", results)
     mean = sum(r.code_increase_pct for r in results.values()) / len(results)
-    lines.append(f"{'average':12s} {'':10s} {'':10s} {mean:8.2f}%  "
-                 f"(paper: ~17%)")
-    write_result("space_overhead", "\n".join(lines))
 
     assert 3.0 < mean < 60.0
     for row in results.values():

@@ -6,32 +6,20 @@ with small counts, and at documented scale (1/20, 1/10) for perlbench
 and gcc.
 """
 
-from benchmarks.conftest import write_result
-from repro.experiments import table1_analysis
+from benchmarks.conftest import compute_artifact, write_artifact
 from repro.workloads.spec import BENCHMARKS, workload
-
-COLUMNS = ("SLOC", "VBE", "UC", "DC", "MF", "SU", "NF", "VAE")
 
 
 def test_table1(benchmark):
-    reports = benchmark.pedantic(table1_analysis, rounds=1, iterations=1)
-    lines = [f"{'benchmark':12s} " + " ".join(f"{c:>6s}" for c in COLUMNS)]
+    reports = benchmark.pedantic(compute_artifact, args=("table1",),
+                                 rounds=1, iterations=1)
+    write_artifact("table1", reports)
     for name in BENCHMARKS:
         row = reports[name].table1_row()
-        lines.append(f"{name:12s} " +
-                     " ".join(f"{row[c]:6d}" for c in COLUMNS))
         spec = workload(name)
         for column in ("VBE", "UC", "DC", "MF", "SU", "NF", "VAE"):
             assert row[column] == spec.expected_table1[column], (
                 f"{name}.{column}")
-    lines.append("")
-    lines.append("paper reference (absolute counts; perlbench/gcc "
-                 "reproduced at 1/20 and 1/10 scale):")
-    for name in BENCHMARKS:
-        paper = workload(name).paper_table1
-        lines.append(f"{name:12s} " +
-                     " ".join(f"{paper[c]:6d}" for c in COLUMNS))
-    write_result("table1_c1_violations", "\n".join(lines))
 
 
 def test_analyzer_speed(benchmark):

@@ -6,23 +6,20 @@ pointer type is actually dispatched through; K2 cases (cast away and
 back) never needed fixes.
 """
 
-from benchmarks.conftest import write_result
-from repro.experiments import table2_analysis
+from benchmarks.conftest import compute_artifact, write_artifact
 from repro.workloads.spec import workload
 
 
 def test_table2(benchmark):
-    rows = benchmark.pedantic(table2_analysis, rounds=1, iterations=1)
+    rows = benchmark.pedantic(compute_artifact, args=("table2",),
+                              rounds=1, iterations=1)
     assert set(rows) == {"perlbench", "bzip2", "gcc", "libquantum",
                          "milc"}
-    lines = [f"{'benchmark':12s} {'K1':>4s} {'K2':>4s} {'K1-fixed':>9s}"]
     for name, row in rows.items():
-        lines.append(f"{name:12s} {row['K1']:4d} {row['K2']:4d} "
-                     f"{row['K1-fixed']:9d}")
         assert row == workload(name).expected_table2
     # gcc has a dead K1 case needing no fix (the paper's 14 cases)
     assert rows["gcc"]["K1"] > rows["gcc"]["K1-fixed"]
-    write_result("table2_k1k2", "\n".join(lines))
+    write_artifact("table2", rows)
 
 
 def test_classification_speed(benchmark):

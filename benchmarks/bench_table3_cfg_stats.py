@@ -10,28 +10,14 @@ paper's shape claims, checked here:
 * gcc dominates, lbm/mcf are smallest.
 """
 
-from benchmarks.conftest import write_result
-from repro.experiments import table3_cfg_stats
-from repro.workloads.spec import BENCHMARKS, workload
+from benchmarks.conftest import compute_artifact, write_artifact
+from repro.workloads.spec import BENCHMARKS
 
 
 def test_table3(benchmark):
-    stats = benchmark.pedantic(table3_cfg_stats, rounds=1, iterations=1)
-    lines = [f"{'benchmark':12s} "
-             f"{'IBs32':>6s} {'IBTs32':>7s} {'EQCs32':>7s}   "
-             f"{'IBs64':>6s} {'IBTs64':>7s} {'EQCs64':>7s}"]
-    for name in BENCHMARKS:
-        s32 = stats[(name, "x32")]
-        s64 = stats[(name, "x64")]
-        lines.append(
-            f"{name:12s} {s32['IBs']:6d} {s32['IBTs']:7d} "
-            f"{s32['EQCs']:7d}   {s64['IBs']:6d} {s64['IBTs']:7d} "
-            f"{s64['EQCs']:7d}")
-    lines.append("")
-    lines.append("paper reference (x64): " + ", ".join(
-        f"{name}={workload(name).paper_table3_x64}"
-        for name in ("perlbench", "gcc", "lbm")))
-    write_result("table3_cfg_stats", "\n".join(lines))
+    stats = benchmark.pedantic(compute_artifact, args=("table3",),
+                               rounds=1, iterations=1)
+    write_artifact("table3", stats)
 
     eqcs64 = {name: stats[(name, "x64")]["EQCs"] for name in BENCHMARKS}
     assert eqcs64["gcc"] == max(eqcs64.values())

@@ -127,7 +127,7 @@ def speedup_row(name: str):
     }
 
 
-def format_table(rows):
+def dispatch_table(rows):
     lines = [f"{'benchmark':>12s} {'instrs':>10s} {'if/elif i/s':>12s} "
              f"{'dispatch i/s':>13s} {'speedup':>8s}"]
     product = 1.0
@@ -162,7 +162,7 @@ def test_dispatch_speedup_table(benchmark):
         return [speedup_row(name) for name in names]
 
     rows = benchmark.pedantic(sweep, rounds=1, iterations=1)
-    table, geomean = format_table(rows)
+    table, geomean = dispatch_table(rows)
     write_result("vm_dispatch", table)
     benchmark.extra_info["geomean_speedup"] = round(geomean, 3)
     assert geomean >= 1.5, f"geomean speedup {geomean:.2f}x < 1.5x\n{table}"
@@ -204,7 +204,7 @@ def _main(argv):
 
     rows = [speedup_row(name) for name in
             (names[:1] if args.quick else names)]
-    table, geomean = format_table(rows)
+    table, geomean = dispatch_table(rows)
     print(table)
     if not args.quick:
         write_result("vm_dispatch", table)

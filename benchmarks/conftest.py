@@ -2,7 +2,10 @@
 
 Every benchmark regenerates one table or figure of the paper and writes
 the formatted result to ``<artifact>.txt``, in addition to the
-pytest-benchmark timing output.  The checked-in tables under
+pytest-benchmark timing output.  A paper artifact is rendered by its
+entry in ``repro.experiments.ARTIFACT_TABLE``; a deterministic one,
+computed for the committed selection, must equal its committed file
+byte for byte.  The checked-in tables under
 ``benchmarks/results/`` (the numbers quoted in EXPERIMENTS.md) are only
 rewritten when ``REPRO_WRITE_RESULTS=1`` is set; otherwise results go
 to a fresh temporary directory, so a plain test run leaves the tree
@@ -50,6 +53,28 @@ def results_dir() -> Path:
 def write_result(artifact: str, text: str) -> None:
     path = results_dir() / f"{artifact}.txt"
     path.write_text(text + "\n")
+
+
+def compute_artifact(name: str, benchmarks=None):
+    """Paper artifact ``name`` at its committed parameters and
+    architectures, over ``benchmarks`` (default: all twelve)."""
+    from repro.experiments import ARTIFACT_TABLE
+    from repro.workloads.spec import BENCHMARKS
+    entry = ARTIFACT_TABLE[name]
+    return entry.compute(list(benchmarks or BENCHMARKS), entry.archs)
+
+
+def write_artifact(name: str, result, pinned: bool = True) -> None:
+    """Render paper artifact ``name`` from ``result`` and write it; a
+    ``pinned`` table must equal the committed file byte for byte."""
+    from repro.experiments import ARTIFACT_TABLE
+    entry = ARTIFACT_TABLE[name]
+    text = entry.render(result)
+    write_result(entry.stem, text)
+    if pinned:
+        committed = (RESULTS_DIR / f"{entry.stem}.txt").read_text()
+        assert text + "\n" == committed, \
+            f"{entry.stem}.txt differs from the committed table"
 
 
 @pytest.fixture(scope="session")

@@ -19,25 +19,22 @@ from repro.infra.cache import (ArtifactCache, CacheStats, open_cache,
                                source_digest)
 from repro.infra.campaign import (build_program, configure,
                                   default_cache, parallel_artifact,
-                                  run_campaign, run_target,
-                                  PARALLEL_ARTIFACTS)
+                                  run_campaign, run_target)
 from repro.infra.instances import (ARCHS, INSTANCES, Instance, expand,
                                    instance)
 from repro.infra.pool import Job, JobResult, WorkerPool
 from repro.infra.results import (ResultStore, load_records, regenerate,
-                                 render_fig5, render_summary,
-                                 render_table3, summarize)
+                                 render_summary, summarize)
 from repro.infra.targets import TARGETS, Target, target
 
 __all__ = [
     "ARCHS", "ArtifactCache", "CLOSED", "CacheStats", "CircuitBreaker",
     "HALF_OPEN",
     "INSTANCES", "Instance", "Job", "JobResult", "OPEN",
-    "PARALLEL_ARTIFACTS",
     "ResultStore", "TARGETS", "Target", "WorkerPool",
     "build_program", "configure", "default_cache",
     "expand", "instance", "load_records", "open_cache",
-    "parallel_artifact", "regenerate", "render_fig5", "render_summary",
-    "render_table3", "run_campaign", "run_target", "source_digest",
+    "parallel_artifact", "regenerate", "render_summary",
+    "run_campaign", "run_target", "source_digest",
     "summarize", "target",
 ]

@@ -13,9 +13,9 @@ and the result store (:mod:`repro.infra.results`):
 * :func:`run_target` — build + execute one matrix cell, returning
   JSONL-ready records;
 * :func:`run_campaign` — the full matrix through the pool;
-* :func:`parallel_artifact` — per-benchmark fan-out of the
-  :mod:`repro.experiments` artifact functions, merging results in
-  submission order so the output is byte-identical to a serial run.
+* :func:`parallel_artifact` — per-benchmark fan-out of an entry of
+  :data:`repro.experiments.ARTIFACT_TABLE`, merging results in submission
+  order so the output is byte-identical to a serial run.
 
 The process-wide cache is configured once (:func:`configure`) — from
 ``--cache-dir`` flags or the ``REPRO_CACHE_DIR`` environment variable —
@@ -26,7 +26,7 @@ and every compile in the process, including the ones
 from __future__ import annotations
 
 import os
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence
 
 from repro.infra.cache import ArtifactCache, CacheStats, open_cache
 from repro.infra.instances import Instance, expand, instance as get_instance
@@ -198,27 +198,21 @@ def run_target(target_name: str, instance_name: str,
     return records
 
 
+#: The Sec. 8.3 AIR policy each analysis instance judges a build under.
+_AIR_POLICY = {"classic-cfi": "classic-CFI", "bincfi": "binCFI",
+               "nacl": "chunk16"}
+
+
 def _policy_record(target_name: str, inst: Instance,
                    program: LinkedProgram) -> Dict[str, Any]:
     """Judge an MCFI build under a baseline policy (AIR metric)."""
-    from repro.baselines.policies import (bincfi_policy, chunk_policy,
-                                          classic_cfi_policy)
-    from repro.metrics.air import air_table
-    aux = program.module.aux
-    code_size = len(program.module.code)
-    if inst.policy == "classic-cfi":
-        policy = classic_cfi_policy(aux)
-    elif inst.policy == "bincfi":
-        policy = bincfi_policy(aux)
-    elif inst.policy == "nacl":
-        policy = chunk_policy(aux, program.module.base, code_size,
-                              chunk=16)
-    else:
-        raise ValueError(f"unknown policy {inst.policy!r}")
-    air = air_table([policy], target_space=code_size)[policy.name]
+    # Lazy import: repro.experiments is heavy, and every workload
+    # module loads this one.
+    from repro.experiments import program_air
+    policy = _AIR_POLICY[inst.policy]
     return {"kind": "policy", "target": target_name,
             "instance": inst.name, "arch": inst.arch,
-            "policy": policy.name, "air": air.air}
+            "policy": policy, "air": program_air(program, [policy])[policy]}
 
 
 # ---------------------------------------------------------------------------
@@ -284,40 +278,14 @@ def run_campaign(target_names: Sequence[str],
 # Parallel artifact computation (the repro.tools.spec fast path)
 # ---------------------------------------------------------------------------
 
-#: Artifacts whose per-benchmark results merge without cross-benchmark
-#: state; the rest (stm, security, air's cross-benchmark mean) run
-#: serially.
-PARALLEL_ARTIFACTS = ("fig5", "fig6", "table1", "table2", "table3",
-                      "gadgets", "space", "cfggen")
-
-
-def artifact_fn(artifact: str) -> Callable[..., Dict[Any, Any]]:
-    """``fn(names, archs)`` computing one paper artifact serially."""
-    import repro.experiments as ex
-    return {
-        "fig5": lambda names, archs: ex.fig5_overhead(names, archs=archs),
-        "fig6": lambda names, archs: ex.fig6_update_overhead(
-            names, arch=archs[0]),
-        "table1": lambda names, archs: ex.table1_analysis(names),
-        "table2": lambda names, archs: ex.table2_analysis(names),
-        "table3": lambda names, archs: ex.table3_cfg_stats(
-            names, archs=archs),
-        "gadgets": lambda names, archs: ex.gadget_elimination(
-            names, arch=archs[0]),
-        "space": lambda names, archs: ex.space_overhead(
-            names, arch=archs[0]),
-        "cfggen": lambda names, archs: ex.cfg_generation_time(
-            names, arch=archs[0]),
-    }[artifact]
-
-
 def _artifact_job(artifact: str, name: str,
                   archs: Sequence[str]) -> Dict[str, Any]:
     """Worker body: one benchmark's slice of one artifact."""
+    from repro.experiments import ARTIFACT_TABLE
     cache = default_cache()
     before = cache.stats.snapshot() if cache is not None else None
     start = clock.now()
-    result = artifact_fn(artifact)([name], tuple(archs))
+    result = ARTIFACT_TABLE[artifact].compute([name], tuple(archs))
     delta = (cache.stats.delta(before).as_dict()
              if cache is not None else {})
     return {"result": result,
@@ -333,10 +301,11 @@ def parallel_artifact(artifact: str, names: Sequence[str],
     """Compute one artifact with one pool job per benchmark.
 
     Merging follows the submission (benchmark) order, so the resulting
-    mapping iterates exactly like the serial
-    :mod:`repro.experiments` call and formats byte-identically.
+    mapping iterates exactly like the serial ``compute`` call and
+    renders byte-identically.
     """
-    if artifact not in PARALLEL_ARTIFACTS:
+    from repro.experiments import ARTIFACT_TABLE
+    if not ARTIFACT_TABLE[artifact].per_benchmark:
         raise ValueError(f"artifact {artifact!r} cannot be parallelized")
     pool = WorkerPool(workers=max(1, jobs), timeout=timeout,
                       retries=retries)

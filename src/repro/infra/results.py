@@ -14,10 +14,11 @@ per line to a ``results.jsonl``.  Records are self-describing via their
 ``summary``     end-of-campaign aggregate (wall time, hit rate)
 ==============  =====================================================
 
-The reporters regenerate the repo's ``benchmarks/results/*.txt``
-artifact files from stored records — the same formats the benchmark
-suite writes — so a cached parallel campaign and a serial pytest run
-produce interchangeable artifacts.
+:func:`regenerate` rebuilds the Fig. 5 and Table 3 results from stored
+records and renders them through :data:`repro.experiments.ARTIFACT_TABLE`,
+the renderers behind the committed ``benchmarks/results/*.txt`` files,
+so a cached parallel campaign and a serial pytest run write the same
+tables.
 """
 
 from __future__ import annotations
@@ -25,8 +26,9 @@ from __future__ import annotations
 import json
 import time
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Optional, Union
+from typing import Any, Dict, Iterable, List, Tuple, Union
 
+from repro.infra.instances import ARCHS
 from repro.infra.pool import JobResult
 
 
@@ -143,84 +145,57 @@ def render_summary(records: Iterable[Dict[str, Any]]) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Artifact-file reporters (benchmarks/results/*.txt formats)
+# Artifact files (benchmarks/results/*.txt) from stored records
 # ---------------------------------------------------------------------------
 
-def render_fig5(records: Iterable[Dict[str, Any]],
-                arch: str = "x64") -> Optional[str]:
-    """Rebuild the ``fig5_overhead_<arch>.txt`` table from run records.
-
-    Uses the latest native+mcfi ``run`` record pair per benchmark.
-    """
-    native: Dict[str, Dict[str, Any]] = {}
-    mcfi: Dict[str, Dict[str, Any]] = {}
-    order: List[str] = []
+def _fig5_results(records: List[Dict[str, Any]],
+                  ) -> Dict[Tuple[str, str], "OverheadResult"]:
+    """Fig. 5 results from the latest ok x64 native and MCFI ``run``
+    records of each benchmark."""
+    # Lazy import: every workload module loads this one.
+    from repro.metrics.overhead import OverheadResult
+    runs: Dict[str, Dict[bool, Dict[str, Any]]] = {}
     for record in records:
-        if record.get("kind") != "run" or record.get("arch") != arch:
-            continue
-        if record.get("status") not in (None, "ok"):
-            continue
-        name = record["target"]
-        (mcfi if record.get("mcfi") else native)[name] = record
-        if name not in order:
-            order.append(name)
-    rows = [name for name in order if name in native and name in mcfi]
-    if not rows:
-        return None
-    lines = [f"{'benchmark':12s} {'native cycles':>14s} "
-             f"{'mcfi cycles':>12s} {'overhead':>9s}"]
-    overheads = []
-    for name in rows:
-        n, m = native[name]["cycles"], mcfi[name]["cycles"]
-        pct = 100.0 * (m - n) / n
-        overheads.append(pct)
-        lines.append(f"{name:12s} {n:14d} {m:12d} {pct:8.2f}%")
-    mean = sum(overheads) / len(overheads)
-    lines.append(f"{'average':12s} {'':14s} {'':12s} {mean:8.2f}%")
-    return "\n".join(lines)
+        if record.get("kind") == "run" and record.get("arch") == "x64" \
+                and record.get("status") in (None, "ok"):
+            runs.setdefault(record["target"], {})[
+                bool(record.get("mcfi"))] = record
+    return {(name, "x64"): OverheadResult(
+                name=name, arch="x64",
+                native_cycles=pair[False]["cycles"],
+                mcfi_cycles=pair[True]["cycles"],
+                native_instructions=pair[False]["instructions"],
+                mcfi_instructions=pair[True]["instructions"])
+            for name, pair in runs.items() if len(pair) == 2}
 
 
-def render_table3(records: Iterable[Dict[str, Any]]) -> Optional[str]:
-    """Rebuild ``table3_cfg_stats.txt`` from cfgstats records."""
-    stats: Dict[str, Dict[str, Dict[str, int]]] = {}
-    order: List[str] = []
+def _table3_results(records: List[Dict[str, Any]],
+                    ) -> Dict[Tuple[str, str], Dict[str, Any]]:
+    """Table 3 results of the benchmarks with ``cfgstats`` records on
+    both architectures, the committed table's columns."""
+    stats: Dict[str, Dict[str, Dict[str, Any]]] = {}
     for record in records:
-        if record.get("kind") != "cfgstats":
-            continue
-        name, arch = record["target"], record["arch"]
-        stats.setdefault(name, {})[arch] = record
-        if name not in order:
-            order.append(name)
-    rows = [name for name in order
-            if "x32" in stats.get(name, {}) and "x64" in stats[name]]
-    if not rows:
-        return None
-    lines = [f"{'benchmark':12s} {'IBs32':>6s} {'IBTs32':>7s} "
-             f"{'EQCs32':>7s}  {'IBs64':>6s} {'IBTs64':>7s} "
-             f"{'EQCs64':>7s}"]
-    for name in rows:
-        a, b = stats[name]["x32"], stats[name]["x64"]
-        lines.append(f"{name:12s} {a['IBs']:6d} {a['IBTs']:7d} "
-                     f"{a['EQCs']:7d}  {b['IBs']:6d} {b['IBTs']:7d} "
-                     f"{b['EQCs']:7d}")
-    return "\n".join(lines)
+        if record.get("kind") == "cfgstats":
+            stats.setdefault(record["target"], {})[record["arch"]] = record
+    return {(name, arch): by_arch[arch]
+            for name, by_arch in stats.items()
+            if all(arch in by_arch for arch in ARCHS) for arch in ARCHS}
 
 
 def regenerate(records: Iterable[Dict[str, Any]],
                results_dir: Union[str, Path]) -> List[Path]:
-    """Write every artifact file derivable from ``records``."""
+    """Write every artifact file derivable from ``records``, each
+    rendered by its entry in :data:`repro.experiments.ARTIFACT_TABLE`."""
+    from repro.experiments import ARTIFACT_TABLE
     records = list(records)
     results_dir = Path(results_dir)
     results_dir.mkdir(parents=True, exist_ok=True)
     written: List[Path] = []
-    fig5 = render_fig5(records)
-    if fig5 is not None:
-        path = results_dir / "fig5_overhead_x64.txt"
-        path.write_text(fig5 + "\n", encoding="utf-8")
-        written.append(path)
-    table3 = render_table3(records)
-    if table3 is not None:
-        path = results_dir / "table3_cfg_stats.txt"
-        path.write_text(table3 + "\n", encoding="utf-8")
-        written.append(path)
+    for artifact, results in (("fig5", _fig5_results(records)),
+                              ("table3", _table3_results(records))):
+        if results:
+            entry = ARTIFACT_TABLE[artifact]
+            path = results_dir / f"{entry.stem}.txt"
+            path.write_text(entry.render(results) + "\n", encoding="utf-8")
+            written.append(path)
     return written

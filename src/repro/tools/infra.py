@@ -2,8 +2,8 @@
 
 Drives :mod:`repro.infra` directly: build the target×instance matrix
 into the artifact cache, run it in parallel, and report on the JSONL
-result store (including regenerating the ``benchmarks/results/*.txt``
-artifact files from stored records).
+result store (including writing the Fig. 5 and Table 3 files, laid out
+like the committed ``benchmarks/results/*.txt``, from stored records).
 
 Examples::
 
@@ -11,7 +11,7 @@ Examples::
     python -m repro.tools.infra run --jobs 2 --benchmarks libquantum bzip2
     python -m repro.tools.infra run --jobs 4 \\
         --instances native-x64 mcfi-x64 mcfi-x32
-    python -m repro.tools.infra report --results-dir benchmarks/results
+    python -m repro.tools.infra report --results-dir /tmp/infra-tables
     python -m repro.tools.infra cache stats --cache-dir .cache/repro-infra
     python -m repro.tools.infra cache trim --cache-max-mb 64
 """

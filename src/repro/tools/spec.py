@@ -1,7 +1,12 @@
-"""``python -m repro.tools.spec`` — run the SPEC-shaped benchmark suite.
+"""``python -m repro.tools.spec`` — print the paper's tables.
 
-The command-line face of :mod:`repro.experiments`: run any subset of
-the twelve workloads and print the paper's artifacts.
+The command-line face of :data:`repro.experiments.ARTIFACT_TABLE`: each
+artifact prints the text of its committed
+``benchmarks/results/<stem>.txt``, computed for the selected
+benchmarks and architectures; several artifacts are separated by one
+blank line.  The timed artifacts (stm, cfggen) print the same layout
+with this run's numbers.  An artifact whose committed table covers one
+architecture takes one ``--arch``; table3 defaults to both.
 
 ``--jobs N`` fans per-benchmark work across the :mod:`repro.infra`
 worker pool and ``--cache-dir`` reuses compiled/instrumented artifacts
@@ -13,7 +18,7 @@ Examples::
 
     python -m repro.tools.spec fig5 --benchmarks gcc lbm
     python -m repro.tools.spec table1
-    python -m repro.tools.spec table3 --arch x32 x64
+    python -m repro.tools.spec table3 --arch x64
     python -m repro.tools.spec fig5 table3 --jobs 4 --cache-dir .cache/infra
 """
 
@@ -23,25 +28,24 @@ import argparse
 import sys
 from typing import List
 
-import repro.experiments as ex
+from repro.experiments import ARCHS, ARTIFACT_TABLE
 from repro.obs import clock
 from repro.workloads.spec import BENCHMARKS
-
-ARTIFACTS = ("fig5", "fig6", "table1", "table2", "table3", "stm", "air",
-             "gadgets", "space", "cfggen", "security")
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-spec",
         description="Regenerate the paper's tables and figures")
-    parser.add_argument("artifacts", nargs="+", choices=ARTIFACTS,
+    parser.add_argument("artifacts", nargs="+", choices=tuple(ARTIFACT_TABLE),
                         help="which artifacts to produce")
     parser.add_argument("--benchmarks", nargs="+", default=None,
                         choices=BENCHMARKS, metavar="NAME",
                         help="benchmark subset (default: all twelve)")
-    parser.add_argument("--arch", nargs="+", default=["x64"],
-                        choices=("x32", "x64"))
+    parser.add_argument("--arch", nargs="+", default=None, choices=ARCHS,
+                        help="architectures (default: the committed "
+                             "table's, x64, or x32 x64 for table3); "
+                             "arch-free artifacts ignore it")
     parser.add_argument("--jobs", type=int, default=1, metavar="N",
                         help="parallel workers for per-benchmark "
                              "artifacts (default: 1 = serial)")
@@ -52,31 +56,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _print_rows(title: str, rows: dict) -> None:
-    print(f"\n== {title} ==")
-    for key, value in rows.items():
-        print(f"  {key}: {value}")
-
-
-def _compute(artifact: str, names, archs, jobs: int, store):
-    """Per-benchmark artifact results, serial or fanned out."""
-    from repro.infra.campaign import (
-        PARALLEL_ARTIFACTS,
-        artifact_fn,
-        parallel_artifact,
-    )
-    if jobs > 1 and artifact in PARALLEL_ARTIFACTS:
-        return parallel_artifact(artifact, names, archs=archs, jobs=jobs,
-                                 store=store)
-    return artifact_fn(artifact)(names, archs)
-
-
 def main(argv: List[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     names = args.benchmarks or list(BENCHMARKS)
-    archs = tuple(args.arch)
+    archs = tuple(dict.fromkeys(args.arch or ()))
+    for artifact in args.artifacts:
+        if len(archs) > 1 and len(ARTIFACT_TABLE[artifact].archs) == 1:
+            parser.error(f"{artifact} covers one architecture; "
+                         f"give one --arch, not {' '.join(archs)}")
 
-    from repro.infra.campaign import configure, default_cache
+    from repro.infra.campaign import (configure, default_cache,
+                                      parallel_artifact)
     from repro.infra.results import ResultStore
     store = None
     preexisting = 0
@@ -87,62 +78,17 @@ def main(argv: List[str] | None = None) -> int:
         preexisting = len(store.records())
     start = clock.now()
 
-    for artifact in args.artifacts:
-        if artifact == "fig5":
-            results = _compute("fig5", names, archs, args.jobs, store)
-            print("\n== Fig. 5: execution overhead ==")
-            print(ex.format_fig5(results))
-        elif artifact == "fig6":
-            results = _compute("fig6", names, archs, args.jobs, store)
-            print("\n== Fig. 6: overhead under updates ==")
-            for name, result in results.items():
-                print(f"  {name:12s} {result.overhead_pct:6.2f}%  "
-                      f"({result.updates} updates)")
-        elif artifact == "table1":
-            reports = _compute("table1", names, archs, args.jobs, store)
-            print("\n== Table 1: C1 violations ==")
-            for name, report in reports.items():
-                print(f"  {name:12s} {report.table1_row()}")
-        elif artifact == "table2":
-            print("\n== Table 2: K1/K2 ==")
-            rows = _compute("table2", names, archs, args.jobs, store)
-            for name, row in rows.items():
-                print(f"  {name:12s} {row}")
-        elif artifact == "table3":
-            stats = _compute("table3", names, archs, args.jobs, store)
-            print("\n== Table 3: CFG statistics ==")
-            for (name, arch), row in stats.items():
-                print(f"  {name:12s} {arch}  {row}")
-        elif artifact == "stm":
-            _print_rows("STM micro-benchmark (normalized)",
-                        {k: round(v, 2)
-                         for k, v in ex.stm_micro().items()})
-        elif artifact == "air":
-            _print_rows("AIR comparison",
-                        {k: round(v, 5)
-                         for k, v in ex.air_comparison(names).items()})
-        elif artifact == "gadgets":
-            print("\n== gadget elimination ==")
-            rows = _compute("gadgets", names, archs, args.jobs, store)
-            for name, row in rows.items():
-                print(f"  {name:12s} {row['elimination_pct']:6.2f}% "
-                      f"({row['native_unique']} unique native gadgets)")
-        elif artifact == "space":
-            print("\n== space overhead ==")
-            rows = _compute("space", names, archs, args.jobs, store)
-            for name, row in rows.items():
-                print(f"  {name:12s} +{row.code_increase_pct:5.2f}% code, "
-                      f"{row.tary_bytes}B Tary")
-        elif artifact == "cfggen":
-            rows = _compute("cfggen", names, archs, args.jobs, store)
-            _print_rows("CFG generation time (s)",
-                        {k: round(v, 4) for k, v in rows.items()})
-        elif artifact == "security":
-            print("\n== security case studies ==")
-            for attack, outcomes in ex.security_case_study().items():
-                for scheme, (hijacked, blocked) in outcomes.items():
-                    print(f"  {attack:18s} {scheme:8s} "
-                          f"hijacked={hijacked} blocked={blocked}")
+    for index, artifact in enumerate(args.artifacts):
+        entry = ARTIFACT_TABLE[artifact]
+        entry_archs = archs if archs and entry.archs else entry.archs
+        if args.jobs > 1 and entry.per_benchmark:
+            result = parallel_artifact(artifact, names, archs=entry_archs,
+                                       jobs=args.jobs, store=store)
+        else:
+            result = entry.compute(names, entry_archs)
+        if index:
+            print()
+        print(entry.render(result), flush=True)
 
     if args.cache_dir:
         wall = clock.now() - start

@@ -1,9 +1,17 @@
 """Tests for the experiment harness (small subsets; the benchmarks run
 the full sweeps)."""
 
+import os
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 import repro.experiments as ex
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 class TestFig5:
@@ -25,7 +33,8 @@ class TestFig6:
 
 class TestStmMicro:
     def test_paper_ordering(self):
-        ratios = ex.stm_micro(iterations=30_000)
+        ratios = {name: statistics.median(values) for name, values in
+                  ex.stm_micro_rounds(iterations=30_000).items()}
         assert ratios["MCFI"] == 1.0
         assert ratios["TML"] > 1.0
         assert ratios["Mutex"] > ratios["TML"]
@@ -50,7 +59,7 @@ class TestTables:
 
 class TestSecurityMetrics:
     def test_air_ordering(self):
-        airs = ex.air_comparison(["libquantum"])
+        airs = ex.air_comparison(["libquantum"])["libquantum"]
         assert airs["MCFI"] >= airs["classic-CFI"] >= airs["binCFI"]
         assert airs["binCFI"] > airs["chunk16"]
 
@@ -65,16 +74,46 @@ class TestSecurityMetrics:
 
     def test_cfg_generation_is_fast(self):
         # the fastest of three generations, not one sample
-        timing = ex.cfg_generation_time(["gcc"], repeats=3)["gcc"]
+        timing, _ = ex.cfg_generation_time(["gcc"], repeats=3)["gcc"]
         assert timing < 2.0  # paper: 150 ms for real gcc
 
 
 class TestFormatting:
+    """The renderers of ``ex.ARTIFACT_TABLE``; the benchmarks pin each
+    one to its committed file."""
+
     def test_format_fig5(self):
         results = ex.fig5_overhead(["libquantum"], archs=("x64",))
-        text = ex.format_fig5(results)
-        assert "libquantum" in text and "%" in text
+        lines = ex.ARTIFACT_TABLE["fig5"].render(results).splitlines()
+        assert lines[1].startswith("libquantum") and lines[1].endswith("%")
+        assert lines[-1].split() == ["average", lines[1].split()[-1]]
 
     def test_format_table(self):
-        text = ex.format_table({"a": {"x": 1}}, ["x"], title="T")
-        assert "T" in text and "a" in text
+        rows = {"gcc": {"K1": 3, "K2": 1, "K1-fixed": 2}}
+        assert ex.ARTIFACT_TABLE["table2"].render(rows) == (
+            "benchmark      K1   K2  K1-fixed\n"
+            "gcc             3    1         2")
+
+    def test_table3_columns_follow_archs(self):
+        row = {"IBs": 1, "IBTs": 2, "EQCs": 3}
+        text = ex.ARTIFACT_TABLE["table3"].render({("lbm", "x64"): row})
+        assert text.splitlines()[:2] == [
+            "benchmark     IBs64  IBTs64  EQCs64",
+            "lbm               1       2       3"]
+
+
+class TestArtifactTable:
+    def test_every_artifact_has_a_committed_file(self):
+        results = ROOT / "benchmarks" / "results"
+        for entry in ex.ARTIFACT_TABLE.values():
+            assert (results / f"{entry.stem}.txt").is_file(), entry.stem
+
+    def test_workload_import_does_not_load_the_table(self):
+        """Every suite workload imports ``repro.workloads.corpus``; the
+        artifact table must stay out of that import chain."""
+        probe = ("import sys, repro.workloads.corpus; "
+                 "print('repro.experiments' in sys.modules)")
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        out = subprocess.run([sys.executable, "-c", probe], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "False"

@@ -2,6 +2,7 @@
 runner, parallel artifact equivalence and the two CLIs."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -11,9 +12,11 @@ from repro.infra.campaign import (build_program, parallel_artifact,
                                   run_campaign, run_result, run_target)
 from repro.infra.instances import INSTANCES, expand
 from repro.infra.results import (ResultStore, load_records, regenerate,
-                                 render_fig5, render_table3, summarize)
+                                 summarize)
 from repro.infra.targets import TARGETS, target
 from repro.workloads.spec import BENCHMARKS
+
+COMMITTED = Path(__file__).resolve().parents[1] / "benchmarks" / "results"
 
 
 @pytest.fixture(autouse=True)
@@ -198,17 +201,23 @@ class TestReporters:
     def test_render_fig5_format(self, tmp_path):
         store = ResultStore(tmp_path / "r.jsonl")
         self._seed_records(store)
-        text = render_fig5(store.records())
-        assert "benchmark" in text and "overhead" in text
-        assert "lbm" in text
-        assert "10.00%" in text  # (1100-1000)/1000
-        assert text.splitlines()[-1].startswith("average")
+        regenerate(store.records(), tmp_path / "out")
+        text = (tmp_path / "out" / "fig5_overhead_x64.txt").read_text()
+        assert text.splitlines() == [
+            "benchmark     native cycles  mcfi cycles  overhead",
+            "lbm                    1000         1100    10.00%",
+            "average                                     10.00%"]
 
     def test_render_table3_needs_both_archs(self, tmp_path):
         store = ResultStore(tmp_path / "r.jsonl")
         self._seed_records(store)
-        text = render_table3(store.records())
-        assert "IBs32" in text and "IBs64" in text
+        store.append("cfgstats", target="mcf", instance="mcfi-x64",
+                     arch="x64", IBs=1, IBTs=2, EQCs=3)
+        regenerate(store.records(), tmp_path / "out")
+        lines = (tmp_path / "out" / "table3_cfg_stats.txt").read_text() \
+            .splitlines()
+        assert "IBs32" in lines[0] and "IBs64" in lines[0]
+        assert [line.split()[0] for line in lines[1:-2]] == ["lbm"]
 
     def test_regenerate_writes_artifact_files(self, tmp_path):
         store = ResultStore(tmp_path / "r.jsonl")
@@ -217,6 +226,30 @@ class TestReporters:
         names = {p.name for p in written}
         assert names == {"fig5_overhead_x64.txt",
                          "table3_cfg_stats.txt"}
+
+    def test_report_lines_equal_committed(self, tmp_path):
+        """``infra report --results-dir`` writes the committed layout:
+        each benchmark's line, the header and Table 3's paper line read
+        as in ``benchmarks/results``."""
+        store = ResultStore(tmp_path / "results.jsonl")
+        summary = run_campaign(["perlbench", "lbm"],
+                               ["native-x64", "mcfi-x64", "mcfi-x32"],
+                               store=store)
+        assert summary["failures"] == []
+        written = regenerate(store.records(), tmp_path / "out")
+        assert {path.name for path in written} == {
+            "fig5_overhead_x64.txt", "table3_cfg_stats.txt"}
+        for path in written:
+            committed = (COMMITTED / path.name).read_text().splitlines()
+            lines = path.read_text().splitlines()
+            assert lines[0] == committed[0]
+            for name in ("perlbench", "lbm"):
+                row = [line for line in lines if line.startswith(name)]
+                assert row == [line for line in committed
+                               if line.startswith(name)]
+            paper = [line for line in committed if line.startswith("paper")]
+            assert [line for line in lines if line.startswith("paper")] \
+                == paper
 
     def test_summarize_counts(self, tmp_path):
         store = ResultStore(tmp_path / "r.jsonl")
@@ -251,7 +284,8 @@ class TestCli:
     def test_spec_parallel_stdout_matches_serial(self, tmp_path, capsys):
         """--jobs/--cache-dir must not change what lands on stdout."""
         from repro.tools.spec import main
-        argv = ["table1", "table3", "--benchmarks", "libquantum", "mcf"]
+        argv = ["table1", "table3", "fig5", "--benchmarks", "libquantum",
+                "mcf"]
         assert main(argv) == 0
         serial_out = capsys.readouterr().out
         assert main(argv + ["--jobs", "2", "--cache-dir",

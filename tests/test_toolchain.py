@@ -1,5 +1,7 @@
 """Tests for the toolchain driver, the spec CLI, and example smoke."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.errors import LinkError, ParseError, TypeError_
@@ -48,23 +50,51 @@ class TestDriver:
 
 
 class TestSpecCli:
+    """``repro spec`` prints the committed tables of benchmarks/results."""
+
+    @staticmethod
+    def committed(stem):
+        root = Path(__file__).resolve().parents[1]
+        return (root / "benchmarks" / "results" / f"{stem}.txt") \
+            .read_text().splitlines()
+
     def test_table1_subset(self, capsys):
         from repro.tools.spec import main
         assert main(["table1", "--benchmarks", "mcf", "lbm"]) == 0
-        out = capsys.readouterr().out
-        assert "mcf" in out and "Table 1" in out
+        lines = capsys.readouterr().out.splitlines()
+        committed = self.committed("table1_c1_violations")
+        picked = [line for line in committed
+                  if line.split()[:1] in (["mcf"], ["lbm"])]
+        assert lines == committed[:1] + picked[:2] + committed[13:15] + \
+            picked[2:]
 
     def test_stm_artifact(self, capsys):
         from repro.tools.spec import main
         assert main(["stm"]) == 0
-        assert "MCFI" in capsys.readouterr().out
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[:2] == self.committed("stm_micro")[:2]
+        assert [line.split()[0] for line in lines[2:]] == \
+            ["MCFI", "TML", "RWL", "Mutex"]
 
     def test_multiple_artifacts(self, capsys):
         from repro.tools.spec import main
         assert main(["table3", "cfggen", "--benchmarks", "libquantum",
                      "--arch", "x64"]) == 0
-        out = capsys.readouterr().out
-        assert "Table 3" in out and "CFG generation" in out
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "benchmark     IBs64  IBTs64  EQCs64"
+        assert lines[2:4] == ["", self.committed("table3_cfg_stats")[-1]]
+        assert lines[4:6] == ["", self.committed("cfg_generation_time")[0]]
+        assert [line.split()[0] for line in (lines[1], lines[6])] == \
+            ["libquantum", "libquantum"]
+
+    def test_single_arch_artifact_rejects_two_archs(self, capsys):
+        from repro.tools.spec import main
+        with pytest.raises(SystemExit) as exc:
+            main(["space", "--arch", "x32", "x64"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "space covers one architecture" in captured.err
 
     def test_rejects_unknown_artifact(self):
         from repro.tools.spec import main
