@@ -18,16 +18,17 @@ pointwise minimum) is then ``&``, state equality is int equality, and
 bottom is the solver's built-in "not yet reached".
 
 Every instruction's effect has the form ``(state & keep) | gen``.
-:data:`EFFECT` gives it per opcode byte: a ``(keep, gen)`` pair, or,
-for an opcode that writes or masks its first register operand, a
-16-tuple of pairs indexed by that register.  Effects compose in the
-same form, so :func:`summarize` folds a whole block into one pair and
-the solver's transfer costs O(1) per block.  ``CHECKED`` is
-deliberately fragile: it survives only alignment ``nop``s (the
-AlignEnd padding between a guard and its ``call *rcx``) — any other
-instruction demotes it to ``MASKED``, which is exactly the paper's "no
-instruction between the check transaction and the branch" discipline,
-while a clobber of the register itself drops it to ``TOP``.
+:data:`EFFECT` gives it per opcode byte, from the registers ``SPECS``
+says the opcode writes: a ``(keep, gen)`` pair, or, for an opcode that
+writes or masks its first register operand, a 16-tuple of pairs
+indexed by that register.  Effects compose in the same form, so
+:func:`summarize` folds a whole block into one pair and the solver's
+transfer costs O(1) per block.  ``CHECKED`` is deliberately fragile:
+it survives only alignment ``nop``s (the AlignEnd padding between a
+guard and its ``call *rcx``) — any other instruction demotes it to
+``MASKED``, which is exactly the paper's "no instruction between the
+check transaction and the branch" discipline, while a clobber of the
+register itself drops it to ``TOP``.
 """
 
 from __future__ import annotations
@@ -36,8 +37,8 @@ from operator import and_
 from typing import Iterable, List, Tuple
 
 from repro.analysis.dataflow.solver import DataflowProblem
-from repro.isa.instructions import Op, OperandKind, SPECS
-from repro.isa.registers import NUM_REGS
+from repro.isa.instructions import Op, SPECS
+from repro.isa.registers import NUM_REGS, Reg
 
 #: bit ``CHECKED_SHIFT + r`` of a state: register ``r`` is CHECKED
 CHECKED_SHIFT = NUM_REGS
@@ -49,30 +50,26 @@ KEEP_ALL = (1 << 2 * NUM_REGS) - 1
 #: keep mask that demotes every CHECKED fact to MASKED
 KEEP_MASKED = (1 << NUM_REGS) - 1
 
-#: stores read their base operand; compares/tests only set flags
-_NO_REG_WRITE = frozenset({
-    Op.CMP_RR, Op.CMP_RI, Op.TEST_RR, Op.TEST_RI, Op.CMPW_RR, Op.TESTB1,
-    Op.STORE8, Op.STORE16, Op.STORE32, Op.STORE64,
-})
-
 #: control leaves the image or enters the trusted runtime: every
 #: register fact dies (callee / kernel may clobber anything)
 _KILLS_ALL = frozenset({Op.CALL, Op.CALL_R, Op.SYSCALL})
 
 
 def _effect(op: Op):
+    """The effect of ``op`` as its :class:`~repro.isa.instructions.OpSpec`
+    states it: each register it writes drops to TOP."""
     spec = SPECS[op]
     if op == Op.NOP:
         return KEEP_ALL, 0
     if op in _KILLS_ALL:
         return 0, 0
+    keep = KEEP_MASKED & ~(1 << Reg.RSP) if spec.writes_sp else KEEP_MASKED
+    assert spec.writes in ((), (0,)), op  # the tuple is by operand 0
     if op == Op.MOVZX32:
-        return tuple((KEEP_MASKED, 1 << reg) for reg in range(NUM_REGS))
-    if spec.operands and spec.operands[0] is OperandKind.REG \
-            and op not in _NO_REG_WRITE:
-        return tuple((KEEP_MASKED & ~(1 << reg), 0)
-                     for reg in range(NUM_REGS))
-    return KEEP_MASKED, 0
+        return tuple((keep, 1 << reg) for reg in range(NUM_REGS))
+    if spec.writes:
+        return tuple((keep & ~(1 << reg), 0) for reg in range(NUM_REGS))
+    return keep, 0
 
 
 #: opcode byte -> ``(keep, gen)``, or a 16-tuple of them indexed by the

@@ -68,12 +68,11 @@ _FACT = {0: "unknown", 1: "masked but unchecked", 2: "checked"}
 _RET, _INDIRECT, _STORE, _DIRECT = 1, 2, 3, 4
 _ROLE: List[int] = [0] * 256
 for _op, _spec in SPECS.items():
-    if _spec.is_branch and not _spec.is_indirect:
-        _ROLE[_op] = _DIRECT
-_ROLE[Op.RET] = _RET
-_ROLE[Op.JMP_R] = _ROLE[Op.CALL_R] = _INDIRECT
-for _op in (Op.STORE8, Op.STORE16, Op.STORE32, Op.STORE64):
-    _ROLE[_op] = _STORE
+    if _spec.is_branch:
+        _ROLE[_op] = (_RET if _spec.is_ret else _INDIRECT) \
+            if _spec.is_indirect else _DIRECT
+    elif _spec.store:
+        _ROLE[_op] = _STORE
 #: arch -> role table: stores are proved on x64 only
 _ROLES = {"x64": _ROLE,
           "x32": [0 if role == _STORE else role for role in _ROLE]}

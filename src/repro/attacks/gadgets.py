@@ -27,10 +27,10 @@ from dataclasses import dataclass
 from typing import Iterable, List, Optional, Set, Tuple
 
 from repro.isa.disasm import try_decode_at
-from repro.isa.instructions import Op
+from repro.isa.instructions import SPECS
 
-#: Opcodes that terminate a gadget.
-GADGET_ENDS = (Op.RET, Op.JMP_R, Op.CALL_R)
+#: Opcodes that terminate a gadget: the indirect branches.
+GADGET_ENDS = frozenset(op for op, spec in SPECS.items() if spec.is_indirect)
 
 #: Maximum instructions in a gadget (rp++'s typical depth).
 DEFAULT_DEPTH = 5

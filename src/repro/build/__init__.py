@@ -30,7 +30,6 @@ from repro.build.api import build_program, compile_object
 from repro.build.fingerprint import (
     UNIT_SCHEMA,
     prelude_digest,
-    source_body_key,
     unit_fingerprint,
 )
 from repro.build.graph import compile_module_units
@@ -56,7 +55,6 @@ __all__ = [
     "compile_unit",
     "link_units",
     "prelude_digest",
-    "source_body_key",
     "splice_unit",
     "unit_fingerprint",
 ]

@@ -31,9 +31,8 @@ def prelude_digest() -> str:
     """Digest of the builtin prelude every module is compiled against.
 
     The prelude declarations shape typechecking (and thus the MIR), so
-    its text participates in source-level keys (program memo, body
-    memo): a changed prelude never serves an entry made under the old
-    one.
+    its text participates in the campaign's source-level program key: a
+    changed prelude never serves an entry made under the old one.
     """
     from repro.toolchain import BUILTIN_PRELUDE
     return hashlib.sha256(BUILTIN_PRELUDE.encode("utf-8")).hexdigest()
@@ -66,16 +65,3 @@ def unit_fingerprint(func: ir.MirFunction, sid_contents: Dict[int, bytes],
                 feed(inst)
     return h.hexdigest()
 
-
-def source_body_key(module: str, arch: str, body_text: str) -> str:
-    """Key for the source-level body memo (steady-state churn path).
-
-    Maps a function body's *text* to its unit fingerprint so re-editing
-    back to a body seen since the module's last full rebuild skips the
-    mini-frontend entirely.
-    """
-    h = hashlib.sha256()
-    h.update(repr((module, arch, prelude_digest(),
-                   UNIT_SCHEMA, TOOLCHAIN_TAG)).encode("utf-8"))
-    h.update(body_text.encode("utf-8"))
-    return h.hexdigest()

@@ -189,23 +189,25 @@ def _renamer(rmap: Dict[str, str]) -> Callable[[str], str]:
 
 
 def _compute_renames(modules: Sequence[ModuleUnits]) -> List[Dict[str, str]]:
-    """C internal linkage: give each colliding static (non-exported)
-    function a module-qualified name, ``{module}${name}``."""
+    """C internal linkage: give each colliding static function or
+    global a module-qualified name, ``{module}${name}``."""
     renames: List[Dict[str, str]] = [{} for _ in modules]
-    owner: Dict[str, Tuple[int, UnitArtifact]] = {}
+    owner: Dict[str, Tuple[int, bool]] = {}
     for index, module in enumerate(modules):
-        for unit in module.units:
-            name = unit.fn
+        symbols = [(unit.fn, unit.exported) for unit in module.units]
+        symbols += [(name, not data.is_static)
+                    for name, data in module.globals.items()]
+        for name, exported in symbols:
             if name not in owner:
-                owner[name] = (index, unit)
+                owner[name] = (index, exported)
                 continue
-            other_index, other = owner[name]
-            if not unit.exported:
+            other_index, other_exported = owner[name]
+            if not exported:
                 renames[index][name] = f"{module.name}${name}"
-            elif not other.exported:
+            elif not other_exported:
                 renames[other_index][name] = \
                     f"{modules[other_index].name}${name}"
-                owner[name] = (index, unit)
+                owner[name] = (index, exported)
             # two exported definitions: reported by the merge below
     return renames
 
@@ -343,9 +345,9 @@ def _layout_strings_and_data(state: LinkState) -> None:
         globals_eff = module.globals
         if rmap:
             globals_eff = {
-                name: replace(data, relocs=[
+                rmap.get(name, name): replace(data, relocs=[
                     (off, kind,
-                     rmap.get(sym, sym) if kind == "func" else sym)
+                     rmap.get(sym, sym) if kind != "str" else sym)
                     for off, kind, sym in data.relocs])
                 for name, data in module.globals.items()}
         raw_likes.append(SimpleNamespace(name=module.name, strings=strings,

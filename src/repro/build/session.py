@@ -33,7 +33,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.build.fingerprint import source_body_key
 from repro.build.graph import compile_module_units
 from repro.build.link import LinkState, ModuleUnits, link_units, splice_unit
 from repro.build.source_index import (
@@ -98,11 +97,6 @@ class BuildSession:
         self._modules: Dict[str, _ModuleState] = {}
         self._link: Optional[LinkState] = None
         self._built_once = False
-        #: body-text memo: key -> (module, intern refs, artifact).  An
-        #: entry is only valid against the declarations its module had
-        #: when it was compiled, so a module's entries go when the
-        #: module is fully rebuilt or invalidated.
-        self._body_memo: Dict[str, Tuple[str, List[bytes], UnitArtifact]] = {}
 
     # -- public API --------------------------------------------------
 
@@ -121,15 +115,9 @@ class BuildSession:
         """Drop session state for ``name`` (or everything)."""
         if name is None:
             self._modules.clear()
-            self._body_memo.clear()
         else:
             self._modules.pop(name, None)
-            self._forget_bodies(name)
         self._link = None
-
-    def _forget_bodies(self, name: str) -> None:
-        self._body_memo = {key: memo for key, memo in self._body_memo.items()
-                           if memo[0] != name}
 
     # -- unit-grain build --------------------------------------------
 
@@ -208,7 +196,6 @@ class BuildSession:
 
     def _full_rebuild(self, name: str, text: str,
                       stats: Dict[str, int]) -> None:
-        self._forget_bodies(name)
         with OBS.tracer.span("build.frontend", module=name):
             checked = frontend(text, name=name)
         mir = self._lower(checked, name)
@@ -235,8 +222,8 @@ class BuildSession:
         module's source, spans and units as they were) when the edit is
         structural and the caller must do a full rebuild.  Clean
         functions are never recompiled; dirty bodies go through the
-        body-text memo, then the unit cache, then a compile of just
-        those functions, checked against the module interface.
+        unit cache, then a compile of just those functions, checked
+        against the module interface.
         ``None`` also covers every case the interface cannot answer
         exactly as a full rebuild would: a body that defines a type, a
         dirty span that is not one function definition, and a dirty
@@ -250,46 +237,30 @@ class BuildSession:
         dirty = diff_bodies(state.spans, new_spans)
         if dirty is None:
             return None
+        if not dirty:  # only text between functions changed
+            state.source = text
+            state.spans = new_spans
+            return []
 
-        unresolved: List[str] = []
-        by_name = {span.name: span for span in new_spans
-                   if span.kind == "func"}
-        memo_hits = {}
-        for fn in sorted(dirty):
-            key = source_body_key(name, self.arch, by_name[fn].text)
-            memo = self._body_memo.get(key)
-            if memo is not None:
-                memo_hits[fn] = memo
-            else:
-                unresolved.append(fn)
-
-        compiled: Dict[str, Tuple[UnitArtifact, List[bytes]]] = {}
-        if unresolved:
-            with OBS.tracer.span("build.mini_frontend", module=name,
-                                 dirty=len(unresolved)):
-                try:
-                    if state.interface is None:
-                        state.interface = ModuleInterface(new_spans, name)
-                    checked = state.interface.check(
-                        [span for span in new_spans if span.kind == "func"
-                         and span.name in unresolved])
-                    mir = self._lower(checked, name)
-                except ReproError:
-                    return None  # a full rebuild decides, or reports
-            units = self._compile_units(mir, checked, name, stats)
-            for unit in units.units:
-                compiled[unit.fn] = (unit,
-                                     list(units.intern_refs.get(unit.fn, [])))
+        with OBS.tracer.span("build.mini_frontend", module=name,
+                             dirty=len(dirty)):
+            try:
+                if state.interface is None:
+                    state.interface = ModuleInterface(new_spans, name)
+                checked = state.interface.check(
+                    [span for span in new_spans
+                     if span.kind == "func" and span.name in dirty])
+                mir = self._lower(checked, name)
+            except ReproError:
+                return None  # a full rebuild decides, or reports
+        compiled = self._compile_units(mir, checked, name, stats)
+        artifacts = {unit.fn: unit for unit in compiled.units}
 
         units = state.units.units
         updates: List[Tuple[int, UnitArtifact]] = []
         for fn in sorted(dirty):
-            if fn in compiled:
-                artifact, refs = compiled[fn]
-                key = source_body_key(name, self.arch, by_name[fn].text)
-                self._body_memo[key] = (name, refs, artifact)
-            else:
-                _, refs, artifact = memo_hits[fn]
+            artifact = artifacts[fn]
+            refs = compiled.intern_refs.get(fn, [])
             old_refs = state.units.intern_refs.get(fn, [])
             if list(refs) != list(old_refs):
                 return None  # string table changed shape: full rebuild

@@ -43,7 +43,7 @@ from repro.isa.assembler import (
     LabelRef,
     Mark,
 )
-from repro.isa.instructions import Op
+from repro.isa.instructions import SPECS, Op
 from repro.isa.registers import Reg
 from repro.mir.codegen import (
     PseudoIndirectCall,
@@ -53,9 +53,6 @@ from repro.mir.codegen import (
     RawModule,
 )
 from repro.tinyc.types import FuncSig
-
-_STORES = (Op.STORE8, Op.STORE16, Op.STORE32, Op.STORE64)
-
 
 @dataclass(frozen=True)
 class SiteInfo:
@@ -258,7 +255,7 @@ def instrument_stream(items: List[RawItem], aligned: set, namespace: str,
             out.append(AlignEnd(4))
             out.append(item)
         elif isinstance(item, AsmInstr) and sandbox_writes and \
-                item.op in _STORES:
+                SPECS[item.op].store:
             base = item.operands[0]
             if base != Reg.RSP:
                 out.append(AsmInstr(Op.MOVZX32, (base,)))

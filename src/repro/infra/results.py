@@ -105,6 +105,10 @@ def summarize(records: Iterable[Dict[str, Any]]) -> Dict[str, Any]:
               "retries": 0, "cache_hits": 0, "cache_misses": 0,
               "seconds": 0.0}
     kinds: Dict[str, int] = {}
+    # A command's ``summary`` record totals the cache counts of the
+    # records it appended before it (a serial ``repro spec`` appends
+    # nothing else), so it stands in for them.
+    unsummarized = {"cache_hits": 0, "cache_misses": 0}
     for record in records:
         totals["records"] += 1
         kind = record.get("kind", "?")
@@ -118,8 +122,14 @@ def summarize(records: Iterable[Dict[str, Any]]) -> Dict[str, Any]:
         attempts = record.get("attempts")
         if isinstance(attempts, int) and attempts > 1:
             totals["retries"] += attempts - 1
-        totals["cache_hits"] += record.get("cache_hits", 0) or 0
-        totals["cache_misses"] += record.get("cache_misses", 0) or 0
+        for key in unsummarized:
+            count = record.get(key, 0) or 0
+            if kind == "summary":
+                count -= unsummarized[key]
+                unsummarized[key] = 0
+            else:
+                unsummarized[key] += count
+            totals[key] += count
         if kind != "summary":
             totals["seconds"] += record.get("seconds", 0.0) or 0.0
     lookups = totals["cache_hits"] + totals["cache_misses"]

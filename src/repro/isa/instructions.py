@@ -10,9 +10,11 @@ Each opcode has:
 
 * a one-byte opcode value,
 * an operand signature (a tuple of operand kinds, see :data:`OperandKind`),
-* a cycle cost used by the VM's deterministic cycle model, and
+* a cycle cost used by the VM's deterministic cycle model,
 * flags describing its control-flow role (used by the verifier, the CFG
-  generator and the gadget scanner).
+  generator and the gadget scanner), and
+* its effects: the registers and memory it writes, the one statement
+  of them that every other per-opcode table is derived from.
 
 The MCFI-specific instructions mirror the paper's Figure 4 sequence:
 
@@ -144,8 +146,13 @@ class OpSpec:
     is_cond: bool = False          # conditional branch
     is_call: bool = False
     is_ret: bool = False
-    writes_memory: bool = False
-    reads_table: bool = False
+    traps: bool = False            # its runtime handler reads the whole state
+    writes: Tuple[int, ...] = ()   # indices of the register operands it writes
+    writes_sp: bool = False        # writes RSP implicitly
+    load: int = 0                  # bytes it loads from ``[base + disp32]``
+    store: int = 0                 # bytes it stores to ``[base + disp32]``
+    #: stores where no operand points: push, call, a syscall's handler
+    implicit_store: bool = False
 
 
 R = OperandKind.REG
@@ -153,6 +160,8 @@ I8 = OperandKind.IMM8
 I32 = OperandKind.IMM32
 I64 = OperandKind.IMM64
 REL = OperandKind.REL32
+
+W0 = (0,)  # writes its first operand
 
 SPECS: dict[Op, OpSpec] = {
     # Alignment no-ops and the movzx32 sandbox masks issue in
@@ -162,33 +171,33 @@ SPECS: dict[Op, OpSpec] = {
     # check transaction execute in parallel with no mutual
     # dependency ("confirmed by our micro-benchmarks").
     Op.NOP: OpSpec("nop", (), 0),
-    Op.HLT: OpSpec("hlt", (), 1),
-    Op.SYSCALL: OpSpec("syscall", (), 50),
+    Op.HLT: OpSpec("hlt", (), 1, traps=True),
+    Op.SYSCALL: OpSpec("syscall", (), 50, traps=True, implicit_store=True),
 
-    Op.MOV_RR: OpSpec("mov", (R, R), 1),
-    Op.MOV_RI: OpSpec("mov", (R, I64), 1),
-    Op.MOVZX32: OpSpec("movzx32", (R,), 0),
-    Op.LEA: OpSpec("lea", (R, R, I32), 1),
+    Op.MOV_RR: OpSpec("mov", (R, R), 1, writes=W0),
+    Op.MOV_RI: OpSpec("mov", (R, I64), 1, writes=W0),
+    Op.MOVZX32: OpSpec("movzx32", (R,), 0, writes=W0),
+    Op.LEA: OpSpec("lea", (R, R, I32), 1, writes=W0),
 
-    Op.ADD_RR: OpSpec("add", (R, R), 1),
-    Op.ADD_RI: OpSpec("add", (R, I32), 1),
-    Op.SUB_RR: OpSpec("sub", (R, R), 1),
-    Op.SUB_RI: OpSpec("sub", (R, I32), 1),
-    Op.IMUL_RR: OpSpec("imul", (R, R), 3),
-    Op.IDIV_RR: OpSpec("idiv", (R, R), 10),
-    Op.IMOD_RR: OpSpec("imod", (R, R), 10),
-    Op.AND_RR: OpSpec("and", (R, R), 1),
-    Op.AND_RI: OpSpec("and", (R, I32), 1),
-    Op.OR_RR: OpSpec("or", (R, R), 1),
-    Op.OR_RI: OpSpec("or", (R, I32), 1),
-    Op.XOR_RR: OpSpec("xor", (R, R), 1),
-    Op.XOR_RI: OpSpec("xor", (R, I32), 1),
-    Op.SHL_RI: OpSpec("shl", (R, I8), 1),
-    Op.SHR_RI: OpSpec("shr", (R, I8), 1),
-    Op.SHL_RR: OpSpec("shl", (R, R), 1),
-    Op.SHR_RR: OpSpec("shr", (R, R), 1),
-    Op.NEG: OpSpec("neg", (R,), 1),
-    Op.NOT: OpSpec("not", (R,), 1),
+    Op.ADD_RR: OpSpec("add", (R, R), 1, writes=W0),
+    Op.ADD_RI: OpSpec("add", (R, I32), 1, writes=W0),
+    Op.SUB_RR: OpSpec("sub", (R, R), 1, writes=W0),
+    Op.SUB_RI: OpSpec("sub", (R, I32), 1, writes=W0),
+    Op.IMUL_RR: OpSpec("imul", (R, R), 3, writes=W0),
+    Op.IDIV_RR: OpSpec("idiv", (R, R), 10, writes=W0),
+    Op.IMOD_RR: OpSpec("imod", (R, R), 10, writes=W0),
+    Op.AND_RR: OpSpec("and", (R, R), 1, writes=W0),
+    Op.AND_RI: OpSpec("and", (R, I32), 1, writes=W0),
+    Op.OR_RR: OpSpec("or", (R, R), 1, writes=W0),
+    Op.OR_RI: OpSpec("or", (R, I32), 1, writes=W0),
+    Op.XOR_RR: OpSpec("xor", (R, R), 1, writes=W0),
+    Op.XOR_RI: OpSpec("xor", (R, I32), 1, writes=W0),
+    Op.SHL_RI: OpSpec("shl", (R, I8), 1, writes=W0),
+    Op.SHR_RI: OpSpec("shr", (R, I8), 1, writes=W0),
+    Op.SHL_RR: OpSpec("shl", (R, R), 1, writes=W0),
+    Op.SHR_RR: OpSpec("shr", (R, R), 1, writes=W0),
+    Op.NEG: OpSpec("neg", (R,), 1, writes=W0),
+    Op.NOT: OpSpec("not", (R,), 1, writes=W0),
 
     Op.CMP_RR: OpSpec("cmp", (R, R), 1),
     Op.CMP_RI: OpSpec("cmp", (R, I32), 1),
@@ -197,32 +206,32 @@ SPECS: dict[Op, OpSpec] = {
     Op.CMPW_RR: OpSpec("cmpw", (R, R), 1),
     Op.TESTB1: OpSpec("testb1", (R,), 1),
 
-    Op.LOAD8: OpSpec("load8", (R, R, I32), 2),
-    Op.LOAD32: OpSpec("load32", (R, R, I32), 2),
-    Op.LOAD64: OpSpec("load64", (R, R, I32), 2),
-    Op.STORE8: OpSpec("store8", (R, I32, R), 2, writes_memory=True),
-    Op.STORE32: OpSpec("store32", (R, I32, R), 2, writes_memory=True),
-    Op.STORE64: OpSpec("store64", (R, I32, R), 2, writes_memory=True),
-    Op.LOAD16: OpSpec("load16", (R, R, I32), 2),
-    Op.STORE16: OpSpec("store16", (R, I32, R), 2, writes_memory=True),
-    Op.SAR_RI: OpSpec("sar", (R, I8), 1),
-    Op.SAR_RR: OpSpec("sar", (R, R), 1),
+    Op.LOAD8: OpSpec("load8", (R, R, I32), 2, writes=W0, load=1),
+    Op.LOAD32: OpSpec("load32", (R, R, I32), 2, writes=W0, load=4),
+    Op.LOAD64: OpSpec("load64", (R, R, I32), 2, writes=W0, load=8),
+    Op.STORE8: OpSpec("store8", (R, I32, R), 2, store=1),
+    Op.STORE32: OpSpec("store32", (R, I32, R), 2, store=4),
+    Op.STORE64: OpSpec("store64", (R, I32, R), 2, store=8),
+    Op.LOAD16: OpSpec("load16", (R, R, I32), 2, writes=W0, load=2),
+    Op.STORE16: OpSpec("store16", (R, I32, R), 2, store=2),
+    Op.SAR_RI: OpSpec("sar", (R, I8), 1, writes=W0),
+    Op.SAR_RR: OpSpec("sar", (R, R), 1, writes=W0),
 
-    Op.PUSH: OpSpec("push", (R,), 2, writes_memory=True),
-    Op.POP: OpSpec("pop", (R,), 2),
+    Op.PUSH: OpSpec("push", (R,), 2, writes_sp=True, implicit_store=True),
+    Op.POP: OpSpec("pop", (R,), 2, writes=W0, writes_sp=True),
 
     Op.CALL: OpSpec("call", (REL,), 3, is_branch=True, is_call=True,
-                    writes_memory=True),
+                    writes_sp=True, implicit_store=True),
     # Register-indirect transfers cost more than returns: a real
     # ``ret`` is return-address-stack predicted, while ``jmp/call *r``
     # is mispredict-prone.  MCFI's rewritten return (pop + checked
     # ``jmp *rcx``) pays this, which is part of its measured overhead.
     Op.CALL_R: OpSpec("call", (R,), 4, is_branch=True, is_call=True,
-                      is_indirect=True, writes_memory=True),
+                      is_indirect=True, writes_sp=True, implicit_store=True),
     Op.JMP: OpSpec("jmp", (REL,), 1, is_branch=True),
     Op.JMP_R: OpSpec("jmp", (R,), 4, is_branch=True, is_indirect=True),
     Op.RET: OpSpec("ret", (), 2, is_branch=True, is_indirect=True,
-                   is_ret=True),
+                   is_ret=True, writes_sp=True),
 
     Op.JE: OpSpec("je", (REL,), 1, is_branch=True, is_cond=True),
     Op.JNE: OpSpec("jne", (REL,), 1, is_branch=True, is_cond=True),
@@ -233,16 +242,16 @@ SPECS: dict[Op, OpSpec] = {
     Op.JB: OpSpec("jb", (REL,), 1, is_branch=True, is_cond=True),
     Op.JAE: OpSpec("jae", (REL,), 1, is_branch=True, is_cond=True),
 
-    Op.TLOAD_RI: OpSpec("tload", (R, I32), 2, reads_table=True),
-    Op.TLOAD_RR: OpSpec("tload", (R, R), 2, reads_table=True),
+    Op.TLOAD_RI: OpSpec("tload", (R, I32), 2, writes=W0),
+    Op.TLOAD_RR: OpSpec("tload", (R, R), 2, writes=W0),
 
-    Op.FADD_RR: OpSpec("fadd", (R, R), 3),
-    Op.FSUB_RR: OpSpec("fsub", (R, R), 3),
-    Op.FMUL_RR: OpSpec("fmul", (R, R), 3),
-    Op.FDIV_RR: OpSpec("fdiv", (R, R), 10),
+    Op.FADD_RR: OpSpec("fadd", (R, R), 3, writes=W0),
+    Op.FSUB_RR: OpSpec("fsub", (R, R), 3, writes=W0),
+    Op.FMUL_RR: OpSpec("fmul", (R, R), 3, writes=W0),
+    Op.FDIV_RR: OpSpec("fdiv", (R, R), 10, writes=W0),
     Op.FCMP_RR: OpSpec("fcmp", (R, R), 3),
-    Op.CVTSI2F: OpSpec("cvtsi2f", (R,), 2),
-    Op.CVTF2SI: OpSpec("cvtf2si", (R,), 2),
+    Op.CVTSI2F: OpSpec("cvtsi2f", (R,), 2, writes=W0),
+    Op.CVTF2SI: OpSpec("cvtf2si", (R,), 2, writes=W0),
 }
 
 
@@ -335,8 +344,7 @@ MAX_INSTRUCTION_LENGTH = max(codec.length for codec in CODECS.values())
 #: raising or by re-entering the trusted runtime.  Stored as plain ints
 #: because the dispatch plane indexes by the opcode byte.
 BLOCK_TERMINATORS = frozenset(
-    int(op) for op, spec in SPECS.items()
-    if spec.is_branch or op in (Op.SYSCALL, Op.HLT))
+    int(op) for op, spec in SPECS.items() if spec.is_branch or spec.traps)
 
 
 @dataclass(frozen=True)

@@ -34,7 +34,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 from repro.errors import CodegenError
 from repro.isa.assembler import AsmInstr, Data, DataWord, Item, Label, \
     LabelRef, Mark
-from repro.isa.instructions import Op
+from repro.isa.instructions import SPECS, Op
 from repro.isa.registers import ARG_REGS, Reg
 from repro.mir import ir
 from repro.tinyc.typecheck import CheckedUnit
@@ -121,8 +121,8 @@ class RawModule:
     taken_names: set = field(default_factory=set)
 
 
-_WIDTH_LOAD = {1: Op.LOAD8, 2: Op.LOAD16, 4: Op.LOAD32, 8: Op.LOAD64}
-_WIDTH_STORE = {1: Op.STORE8, 2: Op.STORE16, 4: Op.STORE32, 8: Op.STORE64}
+_WIDTH_LOAD = {spec.load: op for op, spec in SPECS.items() if spec.load}
+_WIDTH_STORE = {spec.store: op for op, spec in SPECS.items() if spec.store}
 
 _INT_BINOP = {
     "add": Op.ADD_RR, "sub": Op.SUB_RR, "mul": Op.IMUL_RR,

@@ -281,7 +281,9 @@ class GlobalData:
     global; ``relocs`` are ``(offset, kind, symbol)`` 8-byte address
     slots filled at link/load time — ``kind`` is ``'func'`` (a function
     address: the address-taken-in-data case), ``'global'`` (another
-    global's address) or ``'str'`` (a string blob id).
+    global's address) or ``'str'`` (a string blob id).  A static global
+    has internal linkage: the link renames it when another module
+    defines the same name.
     """
 
     name: str
@@ -289,6 +291,7 @@ class GlobalData:
     size: int
     words: List[Tuple[int, int, int]] = field(default_factory=list)
     relocs: List[Tuple[int, str, object]] = field(default_factory=list)
+    is_static: bool = False
 
 
 @dataclass

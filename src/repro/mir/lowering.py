@@ -817,7 +817,8 @@ class ModuleLowerer:
 
     def _lower_global(self, var: ast.GlobalVar) -> ir.GlobalData:
         size = max(var.ctype.size, 8)
-        data = ir.GlobalData(name=var.name, ctype=var.ctype, size=size)
+        data = ir.GlobalData(name=var.name, ctype=var.ctype, size=size,
+                             is_static=var.is_static)
         if var.init is not None:
             self._fill_init(data, var.init, var.ctype, 0)
         return data

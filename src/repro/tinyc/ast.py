@@ -227,7 +227,7 @@ class GlobalVar(Node):
     name: str = ""
     ctype: Optional[Type] = None
     init: Optional[object] = None     # Expr, or list (brace initializer)
-    is_extern: bool = False
+    is_static: bool = False
 
 
 @dataclass

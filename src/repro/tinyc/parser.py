@@ -160,8 +160,9 @@ class Parser:
                 init = None
                 if self.accept("op", "="):
                     init = self.parse_initializer()
-                unit.globals.append(ast.GlobalVar(line=line, name=name,
-                                                  ctype=ctype, init=init))
+                unit.globals.append(ast.GlobalVar(
+                    line=line, name=name, ctype=ctype, init=init,
+                    is_static=is_static))
             if self.accept("op", ","):
                 continue
             self.expect("op", ";")

@@ -68,7 +68,8 @@ import textwrap
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.errors import InvalidInstruction, MemoryFault, VMError
-from repro.isa.instructions import BLOCK_TERMINATORS, SPECS, Op, OperandKind
+from repro.isa.instructions import (BLOCK_TERMINATORS, CODEC_BY_BYTE,
+                                    SPECS, Op, OperandKind)
 from repro.obs import OBS
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
@@ -356,7 +357,7 @@ _TEMPLATES = {
 SEMANTICS: List[Optional[Semantics]] = [None] * 0x100
 for _op, _body in _TEMPLATES.items():
     SEMANTICS[int(_op)] = Semantics(
-        _body, SPECS[_op].operands, sync=_op in (Op.SYSCALL, Op.HLT),
+        _body, SPECS[_op].operands, sync=SPECS[_op].traps,
         ends=int(_op) in BLOCK_TERMINATORS)
 
 #: A load the block answers from its own earlier store
@@ -533,10 +534,6 @@ def compile_entry(entry: Tuple[int, Tuple[int, ...], int, int],
     return factory(ops, rip, cost, rip + length)
 
 
-_LOAD_WIDTH = {int(Op.LOAD8): 1, int(Op.LOAD16): 2, int(Op.LOAD32): 4,
-               int(Op.LOAD64): 8}
-_STORE_WIDTH = {int(Op.STORE8): 1, int(Op.STORE16): 2, int(Op.STORE32): 4,
-                int(Op.STORE64): 8}
 _MOVZX32_INT = int(Op.MOVZX32)
 
 
@@ -562,24 +559,24 @@ def _forwarding(entries) -> Tuple[Dict[int, int], set]:
     reloads: Dict[int, int] = {}
     skips = set()
     for index, (op, ops, _, _) in enumerate(entries):
-        sem = SEMANTICS[op]
-        if op in _LOAD_WIDTH:
+        spec = CODEC_BY_BYTE[op].spec
+        if spec.load:
             store = live.get((ops[1], version[ops[1]], ops[2]))
-            if store is not None and store[0] == _LOAD_WIDTH[op]:
+            if store is not None and store[0] == spec.load:
                 reloads[index] = store[1]
-        elif op in _STORE_WIDTH:
-            base, disp, width = ops[0], ops[1], _STORE_WIDTH[op]
+        elif spec.store:
+            base, disp, width = ops[0], ops[1], spec.store
             live = {key: store for key, store in live.items()
                     if key[:2] == (base, version[base])
                     and (key[2] + store[0] <= disp
                          or disp + width <= key[2])}
             live[base, version[base], disp] = (width, index)
-        elif "cpu" in sem.fields or "{mem}.write" in sem.body:
+        elif spec.implicit_store:
             live.clear()  # a push, a call, or a handler
         if op == _MOVZX32_INT and ops[0] in masked:
             skips.add(index)
             continue
-        for reg in sem.touched(ops)[1]:
+        for reg in SEMANTICS[op].touched(ops)[1]:
             version[reg] += 1
             masked.discard(reg)
         if op == _MOVZX32_INT:
@@ -624,7 +621,7 @@ def _block_source(block: "Block") -> Tuple[str, int]:
         if "t" in sem.fields:
             named["t"] = repr(nxt + ops[0])
         if index in reloads:
-            width = _LOAD_WIDTH[block.entries[index][0]]
+            width = CODEC_BY_BYTE[block.entries[index][0]].spec.load
             named.update(v=f"v{reloads[index]}",
                          mask=hex((1 << 8 * width) - 1))
             sem, operands = RELOAD, operands[:1]

@@ -20,11 +20,13 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.cfg.generator import Cfg
-from repro.isa.instructions import Op
+from repro.isa.instructions import SPECS, Op
 from repro.vm.cpu import CPU
 
-_INDIRECT = (int(Op.RET), int(Op.JMP_R), int(Op.CALL_R))
-_BRANCHES = _INDIRECT + (int(Op.CALL), int(Op.JMP))
+#: opcode byte -> event kind of every unconditional transfer
+_KIND = {int(op): spec.mnemonic + "*" * (spec.is_indirect and not spec.is_ret)
+         for op, spec in SPECS.items() if spec.is_branch and not spec.is_cond}
+_INDIRECT = frozenset(op for op in _KIND if SPECS[op].is_indirect)
 
 
 @dataclass(frozen=True)
@@ -34,11 +36,6 @@ class BranchEvent:
     kind: str          # 'ret' | 'jmp*' | 'call*' | 'call' | 'jmp'
     source: int        # address of the branch instruction
     target: int        # where control actually went
-
-
-_KIND = {int(Op.RET): "ret", int(Op.JMP_R): "jmp*",
-         int(Op.CALL_R): "call*", int(Op.CALL): "call",
-         int(Op.JMP): "jmp"}
 
 
 class BranchTracer:
@@ -84,7 +81,7 @@ class BranchTracer:
             self.events.append(BranchEvent(_KIND[op], rip, cpu.rip))
 
     def _wanted(self, op: int) -> bool:
-        return op in (_INDIRECT if self.indirect_only else _BRANCHES)
+        return op in (_INDIRECT if self.indirect_only else _KIND)
 
     def detach(self) -> None:
         if self._had_instance_step:
@@ -164,7 +161,7 @@ def site_map(module) -> Dict[int, int]:
             site = offsets_to_site.get(field_offset)
             if site is not None:
                 current_site = site
-        elif decoded.op in (Op.JMP_R, Op.CALL_R):
+        elif decoded.spec.is_indirect and not decoded.spec.is_ret:
             if current_site is not None:
                 out[decoded.address] = current_site
     return out

@@ -23,6 +23,7 @@ from repro.analysis.binverify import (
 )
 from repro.analysis.binverify.absint import (
     CHECKED_SHIFT,
+    EFFECT,
     make_problem,
     summarize,
 )
@@ -39,7 +40,7 @@ from repro.faults.miscompile import (
     evasion_campaign,
 )
 from repro.isa.disasm import DecodedInstr, sweep_ranges
-from repro.isa.instructions import CODECS, Op, OperandKind, SPECS
+from repro.isa.instructions import CODECS, Op, OperandKind
 from repro.isa.registers import NUM_REGS, Reg
 from repro.build import build_program
 from repro.tools.verify import QUICK_SEEDS, QUICK_WORKLOADS
@@ -372,14 +373,6 @@ class TestEvasionCampaign:
 TOP, MASKED, CHECKED = 0, 1, 2
 REF_TOP = (TOP,) * NUM_REGS
 
-_NO_REG_WRITE = frozenset({
-    Op.CMP_RR, Op.CMP_RI, Op.TEST_RR, Op.TEST_RI, Op.CMPW_RR, Op.TESTB1,
-    Op.STORE8, Op.STORE16, Op.STORE32, Op.STORE64,
-})
-_WRITES_FIRST = frozenset(
-    op for op, spec in SPECS.items()
-    if spec.operands and spec.operands[0] is OperandKind.REG
-    and op not in _NO_REG_WRITE and op != Op.MOVZX32)
 _KILLS_ALL = frozenset({Op.CALL, Op.CALL_R, Op.SYSCALL})
 
 
@@ -388,19 +381,20 @@ def ref_join(a, b):
 
 
 def ref_step(state, record):
-    op, operands = record.codec.op, record.operands
+    """One instruction: the registers ``SPECS`` says it writes drop to
+    TOP, except that a ``movzx32`` masks its register."""
+    op, operands, spec = record.codec.op, record.operands, record.spec
     if op == Op.NOP:
         return state
-    state = tuple(MASKED if fact == CHECKED else fact for fact in state)
-    if op == Op.MOVZX32:
-        reg = operands[0]
-        return state[:reg] + (MASKED,) + state[reg + 1:]
     if op in _KILLS_ALL:
         return REF_TOP
-    if op in _WRITES_FIRST:
-        reg = operands[0]
-        return state[:reg] + (TOP,) + state[reg + 1:]
-    return state
+    written = {operands[index] for index in spec.writes}
+    if spec.writes_sp:
+        written.add(Reg.RSP)
+    after = MASKED if op == Op.MOVZX32 else TOP
+    return tuple(after if reg in written
+                 else MASKED if fact == CHECKED else fact
+                 for reg, fact in enumerate(state))
 
 
 def ref_problem():
@@ -447,6 +441,32 @@ def assert_fixpoints_agree(module):
     for label, state in reference.inputs.items():
         assert decode(fast.inputs[label]) == state, (module.name, label)
     return True
+
+
+def effect_on(op, reg, start):
+    """The state :data:`EFFECT` gives after ``op`` alone, with ``reg``
+    as its register operand."""
+    effect = EFFECT[op]
+    if len(effect) > 2:
+        effect = effect[reg]
+    keep, gen = effect
+    return decode((encode(start) & keep) | gen)
+
+
+class TestEffectTable:
+    """PUSH, POP and RET write RSP; PUSH, FCMP_RR and JMP_R only read
+    their register operand.  A rule that reads writes off the operand
+    signature gets all five wrong."""
+
+    @pytest.mark.parametrize("name", ["PUSH", "POP", "RET"])
+    def test_stack_opcodes_clear_rsp(self, name):
+        after = effect_on(Op[name], Reg.RAX, (MASKED,) * NUM_REGS)
+        assert after[Reg.RSP] == TOP
+
+    @pytest.mark.parametrize("name", ["PUSH", "FCMP_RR", "JMP_R"])
+    def test_operand_readers_keep_its_fact(self, name):
+        after = effect_on(Op[name], Reg.RAX, (MASKED,) * NUM_REGS)
+        assert after[Reg.RAX] == MASKED
 
 
 class TestIntLattice:

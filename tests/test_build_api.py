@@ -20,7 +20,6 @@ import warnings
 import pytest
 
 from repro.build import BuildSession, build_program, compile_object
-from repro.build.fingerprint import source_body_key
 from repro.build.source_index import diff_bodies, index_source
 from repro.errors import TinyCError
 from repro.runtime.runtime import Runtime
@@ -100,16 +99,6 @@ class TestRegressions:
                             repro.toolchain.BUILTIN_PRELUDE + "int x;\n")
         assert cache.program_key("x64", True, sources) != before
 
-    def test_prelude_flag_separates_body_memo_keys(self, monkeypatch):
-        # The body memo is keyed by body text: the prelude the body is
-        # compiled against is part of the key.
-        import repro.toolchain
-        body = "int f(void) { return 1; }"
-        before = source_body_key("m", "x64", body)
-        monkeypatch.setattr(repro.toolchain, "BUILTIN_PRELUDE",
-                            repro.toolchain.BUILTIN_PRELUDE + "int x;\n")
-        assert source_body_key("m", "x64", body) != before
-
 
 #: Seeded-random incremental workload: editable function bodies whose
 #: exit code the test can predict.
@@ -163,25 +152,8 @@ class TestIncrementalProperty:
         assert result.stats["spliced"] == 1
         assert result.stats["modules_mini"] == 1
 
-    def test_revert_edit_hits_body_memo(self):
-        # cold build, edit (memoizes the edited body), revert (memoizes
-        # the original body), then re-edit: that last rebuild must be
-        # served entirely from the body memo — no new entries.
-        session = BuildSession()
-        original = _edit_source([1, 2, 3, 4])
-        edited = _edit_source([1, 2, 3, 40])
-        session.build({"prog": original})
-        session.build({"prog": edited})
-        session.build({"prog": original})
-        before = set(session._body_memo)
-        result = session.build({"prog": edited})
-        assert result.kind == "incremental"
-        assert set(session._body_memo) == before
-        _assert_same_image(build_program({"prog": edited}).program,
-                           result.program)
-
     def test_structural_edit_drops_stale_body_memo(self):
-        # The edited body of step 2 is memoized while ``b`` sits at
+        # The edited body of step 2 is compiled while ``b`` sits at
         # offset 8; after the structural edit moves it to 16, editing
         # back to that body must compile against the new declarations.
         def source(fields, body):

@@ -2,6 +2,7 @@
 runner, parallel artifact equivalence and the two CLIs."""
 
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -326,3 +327,46 @@ class TestCli:
         assert len(summaries) == 2
         warm = summaries[-1]
         assert warm["cache_hit_rate"] >= 0.9
+
+
+_COUNTS = re.compile(r"artifact cache: (\d+) hits / (\d+) misses")
+
+
+def _reported_counts(cache_dir, capsys):
+    """The hits and misses ``infra report`` prints for ``cache_dir``."""
+    from repro.tools.infra import main
+    assert main(["report", "--cache-dir", str(cache_dir)]) == 0
+    return _COUNTS.search(capsys.readouterr().out).groups()
+
+
+class TestReportCounts:
+    """``infra report`` prints the cache counts its store's commands
+    printed, each once."""
+
+    def test_store_of_infra_run(self, tmp_path, capsys):
+        from repro.tools.infra import main
+        cache_dir = tmp_path / "cache"
+        assert main(["run", "--benchmarks", "libquantum", "--jobs", "2",
+                     "--cache-dir", str(cache_dir)]) == 0
+        printed = _COUNTS.search(capsys.readouterr().out).groups()
+        assert int(printed[1]) > 0
+        assert _reported_counts(cache_dir, capsys) == printed
+
+    def test_store_of_serial_spec(self, tmp_path, capsys):
+        """A serial run counts its lookups in its summary record alone;
+        a parallel run before it, in that summary and in the records
+        it sums.  The report adds the two runs' printed counts."""
+        import repro.experiments as ex
+        from repro.tools.spec import main
+        cache_dir = tmp_path / "cache"
+        printed = []
+        for jobs in ("2", "1"):
+            campaign.configure(None)
+            ex._PROGRAM_CACHE.clear()
+            assert main(["table3", "--benchmarks", "libquantum", "--jobs",
+                         jobs, "--cache-dir", str(cache_dir)]) == 0
+            err = capsys.readouterr().err
+            printed.append([int(n) for n in _COUNTS.search(err).groups()])
+        assert printed[1][0] > 0
+        total = tuple(str(a + b) for a, b in zip(*printed))
+        assert _reported_counts(cache_dir, capsys) == total

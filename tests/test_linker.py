@@ -49,6 +49,31 @@ class TestSymbolResolution:
             build_program({"a": "int g; int main(void) { return g; }",
                            "b": "int g;"})
 
+    @pytest.mark.parametrize("arch", ["x64", "x32"])
+    def test_static_globals_are_per_module(self, arch):
+        """Each module's code, and each module's initializers, reach
+        the module's own static ``g``."""
+        from repro.toolchain import run_program
+        program = build_program({
+            "a": "static int g = 3; int *pa = &g; int bump(void);"
+                 " int main(void) { *pa = *pa + 1;"
+                 " return g * 10 + bump(); }",
+            "b": "static int g = 7; int *pb = &g;"
+                 " int bump(void) { *pb = *pb + 2; return g; }",
+        }, arch=arch).program
+        assert run_program(program).exit_code == 49
+        assert {"g", "b$g"} <= set(program.data.symbols)
+
+    def test_static_global_yields_to_exported_one(self):
+        from repro.toolchain import run_program
+        program = build_program({
+            "a": "static int g = 3; int other(void);"
+                 " int main(void) { return g * 10 + other(); }",
+            "b": "int g = 7; int other(void) { return g; }",
+        }).program
+        assert run_program(program).exit_code == 37
+        assert {"a$g", "g"} <= set(program.data.symbols)
+
     def test_mixed_arch_rejected(self):
         a = compile_object(HELPER, name="a", arch="x64")
         b = compile_object("void _start(void) { }", name="b", arch="x32")

@@ -21,6 +21,7 @@ forwarding to the reference on seeded random blocks, comparing the
 bytes of every mapped page as well.
 """
 
+import re
 import struct
 from unittest import mock
 
@@ -29,7 +30,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from repro.errors import CfiViolation, MemoryFault, VMError
 from repro.isa.assembler import AsmInstr, Label, LabelRef, assemble
-from repro.isa.instructions import Op
+from repro.isa.instructions import SPECS, Op
 from repro.isa.registers import Reg
 from repro.vm import dispatch
 from repro.vm.cpu import CPU, ProgramExit
@@ -117,6 +118,33 @@ def assert_identical(fast_cpu, ref_cpu, fast_out, ref_out):
         assert fast_out == ref_out
     assert fast_cpu.snapshot() == ref_cpu.snapshot()
     assert fast_cpu.tx_checks == ref_cpu.tx_checks
+
+
+_MEMORY_CALL = re.compile(r"\{mem\}\.(read|write)_u(\d+)\(")
+
+
+class TestTemplatesMatchSpecs:
+    """Each opcode template writes what its ``SPECS`` entry says: the
+    same register operands, RSP (through ``{sp}``) or not, and memory
+    of the stated width, so the VM's semantics and the verifier's model
+    of them cannot drift apart.  ``syscall`` and ``hlt`` are excepted:
+    what they write is up to their handlers (the runtime's system calls
+    and the CFI halt), which the template only calls."""
+
+    @pytest.mark.parametrize("name", [op.name for op, spec in SPECS.items()
+                                      if not spec.traps])
+    def test_template_writes_what_spec_states(self, name):
+        spec, sem = SPECS[Op[name]], dispatch.SEMANTICS[Op[name]]
+        assert sem.reg_stores == spec.writes
+        assert ("sp" in sem.stores) == spec.writes_sp
+        widths = {"read": set(), "write": set()}
+        for kind, bits in _MEMORY_CALL.findall(sem.body):
+            widths[kind].add(int(bits) // 8)
+        # a push or a call stores one stack word; a pop or a ret loads one
+        stack = {8} if spec.writes_sp else set()
+        pushes = stack if spec.implicit_store else set()
+        assert widths["read"] == {spec.load} - {0} | (stack - pushes)
+        assert widths["write"] == {spec.store} - {0} | pushes
 
 
 class TestDispatchConformance:
